@@ -273,6 +273,7 @@ func newSystem(opts Options, reg *obs.Registry, sc *obs.Scope, jr *journal.Journ
 	}
 	// Translator → collector is the lossless RDMA hop: emissions apply
 	// immediately and acks return synchronously.
+	tr.PreTouch = host.Device().PreTouch
 	tr.Emit = func(pkt []byte) {
 		if s.markDirty != nil {
 			s.markDirty(pkt)

@@ -110,6 +110,10 @@ func (s *System) walCommitBatch() error {
 	return s.wal.CommitBatch()
 }
 
+// replayChunk is how many log records Recover hands the translator at a
+// time (the engine's default ChunkFrames).
+const replayChunk = 32
+
 // Recover rebuilds this system's state from a WAL directory: the
 // checkpoint image (if one was written) is loaded into the stores, then
 // the log tail above it replays through the translator pipeline — so
@@ -145,14 +149,32 @@ func (s *System) Recover(dir string) (uint64, error) {
 	if torn > 0 {
 		jr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(torn), 0, 0)
 	}
+	// Replay goes through the translator's chunk entry, like live ingest,
+	// so a restart gets the same overlapped store misses. A chunk closes
+	// when it is full or the logged clock moves: the limiter must see
+	// every record at its own timestamp.
+	chunk := make([]wire.StagedReport, 0, replayChunk)
+	var chunkNow uint64
+	failed := 0
+	flush := func() {
+		n, _ := s.tr.ProcessStagedBatch(chunk, nil, chunkNow)
+		failed += n
+		chunk = chunk[:0]
+	}
 	last, skipped, err := wal.Recover(dir,
 		func(ck *snapshot.Snapshot) error {
 			_, err := ha.Resync(ha.Target{Host: s.host, Batcher: s.tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
 			return err
 		},
 		func(lsn, nowNs uint64, rec *wire.StagedReport) error {
-			return s.tr.ProcessStaged(rec, nowNs)
+			if len(chunk) == cap(chunk) || (len(chunk) > 0 && nowNs != chunkNow) {
+				flush()
+			}
+			chunk, chunkNow = append(chunk, *rec), nowNs
+			return nil
 		})
+	flush() // also on a log-damage abort: what was read intact is applied
+	skipped += failed
 	if err != nil {
 		return last, err
 	}

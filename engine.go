@@ -65,10 +65,40 @@ func (k systemSink) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 	return k.s.deliverStagedAt(s, nowNs)
 }
 
-// SetTraceHandle installs the data-plane trace handle for the next
-// processed report on the System's translator (engine.TraceSink); the
-// shard worker calls it per record when tracing is live.
-func (k systemSink) SetTraceHandle(h trace.Handle) { k.s.tr.SetTraceHandle(h) }
+// ProcessStagedBatch is the shard worker's entry (engine.StagedBatchSink):
+// the whole chunk reaches the translator in one call, so it can
+// pre-touch every destination line before crafting the first packet. The
+// lossy-link model still decides record by record; each run of surviving
+// records goes down as one batch, with its slice of the trace handles.
+func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	s := k.s
+	if s.link == nil {
+		return s.tr.ProcessStagedBatch(recs, trcs, nowNs)
+	}
+	run := func(from, to int) {
+		if from == to {
+			return
+		}
+		var h []trace.Handle
+		if len(trcs) > 0 {
+			h = trcs[from:to]
+		}
+		n, err := s.tr.ProcessStagedBatch(recs[from:to], h, nowNs)
+		if failed == 0 {
+			first = err
+		}
+		failed += n
+	}
+	start := 0
+	for i := range recs {
+		if _, dropped := s.link.Send(nowNs, recs[i].FrameLen()); dropped {
+			run(start, i) // best-effort: recs[i] is silently lost, like UDP
+			start = i + 1
+		}
+	}
+	run(start, len(recs))
+	return failed, first
+}
 
 func (k systemSink) Flush(nowNs uint64) error { return k.s.flushAt(nowNs) }
 
@@ -256,8 +286,8 @@ func (r *AsyncReporter) submitReport(shard int, rep *wire.Report) error {
 // are skipped with a counter, never an error.
 func (r *AsyncReporter) haFan(owners []int, encode func(rep *reporter.Reporter, buf []byte) (int, error)) error {
 	h := r.eng.hac
-	// Fence read-lock across the whole fan-out, including any coupled
-	// chunk flush a submit triggers — see HACluster.fenceMu.
+	// Fence read-lock across the whole fan-out, including the coupled
+	// chunk flush that may follow it — see HACluster.fenceMu.
 	h.fenceMu.RLock()
 	defer h.fenceMu.RUnlock()
 	// Skip set decided before the first submit — see HAReporter.fan for
@@ -283,7 +313,8 @@ func (r *AsyncReporter) haFan(owners []int, encode func(rep *reporter.Reporter, 
 		live++
 	}
 	h.health.RecordWrite(live, len(owners))
-	return nil
+	// Only now, with every owner's copy staged, may a full chunk go out.
+	return r.sub.FlushIfFull()
 }
 
 // haFanReport is haFan for the structured path: the report is built
@@ -313,7 +344,8 @@ func (r *AsyncReporter) haFanReport(owners []int, rep *wire.Report) error {
 		live++
 	}
 	h.health.RecordWrite(live, len(owners))
-	return nil
+	// Only now, with every owner's copy staged, may a full chunk go out.
+	return r.sub.FlushIfFull()
 }
 
 // Flush queues this reporter's staged chunks. Producers must call it

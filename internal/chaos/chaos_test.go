@@ -139,7 +139,9 @@ func TestDiskFaultFile(t *testing.T) {
 		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if el := time.Since(t0); el > 10*time.Millisecond {
+		// An upper bound on elapsed time holds only on a quiet host:
+		// opt-in, like the root package's overhead gate.
+		if el := time.Since(t0); el > 10*time.Millisecond && os.Getenv("DTA_WALLCLOCK_GATES") != "" {
 			t.Fatalf("healed sync still slow: %s", el)
 		}
 	})

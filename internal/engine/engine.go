@@ -63,10 +63,10 @@ type ReportSink interface {
 // sink does not implement ReportSink.
 var ErrNoReportSink = errors.New("engine: sink does not implement ReportSink")
 
-// StagedSink is an optional further refinement of ReportSink: the worker
-// hands over the compact staged record itself, saving even the
-// decompression into a scratch wire.Report. Sinks that only implement
-// ReportSink get records decompressed for them.
+// StagedSink is an optional further refinement of ReportSink: it takes
+// the compact staged record itself, saving the decompression into a
+// scratch wire.Report. Sinks that only implement ReportSink get records
+// decompressed for them.
 type StagedSink interface {
 	ReportSink
 	// ProcessStaged ingests one staged record. s is only read during
@@ -74,13 +74,47 @@ type StagedSink interface {
 	ProcessStaged(s *wire.StagedReport, nowNs uint64) error
 }
 
-// TraceSink is an optional StagedSink extension: the worker hands the
-// report's data-plane trace handle over immediately before each
-// ProcessStaged call, so downstream layers (translator, WAL) can stamp
-// their stages onto the same trace. The handle may be invalid (the
-// report was sampled out); implementations must store it as-is.
-type TraceSink interface {
-	SetTraceHandle(trace.Handle)
+// StagedBatchSink is how the worker hands structured reports to a sink:
+// one call per dequeued chunk, so the sink can overlap work across the
+// chunk's records (the translator pre-touches every destination line
+// before crafting the first packet). Sinks that only implement the
+// per-record ReportSink/StagedSink entries are wrapped in an adapter by
+// New.
+type StagedBatchSink interface {
+	// ProcessStagedBatch ingests recs in order. trcs, when non-empty,
+	// runs parallel to recs: trcs[i] is recs[i]'s data-plane trace handle
+	// (invalid when the report was sampled out), for downstream layers to
+	// stamp their stages on; the worker keeps ownership and releases the
+	// handles after the call. Both slices are only read during the call.
+	// A failing record does not stop the chunk: failed counts the records
+	// whose processing returned an error and first is the earliest one.
+	ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error)
+}
+
+// perRecord adapts a per-record structured sink to StagedBatchSink.
+// Trace handles stop here: a per-record sink has no way to take them.
+type perRecord struct {
+	rsink   ReportSink
+	ssink   StagedSink  // nil: decompress into scratch for rsink
+	scratch wire.Report // worker-lifetime decompression target
+}
+
+func (a *perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ []trace.Handle, nowNs uint64) (failed int, first error) {
+	for i := range recs {
+		var err error
+		if a.ssink != nil {
+			err = a.ssink.ProcessStaged(&recs[i], nowNs)
+		} else {
+			err = a.rsink.ProcessReport(recs[i].View(&a.scratch), nowNs)
+		}
+		if err != nil {
+			if failed == 0 {
+				first = err
+			}
+			failed++
+		}
+	}
+	return failed, first
 }
 
 // BatchSink is an optional Sink extension: BatchEnd is invoked on the
@@ -145,7 +179,7 @@ type Config struct {
 	Journal *journal.Journal
 	// Trace, when non-nil, samples end-to-end data-plane traces on the
 	// structured submit path: Submitters begin traces, the worker
-	// stamps queue stages and hands the handle to TraceSink sinks. Nil
+	// stamps queue stages and hands the chunk's handles to the sink. Nil
 	// keeps the hot path at one predicted branch.
 	Trace *trace.Tracer
 }
@@ -261,13 +295,11 @@ func (c *shardCounters) snapshot() Stats {
 }
 
 type shard struct {
-	sink  Sink
-	rsink ReportSink // non-nil when sink implements the structured path
-	ssink StagedSink // non-nil when sink consumes staged records directly
-	bsink BatchSink  // non-nil when sink wants batch-boundary callbacks
-	tsink TraceSink  // non-nil when sink accepts trace handles
-	ch    chan *chunk
-	ctr   shardCounters
+	sink   Sink
+	staged StagedBatchSink // non-nil when sink implements the structured path
+	bsink  BatchSink       // non-nil when sink wants batch-boundary callbacks
+	ch     chan *chunk
+	ctr    shardCounters
 
 	// Queue-stall episode state: overlapping Block-policy stalls from
 	// concurrent producers coalesce into one journal episode — first
@@ -345,10 +377,13 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 			ctr:  newShardCounters(shardScope),
 			jr:   journal.Emitter{J: c.Journal, Comp: journal.CompEngine, Collector: int16(i)},
 		}
-		sh.rsink, _ = s.(ReportSink)
-		sh.ssink, _ = s.(StagedSink)
+		if b, ok := s.(StagedBatchSink); ok {
+			sh.staged = b
+		} else if r, ok := s.(ReportSink); ok {
+			ss, _ := s.(StagedSink)
+			sh.staged = &perRecord{rsink: r, ssink: ss}
+		}
 		sh.bsink, _ = s.(BatchSink)
-		sh.tsink, _ = s.(TraceSink)
 		// Queue depth is read straight off the channel at exposition
 		// time — zero hot-path cost.
 		ch := sh.ch
@@ -389,7 +424,7 @@ func (e *Engine) EnqueueReport(shardIdx int, r *wire.Report, nowNs uint64) error
 		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(e.shards))
 	}
 	sh := e.shards[shardIdx]
-	if sh.rsink == nil {
+	if sh.staged == nil {
 		return ErrNoReportSink
 	}
 	ck := e.pool.Get().(*chunk)
@@ -497,13 +532,18 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 type Submitter struct {
 	e       *Engine
 	pending []*chunk // lazily allocated, one per shard
-	// coupled flushes EVERY shard's staged chunk whenever any one
-	// fills, so the staged set is all-or-nothing across shards at any
-	// instant. HA engines need this: a replicated report is staged on
-	// all its owners in one fan-out, and resync watermark fences are
-	// only exact if no fan-out can be half-visible — one owner's copy
-	// queued while another's is still staged (see HACluster.fenceMu).
+	// coupled keeps the staged set all-or-nothing across shards: a full
+	// chunk does not queue itself, it marks the submitter full, and the
+	// owner queues EVERY shard's staged chunk at its next FlushIfFull.
+	// HA engines need this: a replicated report is staged on all its
+	// owners in one fan-out, and resync watermark fences are only exact
+	// if no fan-out can be half-visible — one owner's copy queued while
+	// another's is still staged (see HACluster.fenceMu). That is also why
+	// the flush cannot run from inside the submission that filled the
+	// chunk: that submission is one leg of a fan-out whose other legs are
+	// not staged yet.
 	coupled bool
+	full    bool
 	// smp is this producer's trace candidate filter: caller-local like
 	// the Submitter itself, so the sampled-out path costs no shared
 	// cache traffic.
@@ -511,8 +551,19 @@ type Submitter struct {
 }
 
 // SetCoupled switches the submitter to coupled (all-or-nothing) chunk
-// flushing across shards.
+// flushing across shards: the caller must then call FlushIfFull after
+// each complete fan-out.
 func (s *Submitter) SetCoupled(v bool) { s.coupled = v }
+
+// FlushIfFull queues every staged chunk if a submission since the last
+// flush filled one (coupled submitters only; otherwise full chunks queue
+// themselves). Call it between fan-outs, never inside one.
+func (s *Submitter) FlushIfFull() error {
+	if !s.full {
+		return nil
+	}
+	return s.Flush()
+}
 
 // Submitter returns a new producer handle.
 func (e *Engine) Submitter() *Submitter {
@@ -561,7 +612,8 @@ func (s *Submitter) Submit(shardIdx int, frame []byte, nowNs uint64) error {
 	}
 	if len(ck.lens) >= s.e.cfg.ChunkFrames {
 		if s.coupled {
-			return s.Flush()
+			s.full = true
+			return nil
 		}
 		s.pending[shardIdx] = nil
 		return s.e.send(s.e.shards[shardIdx], ck)
@@ -579,7 +631,7 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 	if s.e.closed.Load() {
 		return ErrClosed
 	}
-	if s.e.shards[shardIdx].rsink == nil {
+	if s.e.shards[shardIdx].staged == nil {
 		return ErrNoReportSink
 	}
 	ck, err := s.stagedChunk(shardIdx, true)
@@ -597,7 +649,8 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 	}
 	if len(ck.recs) >= s.e.cfg.ChunkFrames {
 		if s.coupled {
-			return s.Flush()
+			s.full = true
+			return nil
 		}
 		s.pending[shardIdx] = nil
 		return s.e.send(s.e.shards[shardIdx], ck)
@@ -607,6 +660,7 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 
 // Flush queues every non-empty staged chunk.
 func (s *Submitter) Flush() error {
+	s.full = false
 	for i, ck := range s.pending {
 		if ck == nil || ck.count() == 0 {
 			continue
@@ -703,9 +757,6 @@ func (e *Engine) run(sh *shard) {
 	// batch-granular state — e.g. a WAL's every-batch fsync — is settled
 	// when Drain returns).
 	var pendingDrains []chan struct{}
-	// scratch is the decompression target for staged reports: one
-	// worker-lifetime value, overwritten per record.
-	var scratch wire.Report
 
 	flush := func(nowNs uint64) {
 		if nowNs > lastNow {
@@ -737,43 +788,21 @@ func (e *Engine) run(sh *shard) {
 				e.recordErr(err)
 			}
 		}
-		// Structured fast path: hand staged records straight to the
-		// sink, no frame parse (and, for StagedSinks, no decompression
-		// either). Submission guarantees recs is empty when the sink
-		// lacks ReportSink support. Traced records get their dequeue
-		// stamp here and release the data-side trace reference after
-		// the sink call; the handle must be (re)set for EVERY record
-		// when tracing is live — including the invalid handle — so the
-		// sink never stamps a stale, recycled trace slot.
-		if sh.ssink != nil {
-			tracing := e.cfg.Trace != nil && sh.tsink != nil
-			for i := range ck.recs {
-				var h trace.Handle
-				if i < len(ck.trcs) {
-					h = ck.trcs[i]
-					h.Stamp(trace.StDequeue)
-				}
-				if tracing {
-					sh.tsink.SetTraceHandle(h)
-				}
-				if err := sh.ssink.ProcessStaged(&ck.recs[i], lastNow); err != nil {
-					sh.ctr.errors.Add(1)
-					e.recordErr(err)
-				}
-				h.Finish()
+		// Structured reports go to the sink a chunk at a time, no frame
+		// parse. Submission guarantees recs is empty when the sink has no
+		// structured entry. Traced records get their dequeue stamp as the
+		// chunk is picked up and release the data-side trace reference
+		// once the sink is done with the chunk.
+		if len(ck.recs) > 0 {
+			for i := range ck.trcs {
+				ck.trcs[i].Stamp(trace.StDequeue)
 			}
-		} else {
-			for i := range ck.recs {
-				var h trace.Handle
-				if i < len(ck.trcs) {
-					h = ck.trcs[i]
-					h.Stamp(trace.StDequeue)
-				}
-				if err := sh.rsink.ProcessReport(ck.recs[i].View(&scratch), lastNow); err != nil {
-					sh.ctr.errors.Add(1)
-					e.recordErr(err)
-				}
-				h.Finish()
+			if failed, err := sh.staged.ProcessStagedBatch(ck.recs, ck.trcs, lastNow); failed > 0 {
+				sh.ctr.errors.Add(uint64(failed))
+				e.recordErr(err)
+			}
+			for i := range ck.trcs {
+				ck.trcs[i].Finish()
 			}
 		}
 		n := ck.count()

@@ -3,8 +3,10 @@ package engine
 import (
 	"errors"
 	"runtime/debug"
+	"slices"
 	"testing"
 
+	"dta/internal/obs/trace"
 	"dta/internal/wire"
 )
 
@@ -204,3 +206,166 @@ type nullReportSink struct{ n int }
 func (s *nullReportSink) ProcessFrame(frame []byte, nowNs uint64) error    { s.n++; return nil }
 func (s *nullReportSink) ProcessReport(r *wire.Report, nowNs uint64) error { s.n++; return nil }
 func (s *nullReportSink) Flush(nowNs uint64) error                         { return nil }
+
+// batchRecordSink is a StagedBatchSink that remembers how each chunk
+// arrived and fails the records whose key is odd.
+type batchRecordSink struct {
+	recordSink
+	chunks  []int    // records per ProcessStagedBatch call
+	traceID []uint64 // per record, in arrival order (0 = no valid handle)
+}
+
+var errOddKey = errors.New("odd key")
+
+func (s *batchRecordSink) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	s.chunks = append(s.chunks, len(recs))
+	for i := range recs {
+		var id uint64
+		if i < len(trcs) {
+			id = trcs[i].ID()
+		}
+		s.traceID = append(s.traceID, id)
+		if key, _ := recs[i].KeyWriteArgs(); key.Uint64()&1 == 1 {
+			if failed == 0 {
+				first = errOddKey
+			}
+			failed++
+		}
+	}
+	return failed, first
+}
+
+// TestWorkerHandsChunksToBatchSink: one sink call per submitted chunk,
+// the chunk's trace handles riding along in record order (and still live:
+// the worker releases them only after the call), and every failed record
+// counted though the call returns a single error.
+func TestWorkerHandsChunksToBatchSink(t *testing.T) {
+	sink := &batchRecordSink{}
+	tracer := trace.New(trace.Config{CandidateShift: 1}) // every 2nd submit is a candidate
+	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 4, Trace: tracer})
+	sub := e.Submitter()
+	for i := 0; i < 10; i++ {
+		if err := sub.SubmitReport(0, kwReport(uint64(i), []byte{1}), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sub.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(0); !errors.Is(err, errOddKey) {
+		t.Fatalf("Drain = %v, want %v", err, errOddKey)
+	}
+	if got, want := sink.chunks, []int{4, 4, 2}; !slices.Equal(got, want) {
+		t.Fatalf("chunk sizes %v, want %v", got, want)
+	}
+	if st := e.Stats(); st.Processed != 10 || st.Errors != 5 {
+		t.Fatalf("Processed/Errors = %d/%d, want 10/5", st.Processed, st.Errors)
+	}
+	valid := 0
+	for i, id := range sink.traceID {
+		if id != 0 {
+			valid++
+			if i%2 != 1 {
+				t.Errorf("record %d carried trace %d; candidates are the odd submits", i, id)
+			}
+		}
+	}
+	if valid != 5 {
+		t.Fatalf("%d records carried a live trace handle, want 5: %v", valid, sink.traceID)
+	}
+	if err := e.Close(); !errors.Is(err, errOddKey) {
+		t.Fatalf("Close = %v", err)
+	}
+}
+
+// stagedOnlySink implements the per-record entries only; New must wrap
+// it so the worker's one path still reaches it, errors counted per
+// record.
+type stagedOnlySink struct {
+	reportRecordSink
+	staged int
+}
+
+func (s *stagedOnlySink) ProcessStaged(rec *wire.StagedReport, nowNs uint64) error {
+	s.staged++
+	if key, _ := rec.KeyWriteArgs(); key.Uint64()&1 == 1 {
+		return errOddKey
+	}
+	return nil
+}
+
+func TestPerRecordSinksAreAdapted(t *testing.T) {
+	sink := &stagedOnlySink{}
+	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 4})
+	sub := e.Submitter()
+	for i := 0; i < 6; i++ {
+		if err := sub.SubmitReport(0, kwReport(uint64(i), []byte{1}), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sub.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(0); !errors.Is(err, errOddKey) {
+		t.Fatalf("Drain = %v, want %v", err, errOddKey)
+	}
+	if sink.staged != 6 || len(sink.reports) != 0 {
+		t.Fatalf("staged entry saw %d records, report entry %d; want 6 and 0", sink.staged, len(sink.reports))
+	}
+	if st := e.Stats(); st.Errors != 3 {
+		t.Fatalf("Errors = %d, want 3", st.Errors)
+	}
+	e.Close()
+}
+
+// TestCoupledFanoutIsNeverHalfQueued: on a coupled submitter the leg of
+// a fan-out that fills its shard's chunk must not queue that chunk while
+// the fan-out's other legs are still unstaged — a watermark fence
+// draining the engine in between would see the report on one owner and
+// not the other. Full chunks go out at FlushIfFull, after the fan-out.
+func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
+	a, b := &reportRecordSink{}, &reportRecordSink{}
+	e := mustEngine(t, []Sink{a, b}, Config{ChunkFrames: 2})
+	defer e.Close()
+	sub := e.Submitter()
+	sub.SetCoupled(true)
+	fan := func(key uint64, shards ...int) {
+		t.Helper()
+		for _, sh := range shards {
+			if err := sub.SubmitReport(sh, kwReport(key, []byte{1}), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fan(1, 0) // shard 0's chunk is one short of full
+	// The fan-out of report 2, stopped between its legs: the first leg
+	// filled shard 0's chunk.
+	fan(2, 0)
+	if err := e.Drain(0); err != nil { // what a fence does
+		t.Fatal(err)
+	}
+	if len(a.reports) != 0 {
+		t.Fatalf("shard 0 already ingested %d reports with report 2 unstaged on shard 1", len(a.reports))
+	}
+	fan(2, 1)
+	if err := sub.FlushIfFull(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.reports) != 2 || len(b.reports) != 1 {
+		t.Fatalf("after the fan-out: shard 0 has %d reports, shard 1 has %d; want 2 and 1", len(a.reports), len(b.reports))
+	}
+	// Nothing filled since: FlushIfFull leaves a partial chunk staged.
+	fan(3, 0, 1)
+	if err := sub.FlushIfFull(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.reports) != 2 || len(b.reports) != 1 {
+		t.Fatalf("a partial chunk was queued: shard 0 has %d reports, shard 1 has %d", len(a.reports), len(b.reports))
+	}
+}

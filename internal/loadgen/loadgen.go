@@ -511,10 +511,19 @@ func Run(cfg Config, newReporter func(i int) Reporter) (Result, error) {
 	// meant to open.
 	var fired atomic.Uint64
 	var gate atomic.Uint64
-	gate.Store(math.MaxUint64)
 	schedule := append([]Event(nil), cfg.Schedule...)
 	sort.SliceStable(schedule, func(i, j int) bool { return schedule[i].After < schedule[j].After })
 	total := uint64(cfg.Reporters) * uint64(cfg.Reports)
+	threshold := func(ev Event) uint64 { return uint64(ev.After * float64(total)) }
+	// The first gate is armed here, before any reporter exists: armed by
+	// the scheduler goroutine instead, a late-starting scheduler lets the
+	// reporters run the whole workload ungated, and every event then
+	// fires back to back at the end — a kill→restore window with no
+	// writes in it.
+	gate.Store(math.MaxUint64)
+	if len(schedule) > 0 {
+		gate.Store(threshold(schedule[0]))
+	}
 	stop := make(chan struct{})
 	schedDone := make(chan struct{})
 	go func() {
@@ -523,9 +532,9 @@ func Run(cfg Config, newReporter func(i int) Reporter) (Result, error) {
 		// paused at a gate nobody will ever open.
 		defer gate.Store(math.MaxUint64)
 		for _, ev := range schedule {
-			threshold := uint64(ev.After * float64(total))
-			gate.Store(threshold)
-			for submitted.Load() < threshold {
+			at := threshold(ev)
+			gate.Store(at)
+			for submitted.Load() < at {
 				select {
 				case <-stop:
 					return

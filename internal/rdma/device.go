@@ -91,6 +91,10 @@ type Device struct {
 
 	// Stats counts processed operations by type.
 	Stats DeviceStats
+
+	// touched accumulates the bytes PreTouch loads, so the compiler
+	// cannot drop the loads.
+	touched byte
 }
 
 // DeviceStats counts the operations a Device has executed.
@@ -286,6 +290,30 @@ func (d *Device) execFetchAdd(p *Packet) (uint64, error) {
 	// Read-modify-write: two memory instructions.
 	d.Mem.Add(2, 0)
 	return orig, nil
+}
+
+// PreTouch loads one byte from each (va, length) target in the region
+// behind rkey and does nothing else. The translator calls it with a
+// whole chunk's destination addresses before crafting the first packet:
+// the loads are independent, so their cache misses (and page walks)
+// overlap here instead of being paid one at a time behind each later
+// execWrite/execFetchAdd store. Addresses get the same bounds check the
+// executing verbs apply; one that fails it is skipped — the verb will
+// fault on it. PreTouch only reads, and runs on the data path's
+// goroutine like Process.
+func (d *Device) PreTouch(rkey uint32, vas []uint64, length int) {
+	m, ok := d.region(rkey)
+	if !ok {
+		return
+	}
+	length = max(length, 1) // the byte loaded must itself be in bounds
+	var acc byte
+	for _, va := range vas {
+		if off, err := m.contains(va, length); err == nil {
+			acc += m.Buf[off]
+		}
+	}
+	d.touched += acc // keeps the loads live
 }
 
 // AttributeReports credits n telemetry reports to the device's

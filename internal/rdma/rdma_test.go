@@ -212,6 +212,34 @@ func TestDeviceBoundsChecks(t *testing.T) {
 	}
 }
 
+// TestPreTouchBoundsAndReadOnly: pre-touch applies the executing verbs'
+// bounds check — the addresses TestDeviceBoundsChecks faults on are
+// skipped, not loaded — loads from every address that passes it, ignores
+// an unknown rkey, and never writes.
+func TestPreTouchBoundsAndReadOnly(t *testing.T) {
+	d, mr, _ := newConnectedDevice(t, 64)
+	for i := range mr.Buf {
+		mr.Buf[i] = byte(i + 1)
+	}
+	before := append([]byte(nil), mr.Buf...)
+	vas := []uint64{
+		mr.Base - 1, mr.Base + 61, mr.Base + 1<<30, // fault in execWrite(…, 4 bytes)
+		mr.Base, mr.Base + 8, mr.Base + 60, // in bounds
+	}
+	d.PreTouch(mr.RKey, vas, 4)
+	if want := before[0] + before[8] + before[60]; d.touched != want {
+		t.Errorf("touched sum = %d, want %d: exactly the in-bounds bytes load", d.touched, want)
+	}
+	d.PreTouch(mr.RKey+999, vas, 4) // unknown region: nothing to touch
+	d.PreTouch(mr.RKey, []uint64{mr.Base + 64}, 0)
+	if !bytes.Equal(mr.Buf, before) {
+		t.Error("pre-touch modified the region")
+	}
+	if d.Stats != (DeviceStats{}) || d.Mem.Ops != 0 {
+		t.Errorf("pre-touch counted as work: %+v %+v", d.Stats, d.Mem)
+	}
+}
+
 func TestDeviceUnknownQP(t *testing.T) {
 	d, mr, _ := newConnectedDevice(t, 64)
 	pkt := BuildWrite(nil, 0xdead, 0, mr.Base, mr.RKey, []byte{1}, true, nil)

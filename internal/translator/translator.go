@@ -87,7 +87,9 @@ type Stats struct {
 // single-threaded by contract, so every cell is a single-writer padded
 // obs.Counter; exposition and Stats() readers load them concurrently
 // without coordination. Reports is kept per-primitive (the exposition's
-// primitive label) and summed for the Stats view.
+// primitive label) and summed for the Stats view. The per-report cells
+// are fed through pending, the rare ones (errors, sheds, resyncs)
+// directly.
 type counters struct {
 	kwReports  *obs.Counter
 	kiReports  *obs.Counter
@@ -119,6 +121,42 @@ type counters struct {
 // spanSampleShift thins per-stage spans to 1 in 64: two clock reads
 // (~50ns) amortise to under a nanosecond per report.
 const spanSampleShift = 6
+
+// pending holds the per-report counters of the call in progress as plain
+// integers: a locked add per report per counter is measurable on the hot
+// path, so the craft stage counts here and every public entry point
+// publishes the totals with one Add per touched counter before it
+// returns. Readers see exact values whenever the translator is between
+// calls; a scrape racing a call lags by at most that call's reports.
+type pending struct {
+	kwReports, kiReports, pcReports, apReports uint64
+
+	rdmaWrites, rdmaAtomics, crafts, repatches uint64
+	postcardEmits, appendFlushes, kiAggregated uint64
+}
+
+func publishCount(c *obs.Counter, v *uint64) {
+	if *v != 0 {
+		c.Add(*v)
+		*v = 0
+	}
+}
+
+// publish moves the pending counts into the obs cells.
+func (t *Translator) publish() {
+	c, p := &t.ctr, &t.pend
+	publishCount(c.kwReports, &p.kwReports)
+	publishCount(c.kiReports, &p.kiReports)
+	publishCount(c.pcReports, &p.pcReports)
+	publishCount(c.apReports, &p.apReports)
+	publishCount(c.rdmaWrites, &p.rdmaWrites)
+	publishCount(c.rdmaAtomics, &p.rdmaAtomics)
+	publishCount(c.crafts, &p.crafts)
+	publishCount(c.repatches, &p.repatches)
+	publishCount(c.postcardEmits, &p.postcardEmits)
+	publishCount(c.appendFlushes, &p.appendFlushes)
+	publishCount(c.kiAggregated, &p.kiAggregated)
+}
 
 func newCounters(sc *obs.Scope) counters {
 	prim := func(p string) *obs.Scope { return sc.With(obs.L("primitive", p)) }
@@ -201,6 +239,14 @@ type Translator struct {
 	// translator reuses (and repatches) the buffer for the next emission.
 	Emit func(pkt []byte)
 
+	// PreTouch, if non-nil, is the collector device's pre-touch entry
+	// (rdma.Device.PreTouch): before crafting a chunk the translator
+	// hands it every slot address the chunk's Key-Write and Key-Increment
+	// records will write, so those lines' cache misses overlap instead of
+	// stalling the emits one by one. It must only read. Nil (stand-alone
+	// translators) skips the stage.
+	PreTouch func(rkey uint32, vas []uint64, length int)
+
 	// NACK, if non-nil, is invoked with the reporter-visible reason when
 	// a report is dropped by the rate limiter.
 	NACK func(r *wire.Report)
@@ -251,20 +297,44 @@ type Translator struct {
 	nackScratch wire.Report
 
 	// traceH is the data-plane trace handle for the report currently
-	// being processed (set by the engine worker or sync caller via
-	// SetTraceHandle, cleared when the report's wrapper returns so the
-	// epoch-flush emit paths can never stamp a recycled trace). The
-	// translator is single-threaded by contract, so a plain field is
-	// race-free.
+	// being processed (taken from the chunk's handle slice, or set by a
+	// sync caller via SetTraceHandle), cleared when the report's craft
+	// stage returns so the epoch-flush emit paths can never stamp a
+	// recycled trace. The translator is single-threaded by contract, so a
+	// plain field is race-free.
 	traceH trace.Handle
 
-	ctr counters
+	// plan, kwVAs and kiVAs are the address-generation scratch of the
+	// window being processed: plan[i] says which run of kwVAs (Key-Write)
+	// or kiVAs (Key-Increment) holds record i's slot addresses. Fixed
+	// capacity (batchWindow records × max redundancy), so planning never
+	// allocates.
+	plan  [batchWindow]slotPlan
+	kwVAs []uint64
+	kiVAs []uint64
+
+	ctr  counters
+	pend pending
 }
 
-// SetTraceHandle installs the trace handle for the NEXT report
-// processed — the engine.TraceSink hook. The handle may be invalid
-// (report sampled out); it is consumed by the next
-// ProcessStaged/ProcessReport call.
+// batchWindow is how many records pass through address generation,
+// pre-touch and craft together (the engine's default ChunkFrames); a
+// longer batch runs as consecutive windows. It bounds the pre-touched
+// working set (≤ batchWindow × redundancy lines, far inside L1) so a
+// line is still resident when its record is crafted.
+const batchWindow = 32
+
+// slotPlan is address generation's result for one record.
+type slotPlan struct {
+	start uint16 // first of the record's addresses in kwVAs / kiVAs
+	n     uint8  // replicas planned; 0 = not planned, craft decides alone
+	csum  uint32 // Key-Write key checksum
+}
+
+// SetTraceHandle installs the trace handle for the NEXT report processed
+// through a single-report entry (ProcessStaged/ProcessReport), which
+// consumes it; chunks carry their handles as an argument instead. The
+// handle may be invalid (report sampled out).
 func (t *Translator) SetTraceHandle(h trace.Handle) { t.traceH = h }
 
 // TraceHandle returns the active report's trace handle (invalid
@@ -308,6 +378,8 @@ func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (*Translator, error)
 		req:      req,
 		pktBuf:   make([]byte, 0, 512),
 		chunkBuf: make([]byte, 0, postcarding.MaxHops*postcarding.SlotSize),
+		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
+		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
 		ctr:      newCounters(sc),
 	}
 	// A NAK-sequence resync fires mid-emit, while the faulted report's
@@ -413,16 +485,16 @@ func (t *Translator) ProcessFrame(frame []byte, nowNs uint64) error {
 }
 
 // ProcessReport translates one already-decoded DTA report into RDMA
-// operations. It is the structured fast path: no frame crafting or
-// parsing happens between the reporter and the RDMA verbs, and the
-// steady state allocates nothing. r (including r.Data) is only read for
-// the duration of the call.
+// operations. No frame crafting or parsing happens between the reporter
+// and the RDMA verbs, and the steady state allocates nothing. r
+// (including r.Data) is only read for the duration of the call.
 func (t *Translator) ProcessReport(r *wire.Report, nowNs uint64) error {
 	span := t.ctr.reportSamp.Start(t.ctr.reportNs)
 	err := t.processReport(r, nowNs)
 	t.traceH.Stamp(trace.StTranslate)
 	span.EndExemplar(t.traceH.ID())
 	t.traceH = trace.Handle{}
+	t.publish()
 	return err
 }
 
@@ -435,23 +507,27 @@ func (t *Translator) processReport(r *wire.Report, nowNs uint64) error {
 	}
 	switch r.Header.Primitive {
 	case wire.PrimKeyWrite:
-		t.ctr.kwReports.Inc()
-		return t.keyWrite(r, nowNs)
+		t.pend.kwReports++
+		return t.keyWriteArgs(&r.KeyWrite.Key, int(r.KeyWrite.Redundancy), r.Header.Flags, r.Data, nackRef{r: r}, nowNs)
 	case wire.PrimKeyIncrement:
-		t.ctr.kiReports.Inc()
-		return t.keyIncrement(r, nowNs)
+		t.pend.kiReports++
+		return t.keyIncrementArgs(&r.KeyIncrement, nowNs)
 	case wire.PrimPostcarding:
-		t.ctr.pcReports.Inc()
-		return t.postcard(r, nowNs)
+		t.pend.pcReports++
+		return t.postcardArgs(&r.Postcard, r.Header.Flags, nackRef{r: r}, nowNs)
 	case wire.PrimAppend:
-		t.ctr.apReports.Inc()
-		return t.append(r, nowNs)
+		t.pend.apReports++
+		return t.appendArgs(r.Append.ListID, r.Data, r.Header.Flags, nackRef{r: r}, nowNs)
 	default:
-		t.ctr.unkReports.Inc()
-		t.ctr.parseErrors.Inc()
-		t.noteParseError()
-		return fmt.Errorf("translator: unknown primitive %v", r.Header.Primitive)
+		return t.unknownPrimitive(r.Header.Primitive)
 	}
+}
+
+func (t *Translator) unknownPrimitive(p wire.Primitive) error {
+	t.ctr.unkReports.Inc()
+	t.ctr.parseErrors.Inc()
+	t.noteParseError()
+	return fmt.Errorf("translator: unknown primitive %v", p)
 }
 
 // Process translates one DTA report into RDMA operations.
@@ -462,22 +538,119 @@ func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
 	return t.ProcessReport(r, nowNs)
 }
 
-// ProcessStaged translates one staged report without materialising a
-// wire.Report at all: the active fields are read straight out of the
-// compact record. This is the hottest ingest entry — the engine's shard
-// workers feed queued records here — and is semantically identical to
-// ProcessReport on the record's View (a full report is materialised
-// lazily only if a rate-limit drop must raise a NACK).
+// ProcessStagedBatch translates a chunk of staged records — the hottest
+// ingest entry: the engine's shard workers hand every dequeued chunk
+// here — in windows of three stages:
+//
+//	A. address generation: every Key-Write and (non-aggregated)
+//	   Key-Increment record's n slot addresses and key checksum are
+//	   hashed once into the translator's scratch, side-effect free;
+//	B. pre-touch: the collector device loads one byte from each of those
+//	   addresses in a loop that does nothing else, so the window's
+//	   destination-line misses overlap instead of each stalling the
+//	   instruction after its own store;
+//	C. craft/emit: per record, in order, exactly the single-record
+//	   sequence (WAL hook → limiter → craft/repatch → Emit → ack), reading
+//	   the cached addresses instead of re-hashing.
+//
+// Stages A and B skip what C will not deterministically write:
+// aggregated Key-Increments (the emitted slot belongs to the evicted
+// row), postcards (the cache decides) and appends (sequential). A record
+// the WAL hook fails or the limiter sheds wasted a touch, nothing else.
+//
+// trcs, when non-empty, runs parallel to recs: trcs[i] is recs[i]'s
+// data-plane trace handle (possibly invalid — sampled out). A failing
+// record does not stop the chunk: failed counts them and first is the
+// earliest error. Processing is semantically identical to ProcessReport
+// on each record's View (a full report is materialised lazily only if a
+// rate-limit drop must raise a NACK).
+func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	for base := 0; base < len(recs); base += batchWindow {
+		w := recs[base:min(base+batchWindow, len(recs))]
+		t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
+		for i := range w {
+			t.planRecord(i, &w[i])
+		}
+		t.preTouch()
+		for i := range w {
+			if base+i < len(trcs) {
+				t.traceH = trcs[base+i]
+			}
+			if err := t.craft(i, &w[i], nowNs); err != nil {
+				if failed == 0 {
+					first = err
+				}
+				failed++
+			}
+		}
+	}
+	t.publish()
+	return failed, first
+}
+
+// ProcessStaged is ProcessStagedBatch for a chunk of one (synchronous
+// reporters, tools, benchmarks). The record's trace handle, if any, was
+// installed by SetTraceHandle.
 func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
+	t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
+	t.planRecord(0, s)
+	t.preTouch()
+	err := t.craft(0, s, nowNs)
+	t.publish()
+	return err
+}
+
+// planRecord is stage A for window slot i. It reads configuration and
+// the record, and writes only the planning scratch.
+func (t *Translator) planRecord(i int, s *wire.StagedReport) {
+	var p slotPlan
+	switch s.Primitive() {
+	case wire.PrimKeyWrite:
+		if t.kwIdx == nil {
+			break
+		}
+		key, red := s.KeyWriteArgs()
+		if n := t.kwRedundancy(int(red)); n > 0 {
+			p = slotPlan{start: uint16(len(t.kwVAs)), n: uint8(n), csum: t.kwIdx.Checksum(*key)}
+			t.kwVAs = t.kwSlots(t.kwVAs, key, n)
+		}
+	case wire.PrimKeyIncrement:
+		if t.kiIdx == nil || t.kiAgg != nil {
+			break
+		}
+		key, red, _ := s.KeyIncrementArgs()
+		if n := kiRedundancy(int(red)); n > 0 {
+			p = slotPlan{start: uint16(len(t.kiVAs)), n: uint8(n)}
+			t.kiVAs = t.kiSlots(t.kiVAs, key, n)
+		}
+	}
+	t.plan[i] = p
+}
+
+// preTouch is stage B.
+func (t *Translator) preTouch() {
+	if t.PreTouch == nil {
+		return
+	}
+	if len(t.kwVAs) > 0 {
+		t.PreTouch(t.kwReg.RKey, t.kwVAs, t.kwIdx.Config().SlotSize())
+	}
+	if len(t.kiVAs) > 0 {
+		t.PreTouch(t.kiReg.RKey, t.kiVAs, keyincrement.CounterSize)
+	}
+}
+
+// craft is stage C for window slot i.
+func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 	span := t.ctr.reportSamp.Start(t.ctr.reportNs)
-	err := t.processStaged(s, nowNs)
+	err := t.craftStaged(i, s, nowNs)
 	t.traceH.Stamp(trace.StTranslate)
 	span.EndExemplar(t.traceH.ID())
 	t.traceH = trace.Handle{}
 	return err
 }
 
-func (t *Translator) processStaged(s *wire.StagedReport, nowNs uint64) error {
+func (t *Translator) craftStaged(i int, s *wire.StagedReport, nowNs uint64) error {
 	if t.WAL != nil {
 		if err := t.WAL(s, nowNs); err != nil {
 			return err
@@ -485,27 +658,33 @@ func (t *Translator) processStaged(s *wire.StagedReport, nowNs uint64) error {
 	}
 	switch s.Primitive() {
 	case wire.PrimKeyWrite:
-		t.ctr.kwReports.Inc()
+		t.pend.kwReports++
+		if p := t.plan[i]; p.n > 0 {
+			vas := t.kwVAs[p.start : p.start+uint16(p.n)]
+			return t.emitKeyWrite(vas, p.csum, s.Flags(), s.Payload(), nackRef{s: s}, nowNs)
+		}
+		// Not planned: Key-Write disabled or nothing to write.
 		key, red := s.KeyWriteArgs()
 		return t.keyWriteArgs(key, int(red), s.Flags(), s.Payload(), nackRef{s: s}, nowNs)
 	case wire.PrimKeyIncrement:
-		t.ctr.kiReports.Inc()
+		t.pend.kiReports++
 		key, red, delta := s.KeyIncrementArgs()
+		if p := t.plan[i]; p.n > 0 {
+			return t.emitFetchAdds(t.kiVAs[p.start:p.start+uint16(p.n)], delta, nowNs)
+		}
+		// Not planned: disabled, nothing to write, or aggregated.
 		ki := wire.KeyIncrement{Redundancy: red, Key: *key, Delta: delta}
 		return t.keyIncrementArgs(&ki, nowNs)
 	case wire.PrimPostcarding:
-		t.ctr.pcReports.Inc()
+		t.pend.pcReports++
 		key, hop, pathLen, value := s.PostcardArgs()
 		pc := wire.Postcard{Key: *key, Hop: hop, PathLen: pathLen, Value: value}
 		return t.postcardArgs(&pc, s.Flags(), nackRef{s: s}, nowNs)
 	case wire.PrimAppend:
-		t.ctr.apReports.Inc()
+		t.pend.apReports++
 		return t.appendArgs(s.AppendArgs(), s.Payload(), s.Flags(), nackRef{s: s}, nowNs)
 	default:
-		t.ctr.unkReports.Inc()
-		t.ctr.parseErrors.Inc()
-		t.noteParseError()
-		return fmt.Errorf("translator: unknown primitive %v", s.Primitive())
+		return t.unknownPrimitive(s.Primitive())
 	}
 }
 
@@ -579,30 +758,46 @@ func immediateOf(prim wire.Primitive, flags uint8) *uint32 {
 	return &imm
 }
 
-func (t *Translator) keyWrite(r *wire.Report, nowNs uint64) error {
-	return t.keyWriteArgs(&r.KeyWrite.Key, int(r.KeyWrite.Redundancy), r.Header.Flags, r.Data, nackRef{r: r}, nowNs)
+// kwRedundancy clamps a requested Key-Write redundancy; 0 means the
+// report writes nothing.
+func (t *Translator) kwRedundancy(n int) int {
+	if max := t.cfg.MaxKWRedundancy; max > 0 && n > max {
+		n = max
+	}
+	return min(n, keywrite.MaxRedundancy)
 }
 
+// kwSlots appends the remote addresses of key's first n Key-Write slots.
+func (t *Translator) kwSlots(dst []uint64, key *wire.Key, n int) []uint64 {
+	for i := 0; i < n; i++ {
+		dst = append(dst, t.kwReg.VA+uint64(t.kwIdx.Offset(t.kwIdx.Slot(i, *key))))
+	}
+	return dst
+}
+
+// keyWriteArgs is the unplanned Key-Write path (decoded reports, and
+// staged records address generation left alone): hash, then emit.
 func (t *Translator) keyWriteArgs(key *wire.Key, n int, flags uint8, data []byte, src nackRef, nowNs uint64) error {
 	if t.kwIdx == nil {
 		return errors.New("translator: Key-Write not enabled")
 	}
-	if max := t.cfg.MaxKWRedundancy; max > 0 && n > max {
-		n = max
-	}
-	if n > keywrite.MaxRedundancy {
-		n = keywrite.MaxRedundancy
-	}
+	n = t.kwRedundancy(n)
 	if n < 1 {
 		return nil
 	}
-	if !t.limiter.allow(nowNs, n) {
+	var buf [keywrite.MaxRedundancy]uint64
+	return t.emitKeyWrite(t.kwSlots(buf[:0], key, n), t.kwIdx.Checksum(*key), flags, data, src, nowNs)
+}
+
+// emitKeyWrite writes the slot image (checksum csum, value data) to
+// every address in vas.
+func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data []byte, src nackRef, nowNs uint64) error {
+	if !t.limiter.allow(nowNs, len(vas)) {
 		return t.drop(src)
 	}
 	cfg := t.kwIdx.Config()
 	// Slot image: 4B checksum followed by the (padded) value.
 	var payload [keywrite.ChecksumSize + wire.MaxData]byte
-	csum := t.kwIdx.Checksum(*key)
 	payload[0] = byte(csum >> 24)
 	payload[1] = byte(csum >> 16)
 	payload[2] = byte(csum >> 8)
@@ -614,28 +809,35 @@ func (t *Translator) keyWriteArgs(key *wire.Key, n int, flags uint8, data []byte
 	// rebuilding headers and re-copying the payload N times is pure
 	// waste (the hardware multicast engine replicates identically).
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
-	slot := t.kwIdx.Slot(0, *key)
 	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
-		t.kwReg.VA+uint64(t.kwIdx.Offset(slot)), t.kwReg.RKey, img, false, immediateOf(wire.PrimKeyWrite, flags))
+		vas[0], t.kwReg.RKey, img, false, immediateOf(wire.PrimKeyWrite, flags))
 	t.pktBuf = pkt[:0]
-	t.ctr.crafts.Inc()
-	t.ctr.rdmaWrites.Inc()
 	t.Emit(pkt)
-	for i := 1; i < n; i++ {
-		slot := t.kwIdx.Slot(i, *key)
-		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), t.kwReg.VA+uint64(t.kwIdx.Offset(slot)))
-		t.ctr.repatches.Inc()
-		t.ctr.rdmaWrites.Inc()
+	for _, va := range vas[1:] {
+		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), va)
 		t.Emit(pkt)
 	}
+	t.pend.crafts++
+	t.pend.repatches += uint64(len(vas) - 1)
+	t.pend.rdmaWrites += uint64(len(vas))
 	t.endEmit(span)
 	return nil
 }
 
-func (t *Translator) keyIncrement(r *wire.Report, nowNs uint64) error {
-	return t.keyIncrementArgs(&r.KeyIncrement, nowNs)
+// kiRedundancy clamps a requested Key-Increment redundancy; 0 means the
+// report adds nothing.
+func kiRedundancy(n int) int { return min(n, keyincrement.MaxRedundancy) }
+
+// kiSlots appends the remote addresses of key's first n counters.
+func (t *Translator) kiSlots(dst []uint64, key *wire.Key, n int) []uint64 {
+	for i := 0; i < n; i++ {
+		dst = append(dst, t.kiReg.VA+uint64(t.kiIdx.Offset(t.kiIdx.Slot(i, *key))))
+	}
+	return dst
 }
 
+// keyIncrementArgs is the unplanned Key-Increment path: decoded reports,
+// and staged records address generation left alone (aggregation on).
 func (t *Translator) keyIncrementArgs(ki *wire.KeyIncrement, nowNs uint64) error {
 	if t.kiIdx == nil {
 		return errors.New("translator: Key-Increment not enabled")
@@ -643,45 +845,45 @@ func (t *Translator) keyIncrementArgs(ki *wire.KeyIncrement, nowNs uint64) error
 	if t.kiAgg != nil {
 		key, delta, red, flushed := t.kiAgg.add(ki)
 		if !flushed {
-			t.ctr.kiAggregated.Inc()
+			t.pend.kiAggregated++
 			return nil
 		}
 		// An incumbent was evicted: emit its accumulated delta instead.
 		agg := wire.KeyIncrement{Redundancy: red, Key: key, Delta: delta}
-		return t.emitFetchAdds(&agg, nowNs)
+		return t.fetchAddKey(&agg, nowNs)
 	}
-	return t.emitFetchAdds(ki, nowNs)
+	return t.fetchAddKey(ki, nowNs)
 }
 
-func (t *Translator) emitFetchAdds(ki *wire.KeyIncrement, nowNs uint64) error {
-	n := int(ki.Redundancy)
-	if n > keyincrement.MaxRedundancy {
-		n = keyincrement.MaxRedundancy
-	}
+// fetchAddKey hashes ki's counters and emits the FETCH&ADDs.
+func (t *Translator) fetchAddKey(ki *wire.KeyIncrement, nowNs uint64) error {
+	n := kiRedundancy(int(ki.Redundancy))
 	if n < 1 {
 		return nil
 	}
-	if !t.limiter.allow(nowNs, n) {
+	var buf [keyincrement.MaxRedundancy]uint64
+	return t.emitFetchAdds(t.kiSlots(buf[:0], &ki.Key, n), ki.Delta, nowNs)
+}
+
+// emitFetchAdds adds delta to the counter at every address in vas.
+func (t *Translator) emitFetchAdds(vas []uint64, delta uint64, nowNs uint64) error {
+	if !t.limiter.allow(nowNs, len(vas)) {
 		t.ctr.rateDropped.Inc()
 		t.noteShed()
 		return nil
 	}
-	// Craft once, patch address+PSN per replica (see keyWrite).
+	// Craft once, patch address+PSN per replica (see emitKeyWrite).
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
-	slot := t.kiIdx.Slot(0, ki.Key)
-	pkt := rdma.BuildFetchAdd(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
-		t.kiReg.VA+uint64(t.kiIdx.Offset(slot)), t.kiReg.RKey, ki.Delta)
+	pkt := rdma.BuildFetchAdd(t.pktBuf, t.req.DestQP, t.req.NextPSN(), vas[0], t.kiReg.RKey, delta)
 	t.pktBuf = pkt[:0]
-	t.ctr.crafts.Inc()
-	t.ctr.rdmaAtomics.Inc()
 	t.Emit(pkt)
-	for i := 1; i < n; i++ {
-		slot := t.kiIdx.Slot(i, ki.Key)
-		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), t.kiReg.VA+uint64(t.kiIdx.Offset(slot)))
-		t.ctr.repatches.Inc()
-		t.ctr.rdmaAtomics.Inc()
+	for _, va := range vas[1:] {
+		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), va)
 		t.Emit(pkt)
 	}
+	t.pend.crafts++
+	t.pend.repatches += uint64(len(vas) - 1)
+	t.pend.rdmaAtomics += uint64(len(vas))
 	t.endEmit(span)
 	return nil
 }
@@ -691,17 +893,13 @@ func (t *Translator) FlushKeyIncrements(nowNs uint64) error {
 	if t.kiAgg == nil {
 		return nil
 	}
+	defer t.publish()
 	for _, e := range t.kiAgg.drain() {
-		e := e
-		if err := t.emitFetchAdds(&e, nowNs); err != nil {
+		if err := t.fetchAddKey(&e, nowNs); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (t *Translator) postcard(r *wire.Report, nowNs uint64) error {
-	return t.postcardArgs(&r.Postcard, r.Header.Flags, nackRef{r: r}, nowNs)
 }
 
 func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, nowNs uint64) error {
@@ -711,7 +909,7 @@ func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, n
 				return nil
 			}
 			rep := q.EventReport(ev)
-			return t.append(&rep, nowNs)
+			return t.appendArgs(rep.Append.ListID, rep.Data, rep.Header.Flags, nackRef{r: &rep}, nowNs)
 		}
 	}
 	if t.pcCoder == nil {
@@ -729,7 +927,7 @@ func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, n
 // emitChunk writes one aggregated flow chunk with redundancy N
 // (configured at the store; the paper uses the same N for all flows).
 func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, nowNs uint64) error {
-	t.ctr.postcardEmits.Inc()
+	t.pend.postcardEmits++
 	cfg := t.pcCoder.Config()
 	n := t.cfg.PostcardRedundancy
 	if n < 1 {
@@ -746,27 +944,22 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, no
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
 	payload := t.pcCoder.EncodeChunkSparse(e.Key, &e.Values, t.chunkBuf)
 	t.chunkBuf = payload[:0]
-	// Craft once, patch address+PSN per redundant chunk (see keyWrite).
+	// Craft once, patch address+PSN per redundant chunk (see emitKeyWrite).
 	chunk := t.pcCoder.Chunk(0, e.Key)
 	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
 		t.pcReg.VA+uint64(int(chunk)*cfg.ChunkBytes()), t.pcReg.RKey, payload, false, immediateOf(wire.PrimPostcarding, flags))
 	t.pktBuf = pkt[:0]
-	t.ctr.crafts.Inc()
-	t.ctr.rdmaWrites.Inc()
 	t.Emit(pkt)
 	for j := 1; j < n; j++ {
 		chunk := t.pcCoder.Chunk(j, e.Key)
 		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), t.pcReg.VA+uint64(int(chunk)*cfg.ChunkBytes()))
-		t.ctr.repatches.Inc()
-		t.ctr.rdmaWrites.Inc()
 		t.Emit(pkt)
 	}
+	t.pend.crafts++
+	t.pend.repatches += uint64(n - 1)
+	t.pend.rdmaWrites += uint64(n)
 	t.endEmit(span)
 	return nil
-}
-
-func (t *Translator) append(r *wire.Report, nowNs uint64) error {
-	return t.appendArgs(r.Append.ListID, r.Data, r.Header.Flags, nackRef{r: r}, nowNs)
 }
 
 func (t *Translator) appendArgs(listID uint32, data []byte, flags uint8, src nackRef, nowNs uint64) error {
@@ -783,19 +976,44 @@ func (t *Translator) appendArgs(listID uint32, data []byte, flags uint8, src nac
 	return t.emitAppendFlush(f, immediateOf(wire.PrimAppend, flags), src, nowNs)
 }
 
+// emitAppendFlush writes one batch to its list's ring. A batch is one
+// RDMA WRITE unless it crosses the ring end — possible only after a
+// partial flush left the head off a batch boundary — where it splits in
+// two at the wrap, as appendlist.Store.Apply does: a single WRITE would
+// run on into the next list (or past the region, on the last one).
 func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackRef, nowNs uint64) error {
-	if !t.limiter.allow(nowNs, 1) {
+	apCfg := t.cfg.Append
+	head, tail := f.Data, []byte(nil)
+	if over := f.Index + f.Entries - apCfg.EntriesPerList; over > 0 {
+		cut := (f.Entries - over) * apCfg.EntrySize
+		head, tail = f.Data[:cut], f.Data[cut:]
+	}
+	msgs := 1
+	if tail != nil {
+		msgs = 2
+	}
+	if !t.limiter.allow(nowNs, msgs) {
 		return t.drop(src)
 	}
-	t.ctr.appendFlushes.Inc()
+	t.pend.appendFlushes++
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
-	apCfg := t.cfg.Append
-	va := t.apReg.VA + uint64(f.List*apCfg.ListBytes()+f.Index*apCfg.EntrySize)
-	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(), va, t.apReg.RKey, f.Data, false, imm)
+	listVA := t.apReg.VA + uint64(f.List*apCfg.ListBytes())
+	// The immediate (push notification) rides the batch's last WRITE.
+	headImm := imm
+	if tail != nil {
+		headImm = nil
+	}
+	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
+		listVA+uint64(f.Index*apCfg.EntrySize), t.apReg.RKey, head, false, headImm)
 	t.pktBuf = pkt[:0]
-	t.ctr.crafts.Inc()
-	t.ctr.rdmaWrites.Inc()
 	t.Emit(pkt)
+	if tail != nil {
+		pkt = rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(), listVA, t.apReg.RKey, tail, false, imm)
+		t.pktBuf = pkt[:0]
+		t.Emit(pkt)
+	}
+	t.pend.crafts += uint64(msgs)
+	t.pend.rdmaWrites += uint64(msgs)
 	t.endEmit(span)
 	return nil
 }
@@ -806,6 +1024,7 @@ func (t *Translator) FlushAppend(nowNs uint64) error {
 	if t.apBatch == nil {
 		return nil
 	}
+	defer t.publish()
 	for l := 0; l < t.cfg.Append.Lists; l++ {
 		if f := t.apBatch.FlushPartial(l); f != nil {
 			if err := t.emitAppendFlush(f, nil, nackRef{}, nowNs); err != nil {
@@ -821,8 +1040,8 @@ func (t *Translator) DrainPostcards(nowNs uint64) error {
 	if t.pcCache == nil {
 		return nil
 	}
+	defer t.publish()
 	for _, e := range t.pcCache.Drain() {
-		e := e
 		if err := t.emitChunk(&e, 0, nackRef{}, nowNs); err != nil {
 			return err
 		}

@@ -22,6 +22,10 @@ type testFile struct {
 	syncDelay atomic.Int64 // ns added to every Sync
 	errno     atomic.Int64 // non-zero: Write and Sync fail with it
 	short     atomic.Bool  // Write stores only half and reports it
+	// noDisk makes Sync take the injected delay and nothing else. Tests
+	// that assert on which side of a latency bound a HEALTHY fsync falls
+	// set it: the sandbox disk's own fsync time is not theirs to assert.
+	noDisk atomic.Bool
 }
 
 func (tf *testFile) Write(p []byte) (int, error) {
@@ -44,6 +48,9 @@ func (tf *testFile) Sync() error {
 	}
 	if d := tf.syncDelay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
+	}
+	if tf.noDisk.Load() {
+		return nil
 	}
 	return tf.f.Sync()
 }
@@ -78,6 +85,7 @@ func countEvents(j *journal.Journal) map[journal.Type]int {
 // with DurableLSN catching up. Both transitions are journaled.
 func TestDegradedAckCycle(t *testing.T) {
 	pol, tf := wrapPolicy(Policy{DegradeFsync: time.Millisecond})
+	tf.noDisk.Store(true)
 	w, err := Create(t.TempDir(), pol)
 	if err != nil {
 		t.Fatal(err)

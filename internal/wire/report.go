@@ -72,7 +72,10 @@ type StagedReport struct {
 
 // Stage copies the active fields of r (and up to MaxData bytes of its
 // payload) into s. Payloads longer than MaxData — which no valid report
-// carries — are truncated.
+// carries — are truncated. Every field the active primitive does not
+// own is zeroed: s is typically a recycled queue slot, and whatever its
+// previous occupant left there would otherwise ride into the record's
+// encoded (logged) form.
 func (s *StagedReport) Stage(r *Report) {
 	s.prim = r.Header.Primitive
 	s.flags = r.Header.Flags
@@ -81,12 +84,15 @@ func (s *StagedReport) Stage(r *Report) {
 	} else {
 		s.dataLen = int16(copy(s.buf[:], r.Data))
 	}
+	s.red, s.hop, s.pathLen = 0, 0, 0
+	s.listID, s.value, s.delta = 0, 0, 0
 	switch r.Header.Primitive {
 	case PrimKeyWrite:
 		s.red = r.KeyWrite.Redundancy
 		s.key = r.KeyWrite.Key
 	case PrimAppend:
 		s.listID = r.Append.ListID
+		s.key = Key{}
 	case PrimKeyIncrement:
 		s.red = r.KeyIncrement.Redundancy
 		s.key = r.KeyIncrement.Key
@@ -96,6 +102,8 @@ func (s *StagedReport) Stage(r *Report) {
 		s.hop = r.Postcard.Hop
 		s.pathLen = r.Postcard.PathLen
 		s.value = r.Postcard.Value
+	default:
+		s.key = Key{}
 	}
 }
 

@@ -145,3 +145,32 @@ func TestValidateMatchesDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestStageIgnoresSlotHistory pins the encoded (logged) form of a staged
+// record as a function of the report alone: staging into a fresh slot and
+// into one recycled from every other sample report must encode
+// byte-identically, in both the full and the zero-elided codec.
+func TestStageIgnoresSlotHistory(t *testing.T) {
+	reports := sampleReports()
+	for i := range reports {
+		var fresh StagedReport
+		fresh.Stage(&reports[i])
+		var want, got [MaxStagedEncodedLen]byte
+		wn := fresh.EncodeTo(want[:])
+		var wantG, gotG [MaxStagedEncodedLen]byte
+		wgn, wbits := fresh.EncodeGroupsTo(wantG[:])
+		for j := range reports {
+			var slot StagedReport
+			slot.Stage(&reports[j])
+			slot.Stage(&reports[i])
+			if gn := slot.EncodeTo(got[:]); gn != wn || !bytes.Equal(got[:gn], want[:wn]) {
+				t.Errorf("%v staged over %v: image %x, fresh slot gives %x",
+					reports[i].Header.Primitive, reports[j].Header.Primitive, got[:gn], want[:wn])
+			}
+			if gn, bits := slot.EncodeGroupsTo(gotG[:]); gn != wgn || bits != wbits || !bytes.Equal(gotG[:gn], wantG[:wgn]) {
+				t.Errorf("%v staged over %v: groups %x/%05b, fresh slot gives %x/%05b",
+					reports[i].Header.Primitive, reports[j].Header.Primitive, gotG[:gn], bits, wantG[:wgn], wbits)
+			}
+		}
+	}
+}

@@ -2,8 +2,11 @@ package dta_test
 
 import (
 	"io"
+	"os"
+	"os/exec"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +152,29 @@ func TestObsStructuredIngestZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestObsSampledOutPathInlines is the deterministic half of the
+// telemetry latency claim: what a sampled-out (or telemetry-off) report
+// pays is a predicted branch at the call site, which holds only while
+// the compiler can inline these entry points. A wall clock cannot tell a
+// lost inline from a busy neighbour; the compiler's own report can.
+func TestObsSampledOutPathInlines(t *testing.T) {
+	out, err := exec.Command("go", "build", "-gcflags=-m", "./internal/obs", "./internal/obs/trace").CombinedOutput()
+	if err != nil {
+		t.Skipf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	for _, fn := range []string{
+		"Start",           // obs.Start: nil histogram → no clock read
+		"(*Tracer).Begin", // nil tracer / sampled out → zero Handle
+		"(*Tracer).Candidate",
+		"Handle.Stamp", // invalid handle → return
+		"Handle.Finish",
+	} {
+		if !strings.Contains(string(out), ": can inline "+fn+"\n") {
+			t.Errorf("%s is no longer inlinable: every report now pays a call for it", fn)
+		}
+	}
+}
+
 // TestObsOverheadUnder3Pct pins the zero-overhead claim, latency half:
 // the instrumented structured sync path stays within 3% of the
 // DisableTelemetry baseline. Both variants pay the counter increments
@@ -160,13 +186,16 @@ func TestObsStructuredIngestZeroAllocs(t *testing.T) {
 // path, which is what the <3% claim is about — medians or means would
 // fold scheduler noise on timeshared CI hardware into the comparison.
 //
-// The whole measurement retries on a miss: `go test ./...` co-schedules
-// other package binaries on the same cores, and a sustained-contention
-// window can deny one variant a clean minimum. A real regression fails
-// every attempt; scheduler noise does not survive three.
+// It is a wall-clock A/B, so it is opt-in (DTA_WALLCLOCK_GATES=1; CI's
+// overhead step sets it on a quiet runner): inside `go test ./...` some
+// forty other package binaries share the cores and the gate measured
+// them, not the code. Tier-1 keeps the deterministic halves of the
+// claim — TestObsStructuredIngestZeroAllocs and
+// TestObsSampledOutPathInlines.
 func TestObsOverheadUnder3Pct(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped in -short")
+	if os.Getenv("DTA_WALLCLOCK_GATES") == "" {
+		t.Log("wall-clock gate not requested (set DTA_WALLCLOCK_GATES=1)")
+		return
 	}
 	build := func(disable bool) (*dta.System, *dta.Reporter) {
 		sys, err := dta.New(dta.Options{
