@@ -144,6 +144,7 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 		return err
 	}
 	tr.Journal = journal.Emitter{J: jr, Comp: journal.CompTranslator, Collector: -1}
+	tr.PreTouch = host.Device().PreTouch
 	tr.Emit = func(pkt []byte) {
 		ack, err := host.Ingest(pkt)
 		if err != nil {
@@ -251,7 +252,10 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 			}
 			h.Finish()
 			if walW != nil {
-				// Each datagram is an ingest batch on this path.
+				// Each datagram is an ingest batch on this path: request
+				// its commit and go back to the socket. Datagrams that
+				// arrive while an fsync is in flight share the next one;
+				// shutdown waits for the last.
 				if err := walW.CommitBatch(); err != nil {
 					log.Printf("wal: %v", err)
 				}

@@ -552,17 +552,28 @@ func renderWAL(w io.Writer, s *obs.Snapshot, elapsed time.Duration) {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 2, 2, ' ', 0)
-	fmt.Fprintln(tw, "WAL\tappends\tsyncs\tdegraded acks\tring occ/hwm\tstalls\tflush p50/p99 µs\tfsync p50/p99 µs")
-	fmt.Fprintf(tw, "\t%s\t%s\t%s\t%s/%s\t%s\t%s\t%s\n",
+	fmt.Fprintln(tw, "WAL\tappends\tsyncs\tfsyncs/1k appends\tdegraded acks\tring occ/hwm\tstalls\tflush p50/p99 µs\tfsync p50/p99 µs\tcommit wait p50/p99 µs")
+	fmt.Fprintf(tw, "\t%s\t%s\t%s\t%s\t%s/%s\t%s\t%s\t%s\t%s\n",
 		rate(all["dta_wal_appends_total"], elapsed),
 		rate(all["dta_wal_syncs_total"], elapsed),
+		perK(all["dta_wal_syncs_total"], all["dta_wal_appends_total"]),
 		rate(all["dta_wal_degraded_acks_total"], elapsed),
 		gauge(all["dta_wal_ring_occupancy"]),
 		gauge(all["dta_wal_ring_high_water"]),
 		rate(all["dta_wal_ring_stalls_total"], elapsed),
 		quantiles(all["dta_wal_flush_ns"]),
-		quantiles(all["dta_wal_fsync_ns"]))
+		quantiles(all["dta_wal_fsync_ns"]),
+		quantiles(all["dta_wal_commit_wait_ns"]))
 	tw.Flush()
+}
+
+// perK renders num per thousand den over the interval — for the WAL,
+// how far group commit amortises the fsync (1000 = one per record).
+func perK(num, den *obs.Value) string {
+	if num == nil || den == nil || den.Value == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", 1000*num.Value/den.Value)
 }
 
 func renderHA(w io.Writer, s *obs.Snapshot, elapsed time.Duration) {

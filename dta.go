@@ -583,12 +583,18 @@ func (s *System) Poller(list int) (*AppendPoller, error) {
 }
 
 // Flush forces out partial Append batches, cached postcards and pending
-// Key-Increment aggregates (end of a measurement epoch).
+// Key-Increment aggregates (end of a measurement epoch). With a WAL
+// attached it returns once the log is as durable as the sync policy
+// promises at a batch boundary.
 func (s *System) Flush() error {
-	return s.flushAt(s.Now())
+	if err := s.flushAt(s.Now()); err != nil {
+		return err
+	}
+	return s.walSettle()
 }
 
-// flushAt is Flush with an explicit timestamp (engine shard workers).
+// flushAt is Flush with an explicit timestamp and without the wait for
+// the log (engine shard workers, which settle once per Drain).
 func (s *System) flushAt(nowNs uint64) error {
 	if err := s.tr.FlushAppend(nowNs); err != nil {
 		return err
@@ -599,8 +605,8 @@ func (s *System) flushAt(nowNs uint64) error {
 	if err := s.tr.DrainPostcards(nowNs); err != nil {
 		return err
 	}
-	// A flush is a batch boundary for the WAL sync policy too: drains
-	// and epoch ends leave the log as durable as the policy promises.
+	// A flush is a batch boundary for the WAL sync policy too: it
+	// requests the commit; Flush and the engine's Drain wait for it.
 	return s.walCommitBatch()
 }
 

@@ -72,8 +72,8 @@ func (s *System) walEmitter() journal.Emitter {
 // WALAttached reports whether a WAL is logging this system.
 func (s *System) WALAttached() bool { return s.wal != nil }
 
-// WALStats snapshots the log writer's counters. Call quiesced (no
-// concurrent ingest), like Stats.
+// WALStats snapshots the log writer's counters. Unlike Stats it is safe
+// beside a running engine: every cell is an atomic.
 func (s *System) WALStats() (WALStats, bool) {
 	if s.wal == nil {
 		return WALStats{}, false
@@ -81,7 +81,10 @@ func (s *System) WALStats() (WALStats, bool) {
 	return s.wal.WStats(), true
 }
 
-// SyncWAL forces every logged record onto stable storage.
+// SyncWAL forces every logged record onto stable storage, whatever the
+// sync policy. It returns at once when an earlier fsync already covers
+// the log, and is safe from any goroutine — also beside a running
+// engine, whose records it covers up to the moment of the call.
 func (s *System) SyncWAL() error {
 	if s.wal == nil {
 		return nil
@@ -102,12 +105,21 @@ func (s *System) CloseWAL() error {
 }
 
 // walCommitBatch marks an ingest batch boundary for the sync policy
-// (engine worker dequeue batches, translator flushes).
+// (engine worker dequeue batches, translator flushes): it requests the
+// commit and does not wait for it.
 func (s *System) walCommitBatch() error {
 	if s.wal == nil {
 		return nil
 	}
 	return s.wal.CommitBatch()
+}
+
+// walSettle waits until every commit requested so far is acknowledged.
+func (s *System) walSettle() error {
+	if s.wal == nil {
+		return nil
+	}
+	return s.wal.Settle()
 }
 
 // replayChunk is how many log records Recover hands the translator at a
@@ -198,9 +210,10 @@ func (s *System) Checkpoint() (uint64, error) {
 	if s.wal == nil {
 		return 0, errors.New("dta: no WAL attached")
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.flushAt(s.Now()); err != nil {
 		return 0, err
 	}
+	// One wait covers the flush's own commit request under any policy.
 	if err := s.wal.Sync(); err != nil {
 		return 0, err
 	}

@@ -103,9 +103,13 @@ func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Ha
 func (k systemSink) Flush(nowNs uint64) error { return k.s.flushAt(nowNs) }
 
 // BatchEnd marks a worker dequeue-batch boundary: with a WAL attached
-// under the every-batch sync policy this is where the batch's records
-// become durable.
+// under the every-batch sync policy this requests the commit that makes
+// the batch's records durable — without waiting for it.
 func (k systemSink) BatchEnd(nowNs uint64) error { return k.s.walCommitBatch() }
+
+// Settle waits for the commits BatchEnd and Flush requested: the
+// durability half of Engine.Drain and Engine.Close.
+func (k systemSink) Settle() error { return k.s.walSettle() }
 
 // Engine attaches a single-shard async ingest engine to this System.
 func (s *System) Engine(cfg EngineConfig) (*Engine, error) {

@@ -117,12 +117,18 @@ func (a *perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ []trace.Handl
 	return failed, first
 }
 
-// BatchSink is an optional Sink extension: BatchEnd is invoked on the
-// worker goroutine after each dequeue batch finishes processing. Sinks
-// with batch-granular side work (a write-ahead log's every-batch fsync)
-// hook it; errors are recorded like sink errors.
+// BatchSink is an optional Sink extension for sinks with batch-granular
+// side work that completes off the worker — a write-ahead log's group
+// commit. Errors are recorded like sink errors.
 type BatchSink interface {
+	// BatchEnd is invoked on the worker goroutine after each dequeue
+	// batch finishes processing. It starts the side work and must not
+	// wait for it: the worker goes straight back to its queue.
 	BatchEnd(nowNs uint64) error
+	// Settle blocks until the work started by every earlier BatchEnd and
+	// Flush is complete. The worker calls it only where someone is owed
+	// that guarantee: before it releases a Drain, and before it exits.
+	Settle() error
 }
 
 // Policy selects the backpressure behaviour when a shard queue is full.
@@ -752,10 +758,10 @@ func (e *Engine) run(sh *shard) {
 	var lastNow uint64
 	sinceFlush := 0
 	// pendingDrains holds barrier acks deferred to the end of the
-	// dequeue batch: the BatchEnd callback must run before a Drain
+	// dequeue batch: BatchEnd and then Settle must run before a Drain
 	// caller is released, so Drain is a true quiesce point (the sink's
-	// batch-granular state — e.g. a WAL's every-batch fsync — is settled
-	// when Drain returns).
+	// batch-granular state — e.g. a WAL's group commit — is settled when
+	// Drain returns).
 	var pendingDrains []chan struct{}
 
 	flush := func(nowNs uint64) {
@@ -768,6 +774,16 @@ func (e *Engine) run(sh *shard) {
 		}
 		sh.ctr.flushes.Add(1)
 		sinceFlush = 0
+	}
+
+	settle := func() {
+		if sh.bsink == nil {
+			return
+		}
+		if err := sh.bsink.Settle(); err != nil {
+			sh.ctr.errors.Add(1)
+			e.recordErr(err)
+		}
 	}
 
 	process := func(ck *chunk) {
@@ -818,6 +834,7 @@ func (e *Engine) run(sh *shard) {
 		ck, ok := <-sh.ch
 		if !ok {
 			flush(lastNow)
+			settle()
 			return
 		}
 		// Opportunistically fill the batch without blocking.
@@ -852,12 +869,18 @@ func (e *Engine) run(sh *shard) {
 			}
 		}
 		span.End()
-		for _, d := range pendingDrains {
-			close(d)
+		if len(pendingDrains) > 0 {
+			// Off the busy-time span: this is the worker waiting for the
+			// sink's side work on a Drain caller's behalf, not working.
+			settle()
+			for _, d := range pendingDrains {
+				close(d)
+			}
+			pendingDrains = pendingDrains[:0]
 		}
-		pendingDrains = pendingDrains[:0]
 		if closed {
 			flush(lastNow)
+			settle()
 			return
 		}
 	}

@@ -293,3 +293,70 @@ func TestMultiShardIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// settleSink is a BatchSink that records where the worker settles.
+type settleSink struct {
+	recordSink
+	settleErr error
+}
+
+func (s *settleSink) BatchEnd(nowNs uint64) error {
+	s.ops = append(s.ops, "b")
+	return nil
+}
+
+func (s *settleSink) Settle() error {
+	s.ops = append(s.ops, "s")
+	return s.settleErr
+}
+
+// TestWorkerSettlesOnlyForDrainAndClose: the worker marks every dequeue
+// batch (BatchEnd) but waits for the sink's side work (Settle) only where
+// someone is owed it — once before a Drain is released, after that
+// batch's BatchEnd, and once on the way out — never per batch. A Settle
+// error reaches Engine.Err.
+func TestWorkerSettlesOnlyForDrainAndClose(t *testing.T) {
+	sink := &settleSink{}
+	e := mustEngine(t, []Sink{sink}, Config{})
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5; i++ {
+			if err := e.Enqueue(0, []byte{byte(i)}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Drain(0); err != nil {
+			t.Fatal(err)
+		}
+		// Drain has returned: the ops so far end "...f b s" — the drain's
+		// flush, its batch's BatchEnd, then the settle that released us.
+		n := len(sink.ops)
+		if n < 3 || sink.ops[n-1] != "s" || sink.ops[n-2] != "b" || sink.ops[n-3] != "f" {
+			t.Fatalf("round %d: Drain released after %v, want a tail of f b s", round, sink.ops)
+		}
+	}
+	settles, batches := 0, 0
+	for _, op := range sink.ops {
+		switch op {
+		case "s":
+			settles++
+		case "b":
+			batches++
+		}
+	}
+	if settles != 3 {
+		t.Fatalf("%d settles for 3 drains (ops %v)", settles, sink.ops)
+	}
+	if batches < 3 {
+		t.Fatalf("%d BatchEnd calls for at least 3 dequeue batches", batches)
+	}
+	sink.settleErr = errors.New("disk gone")
+	if err := e.Close(); !errors.Is(err, sink.settleErr) {
+		t.Fatalf("Close = %v, want the settle error", err)
+	}
+	if last := sink.ops[len(sink.ops)-1]; last != "s" {
+		t.Fatalf("worker exited after %q, want a final settle", last)
+	}
+	if st := e.Stats(); st.Errors != 1 {
+		t.Fatalf("Errors = %d, want the one settle error", st.Errors)
+	}
+}

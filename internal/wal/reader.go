@@ -41,11 +41,16 @@ type SegmentInfo struct {
 // the info (TornBytes/Err), not as the error — only I/O and header
 // mismatches fail the scan itself.
 func scanSegment(path string, wantBase uint64) (SegmentInfo, error) {
-	info := SegmentInfo{Path: path, Base: wantBase}
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return info, err
+		return SegmentInfo{Path: path, Base: wantBase}, err
 	}
+	return scanSegmentImage(path, b, wantBase)
+}
+
+// scanSegmentImage is scanSegment over the file's bytes.
+func scanSegmentImage(path string, b []byte, wantBase uint64) (SegmentInfo, error) {
+	info := SegmentInfo{Path: path, Base: wantBase}
 	if len(b) < segHeaderLen {
 		info.TornBytes = int64(len(b))
 		info.Err = fmt.Errorf("wal: segment header truncated at %dB", len(b))

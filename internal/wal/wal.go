@@ -37,6 +37,39 @@
 // record and recovery stops exactly there. A checkpoint (snapshot
 // image + LSN, see Checkpoint) bounds replay and lets segments wholly
 // below the checkpoint LSN be reclaimed.
+//
+// # Durability contract
+//
+// Acknowledged means durable. When Writer.Sync, Writer.Settle or
+// Writer.Close returns nil — and so when the callers built on them
+// return: Engine.Drain, System.Flush, SyncWAL, Checkpoint, CloseWAL —
+// every record appended before the call is on stable storage. The one
+// exception is degraded-ack mode (Policy.DegradeFsync), where the same
+// calls return once the records have reached the OS, the skipped fsync
+// is counted in Stats.DegradedAcks and DurableLSN holds still.
+//
+// Nobody on the ingest path waits for the disk to get there. The writer
+// keeps monotone marks over the record sequence,
+//
+//	durable ≤ acked ≤ written ≤ consumed ≤ appended,   wanted ≤ appended
+//
+// and one commit loop in the flusher goroutine: a batch boundary
+// (CommitBatch) only raises the wanted mark to the appended one; the
+// flusher, whenever wanted is ahead of acked, writes out and issues ONE
+// fsync covering everything it has consumed, publishes the marks and
+// wakes the waiters. Every durability wait is "until acked ≥ the mark I
+// saw", which returns at once when an earlier fsync already covers it
+// and lets any number of waiters on any goroutine share one fsync. The
+// three sync policies are parameter points of that loop: batch raises
+// the wanted mark at batch boundaries, interval has the flusher commit
+// un-durable records no later than Policy.Interval after its last commit
+// (so at most one data-path fsync per Interval), none leaves it to
+// explicit Sync calls.
+//
+// What is appended but not yet durable is bounded by the ring: the
+// flusher consumes nothing while it sits in an fsync, so at most
+// writerRingEntries records can be appended behind a commit in flight
+// before Append blocks.
 package wal
 
 import (
@@ -50,6 +83,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -70,12 +104,18 @@ const (
 	// Sync/Checkpoint/Close. A process crash alone loses at most the
 	// writer's buffered tail (the OS still holds flushed pages).
 	SyncNone SyncMode = iota
-	// SyncInterval fsyncs when at least Policy.Interval has elapsed
-	// since the last sync, bounding the RPO by the interval.
+	// SyncInterval has the flusher commit un-durable records no later
+	// than Policy.Interval after its last commit: at most one data-path
+	// fsync per Interval, and no record waits longer than that for its
+	// own, whether or not more records arrive. The age runs from the last
+	// commit, not from the record's arrival, so the first record after an
+	// idle gap longer than Interval is fsynced at once.
 	SyncInterval
-	// SyncBatch fsyncs at every ingest batch boundary (each engine
-	// worker dequeue batch; every Flush on the synchronous path), so an
-	// acknowledged batch is durable. Strongest; pays one fsync per batch.
+	// SyncBatch requests a commit at every ingest batch boundary (each
+	// engine worker dequeue batch; every Flush on the synchronous path).
+	// The request does not wait: boundaries that pass while an fsync is
+	// in flight share the next one, and a Drain / Flush returns only once
+	// the commits posted before it are acknowledged. Strongest.
 	SyncBatch
 )
 
@@ -120,14 +160,14 @@ type Policy struct {
 	WrapFile func(*os.File) File
 	// DegradeFsync, when > 0, bounds tolerated fsync latency: once
 	// degradeEnterAfter consecutive data-path fsyncs exceed it, the
-	// writer enters degraded-ack mode — Sync requests are acknowledged
-	// at the flush (OS write) barrier without fsyncing, counted in
+	// writer enters degraded-ack mode — commits are acknowledged at the
+	// OS-write boundary without fsyncing, counted in
 	// Stats.DegradedAcks, and DurableLSN stops advancing — instead of
 	// stalling ingest behind a sick disk. Every degradeProbeEvery-th
-	// Sync request still fsyncs as a probe; a probe back under the
+	// commit still fsyncs as a probe; a probe back under the
 	// bound exits degraded mode. Both transitions are journaled
-	// (EvWALDegradeEnter/Exit). 0 disables degradation: every Sync
-	// fsyncs, however slow the disk (the pre-chaos behaviour).
+	// (EvWALDegradeEnter/Exit). 0 disables degradation: every commit
+	// fsyncs, however slow the disk.
 	DegradeFsync time.Duration
 }
 
@@ -253,8 +293,8 @@ type Stats struct {
 	// awake anyway); they matter when correlated with ring stalls on a
 	// slow disk.
 	NudgesDropped uint64
-	// DegradedAcks counts Sync requests acknowledged at the flush
-	// barrier without an fsync while the writer was in degraded-ack
+	// DegradedAcks counts commits acknowledged at the OS-write
+	// boundary without an fsync while the writer was in degraded-ack
 	// mode (Policy.DegradeFsync).
 	DegradedAcks uint64
 	// Degraded reports whether the writer is currently in degraded-ack
@@ -278,9 +318,12 @@ type walCounters struct {
 	ringStalls    *obs.Counter
 	nudgesDropped *obs.Counter
 	degradedAcks  *obs.Counter
+	coalesced     *obs.Counter
 	ringHWM       *obs.Gauge
 	flushNs       *obs.Histogram // write-behind buffer drain to the OS
 	fsyncNs       *obs.Histogram
+	commitWaitNs  *obs.Histogram // blocked durability waits
+	commitRecords *obs.Histogram // records newly covered per fsync
 }
 
 func newWALCounters(sc *obs.Scope) walCounters {
@@ -291,17 +334,22 @@ func newWALCounters(sc *obs.Scope) walCounters {
 		bytes:         sc.Counter("dta_wal_bytes_total", "Log bytes appended."),
 		ringStalls:    sc.Counter("dta_wal_ring_stalls_total", "Appends that found the SPSC ring full and blocked on the flusher."),
 		nudgesDropped: sc.Counter("dta_wal_nudges_dropped_total", "Flusher wakeups coalesced into an already-pending nudge."),
-		degradedAcks:  sc.Counter("dta_wal_degraded_acks_total", "Sync requests acknowledged without fsync in degraded-ack mode."),
+		degradedAcks:  sc.Counter("dta_wal_degraded_acks_total", "Commits acknowledged without fsync in degraded-ack mode."),
+		coalesced:     sc.Counter("dta_wal_commits_coalesced_total", "Sync calls that needed no fsync of their own: already covered, or joined a commit another caller had requested."),
 		ringHWM:       sc.Gauge("dta_wal_ring_high_water", "Deepest SPSC ring occupancy observed (ring size 8192)."),
 		flushNs:       sc.Histogram("dta_wal_flush_ns", "Nanoseconds per write-behind buffer drain to the OS."),
 		fsyncNs:       sc.Histogram("dta_wal_fsync_ns", "Nanoseconds per segment fsync."),
+		commitWaitNs:  sc.Histogram("dta_wal_commit_wait_ns", "Nanoseconds a Drain / Flush / SyncWAL spent blocked until its records were acknowledged."),
+		commitRecords: sc.Histogram("dta_wal_commit_records", "Records newly made durable per fsync (the group-commit size)."),
 	}
 }
 
-// Writer appends records to a segmented log. It is single-writer: the
-// owning translator's ingest context (one engine shard worker, or the
-// synchronous caller) appends; LastLSN/DurableLSN are safe to read from
-// other goroutines (the HA layer snapshots watermarks concurrently).
+// Writer appends records to a segmented log. Appending is single-
+// writer: the owning translator's ingest context (one engine shard
+// worker, or the synchronous caller) calls Append and CommitBatch.
+// Everything that only reads or waits on the marks — Sync, Settle,
+// Flush, LastLSN, DurableLSN, WStats — is safe from any goroutine, so a
+// control plane can force or await durability beside a running worker.
 //
 // The ingest-path contract is "one bounded copy, nothing else": Append
 // places a copy of the staged record into a lock-free single-producer /
@@ -310,29 +358,52 @@ func newWALCounters(sc *obs.Scope) walCounters {
 // CRC, buffered OS writes, segment rotation and fsyncs — so none of it
 // rides the ingest hot path (an engine shard worker's per-record cost
 // lands 1:1 on end-to-end throughput; a syscall there stalls the worker
-// AND every producer behind its bounded queue). Sync/Flush are barriers
-// that wait for the flusher to catch up; a full ring blocks Append — the
-// natural backpressure when the disk cannot keep up with ingest.
+// AND every producer behind its bounded queue). A full ring blocks
+// Append — the natural backpressure when the disk cannot keep up with
+// ingest.
 type Writer struct {
 	dir string
 	pol Policy
+	// The sync policy as the commit loop sees it (see the package doc).
+	commitOnBatch bool          // batch: CommitBatch raises want
+	maxAge        time.Duration // interval: the flusher commits un-durable records this long after its last commit; 0 = never by age
+	ackAtWrite    bool          // none: no data-path commit, so a trace's ack is its OS write
 
 	// SPSC ring: Append (producer) copies records in and bumps head;
 	// the flusher (consumer) encodes them out and bumps tail.
 	ring []ringEntry
-	head atomic.Uint64 // records ever enqueued
+	head atomic.Uint64 // records ever appended
 	tail atomic.Uint64 // records ever consumed
 
-	startLSN uint64        // LSN of the first record this Writer appends
-	durable  atomic.Uint64 // last LSN fsynced
-	lastSync time.Time
+	// Commit marks, counted in records since Create like head and tail;
+	// each only ever grows. want is raised by whoever asks for a commit,
+	// the other three by the flusher alone.
+	want    atomic.Uint64 // a commit has been requested up to here
+	written atomic.Uint64 // handed to the OS
+	acked   atomic.Uint64 // covered by a completed commit: an fsync or a degraded ack
+	durable atomic.Uint64 // covered by a completed fsync
+	// A Sync over records a degraded ack already acknowledged is still a
+	// request (it is counted and paces the probe), but want cannot express
+	// it — it is not behind. Such a Sync takes a ticket from reaskWant and
+	// waits for reaskDone, which the flusher raises to the tickets it had
+	// seen when the commit serving them began.
+	reaskWant atomic.Uint64
+	reaskDone atomic.Uint64
 
-	// wake nudges an idle flusher (sent only on empty→non-empty);
-	// space signals a blocked appender (sent only on full→not-full);
-	// ctrl carries barrier requests; done closes when the flusher exits.
+	startLSN uint64 // LSN of the first record this Writer appends
+
+	// Waiters on the marks park on cond; the flusher broadcasts after a
+	// commit, after a write-out, on its first failure and when it exits.
+	mu     sync.Mutex
+	cond   sync.Cond
+	exited bool // flusher gone; guarded by mu
+
+	// wake nudges an idle flusher (sent only on empty→non-empty and by
+	// commit requests); space signals a blocked appender (sent only on
+	// full→not-full); quit asks the flusher to finish, done closes when
+	// it has.
 	wake  chan struct{}
 	space chan struct{}
-	ctrl  chan ctrlReq
 	quit  chan struct{}
 	done  chan struct{}
 
@@ -340,10 +411,10 @@ type Writer struct {
 	// failedErrno mirrors the sticky failure's errno for the health
 	// exposition (0 = healthy, -1 = non-errno failure).
 	failedErrno atomic.Int64
-	closed      bool
+	closed      atomic.Bool
 
 	// degraded flags degraded-ack mode (Policy.DegradeFsync): set and
-	// cleared by the flusher, read by Stats and the exposition.
+	// cleared by the flusher, read by Sync, Stats and the exposition.
 	degraded atomic.Bool
 
 	ctr walCounters
@@ -360,6 +431,7 @@ type Writer struct {
 	buf      []byte // write-behind buffer
 	segBytes int64
 	prevNow  uint64 // previous record's timestamp (delta encoding)
+	lastSync int64  // obs.Nanotime of the last commit (age bound)
 	scratch  [MaxRecordLen]byte
 	// Trace handles in flight through the flusher: pendWrite holds
 	// encoded-but-buffered records' handles, unsynced holds handles
@@ -369,8 +441,8 @@ type Writer struct {
 	pendWrite []trace.Handle
 	unsynced  []trace.Handle
 	// Degraded-ack bookkeeping, flusher-owned: consecutive over-bound
-	// fsyncs (entry trigger), Sync requests seen while degraded (probe
-	// pacing) and acks skipped since entry (Exit event payload).
+	// fsyncs (entry trigger), commits seen while degraded (probe pacing)
+	// and acks skipped since entry (Exit event payload).
 	overBound    int
 	degradedReqs int
 	degradedSkip uint64
@@ -381,17 +453,6 @@ type ringEntry struct {
 	rec   wire.StagedReport
 	nowNs uint64
 	trc   trace.Handle // data-plane trace (invalid when untraced)
-}
-
-// ctrlReq asks the flusher to catch up to `upto` consumed records, push
-// everything to the OS, optionally fsync, and ack.
-type ctrlReq struct {
-	upto  uint64
-	fsync bool
-	// force bypasses degraded-ack mode: Close must leave a truly
-	// durable log behind, however sick the disk.
-	force bool
-	ack   chan error
 }
 
 const (
@@ -405,7 +466,7 @@ const (
 	// Degraded-ack pacing (Policy.DegradeFsync): enter after this many
 	// consecutive data-path fsyncs over the bound — one slow fsync is
 	// noise, a run of them is a sick disk; while degraded, every Nth
-	// Sync request still fsyncs as a recovery probe.
+	// commit still fsyncs as a recovery probe.
 	degradeEnterAfter = 3
 	degradeProbeEvery = 8
 )
@@ -436,14 +497,22 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 		dir:      dir,
 		pol:      pol.withDefaults(),
 		ring:     make([]ringEntry, writerRingEntries),
-		lastSync: time.Now(),
+		lastSync: obs.Nanotime(),
 		wake:     make(chan struct{}, 1),
 		space:    make(chan struct{}, 1),
-		ctrl:     make(chan ctrlReq, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		buf:      make([]byte, 0, writerBufBytes),
 		ctr:      newWALCounters(sc),
+	}
+	w.cond.L = &w.mu
+	switch w.pol.Mode {
+	case SyncBatch:
+		w.commitOnBatch = true
+	case SyncInterval:
+		w.maxAge = w.pol.Interval
+	default:
+		w.ackAtWrite = true
 	}
 	// Watermarks and ring occupancy are read straight off the writer's
 	// atomics at exposition time — zero data-path cost.
@@ -496,7 +565,6 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 		next = ck.WALLSN + 1
 	}
 	w.startLSN = next
-	w.durable.Store(next - 1)
 	go w.flusher()
 	return w, nil
 }
@@ -532,7 +600,7 @@ func (w *Writer) LastLSN() uint64 { return w.startLSN + w.head.Load() - 1 }
 
 // DurableLSN returns the highest LSN guaranteed on stable storage. Safe
 // to call concurrently with Append.
-func (w *Writer) DurableLSN() uint64 { return w.durable.Load() }
+func (w *Writer) DurableLSN() uint64 { return w.startLSN + w.durable.Load() - 1 }
 
 // WStats snapshots the writer's counters. Safe to call concurrently
 // with Append and the flusher (the cells are atomics).
@@ -555,10 +623,10 @@ func (w *Writer) WStats() Stats {
 
 // Append logs one staged report with its ingest timestamp and returns
 // the assigned LSN. The record is copied into the flusher ring — one
-// bounded memmove, no encoding, no CRC, no syscalls — so the ingest
-// path pays tens of nanoseconds regardless of sync policy; a full ring
-// (the flusher lagging by writerRingEntries records) blocks until space
-// frees, which is the intended backpressure.
+// bounded memmove, no encoding, no CRC, no syscalls, no clock read — so
+// the ingest path pays tens of nanoseconds regardless of sync policy; a
+// full ring (the flusher lagging by writerRingEntries records) blocks
+// until space frees, which is the intended backpressure.
 func (w *Writer) Append(rec *wire.StagedReport, nowNs uint64) (uint64, error) {
 	return w.AppendTraced(rec, nowNs, trace.Handle{})
 }
@@ -572,7 +640,7 @@ func (w *Writer) AppendTraced(rec *wire.StagedReport, nowNs uint64, th trace.Han
 	if err := w.err(); err != nil {
 		return 0, err
 	}
-	if w.closed {
+	if w.closed.Load() {
 		return 0, fmt.Errorf("wal: writer closed")
 	}
 	h := w.head.Load()
@@ -615,9 +683,6 @@ func (w *Writer) AppendTraced(rec *wire.StagedReport, nowNs uint64, th trace.Han
 	// The tail load above doubles as the occupancy sample for the ring
 	// high-water mark (the common case is one relaxed load, no write).
 	w.ctr.ringHWM.SetMax(int64(h + 1 - tail))
-	if w.pol.Mode == SyncInterval && time.Since(w.lastSync) >= w.pol.Interval {
-		return w.startLSN + h, w.Sync()
-	}
 	return w.startLSN + h, nil
 }
 
@@ -631,81 +696,139 @@ func (w *Writer) nudge() {
 	}
 }
 
-// barrier waits until the flusher has consumed, encoded and written to
-// the OS every record appended so far, optionally fsyncing the segment
-// (force bypasses degraded-ack mode).
-func (w *Writer) barrier(fsync, force bool) error {
-	if w.closed {
-		return w.err()
-	}
-	ack := make(chan error, 1)
-	w.ctrl <- ctrlReq{upto: w.head.Load(), fsync: fsync, force: force, ack: ack}
-	w.nudge()
-	return <-ack
-}
-
-// Flush pushes every appended record to the OS without fsyncing: after
-// it returns, readers of the segment files observe every appended
-// record (the log-shipping resync path reads peers' logs this way).
-func (w *Writer) Flush() error { return w.barrier(false, false) }
-
-// Sync makes every appended record durable: buffered records are
-// encoded, written out and the segment fsynced. DurableLSN has advanced
-// to (at least) the pre-call LastLSN when Sync returns — unless the
-// writer is in degraded-ack mode (Policy.DegradeFsync), where the
-// barrier acknowledges at the OS-write boundary, counts the skipped
-// fsync in Stats.DegradedAcks, and DurableLSN holds still.
-func (w *Writer) Sync() error {
-	err := w.barrier(true, false)
-	w.lastSync = time.Now()
-	return err
-}
-
-// CommitBatch marks an ingest batch boundary: it fsyncs under
-// SyncBatch, fsyncs under SyncInterval when the interval has elapsed,
-// and is a no-op under SyncNone (the background flusher paces the OS
-// writes). The engine's shard workers call it after every dequeue
-// batch; the synchronous path calls it from Flush.
-func (w *Writer) CommitBatch() error {
-	switch w.pol.Mode {
-	case SyncBatch:
-		return w.Sync()
-	case SyncInterval:
-		if time.Since(w.lastSync) >= w.pol.Interval {
-			return w.Sync()
+// post raises the wanted mark to n and reports whether it moved: false
+// means a commit already requested (in flight or done) covers n.
+func (w *Writer) post(n uint64) bool {
+	for {
+		cur := w.want.Load()
+		if cur >= n {
+			return false
+		}
+		if w.want.CompareAndSwap(cur, n) {
+			w.nudge()
+			return true
 		}
 	}
-	return nil
 }
 
-// Close syncs and closes the log, stopping the flusher. The writer is
-// unusable afterwards.
+// await blocks until mark reaches n, the log fails or the flusher is
+// gone — a waiter never outlives the goroutine that would wake it.
+func (w *Writer) await(mark *atomic.Uint64, n uint64) error {
+	if mark.Load() < n {
+		w.mu.Lock()
+		for mark.Load() < n && w.err() == nil && !w.exited {
+			w.cond.Wait()
+		}
+		w.mu.Unlock()
+	}
+	return w.err()
+}
+
+// awaitCommit is await on a mark a commit publishes (acked, reaskDone),
+// timing the waits that block.
+func (w *Writer) awaitCommit(mark *atomic.Uint64, n uint64) error {
+	if mark.Load() >= n {
+		return w.err()
+	}
+	span := obs.Start(w.ctr.commitWaitNs)
+	err := w.await(mark, n)
+	span.End()
+	return err
+}
+
+// wakeWaiters releases every parked await to re-check its mark. Taking
+// the lock orders the flusher's mark store before a waiter's check or
+// its park, so no wakeup is lost.
+func (w *Writer) wakeWaiters() {
+	w.mu.Lock()
+	w.mu.Unlock()
+	w.cond.Broadcast()
+}
+
+// Flush returns once every record appended so far has been handed to
+// the OS, without fsyncing: readers of the segment files then observe
+// them (the log-shipping resync path reads peers' logs this way). It
+// requests nothing — the flusher writes out whenever its buffer fills
+// or the ring runs empty, so the wait is at most one buffer long.
+func (w *Writer) Flush() error {
+	n := w.head.Load()
+	if w.written.Load() >= n {
+		return w.err()
+	}
+	w.nudge()
+	return w.await(&w.written, n)
+}
+
+// Sync makes every appended record durable under any policy: it
+// requests a commit up to the current head and waits for it. It returns
+// at once when an earlier fsync already covers the head, and shares one
+// fsync with every other caller waiting at the same time. In
+// degraded-ack mode (Policy.DegradeFsync) the commit acknowledges at
+// the OS-write boundary, counts the skipped fsync in Stats.DegradedAcks,
+// and DurableLSN holds still; a Sync with nothing new to acknowledge
+// there still waits for a commit of its own, so every call is counted and
+// every degradeProbeEvery-th probes (calls waiting at the same time share
+// one).
+func (w *Writer) Sync() error {
+	n := w.head.Load()
+	if w.durable.Load() >= n {
+		w.ctr.coalesced.Inc()
+		return w.err()
+	}
+	if w.post(n) {
+		return w.awaitCommit(&w.acked, n)
+	}
+	w.ctr.coalesced.Inc()
+	if w.degraded.Load() && w.acked.Load() >= n {
+		ticket := w.reaskWant.Add(1)
+		w.nudge()
+		return w.awaitCommit(&w.reaskDone, ticket)
+	}
+	return w.awaitCommit(&w.acked, n)
+}
+
+// CommitBatch marks an ingest batch boundary. Under SyncBatch it
+// requests a commit of everything appended so far and returns without
+// waiting for it (Settle waits); under the other policies it requests
+// nothing. The error is the log's sticky failure, if any. The engine's
+// shard workers call it after every dequeue batch; the synchronous path
+// calls it from Flush.
+func (w *Writer) CommitBatch() error {
+	if w.commitOnBatch {
+		w.post(w.head.Load())
+	}
+	return w.err()
+}
+
+// Settle blocks until every commit requested so far (CommitBatch, Sync)
+// has been acknowledged. It requests none itself, so under SyncNone and
+// SyncInterval it has nothing to wait for.
+func (w *Writer) Settle() error { return w.awaitCommit(&w.acked, w.want.Load()) }
+
+// Close makes the log durable — a real fsync even in degraded-ack mode —
+// closes it and stops the flusher. The writer is unusable afterwards.
 func (w *Writer) Close() error {
-	if w.closed {
+	if w.closed.Swap(true) {
 		return nil
 	}
-	// Forced sync: even a degraded writer fsyncs on Close, so a clean
-	// shutdown always leaves a fully durable log.
-	err := w.barrier(true, true)
-	w.closed = true
 	close(w.quit)
-	w.nudge()
 	<-w.done
-	if cerr := w.err(); err == nil {
-		err = cerr
-	}
-	return err
+	return w.err()
 }
 
 // flusher is the background half of the writer: it consumes the ring,
 // frames records (varint timestamp delta + zero-elided groups + CRC),
 // batches them through the write-behind buffer, rotates segments and
-// performs every fsync. All file state is flusher-owned after Create.
+// runs the commit loop. All file state is flusher-owned after Create.
 func (w *Writer) flusher() {
 	defer close(w.done)
 	defer func() {
 		if w.f != nil {
-			w.writeOut()
+			// Leave a fully durable log behind, however sick the disk.
+			w.fail(w.writeOut())
+			if w.err() == nil && w.durable.Load() < w.tail.Load() {
+				w.syncPoint(true)
+			}
 			w.f.Close()
 		}
 		// Any trace still in flight here never reached its durable ack
@@ -717,11 +840,19 @@ func (w *Writer) flusher() {
 			th.Abort()
 		}
 		w.pendWrite, w.unsynced = nil, nil
+		w.mu.Lock()
+		w.exited = true
+		w.mu.Unlock()
+		w.cond.Broadcast()
 	}()
-	var pending *ctrlReq
 	idle := time.NewTimer(time.Hour)
 	defer idle.Stop()
 	for {
+		// want is sampled before head: a request never runs ahead of the
+		// records it covers, so after this pass tail ≥ want and one
+		// commit serves it whole.
+		want := w.want.Load()
+		reask := w.reaskWant.Load()
 		// Drain whatever is in the ring. Once the log has failed,
 		// records are consumed and discarded — the appender sees the
 		// error on its next call; blocking it forever would wedge the
@@ -753,27 +884,29 @@ func (w *Writer) flusher() {
 			default:
 			}
 		}
-		if pending == nil {
-			select {
-			case req := <-w.ctrl:
-				pending = &req
-			default:
-			}
+		// The commit loop. A commit is due when someone wants records
+		// acknowledged that are not (batch boundaries, Sync), when Sync
+		// re-asks over a degraded ack, or when un-acknowledged records
+		// exist and the last commit is maxAge old (interval).
+		acked := w.acked.Load()
+		due := want > acked || reask > w.reaskDone.Load()
+		sleep := time.Second
+		if w.maxAge > 0 && h > acked {
+			sleep = w.maxAge - time.Duration(obs.Nanotime()-w.lastSync)
+			due = due || sleep <= 0
 		}
-		if pending != nil && (w.tail.Load() >= pending.upto || w.err() != nil) {
-			w.fail(w.writeOut())
-			if pending.fsync && w.f != nil && w.err() == nil {
-				w.syncPoint(pending.force)
-			}
-			pending.ack <- w.err()
-			pending = nil
+		if due {
+			w.commit(reask)
+			continue
 		}
-		if w.tail.Load() == w.head.Load() && pending == nil {
+		if w.tail.Load() == w.head.Load() {
 			// Idle: push the buffer to the OS (bounding staleness for
-			// log-shipping readers), then sleep until nudged. The
-			// appender's publish-then-check-tail ordering guarantees a
-			// nudge for the record that races this sleep decision; the
-			// long timer is a belt-and-suspenders bound, not a poll.
+			// log-shipping readers), then sleep until nudged — or until
+			// the last commit is maxAge old with records behind it. The
+			// appender's
+			// publish-then-check-tail ordering guarantees a nudge for
+			// the record that races this sleep decision; the long timer
+			// is a belt-and-suspenders bound, not a poll.
 			w.fail(w.writeOut())
 			if !idle.Stop() {
 				select {
@@ -781,7 +914,7 @@ func (w *Writer) flusher() {
 				default:
 				}
 			}
-			idle.Reset(time.Second)
+			idle.Reset(sleep)
 			select {
 			case <-w.wake:
 			case <-idle.C:
@@ -792,6 +925,23 @@ func (w *Writer) flusher() {
 			}
 		}
 	}
+}
+
+// commit serves every durability request outstanding with one fsync
+// over everything consumed so far (a counted skip in degraded-ack
+// mode), then publishes the acked mark — and reaskDone, up to the re-ask
+// tickets seen before it began — and wakes the waiters. On a failed log
+// it only releases them: await hands each the sticky error.
+func (w *Writer) commit(reask uint64) {
+	n := w.tail.Load()
+	w.fail(w.writeOut())
+	if w.err() == nil && w.f != nil {
+		w.syncPoint(false)
+	}
+	w.lastSync = obs.Nanotime()
+	w.acked.Store(n)
+	w.reaskDone.Store(reask)
+	w.wakeWaiters()
 }
 
 // fail boxes the first flusher error into the sticky flushErr, mirrors
@@ -816,6 +966,7 @@ func (w *Writer) fail(err error) bool {
 			w.failedErrno.Store(-1)
 			w.jr.Emit(journal.EvWALError, journal.SevError, w.jrCause, 0, 0, 0)
 		}
+		w.wakeWaiters()
 	}
 	return true
 }
@@ -829,21 +980,22 @@ func (w *Writer) wrap(f *os.File) File {
 	return f
 }
 
-// syncPoint serves one Sync barrier at the flusher: a measured fsync in
-// the healthy case, a counted skip in degraded-ack mode (force — Close —
-// always fsyncs). Flusher-only.
+// syncPoint is the fsync of one commit: measured in the healthy case, a
+// counted skip in degraded-ack mode (force — the flusher's exit, i.e.
+// Close — always fsyncs). The caller has written the buffer out, so the
+// fsync covers every record consumed. Flusher-only.
 func (w *Writer) syncPoint(force bool) {
 	if w.degraded.Load() && !force {
 		w.degradedReqs++
 		if w.degradedReqs%degradeProbeEvery != 0 {
-			// Degraded ack: the barrier's writeOut already pushed the
-			// records to the OS; DurableLSN intentionally holds still.
+			// Degraded ack: the records are with the OS; DurableLSN
+			// intentionally holds still.
 			w.ctr.degradedAcks.Inc()
 			w.degradedSkip++
 			w.finishUnsynced(true)
 			return
 		}
-		// Every degradeProbeEvery-th request falls through to a real
+		// Every degradeProbeEvery-th commit falls through to a real
 		// fsync — the recovery probe.
 	}
 	t0 := obs.Nanotime()
@@ -862,9 +1014,25 @@ func (w *Writer) syncPoint(force bool) {
 		w.abortUnsynced()
 		return
 	}
-	w.durable.Store(w.startLSN + w.tail.Load() - 1)
-	w.finishUnsynced(false)
+	// The state machine moves before the marks do: a Sync this fsync
+	// releases already sees the writer healthy (or degraded) and the
+	// transition journaled.
 	w.observeFsync(ns)
+	w.noteDurable()
+}
+
+// noteDurable publishes the durable mark after a successful fsync of
+// the open segment — every record consumed so far is on stable storage
+// — and completes the traces that waited for it. acked follows when a
+// rotation's fsync ran ahead of any commit. Flusher-only.
+func (w *Writer) noteDurable() {
+	n := w.tail.Load()
+	w.ctr.commitRecords.Observe(n - w.durable.Load())
+	w.durable.Store(n)
+	if w.acked.Load() < n {
+		w.acked.Store(n)
+	}
+	w.finishUnsynced(false)
 }
 
 // observeFsync advances the degraded-ack state machine on one measured
@@ -936,13 +1104,19 @@ func (w *Writer) writeOut() error {
 	span.End()
 	w.buf = w.buf[:0]
 	w.noteWritten(err == nil)
+	if err == nil {
+		// Every consumed record was in the buffer: encode writes out
+		// before it adds the record that will not fit.
+		w.written.Store(w.tail.Load())
+		w.wakeWaiters()
+	}
 	return err
 }
 
 // noteWritten routes the pending trace handles after a write-behind
 // drain: written records advance to the unsynced set awaiting their
-// fsync (or finish immediately under SyncNone, which never fsyncs on
-// the data path); a failed write orphans them unpublished. Flusher-only.
+// fsync (or finish here when the policy never commits on the data
+// path); a failed write orphans them unpublished. Flusher-only.
 func (w *Writer) noteWritten(ok bool) {
 	if len(w.pendWrite) == 0 {
 		return
@@ -953,7 +1127,7 @@ func (w *Writer) noteWritten(ok bool) {
 			continue
 		}
 		th.Stamp(trace.StWALWrite)
-		if w.pol.Mode == SyncNone {
+		if w.ackAtWrite {
 			th.Finish()
 			continue
 		}
@@ -1035,10 +1209,9 @@ func (w *Writer) rotate() error {
 		if err != nil {
 			return err
 		}
-		w.durable.Store(w.startLSN + w.tail.Load() - 1)
 		// The finalising fsync makes every written record durable: any
 		// trace still awaiting its ack completes here.
-		w.finishUnsynced(false)
+		w.noteDurable()
 		if err := w.f.Close(); err != nil {
 			return err
 		}

@@ -84,6 +84,81 @@ func TestObsMetricsPopulated(t *testing.T) {
 	}
 }
 
+// TestObsWALCommitMetrics: the group commit is legible from the registry.
+// After barriers over an every-batch WAL, dta_wal_commit_records has one
+// observation per fsync and sums to the records made durable (how many
+// each fsync covered), dta_wal_commit_wait_ns saw the Drains that had to
+// wait, dta_wal_commits_coalesced_total counts the SyncWALs an earlier
+// fsync had already served, and the sync series equals WALStats().Syncs.
+func TestObsWALCommitMetrics(t *testing.T) {
+	sys, err := dta.New(dta.Options{
+		KeyWrite: &dta.KeyWriteOptions{Slots: 1 << 12, DataSize: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WithWAL(t.TempDir(), dta.WALPolicy{Mode: dta.WALSyncBatch}); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sys.Engine(dta.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := eng.Reporter(1)
+	const epochs, perEpoch = 20, 320
+	for e := 0; e < epochs; e++ {
+		for i := 0; i < perEpoch; i++ {
+			if err := rep.KeyWrite(dta.KeyFromUint64(uint64(e*perEpoch+i)), []byte{1, 2, 3, 4}, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rep.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SyncWAL(); err != nil { // covered by the Drain's commit
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := sys.WALStats()
+	snap := sys.Metrics().Snapshot()
+	find := func(name string) *dta.ObsValue {
+		t.Helper()
+		v := snap.Find(name)
+		if v == nil {
+			t.Fatalf("no %s series", name)
+		}
+		return v
+	}
+	if v := find("dta_wal_syncs_total"); v.Value != float64(st.Syncs) {
+		t.Errorf("dta_wal_syncs_total = %.0f, WALStats().Syncs = %d", v.Value, st.Syncs)
+	}
+	if v := find("dta_wal_commit_records"); v.Count != st.Syncs || v.Sum != st.DurableLSN {
+		t.Errorf("dta_wal_commit_records: %d observations summing to %d, want %d fsyncs covering %d records",
+			v.Count, v.Sum, st.Syncs, st.DurableLSN)
+	}
+	if st.DurableLSN != epochs*perEpoch {
+		t.Errorf("DurableLSN = %d, want %d", st.DurableLSN, epochs*perEpoch)
+	}
+	if st.Syncs >= st.Appends/16 {
+		t.Errorf("%d fsyncs for %d appends: the commit does not group", st.Syncs, st.Appends)
+	}
+	if v := find("dta_wal_commit_wait_ns"); v.Count == 0 || v.Count > 2*epochs {
+		t.Errorf("dta_wal_commit_wait_ns has %d observations for %d drains", v.Count, epochs)
+	}
+	if v := find("dta_wal_commits_coalesced_total"); v.Value != epochs {
+		t.Errorf("dta_wal_commits_coalesced_total = %.0f, want the %d SyncWALs a Drain had already covered", v.Value, epochs)
+	}
+	if err := sys.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestObsDisabled checks the telemetry-off mode: no registry anywhere,
 // ingest and Stats still fully functional.
 func TestObsDisabled(t *testing.T) {
