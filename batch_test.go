@@ -287,10 +287,15 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			}
 			wo, _ := one.WALStats()
 			wm, _ := many.WALStats()
+			// Publications count ingest calls, which is the one thing the
+			// two runs differ in by construction.
+			if wo.Publishes != wo.Appends || wm.Publishes >= wo.Publishes {
+				t.Errorf("publications: per record %d for %d appends, chunked %d", wo.Publishes, wo.Appends, wm.Publishes)
+			}
 			// The flusher-paced cells (syncs, ring high water, nudges) are
 			// timing, not content.
 			for _, w := range []*WALStats{&wo, &wm} {
-				w.Syncs, w.RingHighWater, w.RingStalls, w.NudgesDropped = 0, 0, 0, 0
+				w.Publishes, w.Syncs, w.RingHighWater, w.RingStalls, w.NudgesDropped = 0, 0, 0, 0, 0
 			}
 			if wo != wm || wo.Appends == 0 {
 				t.Errorf("WALStats:\n per record %+v\n chunked    %+v", wo, wm)
@@ -336,12 +341,19 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 }
 
 // TestSystemSinkBatchZeroAllocs extends the structured-ingest allocation
-// pins to the worker's chunk entry itself, lossy link on (its
-// run-splitting must not allocate either).
+// pins to the worker's chunk entry itself — all four primitives,
+// Key-Increment aggregation on, lossy link on (its run-splitting must not
+// allocate either).
 func TestSystemSinkBatchZeroAllocs(t *testing.T) {
+	values := make([]uint32, 256)
+	for i := range values {
+		values[i] = uint32(i + 1)
+	}
 	s, err := New(Options{
 		KeyWrite:     &KeyWriteOptions{Slots: 1 << 12, DataSize: 4},
-		KeyIncrement: &KeyIncrementOptions{Slots: 1 << 10},
+		KeyIncrement: &KeyIncrementOptions{Slots: 1 << 10, AggregationRows: 8},
+		Postcarding:  &PostcardingOptions{Chunks: 1 << 10, Hops: 5, Values: values, CacheRows: 64},
+		Append:       &AppendOptions{Lists: 4, EntriesPerList: 1 << 10, EntrySize: 4, Batch: 4},
 		ReporterLoss: 0.1,
 		Seed:         5,
 	})
@@ -350,26 +362,44 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 	}
 	recs := make([]wire.StagedReport, 32)
 	for i := range recs {
-		rep := wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
-			KeyWrite: wire.KeyWrite{Redundancy: 2, Key: wire.KeyFromUint64(uint64(i))}, Data: []byte{1, 2, 3, 4}}
-		if i%2 == 1 {
+		k := wire.KeyFromUint64(uint64(i))
+		var rep wire.Report
+		switch i % 4 {
+		case 0:
+			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+				KeyWrite: wire.KeyWrite{Redundancy: 2, Key: k}, Data: []byte{1, 2, 3, 4}}
+		case 1:
 			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
-				KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: wire.KeyFromUint64(uint64(i)), Delta: 1}}
+				KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: wire.KeyFromUint64(uint64(i % 16)), Delta: 1}}
+		case 2:
+			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
+				Postcard: wire.Postcard{Key: wire.KeyFromUint64(uint64(i / 8)), Hop: uint8(i / 4 % 2), PathLen: 2, Value: uint32(i + 1)}}
+		case 3:
+			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimAppend},
+				Append: wire.Append{ListID: uint32(i % 4)}, Data: []byte{byte(i), 0, 0, 1}}
 		}
 		recs[i].Stage(&rep)
 	}
 	trcs := make([]trace.Handle, len(recs))
 	sink := systemSink{s}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(500, func() {
+	chunk := func() {
 		if failed, err := sink.ProcessStagedBatch(recs, trcs, 0); failed != 0 {
 			t.Fatal(err)
 		}
-	})
+	}
+	for i := 0; i < 4; i++ {
+		chunk() // warm-up: batcher stashes
+	}
+	before := s.tr.Stats()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(500, chunk)
 	if allocs != 0 {
 		t.Fatalf("systemSink.ProcessStagedBatch allocated %.2f per chunk, want 0", allocs)
 	}
 	if s.Stats().LinkDropped == 0 {
 		t.Fatal("lossy link never dropped: the run-splitting path was not exercised")
+	}
+	if st := s.tr.Stats(); st.PostcardEmits == before.PostcardEmits || st.AppendFlushes == before.AppendFlushes || st.KIAggregated == before.KIAggregated {
+		t.Fatalf("chunk did not exercise every emit path: %+v", st)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"dta/internal/collector"
@@ -89,6 +90,10 @@ func main() {
 		log.Fatal(err)
 	}
 }
+
+// burstMax is how many datagrams the receiver hands the translator as
+// one chunk (the engine's default ChunkFrames).
+const burstMax = 32
 
 func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg walConfig) error {
 	// Self-telemetry: one registry for every layer; served over HTTP
@@ -205,9 +210,10 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 			return err
 		}
 		tr.WAL = func(rec *wire.StagedReport, nowNs uint64) error {
-			_, err := walW.AppendTraced(rec, nowNs, tr.TraceHandle())
+			_, err := walW.Stage(rec, nowNs, tr.TraceHandle())
 			return err
 		}
+		tr.WALPublish = walW.Publish
 		defer walW.Close()
 	}
 
@@ -218,7 +224,14 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 	defer conn.Close()
 	fmt.Printf("translator listening on %s\n", conn.LocalAddr())
 
-	// Receiver loop: UDP datagram payload = DTA report.
+	// Receiver loop: UDP datagram payload = DTA report. After the one
+	// blocking read it takes what the socket already holds, without
+	// waiting, and hands the translator the burst as one chunk: the
+	// chunk's store misses overlap and the log publishes once.
+	rc, err := conn.(*net.UDPConn).SyscallConn()
+	if err != nil {
+		return err
+	}
 	done := make(chan struct{})
 	recvDone := make(chan struct{})
 	go func() {
@@ -226,10 +239,18 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 		buf := make([]byte, 2048)
 		var rep wire.Report
 		var smp obstrace.Sampler
+		var recs [burstMax]wire.StagedReport
+		var trcs [burstMax]obstrace.Handle
+		var n int
+		poll := func(fd uintptr) bool {
+			n, _ = syscall.Read(int(fd), buf) // the socket is non-blocking: EAGAIN when empty
+			return true
+		}
 		start := time.Now()
 		for {
 			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-			n, _, err := conn.ReadFrom(buf)
+			var err error
+			n, _, err = conn.ReadFrom(buf)
 			if err != nil {
 				select {
 				case <-done:
@@ -238,24 +259,31 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 					continue
 				}
 			}
-			if err := wire.DecodeReport(buf[:n], &rep); err != nil {
-				continue
+			burst := 0
+			for {
+				if wire.DecodeReport(buf[:n], &rep) == nil {
+					h := trc.Begin(&smp)
+					h.Stamp(obstrace.StSubmit)
+					recs[burst].Stage(&rep)
+					trcs[burst] = h
+					burst++
+				}
+				if burst == burstMax || rc.Read(poll) != nil || n <= 0 {
+					break
+				}
 			}
 			now := uint64(time.Since(start))
-			h := trc.Begin(&smp)
-			if h.Valid() {
-				h.Stamp(obstrace.StSubmit)
-				tr.SetTraceHandle(h)
-			}
-			if err := tr.Process(&rep, now); err != nil {
+			if _, err := tr.ProcessStagedBatch(recs[:burst], trcs[:burst], now); err != nil {
 				log.Printf("translate: %v", err)
 			}
-			h.Finish()
+			for _, h := range trcs[:burst] {
+				h.Finish()
+			}
 			if walW != nil {
-				// Each datagram is an ingest batch on this path: request
-				// its commit and go back to the socket. Datagrams that
-				// arrive while an fsync is in flight share the next one;
-				// shutdown waits for the last.
+				// Each burst is an ingest batch on this path: request its
+				// commit and go back to the socket. Bursts that arrive
+				// while an fsync is in flight share the next one; shutdown
+				// waits for the last.
 				if err := walW.CommitBatch(); err != nil {
 					log.Printf("wal: %v", err)
 				}

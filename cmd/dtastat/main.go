@@ -552,11 +552,12 @@ func renderWAL(w io.Writer, s *obs.Snapshot, elapsed time.Duration) {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 2, 2, ' ', 0)
-	fmt.Fprintln(tw, "WAL\tappends\tsyncs\tfsyncs/1k appends\tdegraded acks\tring occ/hwm\tstalls\tflush p50/p99 µs\tfsync p50/p99 µs\tcommit wait p50/p99 µs")
-	fmt.Fprintf(tw, "\t%s\t%s\t%s\t%s\t%s/%s\t%s\t%s\t%s\t%s\n",
+	fmt.Fprintln(tw, "WAL\tappends\tsyncs\tfsyncs/1k appends\trecords/publish\tdegraded acks\tring occ/hwm B\tstalls\tflush p50/p99 µs\tfsync p50/p99 µs\tcommit wait p50/p99 µs")
+	fmt.Fprintf(tw, "\t%s\t%s\t%s\t%s\t%s\t%s/%s\t%s\t%s\t%s\t%s\n",
 		rate(all["dta_wal_appends_total"], elapsed),
 		rate(all["dta_wal_syncs_total"], elapsed),
 		perK(all["dta_wal_syncs_total"], all["dta_wal_appends_total"]),
+		mean(all["dta_wal_publish_records"]),
 		rate(all["dta_wal_degraded_acks_total"], elapsed),
 		gauge(all["dta_wal_ring_occupancy"]),
 		gauge(all["dta_wal_ring_high_water"]),
@@ -565,6 +566,15 @@ func renderWAL(w io.Writer, s *obs.Snapshot, elapsed time.Duration) {
 		quantiles(all["dta_wal_fsync_ns"]),
 		quantiles(all["dta_wal_commit_wait_ns"]))
 	tw.Flush()
+}
+
+// mean renders a histogram's mean observation — for the WAL's
+// publications, how many records share one hand-over to the flusher.
+func mean(v *obs.Value) string {
+	if v == nil || v.Count == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f", float64(v.Sum)/float64(v.Count))
 }
 
 // perK renders num per thousand den over the interval — for the WAL,

@@ -58,9 +58,10 @@ func (s *System) WithWAL(dir string, pol WALPolicy) error {
 		// flusher stamps write/fsync/ack stages and finishes the trace
 		// at durable ack (a second reference keeps it live past the
 		// translator's Finish).
-		_, err := w.AppendTraced(rec, nowNs, s.tr.TraceHandle())
+		_, err := w.Stage(rec, nowNs, s.tr.TraceHandle())
 		return err
 	}
+	s.tr.WALPublish = w.Publish
 	return nil
 }
 
@@ -98,7 +99,7 @@ func (s *System) CloseWAL() error {
 	if s.wal == nil {
 		return nil
 	}
-	s.tr.WAL = nil
+	s.tr.WAL, s.tr.WALPublish = nil, nil
 	err := s.wal.Close()
 	s.wal = nil
 	return err

@@ -117,6 +117,7 @@ type Batcher struct {
 	written []uint64
 	stash   [][]byte
 	fill    []int
+	flush   Flush // what Append and FlushPartial return
 	// Stats tracks batching effectiveness.
 	Stats BatcherStats
 }
@@ -130,10 +131,11 @@ type BatcherStats struct {
 // Flush is a batch ready to be written to the collector: Data spans
 // Entries consecutive entries starting at entry Index of list List.
 //
-// Data aliases the batcher's stash for the list and is valid only until
-// the next Append to the same list: consume it (serialize the RDMA WRITE
-// or Apply it to a store) before appending again, as the translator
-// pipeline does.
+// A Flush the batcher returns is the batcher's own (no allocation per
+// batch) and Data aliases its stash for the list: both are valid only
+// until the next Append or FlushPartial — consume it (serialize the RDMA
+// WRITE or Apply it to a store) before appending again, as the
+// translator pipeline does.
 type Flush struct {
 	List    int
 	Index   int
@@ -222,7 +224,8 @@ func (b *Batcher) Append(l int, entry []byte) (*Flush, error) {
 	if b.fill[l] < b.batch {
 		return nil, nil
 	}
-	f := &Flush{
+	f := &b.flush
+	*f = Flush{
 		List:    l,
 		Index:   b.heads[l],
 		Entries: b.batch,
@@ -246,7 +249,8 @@ func (b *Batcher) FlushPartial(l int) *Flush {
 		return nil
 	}
 	n := b.fill[l]
-	f := &Flush{
+	f := &b.flush
+	*f = Flush{
 		List:    l,
 		Index:   b.heads[l],
 		Entries: n,

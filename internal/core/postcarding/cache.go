@@ -21,6 +21,10 @@ type Cache struct {
 	hops   int
 	idxEng *crc.Engine
 	mask   uint64
+	// inserted and drained back what Insert and Drain return, so the
+	// steady state emits without allocating.
+	inserted [2]Emit
+	drained  []Emit
 	// Stats tracks aggregation effectiveness for Fig. 14.
 	Stats CacheStats
 }
@@ -95,11 +99,13 @@ func (c *Cache) flush(r *cacheRow, partial bool) Emit {
 }
 
 // Insert adds one postcard. If the insertion completes a path (or evicts
-// an incumbent flow), the emitted report is returned.
+// an incumbent flow), the emitted report is returned — in the cache's own
+// scratch, valid until the next Insert.
 //
 // pathLen may be zero when the egress switch did not annotate the path
 // length; the cache then waits for the full bound B.
-func (c *Cache) Insert(p *wire.Postcard) (emits []Emit) {
+func (c *Cache) Insert(p *wire.Postcard) []Emit {
+	emits := c.inserted[:0] // at most an eviction and a completion
 	c.Stats.Postcards++
 	hop := int(p.Hop)
 	if hop >= c.hops {
@@ -138,8 +144,9 @@ func (c *Cache) Insert(p *wire.Postcard) (emits []Emit) {
 
 // Drain flushes every occupied row (e.g. at shutdown or epoch end). All
 // drained reports are marked partial unless they happen to be complete.
+// The result is the cache's own scratch, valid until the next Drain.
 func (c *Cache) Drain() []Emit {
-	var out []Emit
+	out := c.drained[:0]
 	for i := range c.rows {
 		r := &c.rows[i]
 		if !r.occupied {
@@ -148,6 +155,7 @@ func (c *Cache) Drain() []Emit {
 		complete := r.count >= uint8(c.hops) || (r.pathLen != 0 && r.count >= r.pathLen)
 		out = append(out, c.flush(r, !complete))
 	}
+	c.drained = out
 	return out
 }
 

@@ -177,27 +177,35 @@ func TestBatchPreTouchOnlyReads(t *testing.T) {
 }
 
 // TestProcessStagedBatchZeroAllocs pins the chunk entry — address
-// generation, pre-touch, craft/emit and the counter publish — at zero
-// allocations per chunk in the steady state, for the primitives the
-// per-record pins cover (a postcard emit and an append flush each
-// allocate inside their core packages, chunked or not).
+// generation, pre-touch, craft/emit and the counter publish — and the
+// epoch flush at zero allocations in the steady state, for all four
+// primitives with Key-Increment aggregation on: postcard emits, append
+// flushes and the three drains hand back scratch their owners keep.
 func TestProcessStagedBatchZeroAllocs(t *testing.T) {
 	ccfg, tcfg := fullConfig()
+	tcfg.KIAggregationRows = 16 // 64 distinct keys: evictions and absorptions
 	r := newRig(t, ccfg, tcfg)
 	r.tr.PreTouch = r.host.Device().PreTouch
-	var recs []wire.StagedReport
-	for i, rec := range mixedChunk(4*batchWindow+10, 0) { // two windows and a bit
-		if i%4 < 2 {
-			recs = append(recs, rec)
-		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(500, func() {
+	recs := mixedChunk(4*batchWindow+10, 0) // four windows and a bit
+	epoch := func() {
 		if failed, err := r.tr.ProcessStagedBatch(recs, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
-	})
+		for _, f := range []func(uint64) error{r.tr.FlushAppend, r.tr.FlushKeyIncrements, r.tr.DrainPostcards} {
+			if err := f(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	epoch() // warm-up: stashes, drain scratch
+	before := r.tr.Stats()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(500, epoch)
 	if allocs != 0 {
-		t.Fatalf("ProcessStagedBatch allocated %.2f per chunk, want 0", allocs)
+		t.Fatalf("ProcessStagedBatch + epoch flush allocated %.2f per chunk, want 0", allocs)
+	}
+	st := r.tr.Stats()
+	if st.PostcardEmits == before.PostcardEmits || st.AppendFlushes == before.AppendFlushes || st.KIAggregated == before.KIAggregated {
+		t.Fatalf("chunk did not exercise every emit path: %+v", st)
 	}
 }

@@ -16,6 +16,7 @@ type kiAggCache struct {
 	rows []kiAggRow
 	eng  *crc.Engine
 	mask uint64
+	out  []wire.KeyIncrement // drain's result, reused
 }
 
 type kiAggRow struct {
@@ -55,9 +56,10 @@ func (c *kiAggCache) add(ki *wire.KeyIncrement) (key wire.Key, delta uint64, red
 	return wire.Key{}, 0, 0, false
 }
 
-// drain empties the cache, returning every pending aggregate.
+// drain empties the cache, returning every pending aggregate (in the
+// cache's own scratch, valid until the next drain).
 func (c *kiAggCache) drain() []wire.KeyIncrement {
-	var out []wire.KeyIncrement
+	out := c.out[:0]
 	for i := range c.rows {
 		r := &c.rows[i]
 		if !r.occupied {
@@ -66,5 +68,6 @@ func (c *kiAggCache) drain() []wire.KeyIncrement {
 		out = append(out, wire.KeyIncrement{Redundancy: r.red, Key: r.key, Delta: r.delta})
 		*r = kiAggRow{}
 	}
+	c.out = out
 	return out
 }

@@ -142,8 +142,12 @@ func publishCount(c *obs.Counter, v *uint64) {
 	}
 }
 
-// publish moves the pending counts into the obs cells.
+// publish moves the pending counts into the obs cells and, with a log
+// attached, appends the records the call staged.
 func (t *Translator) publish() {
+	if t.WALPublish != nil {
+		t.WALPublish()
+	}
 	c, p := &t.ctr, &t.pend
 	publishCount(c.kwReports, &p.kwReports)
 	publishCount(c.kiReports, &p.kiReports)
@@ -278,6 +282,10 @@ type Translator struct {
 	// reports, not over emitted RDMA operations; restored state can
 	// only gain best-effort-shed reports, never lose acknowledged ones.
 	WAL func(rec *wire.StagedReport, nowNs uint64) error
+	// WALPublish, if non-nil, runs once as every ingest call returns:
+	// the log stages the records WAL hands it and appends them here — one
+	// publication per chunk, however many records (wal.Writer.Publish).
+	WALPublish func()
 	// walScratch stages reports arriving through the non-staged entries
 	// (ProcessReport/ProcessFrame) for the WAL hook.
 	walScratch wire.StagedReport
@@ -894,8 +902,9 @@ func (t *Translator) FlushKeyIncrements(nowNs uint64) error {
 		return nil
 	}
 	defer t.publish()
-	for _, e := range t.kiAgg.drain() {
-		if err := t.fetchAddKey(&e, nowNs); err != nil {
+	out := t.kiAgg.drain()
+	for i := range out {
+		if err := t.fetchAddKey(&out[i], nowNs); err != nil {
 			return err
 		}
 	}
@@ -1041,8 +1050,9 @@ func (t *Translator) DrainPostcards(nowNs uint64) error {
 		return nil
 	}
 	defer t.publish()
-	for _, e := range t.pcCache.Drain() {
-		if err := t.emitChunk(&e, 0, nackRef{}, nowNs); err != nil {
+	out := t.pcCache.Drain()
+	for i := range out {
+		if err := t.emitChunk(&out[i], 0, nackRef{}, nowNs); err != nil {
 			return err
 		}
 	}

@@ -149,8 +149,9 @@ func LoadMeta(dir string) (*Meta, error) {
 	return &m, nil
 }
 
-// writeAtomic writes a file via a temp sibling + rename, fsyncing
-// before the swap, so readers only ever see a complete image.
+// writeAtomic writes a file via a temp sibling + rename, fsyncing the
+// file before the swap and the directory after it, so readers only ever
+// see a complete image and a host crash cannot take the new name back.
 func writeAtomic(path string, fill func(*os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -168,5 +169,8 @@ func writeAtomic(path string, fill func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path), nil)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dta/internal/obs/trace"
 	"dta/internal/wal/waltest"
 	"dta/internal/wire"
 )
@@ -206,6 +207,31 @@ func TestCommitCosts(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("append + CommitBatch + Settle + Sync allocates %.1f times, want 0", allocs)
+	}
+	// An ingest call: a chunk of stages, the publication, the boundary
+	// and the wait — no allocation, and the chunk is ONE publication (the
+	// boundary finds nothing left to publish).
+	pubs := w.WStats().Publishes
+	const calls = 200
+	allocs = testing.AllocsPerRun(calls-1, func() { // AllocsPerRun adds a warm-up call
+		for i := 0; i < 32; i++ {
+			if _, err := w.Stage(rec, 1, trace.Handle{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Publish()
+		if err := w.CommitBatch(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("32 stages + publish + CommitBatch + Settle allocates %.1f times, want 0", allocs)
+	}
+	if got := w.WStats().Publishes - pubs; got != calls {
+		t.Errorf("%d ingest calls of 32 records made %d publications, want one each", calls, got)
 	}
 
 	// Nothing new: no fsync, whoever asks and however often.

@@ -58,10 +58,14 @@ func (tf *testFile) Sync() error {
 func (tf *testFile) Close() error { return tf.f.Close() }
 
 // wrapPolicy returns a policy whose segments open through a shared
-// testFile fault state (segments rotate; the faults must follow).
+// testFile fault state (segments rotate; the faults must follow). The
+// log directory, opened to be synced, passes through unwrapped.
 func wrapPolicy(pol Policy) (Policy, *testFile) {
 	tf := &testFile{}
 	pol.WrapFile = func(f *os.File) File {
+		if st, err := f.Stat(); err == nil && st.IsDir() {
+			return f
+		}
 		tf.f = f
 		return tf
 	}

@@ -25,18 +25,41 @@
 //	[uvarint Δns][present 8-byte groups of the staged image][payload]
 //
 // The body starts from wire.StagedReport's fixed-size EncodeTo image,
-// but the frame is aggressively compacted — the log is on the ingest
-// hot path, and its cost is dominated by bytes written: the LSN is
-// implicit (records are contiguous, so a record's LSN is the segment
-// base plus its index), the ingest timestamp is a varint delta from
-// the previous record, and all-zero 8-byte groups of the fixed image
-// (most of it, for any single primitive) are elided via the bitmap. A
-// Key-Write record with a 4-byte value costs ~36 bytes instead of the
-// naive ~68. The CRC covers everything after itself, so a torn tail, a
-// truncated segment or a bit flip is detected at the first damaged
-// record and recovery stops exactly there. A checkpoint (snapshot
-// image + LSN, see Checkpoint) bounds replay and lets segments wholly
-// below the checkpoint LSN be reclaimed.
+// compacted because the log's cost is dominated by bytes written: the
+// LSN is implicit (a record's LSN is the segment base plus its index),
+// the ingest timestamp is a varint delta from the previous record, and
+// all-zero 8-byte groups of the fixed image (most of it, for any single
+// primitive) are elided via the bitmap — a Key-Write record with a
+// 4-byte value costs ~36 bytes instead of ~68. The CRC covers everything
+// after itself, so a torn tail, a truncated segment or a bit flip is
+// detected at the first damaged record and recovery stops exactly there.
+// A checkpoint (snapshot image + LSN, see Checkpoint) bounds replay and
+// lets segments wholly below its LSN be reclaimed.
+//
+// # Who owns what
+//
+// The writer is two halves joined by a single-producer / single-consumer
+// byte ring. What is a function of the record sequence alone belongs to
+// the appender (the translator's ingest context): framing, the
+// per-segment timestamp-delta chain, segment cut points, LSNs. Stage
+// frames a record straight into the ring through a cursor only the
+// appender sees. What is a function of the disk belongs to the flusher
+// goroutine: files, write-out, rotation I/O, fsyncs, the commit loop. It
+// never looks inside a record — it moves published bytes from the ring
+// to the open segment, and learns where to cut (and which records carry
+// a sampled trace) from a small side queue published with them.
+//
+// # Publication
+//
+// A record is appended when it is published: Publish hands the flusher,
+// and every reader, all records staged so far. The appender publishes
+// (a) when the ingest call that staged them returns
+// (translator.Translator.WALPublish: per chunk on the engine path, per
+// record on the synchronous one), (b) inside CommitBatch and Close, (c)
+// when unpublished bytes pass publishEarlyBytes, and (d) always before it
+// waits on a full ring, whose bytes only it can release. LastLSN, Sync,
+// Flush and WStats — safe from any goroutine — see published records
+// only.
 //
 // # Durability contract
 //
@@ -51,28 +74,26 @@
 // Nobody on the ingest path waits for the disk to get there. The writer
 // keeps monotone marks over the record sequence,
 //
-//	durable ≤ acked ≤ written ≤ consumed ≤ appended,   wanted ≤ appended
+//	durable ≤ acked ≤ written ≤ consumed ≤ appended ≤ staged,   wanted ≤ appended
 //
 // and one commit loop in the flusher goroutine: a batch boundary
 // (CommitBatch) only raises the wanted mark to the appended one; the
-// flusher, whenever wanted is ahead of acked, writes out and issues ONE
-// fsync covering everything it has consumed, publishes the marks and
-// wakes the waiters. Every durability wait is "until acked ≥ the mark I
-// saw", which returns at once when an earlier fsync already covers it
-// and lets any number of waiters on any goroutine share one fsync. The
-// three sync policies are parameter points of that loop: batch raises
-// the wanted mark at batch boundaries, interval has the flusher commit
-// un-durable records no later than Policy.Interval after its last commit
-// (so at most one data-path fsync per Interval), none leaves it to
-// explicit Sync calls.
-//
-// What is appended but not yet durable is bounded by the ring: the
-// flusher consumes nothing while it sits in an fsync, so at most
-// writerRingEntries records can be appended behind a commit in flight
-// before Append blocks.
+// flusher, whenever wanted is ahead of acked, issues ONE fsync covering
+// everything it has consumed, publishes the marks and wakes the waiters.
+// Every durability wait is "until acked ≥ the mark I saw", which returns
+// at once when an earlier fsync already covers it and lets any number of
+// waiters on any goroutine share one fsync. The three sync policies are
+// parameter points of that loop: batch raises the wanted mark at batch
+// boundaries, interval has the flusher commit un-durable records no
+// later than Policy.Interval after its last commit (so at most one
+// data-path fsync per Interval), none leaves it to explicit Sync calls.
+// consumed runs ahead of written only on a failed log, which discards.
+// The flusher consumes nothing while it sits in an fsync, so at most
+// ringBytes can be staged behind a commit in flight before Stage blocks.
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -101,42 +122,25 @@ type SyncMode int
 const (
 	// SyncNone never fsyncs on the data path: the OS flushes when it
 	// pleases. Cheapest; a host crash can lose everything since the last
-	// Sync/Checkpoint/Close. A process crash alone loses at most the
-	// writer's buffered tail (the OS still holds flushed pages).
+	// Sync/Checkpoint/Close, a process crash alone at most the ring.
 	SyncNone SyncMode = iota
 	// SyncInterval has the flusher commit un-durable records no later
-	// than Policy.Interval after its last commit: at most one data-path
-	// fsync per Interval, and no record waits longer than that for its
-	// own, whether or not more records arrive. The age runs from the last
-	// commit, not from the record's arrival, so the first record after an
-	// idle gap longer than Interval is fsynced at once.
+	// than Policy.Interval after its last commit, whether or not more
+	// records arrive. The age runs from the last commit, not from the
+	// record's arrival, so the first record after an idle gap longer than
+	// Interval is fsynced at once.
 	SyncInterval
 	// SyncBatch requests a commit at every ingest batch boundary (each
-	// engine worker dequeue batch; every Flush on the synchronous path).
-	// The request does not wait: boundaries that pass while an fsync is
-	// in flight share the next one, and a Drain / Flush returns only once
-	// the commits posted before it are acknowledged. Strongest.
+	// engine worker dequeue batch; every Flush on the synchronous path)
+	// without waiting for it; a Drain / Flush returns only once the
+	// commits posted before it are acknowledged. Strongest.
 	SyncBatch
 )
 
-func (m SyncMode) String() string {
-	switch m {
-	case SyncNone:
-		return "none"
-	case SyncInterval:
-		return "interval"
-	case SyncBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("syncmode(%d)", int(m))
-	}
-}
-
-// File is the writer's view of one segment file: the subset of *os.File
-// the flusher uses. Fault-injection layers (internal/chaos) wrap the
-// real file behind it via Policy.WrapFile; production runs pay nothing
-// (the interface call on a raw *os.File devirtualises next to the
-// syscall it fronts, and every call is already off the ingest path).
+// File is the writer's view of one segment file (or of the log
+// directory, opened to be fsynced): the subset of *os.File the flusher
+// uses. Fault-injection layers (internal/chaos) wrap the real file
+// behind it via Policy.WrapFile; every call is off the ingest path.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -154,20 +158,18 @@ type Policy struct {
 	// finer checkpoint increments but cost more rotations (each one
 	// finalises a file).
 	SegmentBytes int64
-	// WrapFile, when set, wraps every segment file the flusher opens —
-	// the fault-injection hook (slow or dead disks, short writes). nil
-	// uses the file directly.
+	// WrapFile, when set, wraps every segment file — and the directory
+	// handle it fsyncs after creating one — the flusher opens: the
+	// fault-injection hook (slow or dead disks, short writes).
 	WrapFile func(*os.File) File
 	// DegradeFsync, when > 0, bounds tolerated fsync latency: once
 	// degradeEnterAfter consecutive data-path fsyncs exceed it, the
 	// writer enters degraded-ack mode — commits are acknowledged at the
-	// OS-write boundary without fsyncing, counted in
-	// Stats.DegradedAcks, and DurableLSN stops advancing — instead of
-	// stalling ingest behind a sick disk. Every degradeProbeEvery-th
-	// commit still fsyncs as a probe; a probe back under the
-	// bound exits degraded mode. Both transitions are journaled
-	// (EvWALDegradeEnter/Exit). 0 disables degradation: every commit
-	// fsyncs, however slow the disk.
+	// OS-write boundary without fsyncing, counted in Stats.DegradedAcks,
+	// and DurableLSN stops advancing — instead of stalling ingest behind
+	// a sick disk. Every degradeProbeEvery-th commit still fsyncs as a
+	// probe; one back under the bound exits degraded mode. Both
+	// transitions are journaled (EvWALDegradeEnter/Exit).
 	DegradeFsync time.Duration
 }
 
@@ -226,7 +228,7 @@ const (
 var segMagic = [8]byte{'D', 'T', 'A', 'W', 'A', 'L', '0', '1'}
 
 // castagnoli frames records with CRC-32C (hardware-accelerated on
-// amd64/arm64, so framing costs ~1ns per record).
+// amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func segName(base uint64) string {
@@ -275,92 +277,88 @@ type Stats struct {
 	// DurableLSN is the highest LSN guaranteed on stable storage.
 	DurableLSN uint64
 	// Appends, Syncs and Rotations count operations since Open.
+	// Publishes counts the publications the appends arrived in: one per
+	// ingest call, so Appends/Publishes is the mean chunk.
 	Appends   uint64
+	Publishes uint64
 	Syncs     uint64
 	Rotations uint64
 	// Bytes counts log bytes appended since Open (excluding headers of
 	// pre-existing segments).
 	Bytes uint64
-	// RingHighWater is the deepest SPSC ring occupancy observed — how
-	// close the flusher has come to stalling ingest. At the ring size
-	// (8192) Append blocks.
+	// RingHighWater is the deepest ring occupancy observed, in bytes —
+	// how close the flusher has come to stalling ingest. At the ring size
+	// (1 MiB) Stage blocks.
 	RingHighWater uint64
-	// RingStalls counts Appends that found the ring full and had to
+	// RingStalls counts records that found the ring full and had to
 	// wait for the flusher — the slow-disk backpressure signal.
 	RingStalls uint64
 	// NudgesDropped counts flusher wakeups coalesced into an already-
-	// pending nudge. High values are normal under load (the flusher was
-	// awake anyway); they matter when correlated with ring stalls on a
-	// slow disk.
+	// pending nudge: normal under load (the flusher was awake anyway),
+	// telling when correlated with ring stalls on a slow disk.
 	NudgesDropped uint64
-	// DegradedAcks counts commits acknowledged at the OS-write
-	// boundary without an fsync while the writer was in degraded-ack
-	// mode (Policy.DegradeFsync).
+	// DegradedAcks counts commits acknowledged at the OS-write boundary
+	// without an fsync in degraded-ack mode (Policy.DegradeFsync);
+	// Degraded reports whether the writer is in that mode now.
 	DegradedAcks uint64
-	// Degraded reports whether the writer is currently in degraded-ack
-	// mode.
-	Degraded bool
+	Degraded     bool
 	// FailedErrno is the errno of the flusher's sticky failure (0 =
 	// healthy, -1 = failed with a non-errno error).
 	FailedErrno int64
 }
 
-// walCounters is the live metric storage behind Stats. Appender-side
-// cells (appends, stalls, HWM) are single-writer; flusher-side cells
-// (syncs, rotations, bytes) are single-writer on the flusher goroutine;
-// nudgesDropped is bumped by whichever goroutine nudges. All are
+// walCounters is the live metric storage behind Stats (Appends is the
+// writer's head mark itself). Appender-side cells (publishes, stalls,
+// HWM) and flusher-side cells (syncs, rotations, bytes) are
+// single-writer; nudgesDropped is bumped by whoever nudges. All are
 // atomics, so WStats and the exposition read them concurrently.
 type walCounters struct {
-	appends       *obs.Counter
-	syncs         *obs.Counter
-	rots          *obs.Counter
-	bytes         *obs.Counter
-	ringStalls    *obs.Counter
-	nudgesDropped *obs.Counter
-	degradedAcks  *obs.Counter
-	coalesced     *obs.Counter
-	ringHWM       *obs.Gauge
-	flushNs       *obs.Histogram // write-behind buffer drain to the OS
-	fsyncNs       *obs.Histogram
-	commitWaitNs  *obs.Histogram // blocked durability waits
-	commitRecords *obs.Histogram // records newly covered per fsync
+	publishes      *obs.Counter
+	syncs          *obs.Counter
+	rots           *obs.Counter
+	bytes          *obs.Counter
+	ringStalls     *obs.Counter
+	nudgesDropped  *obs.Counter
+	degradedAcks   *obs.Counter
+	coalesced      *obs.Counter
+	ringHWM        *obs.Gauge
+	flushNs        *obs.Histogram // one write of ring bytes to the OS
+	fsyncNs        *obs.Histogram
+	commitWaitNs   *obs.Histogram // blocked durability waits
+	commitRecords  *obs.Histogram // records newly covered per fsync
+	publishRecords *obs.Histogram // records per publication
 }
 
 func newWALCounters(sc *obs.Scope) walCounters {
 	return walCounters{
-		appends:       sc.Counter("dta_wal_appends_total", "Records accepted into the WAL ring."),
+		publishes:     sc.Counter("dta_wal_publishes_total", "Publications: atomic hand-overs of staged records to the flusher, one per ingest call."),
 		syncs:         sc.Counter("dta_wal_syncs_total", "Segment fsyncs."),
 		rots:          sc.Counter("dta_wal_rotations_total", "Segment rotations."),
 		bytes:         sc.Counter("dta_wal_bytes_total", "Log bytes appended."),
-		ringStalls:    sc.Counter("dta_wal_ring_stalls_total", "Appends that found the SPSC ring full and blocked on the flusher."),
+		ringStalls:    sc.Counter("dta_wal_ring_stalls_total", "Records that found the ring full and blocked on the flusher."),
 		nudgesDropped: sc.Counter("dta_wal_nudges_dropped_total", "Flusher wakeups coalesced into an already-pending nudge."),
 		degradedAcks:  sc.Counter("dta_wal_degraded_acks_total", "Commits acknowledged without fsync in degraded-ack mode."),
 		coalesced:     sc.Counter("dta_wal_commits_coalesced_total", "Sync calls that needed no fsync of their own: already covered, or joined a commit another caller had requested."),
-		ringHWM:       sc.Gauge("dta_wal_ring_high_water", "Deepest SPSC ring occupancy observed (ring size 8192)."),
-		flushNs:       sc.Histogram("dta_wal_flush_ns", "Nanoseconds per write-behind buffer drain to the OS."),
+		ringHWM:       sc.Gauge("dta_wal_ring_high_water", "Deepest ring occupancy observed, in bytes (ring size 1 MiB)."),
+		flushNs:       sc.Histogram("dta_wal_flush_ns", "Nanoseconds per write of ring bytes to the OS."),
 		fsyncNs:       sc.Histogram("dta_wal_fsync_ns", "Nanoseconds per segment fsync."),
 		commitWaitNs:  sc.Histogram("dta_wal_commit_wait_ns", "Nanoseconds a Drain / Flush / SyncWAL spent blocked until its records were acknowledged."),
 		commitRecords: sc.Histogram("dta_wal_commit_records", "Records newly made durable per fsync (the group-commit size)."),
+
+		publishRecords: sc.Histogram("dta_wal_publish_records", "Records per publication (sum = dta_wal_appends_total)."),
 	}
 }
 
-// Writer appends records to a segmented log. Appending is single-
-// writer: the owning translator's ingest context (one engine shard
-// worker, or the synchronous caller) calls Append and CommitBatch.
-// Everything that only reads or waits on the marks — Sync, Settle,
-// Flush, LastLSN, DurableLSN, WStats — is safe from any goroutine, so a
-// control plane can force or await durability beside a running worker.
-//
-// The ingest-path contract is "one bounded copy, nothing else": Append
-// places a copy of the staged record into a lock-free single-producer /
-// single-consumer ring and returns. A background flusher goroutine
-// consumes the ring and does ALL the heavy lifting — frame encoding,
-// CRC, buffered OS writes, segment rotation and fsyncs — so none of it
-// rides the ingest hot path (an engine shard worker's per-record cost
-// lands 1:1 on end-to-end throughput; a syscall there stalls the worker
-// AND every producer behind its bounded queue). A full ring blocks
-// Append — the natural backpressure when the disk cannot keep up with
-// ingest.
+// Writer appends records to a segmented log. Staging is single-writer:
+// the owning translator's ingest context (one engine shard worker, or
+// the synchronous caller) calls Stage, Publish, Append, CommitBatch and
+// Close. Everything that only reads or waits on the marks — Sync,
+// Settle, Flush, LastLSN, DurableLSN, WStats — is safe from any
+// goroutine, so a control plane can force or await durability beside a
+// running worker. A shard worker's per-record cost lands 1:1 on
+// end-to-end throughput, so Stage only frames — no record copy, no
+// shared state, no syscall, no clock read; a full ring blocks it, the
+// natural backpressure when the disk cannot keep up with ingest.
 type Writer struct {
 	dir string
 	pol Policy
@@ -368,44 +366,63 @@ type Writer struct {
 	commitOnBatch bool          // batch: CommitBatch raises want
 	maxAge        time.Duration // interval: the flusher commits un-durable records this long after its last commit; 0 = never by age
 	ackAtWrite    bool          // none: no data-path commit, so a trace's ack is its OS write
+	startLSN      uint64        // LSN of the first record this Writer stages
 
-	// SPSC ring: Append (producer) copies records in and bumps head;
-	// the flusher (consumer) encodes them out and bumps tail.
-	ring []ringEntry
-	head atomic.Uint64 // records ever appended
-	tail atomic.Uint64 // records ever consumed
+	// ring holds framed records at their byte position mod ringBytes; the
+	// MaxRecordLen bytes past ringBytes are spill — a record is framed
+	// contiguously and what ran past the end is copied to the front. side
+	// carries, in byte order, what the flusher cannot see in the bytes.
+	ring []byte
+	side [sideEntries]sideEntry
 
-	// Commit marks, counted in records since Create like head and tail;
-	// each only ever grows. want is raised by whoever asks for a commit,
-	// the other three by the flusher alone.
-	want    atomic.Uint64 // a commit has been requested up to here
-	written atomic.Uint64 // handed to the OS
-	acked   atomic.Uint64 // covered by a completed commit: an fsync or a degraded ack
-	durable atomic.Uint64 // covered by a completed fsync
+	// Appender-owned: records and bytes staged, bytes published, side
+	// entries staged, the tail as last seen, and the per-segment state.
+	recs, cur  uint64
+	pubBytes   uint64
+	sideStaged uint64
+	tailSeen   uint64
+	segBytes   int64
+	prevNow    uint64 // previous record's timestamp (delta encoding)
+
+	// Published by the appender. pub is the flusher's view: records and
+	// bytes appended, each mod 2^32, in one word — exact, because far
+	// fewer than 2^32 of either fit in the ring ahead of the flusher's own
+	// counts. head is everyone else's view: records appended.
+	_        [64]byte
+	pub      atomic.Uint64
+	head     atomic.Uint64
+	sideHead atomic.Uint64 // stored before pub: covers every entry at or below it
+	want     atomic.Uint64 // a commit has been requested up to here, by anyone (records)
+
+	// Published by the flusher, each monotone: tail in bytes released to
+	// the appender, the commit marks in records since Create.
+	_        [64]byte
+	tail     atomic.Uint64
+	sideTail atomic.Uint64
+	written  atomic.Uint64 // handed to the OS
+	acked    atomic.Uint64 // covered by a completed commit: an fsync or a degraded ack
+	durable  atomic.Uint64 // covered by a completed fsync
 	// A Sync over records a degraded ack already acknowledged is still a
-	// request (it is counted and paces the probe), but want cannot express
-	// it — it is not behind. Such a Sync takes a ticket from reaskWant and
-	// waits for reaskDone, which the flusher raises to the tickets it had
-	// seen when the commit serving them began.
-	reaskWant atomic.Uint64
+	// request (counted, pacing the probe) that want cannot express — it is
+	// not behind. It takes a ticket from reaskWant and waits for reaskDone,
+	// which the flusher raises to the tickets seen when its commit began.
 	reaskDone atomic.Uint64
+	_         [64]byte
+	reaskWant atomic.Uint64
 
-	startLSN uint64 // LSN of the first record this Writer appends
-
-	// Waiters on the marks park on cond; the flusher broadcasts after a
-	// commit, after a write-out, on its first failure and when it exits.
+	// Waiters on the marks — the appender on tail, everyone else on the
+	// commit marks — park on cond; the flusher broadcasts after a commit,
+	// after every release, on its first failure and when it exits.
 	mu     sync.Mutex
 	cond   sync.Cond
 	exited bool // flusher gone; guarded by mu
 
-	// wake nudges an idle flusher (sent only on empty→non-empty and by
-	// commit requests); space signals a blocked appender (sent only on
-	// full→not-full); quit asks the flusher to finish, done closes when
+	// wake nudges an idle flusher (a publication that finds it caught up,
+	// a commit request); quit asks the flusher to finish, done closes when
 	// it has.
-	wake  chan struct{}
-	space chan struct{}
-	quit  chan struct{}
-	done  chan struct{}
+	wake chan struct{}
+	quit chan struct{}
+	done chan struct{}
 
 	flushErr atomic.Pointer[error]
 	// failedErrno mirrors the sticky failure's errno for the health
@@ -419,49 +436,47 @@ type Writer struct {
 
 	ctr walCounters
 
-	// jr publishes segment-lifecycle events (rotations, flusher
-	// failure) to the flight recorder; jrCause chains them so the log's
-	// whole segment history renders as one timeline. Set via SetJournal
-	// before ingest starts; the zero value is a no-op.
+	// jr publishes segment-lifecycle events (rotations, flusher failure)
+	// to the flight recorder, chained under jrCause into one timeline.
+	// Set via SetJournal before ingest starts; the zero value is a no-op.
 	jr      journal.Emitter
 	jrCause uint64
 
 	// Flusher-owned state (no appender access after Create).
 	f        File
-	buf      []byte // write-behind buffer
-	segBytes int64
-	prevNow  uint64 // previous record's timestamp (delta encoding)
+	consRecs uint64 // records consumed; tail is the same point in bytes
 	lastSync int64  // obs.Nanotime of the last commit (age bound)
-	scratch  [MaxRecordLen]byte
-	// Trace handles in flight through the flusher: pendWrite holds
-	// encoded-but-buffered records' handles, unsynced holds handles
-	// whose bytes reached the OS but not yet stable storage. Both hold
-	// only valid handles, so their length is bounded by the tracer's
-	// in-flight pool, not the ring. Flusher-owned.
-	pendWrite []trace.Handle
-	unsynced  []trace.Handle
-	// Degraded-ack bookkeeping, flusher-owned: consecutive over-bound
-	// fsyncs (entry trigger), commits seen while degraded (probe pacing)
-	// and acks skipped since entry (Exit event payload).
+	// unsynced holds the trace handles whose bytes reached the OS but not
+	// yet stable storage (bounded by the tracer's in-flight pool).
+	unsynced []trace.Handle
+	// Degraded-ack bookkeeping: consecutive over-bound fsyncs (entry
+	// trigger), commits while degraded (probe pacing), acks skipped since
+	// entry (Exit event payload).
 	overBound    int
 	degradedReqs int
 	degradedSkip uint64
 }
 
-// ringEntry is one in-flight record awaiting encoding.
-type ringEntry struct {
-	rec   wire.StagedReport
-	nowNs uint64
-	trc   trace.Handle // data-plane trace (invalid when untraced)
+// sideEntry tells the flusher what the ring's bytes cannot: a segment
+// cut (base != 0: the record starting at pos opens segment base) or a
+// sampled trace (th rides the record ending at pos).
+type sideEntry struct {
+	pos, base uint64
+	th        trace.Handle
 }
 
 const (
-	// writerRingEntries bounds in-flight (unencoded) records; at ~120 B
-	// each the ring is ~1 MiB per collector.
-	writerRingEntries = 8192
-	// writerBufBytes sizes the flusher's write-behind buffer (one OS
-	// write per ~2k records at Key-Write record sizes).
-	writerBufBytes = 64 << 10
+	// ringBytes bounds staged-but-unwritten log bytes per collector.
+	ringBytes = 1 << 20
+	// publishEarlyBytes of unpublished records make Stage publish without
+	// waiting for the ingest call to end: a long chunk feeds the flusher.
+	publishEarlyBytes = 64 << 10
+	// writeChunkBytes caps one OS write, after which the flusher releases
+	// the bytes: the appender refills the ring while the rest drains.
+	writeChunkBytes = 64 << 10
+	// sideEntries bounds cuts and traces in flight. A cut that finds the
+	// queue full waits as for a full ring; a trace stays with the translator.
+	sideEntries = 256
 
 	// Degraded-ack pacing (Policy.DegradeFsync): enter after this many
 	// consecutive data-path fsyncs over the bound — one slow fsync is
@@ -480,8 +495,7 @@ func Create(dir string, pol Policy) (*Writer, error) {
 
 // CreateScoped is Create with the writer's metrics (dta_wal_*)
 // registered under the given obs scope. A nil scope keeps the counters
-// behind WStats live but unexposed, and disables the flush/fsync
-// latency histograms.
+// behind WStats live but unexposed, and disables the histograms.
 func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -496,13 +510,11 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 	w := &Writer{
 		dir:      dir,
 		pol:      pol.withDefaults(),
-		ring:     make([]ringEntry, writerRingEntries),
+		ring:     make([]byte, ringBytes+MaxRecordLen),
 		lastSync: obs.Nanotime(),
 		wake:     make(chan struct{}, 1),
-		space:    make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
-		buf:      make([]byte, 0, writerBufBytes),
 		ctr:      newWALCounters(sc),
 	}
 	w.cond.L = &w.mu
@@ -516,12 +528,16 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 	}
 	// Watermarks and ring occupancy are read straight off the writer's
 	// atomics at exposition time — zero data-path cost.
+	sc.CounterFunc("dta_wal_appends_total", "Records appended (published to the flusher).", w.head.Load)
 	sc.GaugeFunc("dta_wal_last_lsn", "Highest LSN appended.",
 		func() float64 { return float64(w.LastLSN()) })
 	sc.GaugeFunc("dta_wal_durable_lsn", "Highest LSN guaranteed on stable storage.",
 		func() float64 { return float64(w.DurableLSN()) })
-	sc.GaugeFunc("dta_wal_ring_occupancy", "Records currently buffered in the SPSC ring.",
-		func() float64 { return float64(w.head.Load() - w.tail.Load()) })
+	sc.GaugeFunc("dta_wal_ring_occupancy", "Log bytes appended but not yet written out (ring size 1 MiB).",
+		func() float64 {
+			tail := w.tail.Load() // before pub: the difference cannot go negative
+			return float64(uint32(w.pub.Load()) - uint32(tail))
+		})
 	sc.GaugeFunc("dta_wal_degraded", "1 while the writer is in degraded-ack mode (fsyncs over Policy.DegradeFsync).",
 		func() float64 {
 			if w.degraded.Load() {
@@ -545,10 +561,9 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 		w.f = w.wrap(f)
 		if info.Records > 0 {
 			// Force a fresh segment for the first new record: timestamp
-			// deltas are per-segment and the old tail's last timestamp
-			// is not tracked across runs, so appending mid-segment would
-			// decode the first new record's time wrong. The open handle
-			// just lets rotate finalise the old tail normally.
+			// deltas are per-segment and the old tail's last timestamp is
+			// not tracked across runs. The open handle just lets rotate
+			// finalise the old tail normally.
 			next = info.Last + 1
 			w.segBytes = w.pol.SegmentBytes
 		} else {
@@ -557,22 +572,24 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 			next = last
 			w.segBytes = info.Bytes
 		}
-	} else if ck, err := LoadCheckpoint(dir); err != nil {
-		return nil, err
-	} else if ck != nil {
-		// All segments were reclaimed by the checkpoint: continue the
-		// LSN sequence after it instead of restarting at 1.
-		next = ck.WALLSN + 1
+	} else {
+		w.segBytes = w.pol.SegmentBytes // no segment yet: the first record cuts one
+		if ck, err := LoadCheckpoint(dir); err != nil {
+			return nil, err
+		} else if ck != nil {
+			// All segments were reclaimed by the checkpoint: continue the
+			// LSN sequence after it instead of restarting at 1.
+			next = ck.WALLSN + 1
+		}
 	}
 	w.startLSN = next
 	go w.flusher()
 	return w, nil
 }
 
-// SetJournal threads the flight recorder into the writer. Call it
-// right after Create, before the first Append: the flusher goroutine
-// only touches the emitter when processing records, and the first
-// record's publication happens-after this store.
+// SetJournal threads the flight recorder into the writer. Call it right
+// after Create, before the first record: the flusher only touches the
+// emitter while consuming, and the first publication happens-after this.
 func (w *Writer) SetJournal(e journal.Emitter) {
 	w.jr = e
 	w.jrCause = e.NewCause()
@@ -591,24 +608,22 @@ func (w *Writer) err() error {
 // Dir returns the log directory.
 func (w *Writer) Dir() string { return w.dir }
 
-// Policy returns the writer's sync policy.
-func (w *Writer) Policy() Policy { return w.pol }
-
 // LastLSN returns the highest LSN appended (0 = nothing logged). Safe
-// to call concurrently with Append.
+// to call concurrently with the appender.
 func (w *Writer) LastLSN() uint64 { return w.startLSN + w.head.Load() - 1 }
 
 // DurableLSN returns the highest LSN guaranteed on stable storage. Safe
-// to call concurrently with Append.
+// to call concurrently with the appender.
 func (w *Writer) DurableLSN() uint64 { return w.startLSN + w.durable.Load() - 1 }
 
 // WStats snapshots the writer's counters. Safe to call concurrently
-// with Append and the flusher (the cells are atomics).
+// with the appender and the flusher (the cells are atomics).
 func (w *Writer) WStats() Stats {
 	return Stats{
 		LastLSN:       w.LastLSN(),
 		DurableLSN:    w.DurableLSN(),
-		Appends:       w.ctr.appends.Load(),
+		Appends:       w.head.Load(),
+		Publishes:     w.ctr.publishes.Load(),
 		Syncs:         w.ctr.syncs.Load(),
 		Rotations:     w.ctr.rots.Load(),
 		Bytes:         w.ctr.bytes.Load(),
@@ -621,69 +636,125 @@ func (w *Writer) WStats() Stats {
 	}
 }
 
-// Append logs one staged report with its ingest timestamp and returns
-// the assigned LSN. The record is copied into the flusher ring — one
-// bounded memmove, no encoding, no CRC, no syscalls, no clock read — so
-// the ingest path pays tens of nanoseconds regardless of sync policy; a
-// full ring (the flusher lagging by writerRingEntries records) blocks
-// until space frees, which is the intended backpressure.
+// Append is Stage + Publish for one untraced record: what tools and
+// tests that log record by record call.
 func (w *Writer) Append(rec *wire.StagedReport, nowNs uint64) (uint64, error) {
-	return w.AppendTraced(rec, nowNs, trace.Handle{})
+	lsn, err := w.Stage(rec, nowNs, trace.Handle{})
+	w.Publish()
+	return lsn, err
 }
 
-// AppendTraced is Append carrying the report's data-plane trace: the
-// WAL takes shared trace ownership (the flusher finishes it at the
-// durable-ack boundary), stamps the ring-entry stage, and flags the
-// trace on a ring-full backpressure stall. The invalid handle reduces
-// to plain Append.
-func (w *Writer) AppendTraced(rec *wire.StagedReport, nowNs uint64, th trace.Handle) (uint64, error) {
+// Stage frames one staged report with its ingest timestamp into the
+// ring and returns the LSN it will carry. Nobody else sees the record
+// until Publish. th is the report's data-plane trace (invalid when
+// untraced): the log takes shared ownership, stamps the ring stage and
+// lets the flusher finish the trace at the durable-ack boundary. A full
+// ring blocks until the flusher releases space.
+func (w *Writer) Stage(rec *wire.StagedReport, nowNs uint64, th trace.Handle) (uint64, error) {
 	if err := w.err(); err != nil {
 		return 0, err
 	}
 	if w.closed.Load() {
-		return 0, fmt.Errorf("wal: writer closed")
+		return 0, errClosed
 	}
-	h := w.head.Load()
-	if h-w.tail.Load() == uint64(len(w.ring)) {
-		// Full ring: the flusher is lagging a whole ring behind — the
-		// slow-disk stall the ROADMAP's chaos scenarios suspect. Count
-		// it (once per stalled append), then wait.
-		w.ctr.ringStalls.Inc()
-		th.Flag(trace.FStall)
-		for h-w.tail.Load() == uint64(len(w.ring)) {
-			w.nudge()
-			select {
-			case <-w.space:
-			case <-w.done:
-				return 0, w.err()
-			}
+	cut := w.segBytes >= w.pol.SegmentBytes
+	if w.cur+MaxRecordLen-w.tailSeen > ringBytes || cut && w.sideStaged-w.sideTail.Load() == sideEntries {
+		if err := w.waitRoom(th); err != nil {
+			return 0, err
 		}
 	}
-	e := &w.ring[h&uint64(len(w.ring)-1)]
-	e.rec = *rec
-	e.nowNs = nowNs
-	// e.trc is assigned unconditionally: a recycled ring slot must never
-	// carry a previous lap's handle.
-	if th.OwnWAL() {
-		th.Stamp(trace.StWALRing)
-		e.trc = th
-	} else {
-		e.trc = trace.Handle{}
+	if cut {
+		// This record opens a fresh segment; timestamp deltas restart.
+		w.side[w.sideStaged%sideEntries] = sideEntry{pos: w.cur, base: w.startLSN + w.recs}
+		w.sideStaged++
+		w.segBytes, w.prevNow = segHeaderLen, 0
 	}
-	w.head.Store(h + 1)
-	w.ctr.appends.Inc()
+	o := w.cur & (ringBytes - 1)
+	b := w.ring[o : o+MaxRecordLen]
+	off := recordHeaderLen
+	off += binary.PutVarint(b[off:], int64(nowNs-w.prevNow))
+	n, bitmap := rec.EncodeGroupsTo(b[off:])
+	total := off + n
+	b[4] = byte(total - recordHeaderLen)
+	b[5] = bitmap
+	binary.BigEndian.PutUint32(b[0:4], crc32.Checksum(b[4:total], castagnoli))
+	if end := int(o) + total; end > ringBytes {
+		copy(w.ring, w.ring[ringBytes:end])
+	}
+	w.prevNow = nowNs
+	w.segBytes += int64(total)
+	w.cur += uint64(total)
+	w.recs++
+	if th.Valid() && w.sideStaged-w.sideTail.Load() < sideEntries && th.OwnWAL() {
+		th.Stamp(trace.StWALRing)
+		w.side[w.sideStaged%sideEntries] = sideEntry{pos: w.cur, th: th}
+		w.sideStaged++
+	}
+	if w.cur-w.pubBytes >= publishEarlyBytes {
+		w.Publish()
+	}
+	return w.startLSN + w.recs - 1, nil
+}
+
+var errClosed = errors.New("wal: writer closed")
+
+// hasRoom refreshes the appender's view of the flusher's progress and
+// reports whether one more record and one more side entry fit.
+func (w *Writer) hasRoom() bool {
+	w.tailSeen = w.tail.Load()
+	return w.cur+MaxRecordLen-w.tailSeen <= ringBytes && w.sideStaged-w.sideTail.Load() < sideEntries
+}
+
+// waitRoom blocks the appender until the flusher has released room. The
+// flusher lagging a whole ring behind is the slow-disk stall: counted
+// once per wait, and flagged on the stalled report's trace.
+func (w *Writer) waitRoom(th trace.Handle) error {
+	if w.hasRoom() {
+		return nil
+	}
+	// Only published bytes can be released: publish before waiting. That
+	// also wakes the flusher, if it was idle.
+	w.Publish()
+	w.ctr.ringStalls.Inc()
+	th.Flag(trace.FStall)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for !w.hasRoom() {
+		if err := w.err(); err != nil || w.exited {
+			return cmp.Or(err, errClosed)
+		}
+		w.cond.Wait()
+	}
+	return nil
+}
+
+// Publish appends every record staged so far: one store makes them
+// visible to the flusher, one to everybody else. No-op with nothing
+// staged. Appender-only.
+func (w *Writer) Publish() {
+	n := w.recs - w.head.Load()
+	if n == 0 {
+		return
+	}
+	if w.sideHead.Load() != w.sideStaged {
+		w.sideHead.Store(w.sideStaged)
+	}
+	prev := w.pubBytes
+	w.pubBytes = w.cur
+	w.pub.Store(w.recs<<32 | w.cur&(1<<32-1))
+	w.head.Store(w.recs)
+	w.ctr.publishes.Inc()
+	w.ctr.publishRecords.Observe(n)
 	// Wake the flusher if it may have gone (or be going) idle: reading
-	// tail AFTER publishing head closes the sleep race — a flusher that
-	// decided to sleep had consumed everything before this record, so
-	// its tail advance is visible here and the nudge fires.
-	tail := w.tail.Load()
-	if tail >= h {
+	// tail AFTER publishing closes the sleep race — a flusher that decided
+	// to sleep had released everything before this publication, so its
+	// tail is visible here and the nudge fires. The same load refreshes
+	// the appender's view and samples the ring's high-water mark.
+	w.tailSeen = w.tail.Load()
+	if w.tailSeen >= prev {
 		w.nudge()
 	}
-	// The tail load above doubles as the occupancy sample for the ring
-	// high-water mark (the common case is one relaxed load, no write).
-	w.ctr.ringHWM.SetMax(int64(h + 1 - tail))
-	return w.startLSN + h, nil
+	w.ctr.ringHWM.SetMax(int64(w.cur - w.tailSeen))
 }
 
 // nudge wakes an idle flusher (non-blocking: a pending wake suffices —
@@ -747,9 +818,8 @@ func (w *Writer) wakeWaiters() {
 
 // Flush returns once every record appended so far has been handed to
 // the OS, without fsyncing: readers of the segment files then observe
-// them (the log-shipping resync path reads peers' logs this way). It
-// requests nothing — the flusher writes out whenever its buffer fills
-// or the ring runs empty, so the wait is at most one buffer long.
+// them (the log-shipping resync path reads peers' logs this way). The
+// flusher writes out whatever is published, so it requests nothing.
 func (w *Writer) Flush() error {
 	n := w.head.Load()
 	if w.written.Load() >= n {
@@ -763,12 +833,9 @@ func (w *Writer) Flush() error {
 // requests a commit up to the current head and waits for it. It returns
 // at once when an earlier fsync already covers the head, and shares one
 // fsync with every other caller waiting at the same time. In
-// degraded-ack mode (Policy.DegradeFsync) the commit acknowledges at
-// the OS-write boundary, counts the skipped fsync in Stats.DegradedAcks,
-// and DurableLSN holds still; a Sync with nothing new to acknowledge
-// there still waits for a commit of its own, so every call is counted and
-// every degradeProbeEvery-th probes (calls waiting at the same time share
-// one).
+// degraded-ack mode a Sync with nothing new to acknowledge still waits
+// for a commit of its own, so every call is counted and every
+// degradeProbeEvery-th probes (calls waiting at the same time share one).
 func (w *Writer) Sync() error {
 	n := w.head.Load()
 	if w.durable.Load() >= n {
@@ -787,15 +854,15 @@ func (w *Writer) Sync() error {
 	return w.awaitCommit(&w.acked, n)
 }
 
-// CommitBatch marks an ingest batch boundary. Under SyncBatch it
-// requests a commit of everything appended so far and returns without
-// waiting for it (Settle waits); under the other policies it requests
-// nothing. The error is the log's sticky failure, if any. The engine's
-// shard workers call it after every dequeue batch; the synchronous path
-// calls it from Flush.
+// CommitBatch marks an ingest batch boundary (an engine worker's dequeue
+// batch; Flush on the synchronous path): it publishes, and under
+// SyncBatch requests a commit of everything appended so far without
+// waiting for it (Settle waits). The error is the log's sticky failure,
+// if any. Appender-only.
 func (w *Writer) CommitBatch() error {
+	w.Publish()
 	if w.commitOnBatch {
-		w.post(w.head.Load())
+		w.post(w.recs)
 	}
 	return w.err()
 }
@@ -805,41 +872,34 @@ func (w *Writer) CommitBatch() error {
 // SyncInterval it has nothing to wait for.
 func (w *Writer) Settle() error { return w.awaitCommit(&w.acked, w.want.Load()) }
 
-// Close makes the log durable — a real fsync even in degraded-ack mode —
-// closes it and stops the flusher. The writer is unusable afterwards.
+// Close publishes, makes the log durable — a real fsync even in
+// degraded-ack mode — closes it and stops the flusher. The writer is
+// unusable afterwards. Appender-only.
 func (w *Writer) Close() error {
 	if w.closed.Swap(true) {
 		return nil
 	}
+	w.Publish()
 	close(w.quit)
 	<-w.done
 	return w.err()
 }
 
-// flusher is the background half of the writer: it consumes the ring,
-// frames records (varint timestamp delta + zero-elided groups + CRC),
-// batches them through the write-behind buffer, rotates segments and
-// runs the commit loop. All file state is flusher-owned after Create.
+// flusher is the background half of the writer: it moves published
+// bytes from the ring to the segment files, rotates where the appender
+// cut, and runs the commit loop. All file state is flusher-owned after
+// Create.
 func (w *Writer) flusher() {
 	defer close(w.done)
 	defer func() {
 		if w.f != nil {
 			// Leave a fully durable log behind, however sick the disk.
-			w.fail(w.writeOut())
-			if w.err() == nil && w.durable.Load() < w.tail.Load() {
+			if w.err() == nil && w.durable.Load() < w.consRecs {
 				w.syncPoint(true)
 			}
 			w.f.Close()
 		}
-		// Any trace still in flight here never reached its durable ack
-		// (failure or shutdown race): discard, never publish a phantom.
-		for _, th := range w.pendWrite {
-			th.Abort()
-		}
-		for _, th := range w.unsynced {
-			th.Abort()
-		}
-		w.pendWrite, w.unsynced = nil, nil
+		w.abortUnsynced()
 		w.mu.Lock()
 		w.exited = true
 		w.mu.Unlock()
@@ -848,42 +908,13 @@ func (w *Writer) flusher() {
 	idle := time.NewTimer(time.Hour)
 	defer idle.Stop()
 	for {
-		// want is sampled before head: a request never runs ahead of the
-		// records it covers, so after this pass tail ≥ want and one
+		// want is sampled before pub: a request never runs ahead of the
+		// records it covers, so after this pass consRecs ≥ want and one
 		// commit serves it whole.
 		want := w.want.Load()
 		reask := w.reaskWant.Load()
-		// Drain whatever is in the ring. Once the log has failed,
-		// records are consumed and discarded — the appender sees the
-		// error on its next call; blocking it forever would wedge the
-		// whole ingest pipeline behind a dead disk.
-		t := w.tail.Load()
-		h := w.head.Load()
-		for i := t; i < h; i++ {
-			e := &w.ring[i&uint64(len(w.ring)-1)]
-			if w.err() == nil {
-				w.fail(w.encode(e))
-			}
-			if e.trc.Valid() {
-				if w.err() == nil {
-					w.pendWrite = append(w.pendWrite, e.trc)
-				} else {
-					// Failed log: the record was consumed and discarded,
-					// so no durable ack will ever come.
-					e.trc.Abort()
-				}
-				e.trc = trace.Handle{}
-			}
-			w.tail.Store(i + 1)
-			// Unconditional (non-blocking, coalescing) space signal: an
-			// appender may have seen the ring full against a head far
-			// past our snapshot, so no local occupancy check can decide
-			// whether one is waiting.
-			select {
-			case w.space <- struct{}{}:
-			default:
-			}
-		}
+		raw := w.pub.Load()
+		w.consume(raw)
 		// The commit loop. A commit is due when someone wants records
 		// acknowledged that are not (batch boundaries, Sync), when Sync
 		// re-asks over a degraded ack, or when un-acknowledged records
@@ -891,7 +922,7 @@ func (w *Writer) flusher() {
 		acked := w.acked.Load()
 		due := want > acked || reask > w.reaskDone.Load()
 		sleep := time.Second
-		if w.maxAge > 0 && h > acked {
+		if w.maxAge > 0 && w.consRecs > acked {
 			sleep = w.maxAge - time.Duration(obs.Nanotime()-w.lastSync)
 			due = due || sleep <= 0
 		}
@@ -899,31 +930,74 @@ func (w *Writer) flusher() {
 			w.commit(reask)
 			continue
 		}
-		if w.tail.Load() == w.head.Load() {
-			// Idle: push the buffer to the OS (bounding staleness for
-			// log-shipping readers), then sleep until nudged — or until
-			// the last commit is maxAge old with records behind it. The
-			// appender's
-			// publish-then-check-tail ordering guarantees a nudge for
-			// the record that races this sleep decision; the long timer
+		if w.pub.Load() == raw {
+			// Idle: sleep until nudged — or until the last commit is
+			// maxAge old with records behind it. The appender's
+			// publish-then-check-tail ordering guarantees a nudge for the
+			// publication that races this sleep decision; the long timer
 			// is a belt-and-suspenders bound, not a poll.
-			w.fail(w.writeOut())
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
 			idle.Reset(sleep)
 			select {
 			case <-w.wake:
 			case <-idle.C:
 			case <-w.quit:
-				if w.tail.Load() == w.head.Load() {
+				if w.pub.Load() == raw {
 					return
 				}
 			}
 		}
+	}
+}
+
+// consume moves the bytes published as pub (rebuilt against the
+// flusher's own counts) from the ring to the segment files, rotating at
+// every cut the appender staged among them, and releases them — unwritten
+// once the log has failed: the appender sees the error on its next call;
+// blocking it would wedge the whole ingest pipeline behind a dead disk.
+func (w *Writer) consume(pub uint64) {
+	tail := w.tail.Load()
+	recs := w.consRecs + uint64(uint32(pub>>32)-uint32(w.consRecs))
+	end := tail + uint64(uint32(pub)-uint32(tail))
+	if recs == w.consRecs {
+		return
+	}
+	i, sideEnd := w.sideTail.Load(), w.sideHead.Load()
+	for ; i < sideEnd; i++ {
+		e := &w.side[i%sideEntries]
+		if e.pos > end || e.base != 0 && e.pos == end {
+			break // rides a later publication
+		}
+		w.writeTo(e.pos)
+		if e.base != 0 {
+			w.rotate(e.base)
+		} else {
+			w.noteWritten(e.th)
+		}
+	}
+	w.writeTo(end)
+	w.sideTail.Store(i)
+	w.consRecs = recs
+	if w.err() == nil {
+		w.written.Store(recs)
+	}
+	w.wakeWaiters()
+}
+
+// writeTo hands the ring's bytes up to pos to the open segment, at most
+// writeChunkBytes a write, and releases each piece to the appender.
+func (w *Writer) writeTo(pos uint64) {
+	for tail := w.tail.Load(); tail < pos; {
+		o := tail & (ringBytes - 1)
+		n := min(pos-tail, writeChunkBytes, ringBytes-o)
+		if w.err() == nil {
+			span := obs.Start(w.ctr.flushNs)
+			w.fail(writeFull(w.f, w.ring[o:o+n]))
+			span.End()
+			w.ctr.bytes.Add(n)
+		}
+		tail += n
+		w.tail.Store(tail)
+		w.wakeWaiters() // the appender may be waiting for room
 	}
 }
 
@@ -933,13 +1007,11 @@ func (w *Writer) flusher() {
 // tickets seen before it began — and wakes the waiters. On a failed log
 // it only releases them: await hands each the sticky error.
 func (w *Writer) commit(reask uint64) {
-	n := w.tail.Load()
-	w.fail(w.writeOut())
 	if w.err() == nil && w.f != nil {
 		w.syncPoint(false)
 	}
 	w.lastSync = obs.Nanotime()
-	w.acked.Store(n)
+	w.acked.Store(w.consRecs)
 	w.reaskDone.Store(reask)
 	w.wakeWaiters()
 }
@@ -972,7 +1044,7 @@ func (w *Writer) fail(err error) bool {
 }
 
 // wrap applies the policy's fault-injection hook to a freshly opened
-// segment file.
+// segment file or directory handle.
 func (w *Writer) wrap(f *os.File) File {
 	if w.pol.WrapFile != nil {
 		return w.pol.WrapFile(f)
@@ -982,8 +1054,8 @@ func (w *Writer) wrap(f *os.File) File {
 
 // syncPoint is the fsync of one commit: measured in the healthy case, a
 // counted skip in degraded-ack mode (force — the flusher's exit, i.e.
-// Close — always fsyncs). The caller has written the buffer out, so the
-// fsync covers every record consumed. Flusher-only.
+// Close — always fsyncs). Everything consumed is with the OS, so the
+// fsync covers it. Flusher-only.
 func (w *Writer) syncPoint(force bool) {
 	if w.degraded.Load() && !force {
 		w.degradedReqs++
@@ -1018,15 +1090,14 @@ func (w *Writer) syncPoint(force bool) {
 	// releases already sees the writer healthy (or degraded) and the
 	// transition journaled.
 	w.observeFsync(ns)
-	w.noteDurable()
+	w.noteDurable(w.consRecs)
 }
 
-// noteDurable publishes the durable mark after a successful fsync of
-// the open segment — every record consumed so far is on stable storage
-// — and completes the traces that waited for it. acked follows when a
-// rotation's fsync ran ahead of any commit. Flusher-only.
-func (w *Writer) noteDurable() {
-	n := w.tail.Load()
+// noteDurable publishes the durable mark after a successful fsync that
+// covers the first n records, and completes the traces that waited for
+// it. acked follows when a rotation's fsync ran ahead of any commit.
+// Flusher-only.
+func (w *Writer) noteDurable(n uint64) {
 	w.ctr.commitRecords.Observe(n - w.durable.Load())
 	w.durable.Store(n)
 	if w.acked.Load() < n {
@@ -1066,74 +1137,21 @@ func (w *Writer) observeFsync(ns int64) {
 	}
 }
 
-// encode frames one ring entry into the write-behind buffer, rotating
-// segments as needed.
-func (w *Writer) encode(e *ringEntry) error {
-	if w.f == nil || w.segBytes >= w.pol.SegmentBytes {
-		if err := w.rotate(); err != nil {
-			return err
-		}
-	}
-	b := w.scratch[:]
-	off := recordHeaderLen
-	off += binary.PutVarint(b[off:], int64(e.nowNs-w.prevNow))
-	n, bitmap := e.rec.EncodeGroupsTo(b[off:])
-	total := off + n
-	b[4] = byte(total - recordHeaderLen)
-	b[5] = bitmap
-	binary.BigEndian.PutUint32(b[0:4], crc32.Checksum(b[4:total], castagnoli))
-	w.prevNow = e.nowNs
-	if len(w.buf)+total > cap(w.buf) {
-		if err := w.writeOut(); err != nil {
-			return err
-		}
-	}
-	w.buf = append(w.buf, b[:total]...)
-	w.segBytes += int64(total)
-	w.ctr.bytes.Add(uint64(total))
-	return nil
-}
-
-// writeOut drains the write-behind buffer to the OS.
-func (w *Writer) writeOut() error {
-	if len(w.buf) == 0 || w.f == nil {
-		return nil
-	}
-	span := obs.Start(w.ctr.flushNs)
-	err := writeFull(w.f, w.buf)
-	span.End()
-	w.buf = w.buf[:0]
-	w.noteWritten(err == nil)
-	if err == nil {
-		// Every consumed record was in the buffer: encode writes out
-		// before it adds the record that will not fit.
-		w.written.Store(w.tail.Load())
-		w.wakeWaiters()
-	}
-	return err
-}
-
-// noteWritten routes the pending trace handles after a write-behind
-// drain: written records advance to the unsynced set awaiting their
-// fsync (or finish here when the policy never commits on the data
-// path); a failed write orphans them unpublished. Flusher-only.
-func (w *Writer) noteWritten(ok bool) {
-	if len(w.pendWrite) == 0 {
+// noteWritten routes a trace whose record has just been written out: it
+// awaits its fsync in the unsynced set, or finishes here when the policy
+// never commits on the data path; a failed log orphans it unpublished.
+// Flusher-only.
+func (w *Writer) noteWritten(th trace.Handle) {
+	if w.err() != nil {
+		th.Abort()
 		return
 	}
-	for _, th := range w.pendWrite {
-		if !ok {
-			th.Abort()
-			continue
-		}
-		th.Stamp(trace.StWALWrite)
-		if w.ackAtWrite {
-			th.Finish()
-			continue
-		}
-		w.unsynced = append(w.unsynced, th)
+	th.Stamp(trace.StWALWrite)
+	if w.ackAtWrite {
+		th.Finish()
+		return
 	}
-	w.pendWrite = w.pendWrite[:0]
+	w.unsynced = append(w.unsynced, th)
 }
 
 // finishUnsynced completes every trace awaiting durability: a real
@@ -1153,8 +1171,8 @@ func (w *Writer) finishUnsynced(degraded bool) {
 	w.unsynced = w.unsynced[:0]
 }
 
-// abortUnsynced discards every trace awaiting durability (the fsync
-// failed: no ack will ever come). Flusher-only.
+// abortUnsynced discards every trace awaiting durability: no ack will
+// ever come (failed fsync, shutdown race) — never publish a phantom.
 func (w *Writer) abortUnsynced() {
 	for _, th := range w.unsynced {
 		th.Abort()
@@ -1183,22 +1201,37 @@ func writeFull(f File, p []byte) error {
 	return nil
 }
 
+// syncDir fsyncs dir itself, making the names created or renamed in it
+// survive a host crash. The handle opens through wrap (nil = direct),
+// so fault disks and the model disk see the call.
+func syncDir(dir string, wrap func(*os.File) File) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	var f File = d
+	if wrap != nil {
+		f = wrap(d)
+	}
+	defer f.Close() // only read: nothing for Close to report
+	return f.Sync()
+}
+
 // rotate finalises the current segment and opens a fresh one whose base
-// LSN is the next record's. Flusher-only.
-func (w *Writer) rotate() error {
+// LSN is the record the appender cut at; everything below it has been
+// written. A failure is the log's. Flusher-only.
+func (w *Writer) rotate(base uint64) {
+	if w.err() != nil {
+		return
+	}
 	rotated := w.f != nil
 	var fsyncNs int64
-	if w.f != nil {
-		if err := w.writeOut(); err != nil {
-			return err
-		}
+	if rotated {
 		// Finalise the outgoing segment with an fsync under EVERY
 		// policy (including SyncNone, whose skipped fsyncs are the
 		// data-path ones): once closed, the file can never be fsynced
 		// by a later Sync(), so skipping here would let Sync advance
-		// DurableLSN over records that only the OS holds — a host crash
-		// would then lose acknowledged records mid-log. One fsync per
-		// SegmentBytes is far off the hot path, and it keeps "every
+		// DurableLSN over records that only the OS holds. It keeps "every
 		// non-tail segment is fully intact on stable storage" an
 		// invariant recovery and Sync can both lean on.
 		t0 := obs.Nanotime()
@@ -1206,38 +1239,40 @@ func (w *Writer) rotate() error {
 		err := w.f.Sync()
 		span.End()
 		fsyncNs = obs.Nanotime() - t0
-		if err != nil {
-			return err
+		if w.fail(err) {
+			return
 		}
-		// The finalising fsync makes every written record durable: any
-		// trace still awaiting its ack completes here.
-		w.noteDurable()
-		if err := w.f.Close(); err != nil {
-			return err
+		// The finalising fsync makes every record below the cut durable:
+		// any trace still awaiting its ack completes here.
+		w.noteDurable(base - w.startLSN)
+		if w.fail(w.f.Close()) {
+			return
 		}
 		w.ctr.rots.Inc()
 	}
-	base := w.startLSN + w.tail.Load()
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(base)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
+	if w.fail(err) {
+		return
 	}
 	wf := w.wrap(f)
 	var hdr [segHeaderLen]byte
 	copy(hdr[:8], segMagic[:])
 	binary.BigEndian.PutUint64(hdr[8:], base)
-	if err := writeFull(wf, hdr[:]); err != nil {
+	err = writeFull(wf, hdr[:])
+	if err == nil {
+		// The segment's name must outlive a host crash before any record
+		// in it is acknowledged.
+		err = syncDir(w.dir, w.pol.WrapFile)
+	}
+	if w.fail(err) {
 		wf.Close()
-		return err
+		return
 	}
 	w.f = wf
-	w.segBytes = segHeaderLen
-	w.prevNow = 0 // timestamp deltas restart per segment
 	if rotated {
 		// One event per rotation, carrying the finalising fsync's cost:
 		// the rotate→fsync pair the timeline wants, without a second
 		// ring slot per rotation.
 		w.jr.Emit(journal.EvWALRotate, journal.SevInfo, w.jrCause, base, uint64(fsyncNs), 0)
 	}
-	return nil
 }

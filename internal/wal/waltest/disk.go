@@ -1,11 +1,13 @@
 // Package waltest is a model disk for durability tests: it sits behind
 // wal.Policy.WrapFile, remembers for every segment file how many bytes
-// have been written and how many of those a COMPLETED Sync covers, and
-// can produce the image a host crash would leave — each file cut back to
-// its synced prefix. Tests recover from that image to prove "returned ⇒
-// durable" instead of assuming it, and count fsyncs instead of timing
-// them. (It does not import wal, so wal's own tests can use it: wrap
-// with func(f *os.File) wal.File { return disk.Wrap(f) }.)
+// have been written and how many of those a COMPLETED Sync covers — and
+// which file names a completed Sync of the directory covers — and can
+// produce the image a host crash would leave: each file cut back to its
+// synced prefix, a file whose name was never synced gone. Tests recover
+// from that image to prove "returned ⇒ durable" instead of assuming it,
+// and count fsyncs instead of timing them. (It does not import wal, so
+// wal's own tests can use it: wrap with
+// func(f *os.File) wal.File { return disk.Wrap(f) }.)
 package waltest
 
 import (
@@ -28,6 +30,7 @@ type Disk struct {
 
 	mu    sync.Mutex
 	files map[string]*extent // by file name
+	named map[string]bool    // files whose directory entry is durable
 }
 
 // extent is one file's byte accounting.
@@ -36,7 +39,8 @@ type extent struct {
 	synced  int64
 }
 
-// File is one wrapped segment file; it has wal.File's methods.
+// File is one wrapped segment file, or the log directory opened to be
+// synced (ex == nil); it has wal.File's methods.
 type File struct {
 	d  *Disk
 	f  *os.File
@@ -44,19 +48,29 @@ type File struct {
 }
 
 // Wrap tracks f. Bytes already in the file (a reopened segment) count
-// as written and synced: they survived whatever came before.
+// as written and synced, and its name as durable: they survived whatever
+// came before. A file that is empty was created just now, and its name
+// is not durable until its directory is synced.
 func (d *Disk) Wrap(f *os.File) *File {
+	st, err := f.Stat()
+	if err == nil && st.IsDir() {
+		return &File{d: d, f: f}
+	}
 	var size int64
-	if st, err := f.Stat(); err == nil {
+	if err == nil {
 		size = st.Size()
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.files == nil {
 		d.files = make(map[string]*extent)
+		d.named = make(map[string]bool)
 	}
 	ex := &extent{written: size, synced: size}
 	d.files[f.Name()] = ex
+	if size > 0 {
+		d.named[f.Name()] = true
+	}
 	return &File{d: d, f: f, ex: ex}
 }
 
@@ -69,8 +83,12 @@ func (f *File) Write(p []byte) (int, error) {
 }
 
 // Sync covers the bytes written before it began, and only once it has
-// returned — a crash in the middle of an fsync promises nothing.
+// returned — a crash in the middle of an fsync promises nothing. On the
+// directory it covers the names in it, and is not counted in Syncs.
 func (f *File) Sync() error {
+	if f.ex == nil {
+		return f.syncDir()
+	}
 	f.d.mu.Lock()
 	upto := f.ex.written
 	f.d.mu.Unlock()
@@ -86,15 +104,35 @@ func (f *File) Sync() error {
 	return nil
 }
 
+func (f *File) syncDir() error {
+	ents, err := os.ReadDir(f.f.Name())
+	if err != nil {
+		return err
+	}
+	if f.d.SyncDelay != nil {
+		time.Sleep(f.d.SyncDelay())
+	}
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	for _, e := range ents {
+		if path := filepath.Join(f.f.Name(), e.Name()); f.d.files[path] != nil {
+			f.d.named[path] = true
+		}
+	}
+	return nil
+}
+
 func (f *File) Close() error { return f.f.Close() }
 
-// Syncs returns how many Syncs have completed on the disk's files.
+// Syncs returns how many Syncs have completed on the disk's segment
+// files.
 func (d *Disk) Syncs() int { return int(d.syncs.Load()) }
 
 // CrashImage writes into dst what a host crash right now would leave of
-// src: every tracked file cut back to its synced prefix, every other
-// regular file (checkpoints, metadata — written and fsynced outside the
-// hook) whole. Safe to call while the writer runs.
+// src: every tracked file cut back to its synced prefix — or missing, if
+// no directory sync covers its name — and every other regular file
+// (checkpoints, metadata — written and fsynced outside the hook) whole.
+// Safe to call while the writer runs.
 func (d *Disk) CrashImage(src, dst string) error {
 	ents, err := os.ReadDir(src)
 	if err != nil {
@@ -111,7 +149,11 @@ func (d *Disk) CrashImage(src, dst string) error {
 		if tracked {
 			keep = ex.synced
 		}
+		lost := tracked && !d.named[path]
 		d.mu.Unlock()
+		if lost {
+			continue
+		}
 		if err := copyPrefix(path, filepath.Join(dst, e.Name()), keep, tracked); err != nil {
 			return err
 		}

@@ -89,7 +89,9 @@ func TestObsMetricsPopulated(t *testing.T) {
 // observation per fsync and sums to the records made durable (how many
 // each fsync covered), dta_wal_commit_wait_ns saw the Drains that had to
 // wait, dta_wal_commits_coalesced_total counts the SyncWALs an earlier
-// fsync had already served, and the sync series equals WALStats().Syncs.
+// fsync had already served, the sync series equals WALStats().Syncs, and
+// dta_wal_publish_records has one observation per publication summing to
+// the appends — far fewer publications than records on the engine path.
 func TestObsWALCommitMetrics(t *testing.T) {
 	sys, err := dta.New(dta.Options{
 		KeyWrite: &dta.KeyWriteOptions{Slots: 1 << 12, DataSize: 4},
@@ -147,6 +149,16 @@ func TestObsWALCommitMetrics(t *testing.T) {
 	}
 	if st.Syncs >= st.Appends/16 {
 		t.Errorf("%d fsyncs for %d appends: the commit does not group", st.Syncs, st.Appends)
+	}
+	if v := find("dta_wal_appends_total"); v.Value != float64(st.Appends) || st.Appends != epochs*perEpoch {
+		t.Errorf("dta_wal_appends_total = %.0f, WALStats().Appends = %d, want %d", v.Value, st.Appends, epochs*perEpoch)
+	}
+	if v, p := find("dta_wal_publish_records"), find("dta_wal_publishes_total"); v.Sum != st.Appends || v.Count != st.Publishes || p.Value != float64(st.Publishes) {
+		t.Errorf("dta_wal_publish_records: %d observations summing to %d, dta_wal_publishes_total %.0f; want %d publications of %d appends",
+			v.Count, v.Sum, p.Value, st.Publishes, st.Appends)
+	}
+	if st.Publishes > st.Appends/8 {
+		t.Errorf("%d publications for %d appends: the engine path does not publish per chunk", st.Publishes, st.Appends)
 	}
 	if v := find("dta_wal_commit_wait_ns"); v.Count == 0 || v.Count > 2*epochs {
 		t.Errorf("dta_wal_commit_wait_ns has %d observations for %d drains", v.Count, epochs)
