@@ -150,9 +150,14 @@ func sameImages(t *testing.T, what string, a, b map[string][]byte) {
 // second one, limiter and WAL on and off, lossy link on. Everything
 // observable must agree: every emitted packet and logged record, in
 // order, with the same trace ID active; store bytes; Stats and WAL
-// counters; WAL segment bytes; failure counts. The logs then replay —
-// chunked, as Recover does it, and record by record — into identical
-// stores again.
+// counters; WAL segment bytes; failure counts. A third identical system
+// takes the same chunks with their plan made at staging — the sink's
+// PlanStaged per record into one recycled plan array, as a Submitter
+// does it — where the second plans in place: stage A's two homes must be
+// indistinguishable too, Key-Increment aggregation on and off, and the
+// lossy link must cut the plan where it cuts the records. The logs then
+// replay — chunked, as Recover does it, and record by record — into
+// identical stores again.
 func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 	const chunkFrames = 32 // engine default
 	for _, tc := range []struct {
@@ -219,30 +224,43 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				h.Finish()
 			}
 
-			many, manyLog, manyDir := build()
-			manyFailed := 0
-			rng := rand.New(rand.NewSource(99))
-			trcs := make([]trace.Handle, 0, chunkFrames)
-			for a := 0; a < len(st.recs); {
-				b := min(a+1+rng.Intn(chunkFrames), len(st.recs))
-				for j := a + 1; j < b; j++ {
-					if st.now[j] != st.now[a] {
-						b = j
+			// chunked feeds the stream to s through the worker's chunk entry,
+			// cut at the same seeded boundaries on every call.
+			chunked := func(s *System, planAtStaging bool) (failed int) {
+				rng := rand.New(rand.NewSource(99))
+				trcs := make([]trace.Handle, 0, chunkFrames)
+				var plan wire.ChunkPlan // recycled from chunk to chunk
+				sink := systemSink{s}
+				for a := 0; a < len(st.recs); {
+					b := min(a+1+rng.Intn(chunkFrames), len(st.recs))
+					for j := a + 1; j < b; j++ {
+						if st.now[j] != st.now[a] {
+							b = j
+						}
 					}
+					trcs = trcs[:0]
+					plan.Reset()
+					for i := a; i < b; i++ {
+						trcs = append(trcs, begin(s, i))
+						if planAtStaging {
+							sink.PlanStaged(&st.recs[i], &plan)
+						}
+					}
+					n, _ := sink.ProcessStagedBatch(st.recs[a:b], plan, trcs, st.now[a])
+					failed += n
+					for _, h := range trcs {
+						h.Finish()
+					}
+					a = b
 				}
-				trcs = trcs[:0]
-				for i := a; i < b; i++ {
-					trcs = append(trcs, begin(many, i))
-				}
-				n, _ := systemSink{many}.ProcessStagedBatch(st.recs[a:b], trcs, st.now[a])
-				manyFailed += n
-				for _, h := range trcs {
-					h.Finish()
-				}
-				a = b
+				return failed
 			}
+			many, manyLog, manyDir := build()
+			manyFailed := chunked(many, false)
+			staged, stagedLog, stagedDir := build()
+			stagedFailed := chunked(staged, true)
 
-			for _, s := range []*System{one, many} {
+			for _, s := range []*System{one, many, staged} {
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
@@ -250,16 +268,16 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if oneFailed == 0 || oneFailed != manyFailed {
-				t.Errorf("failed records: %d per record, %d chunked (want equal, non-zero)", oneFailed, manyFailed)
+			if oneFailed == 0 || oneFailed != manyFailed || oneFailed != stagedFailed {
+				t.Errorf("failed records: %d per record, %d chunked, %d planned at staging (want equal, non-zero)", oneFailed, manyFailed, stagedFailed)
 			}
-			if len(*oneLog) != len(*manyLog) {
-				t.Fatalf("hook calls: %d per record, %d chunked", len(*oneLog), len(*manyLog))
+			if len(*oneLog) != len(*manyLog) || len(*oneLog) != len(*stagedLog) {
+				t.Fatalf("hook calls: %d per record, %d chunked, %d planned at staging", len(*oneLog), len(*manyLog), len(*stagedLog))
 			}
 			tracedCalls := 0
 			for i, ev := range *oneLog {
-				if ev != (*manyLog)[i] {
-					t.Fatalf("hook call %d: per record %+v, chunked %+v", i, ev, (*manyLog)[i])
+				if ev != (*manyLog)[i] || ev != (*stagedLog)[i] {
+					t.Fatalf("hook call %d: per record %+v, chunked %+v, planned at staging %+v", i, ev, (*manyLog)[i], (*stagedLog)[i])
 				}
 				if ev.traceID != 0 {
 					tracedCalls++
@@ -269,12 +287,13 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				t.Error("no hook call saw a live trace handle")
 			}
 			sameImages(t, "stores", storeImages(one), storeImages(many))
+			sameImages(t, "stores, planned at staging", storeImages(many), storeImages(staged))
 			so, sm := one.Stats(), many.Stats()
-			if so != sm {
-				t.Errorf("Stats:\n per record %+v\n chunked    %+v", so, sm)
+			if so != sm || sm != staged.Stats() {
+				t.Errorf("Stats:\n per record         %+v\n chunked            %+v\n planned at staging %+v", so, sm, staged.Stats())
 			}
-			if to, tm := one.tr.Stats(), many.tr.Stats(); to != tm {
-				t.Errorf("translator Stats:\n per record %+v\n chunked    %+v", to, tm)
+			if to, tm, ts := one.tr.Stats(), many.tr.Stats(), staged.tr.Stats(); to != tm || tm != ts {
+				t.Errorf("translator Stats:\n per record         %+v\n chunked            %+v\n planned at staging %+v", to, tm, ts)
 			}
 			if (tc.rate > 0) != (so.RateDropped > 0) {
 				t.Errorf("RateDropped = %d with RateLimit %v", so.RateDropped, tc.rate)
@@ -287,6 +306,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			}
 			wo, _ := one.WALStats()
 			wm, _ := many.WALStats()
+			ws, _ := staged.WALStats()
 			// Publications count ingest calls, which is the one thing the
 			// two runs differ in by construction.
 			if wo.Publishes != wo.Appends || wm.Publishes >= wo.Publishes {
@@ -294,22 +314,26 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			}
 			// The flusher-paced cells (syncs, ring high water, nudges) are
 			// timing, not content.
-			for _, w := range []*WALStats{&wo, &wm} {
+			if ws.Publishes != wm.Publishes {
+				t.Errorf("publications: %d planned in place, %d planned at staging", wm.Publishes, ws.Publishes)
+			}
+			for _, w := range []*WALStats{&wo, &wm, &ws} {
 				w.Publishes, w.Syncs, w.RingHighWater, w.RingStalls, w.NudgesDropped = 0, 0, 0, 0, 0
 			}
-			if wo != wm || wo.Appends == 0 {
-				t.Errorf("WALStats:\n per record %+v\n chunked    %+v", wo, wm)
+			if wo != wm || wm != ws || wo.Appends == 0 {
+				t.Errorf("WALStats:\n per record         %+v\n chunked            %+v\n planned at staging %+v", wo, wm, ws)
 			}
-			for _, s := range []*System{one, many} {
+			for _, s := range []*System{one, many, staged} {
 				if err := s.CloseWAL(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			sameImages(t, "WAL directory", dirImage(t, oneDir), dirImage(t, manyDir))
+			sameImages(t, "WAL directory, planned at staging", dirImage(t, manyDir), dirImage(t, stagedDir))
 
 			// Replay: Recover's chunked entry against the record-by-record
 			// replay it replaced.
-			chunked, err := RecoverSystem(manyDir)
+			replayed, err := RecoverSystem(manyDir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,13 +351,13 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				}); err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range []*System{chunked, serial} {
+			for _, s := range []*System{replayed, serial} {
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			sameImages(t, "replayed stores", storeImages(serial), storeImages(chunked))
-			if sc, ss := chunked.tr.Stats(), serial.tr.Stats(); sc != ss {
+			sameImages(t, "replayed stores", storeImages(serial), storeImages(replayed))
+			if sc, ss := replayed.tr.Stats(), serial.tr.Stats(); sc != ss {
 				t.Errorf("replay translator Stats:\n serial  %+v\n chunked %+v", ss, sc)
 			}
 		})
@@ -343,7 +367,9 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 // TestSystemSinkBatchZeroAllocs extends the structured-ingest allocation
 // pins to the worker's chunk entry itself — all four primitives,
 // Key-Increment aggregation on, lossy link on (its run-splitting must not
-// allocate either).
+// allocate either), the plan made at staging (PlanStaged into a recycled
+// array must not allocate, nor cutting it where the link cuts the
+// records).
 func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 	values := make([]uint32, 256)
 	for i := range values {
@@ -382,8 +408,14 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 	}
 	trcs := make([]trace.Handle, len(recs))
 	sink := systemSink{s}
+	var plan wire.ChunkPlan
+	plan.Reserve(len(recs))
 	chunk := func() {
-		if failed, err := sink.ProcessStagedBatch(recs, trcs, 0); failed != 0 {
+		plan.Reset()
+		for i := range recs {
+			sink.PlanStaged(&recs[i], &plan)
+		}
+		if failed, err := sink.ProcessStagedBatch(recs, plan, trcs, 0); failed != 0 {
 			t.Fatal(err)
 		}
 	}

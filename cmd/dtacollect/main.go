@@ -273,7 +273,7 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 				}
 			}
 			now := uint64(time.Since(start))
-			if _, err := tr.ProcessStagedBatch(recs[:burst], trcs[:burst], now); err != nil {
+			if _, err := tr.ProcessStagedBatch(recs[:burst], wire.ChunkPlan{}, trcs[:burst], now); err != nil {
 				log.Printf("translate: %v", err)
 			}
 			for _, h := range trcs[:burst] {

@@ -170,7 +170,7 @@ func (s *System) Recover(dir string) (uint64, error) {
 	var chunkNow uint64
 	failed := 0
 	flush := func() {
-		n, _ := s.tr.ProcessStagedBatch(chunk, nil, chunkNow)
+		n, _ := s.tr.ProcessStagedBatch(chunk, wire.ChunkPlan{}, nil, chunkNow)
 		failed += n
 		chunk = chunk[:0]
 	}

@@ -65,15 +65,23 @@ func (k systemSink) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 	return k.s.deliverStagedAt(s, nowNs)
 }
 
+// PlanStaged is the staging side's entry (engine.StagedPlanner): address
+// generation runs on the submitting goroutine, against the translator's
+// immutable geometry, and the plan rides with the chunk.
+func (k systemSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
+	k.s.tr.PlanStaged(rec, p)
+}
+
 // ProcessStagedBatch is the shard worker's entry (engine.StagedBatchSink):
 // the whole chunk reaches the translator in one call, so it can
 // pre-touch every destination line before crafting the first packet. The
 // lossy-link model still decides record by record; each run of surviving
-// records goes down as one batch, with its slice of the trace handles.
-func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+// records goes down as one batch, with its slice of the plan and of the
+// trace handles.
+func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
 	s := k.s
 	if s.link == nil {
-		return s.tr.ProcessStagedBatch(recs, trcs, nowNs)
+		return s.tr.ProcessStagedBatch(recs, plan, trcs, nowNs)
 	}
 	run := func(from, to int) {
 		if from == to {
@@ -83,7 +91,7 @@ func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Ha
 		if len(trcs) > 0 {
 			h = trcs[from:to]
 		}
-		n, err := s.tr.ProcessStagedBatch(recs[from:to], h, nowNs)
+		n, err := s.tr.ProcessStagedBatch(recs[from:to], plan.Slice(from, to), h, nowNs)
 		if failed == 0 {
 			first = err
 		}
@@ -144,6 +152,17 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 		// against the owning deployment's tracer (shared across cluster
 		// members, so systems[0]'s is the cluster's).
 		cfg.Trace = systems[0].trc
+	}
+	if hac != nil {
+		// A replicated fan-out plans once for all its owners
+		// (haFanReport), which is only right while every member plans
+		// alike. Members are built from one Options value; a mismatch is a
+		// construction bug, reported here rather than as diverging stores.
+		for i, s := range systems[1:] {
+			if !systems[0].tr.PlansLike(s.tr) {
+				return nil, fmt.Errorf("dta: collector %d's store geometry differs from collector 0's: HA members must plan alike", i+1)
+			}
+		}
 	}
 	inner, err := engine.New(sinks, cfg)
 	if err != nil {
@@ -287,13 +306,10 @@ func (r *AsyncReporter) submitReport(shard int, rep *wire.Report) error {
 // haFan encodes and submits one frame-mode report to every live replica
 // owner (HACluster engines only): the same fan-out HAReporter performs
 // synchronously, staged through the owners' shard queues. Down owners
-// are skipped with a counter, never an error.
+// are skipped with a counter, never an error. No fence lock here:
+// staging is producer-local (see HACluster.fenceMu).
 func (r *AsyncReporter) haFan(owners []int, encode func(rep *reporter.Reporter, buf []byte) (int, error)) error {
 	h := r.eng.hac
-	// Fence read-lock across the whole fan-out, including the coupled
-	// chunk flush that may follow it — see HACluster.fenceMu.
-	h.fenceMu.RLock()
-	defer h.fenceMu.RUnlock()
 	// Skip set decided before the first submit — see HAReporter.fan for
 	// why this ordering is load-bearing for the incremental-resync
 	// epoch fence. unreachable covers both down flags and chaos-plane
@@ -317,39 +333,43 @@ func (r *AsyncReporter) haFan(owners []int, encode func(rep *reporter.Reporter, 
 		live++
 	}
 	h.health.RecordWrite(live, len(owners))
-	// Only now, with every owner's copy staged, may a full chunk go out.
-	return r.sub.FlushIfFull()
+	return r.flushIfFull()
 }
 
-// haFanReport is haFan for the structured path: the report is built
-// once and staged by value on every live owner — no per-replica
-// re-encoding at all.
+// haFanReport is haFan for the structured path — the software form of
+// the paper's multicast translation: the report is validated, staged and
+// planned once, and the staged record and its plan are copied into every
+// live owner's chunk (members plan alike; newEngine checked).
 func (r *AsyncReporter) haFanReport(owners []int, rep *wire.Report) error {
 	if err := rep.Validate(); err != nil {
 		return err
 	}
 	h := r.eng.hac
-	// Fence read-lock across the whole fan-out — see HACluster.fenceMu.
-	h.fenceMu.RLock()
-	defer h.fenceMu.RUnlock()
 	// Skip set decided before the first submit — see HAReporter.fan.
-	var skip [ha.MaxReplicas]bool
-	for i, o := range owners {
-		skip[i] = h.unreachable(o)
-	}
-	live := 0
-	for i, o := range owners {
-		if skip[i] {
-			continue
+	var live [ha.MaxReplicas]int
+	var nows [ha.MaxReplicas]uint64
+	n := 0
+	for _, o := range owners {
+		if !h.unreachable(o) {
+			live[n], nows[n] = o, r.eng.systems[o].Now()
+			n++
 		}
-		if err := r.sub.SubmitReport(o, rep, r.eng.systems[o].Now()); err != nil {
-			return err
-		}
-		live++
 	}
-	h.health.RecordWrite(live, len(owners))
-	// Only now, with every owner's copy staged, may a full chunk go out.
-	return r.sub.FlushIfFull()
+	if err := r.sub.SubmitReportFan(live[:n], nows[:n], rep); err != nil {
+		return err
+	}
+	h.health.RecordWrite(n, len(owners))
+	return r.flushIfFull()
+}
+
+// flushIfFull queues every owner's staged chunk once a fan-out has filled
+// one — only now, with every owner's copy staged, may a full chunk go
+// out, and only as one event under the resync fence (Flush).
+func (r *AsyncReporter) flushIfFull() error {
+	if !r.sub.Full() {
+		return nil
+	}
+	return r.Flush()
 }
 
 // Flush queues this reporter's staged chunks. Producers must call it
@@ -357,8 +377,9 @@ func (r *AsyncReporter) haFanReport(owners []int, rep *wire.Report) error {
 // their reports.
 func (r *AsyncReporter) Flush() error {
 	if h := r.eng.hac; h != nil {
-		// A flush pushes all shards' chunks as one atomic event with
-		// respect to the resync watermark fence — see HACluster.fenceMu.
+		// This is where staged copies become visible to the engine: all
+		// shards' chunks go out as one atomic event with respect to the
+		// resync watermark fence — see HACluster.fenceMu.
 		h.fenceMu.RLock()
 		defer h.fenceMu.RUnlock()
 	}

@@ -126,18 +126,44 @@ type HACluster struct {
 	// with no entry at all resyncs from snapshots.
 	walMark map[int]map[int]uint64
 	// fenceMu makes each replicated fan-out atomic with respect to the
-	// watermark fence: writers (HAReporter.fan, the engine's haFan
-	// paths, and AsyncReporter chunk flushes) hold the read side for
-	// one whole fan-out or flush, and fenceForStale holds the write
-	// side while it drains queued ingest and snapshots WAL marks. With
-	// coupled chunk flushing (Submitter.SetCoupled) this means every
-	// replicated op is wholly staged, wholly queued, or wholly logged
-	// when marks are read — no op can be logged on one owner below its
-	// mark but on another above it, which is exactly the asymmetry
-	// that would corrupt the appendExclusion multiset diff (an
-	// excluded op missing from the replay stream silently eats a
-	// later same-payload op the target never saw). Lock order:
-	// fenceMu strictly before mu, everywhere.
+	// watermark fence: fenceForStale holds the write side while it drains
+	// queued ingest and snapshots WAL marks, and writers hold the read
+	// side wherever a fan-out's copies become visible to that drain —
+	// and only there:
+	//
+	//   - HAReporter.fan writes straight through to its owners' logs, so
+	//     it holds the read side for the whole fan-out.
+	//   - The engine's fan-outs (AsyncReporter.haFan / haFanReport) only
+	//     STAGE: the copies sit in the producer's own chunks, which no
+	//     drain can reach, so staging takes no lock — a per-report
+	//     RLock was a cache line every producer bounced. The copies
+	//     become visible when the chunks are queued, and that — the
+	//     coupled flush after a fan-out that filled a chunk, and
+	//     AsyncReporter.Flush — runs under the read side, all shards'
+	//     chunks as one event (Submitter.SetCoupled: no chunk goes out
+	//     from inside a fan-out).
+	//
+	// So when marks are read every replicated op is wholly staged (on
+	// no owner's queue: above all marks), wholly queued (the fence's
+	// drain pushes it onto every owner's log: below all marks) or
+	// wholly logged — no op can be logged on one owner below its mark
+	// but on another above it, which is exactly the asymmetry that
+	// would corrupt the appendExclusion multiset diff (an excluded op
+	// missing from the replay stream silently eats a later same-payload
+	// op the target never saw).
+	//
+	// The other half of the fence needs no lock either: a fan-out decides
+	// its whole skip set before it stages or writes anything (see
+	// HAReporter.fan), and the fence takes marks and bumps the epoch
+	// BEFORE the unreachable flag flips. A fan-out that skips a
+	// collector therefore saw the flag, hence runs after the marks and
+	// the bump: its surviving copies are staged — and later logged and
+	// epoch-tagged — above them, inside the skipped collector's replay
+	// window. One that did not skip it staged a copy for it too; queued
+	// after the flag, that copy is an in-flight op the target applies
+	// while flagged down, which walSelf accounts for.
+	//
+	// Lock order: fenceMu strictly before mu, everywhere.
 	fenceMu sync.RWMutex
 	// walSelf[target] is the target's OWN log LSN at the same instant:
 	// everything the target logged above it — in-flight ops applied

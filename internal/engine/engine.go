@@ -81,25 +81,40 @@ type StagedSink interface {
 // per-record ReportSink/StagedSink entries are wrapped in an adapter by
 // New.
 type StagedBatchSink interface {
-	// ProcessStagedBatch ingests recs in order. trcs, when non-empty,
-	// runs parallel to recs: trcs[i] is recs[i]'s data-plane trace handle
-	// (invalid when the report was sampled out), for downstream layers to
-	// stamp their stages on; the worker keeps ownership and releases the
-	// handles after the call. Both slices are only read during the call.
-	// A failing record does not stop the chunk: failed counts the records
-	// whose processing returned an error and first is the earliest one.
-	ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error)
+	// ProcessStagedBatch ingests recs in order. plan is what the sink's
+	// own PlanStaged made of each record when it was staged (zero when the
+	// sink is no StagedPlanner). trcs, when non-empty, runs parallel to
+	// recs: trcs[i] is recs[i]'s data-plane trace handle (invalid when the
+	// report was sampled out), for downstream layers to stamp their stages
+	// on; the worker keeps ownership and releases the handles after the
+	// call. All three are only read during the call. A failing record does
+	// not stop the chunk: failed counts the records whose processing
+	// returned an error and first is the earliest one.
+	ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error)
+}
+
+// StagedPlanner is the optional staging-side half of a StagedBatchSink:
+// the part of a record's processing that needs nothing but the record
+// and state fixed before the engine started. Submitters run it as they
+// stage — on the producer's core, which is otherwise idle while the
+// shard worker is the bottleneck — and the result rides with the chunk.
+type StagedPlanner interface {
+	// PlanStaged appends rec's plan to p. It is called from any number of
+	// submitting goroutines at once, beside the worker's
+	// ProcessStagedBatch, so it must not write anything but p.
+	PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan)
 }
 
 // perRecord adapts a per-record structured sink to StagedBatchSink.
 // Trace handles stop here: a per-record sink has no way to take them.
+// It plans nothing, so its chunks carry no plan.
 type perRecord struct {
 	rsink   ReportSink
 	ssink   StagedSink  // nil: decompress into scratch for rsink
 	scratch wire.Report // worker-lifetime decompression target
 }
 
-func (a *perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ []trace.Handle, nowNs uint64) (failed int, first error) {
+func (a *perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
 	for i := range recs {
 		var err error
 		if a.ssink != nil {
@@ -240,6 +255,7 @@ type chunk struct {
 	data  []byte              // concatenated frames
 	lens  []int32             // per-frame lengths into data
 	recs  []wire.StagedReport // structured reports (fast path)
+	plan  wire.ChunkPlan      // parallel to recs when the sink plans; else empty
 	trcs  []trace.Handle      // parallel to recs when tracing; else empty
 	nowNs uint64              // latest clock among the staged entries
 	drain chan struct{}
@@ -249,6 +265,7 @@ func (c *chunk) reset() {
 	c.data = c.data[:0]
 	c.lens = c.lens[:0]
 	c.recs = c.recs[:0]
+	c.plan.Reset()
 	c.trcs = c.trcs[:0]
 	c.nowNs = 0
 	c.drain = nil
@@ -303,6 +320,7 @@ func (c *shardCounters) snapshot() Stats {
 type shard struct {
 	sink   Sink
 	staged StagedBatchSink // non-nil when sink implements the structured path
+	plans  StagedPlanner   // non-nil when staged wants its records planned at staging
 	bsink  BatchSink       // non-nil when sink wants batch-boundary callbacks
 	ch     chan *chunk
 	ctr    shardCounters
@@ -385,6 +403,7 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 		}
 		if b, ok := s.(StagedBatchSink); ok {
 			sh.staged = b
+			sh.plans, _ = s.(StagedPlanner)
 		} else if r, ok := s.(ReportSink); ok {
 			ss, _ := s.(StagedSink)
 			sh.staged = &perRecord{rsink: r, ssink: ss}
@@ -435,30 +454,58 @@ func (e *Engine) EnqueueReport(shardIdx int, r *wire.Report, nowNs uint64) error
 	}
 	ck := e.pool.Get().(*chunk)
 	ck.reset()
-	ck.recs = stageInto(ck.recs, r, e.cfg.ChunkFrames)
+	e.stage(sh, ck, r)
 	ck.nowNs = nowNs
 	return e.send(sh, ck)
 }
 
-// stageInto appends a staged copy of r to recs. Capacity is reserved for
-// the full chunk up front (and then recycled through the pool), so
-// steady-state staging never re-allocates — incremental append growth
-// would churn the heap badly enough under deep queues to defeat the
-// pool via GC clearing.
-func stageInto(recs []wire.StagedReport, r *wire.Report, chunkFrames int) []wire.StagedReport {
-	n := len(recs)
-	if n < cap(recs) {
-		recs = recs[:n+1]
+// nextRec extends ck.recs by one record slot and returns it. Capacity is
+// reserved for the full chunk up front (and then recycled through the
+// pool), so steady-state staging never re-allocates — incremental append
+// growth would churn the heap badly enough under deep queues to defeat
+// the pool via GC clearing.
+func (e *Engine) nextRec(ck *chunk) *wire.StagedReport {
+	n := len(ck.recs)
+	if n < cap(ck.recs) {
+		ck.recs = ck.recs[:n+1]
 	} else {
-		grown := make([]wire.StagedReport, n+1, max(chunkFrames, n+1))
-		copy(grown, recs)
-		recs = grown
+		grown := make([]wire.StagedReport, n+1, max(e.cfg.ChunkFrames, n+1))
+		copy(grown, ck.recs)
+		ck.recs = grown
 	}
-	recs[n].Stage(r)
-	return recs
+	return &ck.recs[n]
 }
 
-// handleInto appends a trace handle parallel to stageInto's record,
+// stage appends a staged copy of r to ck and, when the shard's sink
+// plans, the record's plan beside it.
+func (e *Engine) stage(sh *shard, ck *chunk, r *wire.Report) {
+	rec := e.nextRec(ck)
+	rec.Stage(r)
+	if sh.plans != nil {
+		sh.plans.PlanStaged(rec, e.planOf(ck))
+	}
+}
+
+// planOf returns ck's plan, with room for a full chunk reserved before
+// its first entry (like nextRec's: no growth in the steady state).
+func (e *Engine) planOf(ck *chunk) *wire.ChunkPlan {
+	if len(ck.plan.Recs) == 0 {
+		ck.plan.Reserve(e.cfg.ChunkFrames)
+	}
+	return &ck.plan
+}
+
+// restage appends a copy of src's last record, and of its plan if it has
+// one, to ck: the other legs of a fan-out whose first leg staged into src.
+func (e *Engine) restage(ck, src *chunk) {
+	*e.nextRec(ck) = src.recs[len(src.recs)-1]
+	if last := len(src.plan.Recs) - 1; last >= 0 {
+		h := src.plan.Recs[last]
+		e.planOf(ck).Append(h.Prim, h.Csum, src.plan.SlotsOf(last))
+	}
+}
+
+// handleInto appends a trace handle parallel to nextRec's record,
 // with the same up-front capacity reservation so steady-state traced
 // staging never re-allocates.
 func handleInto(trcs []trace.Handle, h trace.Handle, chunkFrames int) []trace.Handle {
@@ -540,7 +587,7 @@ type Submitter struct {
 	pending []*chunk // lazily allocated, one per shard
 	// coupled keeps the staged set all-or-nothing across shards: a full
 	// chunk does not queue itself, it marks the submitter full, and the
-	// owner queues EVERY shard's staged chunk at its next FlushIfFull.
+	// owner queues EVERY shard's staged chunk with a Flush once it is Full.
 	// HA engines need this: a replicated report is staged on all its
 	// owners in one fan-out, and resync watermark fences are only exact
 	// if no fan-out can be half-visible — one owner's copy queued while
@@ -557,19 +604,14 @@ type Submitter struct {
 }
 
 // SetCoupled switches the submitter to coupled (all-or-nothing) chunk
-// flushing across shards: the caller must then call FlushIfFull after
-// each complete fan-out.
+// flushing across shards: the caller must then check Full, and Flush,
+// after each complete fan-out.
 func (s *Submitter) SetCoupled(v bool) { s.coupled = v }
 
-// FlushIfFull queues every staged chunk if a submission since the last
-// flush filled one (coupled submitters only; otherwise full chunks queue
-// themselves). Call it between fan-outs, never inside one.
-func (s *Submitter) FlushIfFull() error {
-	if !s.full {
-		return nil
-	}
-	return s.Flush()
-}
+// Full reports whether a submission since the last Flush filled a chunk
+// (coupled submitters only; otherwise full chunks queue themselves). The
+// owner then calls Flush — between fan-outs, never inside one.
+func (s *Submitter) Full() bool { return s.full }
 
 // Submitter returns a new producer handle.
 func (e *Engine) Submitter() *Submitter {
@@ -627,24 +669,24 @@ func (s *Submitter) Submit(shardIdx int, frame []byte, nowNs uint64) error {
 	return nil
 }
 
-// SubmitReport stages a copy of r into shard's staged chunk — no frame
-// serialisation, no heap allocation — queueing the chunk once it holds
-// ChunkFrames reports. The shard's sink must implement ReportSink.
-func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) error {
+// structuredChunk is stagedChunk for a structured submission, behind the
+// checks every such submission makes first.
+func (s *Submitter) structuredChunk(shardIdx int) (*chunk, error) {
 	if shardIdx < 0 || shardIdx >= len(s.pending) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.pending))
+		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.pending))
 	}
 	if s.e.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if s.e.shards[shardIdx].staged == nil {
-		return ErrNoReportSink
+		return nil, ErrNoReportSink
 	}
-	ck, err := s.stagedChunk(shardIdx, true)
-	if err != nil {
-		return err
-	}
-	ck.recs = stageInto(ck.recs, r, s.e.cfg.ChunkFrames)
+	return s.stagedChunk(shardIdx, true)
+}
+
+// noteStaged finishes staging one record on ck: its trace handle, when
+// tracing, and the chunk's clock.
+func (s *Submitter) noteStaged(ck *chunk, nowNs uint64) {
 	if tw := s.e.cfg.Trace; tw != nil {
 		h := tw.Begin(&s.smp)
 		h.Stamp(trace.StSubmit)
@@ -653,13 +695,62 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 	if nowNs > ck.nowNs {
 		ck.nowNs = nowNs
 	}
-	if len(ck.recs) >= s.e.cfg.ChunkFrames {
-		if s.coupled {
-			s.full = true
-			return nil
+}
+
+// queueIfFull queues shard's staged chunk once it holds ChunkFrames
+// reports (coupled submitters only mark themselves full).
+func (s *Submitter) queueIfFull(shardIdx int, ck *chunk) error {
+	if len(ck.recs) < s.e.cfg.ChunkFrames {
+		return nil
+	}
+	if s.coupled {
+		s.full = true
+		return nil
+	}
+	s.pending[shardIdx] = nil
+	return s.e.send(s.e.shards[shardIdx], ck)
+}
+
+// SubmitReport stages a copy of r into shard's staged chunk — no frame
+// serialisation, no heap allocation — and, when the shard's sink is a
+// StagedPlanner, plans it there and then; the chunk is queued once it
+// holds ChunkFrames reports. The shard's sink must implement ReportSink.
+func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) error {
+	ck, err := s.structuredChunk(shardIdx)
+	if err != nil {
+		return err
+	}
+	s.e.stage(s.e.shards[shardIdx], ck, r)
+	s.noteStaged(ck, nowNs)
+	return s.queueIfFull(shardIdx, ck)
+}
+
+// SubmitReportFan is SubmitReport of one report to several shards — a
+// replicated fan-out — for the staging price of one: r is staged and
+// planned on shards[0], and the record and its plan are copied into the
+// other shards' chunks. The shards must be distinct and their sinks must
+// plan alike (the caller's guarantee: replicas of one deployment).
+// nows[i] is shards[i]'s clock. No chunk is queued before every copy is
+// staged.
+func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report) error {
+	var first *chunk
+	for i, shardIdx := range shards {
+		ck, err := s.structuredChunk(shardIdx)
+		if err != nil {
+			return err
 		}
-		s.pending[shardIdx] = nil
-		return s.e.send(s.e.shards[shardIdx], ck)
+		if first == nil {
+			s.e.stage(s.e.shards[shardIdx], ck, r)
+			first = ck
+		} else {
+			s.e.restage(ck, first)
+		}
+		s.noteStaged(ck, nows[i])
+	}
+	for _, shardIdx := range shards {
+		if err := s.queueIfFull(shardIdx, s.pending[shardIdx]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -813,7 +904,7 @@ func (e *Engine) run(sh *shard) {
 			for i := range ck.trcs {
 				ck.trcs[i].Stamp(trace.StDequeue)
 			}
-			if failed, err := sh.staged.ProcessStagedBatch(ck.recs, ck.trcs, lastNow); failed > 0 {
+			if failed, err := sh.staged.ProcessStagedBatch(ck.recs, ck.plan, ck.trcs, lastNow); failed > 0 {
 				sh.ctr.errors.Add(uint64(failed))
 				e.recordErr(err)
 			}

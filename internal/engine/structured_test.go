@@ -212,13 +212,15 @@ func (s *nullReportSink) Flush(nowNs uint64) error                         { ret
 type batchRecordSink struct {
 	recordSink
 	chunks  []int    // records per ProcessStagedBatch call
+	nows    []uint64 // clock per ProcessStagedBatch call
 	traceID []uint64 // per record, in arrival order (0 = no valid handle)
 }
 
 var errOddKey = errors.New("odd key")
 
-func (s *batchRecordSink) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+func (s *batchRecordSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
 	s.chunks = append(s.chunks, len(recs))
+	s.nows = append(s.nows, nowNs)
 	for i := range recs {
 		var id uint64
 		if i < len(trcs) {
@@ -322,7 +324,8 @@ func TestPerRecordSinksAreAdapted(t *testing.T) {
 // a fan-out that fills its shard's chunk must not queue that chunk while
 // the fan-out's other legs are still unstaged — a watermark fence
 // draining the engine in between would see the report on one owner and
-// not the other. Full chunks go out at FlushIfFull, after the fan-out.
+// not the other. Full chunks go out when the owner flushes a Full
+// submitter, after the fan-out.
 func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
 	a, b := &reportRecordSink{}, &reportRecordSink{}
 	e := mustEngine(t, []Sink{a, b}, Config{ChunkFrames: 2})
@@ -348,7 +351,10 @@ func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
 		t.Fatalf("shard 0 already ingested %d reports with report 2 unstaged on shard 1", len(a.reports))
 	}
 	fan(2, 1)
-	if err := sub.FlushIfFull(); err != nil {
+	if !sub.Full() {
+		t.Fatal("submitter not Full after a leg filled shard 0's chunk")
+	}
+	if err := sub.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Drain(0); err != nil {
@@ -357,15 +363,203 @@ func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
 	if len(a.reports) != 2 || len(b.reports) != 1 {
 		t.Fatalf("after the fan-out: shard 0 has %d reports, shard 1 has %d; want 2 and 1", len(a.reports), len(b.reports))
 	}
-	// Nothing filled since: FlushIfFull leaves a partial chunk staged.
+	// Nothing filled since: the owner leaves a partial chunk staged.
 	fan(3, 0, 1)
-	if err := sub.FlushIfFull(); err != nil {
-		t.Fatal(err)
+	if sub.Full() {
+		t.Fatal("submitter Full with only partial chunks staged")
 	}
 	if err := e.Drain(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.reports) != 2 || len(b.reports) != 1 {
 		t.Fatalf("a partial chunk was queued: shard 0 has %d reports, shard 1 has %d", len(a.reports), len(b.reports))
+	}
+}
+
+// planSink is a StagedBatchSink + StagedPlanner whose plan is a pure
+// function of the record — redundancy-many slots derived from the key
+// for Key-Writes, nothing for anything else — so the worker side can
+// recompute what each record's entry must be. PlanStaged runs on
+// producers beside the worker: it touches nothing but its arguments.
+type planSink struct {
+	recordSink
+	chunks   int
+	planned  int // chunks that arrived with a plan parallel to recs
+	mistakes []string
+}
+
+func planOf(rec *wire.StagedReport) (prim wire.Primitive, csum uint32, slots []uint32) {
+	if rec.Primitive() != wire.PrimKeyWrite {
+		return 0, 0, nil
+	}
+	key, red := rec.KeyWriteArgs()
+	k := uint32(key.Uint64())
+	for i := uint32(0); i < uint32(red); i++ {
+		slots = append(slots, k*8+i)
+	}
+	return wire.PrimKeyWrite, ^k, slots
+}
+
+func (s *planSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
+	p.Append(planOf(rec))
+}
+
+func (s *planSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (int, error) {
+	s.chunks++
+	s.frames += len(recs)
+	if len(plan.Recs) != len(recs) {
+		return 0, nil
+	}
+	s.planned++
+	for i := range recs {
+		prim, csum, slots := planOf(&recs[i])
+		if len(slots) == 0 {
+			prim, csum = 0, 0 // an unplanned entry is all zero
+		}
+		if got := plan.Recs[i]; got.Prim != prim || got.Csum != csum || int(got.N) != len(slots) || !slices.Equal(plan.SlotsOf(i), slots) {
+			s.mistakes = append(s.mistakes, recs[i].Primitive().String())
+		}
+	}
+	return 0, nil
+}
+
+func kiReport(key uint64) *wire.Report {
+	return &wire.Report{
+		Header:       wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
+		KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: wire.KeyFromUint64(key), Delta: 1},
+	}
+}
+
+// TestSubmitterPlansAtStaging: a sink with a plan entry gets every chunk
+// with a plan parallel to its records — through SubmitReport,
+// EnqueueReport and the fan-out entry, on chunks recycled through the
+// pool with other primitives and redundancies in their slots before —
+// and each entry is exactly what the sink's PlanStaged makes of that
+// record. A per-record sink on the next shard gets no plan at all.
+func TestSubmitterPlansAtStaging(t *testing.T) {
+	a, b, plain := &planSink{}, &planSink{}, &stagedOnlySink{}
+	e := mustEngine(t, []Sink{a, b, plain}, Config{ChunkFrames: 8})
+	sub := e.Submitter()
+	nows := []uint64{0, 0}
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 8; i++ {
+			k := uint64(round*8+i) * 2 // even: stagedOnlySink fails odd keys
+			rep := kwReport(k, []byte{1})
+			rep.KeyWrite.Redundancy = uint8(1 + (round+i)%8)
+			if (round+i)%3 == 0 {
+				rep = kiReport(k) // planSink leaves these unplanned
+			}
+			var err error
+			switch {
+			case round%5 == 4 && i == 0:
+				err = e.EnqueueReport(0, rep, 0)
+			case round%2 == 0:
+				err = sub.SubmitReportFan([]int{0, 1}, nows, rep)
+			default:
+				err = sub.SubmitReport(0, rep, 0)
+				if err == nil {
+					err = sub.SubmitReport(2, rep, 0)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%7 == 0 {
+			if err := sub.Flush(); err != nil { // partial chunks too
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sub.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*planSink{"shard 0": a, "shard 1 (fan-out copies)": b} {
+		if s.chunks == 0 || s.planned != s.chunks {
+			t.Errorf("%s: %d of %d chunks arrived planned", name, s.planned, s.chunks)
+		}
+		if len(s.mistakes) > 0 {
+			t.Errorf("%s: %d records carried another record's plan (first: a %s)", name, len(s.mistakes), s.mistakes[0])
+		}
+	}
+	// Every record reaches shard 0; shard 1 gets the even rounds' fan-outs,
+	// less the five records that went through EnqueueReport instead.
+	if a.frames != 50*8 || b.frames != 25*8-5 {
+		t.Errorf("shard 0 saw %d records, shard 1 %d; want %d and %d", a.frames, b.frames, 50*8, 25*8-5)
+	}
+	if plain.staged == 0 {
+		t.Error("the per-record sink saw nothing")
+	}
+}
+
+// TestFanOutStagesLikeSubmitReport: SubmitReportFan leaves every shard
+// exactly what one SubmitReport per shard would have — records, order,
+// clocks, trace handles per copy, chunk boundaries — on plain and coupled
+// submitters.
+func TestFanOutStagesLikeSubmitReport(t *testing.T) {
+	for _, coupled := range []bool{false, true} {
+		run := func(fan bool) (sinks [3]*batchRecordSink, st Stats) {
+			for i := range sinks {
+				sinks[i] = &batchRecordSink{}
+			}
+			tracer := trace.New(trace.Config{CandidateShift: 1})
+			e := mustEngine(t, []Sink{sinks[0], sinks[1], sinks[2]}, Config{ChunkFrames: 4, Trace: tracer})
+			sub := e.Submitter()
+			sub.SetCoupled(coupled)
+			for i := 0; i < 23; i++ {
+				shards := [][]int{{0, 1, 2}, {2, 0}, {1}, {}}[i%4]
+				nows := []uint64{uint64(i), uint64(i) + 1, uint64(i) + 2}[:len(shards)]
+				rep := kwReport(uint64(i)*2, []byte{byte(i)})
+				if fan {
+					if err := sub.SubmitReportFan(shards, nows, rep); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for j, sh := range shards {
+						if err := sub.SubmitReport(sh, rep, nows[j]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if coupled && sub.Full() {
+					if err := sub.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := sub.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return sinks, e.Stats()
+		}
+		loop, loopStats := run(false)
+		fan, fanStats := run(true)
+		loopStats.Batches, fanStats.Batches = 0, 0 // how the worker woke up: timing
+		if loopStats != fanStats {
+			t.Errorf("coupled=%v: engine stats %+v fanned, %+v looped", coupled, fanStats, loopStats)
+		}
+		for i := range loop {
+			if !slices.Equal(loop[i].chunks, fan[i].chunks) {
+				t.Errorf("coupled=%v shard %d: chunk sizes %v fanned, %v looped", coupled, i, fan[i].chunks, loop[i].chunks)
+			}
+			valid := func(ids []uint64) (out []bool) {
+				for _, id := range ids {
+					out = append(out, id != 0)
+				}
+				return out
+			}
+			if !slices.Equal(valid(loop[i].traceID), valid(fan[i].traceID)) {
+				t.Errorf("coupled=%v shard %d: traced records differ: %v fanned, %v looped", coupled, i, valid(fan[i].traceID), valid(loop[i].traceID))
+			}
+			if !slices.Equal(loop[i].nows, fan[i].nows) {
+				t.Errorf("coupled=%v shard %d: chunk clocks %v fanned, %v looped", coupled, i, fan[i].nows, loop[i].nows)
+			}
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dta/internal/crc"
 )
@@ -49,13 +50,35 @@ type Ring struct {
 	keyEng *crc.Engine // key bytes → 32-bit digest
 	mixEng *crc.Engine // (digest, member) → score; distinct polynomial
 
-	mu      sync.RWMutex
-	members []int // sorted member IDs currently in the ring
+	// view is the membership Owners reads: an immutable snapshot swapped
+	// in whole by every change, so the fan-out hot path takes no lock —
+	// an RWMutex's reader count is itself a cache line every producer
+	// would bounce.
+	view atomic.Pointer[ringView]
+
+	// mu serialises writers; the fields below are theirs.
+	mu sync.Mutex
 	// weights holds per-member capacity weights; absent = 1. skewed
 	// counts members whose weight differs from 1, gating the weighted
 	// scoring path.
 	weights map[int]float64
 	skewed  int
+}
+
+// ringView is one immutable membership snapshot.
+type ringView struct {
+	members []int // sorted member IDs
+	// mix[i] is members[i]'s share of the rendezvous score. The CRC mix
+	// is affine over GF(2), so
+	//
+	//	Sum64Pair(d, id) = Sum64Pair(d, 0) ^ Sum64Pair(0, id) ^ Sum64Pair(0, 0)
+	//
+	// and a lookup mixes the digest once, then XORs one constant per
+	// member instead of running the CRC per member.
+	mix []uint32
+	// weights runs parallel to members; nil while every weight is 1 (the
+	// integer fast path).
+	weights []float64
 }
 
 // NewRing builds a ring over members 0..n-1.
@@ -65,32 +88,54 @@ func NewRing(n int) *Ring {
 		mixEng:  crc.New(crc.Castagnoli),
 		weights: make(map[int]float64),
 	}
-	for i := 0; i < n; i++ {
-		r.members = append(r.members, i)
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
 	}
+	r.publish(members)
 	return r
 }
 
-// Size returns the current member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
+// publish swaps in a snapshot over members (sorted, owned by the
+// snapshot from here on) and the current weights. Writers call it under
+// mu; NewRing before the ring is shared.
+func (r *Ring) publish(members []int) {
+	v := &ringView{members: members, mix: make([]uint32, len(members))}
+	zero := r.mixEng.Sum64Pair(0, 0)
+	for i, id := range members {
+		v.mix[i] = r.mixEng.Sum64Pair(0, uint64(id)) ^ zero
+	}
+	if r.skewed > 0 {
+		v.weights = make([]float64, len(members))
+		for i, id := range members {
+			w, ok := r.weights[id]
+			if !ok {
+				w = 1
+			}
+			v.weights[i] = w
+		}
+	}
+	r.view.Store(v)
 }
+
+// Size returns the current member count.
+func (r *Ring) Size() int { return len(r.view.Load().members) }
 
 // Members returns a copy of the current member set, sorted.
 func (r *Ring) Members() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]int(nil), r.members...)
+	return append([]int(nil), r.view.Load().members...)
+}
+
+// find returns id's position in the sorted member list.
+func (v *ringView) find(id int) (int, bool) {
+	i := sort.SearchInts(v.members, id)
+	return i, i < len(v.members) && v.members[i] == id
 }
 
 // Contains reports whether id is in the ring.
 func (r *Ring) Contains(id int) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	i := sort.SearchInts(r.members, id)
-	return i < len(r.members) && r.members[i] == id
+	_, ok := r.view.Load().find(id)
+	return ok
 }
 
 // Add inserts a member. Adding an existing member is an error: callers
@@ -101,13 +146,15 @@ func (r *Ring) Add(id int) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := sort.SearchInts(r.members, id)
-	if i < len(r.members) && r.members[i] == id {
+	v := r.view.Load()
+	i, ok := v.find(id)
+	if ok {
 		return fmt.Errorf("ha: member %d already in ring", id)
 	}
-	r.members = append(r.members, 0)
-	copy(r.members[i+1:], r.members[i:])
-	r.members[i] = id
+	old := v.members
+	// Snapshots are immutable: the new member list is a fresh slice.
+	members := make([]int, 0, len(old)+1)
+	r.publish(append(append(append(members, old[:i]...), id), old[i:]...))
 	return nil
 }
 
@@ -115,17 +162,20 @@ func (r *Ring) Add(id int) error {
 func (r *Ring) Remove(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := sort.SearchInts(r.members, id)
-	if i >= len(r.members) || r.members[i] != id {
+	v := r.view.Load()
+	i, ok := v.find(id)
+	if !ok {
 		return fmt.Errorf("ha: member %d not in ring", id)
 	}
-	r.members = append(r.members[:i], r.members[i+1:]...)
+	old := v.members
 	if w, ok := r.weights[id]; ok {
 		delete(r.weights, id)
 		if w != 1 {
 			r.skewed--
 		}
 	}
+	members := make([]int, 0, len(old)-1)
+	r.publish(append(append(members, old[:i]...), old[i+1:]...))
 	return nil
 }
 
@@ -139,8 +189,8 @@ func (r *Ring) SetWeight(id int, weight float64) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := sort.SearchInts(r.members, id)
-	if i >= len(r.members) || r.members[i] != id {
+	v := r.view.Load()
+	if _, ok := v.find(id); !ok {
 		return fmt.Errorf("ha: member %d not in ring", id)
 	}
 	old, had := r.weights[id]
@@ -153,21 +203,22 @@ func (r *Ring) SetWeight(id int, weight float64) error {
 		r.skewed++
 	}
 	r.weights[id] = weight
+	r.publish(v.members) // snapshots never mutate members: safe to share
 	return nil
 }
 
 // Weight returns member id's capacity weight (1 when unset).
 func (r *Ring) Weight(id int) float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if w, ok := r.weights[id]; ok {
-		return w
+	v := r.view.Load()
+	if i, ok := v.find(id); ok && v.weights != nil {
+		return v.weights[i]
 	}
 	return 1
 }
 
 // score is the rendezvous weight of member id for a key digest. Ties are
-// broken by member ID below, so scores need not be unique.
+// broken by member ID below, so scores need not be unique. Owners'
+// unweighted loop computes the same value from its affine parts.
 func (r *Ring) score(digest uint32, id int) uint32 {
 	return r.mixEng.Sum64Pair(uint64(digest), uint64(id))
 }
@@ -194,23 +245,25 @@ func (r *Ring) weightedScore(digest uint32, id int, w float64) float64 {
 // (pass a reused slice to avoid allocation) in descending score order,
 // so out[0] is the primary replica. Deterministic for a fixed member
 // set; stable under membership change except for keys the change moves.
+// Lock-free: a lookup racing a membership change sees the set before or
+// after it, whole.
 func (r *Ring) Owners(key []byte, n int, out []int) []int {
 	digest := r.keyEng.Sum(key)
 	if n > MaxReplicas {
 		n = MaxReplicas
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n > len(r.members) {
-		n = len(r.members)
+	v := r.view.Load()
+	if n > len(v.members) {
+		n = len(v.members)
 	}
-	if r.skewed > 0 {
-		return r.weightedOwners(digest, n, out)
+	if v.weights != nil {
+		return r.weightedOwners(v, digest, n, out)
 	}
 	var scores [MaxReplicas]uint32
 	base := len(out)
-	for _, id := range r.members {
-		s := r.score(digest, id)
+	mixed := r.mixEng.Sum64Pair(uint64(digest), 0)
+	for i, id := range v.members {
+		s := mixed ^ v.mix[i]
 		have := len(out) - base
 		// Insertion position among the current top-`have`: descending by
 		// score, ascending by ID on ties (members is sorted, so an equal
@@ -235,17 +288,13 @@ func (r *Ring) Owners(key []byte, n int, out []int) []int {
 }
 
 // weightedOwners is Owners' scoring loop over weighted rendezvous
-// scores. Called under the read lock, only when some weight differs
-// from 1 (the float math costs a log per member per lookup).
-func (r *Ring) weightedOwners(digest uint32, n int, out []int) []int {
+// scores, taken only when some weight differs from 1 (the float math
+// costs a log per member per lookup).
+func (r *Ring) weightedOwners(v *ringView, digest uint32, n int, out []int) []int {
 	var scores [MaxReplicas]float64
 	base := len(out)
-	for _, id := range r.members {
-		w, ok := r.weights[id]
-		if !ok {
-			w = 1
-		}
-		s := r.weightedScore(digest, id, w)
+	for i, id := range v.members {
+		s := r.weightedScore(digest, id, v.weights[i])
 		have := len(out) - base
 		pos := have
 		for pos > 0 && s > scores[pos-1] {

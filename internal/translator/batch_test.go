@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"dta/internal/rdma"
@@ -98,10 +99,23 @@ func mixedChunk(n int, base uint64) []wire.StagedReport {
 	return recs
 }
 
+// planAtStaging is what an engine submitter makes of recs: one PlanStaged
+// per record into p, which is recycled from chunk to chunk.
+func planAtStaging(tr *Translator, recs []wire.StagedReport, p *wire.ChunkPlan) wire.ChunkPlan {
+	p.Reset()
+	for i := range recs {
+		tr.PlanStaged(&recs[i], p)
+	}
+	return *p
+}
+
 // TestBatchPreTouchOnlyReads pins stages A and B as invisible: the same
 // chunks through a translator with the device's pre-touch wired and one
 // without it leave byte-identical stores and counters, and pre-touch is
-// asked for exactly the addresses the craft stage then writes.
+// asked for exactly the addresses the craft stage then writes. The plain
+// translator plans in place, the touched one is handed plans made at
+// staging, so the two ways into stage A are pinned against each other
+// too.
 func TestBatchPreTouchOnlyReads(t *testing.T) {
 	ccfg, tcfg := fullConfig()
 	plain, touched := newRig(t, ccfg, tcfg), newRig(t, ccfg, tcfg)
@@ -125,10 +139,15 @@ func TestBatchPreTouchOnlyReads(t *testing.T) {
 		}
 		emit(pkt)
 	}
+	var recycled wire.ChunkPlan
 	for c := 0; c < 40; c++ {
 		recs := mixedChunk(1+c%(2*batchWindow), uint64(c)*100)
 		for _, r := range []*rig{plain, touched} {
-			if failed, err := r.tr.ProcessStagedBatch(recs, nil, 0); failed != 0 {
+			var plan wire.ChunkPlan
+			if r == touched {
+				plan = planAtStaging(r.tr, recs, &recycled)
+			}
+			if failed, err := r.tr.ProcessStagedBatch(recs, plan, nil, 0); failed != 0 {
 				t.Fatalf("chunk %d: %d records failed: %v", c, failed, err)
 			}
 		}
@@ -187,8 +206,16 @@ func TestProcessStagedBatchZeroAllocs(t *testing.T) {
 	r := newRig(t, ccfg, tcfg)
 	r.tr.PreTouch = r.host.Device().PreTouch
 	recs := mixedChunk(4*batchWindow+10, 0) // four windows and a bit
+	var plan wire.ChunkPlan
+	planned := false
 	epoch := func() {
-		if failed, err := r.tr.ProcessStagedBatch(recs, nil, 0); failed != 0 {
+		// Alternate the two ways into stage A: planned in place, and
+		// planned as a submitter does it, into a recycled array.
+		var p wire.ChunkPlan
+		if planned = !planned; planned {
+			p = planAtStaging(r.tr, recs, &plan)
+		}
+		if failed, err := r.tr.ProcessStagedBatch(recs, p, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
 		for _, f := range []func(uint64) error{r.tr.FlushAppend, r.tr.FlushKeyIncrements, r.tr.DrainPostcards} {
@@ -198,6 +225,7 @@ func TestProcessStagedBatchZeroAllocs(t *testing.T) {
 		}
 	}
 	epoch() // warm-up: stashes, drain scratch
+	epoch() // and the plan array
 	before := r.tr.Stats()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(500, epoch)
@@ -207,5 +235,89 @@ func TestProcessStagedBatchZeroAllocs(t *testing.T) {
 	st := r.tr.Stats()
 	if st.PostcardEmits == before.PostcardEmits || st.AppendFlushes == before.AppendFlushes || st.KIAggregated == before.KIAggregated {
 		t.Fatalf("chunk did not exercise every emit path: %+v", st)
+	}
+}
+
+// TestPlanIgnoresSlotHistory is TestStageIgnoresSlotHistory for the plan
+// array: a chunk's plan is recycled with the chunk, so every entry must
+// be written whole whether or not its record is planned. A recycled
+// array last used by a chunk of redundancy-8 Key-Writes is planned over
+// with mixed primitives; the result must equal a fresh array's, entry for
+// entry, and drive the translator to the same packets as planning in
+// place — a postcard or an append sitting where a Key-Write's entry was
+// must not inherit its slots.
+func TestPlanIgnoresSlotHistory(t *testing.T) {
+	ccfg, tcfg := fullConfig()
+	inPlace, staged := newRig(t, ccfg, tcfg), newRig(t, ccfg, tcfg)
+	var packets [2][][]byte
+	for i, r := range []*rig{inPlace, staged} {
+		emit := r.tr.Emit
+		r.tr.Emit = func(pkt []byte) {
+			packets[i] = append(packets[i], append([]byte(nil), pkt...))
+			emit(pkt)
+		}
+	}
+	wide := make([]wire.StagedReport, 2*batchWindow)
+	for i := range wide {
+		rep := wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+			KeyWrite: wire.KeyWrite{Redundancy: 8, Key: key(uint64(9000 + i))}, Data: []byte{9, 9, 9, 9}}
+		wide[i].Stage(&rep)
+	}
+	var recycled wire.ChunkPlan
+	for round := 0; round < 6; round++ {
+		planAtStaging(staged.tr, wide, &recycled) // the array's previous life
+		for i := range recycled.Recs[:cap(recycled.Recs)] {
+			recycled.Recs[:cap(recycled.Recs)][i].N = 8 // and worse than it could be
+		}
+		recs := mixedChunk(batchWindow+round*7, uint64(round)*1000)
+		var fresh wire.ChunkPlan
+		want, got := planAtStaging(staged.tr, recs, &fresh), planAtStaging(staged.tr, recs, &recycled)
+		if len(got.Recs) != len(recs) || len(got.Recs) != len(want.Recs) {
+			t.Fatalf("round %d: %d plan entries for %d records (fresh array: %d)", round, len(got.Recs), len(recs), len(want.Recs))
+		}
+		for i := range recs {
+			planned := recs[i].Primitive() == wire.PrimKeyWrite || recs[i].Primitive() == wire.PrimKeyIncrement
+			if got.Recs[i] != want.Recs[i] || (got.Recs[i].N > 0) != planned {
+				t.Fatalf("round %d record %d (%v): recycled entry %+v, fresh %+v", round, i, recs[i].Primitive(), got.Recs[i], want.Recs[i])
+			}
+			if !slices.Equal(got.SlotsOf(i), want.SlotsOf(i)) {
+				t.Fatalf("round %d record %d: recycled slots %v, fresh %v", round, i, got.SlotsOf(i), want.SlotsOf(i))
+			}
+		}
+		if failed, err := inPlace.tr.ProcessStagedBatch(recs, wire.ChunkPlan{}, nil, 0); failed != 0 {
+			t.Fatal(err)
+		}
+		if failed, err := staged.tr.ProcessStagedBatch(recs, got, nil, 0); failed != 0 {
+			t.Fatal(err)
+		}
+	}
+	if len(packets[0]) == 0 || len(packets[0]) != len(packets[1]) {
+		t.Fatalf("%d packets planned in place, %d planned at staging", len(packets[0]), len(packets[1]))
+	}
+	for i := range packets[0] {
+		if !bytes.Equal(packets[0][i], packets[1][i]) {
+			t.Fatalf("packet %d differs between planning in place and at staging", i)
+		}
+	}
+}
+
+// TestMisalignedPlanIsIgnored: a plan that does not run parallel to the
+// records (a sink handed a chunk it did not plan) is not trusted — the
+// chunk is planned in place.
+func TestMisalignedPlanIsIgnored(t *testing.T) {
+	ccfg, tcfg := fullConfig()
+	a, b := newRig(t, ccfg, tcfg), newRig(t, ccfg, tcfg)
+	recs := mixedChunk(batchWindow, 0)
+	var p wire.ChunkPlan
+	short := planAtStaging(a.tr, recs[:batchWindow-1], &p)
+	if failed, err := a.tr.ProcessStagedBatch(recs, short, nil, 0); failed != 0 {
+		t.Fatal(err)
+	}
+	if failed, err := b.tr.ProcessStagedBatch(recs, wire.ChunkPlan{}, nil, 0); failed != 0 {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.host.KeyWriteStore().Buffer(), b.host.KeyWriteStore().Buffer()) ||
+		!bytes.Equal(a.host.KeyIncrementStore().Buffer(), b.host.KeyIncrementStore().Buffer()) {
+		t.Fatal("a misaligned plan changed what was written")
 	}
 }

@@ -312,11 +312,11 @@ type Translator struct {
 	// plain field is race-free.
 	traceH trace.Handle
 
-	// plan, kwVAs and kiVAs are the address-generation scratch of the
-	// window being processed: plan[i] says which run of kwVAs (Key-Write)
-	// or kiVAs (Key-Increment) holds record i's slot addresses. Fixed
-	// capacity (batchWindow records × max redundancy), so planning never
-	// allocates.
+	// plan, kwVAs and kiVAs are the window being processed, its planned
+	// slot indexes turned into addresses (place): plan[i] says which run
+	// of kwVAs (Key-Write) or kiVAs (Key-Increment) holds record i's.
+	// Fixed capacity (batchWindow records × max redundancy), so a window
+	// never allocates.
 	plan  [batchWindow]slotPlan
 	kwVAs []uint64
 	kiVAs []uint64
@@ -332,11 +332,13 @@ type Translator struct {
 // line is still resident when its record is crafted.
 const batchWindow = 32
 
-// slotPlan is address generation's result for one record.
+// slotPlan is one record's wire.StagedPlan with its slot indexes turned
+// into remote addresses.
 type slotPlan struct {
-	start uint16 // first of the record's addresses in kwVAs / kiVAs
-	n     uint8  // replicas planned; 0 = not planned, craft decides alone
-	csum  uint32 // Key-Write key checksum
+	start uint16         // first of the record's addresses in kwVAs / kiVAs
+	n     uint8          // replicas planned; 0 = not planned, craft decides alone
+	prim  wire.Primitive // which of the two: craft honours a plan only for the primitive it was made for
+	csum  uint32         // Key-Write key checksum
 }
 
 // SetTraceHandle installs the trace handle for the NEXT report processed
@@ -548,18 +550,24 @@ func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
 
 // ProcessStagedBatch translates a chunk of staged records — the hottest
 // ingest entry: the engine's shard workers hand every dequeued chunk
-// here — in windows of three stages:
+// here — in three stages:
 //
-//	A. address generation: every Key-Write and (non-aggregated)
-//	   Key-Increment record's n slot addresses and key checksum are
-//	   hashed once into the translator's scratch, side-effect free;
-//	B. pre-touch: the collector device loads one byte from each of those
-//	   addresses in a loop that does nothing else, so the window's
-//	   destination-line misses overlap instead of each stalling the
-//	   instruction after its own store;
+//	A. address generation (planRecord): every Key-Write and
+//	   (non-aggregated) Key-Increment record's n slot indexes and key
+//	   checksum, hashed once, side-effect free. It reads nothing but the
+//	   record and immutable configuration, so the engine runs it where the
+//	   record is staged — on the submitting goroutine, through PlanStaged
+//	   — and the result arrives here as plan. A chunk that arrives without
+//	   one (plan.Recs not parallel to recs: chunks of one, frame chunks,
+//	   WAL replay) is planned in place, window by window, by the same
+//	   function;
+//	B. pre-touch, per window of batchWindow records: the collector device
+//	   loads one byte from each planned address in a loop that does
+//	   nothing else, so the window's destination-line misses overlap
+//	   instead of each stalling the instruction after its own store;
 //	C. craft/emit: per record, in order, exactly the single-record
 //	   sequence (WAL hook → limiter → craft/repatch → Emit → ack), reading
-//	   the cached addresses instead of re-hashing.
+//	   the planned addresses instead of re-hashing.
 //
 // Stages A and B skip what C will not deterministically write:
 // aggregated Key-Increments (the emitted slot belongs to the evicted
@@ -572,12 +580,20 @@ func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
 // earliest error. Processing is semantically identical to ProcessReport
 // on each record's View (a full report is materialised lazily only if a
 // rate-limit drop must raise a NACK).
-func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	planned := len(plan.Recs) == len(recs)
 	for base := 0; base < len(recs); base += batchWindow {
 		w := recs[base:min(base+batchWindow, len(recs))]
 		t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
 		for i := range w {
-			t.planRecord(i, &w[i])
+			if planned {
+				// No look at the record: its lines are still on their way
+				// over from the producer's core.
+				h := &plan.Recs[base+i]
+				t.place(i, h.Prim, h.Csum, plan.SlotsOf(base+i))
+			} else {
+				t.planInPlace(i, &w[i])
+			}
 		}
 		t.preTouch()
 		for i := range w {
@@ -597,21 +613,24 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, trcs []trace.H
 }
 
 // ProcessStaged is ProcessStagedBatch for a chunk of one (synchronous
-// reporters, tools, benchmarks). The record's trace handle, if any, was
-// installed by SetTraceHandle.
+// reporters, tools, benchmarks), planned in place. The record's trace
+// handle, if any, was installed by SetTraceHandle.
 func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 	t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
-	t.planRecord(0, s)
+	t.planInPlace(0, s)
 	t.preTouch()
 	err := t.craft(0, s, nowNs)
 	t.publish()
 	return err
 }
 
-// planRecord is stage A for window slot i. It reads configuration and
-// the record, and writes only the planning scratch.
-func (t *Translator) planRecord(i int, s *wire.StagedReport) {
-	var p slotPlan
+// planRecord is stage A, the one place a staged record's slots are
+// hashed: it appends the indexes of the slots s will write to dst and
+// says whose store they index and, for a Key-Write, the key checksum.
+// Nothing appended (prim 0) means not planned: Key-Increment under
+// aggregation, postcards, appends, a disabled primitive, redundancy 0.
+// It reads the record and configuration fixed at New, nothing else.
+func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uint32, prim wire.Primitive, csum uint32) {
 	switch s.Primitive() {
 	case wire.PrimKeyWrite:
 		if t.kwIdx == nil {
@@ -619,8 +638,7 @@ func (t *Translator) planRecord(i int, s *wire.StagedReport) {
 		}
 		key, red := s.KeyWriteArgs()
 		if n := t.kwRedundancy(int(red)); n > 0 {
-			p = slotPlan{start: uint16(len(t.kwVAs)), n: uint8(n), csum: t.kwIdx.Checksum(*key)}
-			t.kwVAs = t.kwSlots(t.kwVAs, key, n)
+			return t.kwSlots(dst, key, n), wire.PrimKeyWrite, t.kwIdx.Checksum(*key)
 		}
 	case wire.PrimKeyIncrement:
 		if t.kiIdx == nil || t.kiAgg != nil {
@@ -628,11 +646,57 @@ func (t *Translator) planRecord(i int, s *wire.StagedReport) {
 		}
 		key, red, _ := s.KeyIncrementArgs()
 		if n := kiRedundancy(int(red)); n > 0 {
-			p = slotPlan{start: uint16(len(t.kiVAs)), n: uint8(n)}
-			t.kiVAs = t.kiSlots(t.kiVAs, key, n)
+			return t.kiSlots(dst, key, n), wire.PrimKeyIncrement, 0
 		}
 	}
-	t.plan[i] = p
+	return dst, 0, 0
+}
+
+// PlanStaged is planRecord as the engine's staging side calls it
+// (engine.StagedPlanner): it appends s's plan to p. Any number of
+// goroutines may plan against one translator while its owner translates,
+// and translators of equal geometry (PlansLike) plan identically.
+func (t *Translator) PlanStaged(s *wire.StagedReport, p *wire.ChunkPlan) {
+	start := len(p.Slots)
+	slots, prim, csum := t.planRecord(s, p.Slots)
+	p.Slots = slots
+	p.Planned(prim, csum, start)
+}
+
+// planInPlace is planRecord for window slot i of a chunk that arrived
+// without a plan.
+func (t *Translator) planInPlace(i int, s *wire.StagedReport) {
+	var buf [max(keywrite.MaxRedundancy, keyincrement.MaxRedundancy)]uint32
+	slots, prim, csum := t.planRecord(s, buf[:0])
+	t.place(i, prim, csum, slots)
+}
+
+// place turns window slot i's planned slot indexes into the remote
+// addresses stages B and C read: one multiply-add per replica.
+func (t *Translator) place(i int, prim wire.Primitive, csum uint32, slots []uint32) {
+	e := slotPlan{prim: prim, n: uint8(len(slots)), csum: csum}
+	switch prim {
+	case wire.PrimKeyWrite:
+		e.start = uint16(len(t.kwVAs))
+		t.kwVAs = t.kwAddrs(t.kwVAs, slots)
+	case wire.PrimKeyIncrement:
+		e.start = uint16(len(t.kiVAs))
+		t.kiVAs = t.kiAddrs(t.kiVAs, slots)
+	}
+	t.plan[i] = e
+}
+
+// PlansLike reports whether o plans every record exactly as t does, so
+// that one PlanStaged result serves both (an HA fan-out plans once for
+// all owners).
+func (t *Translator) PlansLike(o *Translator) bool {
+	if (t.kwIdx == nil) != (o.kwIdx == nil) || (t.kiIdx == nil) != (o.kiIdx == nil) || (t.kiAgg == nil) != (o.kiAgg == nil) {
+		return false
+	}
+	if t.kwIdx != nil && (*t.cfg.KeyWrite != *o.cfg.KeyWrite || t.cfg.MaxKWRedundancy != o.cfg.MaxKWRedundancy) {
+		return false
+	}
+	return t.kiIdx == nil || *t.cfg.KeyIncrement == *o.cfg.KeyIncrement
 }
 
 // preTouch is stage B.
@@ -667,7 +731,7 @@ func (t *Translator) craftStaged(i int, s *wire.StagedReport, nowNs uint64) erro
 	switch s.Primitive() {
 	case wire.PrimKeyWrite:
 		t.pend.kwReports++
-		if p := t.plan[i]; p.n > 0 {
+		if p := t.plan[i]; p.prim == wire.PrimKeyWrite {
 			vas := t.kwVAs[p.start : p.start+uint16(p.n)]
 			return t.emitKeyWrite(vas, p.csum, s.Flags(), s.Payload(), nackRef{s: s}, nowNs)
 		}
@@ -677,7 +741,7 @@ func (t *Translator) craftStaged(i int, s *wire.StagedReport, nowNs uint64) erro
 	case wire.PrimKeyIncrement:
 		t.pend.kiReports++
 		key, red, delta := s.KeyIncrementArgs()
-		if p := t.plan[i]; p.n > 0 {
+		if p := t.plan[i]; p.prim == wire.PrimKeyIncrement {
 			return t.emitFetchAdds(t.kiVAs[p.start:p.start+uint16(p.n)], delta, nowNs)
 		}
 		// Not planned: disabled, nothing to write, or aggregated.
@@ -775,10 +839,18 @@ func (t *Translator) kwRedundancy(n int) int {
 	return min(n, keywrite.MaxRedundancy)
 }
 
-// kwSlots appends the remote addresses of key's first n Key-Write slots.
-func (t *Translator) kwSlots(dst []uint64, key *wire.Key, n int) []uint64 {
+// kwSlots appends the indexes of key's first n Key-Write slots.
+func (t *Translator) kwSlots(dst []uint32, key *wire.Key, n int) []uint32 {
 	for i := 0; i < n; i++ {
-		dst = append(dst, t.kwReg.VA+uint64(t.kwIdx.Offset(t.kwIdx.Slot(i, *key))))
+		dst = append(dst, uint32(t.kwIdx.Slot(i, *key)))
+	}
+	return dst
+}
+
+// kwAddrs appends the remote addresses of Key-Write slots.
+func (t *Translator) kwAddrs(dst []uint64, slots []uint32) []uint64 {
+	for _, slot := range slots {
+		dst = append(dst, t.kwReg.VA+uint64(t.kwIdx.Offset(uint64(slot))))
 	}
 	return dst
 }
@@ -793,8 +865,9 @@ func (t *Translator) keyWriteArgs(key *wire.Key, n int, flags uint8, data []byte
 	if n < 1 {
 		return nil
 	}
-	var buf [keywrite.MaxRedundancy]uint64
-	return t.emitKeyWrite(t.kwSlots(buf[:0], key, n), t.kwIdx.Checksum(*key), flags, data, src, nowNs)
+	var slots [keywrite.MaxRedundancy]uint32
+	var vas [keywrite.MaxRedundancy]uint64
+	return t.emitKeyWrite(t.kwAddrs(vas[:0], t.kwSlots(slots[:0], key, n)), t.kwIdx.Checksum(*key), flags, data, src, nowNs)
 }
 
 // emitKeyWrite writes the slot image (checksum csum, value data) to
@@ -836,10 +909,18 @@ func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data [
 // report adds nothing.
 func kiRedundancy(n int) int { return min(n, keyincrement.MaxRedundancy) }
 
-// kiSlots appends the remote addresses of key's first n counters.
-func (t *Translator) kiSlots(dst []uint64, key *wire.Key, n int) []uint64 {
+// kiSlots appends the indexes of key's first n counters.
+func (t *Translator) kiSlots(dst []uint32, key *wire.Key, n int) []uint32 {
 	for i := 0; i < n; i++ {
-		dst = append(dst, t.kiReg.VA+uint64(t.kiIdx.Offset(t.kiIdx.Slot(i, *key))))
+		dst = append(dst, uint32(t.kiIdx.Slot(i, *key)))
+	}
+	return dst
+}
+
+// kiAddrs appends the remote addresses of counters.
+func (t *Translator) kiAddrs(dst []uint64, slots []uint32) []uint64 {
+	for _, slot := range slots {
+		dst = append(dst, t.kiReg.VA+uint64(t.kiIdx.Offset(uint64(slot))))
 	}
 	return dst
 }
@@ -869,8 +950,9 @@ func (t *Translator) fetchAddKey(ki *wire.KeyIncrement, nowNs uint64) error {
 	if n < 1 {
 		return nil
 	}
-	var buf [keyincrement.MaxRedundancy]uint64
-	return t.emitFetchAdds(t.kiSlots(buf[:0], &ki.Key, n), ki.Delta, nowNs)
+	var slots [keyincrement.MaxRedundancy]uint32
+	var vas [keyincrement.MaxRedundancy]uint64
+	return t.emitFetchAdds(t.kiAddrs(vas[:0], t.kiSlots(slots[:0], &ki.Key, n)), ki.Delta, nowNs)
 }
 
 // emitFetchAdds adds delta to the counter at every address in vas.
