@@ -156,11 +156,10 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 	if hac != nil {
 		// A replicated fan-out plans once for all its owners
 		// (haFanReport), which is only right while every member plans
-		// alike. Members are built from one Options value; a mismatch is a
-		// construction bug, reported here rather than as diverging stores.
+		// alike — what HACluster.attach admitted them on.
 		for i, s := range systems[1:] {
-			if !systems[0].tr.PlansLike(s.tr) {
-				return nil, fmt.Errorf("dta: collector %d's store geometry differs from collector 0's: HA members must plan alike", i+1)
+			if err := checkMember(systems[0], s, i+1); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -12,7 +12,10 @@ import (
 	"math/rand"
 
 	"dta/internal/chaos"
+	"dta/internal/collector"
 	"dta/internal/core/keyincrement"
+	"dta/internal/core/keywrite"
+	"dta/internal/core/postcarding"
 	"dta/internal/ha"
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
@@ -245,7 +248,9 @@ func NewHACluster(n, r int, opts Options) (*HACluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.attach(sys)
+		if _, err := c.attach(sys); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -278,13 +283,42 @@ func (c *HACluster) noteReadRepair(repaired int) {
 
 // attach registers a collector system and hooks its RDMA emit path into
 // a fresh dirty tracker, so every write is epoch-tagged for incremental
-// resync. Called before the system sees any traffic.
-func (c *HACluster) attach(sys *System) int {
+// resync. Called before the system sees any traffic. It refuses a system
+// unlike member 0: a replicated write and a failover read each plan once
+// for all their owners.
+func (c *HACluster) attach(sys *System) (int, error) {
+	id := len(c.systems)
+	if id > 0 {
+		if err := checkMember(c.systems[0], sys, id); err != nil {
+			return 0, err
+		}
+	}
 	tk := ha.NewTracker(c.health, sys.Host().Listener().Regions)
 	sys.markDirty = tk.MarkPacket
 	c.systems = append(c.systems, sys)
 	c.trackers = append(c.trackers, tk)
-	return len(c.systems) - 1
+	return id, nil
+}
+
+// checkMember refuses collector id unless its stores have member 0's
+// geometry, so that slots planned against one index the other: Key-Write
+// and Key-Increment through Translator.PlansLike, Postcarding and Append
+// by configuration. Members are built from one Options value; a mismatch
+// is a construction bug, reported rather than left to show as diverging
+// stores.
+func checkMember(first, sys *System, id int) error {
+	a, b := first.tr.Config(), sys.tr.Config()
+	alike := first.tr.PlansLike(sys.tr) && (a.Postcarding == nil) == (b.Postcarding == nil) && (a.Append == nil) == (b.Append == nil)
+	if p, q := a.Postcarding, b.Postcarding; alike && p != nil {
+		alike = p.Chunks == q.Chunks && p.Hops == q.Hops && p.SlotBits == q.SlotBits && slices.Equal(p.Values, q.Values)
+	}
+	if alike && a.Append != nil {
+		alike = *a.Append == *b.Append
+	}
+	if !alike {
+		return fmt.Errorf("dta: collector %d's store geometry differs from collector 0's: HA members must plan alike", id)
+	}
+	return nil
 }
 
 // capture snapshots collector id's stores together with the replication
@@ -732,10 +766,14 @@ func (c *HACluster) AddCollector() (int, error) {
 		// the newcomer missed the whole history.
 		c.walMark[id] = make(map[int]uint64)
 	}
+	if _, err := c.attach(sys); err != nil {
+		_ = sys.CloseWAL() // refused: nothing else holds sys, there is nothing to sync
+		delete(c.walMark, id)
+		return 0, err
+	}
 	if err := c.ring.Add(id); err != nil {
 		return 0, err
 	}
-	c.attach(sys)
 	epoch := c.health.BumpEpoch()
 	c.stale[id] = 0 // the newcomer missed everything: full replay
 	// The newcomer's join→resync arc chains like a rejoin's.
@@ -1165,143 +1203,107 @@ func (c *HACluster) Engine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// lookupState tracks one failover query across replicas.
-type lookupState struct {
-	degraded        bool // some owner was down or stale
-	queried         int  // live replicas consulted
+// replicaRead is one failover query between its stages. The three
+// lookups read the way the fan-out writes: scan classifies the owners;
+// the key is hashed once, against member 0's indexer (attach admits only
+// members of one geometry, so the plan serves every owner); one byte is
+// loaded from every live owner's planned lines before any is read, so
+// the R × n cache misses overlap instead of queueing behind each owner's
+// vote; then each owner answers from the planned slots, the answers are
+// merged, and owners found diverging are repaired. Fixed-size so the
+// no-divergence fast path allocates nothing.
+type replicaRead struct {
+	ob     [ha.MaxReplicas]int
+	owners []int
+	// live[i] is owner i's collector when it is up, nil when it is down;
+	// staleRep and answered say whether a live owner is stale and whether
+	// it had an answer.
+	live     [ha.MaxReplicas]*System
+	staleRep [ha.MaxReplicas]bool
+	answered [ha.MaxReplicas]bool
+
+	skipped         int // owners down or stale
+	queried         int // live replicas consulted
+	fresh           int // fresh replicas that answered
 	primaryAnswered bool
 }
 
-func (c *HACluster) record(st *lookupState) {
-	skipped := 0
-	if st.degraded {
-		skipped = 1
-	}
-	c.health.RecordQuery(skipped, st.queried > 0, st.primaryAnswered)
-}
-
-// replicaScan is the per-owner view one failover query collects before
-// merging: which owners are live, which of those are stale, and what
-// each answered. Fixed-size so the no-divergence fast path allocates
-// nothing.
-type replicaScan struct {
-	live     [ha.MaxReplicas]bool
-	staleRep [ha.MaxReplicas]bool
-	answered [ha.MaxReplicas]bool
-}
-
-// scanOwner classifies owner index oi (collector o) and reports whether
-// it should be consulted. Down owners are skipped; stale live owners ARE
-// consulted — their divergence is exactly what read-repair heals — but
-// marked so the merge can prefer fresh answers.
-func (c *HACluster) scanOwner(sc *replicaScan, st *lookupState, oi, o int) bool {
-	if c.health.IsDown(o) {
-		st.degraded = true
-		return false
-	}
-	_, isStale := c.stale[o]
-	if isStale {
-		st.degraded = true
-	}
-	sc.live[oi] = true
-	sc.staleRep[oi] = isStale
-	st.queried++
-	return true
-}
-
-// markKeyWrite, markKeyIncrement and markPostcard stamp read-repaired
-// slots in collector o's dirty tracker, so a later incremental resync
-// treating o as a peer replays them.
-func (c *HACluster) markKeyWrite(o int, key Key, n int) {
-	tk := c.trackers[o]
-	if tk == nil {
-		return
-	}
-	x := c.systems[o].Host().KeyWriteStore().Indexer()
-	size := x.Config().SlotSize()
-	for i := 0; i < n; i++ {
-		tk.MarkRange("keywrite", x.Offset(x.Slot(i, key)), size)
-	}
-}
-
-func (c *HACluster) markKeyIncrement(o int, key Key, n int) {
-	tk := c.trackers[o]
-	if tk == nil {
-		return
-	}
-	x := c.systems[o].Host().KeyIncrementStore().Indexer()
-	for i := 0; i < n; i++ {
-		tk.MarkRange("keyincrement", x.Offset(x.Slot(i, key)), keyincrement.CounterSize)
-	}
-}
-
-func (c *HACluster) markPostcard(o int, key Key, n int) {
-	tk := c.trackers[o]
-	if tk == nil {
-		return
-	}
-	pcs := c.systems[o].Host().PostcardingStore()
-	size := pcs.Coder().Config().ChunkBytes()
-	for j := 0; j < n; j++ {
-		tk.MarkRange("postcarding", pcs.ChunkOffset(pcs.Coder().Chunk(j, key)), size)
-	}
-}
-
-// LookupValue queries the Key-Write stores of every live owner of key
-// and plurality-merges the answers: fresh replicas outvote stale ones
-// (stale answers are used only when no fresh replica has one), and ties
-// favour the earliest answer in owner order — the primary when it
-// answered, including a stale primary when only stale replicas answer.
-// Owners found disagreeing with the winner — and stale owners with no
-// answer at all, which most likely missed the write — are read-repaired:
-// the winning value is written back into their slots before returning,
-// so a failover query leaves the live replicas converged (see repairSet
-// for why a fresh owner without an answer is left untouched). Returns
-// ErrAllReplicasDown when no owner is live.
-func (c *HACluster) LookupValue(key Key, n int) ([]byte, bool, error) {
-	var ob [ha.MaxReplicas]int
-	owners := c.owners(key[:], ob[:0])
-	c.mu.RLock()
-	var st lookupState
-	var sc replicaScan
-	var answers [ha.MaxReplicas][]byte
-	fresh := 0
-	for oi, o := range owners {
-		if !c.scanOwner(&sc, &st, oi, o) {
+// scan is the first stage of every failover query, under c.mu's read
+// side: it classifies key's owners. Down owners are skipped; stale live
+// owners ARE consulted — their divergence is exactly what read-repair
+// heals — but marked so the merge can prefer fresh answers. planErr is
+// what planning the query against member 0 returned (members hold stores
+// of one geometry, so it speaks for every owner): a query that cannot be
+// planned fails at its first live owner, and one with no live owner with
+// ErrAllReplicasDown. On an error scan has unlocked and accounted the
+// query.
+func (c *HACluster) scan(rd *replicaRead, planErr error) error {
+	for oi, o := range rd.owners {
+		if c.health.IsDown(o) {
+			rd.skipped++
 			continue
 		}
-		data, ok, err := c.systems[o].LookupValue(key, n)
-		if err != nil {
-			c.mu.RUnlock()
-			c.record(&st)
-			return nil, false, err
+		if _, rd.staleRep[oi] = c.stale[o]; rd.staleRep[oi] {
+			rd.skipped++
 		}
-		if ok {
-			answers[oi], sc.answered[oi] = data, true
-			if !sc.staleRep[oi] {
-				fresh++
-				if oi == 0 {
-					st.primaryAnswered = true
-				}
-			}
+		rd.live[oi] = c.systems[o]
+		rd.queried++
+		if planErr != nil {
+			break
 		}
 	}
-	c.record(&st)
-	if st.queried == 0 {
+	if rd.queried == 0 {
+		planErr = ErrAllReplicasDown
+	}
+	if planErr != nil {
 		c.mu.RUnlock()
-		return nil, false, ErrAllReplicasDown
+		c.record(rd)
 	}
-	// Merge over fresh answers when any exist; stale answers (from
-	// replicas that missed writes while down) are a last resort.
-	useStale := fresh == 0
+	return planErr
+}
+
+// note records owner oi's answer (or lack of one) for the merge.
+func (rd *replicaRead) note(oi int, ok bool) {
+	if !ok {
+		return
+	}
+	rd.answered[oi] = true
+	if !rd.staleRep[oi] {
+		rd.fresh++
+		if oi == 0 {
+			rd.primaryAnswered = true
+		}
+	}
+}
+
+func (c *HACluster) record(rd *replicaRead) {
+	c.health.RecordQuery(rd.skipped, rd.queried > 0, rd.primaryAnswered)
+}
+
+// plurality is the merge of Key-Write and Postcarding: the answer most
+// owners gave, where fresh replicas outvote stale ones (stale answers —
+// from replicas that missed writes while down — count only when no fresh
+// replica has one) and ties favour the earliest answer in owner order:
+// the primary when it answered, including a stale primary when only
+// stale replicas answer. It returns the winning owner's index, or -1
+// when nobody answered, and with it the owners to read-repair: every
+// live replica whose answer differs from the winner's (observed
+// divergence), plus live STALE replicas with no answer at all — a stale
+// replica most likely missed the write while down. A live FRESH replica
+// with no answer is deliberately left alone: the usual cause is a
+// colliding key legitimately occupying the slot (last-writer-wins), and
+// "repairing" it would resurrect the older key over the newer one and
+// set up a repair ping-pong between the two.
+func (rd *replicaRead) plurality(equal func(i, j int) bool) (best int, repair [ha.MaxReplicas]bool, repairs int) {
+	useStale := rd.fresh == 0
 	best, votes := -1, 0
-	for i := range owners {
-		if !sc.answered[i] || sc.staleRep[i] != useStale {
+	for i := range rd.owners {
+		if !rd.answered[i] || rd.staleRep[i] != useStale {
 			continue
 		}
 		v := 1
-		for j := i + 1; j < len(owners); j++ {
-			if sc.answered[j] && sc.staleRep[j] == useStale && bytes.Equal(answers[i], answers[j]) {
+		for j := i + 1; j < len(rd.owners); j++ {
+			if rd.answered[j] && rd.staleRep[j] == useStale && equal(i, j) {
 				v++
 			}
 		}
@@ -1309,6 +1311,84 @@ func (c *HACluster) LookupValue(key Key, n int) ([]byte, bool, error) {
 			best, votes = i, v
 		}
 	}
+	if best < 0 {
+		return best, repair, 0
+	}
+	for i := range rd.owners { // answered or stale implies live
+		if rd.answered[i] && i != best && !equal(i, best) || !rd.answered[i] && rd.staleRep[i] {
+			repair[i] = true
+			repairs++
+		}
+	}
+	return best, repair, repairs
+}
+
+// repair is the last stage of a query that observed divergence: write
+// applies the merged answer to each owner in set that is still up. It
+// runs under the write lock, which orders repairs against other queries
+// and Rebalance captures. Producers are a non-issue by contract, not by
+// lock — queries were never safe concurrently with ingest (they read the
+// same raw store buffers the writers mutate), so no acknowledged write
+// can land between the merge and the repair.
+func (c *HACluster) repair(rd *replicaRead, set *[ha.MaxReplicas]bool, write func(o int) error) {
+	c.mu.Lock()
+	repaired := 0
+	for i, o := range rd.owners {
+		if set[i] && !c.health.IsDown(o) && write(o) == nil {
+			repaired++
+		}
+	}
+	c.health.RecordReadRepair(repaired)
+	c.mu.Unlock()
+	c.noteReadRepair(repaired)
+}
+
+// markRepaired stamps read-repaired slots (size bytes each, at offset)
+// in collector o's dirty tracker, so a later incremental resync treating
+// o as a peer replays them.
+func (c *HACluster) markRepaired(o int, region string, slots []uint64, offset func(slot uint64) int, size int) {
+	if tk := c.trackers[o]; tk != nil {
+		for _, slot := range slots {
+			tk.MarkRange(region, offset(slot), size)
+		}
+	}
+}
+
+// LookupValue queries the Key-Write stores of every live owner of key
+// and plurality-merges the answers (see plurality). Owners found
+// disagreeing with the winner — and stale owners with no answer at all —
+// are read-repaired: the winning value is written back into their slots
+// before returning, so a failover query leaves the live replicas
+// converged. Returns ErrAllReplicasDown when no owner is live.
+func (c *HACluster) LookupValue(key Key, n int) ([]byte, bool, error) {
+	var rd replicaRead
+	var sb [keywrite.MaxRedundancy]uint64
+	var slots []uint64
+	var csum uint32
+	var answers [ha.MaxReplicas][]byte
+	rd.owners = c.owners(key[:], rd.ob[:0])
+	c.mu.RLock()
+	err := collector.ErrDisabled
+	if kw := c.systems[0].Host().KeyWriteStore(); kw != nil {
+		slots, csum, err = kw.Indexer().Plan(key, n, sb[:0])
+	}
+	if err = c.scan(&rd, err); err != nil {
+		return nil, false, err
+	}
+	for _, sys := range rd.live {
+		if sys != nil {
+			sys.Host().KeyWriteStore().Touch(slots)
+		}
+	}
+	for oi, sys := range rd.live {
+		if sys != nil {
+			res := sys.Host().KeyWriteStore().QueryAt(csum, slots, 1)
+			answers[oi] = res.Data
+			rd.note(oi, res.Found)
+		}
+	}
+	c.record(&rd)
+	best, repair, repairs := rd.plurality(func(i, j int) bool { return bytes.Equal(answers[i], answers[j]) })
 	if best < 0 {
 		c.mu.RUnlock()
 		return nil, false, nil
@@ -1319,139 +1399,68 @@ func (c *HACluster) LookupValue(key Key, n int) ([]byte, bool, error) {
 	// the caller).
 	var vbuf [wire.MaxData]byte
 	winner := vbuf[:copy(vbuf[:], answers[best])]
-	repair, repairs := repairSet(&sc, len(owners), func(i int) bool { return bytes.Equal(answers[i], winner) })
-	if repairs == 0 {
-		c.mu.RUnlock()
-		return winner, true, nil
-	}
-	// Read-repair under the write lock: the write lock orders repairs
-	// against other queries and Rebalance captures. Producers are a
-	// non-issue by contract, not by lock — queries were never safe
-	// concurrently with ingest (they read the same raw store buffers the
-	// writers mutate), so no acknowledged write can land between the
-	// merge above and the repair below.
 	c.mu.RUnlock()
-	c.mu.Lock()
-	repaired := 0
-	for i, o := range owners {
-		if !repair[i] || c.health.IsDown(o) {
-			continue
-		}
-		if kw := c.systems[o].Host().KeyWriteStore(); kw != nil {
-			if err := kw.Write(key, winner, n); err == nil {
-				c.markKeyWrite(o, key, n)
-				repaired++
+	if repairs > 0 {
+		c.repair(&rd, &repair, func(o int) error {
+			kw := c.systems[o].Host().KeyWriteStore()
+			err := kw.Write(key, winner, n)
+			if err == nil {
+				c.markRepaired(o, "keywrite", slots, kw.Indexer().Offset, kw.Indexer().Config().SlotSize())
 			}
-		}
+			return err
+		})
 	}
-	c.health.RecordReadRepair(repaired)
-	c.mu.Unlock()
-	c.noteReadRepair(repaired)
 	return winner, true, nil
-}
-
-// repairSet picks the replicas a divergence-observing query writes the
-// winner back to: every live replica whose answer differs from the
-// winner (observed divergence), plus live STALE replicas with no answer
-// at all — a stale replica most likely missed the write while down. A
-// live FRESH replica with no answer is deliberately left alone: the
-// usual cause is a colliding key legitimately occupying the slot
-// (last-writer-wins), and "repairing" it would resurrect the older key
-// over the newer one and set up a repair ping-pong between the two.
-func repairSet(sc *replicaScan, owners int, matches func(i int) bool) (repair [ha.MaxReplicas]bool, repairs int) {
-	for i := 0; i < owners; i++ {
-		if !sc.live[i] {
-			continue
-		}
-		if sc.answered[i] && !matches(i) || !sc.answered[i] && sc.staleRep[i] {
-			repair[i] = true
-			repairs++
-		}
-	}
-	return repair, repairs
 }
 
 // LookupPath queries the Postcarding stores of every live owner of key
 // and plurality-merges the reconstructed paths exactly like LookupValue
-// merges values: fresh replicas outvote stale ones, ties favour the
-// earliest owner in order, and owners that disagree with (or lack) the
-// winning path are read-repaired by re-encoding the winning chunk into
-// their stores.
+// merges values; owners that disagree with (or, stale, lack) the winning
+// path are read-repaired by re-encoding the winning chunk into their
+// stores.
 func (c *HACluster) LookupPath(key Key, n int) ([]uint32, bool, error) {
-	var ob [ha.MaxReplicas]int
-	owners := c.owners(key[:], ob[:0])
-	c.mu.RLock()
-	var st lookupState
-	var sc replicaScan
+	var rd replicaRead
+	var sb [postcarding.MaxRedundancy]uint64
+	var chunks []uint64
 	var answers [ha.MaxReplicas][]uint32
-	fresh := 0
-	for oi, o := range owners {
-		if !c.scanOwner(&sc, &st, oi, o) {
-			continue
-		}
-		values, ok, err := c.systems[o].LookupPath(key, n)
-		if err != nil {
-			c.mu.RUnlock()
-			c.record(&st)
-			return nil, false, err
-		}
-		if ok {
-			answers[oi], sc.answered[oi] = values, true
-			if !sc.staleRep[oi] {
-				fresh++
-				if oi == 0 {
-					st.primaryAnswered = true
-				}
-			}
+	rd.owners = c.owners(key[:], rd.ob[:0])
+	c.mu.RLock()
+	err := collector.ErrDisabled
+	if pcs := c.systems[0].Host().PostcardingStore(); pcs != nil {
+		chunks, err = pcs.Coder().Plan(key, n, sb[:0])
+	}
+	if err = c.scan(&rd, err); err != nil {
+		return nil, false, err
+	}
+	for _, sys := range rd.live {
+		if sys != nil {
+			sys.Host().PostcardingStore().Touch(chunks)
 		}
 	}
-	c.record(&st)
-	if st.queried == 0 {
-		c.mu.RUnlock()
-		return nil, false, ErrAllReplicasDown
-	}
-	useStale := fresh == 0
-	best, votes := -1, 0
-	for i := range owners {
-		if !sc.answered[i] || sc.staleRep[i] != useStale {
-			continue
-		}
-		v := 1
-		for j := i + 1; j < len(owners); j++ {
-			if sc.answered[j] && sc.staleRep[j] == useStale && slices.Equal(answers[i], answers[j]) {
-				v++
-			}
-		}
-		if v > votes { // ties keep the earlier owner: primary preference
-			best, votes = i, v
+	for oi, sys := range rd.live {
+		if sys != nil {
+			res := sys.Host().PostcardingStore().QueryAt(key, chunks)
+			answers[oi] = res.Values
+			rd.note(oi, res.Found)
 		}
 	}
+	c.record(&rd)
+	best, repair, repairs := rd.plurality(func(i, j int) bool { return slices.Equal(answers[i], answers[j]) })
+	c.mu.RUnlock()
 	if best < 0 {
-		c.mu.RUnlock()
 		return nil, false, nil
 	}
 	winner := answers[best] // a heap copy from the store query, stable after unlock
-	repair, repairs := repairSet(&sc, len(owners), func(i int) bool { return slices.Equal(answers[i], winner) })
-	c.mu.RUnlock()
-	if repairs == 0 {
-		return winner, true, nil
-	}
-	c.mu.Lock()
-	repaired := 0
-	for i, o := range owners {
-		if !repair[i] || c.health.IsDown(o) {
-			continue
-		}
-		if pcs := c.systems[o].Host().PostcardingStore(); pcs != nil {
-			if err := pcs.Write(key, winner, len(winner), n); err == nil {
-				c.markPostcard(o, key, n)
-				repaired++
+	if repairs > 0 {
+		c.repair(&rd, &repair, func(o int) error {
+			pcs := c.systems[o].Host().PostcardingStore()
+			err := pcs.Write(key, winner, len(winner), n)
+			if err == nil {
+				c.markRepaired(o, "postcarding", chunks, pcs.ChunkOffset, pcs.Coder().Config().ChunkBytes())
 			}
-		}
+			return err
+		})
 	}
-	c.health.RecordReadRepair(repaired)
-	c.mu.Unlock()
-	c.noteReadRepair(repaired)
 	return winner, true, nil
 }
 
@@ -1465,44 +1474,36 @@ func (c *HACluster) LookupPath(key Key, n int) ([]uint32, bool, error) {
 // raising its counters to that estimate (never lowering, so other keys'
 // guarantees survive).
 func (c *HACluster) LookupCount(key Key, n int) (uint64, error) {
-	var ob [ha.MaxReplicas]int
-	owners := c.owners(key[:], ob[:0])
-	c.mu.RLock()
-	var st lookupState
-	var sc replicaScan
+	var rd replicaRead
+	var sb [keyincrement.MaxRedundancy]uint64
+	var slots []uint64
 	var counts [ha.MaxReplicas]uint64
-	fresh := 0
-	for oi, o := range owners {
-		if !c.scanOwner(&sc, &st, oi, o) {
-			continue
-		}
-		count, err := c.systems[o].LookupCount(key, n)
-		if err != nil {
-			c.mu.RUnlock()
-			c.record(&st)
-			return 0, err
-		}
-		counts[oi], sc.answered[oi] = count, true
-		if !sc.staleRep[oi] {
-			fresh++
-			if oi == 0 {
-				st.primaryAnswered = true
-			}
+	rd.owners = c.owners(key[:], rd.ob[:0])
+	c.mu.RLock()
+	err := collector.ErrDisabled
+	if ki := c.systems[0].Host().KeyIncrementStore(); ki != nil {
+		slots, err = ki.Indexer().Plan(key, n, sb[:0])
+	}
+	if err = c.scan(&rd, err); err != nil {
+		return 0, err
+	}
+	for _, sys := range rd.live {
+		if sys != nil {
+			sys.Host().KeyIncrementStore().Touch(slots)
 		}
 	}
-	c.record(&st)
-	if st.queried == 0 {
-		c.mu.RUnlock()
-		return 0, ErrAllReplicasDown
+	for oi, sys := range rd.live {
+		if sys != nil {
+			counts[oi] = sys.Host().KeyIncrementStore().QueryAt(slots)
+			rd.note(oi, true)
+		}
 	}
-	useStale := fresh == 0
+	c.record(&rd)
+	useStale := rd.fresh == 0
 	var min uint64
 	first := true
-	for i := range owners {
-		if !sc.answered[i] || sc.staleRep[i] != useStale {
-			continue
-		}
-		if first || counts[i] < min {
+	for i := range rd.owners {
+		if rd.answered[i] && rd.staleRep[i] == useStale && (first || counts[i] < min) {
 			min, first = counts[i], false
 		}
 	}
@@ -1514,33 +1515,24 @@ func (c *HACluster) LookupCount(key Key, n int) (uint64, error) {
 	var repair [ha.MaxReplicas]bool
 	repairs := 0
 	if !useStale {
-		for i := range owners {
-			if sc.live[i] && sc.staleRep[i] && counts[i] < min {
+		for i := range rd.owners {
+			if rd.answered[i] && rd.staleRep[i] && counts[i] < min {
 				repair[i] = true
 				repairs++
 			}
 		}
 	}
 	c.mu.RUnlock()
-	if repairs == 0 {
-		return min, nil
-	}
-	c.mu.Lock()
-	repaired := 0
-	for i, o := range owners {
-		if !repair[i] || c.health.IsDown(o) {
-			continue
-		}
-		if ki := c.systems[o].Host().KeyIncrementStore(); ki != nil {
-			if err := ki.Raise(key, min, n); err == nil {
-				c.markKeyIncrement(o, key, n)
-				repaired++
+	if repairs > 0 {
+		c.repair(&rd, &repair, func(o int) error {
+			ki := c.systems[o].Host().KeyIncrementStore()
+			err := ki.Raise(key, min, n)
+			if err == nil {
+				c.markRepaired(o, "keyincrement", slots, ki.Indexer().Offset, keyincrement.CounterSize)
 			}
-		}
+			return err
+		})
 	}
-	c.health.RecordReadRepair(repaired)
-	c.mu.Unlock()
-	c.noteReadRepair(repaired)
 	return min, nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"dta/internal/crc"
 	"dta/internal/wire"
@@ -62,6 +63,19 @@ func NewIndexer(cfg Config) (*Indexer, error) {
 // Slot computes the n'th counter location for key.
 func (x *Indexer) Slot(n int, key wire.Key) uint64 {
 	return uint64(x.slots.Hash16(n, (*[wire.KeySize]byte)(&key))) & x.mask
+}
+
+// Plan is the read side's address generation: it validates n, then
+// appends key's n counter indexes to dst. Stores of equal geometry answer
+// QueryAt and Touch over one plan.
+func (x *Indexer) Plan(key wire.Key, n int, dst []uint64) ([]uint64, error) {
+	if n < 1 || n > MaxRedundancy {
+		return dst, fmt.Errorf("keyincrement: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, x.Slot(i, key))
+	}
+	return dst, nil
 }
 
 // Offset converts a slot index to a byte offset.
@@ -146,16 +160,35 @@ func (s *Store) Raise(key wire.Key, value uint64, n int) error {
 // Query returns the count-min estimate for key: the minimum of its N
 // counters (Algorithm 6). The estimate never undercounts.
 func (s *Store) Query(key wire.Key, n int) (uint64, error) {
-	if n < 1 || n > MaxRedundancy {
-		return 0, fmt.Errorf("keyincrement: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	slots, err := s.x.Plan(key, n, buf[:0])
+	if err != nil {
+		return 0, err
 	}
-	min := s.counter(s.x.Slot(0, key))
-	for i := 1; i < n; i++ {
-		if c := s.counter(s.x.Slot(i, key)); c < min {
+	return s.QueryAt(slots), nil
+}
+
+// Touch loads one byte from each planned counter and does nothing else
+// (see keywrite.Store.Touch).
+func (s *Store) Touch(slots []uint64) {
+	var acc byte
+	for _, slot := range slots {
+		acc += s.buf[s.x.Offset(slot)]
+	}
+	// Keeps the loads live without a write: lookups touch concurrently.
+	runtime.KeepAlive(acc)
+}
+
+// QueryAt is Query over counters planned beforehand (Indexer.Plan, on
+// this store's indexer or one of equal geometry): their minimum.
+func (s *Store) QueryAt(slots []uint64) uint64 {
+	min := s.counter(slots[0])
+	for _, slot := range slots[1:] {
+		if c := s.counter(slot); c < min {
 			min = c
 		}
 	}
-	return min, nil
+	return min
 }
 
 // Reset zeroes all counters. The paper resets the memory periodically

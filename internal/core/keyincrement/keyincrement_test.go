@@ -1,6 +1,7 @@
 package keyincrement
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -210,5 +211,42 @@ func TestRaiseNeverLowers(t *testing.T) {
 	}
 	if err := s.Raise(k, 1, 0); err == nil {
 		t.Error("redundancy 0 accepted")
+	}
+}
+
+// TestTouchOnlyReads pins the planned-read entries: Plan refuses an
+// out-of-range n before it computes any index, QueryAt over a plan is
+// Query, and neither it nor Touch writes a byte of the store.
+func TestTouchOnlyReads(t *testing.T) {
+	s := mustStore(t, Config{Slots: 1 << 10})
+	for i := uint64(0); i < 600; i++ {
+		if err := s.Increment(key(i), i+1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := bytes.Clone(s.Buffer())
+	var buf [MaxRedundancy]uint64
+	for _, n := range []int{-1, 0, MaxRedundancy + 1} {
+		if slots, err := s.Indexer().Plan(key(1), n, buf[:0]); err == nil || len(slots) != 0 {
+			t.Errorf("Plan(n=%d) = %v, %v: want no index and an error", n, slots, err)
+		}
+	}
+	for i := uint64(0); i < 1200; i++ { // the upper half was never incremented
+		n := 1 + int(i%MaxRedundancy)
+		slots, err := s.Indexer().Plan(key(i), n, buf[:0])
+		if err != nil || len(slots) != n {
+			t.Fatalf("Plan(n=%d) = %v, %v", n, slots, err)
+		}
+		s.Touch(slots)
+		want, err := s.Query(key(i), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.QueryAt(slots); got != want {
+			t.Fatalf("key %d n=%d: QueryAt %d, Query %d", i, n, got, want)
+		}
+	}
+	if !bytes.Equal(before, s.Buffer()) {
+		t.Fatal("a planned read wrote to the store")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"dta/internal/crc"
 	"dta/internal/wire"
@@ -109,6 +110,20 @@ func (x *Indexer) Slot(n int, key wire.Key) uint64 {
 // Checksum computes the key checksum, masked to the configured width.
 func (x *Indexer) Checksum(key wire.Key) uint32 {
 	return x.csumEng.Sum128((*[wire.KeySize]byte)(&key)) & x.csumMask
+}
+
+// Plan is the read side's address generation: it validates n, then
+// appends key's n slot indexes to dst and returns them with the key
+// checksum. Stores of equal geometry answer QueryAt and Touch over one
+// plan, so a replicated lookup hashes once for all its owners.
+func (x *Indexer) Plan(key wire.Key, n int, dst []uint64) (slots []uint64, csum uint32, err error) {
+	if n < 1 || n > MaxRedundancy {
+		return dst, 0, fmt.Errorf("keywrite: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, x.Slot(i, key))
+	}
+	return dst, x.Checksum(key), nil
 }
 
 // Offset converts a slot index to a byte offset within the store buffer.
@@ -217,17 +232,37 @@ type QueryResult struct {
 // that many times (1 = plurality, the paper's default). Ties between
 // distinct values yield an empty return, never an arbitrary choice.
 func (s *Store) Query(key wire.Key, n, threshold int) (QueryResult, error) {
-	if n < 1 || n > MaxRedundancy {
-		return QueryResult{}, fmt.Errorf("keywrite: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	slots, csum, err := s.x.Plan(key, n, buf[:0])
+	if err != nil {
+		return QueryResult{}, err
 	}
+	return s.QueryAt(csum, slots, threshold), nil
+}
+
+// Touch loads one byte from each planned slot and does nothing else: the
+// read-side twin of rdma.Device.PreTouch. A replicated lookup touches
+// every owner's slots before reading the first, so the cache misses
+// overlap instead of queueing behind each owner's vote.
+func (s *Store) Touch(slots []uint64) {
+	var acc byte
+	for _, slot := range slots {
+		acc += s.buf[s.x.Offset(slot)]
+	}
+	// Keeps the loads live without a write: lookups touch concurrently.
+	runtime.KeepAlive(acc)
+}
+
+// QueryAt is Query over slots and a checksum planned beforehand
+// (Indexer.Plan, on this store's indexer or one of equal geometry).
+func (s *Store) QueryAt(want uint32, slots []uint64, threshold int) QueryResult {
 	if threshold < 1 {
 		threshold = 1
 	}
-	want := s.x.Checksum(key)
 	var cands [MaxRedundancy][]byte
 	nc := 0
-	for i := 0; i < n; i++ {
-		csum, val := s.readSlot(s.x.Slot(i, key))
+	for _, slot := range slots {
+		csum, val := s.readSlot(slot)
 		if csum == want {
 			cands[nc] = val
 			nc++
@@ -235,7 +270,7 @@ func (s *Store) Query(key wire.Key, n, threshold int) (QueryResult, error) {
 	}
 	res := QueryResult{Matches: nc}
 	if nc == 0 {
-		return res, nil
+		return res
 	}
 	// Plurality vote over at most MaxRedundancy candidates: O(N²)
 	// comparisons with no allocation.
@@ -255,9 +290,9 @@ func (s *Store) Query(key wire.Key, n, threshold int) (QueryResult, error) {
 	}
 	res.Agreements = bestCount
 	if tie || bestCount < threshold {
-		return res, nil
+		return res
 	}
 	res.Data = cands[bestIdx]
 	res.Found = true
-	return res, nil
+	return res
 }

@@ -420,3 +420,41 @@ func BenchmarkQueryN2(b *testing.B) {
 		s.Query(key(uint64(i%(1<<18))), 2, 1)
 	}
 }
+
+// TestTouchOnlyReads pins the planned-read entries: Plan refuses an
+// out-of-range n before it computes any index, QueryAt over a plan is
+// Query, and neither it nor Touch writes a byte of the store.
+func TestTouchOnlyReads(t *testing.T) {
+	s := mustStore(t, Config{Slots: 1 << 10, DataSize: 4, ChecksumBits: 16})
+	for i := uint64(0); i < 600; i++ {
+		if err := s.Write(key(i), []byte{byte(i), byte(i >> 8), 3, 4}, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := bytes.Clone(s.Buffer())
+	var buf [MaxRedundancy]uint64
+	for _, n := range []int{-1, 0, MaxRedundancy + 1} {
+		if slots, _, err := s.Indexer().Plan(key(1), n, buf[:0]); err == nil || len(slots) != 0 {
+			t.Errorf("Plan(n=%d) = %v, %v: want no index and an error", n, slots, err)
+		}
+	}
+	for i := uint64(0); i < 1200; i++ { // the upper half was never written
+		n := 1 + int(i%MaxRedundancy)
+		slots, csum, err := s.Indexer().Plan(key(i), n, buf[:0])
+		if err != nil || len(slots) != n {
+			t.Fatalf("Plan(n=%d) = %v, %v", n, slots, err)
+		}
+		s.Touch(slots)
+		want, err := s.Query(key(i), n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.QueryAt(csum, slots, 1); got.Found != want.Found || !bytes.Equal(got.Data, want.Data) ||
+			got.Matches != want.Matches || got.Agreements != want.Agreements {
+			t.Fatalf("key %d n=%d: QueryAt %+v, Query %+v", i, n, got, want)
+		}
+	}
+	if !bytes.Equal(before, s.Buffer()) {
+		t.Fatal("a planned read wrote to the store")
+	}
+}

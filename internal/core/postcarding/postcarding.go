@@ -18,6 +18,7 @@ package postcarding
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"dta/internal/analysis"
 	"dta/internal/crc"
@@ -141,6 +142,19 @@ func (c *Coder) g(v uint32) uint32 { return c.gEng.Sum64(uint64(v)) & c.mask }
 // Chunk computes the j'th redundant chunk index for flow key x.
 func (c *Coder) Chunk(j int, x wire.Key) uint64 {
 	return uint64(c.chunks.Hash16(j, (*[wire.KeySize]byte)(&x))) & (c.cfg.Chunks - 1)
+}
+
+// Plan is the read side's address generation: it validates n, then
+// appends flow x's n chunk indexes to dst. Stores of equal geometry
+// answer QueryAt and Touch over one plan.
+func (c *Coder) Plan(x wire.Key, n int, dst []uint64) ([]uint64, error) {
+	if n < 1 || n > MaxRedundancy {
+		return dst, fmt.Errorf("postcarding: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	}
+	for j := 0; j < n; j++ {
+		dst = append(dst, c.Chunk(j, x))
+	}
+	return dst, nil
 }
 
 // checksum computes the hop-specific checksum(x, i). Each hop uses a
@@ -314,17 +328,38 @@ func (s *Store) decodeChunk(x wire.Key, chunk uint64, out []uint32) ([]uint32, b
 
 // Query reconstructs flow x's postcards from its n redundant chunks. The
 // answer is returned only when at least one chunk is valid and all valid
-// chunks agree (§4).
+// chunks agree (§4). The chunks are touched before the first is decoded:
+// a decode's per-hop checksums would otherwise sit between the misses.
 func (s *Store) Query(x wire.Key, n int) (QueryResult, error) {
-	if n < 1 || n > MaxRedundancy {
-		return QueryResult{}, fmt.Errorf("postcarding: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	chunks, err := s.c.Plan(x, n, buf[:0])
+	if err != nil {
+		return QueryResult{}, err
 	}
+	s.Touch(chunks)
+	return s.QueryAt(x, chunks), nil
+}
+
+// Touch loads one byte from each planned chunk and does nothing else
+// (see keywrite.Store.Touch).
+func (s *Store) Touch(chunks []uint64) {
+	var acc byte
+	for _, chunk := range chunks {
+		acc += s.buf[s.ChunkOffset(chunk)]
+	}
+	// Keeps the loads live without a write: lookups touch concurrently.
+	runtime.KeepAlive(acc)
+}
+
+// QueryAt is Query over chunks planned beforehand (Coder.Plan, on this
+// store's coder or one of equal geometry), without the touch.
+func (s *Store) QueryAt(x wire.Key, chunks []uint64) QueryResult {
 	var res QueryResult
 	var first [MaxHops]uint32
 	var cur [MaxHops]uint32
 	var winner []uint32
-	for j := 0; j < n; j++ {
-		vals, ok := s.decodeChunk(x, s.c.Chunk(j, x), cur[:0])
+	for _, chunk := range chunks {
+		vals, ok := s.decodeChunk(x, chunk, cur[:0])
 		if !ok {
 			continue
 		}
@@ -334,16 +369,16 @@ func (s *Store) Query(x wire.Key, n int) (QueryResult, error) {
 			// Valid chunks disagree: refuse to answer.
 			res.ValidChunks++
 			res.Found = false
-			return res, nil
+			return res
 		}
 		res.ValidChunks++
 	}
 	if res.ValidChunks == 0 {
-		return res, nil
+		return res
 	}
 	res.Values = winner
 	res.Found = true
-	return res, nil
+	return res
 }
 
 func equalU32(a, b []uint32) bool {

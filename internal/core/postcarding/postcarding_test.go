@@ -1,6 +1,7 @@
 package postcarding
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -458,5 +459,43 @@ func BenchmarkStoreQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Query(key(uint64(i%(1<<14))), 2)
+	}
+}
+
+// TestTouchOnlyReads pins the planned-read entries: Plan refuses an
+// out-of-range n before it computes any index, QueryAt over a plan is
+// Query, and neither it nor Touch writes a byte of the store.
+func TestTouchOnlyReads(t *testing.T) {
+	s := mustStore(t, Config{Chunks: 1 << 9, Hops: 5, Values: testValues(64)})
+	for i := uint64(0); i < 300; i++ {
+		path := []uint32{uint32(i%64) + 1, uint32((i+1)%64) + 1, uint32((i+2)%64) + 1}
+		if err := s.Write(key(i), path, len(path), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := bytes.Clone(s.Buffer())
+	var buf [MaxRedundancy]uint64
+	for _, n := range []int{-1, 0, MaxRedundancy + 1} {
+		if chunks, err := s.Coder().Plan(key(1), n, buf[:0]); err == nil || len(chunks) != 0 {
+			t.Errorf("Plan(n=%d) = %v, %v: want no index and an error", n, chunks, err)
+		}
+	}
+	for i := uint64(0); i < 600; i++ { // the upper half was never written
+		n := 1 + int(i%MaxRedundancy)
+		chunks, err := s.Coder().Plan(key(i), n, buf[:0])
+		if err != nil || len(chunks) != n {
+			t.Fatalf("Plan(n=%d) = %v, %v", n, chunks, err)
+		}
+		s.Touch(chunks)
+		want, err := s.Query(key(i), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.QueryAt(key(i), chunks); got.Found != want.Found || got.ValidChunks != want.ValidChunks || !equalU32(got.Values, want.Values) {
+			t.Fatalf("flow %d n=%d: QueryAt %+v, Query %+v", i, n, got, want)
+		}
+	}
+	if !bytes.Equal(before, s.Buffer()) {
+		t.Fatal("a planned read wrote to the store")
 	}
 }
