@@ -341,7 +341,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := wal.Recover(oneDir,
+			if _, err := wal.Recover(oneDir,
 				func(ck *snapshot.Snapshot) error {
 					_, err := ha.Resync(ha.Target{Host: serial.host, Batcher: serial.tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
 					return err

@@ -179,7 +179,7 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 				walJr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(torn), 0, 0)
 				fmt.Printf("recover: truncated %d torn tail bytes\n", torn)
 			}
-			last, skipped, err := wal.Recover(wcfg.dir,
+			rec, err := wal.Recover(wcfg.dir,
 				func(ck *snapshot.Snapshot) error {
 					_, err := ha.Resync(ha.Target{Host: host, Batcher: tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
 					return err
@@ -190,12 +190,16 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 			if err != nil {
 				return fmt.Errorf("recover: %w", err)
 			}
-			walJr.Emit(journal.EvReplayExtent, journal.SevInfo, cause, last, uint64(skipped), 0)
+			if rec.PassedOver != nil {
+				walJr.Emit(journal.EvImageFallback, journal.SevWarn, cause, rec.ImageLSN, 0, 0)
+				log.Printf("recover: fell back to the image at LSN %d: %v", rec.ImageLSN, rec.PassedOver)
+			}
+			walJr.Emit(journal.EvReplayExtent, journal.SevInfo, cause, rec.Last, uint64(rec.Skipped), 0)
 			if err := jr.DumpFile(filepath.Join(wcfg.dir, journal.DumpFileName)); err != nil {
 				log.Printf("recover: events dump: %v", err)
 			}
 			fmt.Printf("recovered %d reports from %s (up to LSN %d, %d skipped)\n",
-				tr.Stats().Reports, wcfg.dir, last, skipped)
+				tr.Stats().Reports, wcfg.dir, rec.Last, rec.Skipped)
 		}
 		pol, err := wal.ParsePolicy(wcfg.sync)
 		if err != nil {
@@ -358,27 +362,23 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 				fmt.Printf("wal: %d records durable (LSN %d), %d syncs, %d segment rotations, %.1f MiB\n",
 					ws.DurableLSN, ws.LastLSN, ws.Syncs, ws.Rotations, float64(ws.Bytes)/(1<<20))
 				if wcfg.checkpoint && walW.LastLSN() > 0 {
-					snap := snapshot.Capture(host)
-					snap.AppendHeads = tr.AppendBatcher().WrittenCounts(nil)
-					snap.WALLSN = walW.LastLSN()
-					if err := wal.WriteCheckpoint(wcfg.dir, snap); err != nil {
-						return err
+					// The receiver has stopped: stream the image out of
+					// store memory, no copy.
+					snap := snapshot.View(host)
+					if b := tr.AppendBatcher(); b != nil {
+						snap.AppendHeads = b.WrittenCounts(nil)
 					}
-					removed, err := wal.TruncateBelow(wcfg.dir, snap.WALLSN)
+					snap.WALLSN = walW.LastLSN()
+					walJr := journal.Emitter{J: jr, Comp: journal.CompWAL, Collector: -1}
+					removed, err := wal.Checkpoint(wcfg.dir, snap, walJr, 0)
 					if err != nil {
 						return err
-					}
-					ckCause := jr.NewCause()
-					walJr := journal.Emitter{J: jr, Comp: journal.CompWAL, Collector: -1}
-					walJr.Emit(journal.EvCheckpoint, journal.SevInfo, ckCause, snap.WALLSN, 0, 0)
-					if removed > 0 {
-						walJr.Emit(journal.EvWALTruncate, journal.SevInfo, ckCause, snap.WALLSN, uint64(removed), 0)
 					}
 					fmt.Printf("checkpoint: LSN %d written, %d segments reclaimed\n", snap.WALLSN, removed)
 				}
 			}
 			if snapPath != "" {
-				if err := snapshot.Capture(host).Save(snapPath); err != nil {
+				if err := snapshot.View(host).Save(snapPath); err != nil { // quiesced: no copy
 					return err
 				}
 				fmt.Printf("snapshot written to %s\n", snapPath)

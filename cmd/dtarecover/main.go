@@ -2,7 +2,7 @@
 // directories (written by dtacollect -wal or the library's WithWAL).
 //
 //	dtarecover -wal /tmp/dta.wal                  # list segments + checkpoint
-//	dtarecover -wal /tmp/dta.wal -verify          # full CRC/LSN verification
+//	dtarecover -wal /tmp/dta.wal -verify          # full CRC/LSN verification, images per section
 //	dtarecover -wal /tmp/dta.wal -dump -from 100  # print records from LSN 100
 //	dtarecover -wal /tmp/dta.wal -dump -limit 20
 //	dtarecover -wal /tmp/dta.wal -repair          # truncate a torn tail
@@ -13,7 +13,9 @@
 // tail truncation, replay extent — as a causal timeline.
 //
 // Exit status is non-zero when -verify finds damage before the log's
-// tail (a torn tail alone is normal crash debris, reported but OK).
+// tail (a torn tail alone is normal crash debris, reported but OK), or
+// checkpoint images of which not one verifies (one damaged generation of
+// the two is reported but OK: recovery falls back to the other).
 package main
 
 import (
@@ -105,11 +107,7 @@ func run(dir string, verify, dump bool, from uint64, limit int, repair bool) err
 			m.Translator.KeyWrite != nil, m.Translator.KeyIncrement != nil,
 			m.Translator.Postcarding != nil, m.Translator.Append != nil)
 	}
-	if ck, err := wal.LoadCheckpoint(dir); err != nil {
-		return err
-	} else if ck != nil {
-		fmt.Printf("checkpoint: LSN %d\n", ck.WALLSN)
-	}
+	imagesDamaged := printImages(dir, verify)
 	var total int
 	for _, s := range segs {
 		status := "ok"
@@ -137,6 +135,10 @@ func run(dir string, verify, dump bool, from uint64, limit int, repair bool) err
 		default:
 			fmt.Printf("verify: clean — %d records replayable up to LSN %d\n", total, last)
 		}
+		if imagesDamaged {
+			fmt.Println("verify: CORRUPT — no checkpoint image verifies; recovery needs the log from LSN 1")
+			os.Exit(1)
+		}
 	}
 
 	if dump {
@@ -154,6 +156,40 @@ func run(dir string, verify, dump bool, from uint64, limit int, repair bool) err
 		}
 	}
 	return nil
+}
+
+// printImages walks both checkpoint generations block by block (one
+// block of memory, whatever their size) and prints a verdict and the log
+// position each covers — with sections, one line per section too. It
+// reports whether there are images and not one of them verifies: a single
+// damaged generation is what the other one is kept for.
+func printImages(dir string, sections bool) (allDamaged bool) {
+	present, good := 0, 0
+	for _, g := range wal.VerifyCheckpoints(dir) {
+		if os.IsNotExist(g.Err) {
+			continue
+		}
+		present++
+		switch {
+		case g.Err == nil:
+			good++
+			fmt.Printf("%s: ok, covers the log up to LSN %d\n", g.Name, g.Check.WALLSN)
+		case g.Check != nil:
+			fmt.Printf("%s: DAMAGED (header says LSN %d): %v\n", g.Name, g.Check.WALLSN, g.Err)
+		default:
+			fmt.Printf("%s: DAMAGED: %v\n", g.Name, g.Err)
+		}
+		if sections && g.Check != nil {
+			for _, sec := range g.Check.Sections {
+				verdict := "ok"
+				if sec.Err != nil {
+					verdict = sec.Err.Error()
+				}
+				fmt.Printf("  %-18s %12d B  %s\n", sec.Name, sec.Bytes, verdict)
+			}
+		}
+	}
+	return present > 0 && good == 0
 }
 
 var errDumpDone = errors.New("dump limit reached")

@@ -174,7 +174,7 @@ func (s *System) Recover(dir string) (uint64, error) {
 		failed += n
 		chunk = chunk[:0]
 	}
-	last, skipped, err := wal.Recover(dir,
+	rec, err := wal.Recover(dir,
 		func(ck *snapshot.Snapshot) error {
 			_, err := ha.Resync(ha.Target{Host: s.host, Batcher: s.tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
 			return err
@@ -187,26 +187,36 @@ func (s *System) Recover(dir string) (uint64, error) {
 			return nil
 		})
 	flush() // also on a log-damage abort: what was read intact is applied
-	skipped += failed
 	if err != nil {
-		return last, err
+		return rec.Last, err
 	}
-	jr.Emit(journal.EvReplayExtent, journal.SevInfo, cause, last, uint64(skipped), 0)
+	// End at an epoch boundary, as the crashed run's last Flush would
+	// have: what the replay left parked in the translator (Key-Increment
+	// aggregates, a partial Append batch, cached postcards) reaches the
+	// stores, so the recovered system answers without anyone calling Flush.
+	if err := s.flushAt(chunkNow); err != nil {
+		return rec.Last, err
+	}
+	if rec.PassedOver != nil {
+		jr.Emit(journal.EvImageFallback, journal.SevWarn, cause, rec.ImageLSN, 0, 0)
+	}
+	jr.Emit(journal.EvReplayExtent, journal.SevInfo, cause, rec.Last, uint64(rec.Skipped+failed), 0)
 	if s.jr != nil {
 		// Best-effort post-mortem artifact; recovery itself succeeded.
 		_ = s.jr.DumpFile(filepath.Join(dir, journal.DumpFileName))
 	}
-	return last, nil
+	return rec.Last, nil
 }
 
 // Checkpoint bounds recovery time and log growth: translator state is
-// flushed (an epoch boundary, like Flush), the stores are snapshotted
-// together with the current log position, the image is written
-// atomically next to the segments, and segments wholly below the
-// position are reclaimed. Recovery then loads the image and replays
-// only the tail. Requires an attached WAL and quiesced producers (drain
-// the engine first). Returns the checkpointed LSN (0 = empty log,
-// nothing written).
+// flushed (an epoch boundary, like Flush), the stores are streamed, with
+// the current log position, into an image written atomically next to the
+// segments — the image before it is kept as a second generation — and the
+// segments that neither image needs are reclaimed (see wal.Checkpoint).
+// Recovery then loads the newest image that verifies and replays only
+// the tail above it. It costs no memory beyond the stores themselves.
+// Requires an attached WAL and quiesced producers (drain the engine
+// first). Returns the checkpointed LSN (0 = empty log, nothing written).
 func (s *System) Checkpoint() (uint64, error) {
 	if s.wal == nil {
 		return 0, errors.New("dta: no WAL attached")
@@ -223,30 +233,20 @@ func (s *System) Checkpoint() (uint64, error) {
 		s.ckptCause = 0
 		return 0, nil
 	}
-	snap := snapshot.Capture(s.host)
+	// No copy: producers are quiesced, so the image streams straight out
+	// of store memory.
+	snap := snapshot.View(s.host)
 	if b := s.tr.AppendBatcher(); b != nil {
 		snap.AppendHeads = b.WrittenCounts(nil)
 	}
 	snap.WALLSN = lsn
-	if err := wal.WriteCheckpoint(s.wal.Dir(), snap); err != nil {
-		return 0, err
-	}
-	removed, err := wal.TruncateBelow(s.wal.Dir(), lsn)
-	if err != nil {
-		return 0, err
-	}
 	// Chain under the failure arc that triggered this checkpoint when
 	// HACluster.Rebalance threaded one in; standalone checkpoints mint
 	// their own chain.
 	cause := s.ckptCause
 	s.ckptCause = 0
-	jr := s.walEmitter()
-	if cause == 0 {
-		cause = jr.NewCause()
-	}
-	jr.Emit(journal.EvCheckpoint, journal.SevInfo, cause, lsn, 0, 0)
-	if removed > 0 {
-		jr.Emit(journal.EvWALTruncate, journal.SevInfo, cause, lsn, uint64(removed), 0)
+	if _, err := wal.Checkpoint(s.wal.Dir(), snap, s.walEmitter(), cause); err != nil {
+		return 0, err
 	}
 	return lsn, nil
 }
@@ -346,7 +346,9 @@ func (c *HACluster) memberWALPolicy(i int, pol WALPolicy) WALPolicy {
 // that collector's recovery baseline. Read-repair writes between
 // checkpoints are NOT logged — after recovery the repaired divergence
 // can reappear, and the next query heals it again, exactly as it was
-// healed the first time.
+// healed the first time. The same goes for a collector that has to fall
+// back to its older image generation: resync writes made after that
+// image are in no log.
 func (c *HACluster) Recover(dir string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

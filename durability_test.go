@@ -123,7 +123,16 @@ func TestSystemCheckpointBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := sys.Reporter(1)
-	ingestMixed(t, rep, 0, 200)
+	// Two checkpoints: the log is reclaimed below the OLDER image, so the
+	// first one alone frees nothing.
+	ingestMixed(t, rep, 0, 100)
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if first, _, err := wal.Bounds(dir); err != nil || first != 1 {
+		t.Fatalf("first checkpoint reclaimed log with no older image to fall back on: first LSN %d, %v", first, err)
+	}
+	ingestMixed(t, rep, 100, 200)
 	lsn, err := sys.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +256,10 @@ func TestSystemRecoverTornTail(t *testing.T) {
 			emit(func() error { return refRep.PostcardValue(k, h, 5, uint32((i+h)%63+1)) })
 		}
 		emit(func() error { return refRep.Append(uint32(i%4), keyData(uint64(i))) })
+	}
+	// Recovery ends at an epoch boundary; put the reference at one too.
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	requireSameStores(t, fresh, ref)
 }

@@ -106,6 +106,7 @@ const (
 	EvResyncRetry     // arg1 = attempt, arg2 = backoff ns
 	EvWALDegradeEnter // arg1 = observed fsync ns, arg2 = bound ns
 	EvWALDegradeExit  // arg1 = probe fsync ns, arg2 = acks skipped while degraded
+	EvImageFallback   // arg1 = WALLSN of the older image restored instead (0 = none, whole log replayed)
 )
 
 func (t Type) String() string {
@@ -172,6 +173,8 @@ func (t Type) String() string {
 		return "wal-degrade-enter"
 	case EvWALDegradeExit:
 		return "wal-degrade-exit"
+	case EvImageFallback:
+		return "image-fallback"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -246,6 +249,11 @@ func (ev *Event) Detail() string {
 		return fmt.Sprintf("fsync=%s bound=%s", time.Duration(ev.Arg1), time.Duration(ev.Arg2))
 	case EvWALDegradeExit:
 		return fmt.Sprintf("probe=%s skipped-acks=%d", time.Duration(ev.Arg1), ev.Arg2)
+	case EvImageFallback:
+		if ev.Arg1 == 0 {
+			return "newest checkpoint image damaged: replayed the whole log"
+		}
+		return fmt.Sprintf("newest checkpoint image damaged: restored the one at lsn=%d", ev.Arg1)
 	}
 	return fmt.Sprintf("args=%d,%d,%d", ev.Arg1, ev.Arg2, ev.Arg3)
 }

@@ -1,14 +1,28 @@
 // Package snapshot persists collector store memory to disk so that
-// queries can run offline (the dtacollect / dtaquery split): the
+// queries can run offline (the dtacollect / dtaquery split) and restarts
+// need not replay the whole log (internal/wal checkpoints): the
 // collector's strength is that its structures are plain memory, so a
 // snapshot is just the configuration plus the raw buffers.
+//
+// Who may alias, who copies. View describes the stores in place — its
+// buffers ARE store memory — and exists for one use: handing them to
+// Write while nothing writes the stores (System.Checkpoint and
+// dtacollect, behind quiesced producers), so that an image streams out
+// without a second copy of them. Capture copies, and is what everything
+// else wants: HA resync peers, which outlive the barrier they were taken
+// under, and files for offline queries. Read and Load return snapshots
+// that own their buffers.
+//
+// The image format is in codec.go: versioned, length-prefixed, CRC-32C
+// per block, one pass in each direction.
 package snapshot
 
 import (
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"dta/internal/collector"
 	"dta/internal/core/appendlist"
@@ -60,64 +74,127 @@ type Snapshot struct {
 	WALLSN uint64
 }
 
-// Capture copies a collector host's store memory.
-func Capture(h *collector.Host) *Snapshot {
+// View describes a collector host's stores WITHOUT copying them: the
+// buffers alias store memory. It is for handing the stores to Write — a
+// checkpoint streams straight out of them — and is valid only while
+// nothing writes the stores (producers quiesced, engine drained); whoever
+// keeps a snapshot past that, or hands it to a reader that may run beside
+// ingest, wants Capture.
+func View(h *collector.Host) *Snapshot {
 	s := &Snapshot{}
 	if st := h.KeyWriteStore(); st != nil {
 		cfg := st.Indexer().Config()
-		s.KeyWrite = &cfg
-		s.KeyWriteBuf = append([]byte(nil), st.Buffer()...)
+		s.KeyWrite, s.KeyWriteBuf = &cfg, st.Buffer()
 	}
 	if st := h.KeyIncrementStore(); st != nil {
 		cfg := keyincrement.Config{Slots: uint64(len(st.Buffer()) / keyincrement.CounterSize)}
-		s.KeyIncrement = &cfg
-		s.KeyIncBuf = append([]byte(nil), st.Buffer()...)
+		s.KeyIncrement, s.KeyIncBuf = &cfg, st.Buffer()
 	}
 	if st := h.PostcardingStore(); st != nil {
 		cfg := st.Coder().Config()
-		s.Postcarding = &cfg
-		s.PostcardBuf = append([]byte(nil), st.Buffer()...)
+		s.Postcarding, s.PostcardBuf = &cfg, st.Buffer()
 	}
 	if st := h.AppendStore(); st != nil {
 		cfg := st.Config()
-		s.Append = &cfg
-		s.AppendBuf = append([]byte(nil), st.Buffer()...)
+		s.Append, s.AppendBuf = &cfg, st.Buffer()
 	}
 	return s
 }
 
-// Write serialises the snapshot.
-func (s *Snapshot) Write(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// Read parses a snapshot.
-func Read(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+// Capture copies a collector host's store memory: the snapshot owns its
+// buffers and stays what it was whatever the stores do next (HA resync
+// peers, offline query files).
+func Capture(h *collector.Host) *Snapshot {
+	s := View(h)
+	for _, b := range s.bufs() {
+		*b = bytes.Clone(*b)
 	}
-	return &s, nil
+	return s
 }
 
-// Save writes the snapshot to a file.
+// Save writes the snapshot to a file: all of it, durably, or not at all
+// (WriteFileAtomic).
 func (s *Snapshot) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.Write(f)
+	return WriteFileAtomic(path, "", s.Write)
 }
 
-// Load reads a snapshot from a file.
+// Load reads a snapshot from a file that holds one image and nothing
+// else.
 func Load(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	defer f.Close() // only read: nothing for Close to report
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return read(f, st.Size())
+}
+
+// VerifyFile is Verify over the file at path.
+func VerifyFile(path string) (*Check, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // only read
+	return Verify(f)
+}
+
+// syncFile is what WriteFileAtomic asks of the temporary file it fills:
+// an *os.File, or what a test's failing disk made of one.
+type syncFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// WriteFileAtomic writes a file through a temporary sibling: fill it,
+// fsync it, close it — each checked — rename it over path, fsync the
+// directory. Readers see the old file or the whole new one, and once it
+// returns nil a host crash cannot take the new one back. With keepAs
+// set, the file path named before is renamed to keepAs just before the
+// swap instead of being replaced (the previous generation; none there is
+// fine).
+func WriteFileAtomic(path, keepAs string, fill func(io.Writer) error) error {
+	return writeFileAtomic(path, keepAs, fill, func(f *os.File) syncFile { return f })
+}
+
+func writeFileAtomic(path, keepAs string, fill func(io.Writer) error, wrap func(*os.File) syncFile) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // gone already once renamed
+	f := wrap(tmp)
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if keepAs != "" {
+		if err := os.Rename(path, keepAs); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // only read
+	return d.Sync()
 }
 
 // KeyWriteStore rebuilds a queryable Key-Write view.

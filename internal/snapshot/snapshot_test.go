@@ -13,7 +13,7 @@ import (
 	"dta/internal/wire"
 )
 
-func fullHost(t *testing.T) *collector.Host {
+func fullHost(t testing.TB) *collector.Host {
 	t.Helper()
 	kw := keywrite.Config{Slots: 1 << 10, DataSize: 4}
 	ki := keyincrement.Config{Slots: 1 << 10}
@@ -159,7 +159,7 @@ func TestReplicationMetadataRoundTrip(t *testing.T) {
 	if loaded.TagBlockBytes != 1024 {
 		t.Errorf("TagBlockBytes = %d", loaded.TagBlockBytes)
 	}
-	// Plain captures leave the metadata nil: full replay, old files load.
+	// Plain captures leave the metadata nil: full replay.
 	bare := Capture(h)
 	if bare.AppendHeads != nil || bare.KeyWriteTags != nil || bare.TagBlockBytes != 0 {
 		t.Errorf("bare capture carries replication metadata: %+v", bare)

@@ -2,48 +2,121 @@ package wal
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"dta/internal/obs/journal"
 	"dta/internal/snapshot"
 	"dta/internal/translator"
 	"dta/internal/wire"
 )
 
-// Checkpoint file names. Both live next to the segments and are written
-// atomically (temp + rename) so a crash mid-checkpoint leaves the
-// previous one intact.
+// Checkpoint file names. All live next to the segments and are written
+// atomically (temp + rename), so a crash mid-checkpoint leaves the files
+// that were there intact. The directory keeps two generations of image:
+// the newest and the one before it.
 const (
 	checkpointName = "checkpoint.snap"
+	checkpointPrev = "checkpoint.prev"
 	metaName       = "wal.meta"
 )
 
+// generations lists the image files, newest first.
+var generations = [2]string{checkpointName, checkpointPrev}
+
 // WriteCheckpoint persists a checkpoint: a snapshot of the collector's
 // stores whose WALLSN field records the log position the image covers.
-// Records at or below WALLSN become redundant; TruncateBelow reclaims
-// the segments wholly covered by them.
-func WriteCheckpoint(dir string, snap *snapshot.Snapshot) error {
+// The image that was newest until now becomes checkpoint.prev — if it
+// still verifies, block by block; one that does not is simply replaced
+// and the older generation stays. floor is the LSN at or below which the
+// log is no longer needed: the WALLSN of the OLDER of the two images, so
+// that losing the newest still leaves an image and every record above
+// it. It is 0 (reclaim nothing) while there is no verified older image.
+func WriteCheckpoint(dir string, snap *snapshot.Snapshot) (floor uint64, err error) {
 	if snap.WALLSN == 0 {
-		return fmt.Errorf("wal: checkpoint snapshot has no WALLSN")
+		return 0, fmt.Errorf("wal: checkpoint snapshot has no WALLSN")
 	}
-	return writeAtomic(filepath.Join(dir, checkpointName), func(f *os.File) error {
-		return snap.Write(f)
-	})
+	path, keepAs := filepath.Join(dir, checkpointName), ""
+	if ck, err := snapshot.VerifyFile(path); err == nil {
+		floor, keepAs = ck.WALLSN, filepath.Join(dir, checkpointPrev)
+	}
+	if err := snapshot.WriteFileAtomic(path, keepAs, snap.Write); err != nil {
+		return 0, err
+	}
+	return floor, nil
 }
 
-// LoadCheckpoint reads the checkpoint, or returns (nil, nil) when none
-// has been written.
-func LoadCheckpoint(dir string) (*snapshot.Snapshot, error) {
-	f, err := os.Open(filepath.Join(dir, checkpointName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+// Checkpoint is the one write-and-truncate sequence: persist snap as the
+// newest image (WriteCheckpoint), reclaim the segments neither generation
+// needs (TruncateBelow its floor) and journal both under cause (0 mints a
+// chain). snap may alias store memory (snapshot.View): it is only read,
+// and the caller keeps producers quiesced until Checkpoint returns.
+func Checkpoint(dir string, snap *snapshot.Snapshot, jr journal.Emitter, cause uint64) (removed int, err error) {
+	floor, err := WriteCheckpoint(dir, snap)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	defer f.Close()
-	return snapshot.Read(f)
+	if removed, err = TruncateBelow(dir, floor); err != nil {
+		return removed, err
+	}
+	if cause == 0 {
+		cause = jr.NewCause()
+	}
+	jr.Emit(journal.EvCheckpoint, journal.SevInfo, cause, snap.WALLSN, 0, 0)
+	if removed > 0 {
+		jr.Emit(journal.EvWALTruncate, journal.SevInfo, cause, floor, uint64(removed), 0)
+	}
+	return removed, nil
+}
+
+// LoadCheckpoint reads the newest image that verifies: checkpoint.snap,
+// or checkpoint.prev when that one is missing (a crash between the two
+// renames) or damaged. passedOver is not a failure: it names each image
+// that is there and could not be read. ck is nil when no image can be —
+// recovery then needs the log from its first record (Recover checks).
+func LoadCheckpoint(dir string) (ck *snapshot.Snapshot, passedOver error) {
+	for _, name := range generations {
+		ck, err := snapshot.Load(filepath.Join(dir, name))
+		if err == nil {
+			return ck, passedOver
+		}
+		if !os.IsNotExist(err) {
+			passedOver = errors.Join(passedOver, fmt.Errorf("%s: %w", name, err))
+		}
+	}
+	return nil, passedOver
+}
+
+// ImageCheck is VerifyCheckpoints' finding for one generation.
+type ImageCheck struct {
+	Name  string          // file name inside the directory
+	Check *snapshot.Check // per-section verdicts; nil when the header itself is unreadable
+	Err   error           // nil: the image verifies; os.IsNotExist: there is none
+}
+
+// VerifyCheckpoints walks both image generations, newest first, block by
+// block (snapshot.Verify: one block of memory, whatever the image size).
+func VerifyCheckpoints(dir string) [2]ImageCheck {
+	var out [2]ImageCheck
+	for i, name := range generations {
+		ck, err := snapshot.VerifyFile(filepath.Join(dir, name))
+		out[i] = ImageCheck{Name: name, Check: ck, Err: err}
+	}
+	return out
+}
+
+// checkpointLSN is the log position of the newest image that verifies
+// (0: none does).
+func checkpointLSN(dir string) uint64 {
+	for _, g := range VerifyCheckpoints(dir) {
+		if g.Err == nil {
+			return g.Check.WALLSN
+		}
+	}
+	return 0
 }
 
 // TruncateBelow removes segments whose every record is at or below lsn
@@ -69,13 +142,36 @@ func TruncateBelow(dir string, lsn uint64) (removed int, err error) {
 	return removed, nil
 }
 
+// Recovered is what Recover found and did.
+type Recovered struct {
+	// Last is the last LSN restored — the image's when the tail holds
+	// nothing newer, 0 for an empty log.
+	Last uint64
+	// Skipped counts records whose apply failed.
+	Skipped int
+	// ImageLSN is the WALLSN of the image restore was handed (0: none, the
+	// log was replayed from its first record).
+	ImageLSN uint64
+	// PassedOver is non-nil when a newer image than that was there and
+	// damaged (see LoadCheckpoint): the recovery is still exact, the file
+	// wants looking at.
+	PassedOver error
+}
+
 // Recover is the one canonical recovery sequence over a log directory:
-// truncate any torn tail, load the checkpoint (if present) and hand it
-// to restore, then stream the log records above it to apply. It returns
-// the last LSN restored — the checkpoint's when the tail holds nothing
-// newer, 0 for an empty log. Callers supply restore (typically an
-// internal/ha.Resync of the image into fresh stores) and apply
-// (typically translator.ProcessStaged).
+// truncate any torn tail, load the newest checkpoint image that verifies
+// (if any) and hand it to restore, then stream the log records above it
+// to apply. Callers supply restore (typically an internal/ha.Resync of
+// the image into fresh stores) and apply (typically
+// translator.ProcessStaged). The snapshot restore receives owns its
+// buffers — Recover read them from the file and drops them when restore
+// returns — so restore may keep or alias them; it is the second and last
+// store-sized allocation of a restart.
+//
+// Recover refuses to replay a log that no longer reaches back to the
+// image it found (or to LSN 1 without one): two generations of image and
+// truncation below the older make that a doubly damaged directory, not a
+// state to rebuild stores from.
 //
 // A record whose apply fails is SKIPPED and counted, not fatal: the
 // log records admission, and the live pipeline also processed such a
@@ -86,34 +182,44 @@ func TruncateBelow(dir string, lsn uint64) (removed int, err error) {
 func Recover(dir string,
 	restore func(ck *snapshot.Snapshot) error,
 	apply func(lsn, nowNs uint64, rec *wire.StagedReport) error,
-) (last uint64, skipped int, err error) {
+) (rec Recovered, err error) {
 	if _, err := RepairTail(dir); err != nil {
-		return 0, 0, err
+		return rec, err
 	}
 	from := uint64(1)
-	ck, err := LoadCheckpoint(dir)
-	if err != nil {
-		return 0, 0, err
+	ck, passedOver := LoadCheckpoint(dir)
+	rec.PassedOver = passedOver
+	if ck != nil {
+		rec.ImageLSN = ck.WALLSN
+		from = ck.WALLSN + 1
+	}
+	if bases, err := segBases(dir); err != nil {
+		return rec, err
+	} else if len(bases) > 0 && bases[0] > from {
+		err := fmt.Errorf("wal: the log starts at LSN %d, recovery needs it from %d", bases[0], from)
+		if passedOver != nil {
+			err = fmt.Errorf("%w (%w)", err, passedOver)
+		}
+		return rec, err
 	}
 	if ck != nil {
 		if err := restore(ck); err != nil {
-			return 0, 0, fmt.Errorf("wal: recover checkpoint: %w", err)
+			return rec, fmt.Errorf("wal: recover checkpoint: %w", err)
 		}
-		from = ck.WALLSN + 1
+		ck = nil // the replay below does not need the image resident
 	}
-	last, err = Replay(dir, from, func(lsn, nowNs uint64, rec *wire.StagedReport) error {
-		if err := apply(lsn, nowNs, rec); err != nil {
-			skipped++
+	rec.Last, err = Replay(dir, from, func(lsn, nowNs uint64, r *wire.StagedReport) error {
+		if err := apply(lsn, nowNs, r); err != nil {
+			rec.Skipped++
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, skipped, err
+		rec.Last = 0
+		return rec, err
 	}
-	if ck != nil && last < ck.WALLSN {
-		last = ck.WALLSN
-	}
-	return last, skipped, nil
+	rec.Last = max(rec.Last, rec.ImageLSN)
+	return rec, nil
 }
 
 // Meta records the deployment geometry a log was written under, so a
@@ -127,8 +233,8 @@ type Meta struct {
 
 // SaveMeta writes the geometry next to the segments (atomic).
 func SaveMeta(dir string, m *Meta) error {
-	return writeAtomic(filepath.Join(dir, metaName), func(f *os.File) error {
-		return gob.NewEncoder(f).Encode(m)
+	return snapshot.WriteFileAtomic(filepath.Join(dir, metaName), "", func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(m)
 	})
 }
 
@@ -147,30 +253,4 @@ func LoadMeta(dir string) (*Meta, error) {
 		return nil, fmt.Errorf("wal: meta: %w", err)
 	}
 	return &m, nil
-}
-
-// writeAtomic writes a file via a temp sibling + rename, fsyncing the
-// file before the swap and the directory after it, so readers only ever
-// see a complete image and a host crash cannot take the new name back.
-func writeAtomic(path string, fill func(*os.File) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := fill(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path), nil)
 }

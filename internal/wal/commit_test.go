@@ -32,7 +32,7 @@ func recoverImage(t *testing.T, d *waltest.Disk, dir string) uint64 {
 		return 0
 	}
 	next := uint64(1)
-	last, _, err := Recover(img, nil, func(lsn, _ uint64, rec *wire.StagedReport) error {
+	got, err := Recover(img, nil, func(lsn, _ uint64, rec *wire.StagedReport) error {
 		if lsn != next {
 			t.Errorf("crash image replays LSN %d after %d", lsn, next-1)
 		}
@@ -43,7 +43,7 @@ func recoverImage(t *testing.T, d *waltest.Disk, dir string) uint64 {
 	if err != nil {
 		t.Errorf("recover crash image: %v", err)
 	}
-	return last
+	return got.Last
 }
 
 // TestDurabilityProperty is the acknowledged ⇒ durable contract as a

@@ -181,23 +181,36 @@ func Bounds(dir string) (first, last uint64, err error) {
 // LAST segment ends the stream cleanly — that is the crash the log
 // exists to absorb; damage anywhere else (or an inter-segment LSN gap)
 // returns ErrCorrupt, because acknowledged records are missing. fn
-// errors abort the replay.
+// errors abort the replay. A segment whose records all lie below from is
+// not needed and not read (from = 1 checks the whole log); the others
+// are held in memory one at a time, each read once.
 func Replay(dir string, from uint64, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (last uint64, err error) {
-	segs, err := Segments(dir)
+	bases, err := segBases(dir)
 	if err != nil {
 		return 0, err
 	}
 	var rec wire.StagedReport
 	var img [wire.MaxStagedEncodedLen]byte
 	next := uint64(0)
-	for si, s := range segs {
-		if s.Records == 0 && s.Err == nil && si < len(segs)-1 {
+	for si, base := range bases {
+		tail := si == len(bases)-1
+		if !tail && bases[si+1] <= from {
+			continue
+		}
+		path := filepath.Join(dir, segName(base))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return last, err
+		}
+		s, err := scanSegmentImage(path, b, base)
+		if err != nil {
+			return last, err
+		}
+		if s.Records == 0 && s.Err == nil && !tail {
 			return last, fmt.Errorf("%w: segment %s is empty mid-log", ErrCorrupt, s.Path)
 		}
-		if s.Err != nil || s.TornBytes > 0 {
-			if si < len(segs)-1 {
-				return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.Path, s.Err)
-			}
+		if (s.Err != nil || s.TornBytes > 0) && !tail {
+			return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.Path, s.Err)
 		}
 		if next != 0 && s.Records > 0 && s.First != next {
 			return last, fmt.Errorf("%w: LSN gap: segment %s starts at %d, expected %d", ErrCorrupt, s.Path, s.First, next)
@@ -209,17 +222,12 @@ func Replay(dir string, from uint64, fn func(lsn, nowNs uint64, rec *wire.Staged
 		if s.Last < from {
 			continue
 		}
-		b, err := os.ReadFile(s.Path)
-		if err != nil {
-			return last, err
-		}
 		off := int64(segHeaderLen)
 		prevNow := uint64(0)
 		for lsn := s.First; lsn <= s.Last; lsn++ {
 			n, nowNs, err := readRecord(b[off:], prevNow, &img, &rec)
 			if err != nil {
-				// The scan above validated this range; damage appearing
-				// now means the file changed underneath us.
+				// The scan above validated these very bytes.
 				return last, fmt.Errorf("wal: %s: record %d: %w", s.Path, lsn, err)
 			}
 			off += int64(n)

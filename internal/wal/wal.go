@@ -574,13 +574,9 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 		}
 	} else {
 		w.segBytes = w.pol.SegmentBytes // no segment yet: the first record cuts one
-		if ck, err := LoadCheckpoint(dir); err != nil {
-			return nil, err
-		} else if ck != nil {
-			// All segments were reclaimed by the checkpoint: continue the
-			// LSN sequence after it instead of restarting at 1.
-			next = ck.WALLSN + 1
-		}
+		// All segments were reclaimed by a checkpoint: continue the LSN
+		// sequence after it instead of restarting at 1.
+		next = checkpointLSN(dir) + 1
 	}
 	w.startLSN = next
 	go w.flusher()

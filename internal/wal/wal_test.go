@@ -261,7 +261,7 @@ func snapDir(t *testing.T, dir string, lsn uint64) {
 	t.Helper()
 	snap := testSnapshot()
 	snap.WALLSN = lsn
-	if err := WriteCheckpoint(dir, snap); err != nil {
+	if _, err := WriteCheckpoint(dir, snap); err != nil {
 		t.Fatal(err)
 	}
 }
