@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"dta/internal/ha"
 	"dta/internal/obs"
 	"dta/internal/obs/trace"
 	"dta/internal/snapshot"
@@ -341,11 +340,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := wal.Recover(oneDir,
-				func(ck *snapshot.Snapshot) error {
-					_, err := ha.Resync(ha.Target{Host: serial.host, Batcher: serial.tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
-					return err
-				},
+			if _, err := wal.Recover(oneDir, snapshot.View(serial.host), serial.tr.AppendBatcher(),
 				func(lsn, nowNs uint64, rec *wire.StagedReport) error {
 					return serial.tr.ProcessStaged(rec, nowNs)
 				}); err != nil {

@@ -328,8 +328,7 @@ func BenchmarkEngine_Sync1Shard(b *testing.B) {
 // scaling is real parallelism, so it only shows on GOMAXPROCS ≥ 2: a
 // single-core run measures pure queueing overhead. The frames flag
 // selects the wire-level baseline (serialise + parse per report) versus
-// the structured zero-allocation fast path — the Fig. 10-style
-// comparison dtabench -json records in BENCH_results.json.
+// the structured zero-allocation fast path — a Fig. 10-style comparison.
 func benchEngineAsync(b *testing.B, shards int, frames bool) {
 	benchEngineAsyncWAL(b, shards, frames, nil)
 }
@@ -337,7 +336,7 @@ func benchEngineAsync(b *testing.B, shards int, frames bool) {
 // benchEngineAsyncWAL is benchEngineAsync with an optional per-shard
 // write-ahead log: wal != nil attaches one under a fresh temp directory
 // with the given sync policy, measuring what durability costs the hot
-// ingest path (dtabench -json records WAL-on vs WAL-off per policy).
+// ingest path (WAL-on vs WAL-off per policy).
 func benchEngineAsyncWAL(b *testing.B, shards int, frames bool, wal *dta.WALPolicy) {
 	cl := engineBenchCluster(b, shards)
 	if wal != nil {

@@ -7,24 +7,14 @@
 //	dtabench -experiment fig10    # one table/figure
 //	dtabench -scale 1             # paper-scale store geometries
 //	dtabench -list                # enumerate experiment IDs
-//	dtabench -json                # machine-readable ingest benchmarks
-//	dtabench -json -out FILE      # ... written to FILE (default BENCH_results.json)
 //
-// The -json mode runs the core ingest benchmark suite (sync, frame-async
-// and structured-async Key-Write paths) and records name, ns/op,
-// reports/sec, allocs/op and per-shard worker utilization, stamped with
-// GOMAXPROCS and the git revision, so the repository's performance
-// trajectory stays comparable across commits.
+// -cpuprofile and -mutexprofile capture pprof profiles over the run:
 //
-// -cpuprofile and -mutexprofile capture pprof profiles over whichever
-// mode runs (experiments or -json); they are how the shard-scaling
-// curve was attributed (see README "Observability"):
-//
-//	dtabench -json -out /dev/null -cpuprofile cpu.pb.gz -mutexprofile mutex.pb.gz
+//	dtabench -experiment fig10 -cpuprofile cpu.pb.gz -mutexprofile mutex.pb.gz
 //	go tool pprof -top cpu.pb.gz
 //
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// The repository's own performance is measured by bench/ (bash
+// bench/run.sh), not here.
 package main
 
 import (
@@ -47,8 +37,6 @@ func main() {
 		cores      = flag.Int("cores", 0, "cap cores for parallel measurements (0 = all)")
 		quick      = flag.Bool("quick", false, "shrink workloads (CI mode)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		jsonBench  = flag.Bool("json", false, "run the ingest benchmark suite, write JSON results")
-		jsonOut    = flag.String("out", "BENCH_results.json", "output path for -json ('-' = stdout)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run here")
 		mutexProf  = flag.String("mutexprofile", "", "write a mutex-contention profile of the run here")
 	)
@@ -80,14 +68,6 @@ func main() {
 			defer f.Close()
 			pprof.Lookup("mutex").WriteTo(f, 0)
 		}()
-	}
-
-	if *jsonBench {
-		if err := runJSONBench(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "dtabench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

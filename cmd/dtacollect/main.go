@@ -48,7 +48,6 @@ import (
 	"dta/internal/core/keyincrement"
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
-	"dta/internal/ha"
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
 	obstrace "dta/internal/obs/trace"
@@ -169,24 +168,15 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 			walJr := journal.Emitter{J: jr, Comp: journal.CompWAL, Collector: -1}
 			cause := walJr.NewCause()
 			walJr.Emit(journal.EvRecoveryStart, journal.SevInfo, cause, 0, 0, 0)
-			// Idempotent with wal.Recover's own repair; run first only to
-			// learn the truncated byte count for the timeline.
-			torn, err := wal.RepairTail(wcfg.dir)
-			if err != nil {
-				return fmt.Errorf("recover: %w", err)
-			}
-			if torn > 0 {
-				walJr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(torn), 0, 0)
-				fmt.Printf("recover: truncated %d torn tail bytes\n", torn)
-			}
-			rec, err := wal.Recover(wcfg.dir,
-				func(ck *snapshot.Snapshot) error {
-					_, err := ha.Resync(ha.Target{Host: host, Batcher: tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
-					return err
-				},
+			// The image lands in the fresh stores themselves.
+			rec, err := wal.Recover(wcfg.dir, snapshot.View(host), tr.AppendBatcher(),
 				func(lsn, nowNs uint64, rec *wire.StagedReport) error {
 					return tr.ProcessStaged(rec, nowNs)
 				})
+			if rec.TornBytes > 0 {
+				walJr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(rec.TornBytes), 0, 0)
+				fmt.Printf("recover: truncated %d torn tail bytes\n", rec.TornBytes)
+			}
 			if err != nil {
 				return fmt.Errorf("recover: %w", err)
 			}

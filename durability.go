@@ -128,8 +128,8 @@ func (s *System) walSettle() error {
 const replayChunk = 32
 
 // Recover rebuilds this system's state from a WAL directory: the
-// checkpoint image (if one was written) is loaded into the stores, then
-// the log tail above it replays through the translator pipeline — so
+// checkpoint image (if one was written) is read straight into the stores,
+// then the log tail above it replays through the translator pipeline — so
 // batcher heads, postcard caches and aggregation state all come back,
 // not just store bytes. A torn tail (crash mid-write) is truncated
 // away. Returns the last LSN restored (0 = empty log). Call on a fresh
@@ -144,24 +144,22 @@ const replayChunk = 32
 // fails primitive processing (the live run errored identically and
 // carried on) are skipped with the same semantics, not fatal.
 func (s *System) Recover(dir string) (uint64, error) {
+	rec, _, err := s.recover(dir)
+	return rec.Last, err
+}
+
+// recover is Recover; it also returns what wal.Recover found and the
+// cause the recovery's events chain under.
+func (s *System) recover(dir string) (rec wal.Recovered, cause uint64, err error) {
 	if s.wal != nil {
-		return 0, errors.New("dta: Recover must run before WithWAL")
+		return rec, 0, errors.New("dta: Recover must run before WithWAL")
 	}
 	// The recovery timeline — start, torn-tail truncation, replay extent
 	// — is one causal chain, dumped to dir afterwards so it survives the
-	// process (dtarecover -events reads it back). The explicit RepairTail
-	// here is idempotent with the one inside wal.Recover; it runs first
-	// only to learn the truncated byte count, which wal.Recover discards.
+	// process (dtarecover -events reads it back).
 	jr := s.walEmitter()
-	cause := jr.NewCause()
+	cause = jr.NewCause()
 	jr.Emit(journal.EvRecoveryStart, journal.SevInfo, cause, 0, 0, 0)
-	torn, err := wal.RepairTail(dir)
-	if err != nil {
-		return 0, err
-	}
-	if torn > 0 {
-		jr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(torn), 0, 0)
-	}
 	// Replay goes through the translator's chunk entry, like live ingest,
 	// so a restart gets the same overlapped store misses. A chunk closes
 	// when it is full or the logged clock moves: the limiter must see
@@ -174,28 +172,27 @@ func (s *System) Recover(dir string) (uint64, error) {
 		failed += n
 		chunk = chunk[:0]
 	}
-	rec, err := wal.Recover(dir,
-		func(ck *snapshot.Snapshot) error {
-			_, err := ha.Resync(ha.Target{Host: s.host, Batcher: s.tr.AppendBatcher()}, []ha.Peer{{Snap: ck}})
-			return err
-		},
-		func(lsn, nowNs uint64, rec *wire.StagedReport) error {
+	rec, err = wal.Recover(dir, snapshot.View(s.host), s.tr.AppendBatcher(),
+		func(lsn, nowNs uint64, r *wire.StagedReport) error {
 			if len(chunk) == cap(chunk) || (len(chunk) > 0 && nowNs != chunkNow) {
 				flush()
 			}
-			chunk, chunkNow = append(chunk, *rec), nowNs
+			chunk, chunkNow = append(chunk, *r), nowNs
 			return nil
 		})
 	flush() // also on a log-damage abort: what was read intact is applied
+	if rec.TornBytes > 0 {
+		jr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(rec.TornBytes), 0, 0)
+	}
 	if err != nil {
-		return rec.Last, err
+		return rec, cause, err
 	}
 	// End at an epoch boundary, as the crashed run's last Flush would
 	// have: what the replay left parked in the translator (Key-Increment
 	// aggregates, a partial Append batch, cached postcards) reaches the
 	// stores, so the recovered system answers without anyone calling Flush.
 	if err := s.flushAt(chunkNow); err != nil {
-		return rec.Last, err
+		return rec, cause, err
 	}
 	if rec.PassedOver != nil {
 		jr.Emit(journal.EvImageFallback, journal.SevWarn, cause, rec.ImageLSN, 0, 0)
@@ -205,7 +202,7 @@ func (s *System) Recover(dir string) (uint64, error) {
 		// Best-effort post-mortem artifact; recovery itself succeeded.
 		_ = s.jr.DumpFile(filepath.Join(dir, journal.DumpFileName))
 	}
-	return rec.Last, nil
+	return rec, cause, nil
 }
 
 // Checkpoint bounds recovery time and log growth: translator state is
@@ -346,9 +343,10 @@ func (c *HACluster) memberWALPolicy(i int, pol WALPolicy) WALPolicy {
 // that collector's recovery baseline. Read-repair writes between
 // checkpoints are NOT logged — after recovery the repaired divergence
 // can reappear, and the next query heals it again, exactly as it was
-// healed the first time. The same goes for a collector that has to fall
-// back to its older image generation: resync writes made after that
-// image are in no log.
+// healed the first time. A collector that has to pass over its newest
+// image lacks the resync writes made after the one it fell back to, which
+// are in no log: it comes back stale from epoch 0, so the next Rebalance
+// replays its peers into it in full, under the recovery's cause.
 func (c *HACluster) Recover(dir string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,8 +357,13 @@ func (c *HACluster) Recover(dir string) error {
 		} else if m == nil {
 			continue
 		}
-		if _, err := sys.Recover(sub); err != nil {
+		rec, cause, err := sys.recover(sub)
+		if err != nil {
 			return fmt.Errorf("dta: recover collector %d: %w", i, err)
+		}
+		if rec.PassedOver != nil {
+			c.stale[i], c.causeOf[i] = 0, cause
+			c.emit(i, journal.EvSetUp, journal.SevWarn, cause, 0, 0, 0)
 		}
 	}
 	return nil

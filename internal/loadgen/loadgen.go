@@ -238,7 +238,7 @@ func ParseSchedule(spec string) ([]Event, error) {
 			return nil, fmt.Errorf("loadgen: schedule entry %q: want action@fraction=target", part)
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(frac), 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // NaN is not in range either
 			return nil, fmt.Errorf("loadgen: schedule entry %q: fraction must be in [0,1]", part)
 		}
 		evs, err := parseEntry(strings.TrimSpace(action), f, strings.TrimSpace(target))
@@ -297,7 +297,7 @@ func parseEntry(action string, f float64, target string) ([]Event, error) {
 			return nil, err
 		}
 		period, err := strconv.ParseFloat(b, 64)
-		if err != nil || period <= 0 || period > 0.5 {
+		if err != nil || !(period > 0 && period <= 0.5) {
 			return nil, fmt.Errorf("flap period must be in (0,0.5]")
 		}
 		// Round the accumulated fractions so the expanded plan formats

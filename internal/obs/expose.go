@@ -121,7 +121,8 @@ func Mux(r *Registry) *http.ServeMux {
 
 // ParseLabels parses a rendered label body (`k1="v1",k2="v2"`) back
 // into sorted pairs. Values are Go-quoted by renderLabels, so Unquote
-// round-trips exactly.
+// round-trips exactly; keys must be label names ([a-zA-Z_][a-zA-Z0-9_]*),
+// so a quote or a brace in the body is always a value's.
 func ParseLabels(s string) ([]Label, error) {
 	if s == "" {
 		return nil, nil
@@ -133,6 +134,9 @@ func ParseLabels(s string) ([]Label, error) {
 			return nil, fmt.Errorf("obs: malformed label set at %q", s)
 		}
 		key := s[:eq]
+		if !labelName(key) {
+			return nil, fmt.Errorf("obs: bad label name %q", key)
+		}
 		rest := s[eq+1:]
 		// Find the closing quote, honouring backslash escapes.
 		end := -1
@@ -163,4 +167,15 @@ func ParseLabels(s string) ([]Label, error) {
 		}
 	}
 	return out, nil
+}
+
+// labelName reports whether s is a Prometheus label name.
+func labelName(s string) bool {
+	for i, c := range []byte(s) {
+		letter := c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+		if !letter && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return s != ""
 }

@@ -256,11 +256,13 @@ func ParsePrometheus(r io.Reader) (*Snapshot, error) {
 		}
 		// Split off an OpenMetrics-style exemplar suffix
 		// (` # {trace_id="N"} V`) before sample parsing: the exemplar's
-		// own '}' would otherwise defeat the label-brace scan.
+		// own '}' would otherwise defeat the label-brace scan. It starts
+		// past the label set, whose quoted values may hold " # " too.
 		exStr := ""
-		if i := strings.Index(line, " # "); i >= 0 {
-			exStr = strings.TrimSpace(line[i+3:])
-			line = strings.TrimSpace(line[:i])
+		end := labelsEnd(line)
+		if i := strings.Index(line[end:], " # "); i >= 0 {
+			exStr = strings.TrimSpace(line[end+i+3:])
+			line = strings.TrimSpace(line[:end+i])
 		}
 		name, labelStr, valStr, err := splitSample(line)
 		if err != nil {
@@ -328,6 +330,27 @@ func ParsePrometheus(r io.Reader) (*Snapshot, error) {
 		s.Values = append(s.Values, h.val)
 	}
 	return s, nil
+}
+
+// labelsEnd is the offset just past a sample line's label set — its
+// first '}' outside a quoted value — or 0 when it has none.
+func labelsEnd(line string) int {
+	i := strings.IndexByte(line, '{')
+	if i < 0 {
+		return 0
+	}
+	quoted := false
+	for j := i + 1; j < len(line); j++ {
+		switch c := line[j]; {
+		case quoted && c == '\\':
+			j++
+		case c == '"':
+			quoted = !quoted
+		case !quoted && c == '}':
+			return j + 1
+		}
+	}
+	return 0
 }
 
 // splitSample splits `name{labels} value` / `name value`.

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,6 +61,10 @@ var (
 // magic at all — which is what the gob images of builds before version 1
 // look like. There is no converter; take a new snapshot or checkpoint.
 var ErrVersion = errors.New("snapshot: unreadable image format")
+
+// ErrGeometry reports an image laid out unlike the stores ReadInto was
+// to land it in.
+var ErrGeometry = errors.New("snapshot: image laid out unlike its destination")
 
 // errCRC marks damage that leaves the reader aligned (the block was all
 // there, its bytes were wrong), unlike an input that ended or failed.
@@ -175,6 +180,12 @@ func (s *Snapshot) appendHeader(b []byte, sz [nSections]uint64) []byte {
 	}
 	u64(sz[:]...)
 	return b
+}
+
+// layout is the part of a header that fixes where store bytes go.
+func (s *Snapshot) layout(sz [nSections]uint64) []byte {
+	stores := Snapshot{KeyWrite: s.KeyWrite, KeyIncrement: s.KeyIncrement, Postcarding: s.Postcarding, Append: s.Append}
+	return stores.appendHeader(nil, [nSections]uint64{sz[0], sz[1], sz[2], sz[3]})
 }
 
 // headerReader takes the fields back off; one that is missing or out of
@@ -382,21 +393,52 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if l, ok := r.(interface{ Len() int }); ok {
 		avail = int64(l.Len())
 	}
-	return read(r, avail)
+	return read(r, avail, nil)
 }
 
-func read(r io.Reader, avail int64) (*Snapshot, error) {
+// ReadInto is Read into dst's store buffers — a View of a fresh host, so
+// the image lands in its regions, not in a second copy. They must be laid
+// out as the image says (ErrGeometry, before anything is written); any
+// failure after that zeroes every byte written. On success dst also takes
+// the image's metadata (WALLSN, AppendHeads, tags). size is the number of
+// bytes r holds (negative: unknown), which Read learns from Len.
+func ReadInto(r io.Reader, size int64, dst *Snapshot) error {
+	_, err := read(r, size, dst)
+	return err
+}
+
+// read is the one block loop behind Read and ReadInto: with into nil it
+// allocates each store buffer at the header's size, else uses into's.
+func read(r io.Reader, avail int64, into *Snapshot) (_ *Snapshot, err error) {
 	s, sz, err := readHeader(r, avail)
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range s.bufs() {
+	bufs := s.bufs()
+	var landed [4]int // the prefix of each of into's buffers written so far
+	if into != nil {
+		if !bytes.Equal(s.layout(sz), into.layout(into.sectionSizes())) {
+			return nil, ErrGeometry
+		}
+		bufs = into.bufs()
+		defer func() {
+			if err != nil {
+				for i, b := range bufs {
+					clear((*b)[:landed[i]])
+				}
+			}
+		}()
+	}
+	for i, b := range bufs {
 		if sz[i] == 0 {
 			continue
 		}
-		*b = make([]byte, sz[i])
+		if into == nil {
+			*b = make([]byte, sz[i])
+		}
 		for off := 0; off < len(*b); off += blockSize {
-			if err := readBlock(r, (*b)[off:min(off+blockSize, len(*b))]); err != nil {
+			landed[i] = min(off+blockSize, len(*b))
+			if err := readBlock(r, (*b)[off:landed[i]]); err != nil {
 				return nil, sectionErr(i, uint64(off), err)
 			}
 		}
@@ -423,6 +465,12 @@ func read(r io.Reader, avail int64) (*Snapshot, error) {
 	}
 	if err := readTrailer(r, sz); err != nil {
 		return nil, err
+	}
+	if into != nil {
+		into.WALLSN, into.TagBlockBytes = s.WALLSN, s.TagBlockBytes
+		for i, a := range into.arrays() {
+			*a = *s.arrays()[i]
+		}
 	}
 	return s, nil
 }

@@ -314,6 +314,95 @@ func TestReadAllocatesOnce(t *testing.T) {
 	}
 }
 
+// emptyLike is a destination laid out like s, every byte zero: what View
+// gives of a fresh host.
+func emptyLike(s *Snapshot) *Snapshot {
+	d := &Snapshot{KeyWrite: s.KeyWrite, KeyIncrement: s.KeyIncrement, Postcarding: s.Postcarding, Append: s.Append}
+	for i, b := range d.bufs() {
+		*b = make([]byte, len(*s.bufs()[i]))
+	}
+	return d
+}
+
+// requireUntouched asserts ReadInto left a destination as emptyLike made
+// it: every buffer zero, nothing of the image's metadata taken.
+func requireUntouched(t *testing.T, what string, d *Snapshot) {
+	t.Helper()
+	for i, b := range d.bufs() {
+		if n := len(*b) - bytes.Count(*b, []byte{0}); n != 0 {
+			t.Errorf("%s: %d bytes of the %s store left written", what, n, sectionNames[i])
+		}
+	}
+	if d.WALLSN != 0 || d.TagBlockBytes != 0 || d.KeyWriteTags != nil || d.AppendHeads != nil {
+		t.Errorf("%s: image metadata taken", what)
+	}
+}
+
+// TestReadIntoLandsInPlace: ReadInto puts an image's bytes in the
+// destination's own buffers. One damaged or missing in the middle — a
+// block after others have landed — leaves the destination zeroed again,
+// as a fresh host was, for the caller's fallback; one laid out unlike the
+// destination is refused before anything is written.
+func TestReadIntoLandsInPlace(t *testing.T) {
+	s := multiBlockSnapshot(t) // three Key-Write blocks, two tag blocks
+	img := encode(t, s)
+	d := emptyLike(s)
+	buf := &d.KeyWriteBuf[0]
+	if err := ReadInto(bytes.NewReader(img), int64(len(img)), d); err != nil {
+		t.Fatal(err)
+	}
+	assertEqual(t, s, d)
+	if &d.KeyWriteBuf[0] != buf {
+		t.Error("ReadInto replaced the destination's buffer")
+	}
+
+	ck, err := Verify(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw := preambleLen + int(binary.BigEndian.Uint32(img[12:])) + 4 // first Key-Write block
+	tags := kw + int(ck.Sections[0].Bytes) + 3*4                   // first tag block
+	for name, at := range map[string]int{
+		"middle store block": kw + blockSize + 4 + blockSize/2,
+		"last store block":   kw + 2*(blockSize+4) + 10,
+		"tag block":          tags + blockSize + 4 + 8,
+		"trailer":            len(img) - 6,
+	} {
+		bad := bytes.Clone(img)
+		bad[at] ^= 0x20
+		d := emptyLike(s)
+		if err := ReadInto(bytes.NewReader(bad), int64(len(bad)), d); err == nil {
+			t.Errorf("flip in the %s: read", name)
+		}
+		requireUntouched(t, "flip in the "+name, d)
+	}
+	d = emptyLike(s)
+	if err := ReadInto(bytes.NewReader(img[:kw+blockSize+4+100]), -1, d); err == nil {
+		t.Error("image cut in its second block: read")
+	}
+	requireUntouched(t, "image cut in its second block", d)
+
+	for name, mutate := range map[string]func(*Snapshot){
+		"other slots": func(d *Snapshot) {
+			d.KeyWrite = &keywrite.Config{Slots: s.KeyWrite.Slots / 2, DataSize: s.KeyWrite.DataSize}
+			d.KeyWriteBuf = d.KeyWriteBuf[:d.KeyWrite.BufferSize()]
+		},
+		"other checksum": func(d *Snapshot) {
+			d.KeyWrite = &keywrite.Config{Slots: s.KeyWrite.Slots, DataSize: s.KeyWrite.DataSize, ChecksumBits: 16}
+		},
+		"short buffer":    func(d *Snapshot) { d.KeyWriteBuf = d.KeyWriteBuf[1:] },
+		"no such store":   func(d *Snapshot) { d.KeyWrite, d.KeyWriteBuf = nil, nil },
+		"one store extra": func(d *Snapshot) { d.KeyIncrement, d.KeyIncBuf = &keyincrement.Config{Slots: 1}, make([]byte, 8) },
+	} {
+		d := emptyLike(s)
+		mutate(d)
+		if err := ReadInto(bytes.NewReader(img), int64(len(img)), d); !errors.Is(err, ErrGeometry) {
+			t.Errorf("%s: %v, want ErrGeometry", name, err)
+		}
+		requireUntouched(t, name, d)
+	}
+}
+
 // TestVerifyNamesTheSection: a flipped byte condemns its own section and
 // no other; an image cut short condemns everything it did not reach.
 func TestVerifyNamesTheSection(t *testing.T) {
@@ -499,13 +588,17 @@ func TestWriteFileAtomicKeepsAGeneration(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotRead: whatever the bytes, Read and Verify return — no
-// panic — and Read allocates no more than the input is long plus a block,
-// because the header is held against the input's size before the first
-// buffer exists. Every input is also tried with its header CRC
-// recomputed, so that mutated geometry reaches the checks behind the CRC.
+// FuzzSnapshotRead: whatever the bytes, Read, ReadInto and Verify return
+// — no panic — and Read allocates no more than the input is long plus a
+// block, because the header is held against the input's size before the
+// first buffer exists. ReadInto, into stores laid out as the valid seed's,
+// accepts what Read accepts of that layout and lands the same bytes; what
+// it refuses it leaves zero. Every input is also tried with its header
+// CRC recomputed, so that mutated geometry reaches the checks behind the
+// CRC.
 func FuzzSnapshotRead(f *testing.F) {
-	valid := encode(f, tinySnapshot(f))
+	tiny := tinySnapshot(f)
+	valid := encode(f, tiny)
 	f.Add(valid)
 	f.Add(encode(f, &Snapshot{}))
 	for _, at := range []int{9, 14, 20, 30, 44, 60, 100, 180, 240} { // version, length, header fields
@@ -526,6 +619,15 @@ func FuzzSnapshotRead(f *testing.F) {
 			ck, verr := Verify(bytes.NewReader(img))
 			if (err == nil) != (verr == nil) {
 				t.Errorf("Read says %v, Verify says %v", err, verr)
+			}
+			d := emptyLike(tiny)
+			switch ierr := ReadInto(bytes.NewReader(img), int64(len(img)), d); {
+			case ierr != nil:
+				requireUntouched(t, "refused in place", d)
+			case err != nil:
+				t.Errorf("Read says %v, ReadInto accepts", err)
+			default:
+				assertEqual(t, s, d)
 			}
 			if err == nil {
 				if ck.WALLSN != s.WALLSN {

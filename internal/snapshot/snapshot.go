@@ -10,8 +10,11 @@
 // dtacollect, behind quiesced producers), so that an image streams out
 // without a second copy of them. Capture copies, and is what everything
 // else wants: HA resync peers, which outlive the barrier they were taken
-// under, and files for offline queries. Read and Load return snapshots
-// that own their buffers.
+// under, and files for offline queries. Who reads in place, who
+// allocates: ReadInto and LoadInto land an image in a View of a fresh
+// host, so a restart (wal.Recover) holds no copy of it; Read and Load
+// allocate snapshots that own their buffers, for readers with no stores
+// to fill (dtaquery, the fuzz targets).
 //
 // The image format is in codec.go: versioned, length-prefixed, CRC-32C
 // per block, one pass in each direction.
@@ -120,7 +123,15 @@ func (s *Snapshot) Save(path string) error {
 
 // Load reads a snapshot from a file that holds one image and nothing
 // else.
-func Load(path string) (*Snapshot, error) {
+func Load(path string) (*Snapshot, error) { return load(path, nil) }
+
+// LoadInto is ReadInto over such a file.
+func LoadInto(path string, dst *Snapshot) error {
+	_, err := load(path, dst)
+	return err
+}
+
+func load(path string, into *Snapshot) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -130,7 +141,7 @@ func Load(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return read(f, st.Size())
+	return read(f, st.Size(), into)
 }
 
 // VerifyFile is Verify over the file at path.

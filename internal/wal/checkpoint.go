@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"dta/internal/core/appendlist"
 	"dta/internal/obs/journal"
 	"dta/internal/snapshot"
 	"dta/internal/translator"
@@ -72,22 +73,25 @@ func Checkpoint(dir string, snap *snapshot.Snapshot, jr journal.Emitter, cause u
 	return removed, nil
 }
 
-// LoadCheckpoint reads the newest image that verifies: checkpoint.snap,
-// or checkpoint.prev when that one is missing (a crash between the two
-// renames) or damaged. passedOver is not a failure: it names each image
-// that is there and could not be read. ck is nil when no image can be —
-// recovery then needs the log from its first record (Recover checks).
-func LoadCheckpoint(dir string) (ck *snapshot.Snapshot, passedOver error) {
+// loadCheckpoint reads the newest image that verifies into the stores
+// into describes: checkpoint.snap, or checkpoint.prev when that one is
+// missing (a crash between the two renames) or damaged. passedOver is not
+// a failure: it names each image that is there and could not be read.
+// lsn is the image's WALLSN, 0 when none could be. An image laid out
+// unlike the stores is an error, not damage: one deployment wrote both.
+func loadCheckpoint(dir string, into *snapshot.Snapshot) (lsn uint64, passedOver, err error) {
 	for _, name := range generations {
-		ck, err := snapshot.Load(filepath.Join(dir, name))
-		if err == nil {
-			return ck, passedOver
-		}
-		if !os.IsNotExist(err) {
+		err := snapshot.LoadInto(filepath.Join(dir, name), into)
+		switch {
+		case err == nil:
+			return into.WALLSN, passedOver, nil
+		case errors.Is(err, snapshot.ErrGeometry):
+			return 0, passedOver, fmt.Errorf("wal: recover checkpoint %s: %w", name, err)
+		case !os.IsNotExist(err):
 			passedOver = errors.Join(passedOver, fmt.Errorf("%s: %w", name, err))
 		}
 	}
-	return nil, passedOver
+	return 0, passedOver, nil
 }
 
 // ImageCheck is VerifyCheckpoints' finding for one generation.
@@ -149,29 +153,33 @@ type Recovered struct {
 	Last uint64
 	// Skipped counts records whose apply failed.
 	Skipped int
-	// ImageLSN is the WALLSN of the image restore was handed (0: none, the
-	// log was replayed from its first record).
+	// ImageLSN is the WALLSN of the image read into the stores (0: none,
+	// the log was replayed from its first record).
 	ImageLSN uint64
+	// AppendHeads are that image's Append counts, now the batcher's.
+	AppendHeads []uint64
+	// TornBytes counts the torn log tail truncated (0: it ended cleanly).
+	TornBytes int64
 	// PassedOver is non-nil when a newer image than that was there and
-	// damaged (see LoadCheckpoint): the recovery is still exact, the file
-	// wants looking at.
+	// damaged: the recovery is still exact, the file wants looking at.
 	PassedOver error
 }
 
 // Recover is the one canonical recovery sequence over a log directory:
-// truncate any torn tail, load the newest checkpoint image that verifies
-// (if any) and hand it to restore, then stream the log records above it
-// to apply. Callers supply restore (typically an internal/ha.Resync of
-// the image into fresh stores) and apply (typically
-// translator.ProcessStaged). The snapshot restore receives owns its
-// buffers — Recover read them from the file and drops them when restore
-// returns — so restore may keep or alias them; it is the second and last
-// store-sized allocation of a restart.
+// truncate any torn tail, read the newest checkpoint image that verifies
+// into the stores into describes (a snapshot.View of a fresh host: the
+// image lands in its regions), set heads — the Append batcher, nil only
+// without an Append store — to the image's counts, then stream the log
+// records above the image to apply (typically the translator's ingest
+// entry). Beside the stores, a restart costs one read buffer whatever the
+// image or log size.
 //
-// Recover refuses to replay a log that no longer reaches back to the
-// image it found (or to LSN 1 without one): two generations of image and
-// truncation below the older make that a doubly damaged directory, not a
-// state to rebuild stores from.
+// A damaged image is passed over for checkpoint.prev, then for the whole
+// log, its bytes zeroed again: hence a fresh host. Recover refuses to
+// replay a log that no longer reaches back to the image it read (or to
+// LSN 1 without one): two generations of image and truncation below the
+// older make that a doubly damaged directory, not a state to rebuild
+// stores from.
 //
 // A record whose apply fails is SKIPPED and counted, not fatal: the
 // log records admission, and the live pipeline also processed such a
@@ -179,36 +187,33 @@ type Recovered struct {
 // errors and continue) — aborting would let one rejected report hold
 // every later acknowledged record hostage on every recovery attempt.
 // Log damage (Replay's own errors) still aborts.
-func Recover(dir string,
-	restore func(ck *snapshot.Snapshot) error,
+func Recover(dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
 	apply func(lsn, nowNs uint64, rec *wire.StagedReport) error,
 ) (rec Recovered, err error) {
-	if _, err := RepairTail(dir); err != nil {
+	buf := make([]byte, readBufLen)
+	if _, rec.TornBytes, err = repairTail(dir, buf); err != nil {
 		return rec, err
 	}
-	from := uint64(1)
-	ck, passedOver := LoadCheckpoint(dir)
-	rec.PassedOver = passedOver
-	if ck != nil {
-		rec.ImageLSN = ck.WALLSN
-		from = ck.WALLSN + 1
+	if rec.ImageLSN, rec.PassedOver, err = loadCheckpoint(dir, into); err != nil {
+		return rec, err
 	}
+	rec.AppendHeads = into.AppendHeads
+	from := rec.ImageLSN + 1
 	if bases, err := segBases(dir); err != nil {
 		return rec, err
 	} else if len(bases) > 0 && bases[0] > from {
 		err := fmt.Errorf("wal: the log starts at LSN %d, recovery needs it from %d", bases[0], from)
-		if passedOver != nil {
-			err = fmt.Errorf("%w (%w)", err, passedOver)
+		if rec.PassedOver != nil {
+			err = fmt.Errorf("%w (%w)", err, rec.PassedOver)
 		}
 		return rec, err
 	}
-	if ck != nil {
-		if err := restore(ck); err != nil {
+	for l, n := range rec.AppendHeads {
+		if err := heads.SyncList(l, n); err != nil {
 			return rec, fmt.Errorf("wal: recover checkpoint: %w", err)
 		}
-		ck = nil // the replay below does not need the image resident
 	}
-	rec.Last, err = Replay(dir, from, func(lsn, nowNs uint64, r *wire.StagedReport) error {
+	rec.Last, err = replay(dir, from, buf, func(lsn, nowNs uint64, r *wire.StagedReport) error {
 		if err := apply(lsn, nowNs, r); err != nil {
 			rec.Skipped++
 		}

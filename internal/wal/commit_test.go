@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dta/internal/obs/trace"
+	"dta/internal/snapshot"
 	"dta/internal/wal/waltest"
 	"dta/internal/wire"
 )
@@ -32,7 +33,7 @@ func recoverImage(t *testing.T, d *waltest.Disk, dir string) uint64 {
 		return 0
 	}
 	next := uint64(1)
-	got, err := Recover(img, nil, func(lsn, _ uint64, rec *wire.StagedReport) error {
+	got, err := Recover(img, &snapshot.Snapshot{}, nil, func(lsn, _ uint64, rec *wire.StagedReport) error {
 		if lsn != next {
 			t.Errorf("crash image replays LSN %d after %d", lsn, next-1)
 		}

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"dta/internal/wire"
 )
@@ -34,13 +37,50 @@ func segmentImage(t testing.TB, n int) []byte {
 	return b
 }
 
+// scanBytes is the byte-slice scan: the segment reader over data with a
+// buffer that holds all of it, so it is never refilled.
+func scanBytes(data []byte, base uint64) (SegmentInfo, error) {
+	return scanSegment("seg", bytes.NewReader(data), make([]byte, max(len(data), 2*MaxRecordLen)), base, nil)
+}
+
+// readSegment runs the segment reader over r through a buffer of bufLen
+// bytes and returns its verdict, and every record it delivered (encoded,
+// with its LSN and timestamp).
+func readSegment(r io.Reader, bufLen int, base uint64) (verdict string, recs []byte) {
+	info, err := scanSegment("seg", r, make([]byte, bufLen), base, func(lsn, nowNs uint64, rec *wire.StagedReport) error {
+		var enc [wire.MaxStagedEncodedLen]byte
+		recs = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(recs, lsn), nowNs)
+		recs = append(recs, enc[:rec.EncodeTo(enc[:])]...)
+		return nil
+	})
+	return fmt.Sprintf("%+v (%v)", info, err), recs
+}
+
+// requireSameReading holds the reader over data, taken one byte or half a
+// read at a time through the smallest buffer it accepts — refilled
+// between, or inside, every pair of records — to the verdict and the
+// records the byte-slice scan gives.
+func requireSameReading(t *testing.T, data []byte, base uint64) {
+	t.Helper()
+	want, wantRecs := readSegment(bytes.NewReader(data), max(len(data), 2*MaxRecordLen), base)
+	for name, r := range map[string]io.Reader{
+		"one byte at a time": iotest.OneByteReader(bytes.NewReader(data)),
+		"half of each read":  iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		if got, recs := readSegment(r, 2*MaxRecordLen, base); got != want || !bytes.Equal(recs, wantRecs) {
+			t.Fatalf("%s: %s, %d record bytes; the byte-slice scan says %s, %d record bytes", name, got, len(recs), want, len(wantRecs))
+		}
+	}
+}
+
 // FuzzSegmentReader fuzzes the segment reader recovery runs first:
-// scanSegmentImage and readRecord never panic on any bytes, the scan's
+// scanSegment and readRecord never panic on any bytes, the scan's
 // verdict is self-consistent (the intact prefix is inside the file, the
-// counts agree with the LSN range), the intact prefix re-scans clean to
-// the same verdict (so RepairTail's truncation is idempotent), and every
-// record the scan accepted reads back as a fixed point of the staged
-// codec.
+// counts agree with the LSN range) and does not depend on how the bytes
+// arrive or where the read buffer is refilled, the intact prefix re-scans
+// clean to the same verdict (so RepairTail's truncation is idempotent),
+// and every record the scan accepted reads back as a fixed point of the
+// staged codec.
 func FuzzSegmentReader(f *testing.F) {
 	seg := segmentImage(f, 12)
 	f.Add(seg)
@@ -52,7 +92,8 @@ func FuzzSegmentReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const base = 1
-		info, err := scanSegmentImage("fuzz", data, base)
+		requireSameReading(t, data, base)
+		info, err := scanBytes(data, base)
 		if err != nil {
 			return // bad magic / base mismatch: the scan itself refuses
 		}
@@ -71,11 +112,11 @@ func FuzzSegmentReader(f *testing.F) {
 		if info.TornBytes > 0 && info.Err == nil {
 			t.Fatalf("torn bytes without a reason: %+v", info)
 		}
-		again, err := scanSegmentImage("fuzz", data[:info.Bytes], base)
+		again, err := scanBytes(data[:info.Bytes], base)
 		if err != nil || again.TornBytes != 0 || again.Err != nil || again.Records != info.Records {
 			t.Fatalf("intact prefix does not re-scan clean: %+v (%v)", again, err)
 		}
-		// Walk the accepted records the way Replay does.
+		// Walk the accepted records the way the scan does.
 		var rec wire.StagedReport
 		var img [wire.MaxStagedEncodedLen]byte
 		off, prevNow := int64(segHeaderLen), uint64(0)
@@ -107,11 +148,12 @@ func FuzzSegmentReader(f *testing.F) {
 
 // TestSegmentReaderTooShort: cut a real segment at every length. Below
 // the segment header nothing is readable; from there on the scan keeps
-// exactly the whole records that fit and calls the rest torn, and
-// readRecord rejects every strict prefix of a record.
+// exactly the whole records that fit and calls the rest torn — however
+// the bytes arrive — and readRecord rejects every strict prefix of a
+// record.
 func TestSegmentReaderTooShort(t *testing.T) {
 	seg := segmentImage(t, 5)
-	full, err := scanSegmentImage("seg", seg, 1)
+	full, err := scanBytes(seg, 1)
 	if err != nil || full.Records != 5 || full.TornBytes != 0 {
 		t.Fatalf("reference segment: %+v (%v)", full, err)
 	}
@@ -134,7 +176,8 @@ func TestSegmentReaderTooShort(t *testing.T) {
 		bounds = append(bounds, off)
 	}
 	for cut := 0; cut <= len(seg); cut++ {
-		info, err := scanSegmentImage("seg", seg[:cut], 1)
+		requireSameReading(t, seg[:cut], 1)
+		info, err := scanBytes(seg[:cut], 1)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}

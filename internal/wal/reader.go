@@ -36,61 +36,100 @@ type SegmentInfo struct {
 	Err error
 }
 
-// scanSegment walks one segment, validating framing, CRCs and LSN
-// contiguity, and returns how far it is intact. Damage is reported in
-// the info (TornBytes/Err), not as the error — only I/O and header
-// mismatches fail the scan itself.
-func scanSegment(path string, wantBase uint64) (SegmentInfo, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return SegmentInfo{Path: path, Base: wantBase}, err
-	}
-	return scanSegmentImage(path, b, wantBase)
-}
+// readBufLen is the buffer a log scan reads any segment through.
+const readBufLen = 1 << 20
 
-// scanSegmentImage is scanSegment over the file's bytes.
-func scanSegmentImage(path string, b []byte, wantBase uint64) (SegmentInfo, error) {
-	info := SegmentInfo{Path: path, Base: wantBase}
-	if len(b) < segHeaderLen {
-		info.TornBytes = int64(len(b))
-		info.Err = fmt.Errorf("wal: segment header truncated at %dB", len(b))
+// scanSegment is the one segment reader: it walks a segment from r,
+// validating framing, CRCs and LSN contiguity, hands each intact record
+// to fn (nil: count only; the record is valid during the call) and says
+// how far the segment is intact. Records parse where they lie in buf (at
+// least 2 × MaxRecordLen), refilled whenever less than a longest record
+// is left, so one that straddles a refill parses like any other. Damage
+// is reported in the info (TornBytes/Err), not as the error — only I/O
+// errors, header mismatches and fn's errors fail the scan itself.
+func scanSegment(path string, r io.Reader, buf []byte, base uint64, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (SegmentInfo, error) {
+	info := SegmentInfo{Path: path, Base: base}
+	lo, hi, eof := 0, 0, false
+	// fill moves buf[lo:hi] to the front, then reads until buf is full or
+	// the segment ends.
+	fill := func() error {
+		hi, lo = copy(buf, buf[lo:hi]), 0
+		n, err := io.ReadFull(r, buf[hi:])
+		hi += n
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			eof, err = true, nil
+		}
+		return err
+	}
+	if err := fill(); err != nil {
+		return info, err
+	}
+	if hi < segHeaderLen {
+		info.TornBytes = int64(hi)
+		info.Err = fmt.Errorf("wal: segment header truncated at %dB", hi)
 		return info, nil
 	}
-	if [8]byte(b[:8]) != segMagic {
+	if [8]byte(buf[:8]) != segMagic {
 		return info, fmt.Errorf("wal: %s: bad magic", path)
 	}
-	if base := binary.BigEndian.Uint64(b[8:16]); base != wantBase {
-		return info, fmt.Errorf("wal: %s: header base LSN %d, name says %d", path, base, wantBase)
+	if got := binary.BigEndian.Uint64(buf[8:16]); got != base {
+		return info, fmt.Errorf("wal: %s: header base LSN %d, name says %d", path, got, base)
 	}
-	off := int64(segHeaderLen)
+	lo, info.Bytes = segHeaderLen, segHeaderLen
 	prevNow := uint64(0)
 	var rec wire.StagedReport
 	var img [wire.MaxStagedEncodedLen]byte
 	for {
-		n, nowNs, err := readRecord(b[off:], prevNow, &img, &rec)
+		if hi-lo < MaxRecordLen && !eof {
+			if err := fill(); err != nil {
+				return info, err
+			}
+		}
+		n, nowNs, err := readRecord(buf[lo:hi], prevNow, &img, &rec)
 		if err != nil {
 			if err != io.EOF {
 				info.Err = err
 			}
 			break
 		}
-		if info.Records == 0 {
-			info.First = wantBase
+		lsn := base + uint64(info.Records)
+		if fn != nil {
+			if err := fn(lsn, nowNs, &rec); err != nil {
+				return info, err
+			}
 		}
-		info.Last = wantBase + uint64(info.Records)
+		info.First, info.Last = base, lsn
 		info.Records++
+		info.Bytes += int64(n)
 		prevNow = nowNs
-		off += int64(n)
+		lo += n
 	}
-	info.Bytes = off
-	info.TornBytes = int64(len(b)) - off
+	// Everything past the last intact record is torn: count it.
+	for info.TornBytes = int64(hi - lo); !eof; info.TornBytes += int64(hi) {
+		lo = hi
+		if err := fill(); err != nil {
+			return info, err
+		}
+	}
 	return info, nil
+}
+
+// scanFile is scanSegment over the file of segment base in dir.
+func scanFile(dir string, base uint64, buf []byte, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (SegmentInfo, error) {
+	path := filepath.Join(dir, segName(base))
+	f, err := os.Open(path)
+	if err != nil {
+		return SegmentInfo{Path: path, Base: base}, err
+	}
+	defer f.Close() // only read: nothing for Close to report
+	return scanSegment(path, f, buf, base, fn)
 }
 
 // readRecord parses one framed record at the head of b, checking the
 // CRC and structural consistency. LSNs are implicit (contiguous within
 // a segment); prevNow decodes the timestamp delta. io.EOF means a
-// clean end (b empty); any other error describes the damage found.
+// clean end (b empty); any other error describes the damage found — the
+// same whatever b holds past MaxRecordLen.
 func readRecord(b []byte, prevNow uint64, img *[wire.MaxStagedEncodedLen]byte, rec *wire.StagedReport) (n int, nowNs uint64, err error) {
 	if len(b) == 0 {
 		return 0, 0, io.EOF
@@ -99,6 +138,9 @@ func readRecord(b []byte, prevNow uint64, img *[wire.MaxStagedEncodedLen]byte, r
 		return 0, 0, fmt.Errorf("wal: record header truncated at %dB", len(b))
 	}
 	total := recordHeaderLen + int(b[4])
+	if total > MaxRecordLen {
+		return 0, 0, fmt.Errorf("wal: record length %dB exceeds %d", total, MaxRecordLen)
+	}
 	if len(b) < total {
 		return 0, 0, fmt.Errorf("wal: record truncated (%dB of %d)", len(b), total)
 	}
@@ -146,9 +188,10 @@ func Segments(dir string) ([]SegmentInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	buf := make([]byte, readBufLen)
 	var out []SegmentInfo
 	for _, base := range bases {
-		info, err := scanSegment(filepath.Join(dir, segName(base)), base)
+		info, err := scanFile(dir, base, buf, nil)
 		if err != nil {
 			return out, err
 		}
@@ -178,31 +221,40 @@ func Bounds(dir string) (first, last uint64, err error) {
 
 // Replay streams every intact record with LSN >= from, in order, to fn,
 // and returns the last LSN delivered (0 if none). A damaged tail in the
-// LAST segment ends the stream cleanly — that is the crash the log
-// exists to absorb; damage anywhere else (or an inter-segment LSN gap)
-// returns ErrCorrupt, because acknowledged records are missing. fn
-// errors abort the replay. A segment whose records all lie below from is
-// not needed and not read (from = 1 checks the whole log); the others
-// are held in memory one at a time, each read once.
+// LAST segment ends the stream cleanly — that is the crash the log exists
+// to absorb; damage anywhere else (or an inter-segment LSN gap) returns
+// ErrCorrupt, because acknowledged records are missing — after the
+// records in front of it were delivered: each segment is validated and
+// delivered in one pass (a recovery aborts either way). fn errors abort
+// the replay. A segment whose records all lie below from is not read.
 func Replay(dir string, from uint64, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (last uint64, err error) {
+	return replay(dir, from, make([]byte, readBufLen), fn)
+}
+
+func replay(dir string, from uint64, buf []byte, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (last uint64, err error) {
 	bases, err := segBases(dir)
 	if err != nil {
 		return 0, err
 	}
-	var rec wire.StagedReport
-	var img [wire.MaxStagedEncodedLen]byte
 	next := uint64(0)
 	for si, base := range bases {
 		tail := si == len(bases)-1
 		if !tail && bases[si+1] <= from {
 			continue
 		}
-		path := filepath.Join(dir, segName(base))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return last, err
-		}
-		s, err := scanSegmentImage(path, b, base)
+		s, err := scanFile(dir, base, buf, func(lsn, nowNs uint64, rec *wire.StagedReport) error {
+			if lsn == base && next != 0 && base != next {
+				return fmt.Errorf("%w: LSN gap: segment %s starts at %d, expected %d", ErrCorrupt, segName(base), base, next)
+			}
+			if lsn < from {
+				return nil
+			}
+			if err := fn(lsn, nowNs, rec); err != nil {
+				return err
+			}
+			last = lsn
+			return nil
+		})
 		if err != nil {
 			return last, err
 		}
@@ -212,33 +264,8 @@ func Replay(dir string, from uint64, fn func(lsn, nowNs uint64, rec *wire.Staged
 		if (s.Err != nil || s.TornBytes > 0) && !tail {
 			return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.Path, s.Err)
 		}
-		if next != 0 && s.Records > 0 && s.First != next {
-			return last, fmt.Errorf("%w: LSN gap: segment %s starts at %d, expected %d", ErrCorrupt, s.Path, s.First, next)
-		}
-		if s.Records == 0 {
-			continue
-		}
-		next = s.Last + 1
-		if s.Last < from {
-			continue
-		}
-		off := int64(segHeaderLen)
-		prevNow := uint64(0)
-		for lsn := s.First; lsn <= s.Last; lsn++ {
-			n, nowNs, err := readRecord(b[off:], prevNow, &img, &rec)
-			if err != nil {
-				// The scan above validated these very bytes.
-				return last, fmt.Errorf("wal: %s: record %d: %w", s.Path, lsn, err)
-			}
-			off += int64(n)
-			prevNow = nowNs
-			if lsn < from {
-				continue
-			}
-			if err := fn(lsn, nowNs, &rec); err != nil {
-				return last, err
-			}
-			last = lsn
+		if s.Records > 0 {
+			next = s.Last + 1
 		}
 	}
 	return last, nil
@@ -250,34 +277,32 @@ func Replay(dir string, from uint64, fn func(lsn, nowNs uint64, rec *wire.Staged
 // non-tail segments is NOT repaired (it is not a torn tail) and is
 // reported by Replay instead.
 func RepairTail(dir string) (removed int64, err error) {
+	_, removed, err = repairTail(dir, make([]byte, readBufLen))
+	return removed, err
+}
+
+// repairTail is RepairTail through buf; it also returns the tail as it
+// stands afterwards (Path empty: no segment). A tail whose header did not
+// survive is removed, and the segment before it, as it is, is the tail.
+func repairTail(dir string, buf []byte) (tail SegmentInfo, removed int64, err error) {
 	bases, err := segBases(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
+	if err != nil || len(bases) == 0 {
+		return tail, 0, err
 	}
-	if len(bases) == 0 {
-		return 0, nil
+	tail, err = scanFile(dir, bases[len(bases)-1], buf, nil)
+	if err != nil || tail.TornBytes == 0 {
+		return tail, 0, err
 	}
-	last := bases[len(bases)-1]
-	path := filepath.Join(dir, segName(last))
-	info, err := scanSegment(path, last)
-	if err != nil {
-		return 0, err
+	removed, tail.TornBytes, tail.Err = tail.TornBytes, 0, nil
+	if tail.Bytes >= segHeaderLen {
+		return tail, removed, os.Truncate(tail.Path, tail.Bytes)
 	}
-	if info.TornBytes == 0 {
-		return 0, nil
+	if err := os.Remove(tail.Path); err != nil {
+		return tail, 0, err
 	}
-	if info.Bytes < segHeaderLen {
-		// Not even the header survived: drop the whole segment file.
-		if err := os.Remove(path); err != nil {
-			return 0, err
-		}
-		return info.TornBytes, nil
+	if len(bases) == 1 {
+		return SegmentInfo{}, removed, nil
 	}
-	if err := os.Truncate(path, info.Bytes); err != nil {
-		return 0, err
-	}
-	return info.TornBytes, nil
+	tail, err = scanFile(dir, bases[len(bases)-2], buf, nil)
+	return tail, removed, err
 }

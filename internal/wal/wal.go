@@ -500,13 +500,6 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if _, err := RepairTail(dir); err != nil {
-		return nil, err
-	}
-	bases, err := segBases(dir)
-	if err != nil {
-		return nil, err
-	}
 	w := &Writer{
 		dir:      dir,
 		pol:      pol.withDefaults(),
@@ -516,6 +509,12 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		ctr:      newWALCounters(sc),
+	}
+	// One scan of the tail truncates a torn one and says where the log goes
+	// on; it reads through the ring, which holds nothing yet.
+	tail, _, err := repairTail(dir, w.ring)
+	if err != nil {
+		return nil, err
 	}
 	w.cond.L = &w.mu
 	switch w.pol.Mode {
@@ -548,29 +547,24 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 	sc.GaugeFunc("dta_wal_failed_errno", "Errno of the flusher's sticky failure (0 = healthy, -1 = non-errno error).",
 		func() float64 { return float64(w.failedErrno.Load()) })
 	next := uint64(1)
-	if len(bases) > 0 {
-		last := bases[len(bases)-1]
-		info, err := scanSegment(filepath.Join(dir, segName(last)), last)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if tail.Path != "" {
+		f, err := os.OpenFile(tail.Path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
 		w.f = w.wrap(f)
-		if info.Records > 0 {
+		if tail.Records > 0 {
 			// Force a fresh segment for the first new record: timestamp
 			// deltas are per-segment and the old tail's last timestamp is
 			// not tracked across runs. The open handle just lets rotate
 			// finalise the old tail normally.
-			next = info.Last + 1
+			next = tail.Last + 1
 			w.segBytes = w.pol.SegmentBytes
 		} else {
 			// Header-only tail (a crash right after rotation): continue
 			// inside it — it holds no timestamps to clash with.
-			next = last
-			w.segBytes = info.Bytes
+			next = tail.Base
+			w.segBytes = tail.Bytes
 		}
 	} else {
 		w.segBytes = w.pol.SegmentBytes // no segment yet: the first record cuts one
