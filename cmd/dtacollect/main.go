@@ -149,16 +149,7 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 	}
 	tr.Journal = journal.Emitter{J: jr, Comp: journal.CompTranslator, Collector: -1}
 	tr.PreTouch = host.Device().PreTouch
-	tr.Emit = func(pkt []byte) {
-		ack, err := host.Ingest(pkt)
-		if err != nil {
-			log.Printf("collector: %v", err)
-			return
-		}
-		if ack != nil {
-			tr.HandleAck(ack)
-		}
-	}
+	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
 
 	// Durability: recover any prior log into the fresh stores, THEN
 	// attach the writer (recovery must not re-log replayed records).

@@ -33,7 +33,6 @@ package dta
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -161,12 +160,6 @@ type System struct {
 	eventsOnce sync.Once
 	events     chan ImmediateEvent
 
-	// markDirty, when set (by HACluster), observes every crafted RDMA
-	// packet before it is applied, tagging written store blocks for
-	// incremental resync. Installed at construction time, before any
-	// ingest, so the plain field read below never races.
-	markDirty func(pkt []byte)
-
 	// wal, when attached (WithWAL), logs every admitted report for crash
 	// recovery and exact log-based replication resync. See durability.go.
 	wal *wal.Writer
@@ -271,24 +264,11 @@ func newSystem(opts Options, reg *obs.Registry, sc *obs.Scope, jr *journal.Journ
 	if opts.ReporterLoss > 0 {
 		s.link = netsim.NewLink(100e9, 500, opts.ReporterLoss, opts.Seed)
 	}
-	// Translator → collector is the lossless RDMA hop: emissions apply
-	// immediately and acks return synchronously.
+	// Translator → collector is the lossless RDMA hop: the translator
+	// posts a window's verbs to the host's send queue, and its doorbell
+	// executes them and returns the completion synchronously.
 	tr.PreTouch = host.Device().PreTouch
-	tr.Emit = func(pkt []byte) {
-		if s.markDirty != nil {
-			s.markDirty(pkt)
-		}
-		ack, err := host.Ingest(pkt)
-		if err != nil {
-			// A crafting bug, not a runtime condition: surface loudly.
-			panic(fmt.Sprintf("dta: collector rejected RDMA packet: %v", err))
-		}
-		if ack != nil {
-			if err := tr.HandleAck(ack); err != nil {
-				panic(fmt.Sprintf("dta: bad ack: %v", err))
-			}
-		}
-	}
+	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
 	return s, nil
 }
 

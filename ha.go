@@ -20,6 +20,7 @@ import (
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
+	"dta/internal/rdma"
 	"dta/internal/snapshot"
 	"dta/internal/wire"
 )
@@ -100,8 +101,8 @@ type HACluster struct {
 	// exclusive with queries.
 	mu      sync.RWMutex
 	systems []*System
-	// trackers[i] tags collector i's written store blocks with the
-	// epoch current at write time (hooked into its RDMA emit path).
+	// trackers[i] reads and repairs collector i's dirty tags: its device
+	// raises them, to the epoch current at each doorbell, as it executes.
 	trackers []*ha.Tracker
 	// stale maps a live-but-unsynchronised collector to the epoch it
 	// went stale at: Rebalance replays only peer blocks written at or
@@ -281,11 +282,11 @@ func (c *HACluster) noteReadRepair(repaired int) {
 	c.emit(-1, journal.EvReadRepair, journal.SevInfo, 0, uint64(repaired), c.health.Snapshot().ReadRepairs, 0)
 }
 
-// attach registers a collector system and hooks its RDMA emit path into
-// a fresh dirty tracker, so every write is epoch-tagged for incremental
-// resync. Called before the system sees any traffic. It refuses a system
-// unlike member 0: a replicated write and a failover read each plan once
-// for all their owners.
+// attach registers a collector system and turns on its device's dirty
+// tags, so every write is epoch-tagged for incremental resync. Called
+// before the system sees any traffic. It refuses a system unlike member
+// 0: a replicated write and a failover read each plan once for all their
+// owners.
 func (c *HACluster) attach(sys *System) (int, error) {
 	id := len(c.systems)
 	if id > 0 {
@@ -293,8 +294,7 @@ func (c *HACluster) attach(sys *System) (int, error) {
 			return 0, err
 		}
 	}
-	tk := ha.NewTracker(c.health, sys.Host().Listener().Regions)
-	sys.markDirty = tk.MarkPacket
+	tk := ha.NewTracker(c.health, sys.Host().Listener())
 	c.systems = append(c.systems, sys)
 	c.trackers = append(c.trackers, tk)
 	return id, nil
@@ -333,7 +333,7 @@ func (c *HACluster) capture(id int) *snapshot.Snapshot {
 		s.KeyWriteTags = tk.Tags("keywrite")
 		s.KeyIncTags = tk.Tags("keyincrement")
 		s.PostcardTags = tk.Tags("postcarding")
-		s.TagBlockBytes = ha.TagBlockBytes
+		s.TagBlockBytes = rdma.TagBlockBytes
 	}
 	return s
 }

@@ -4,11 +4,11 @@
 // (modelled) NIC via RDMA (§5.3).
 //
 // A Host registers one memory region per enabled primitive, advertises
-// them through the connection manager, applies incoming RoCEv2 packets
-// with its Device, and exposes typed query views over the same memory:
-// Key-Write lookups, Postcarding path reconstruction, Append polling and
-// Key-Increment count-min estimates. WRITEs carrying immediate data
-// surface on the Events channel (push notifications, §7).
+// them through the connection manager, executes the RoCEv2 post-lists a
+// translator rings in with its Device, and exposes typed query views over
+// the same memory: Key-Write lookups, Postcarding path reconstruction,
+// Append polling and Key-Increment count-min estimates. WRITEs carrying
+// immediate data surface on the Events channel (push notifications, §7).
 package collector
 
 import (
@@ -48,6 +48,8 @@ type Host struct {
 	// When full, further events are dropped, like NIC event queues.
 	Events chan rdma.ImmediateEvent
 
+	sq     rdma.SendQueue // verbs posted since the last doorbell
+	evs    []rdma.ImmediateEvent
 	ackBuf []byte
 	// DroppedEvents counts notifications lost to a full Events channel.
 	DroppedEvents uint64
@@ -127,22 +129,24 @@ func (h *Host) Listener() *rdma.Listener {
 // Device exposes the RDMA device (statistics, Fig. 8 accounting).
 func (h *Host) Device() *rdma.Device { return h.dev }
 
-// Ingest applies one RoCEv2 packet to collector memory and returns the
-// acknowledgement to send back, if any. The collector CPU does not run
-// this in deployment — the NIC does — so Ingest charges no CPU cycles.
-func (h *Host) Ingest(pkt []byte) (ack []byte, err error) {
-	ack, ev, err := h.dev.Process(pkt, h.ackBuf)
-	if err != nil {
-		return nil, err
-	}
-	if ev != nil {
+// Post copies one RoCEv2 verb onto the host's send queue; nothing
+// executes until Doorbell. It is the translator's Emit hook.
+func (h *Host) Post(pkt []byte) { h.sq.Post(pkt) }
+
+// Doorbell executes the posted verbs (rdma.Device.Execute), raises their
+// immediate events on Events and returns the one completion to send
+// back, if any: the translator's Doorbell hook. The NIC runs this, not
+// the collector CPU, so it charges no CPU cycles.
+func (h *Host) Doorbell() (ack []byte, err error) {
+	ack, h.evs, err = h.dev.Execute(&h.sq, h.ackBuf, h.evs[:0])
+	for _, ev := range h.evs {
 		select {
-		case h.Events <- *ev:
+		case h.Events <- ev:
 		default:
 			h.DroppedEvents++
 		}
 	}
-	return ack, nil
+	return ack, err
 }
 
 // ErrDisabled reports a query against a primitive that was not enabled.

@@ -67,7 +67,8 @@ func TestQueriesOnDisabledPrimitives(t *testing.T) {
 func TestIngestRejectsGarbage(t *testing.T) {
 	kw := keywrite.Config{Slots: 64, DataSize: 4}
 	h, _ := New(Config{KeyWrite: &kw})
-	if _, err := h.Ingest([]byte{1, 2, 3}); err == nil {
+	h.Post([]byte{1, 2, 3})
+	if _, err := h.Doorbell(); err == nil {
 		t.Error("garbage packet accepted")
 	}
 }
@@ -89,7 +90,8 @@ func TestEventOverflowCounted(t *testing.T) {
 	imm := uint32(5)
 	for i := 0; i < 3; i++ {
 		pkt := rdma.BuildWrite(nil, req.DestQP, req.NextPSN(), g.VA, g.RKey, []byte{1}, false, &imm)
-		if _, err := h.Ingest(pkt); err != nil {
+		h.Post(pkt)
+		if _, err := h.Doorbell(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -184,15 +184,7 @@ func fig8Rig(prim wire.Primitive, reports int, batch int, redundancy int) float6
 	if err != nil {
 		panic(err)
 	}
-	tr.Emit = func(pkt []byte) {
-		ack, err := host.Ingest(pkt)
-		if err != nil {
-			panic(err)
-		}
-		if ack != nil {
-			tr.HandleAck(ack)
-		}
-	}
+	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
 	for i := 0; i < reports; i++ {
 		var rep wire.Report
 		rep.Header = wire.Header{Version: wire.Version, Primitive: prim}

@@ -1,128 +1,47 @@
 package ha
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"dta/internal/rdma"
 )
 
-// TagBlockBytes is the dirty-tracking granularity: each collector store
-// is divided into fixed-size blocks and every RDMA write stamps its
-// blocks with the cluster epoch current at write time. Coarser blocks
-// cost memory-proportional false replay on resync; finer blocks cost
-// tracker memory (8 B per block). 1 KiB keeps the tracker under 1% of
-// store memory while a typical rejoin window dirties a small fraction
-// of blocks.
-const TagBlockBytes = 1024
-
-// trackedRegion is the per-store dirty map: one epoch tag per block of
-// the registered memory region.
-type trackedRegion struct {
-	label string
-	base  uint64 // region virtual address
-	limit uint64 // base + length
-	tags  []atomic.Uint64
-}
-
-// Tracker records, per collector, which store blocks were written in
-// which epoch. It hooks the collector's RDMA ingest path (MarkPacket)
-// so tracking costs one branch plus a few byte reads per packet and
-// never allocates; the epoch source is the cluster Health's staleness
-// clock. Incremental resync consults the captured tags to replay only
+// Tracker is one collector's dirty map. The tags live on the device's
+// registered regions (rdma.MemoryRegion.Tags): the execute loop raises
+// them, to the epoch the doorbell read, for every verb it runs. Read
+// repair and resync write store buffers directly, so they stamp through
+// MarkRange; snapshot capture reads Tags; incremental resync replays only
 // blocks written since the target went stale.
 //
-// Tag stores are atomic because engine shard workers mark concurrently
-// with Rebalance reading tags (under its drain barrier the worker is
-// quiescent, but SetDown epoch bumps race marks by design).
+// Epoch ordering: a doorbell reads the epoch on the worker, after its
+// chunk was dequeued, so after every fan-out that staged into the chunk
+// chose its skip set. A fan-out that skips a collector saw the epoch bump
+// SetDown made before the down flag, so its writes carry a tag inside the
+// skipped collector's replay window.
 type Tracker struct {
 	epochs  *Health
-	regions []trackedRegion
+	regions map[string]*rdma.MemoryRegion
 }
 
-// NewTracker builds a tracker over a collector's advertised memory
-// regions, tagging with h's epoch clock.
-func NewTracker(h *Health, regions []rdma.RegionInfo) *Tracker {
-	t := &Tracker{epochs: h}
-	for _, r := range regions {
-		blocks := int((r.Length + TagBlockBytes - 1) / TagBlockBytes)
-		t.regions = append(t.regions, trackedRegion{
-			label: r.Label,
-			base:  r.VA,
-			limit: r.VA + r.Length,
-			tags:  make([]atomic.Uint64, blocks),
-		})
+// NewTracker turns on dirty tags for every region l advertises, with h's
+// epoch as the device's tag clock. Call it before the collector sees
+// traffic.
+func NewTracker(h *Health, l *rdma.Listener) *Tracker {
+	t := &Tracker{epochs: h, regions: make(map[string]*rdma.MemoryRegion)}
+	for _, r := range l.Regions {
+		m, _ := l.Device.Region(r.RKey)
+		m.Tags = make([]atomic.Uint64, (len(m.Buf)+rdma.TagBlockBytes-1)/rdma.TagBlockBytes)
+		t.regions[r.Label] = m
 	}
+	l.Device.Epoch = h.Epoch
 	return t
 }
 
-// MarkPacket inspects one crafted RoCEv2 request and stamps the blocks
-// it writes with the current epoch. Only WRITE and FETCH&ADD carry a
-// destination; everything else is ignored. The field offsets are fixed
-// (BTH then RETH/AtomicETH, both leading with the 8-byte VA), so no
-// full packet decode — and no allocation — happens on the hot path.
-func (t *Tracker) MarkPacket(pkt []byte) {
-	if len(pkt) < rdma.BTHLen+rdma.RETHLen {
-		return
-	}
-	var length uint64
-	switch rdma.Opcode(pkt[0]) {
-	case rdma.OpWriteOnly, rdma.OpWriteOnlyImm:
-		length = uint64(binary.BigEndian.Uint32(pkt[rdma.BTHLen+12 : rdma.BTHLen+16]))
-	case rdma.OpFetchAdd:
-		length = 8
-	default:
-		return
-	}
-	va := binary.BigEndian.Uint64(pkt[rdma.BTHLen : rdma.BTHLen+8])
-	t.markVA(va, length, t.epochs.Epoch())
-}
-
-func (t *Tracker) markVA(va, length uint64, epoch uint64) {
-	if length == 0 {
-		return
-	}
-	for i := range t.regions {
-		r := &t.regions[i]
-		if va < r.base || va >= r.limit {
-			continue
-		}
-		first := (va - r.base) / TagBlockBytes
-		last := (va + length - 1 - r.base) / TagBlockBytes
-		for b := first; b <= last && b < uint64(len(r.tags)); b++ {
-			raiseTag(&r.tags[b], epoch)
-		}
-		return
-	}
-}
-
-// raiseTag lifts a block tag to at least epoch (tags are last-write
-// clocks: they only ever move forward).
-func raiseTag(tag *atomic.Uint64, epoch uint64) {
-	for {
-		cur := tag.Load()
-		if cur >= epoch || tag.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
-
 // MarkRange stamps [off, off+length) of the labelled store with the
-// current epoch. Read-repair and resync write store buffers directly
-// (collector-CPU fixups, not RDMA), so they mark through this instead
-// of MarkPacket.
+// current epoch.
 func (t *Tracker) MarkRange(label string, off, length int) {
-	t.markLabel(label, off, length, t.epochs.Epoch())
-}
-
-func (t *Tracker) markLabel(label string, off, length int, epoch uint64) {
-	for i := range t.regions {
-		r := &t.regions[i]
-		if r.label != label {
-			continue
-		}
-		t.markVA(r.base+uint64(off), uint64(length), epoch)
-		return
+	if m := t.regions[label]; m != nil {
+		m.RaiseTags(off, length, t.epochs.Epoch())
 	}
 }
 
@@ -130,16 +49,13 @@ func (t *Tracker) markLabel(label string, off, length int, epoch uint64) {
 // nil if the store is untracked. Snapshot capture records these next to
 // the buffers.
 func (t *Tracker) Tags(label string) []uint64 {
-	for i := range t.regions {
-		r := &t.regions[i]
-		if r.label != label {
-			continue
-		}
-		out := make([]uint64, len(r.tags))
-		for b := range r.tags {
-			out[b] = r.tags[b].Load()
-		}
-		return out
+	m := t.regions[label]
+	if m == nil {
+		return nil
 	}
-	return nil
+	out := make([]uint64, len(m.Tags))
+	for b := range m.Tags {
+		out[b] = m.Tags[b].Load()
+	}
+	return out
 }

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -19,14 +21,15 @@ func (j *Journal) DumpFile(path string) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
 	events, _, _ := j.Since(0, nil)
+	recs := make([]Record, len(events))
 	for i := range events {
-		if err := enc.Encode(events[i].Record()); err != nil {
-			f.Close()
-			return err
-		}
+		recs[i] = events[i].Record()
+	}
+	w := bufio.NewWriter(f)
+	if err := writeDump(w, recs); err != nil {
+		f.Close()
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -35,15 +38,31 @@ func (j *Journal) DumpFile(path string) error {
 	return f.Close()
 }
 
+// writeDump writes recs in the DumpFile format: one JSON object a line.
+func writeDump(w io.Writer, recs []Record) error {
+	enc := json.NewEncoder(w)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReadDump parses a DumpFile back into records.
 func ReadDump(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	return decodeDump(data)
+}
+
+// decodeDump parses the bytes of a DumpFile: the records before the
+// first one that does not decode, and why that one did not.
+func decodeDump(data []byte) ([]Record, error) {
 	var recs []Record
-	dec := json.NewDecoder(f)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	for dec.More() {
 		var r Record
 		if err := dec.Decode(&r); err != nil {

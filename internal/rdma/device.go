@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dta/internal/costmodel"
 )
@@ -14,6 +15,10 @@ import (
 // report.
 const CacheLine = 64
 
+// TagBlockBytes is the dirty-tag granularity (MemoryRegion.Tags): 8 B of
+// tag per 1 KiB, and a rejoin window dirties few blocks.
+const TagBlockBytes = 1024
+
 // MemoryRegion is a registered, remotely accessible buffer. DTA registers
 // one region per primitive store (the paper allocates them on 1 GB huge
 // pages; here they are ordinary slices).
@@ -21,6 +26,26 @@ type MemoryRegion struct {
 	Base uint64 // starting virtual address as seen by remote peers
 	RKey uint32
 	Buf  []byte
+	// Tags, nil unless dirty tracking is on (HA members), holds one
+	// last-write epoch per TagBlockBytes block of Buf.
+	Tags []atomic.Uint64
+}
+
+// RaiseTags lifts the tag of every block [off, off+length) touches to at
+// least epoch: tags are last-write clocks and only move forward.
+func (m *MemoryRegion) RaiseTags(off, length int, epoch uint64) {
+	if length <= 0 {
+		return
+	}
+	last := min((off+length-1)/TagBlockBytes, len(m.Tags)-1)
+	for b := off / TagBlockBytes; b <= last; b++ {
+		for tag := &m.Tags[b]; ; {
+			cur := tag.Load()
+			if cur >= epoch || tag.CompareAndSwap(cur, epoch) {
+				break
+			}
+		}
+	}
 }
 
 // contains translates a remote (va, length) pair into an offset.
@@ -63,11 +88,16 @@ func psnDelta(a, b uint32) int32 {
 // responder queue pairs and executes incoming verbs against memory. It is
 // the collector-side endpoint of DTA; its CPU never sees the packets.
 //
-// Concurrency contract: the data path (Process) is single-threaded, like
-// the modelled NIC pipeline — callers serialise packet processing per
-// device (the ingest engine does this by dedicating one worker goroutine
-// per collector). Setup calls (RegisterMemory, CreateQP) take the
-// device mutex but must complete before traffic starts; statistics
+// Verbs arrive as a post-list (a SendQueue run by Execute, the doorbell)
+// answered with one completion; Process is a list of one. On a region
+// with Tags the loop raises the tags each write touches.
+//
+// Concurrency contract: the data path (Execute, Process, PreTouch) is
+// single-threaded, like the modelled NIC pipeline — callers serialise
+// packet processing per device (the ingest engine does this by
+// dedicating one worker goroutine per collector). Setup calls
+// (RegisterMemory, CreateQP) take the device mutex and, like setting
+// Tags and Epoch, must complete before traffic starts; statistics
 // readers must quiesce the data path first (Drain/Close), as the dta
 // package documents.
 type Device struct {
@@ -95,6 +125,9 @@ type Device struct {
 	// touched accumulates the bytes PreTouch loads, so the compiler
 	// cannot drop the loads.
 	touched byte
+
+	// Epoch is the dirty-tag clock, read once per doorbell.
+	Epoch func() uint64
 }
 
 // DeviceStats counts the operations a Device has executed.
@@ -115,6 +148,7 @@ func NewDevice() *Device {
 		nextVA:  0x10000000, // arbitrary non-zero base
 		nextKey: 0x1000,
 		nextQPN: 0x11,
+		Epoch:   func() uint64 { return 0 },
 	}
 }
 
@@ -156,14 +190,84 @@ type ImmediateEvent struct {
 	Imm uint32
 }
 
-// Process executes one incoming RoCE packet against the device and
+// SendQueue is a post-list: verbs copied, in order, into one reused
+// arena.
+type SendQueue struct {
+	arena []byte
+	ends  []int // verb i ends at arena[ends[i]]
+}
+
+// Post copies one verb onto the end of the list.
+func (q *SendQueue) Post(pkt []byte) {
+	q.arena = append(q.arena, pkt...)
+	q.ends = append(q.ends, len(q.arena))
+}
+
+// completion is the one response a doorbell answers with.
+type completion struct {
+	set, atomic   bool
+	syndrome      uint8
+	qpn, psn, msn uint32
+	orig          uint64
+}
+
+// ack serialises c; nil when no verb asked for a response.
+func (c *completion) ack(buf []byte) []byte {
+	if !c.set {
+		return nil
+	}
+	return BuildAck(buf, c.qpn, c.psn, c.syndrome, c.msn, c.atomic, c.orig)
+}
+
+// respond records a verb's response; a NAK stops the list.
+func (c *completion) respond(qp *ResponderQP, psn uint32, syndrome uint8, atomic bool, orig uint64) (stop bool) {
+	*c = completion{set: true, qpn: qp.QPN, psn: psn, msn: qp.MSN, syndrome: syndrome, atomic: atomic, orig: orig}
+	return syndrome != SynACK
+}
+
+// Execute rings the doorbell on q: it validates each verb as a packet on
+// the wire (ICRC, opcode, PSN, bounds), executes the verbs in order,
+// counts DeviceStats per verb and appends immediate events to evs. It
+// returns one completion: the last response a verb asked for, or the
+// first NAK, after which nothing executes. A verb that cannot be
+// processed at all (decode, QP, opcode) also stops the list, as err.
+// Execute empties q.
+func (d *Device) Execute(q *SendQueue, ackBuf []byte, evs []ImmediateEvent) (ack []byte, _ []ImmediateEvent, err error) {
+	epoch := d.Epoch()
+	var c completion
+	start := 0
+	for _, end := range q.ends {
+		var stop bool
+		if evs, stop, err = d.execute(q.arena[start:end], &c, evs, epoch); stop {
+			break
+		}
+		start = end
+	}
+	q.arena, q.ends = q.arena[:0], q.ends[:0]
+	return c.ack(ackBuf), evs, err
+}
+
+// Process executes one incoming RoCEv2 packet — a post-list of one — and
 // returns the serialized acknowledgement (nil if the packet does not
 // elicit one). If the packet carried immediate data, ev describes the
 // interrupt the host would receive.
 func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEvent, err error) {
+	var c completion
+	var one [1]ImmediateEvent
+	evs, _, err := d.execute(pkt, &c, one[:0], d.Epoch())
+	if len(evs) > 0 {
+		e := evs[0]
+		ev = &e
+	}
+	return c.ack(ackBuf), ev, err
+}
+
+// execute runs one verb of a list and records in c the response it asks
+// for. stop ends the list: a NAK, or err.
+func (d *Device) execute(pkt []byte, c *completion, evs []ImmediateEvent, epoch uint64) (_ []ImmediateEvent, stop bool, err error) {
 	var p Packet
 	if err := DecodePacket(pkt, &p); err != nil {
-		return nil, nil, err
+		return evs, true, err
 	}
 	// No lock: Process is serialised per device by contract (see the
 	// Device doc comment); taking the mutex per packet cost ~17% of the
@@ -173,7 +277,7 @@ func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEv
 		var ok bool
 		qp, ok = d.qps[p.BTH.DestQP]
 		if !ok {
-			return nil, nil, ErrUnknownQP
+			return evs, true, ErrUnknownQP
 		}
 		d.qpCache = qp
 	}
@@ -185,56 +289,56 @@ func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEv
 		// expected PSN so the requester resynchronises (§5.2 "queue-pair
 		// resynchronization").
 		d.Stats.SeqErrors++
-		return BuildAck(ackBuf, qp.QPN, qp.EPSN, SynNAKSeq, qp.MSN, false, 0), nil, nil
+		return evs, c.respond(qp, qp.EPSN, SynNAKSeq, false, 0), nil
 	case delta < 0:
 		// Duplicate of an already-executed packet.
 		d.Stats.Duplicates++
 		if p.BTH.Opcode == OpFetchAdd {
 			if qp.hasAtomicCache && qp.lastAtomicPSN == p.BTH.PSN {
-				return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynACK, qp.MSN, true, qp.lastAtomicOrig), nil, nil
+				return evs, c.respond(qp, p.BTH.PSN, SynACK, true, qp.lastAtomicOrig), nil
 			}
 			// Uncached duplicate atomics cannot be safely re-executed.
-			return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynNAKSeq, qp.MSN, false, 0), nil, nil
+			return evs, c.respond(qp, p.BTH.PSN, SynNAKSeq, false, 0), nil
 		}
 		// Duplicate WRITEs are idempotent: re-ACK without re-executing.
-		return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynACK, qp.MSN, false, 0), nil, nil
+		return evs, c.respond(qp, p.BTH.PSN, SynACK, false, 0), nil
 	}
 
 	// In-sequence: execute.
 	switch p.BTH.Opcode {
 	case OpWriteOnly, OpWriteOnlyImm:
-		if err := d.execWrite(&p); err != nil {
+		if err := d.execWrite(&p, epoch); err != nil {
 			d.Stats.AccessErrs++
-			return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynNAKAcc, qp.MSN, false, 0), nil, nil
+			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
 		}
 		d.Stats.Writes++
 		qp.advance()
 		if p.HasImm {
-			ev = &ImmediateEvent{QPN: qp.QPN, Imm: p.Imm}
+			evs = append(evs, ImmediateEvent{QPN: qp.QPN, Imm: p.Imm})
 		}
 		if p.BTH.AckReq || p.HasImm {
-			return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynACK, qp.MSN, false, 0), ev, nil
+			c.respond(qp, p.BTH.PSN, SynACK, false, 0)
 		}
-		return nil, ev, nil
 	case OpFetchAdd:
-		orig, err := d.execFetchAdd(&p)
+		orig, err := d.execFetchAdd(&p, epoch)
 		if err != nil {
 			d.Stats.AccessErrs++
-			return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynNAKAcc, qp.MSN, false, 0), nil, nil
+			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
 		}
 		d.Stats.FetchAdds++
 		qp.lastAtomicPSN = p.BTH.PSN
 		qp.lastAtomicOrig = orig
 		qp.hasAtomicCache = true
 		qp.advance()
-		return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynACK, qp.MSN, true, orig), nil, nil
+		c.respond(qp, p.BTH.PSN, SynACK, true, orig)
 	case OpSendOnly:
 		d.Stats.Sends++
 		qp.advance()
-		return BuildAck(ackBuf, qp.QPN, p.BTH.PSN, SynACK, qp.MSN, false, 0), nil, nil
+		c.respond(qp, p.BTH.PSN, SynACK, false, 0)
 	default:
-		return nil, nil, ErrBadOpcode
+		return evs, true, ErrBadOpcode
 	}
+	return evs, false, nil
 }
 
 func (qp *ResponderQP) advance() {
@@ -254,7 +358,7 @@ func (d *Device) region(rkey uint32) (*MemoryRegion, bool) {
 	return m, ok
 }
 
-func (d *Device) execWrite(p *Packet) error {
+func (d *Device) execWrite(p *Packet, epoch uint64) error {
 	m, ok := d.region(p.RETH.RKey)
 	if !ok {
 		return ErrAccessFault
@@ -264,6 +368,9 @@ func (d *Device) execWrite(p *Packet) error {
 		return err
 	}
 	copy(m.Buf[off:], p.Payload)
+	if m.Tags != nil {
+		m.RaiseTags(off, len(p.Payload), epoch)
+	}
 	// One memory instruction per cache line touched by the DMA write.
 	lines := uint64((len(p.Payload) + CacheLine - 1) / CacheLine)
 	if lines == 0 {
@@ -273,7 +380,7 @@ func (d *Device) execWrite(p *Packet) error {
 	return nil
 }
 
-func (d *Device) execFetchAdd(p *Packet) (uint64, error) {
+func (d *Device) execFetchAdd(p *Packet, epoch uint64) (uint64, error) {
 	m, ok := d.region(p.AtomicETH.RKey)
 	if !ok {
 		return 0, ErrAccessFault
@@ -287,6 +394,9 @@ func (d *Device) execFetchAdd(p *Packet) (uint64, error) {
 	}
 	orig := binary.BigEndian.Uint64(m.Buf[off : off+8])
 	binary.BigEndian.PutUint64(m.Buf[off:off+8], orig+p.AtomicETH.AddData)
+	if m.Tags != nil {
+		m.RaiseTags(off, 8, epoch)
+	}
 	// Read-modify-write: two memory instructions.
 	d.Mem.Add(2, 0)
 	return orig, nil
@@ -297,10 +407,10 @@ func (d *Device) execFetchAdd(p *Packet) (uint64, error) {
 // whole chunk's destination addresses before crafting the first packet:
 // the loads are independent, so their cache misses (and page walks)
 // overlap here instead of being paid one at a time behind each later
-// execWrite/execFetchAdd store. Addresses get the same bounds check the
-// executing verbs apply; one that fails it is skipped — the verb will
-// fault on it. PreTouch only reads, and runs on the data path's
-// goroutine like Process.
+// execWrite/execFetchAdd store (and tag raise). Addresses get the same
+// bounds check the executing verbs apply; one that fails it is skipped —
+// the verb will fault on it. PreTouch only reads, and runs on the data
+// path's goroutine like Process.
 func (d *Device) PreTouch(rkey uint32, vas []uint64, length int) {
 	m, ok := d.region(rkey)
 	if !ok {
@@ -311,6 +421,9 @@ func (d *Device) PreTouch(rkey uint32, vas []uint64, length int) {
 	for _, va := range vas {
 		if off, err := m.contains(va, length); err == nil {
 			acc += m.Buf[off]
+			if m.Tags != nil {
+				acc += byte(m.Tags[off/TagBlockBytes].Load())
+			}
 		}
 	}
 	d.touched += acc // keeps the loads live
@@ -348,14 +461,14 @@ func (r *Requester) NextPSN() uint32 {
 	return psn
 }
 
-// HandleAck processes an acknowledgement packet. On a NAK-sequence the
-// requester rolls its next PSN back to the responder's expected PSN,
+// HandleAck processes an acknowledgement packet. On a NAK the requester
+// rolls its next PSN back to the NAK's, where the post-list stopped,
 // resynchronising the connection.
 func (r *Requester) HandleAck(p *Packet) {
 	switch p.AETH.Syndrome {
 	case SynACK:
 		r.Acked = (p.BTH.PSN + 1) & psnMask
-	case SynNAKSeq:
+	case SynNAKSeq, SynNAKAcc:
 		r.NPSN = p.BTH.PSN
 		r.Resyncs++
 		if r.OnResync != nil {

@@ -142,9 +142,10 @@ func publishCount(c *obs.Counter, v *uint64) {
 	}
 }
 
-// publish moves the pending counts into the obs cells and, with a log
-// attached, appends the records the call staged.
+// publish rings the doorbell, moves the pending counts into the obs
+// cells and, with a log attached, appends the records the call staged.
 func (t *Translator) publish() {
+	t.ring()
 	if t.WALPublish != nil {
 		t.WALPublish()
 	}
@@ -237,11 +238,20 @@ type Translator struct {
 	// kiAgg is the optional Key-Increment pre-aggregation cache.
 	kiAgg *kiAggCache
 
-	// Emit delivers a crafted RoCEv2 packet towards the collector. It
-	// is typically Device.Process wrapped by the fabric; acks flow back
-	// through HandleAck. Emit must consume pkt before returning: the
-	// translator reuses (and repatches) the buffer for the next emission.
+	// Emit posts one crafted RoCEv2 verb to the collector's send queue
+	// (collector.Host.Post); nothing executes until Doorbell. Emit must
+	// consume pkt before returning: the translator reuses (and
+	// repatches) the buffer for the next emission.
 	Emit func(pkt []byte)
+
+	// Doorbell, if non-nil, executes the posted verbs and returns their
+	// one completion (collector.Host.Doorbell). It rings after every
+	// stage-C window, before every entry point returns, and when
+	// cap(emitted) emit operations (≤ MaxRedundancy verbs each) wait for
+	// it; emitted holds the sampled or traced ones. An error panics.
+	Doorbell func() (ack []byte, err error)
+	ops      int
+	emitted  []emitMark
 
 	// PreTouch, if non-nil, is the collector device's pre-touch entry
 	// (rdma.Device.PreTouch): before crafting a chunk the translator
@@ -332,6 +342,12 @@ type Translator struct {
 // line is still resident when its record is crafted.
 const batchWindow = 32
 
+// emitMark is an emit operation's span and trace handle.
+type emitMark struct {
+	span obs.Span
+	h    trace.Handle
+}
+
 // slotPlan is one record's wire.StagedPlan with its slot indexes turned
 // into remote addresses.
 type slotPlan struct {
@@ -352,12 +368,38 @@ func (t *Translator) SetTraceHandle(h trace.Handle) { t.traceH = h }
 // trace ownership to the durability path.
 func (t *Translator) TraceHandle() trace.Handle { return t.traceH }
 
-// endEmit closes an emit span: the active trace gets its emit stage
-// stamped (covering the last replica emitted) and rides into the emit
-// histogram as the landing bucket's exemplar.
+// endEmit ends an emit operation: a sampled span or a traced report
+// waits for the doorbell that executes its verbs.
 func (t *Translator) endEmit(span obs.Span) {
-	t.traceH.Stamp(trace.StEmit)
-	span.EndExemplar(t.traceH.ID())
+	if span != (obs.Span{}) || t.traceH.Valid() {
+		t.emitted = append(t.emitted, emitMark{span, t.traceH})
+	}
+	if t.ops++; t.ops == cap(t.emitted) {
+		t.ring()
+	}
+}
+
+// ring is the doorbell: the collector executes the posted verbs, the one
+// completion goes through HandleAck, and then the waiting emit spans and
+// stamps end (translate too: the ack was only handled now).
+func (t *Translator) ring() {
+	if t.Doorbell != nil {
+		ack, err := t.Doorbell()
+		if err == nil && ack != nil {
+			err = t.HandleAck(ack)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("translator: collector rejected a posted verb: %v", err))
+		}
+	}
+	t.ops = 0
+	for _, e := range t.emitted {
+		e.h.Stamp(trace.StEmit)
+		e.h.Stamp(trace.StTranslate)
+		e.span.EndExemplar(e.h.ID())
+	}
+	clear(t.emitted) // drop the handles: their slots recycle
+	t.emitted = t.emitted[:0]
 }
 
 // Stats snapshots the translator's counters. Safe to call concurrently
@@ -390,12 +432,16 @@ func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (*Translator, error)
 		chunkBuf: make([]byte, 0, postcarding.MaxHops*postcarding.SlotSize),
 		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
 		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
+		emitted:  make([]emitMark, 0, 2*batchWindow),
 		ctr:      newCounters(sc),
 	}
-	// A NAK-sequence resync fires mid-emit, while the faulted report's
-	// trace is still active: flag it so tail-based sampling retains the
-	// trace that actually hit the rollback.
-	t.req.OnResync = func() { t.traceH.Flag(trace.FResync) }
+	// A NAK resync fires at the doorbell: flag the traces whose verbs it
+	// executed so tail-based sampling retains them.
+	t.req.OnResync = func() {
+		for _, e := range t.emitted {
+			e.h.Flag(trace.FResync)
+		}
+	}
 	// Burst of rate/1000 ≈ one millisecond of credit, as before; the
 	// integer bucket floors it at one whole token so low rates still
 	// admit (see ratelimit.go).
@@ -565,9 +611,9 @@ func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
 //	   loads one byte from each planned address in a loop that does
 //	   nothing else, so the window's destination-line misses overlap
 //	   instead of each stalling the instruction after its own store;
-//	C. craft/emit: per record, in order, exactly the single-record
-//	   sequence (WAL hook → limiter → craft/repatch → Emit → ack), reading
-//	   the planned addresses instead of re-hashing.
+//	C. craft/post: per record, in order, exactly the single-record
+//	   sequence (WAL hook → limiter → craft/repatch → Emit), reading the
+//	   planned addresses instead of re-hashing; then one doorbell.
 //
 // Stages A and B skip what C will not deterministically write:
 // aggregated Key-Increments (the emitted slot belongs to the evicted
@@ -607,6 +653,7 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 				failed++
 			}
 		}
+		t.ring()
 	}
 	t.publish()
 	return failed, first
@@ -1142,7 +1189,7 @@ func (t *Translator) DrainPostcards(nowNs uint64) error {
 }
 
 // HandleAck feeds an acknowledgement from the collector back into the
-// PSN tracker; NAK-sequence triggers resynchronisation.
+// PSN tracker; a NAK triggers resynchronisation.
 func (t *Translator) HandleAck(pkt []byte) error {
 	var p rdma.Packet
 	if err := rdma.DecodePacket(pkt, &p); err != nil {

@@ -53,17 +53,7 @@ func newRig(t testing.TB, ccfg collector.Config, tcfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Emit = func(pkt []byte) {
-		ack, err := host.Ingest(pkt)
-		if err != nil {
-			t.Fatalf("collector ingest: %v", err)
-		}
-		if ack != nil {
-			if err := tr.HandleAck(ack); err != nil {
-				t.Fatalf("handle ack: %v", err)
-			}
-		}
-	}
+	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
 	return &rig{host: host, tr: tr}
 }
 

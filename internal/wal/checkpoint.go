@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -238,23 +239,28 @@ type Meta struct {
 
 // SaveMeta writes the geometry next to the segments (atomic).
 func SaveMeta(dir string, m *Meta) error {
-	return snapshot.WriteFileAtomic(filepath.Join(dir, metaName), "", func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(m)
-	})
+	return snapshot.WriteFileAtomic(filepath.Join(dir, metaName), "", m.encode)
 }
+
+// encode writes m in the meta file's format (gob).
+func (m *Meta) encode(w io.Writer) error { return gob.NewEncoder(w).Encode(m) }
 
 // LoadMeta reads the geometry, or returns (nil, nil) when none exists.
 func LoadMeta(dir string) (*Meta, error) {
-	f, err := os.Open(filepath.Join(dir, metaName))
+	data, err := os.ReadFile(filepath.Join(dir, metaName))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	return decodeMeta(data)
+}
+
+// decodeMeta decodes the bytes of a meta file.
+func decodeMeta(data []byte) (*Meta, error) {
 	var m Meta
-	if err := gob.NewDecoder(f).Decode(&m); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("wal: meta: %w", err)
 	}
 	return &m, nil
