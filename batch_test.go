@@ -217,7 +217,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				if h.Valid() {
 					one.tr.SetTraceHandle(h)
 				}
-				if err := one.deliverStagedAt(&st.recs[i], st.now[i]); err != nil {
+				if err := one.deliver(&st.recs[i], st.now[i]); err != nil {
 					oneFailed++
 				}
 				h.Finish()

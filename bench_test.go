@@ -17,6 +17,7 @@ import (
 	"dta/internal/baseline/cuckoo"
 	"dta/internal/baseline/intcollector"
 	"dta/internal/baseline/multilog"
+	"dta/internal/reporter"
 	"dta/internal/telemetry/inttel"
 	"dta/internal/telemetry/marple"
 	"dta/internal/telemetry/netseer"
@@ -326,9 +327,9 @@ func BenchmarkEngine_Sync1Shard(b *testing.B) {
 // concurrent producer goroutines; ns/op across shard counts shows the
 // shard-scaling curve, and against Sync1Shard the async win. Shard
 // scaling is real parallelism, so it only shows on GOMAXPROCS ≥ 2: a
-// single-core run measures pure queueing overhead. The frames flag
-// selects the wire-level baseline (serialise + parse per report) versus
-// the structured zero-allocation fast path — a Fig. 10-style comparison.
+// single-core run measures pure queueing overhead. The frames flag adds
+// the wire format at the edge (serialise on the producer, SubmitFrame
+// decodes) to the staged path — a Fig. 10-style comparison.
 func benchEngineAsync(b *testing.B, shards int, frames bool) {
 	benchEngineAsyncWAL(b, shards, frames, nil)
 }
@@ -364,12 +365,15 @@ func benchEngineAsyncWAL(b *testing.B, shards int, frames bool, wal *dta.WALPoli
 		go func(g int) {
 			defer wg.Done()
 			rep := eng.Reporter(uint32(g + 1))
+			var drv interface {
+				KeyWrite(key dta.Key, data []byte, n int) error
+			} = rep
 			if frames {
-				rep = eng.FrameReporter(uint32(g + 1))
+				drv = &reporter.Sender{Rep: reporter.New(reporter.Config{SwitchID: uint32(g + 1)}), Send: rep.SubmitFrame}
 			}
 			data := []byte{1, 2, 3, 4}
 			for i := g; i < b.N; i += producers {
-				if err := rep.KeyWrite(dta.KeyFromUint64(uint64(i)), data, 2); err != nil {
+				if err := drv.KeyWrite(dta.KeyFromUint64(uint64(i)), data, 2); err != nil {
 					b.Error(err)
 					return
 				}
@@ -398,7 +402,8 @@ func BenchmarkEngine_Async1Shard(b *testing.B) { benchEngineAsync(b, 1, false) }
 func BenchmarkEngine_Async2Shard(b *testing.B) { benchEngineAsync(b, 2, false) }
 func BenchmarkEngine_Async4Shard(b *testing.B) { benchEngineAsync(b, 4, false) }
 
-// Wire-level frame baseline (FrameReporter) at the same shard counts.
+// Wire frames decoded at the edge (AsyncReporter.SubmitFrame) at the
+// same shard counts.
 func BenchmarkEngine_AsyncFrame1Shard(b *testing.B) { benchEngineAsync(b, 1, true) }
 func BenchmarkEngine_AsyncFrame2Shard(b *testing.B) { benchEngineAsync(b, 2, true) }
 func BenchmarkEngine_AsyncFrame4Shard(b *testing.B) { benchEngineAsync(b, 4, true) }

@@ -39,6 +39,7 @@ import (
 	"dta/internal/loadgen"
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
+	"dta/internal/reporter"
 )
 
 func main() {
@@ -50,13 +51,13 @@ func main() {
 		keys      = flag.Uint64("keys", 1<<16, "key-space size")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		queue     = flag.Int("queue", 256, "per-shard chunk queue depth")
-		chunk     = flag.Int("chunk", 32, "frames staged per chunk")
+		chunk     = flag.Int("chunk", 32, "reports staged per chunk")
 		batch     = flag.Int("batch", 16, "worker dequeue batch (chunks)")
 		policy    = flag.String("policy", "block", "backpressure: block or drop")
 		replicas  = flag.Int("replicas", 0, "replication factor R (0 = plain cluster, no HA)")
 		schedule  = flag.String("schedule", "", "failure schedule, e.g. 'kill@0.25=1,restore@0.75=1' (needs -replicas)")
 		verify    = flag.Int("verify", 20000, "max written keys to query back after an HA run (0 = skip)")
-		frames    = flag.Bool("frames", false, "use the wire-level frame reporters instead of the structured fast path")
+		frames    = flag.Bool("frames", false, "send every report as a wire frame, decoded by the reporter's frame edge")
 		walDir    = flag.String("wal", "", "write-ahead-log root directory (needs -replicas; enables exact log-based Append resync)")
 		walSync   = flag.String("wal-sync", "none", "WAL sync policy: none, interval[=d], batch")
 
@@ -153,14 +154,25 @@ type haParams struct {
 	autoReb                  bool
 }
 
-// newReporter picks the ingest representation the run drives: the
-// structured zero-allocation fast path (default) or real wire frames.
+// newReporter picks what the run drives: the engine's reporter handle
+// (default), or real wire frames encoded per report and decoded by the
+// handle's frame edge.
 func newReporter(eng *dta.Engine, id uint32, frames bool) loadgen.Reporter {
+	r := eng.Reporter(id)
 	if frames {
-		return eng.FrameReporter(id)
+		return &frameReporter{Sender: reporter.Sender{Rep: reporter.New(reporter.Config{SwitchID: id}), Send: r.SubmitFrame}, async: r}
 	}
-	return eng.Reporter(id)
+	return r
 }
+
+// frameReporter sends wire frames to an AsyncReporter's SubmitFrame and
+// flushes through it.
+type frameReporter struct {
+	reporter.Sender
+	async *dta.AsyncReporter
+}
+
+func (f *frameReporter) Flush() error { return f.async.Flush() }
 
 // runPlain is the original single-owner cluster path.
 func runPlain(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, shards int, frames bool) {

@@ -24,15 +24,16 @@
 //	rep.KeyWrite(dta.KeyFromUint64(42), []byte{1, 2, 3, 4}, 2)
 //	val, ok, _ := sys.LookupValue(dta.KeyFromUint64(42), 2)
 //
-// Every packet crosses the real wire formats: reporters serialise full
-// Ethernet/IPv4/UDP/DTA frames, the translator parses them and crafts
-// RoCEv2 packets with PSN tracking and ICRC, and the collector's device
-// model verifies and applies them, acknowledging back. An optional lossy
-// link model exercises the recovery paths.
+// Reports travel as one representation: validated with the wire
+// decoder's rules and staged by value (wire.StagedReport). Wire frames
+// are decoded at the edge that receives them (AsyncReporter.SubmitFrame,
+// the dtacollect socket loop). The translator crafts RoCEv2 packets with
+// PSN tracking and ICRC, and the collector's device model verifies and
+// applies them, acknowledging back. An optional lossy link model,
+// charged each report's exact frame size, exercises the recovery paths.
 package dta
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -45,7 +46,6 @@ import (
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
-	"dta/internal/reporter"
 	"dta/internal/translator"
 	"dta/internal/wal"
 	"dta/internal/wire"
@@ -272,44 +272,18 @@ func newSystem(opts Options, reg *obs.Registry, sc *obs.Scope, jr *journal.Journ
 	return s, nil
 }
 
-// reporterConfig is the one addressing scheme shared by sync and async
-// reporters: if it diverged between the two paths, their frames would
-// take different ECMP/link-model treatment.
-func reporterConfig(switchID uint32) reporter.Config {
-	return reporter.Config{
-		SwitchID:    switchID,
-		SrcIP:       [4]byte{10, 0, byte(switchID >> 8), byte(switchID)},
-		CollectorIP: [4]byte{10, 255, 0, 1},
-		SrcPort:     uint16(4000 + switchID%1000),
-	}
-}
+// ErrNotDTA is returned by AsyncReporter.SubmitFrame for a frame not
+// addressed to the DTA port: user traffic, which a translator forwards
+// instead of ingesting.
+var ErrNotDTA = translator.ErrNotDTA
 
-// Reporter attaches a new reporter switch with the given ID. Reports
-// take the structured staged-report fast path: validated in memory,
-// staged by value and handed to the translator with no frame
-// serialisation or re-parse — the same zero-allocation chain the
-// engine's AsyncReporters use, minus the queue. The lossy-link model
-// still accounts the exact on-the-wire frame size, so loss behaviour is
-// identical to the wire-format path (FrameReporter).
+// Reporter attaches a new reporter switch with the given ID. Reports are
+// validated in memory, staged by value and handed to the translator —
+// the same zero-allocation chain the engine's AsyncReporters use, minus
+// the queue. The lossy-link model accounts the exact on-the-wire frame
+// size of every report.
 func (s *System) Reporter(switchID uint32) *Reporter {
 	r := &Reporter{sys: s, switchID: switchID}
-	s.reporters = append(s.reporters, r)
-	return r
-}
-
-// FrameReporter attaches a reporter switch that serialises every report
-// into a full Ethernet/IPv4/UDP/DTA frame which the translator parses
-// back — the wire-format path. It exists for wire coverage and as the
-// baseline the structured Reporter is measured against; semantics
-// (validation, routing, loss, stored bytes) are identical.
-func (s *System) FrameReporter(switchID uint32) *Reporter {
-	r := &Reporter{
-		sys:      s,
-		switchID: switchID,
-		frames:   true,
-		rep:      reporter.New(reporterConfig(switchID)),
-		buf:      make([]byte, wire.MaxReportLen),
-	}
 	s.reporters = append(s.reporters, r)
 	return r
 }
@@ -333,45 +307,10 @@ func (s *System) SetClockSkew(d int64) { s.skew.Store(d) }
 // ClockSkew returns the injected clock offset in nanoseconds.
 func (s *System) ClockSkew() int64 { return s.skew.Load() }
 
-// deliver carries one reporter frame across the (optional) lossy link
-// into the translator.
-func (s *System) deliver(frame []byte) error {
-	return s.deliverAt(frame, s.Now())
-}
-
-// deliverAt is deliver with an explicit timestamp; the engine's shard
-// workers use it so queued reports keep their enqueue-time clock.
-func (s *System) deliverAt(frame []byte, nowNs uint64) error {
-	if s.link != nil {
-		if _, dropped := s.link.Send(nowNs, len(frame)); dropped {
-			return nil // best-effort: silently lost, like UDP
-		}
-	}
-	err := s.tr.ProcessFrame(frame, nowNs)
-	if errors.Is(err, translator.ErrNotDTA) {
-		return nil
-	}
-	return err
-}
-
-// deliverReportAt is the structured counterpart of deliverAt: the report
-// was never serialised, so the translator skips the frame parse
-// entirely. The lossy-link model still sees the exact on-the-wire size
-// the report would have occupied, keeping loss behaviour identical
-// across the two ingest paths.
-func (s *System) deliverReportAt(r *wire.Report, nowNs uint64) error {
-	if s.link != nil {
-		if _, dropped := s.link.Send(nowNs, wire.FrameLen(r)); dropped {
-			return nil // best-effort: silently lost, like UDP
-		}
-	}
-	return s.tr.ProcessReport(r, nowNs)
-}
-
-// deliverStagedAt is deliverReportAt for compact staged records: the
-// hottest path, reaching the translator with no report materialisation
-// at all.
-func (s *System) deliverStagedAt(rec *wire.StagedReport, nowNs uint64) error {
+// deliver carries one staged record across the (optional) lossy link
+// into the translator. The link is charged the exact on-the-wire size
+// the report occupies as a frame.
+func (s *System) deliver(rec *wire.StagedReport, nowNs uint64) error {
 	if s.link != nil {
 		if _, dropped := s.link.Send(nowNs, rec.FrameLen()); dropped {
 			// The translator never runs for a dropped report, so it
@@ -386,30 +325,25 @@ func (s *System) deliverStagedAt(rec *wire.StagedReport, nowNs uint64) error {
 }
 
 // Reporter is a handle for one reporting switch. Not goroutine-safe:
-// the staging scratch (and, in frame mode, the serialisation buffer) is
-// per-handle. Create one per producer goroutine; they are cheap.
+// the staging scratch is per-handle. Create one per producer goroutine;
+// they are cheap.
 type Reporter struct {
 	sys      *System
 	switchID uint32
 
-	// scratch/staged are the structured-path staging state: the report
-	// is assembled in scratch (only the active sub-header is written per
-	// report), validated with decoder parity, snapshotted into staged
-	// and handed to the translator — no frame bytes anywhere.
+	// scratch/staged are the staging state: the report is assembled in
+	// scratch (only the active sub-header is written per report),
+	// validated with decoder parity, snapshotted into staged and handed
+	// to the translator — no frame bytes anywhere.
 	scratch wire.Report
 	staged  wire.StagedReport
-
-	// Frame-mode state (FrameReporter only).
-	frames bool
-	rep    *reporter.Reporter
-	buf    []byte
 
 	// smp is this reporter's trace sampling counter: caller-local so the
 	// sampled-out fast path touches no shared cache line.
 	smp trace.Sampler
 }
 
-// send validates and delivers the scratch report via the staged path.
+// send validates and delivers the scratch report.
 func (r *Reporter) send(rep *wire.Report) error {
 	if err := rep.Validate(); err != nil {
 		return err
@@ -418,7 +352,7 @@ func (r *Reporter) send(rep *wire.Report) error {
 	if t := r.sys.trc; t != nil && t.Candidate(&r.smp) {
 		return r.sendTraced(t)
 	}
-	return r.sys.deliverStagedAt(&r.staged, r.sys.Now())
+	return r.sys.deliver(&r.staged, r.sys.Now())
 }
 
 // sendTraced is the sampled-candidate delivery path. Kept out of line
@@ -434,20 +368,13 @@ func (r *Reporter) sendTraced(t *trace.Tracer) error {
 		h.Stamp(trace.StSubmit)
 		r.sys.tr.SetTraceHandle(h)
 	}
-	err := r.sys.deliverStagedAt(&r.staged, r.sys.Now())
+	err := r.sys.deliver(&r.staged, r.sys.Now())
 	h.Finish()
 	return err
 }
 
 // KeyWrite stores data under key with redundancy n.
 func (r *Reporter) KeyWrite(key Key, data []byte, n int) error {
-	if r.frames {
-		ln, err := r.rep.KeyWrite(r.buf, key, data, uint8(n), false)
-		if err != nil {
-			return err
-		}
-		return r.sys.deliver(r.buf[:ln])
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite}
 	rep.KeyWrite = wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}
@@ -458,13 +385,6 @@ func (r *Reporter) KeyWrite(key Key, data []byte, n int) error {
 // KeyWriteImmediate is KeyWrite with the immediate flag set, raising a
 // push notification at the collector.
 func (r *Reporter) KeyWriteImmediate(key Key, data []byte, n int) error {
-	if r.frames {
-		ln, err := r.rep.KeyWrite(r.buf, key, data, uint8(n), true)
-		if err != nil {
-			return err
-		}
-		return r.sys.deliver(r.buf[:ln])
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite, Flags: wire.FlagImmediate}
 	rep.KeyWrite = wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}
@@ -474,13 +394,6 @@ func (r *Reporter) KeyWriteImmediate(key Key, data []byte, n int) error {
 
 // Append adds data to the tail of list.
 func (r *Reporter) Append(list uint32, data []byte) error {
-	if r.frames {
-		ln, err := r.rep.Append(r.buf, list, data, false)
-		if err != nil {
-			return err
-		}
-		return r.sys.deliver(r.buf[:ln])
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimAppend}
 	rep.Append = wire.Append{ListID: list, DataLen: uint16(len(data))}
@@ -490,13 +403,6 @@ func (r *Reporter) Append(list uint32, data []byte) error {
 
 // Increment adds delta to key's counter with redundancy n.
 func (r *Reporter) Increment(key Key, delta uint64, n int) error {
-	if r.frames {
-		ln, err := r.rep.KeyIncrement(r.buf, key, delta, uint8(n))
-		if err != nil {
-			return err
-		}
-		return r.sys.deliver(r.buf[:ln])
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement}
 	rep.KeyIncrement = wire.KeyIncrement{Redundancy: uint8(n), Key: key, Delta: delta}
@@ -513,13 +419,6 @@ func (r *Reporter) Postcard(key Key, hop, pathLen int) error {
 // PostcardValue reports an arbitrary per-hop value (e.g. queueing
 // latency) for the packet/flow identified by key.
 func (r *Reporter) PostcardValue(key Key, hop, pathLen int, value uint32) error {
-	if r.frames {
-		ln, err := r.rep.PostcardValue(r.buf, key, uint8(hop), uint8(pathLen), value)
-		if err != nil {
-			return err
-		}
-		return r.sys.deliver(r.buf[:ln])
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding}
 	rep.Postcard = wire.Postcard{Key: key, Hop: uint8(hop), PathLen: uint8(pathLen), Value: value}

@@ -6,7 +6,6 @@ import (
 	"dta/internal/engine"
 	"dta/internal/ha"
 	"dta/internal/obs/trace"
-	"dta/internal/reporter"
 	"dta/internal/wire"
 )
 
@@ -48,22 +47,9 @@ type Engine struct {
 }
 
 // systemSink adapts one System's lossy-link + translator + collector
-// chain to the engine's per-shard Sink. It implements both ingest
-// representations: serialised frames (wire-level path) and decoded
-// reports (structured zero-allocation fast path).
+// chain to the engine's per-shard sink: chunks of staged records, the
+// plan made as they were staged, flushes and the log's batch boundaries.
 type systemSink struct{ s *System }
-
-func (k systemSink) ProcessFrame(frame []byte, nowNs uint64) error {
-	return k.s.deliverAt(frame, nowNs)
-}
-
-func (k systemSink) ProcessReport(r *wire.Report, nowNs uint64) error {
-	return k.s.deliverReportAt(r, nowNs)
-}
-
-func (k systemSink) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
-	return k.s.deliverStagedAt(s, nowNs)
-}
 
 // PlanStaged is the staging side's entry (engine.StagedPlanner): address
 // generation runs on the submitting goroutine, against the translator's
@@ -154,9 +140,9 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 		cfg.Trace = systems[0].trc
 	}
 	if hac != nil {
-		// A replicated fan-out plans once for all its owners
-		// (haFanReport), which is only right while every member plans
-		// alike — what HACluster.attach admitted them on.
+		// A replicated fan-out plans once for all its owners (haFan),
+		// which is only right while every member plans alike — what
+		// HACluster.attach admitted them on.
 		for i, s := range systems[1:] {
 			if err := checkMember(systems[0], s, i+1); err != nil {
 				return nil, err
@@ -211,13 +197,12 @@ func (e *Engine) ShardStats() []EngineStats {
 	return out
 }
 
-// Reporter attaches an async reporter switch using the structured fast
-// path: reports are staged by value (fixed-size struct + inline payload)
-// in per-shard chunks, never serialised to a wire frame and never
-// re-parsed — the zero-allocation ingest path. The handle owns staged
-// chunks, so it is NOT goroutine-safe: give each producer goroutine its
-// own AsyncReporter (they are cheap). Call Flush before Drain so staged
-// reports reach the shard queues.
+// Reporter attaches an async reporter switch: reports are staged by
+// value (fixed-size struct + inline payload) in per-shard chunks, never
+// serialised to a wire frame — the zero-allocation ingest path. The
+// handle owns staged chunks, so it is NOT goroutine-safe: give each
+// producer goroutine its own AsyncReporter (they are cheap). Call Flush
+// before Drain so staged reports reach the shard queues.
 func (e *Engine) Reporter(switchID uint32) *AsyncReporter {
 	sub := e.inner.Submitter()
 	if e.hac != nil {
@@ -233,118 +218,75 @@ func (e *Engine) Reporter(switchID uint32) *AsyncReporter {
 	}
 }
 
-// FrameReporter attaches an async reporter that serialises every report
-// into a full Ethernet/IPv4/UDP/DTA frame which the shard worker parses
-// back — the wire-level path. It exists for wire-format coverage and as
-// the baseline the structured path is benchmarked against; semantics
-// (routing, loss, stored bytes) are identical to Reporter's.
-func (e *Engine) FrameReporter(switchID uint32) *AsyncReporter {
-	r := &AsyncReporter{
-		eng:      e,
-		sub:      e.inner.Submitter(),
-		switchID: switchID,
-		frames:   true,
-		buf:      make([]byte, wire.MaxReportLen),
-	}
-	if e.hac != nil {
-		r.sub.SetCoupled(true) // see Reporter
-	}
-	for range e.systems {
-		r.reps = append(r.reps, reporter.New(reporterConfig(switchID)))
-	}
-	return r
-}
-
 // AsyncReporter is a reporter handle that stages reports on the calling
 // goroutine (reporter-side work is parallel across switches, as in the
 // real system) into per-shard chunks that are queued on the owning
-// shard every EngineConfig.ChunkFrames reports. Reporter handles use
-// the structured fast path; FrameReporter handles serialise real
-// frames.
+// shard every EngineConfig.ChunkFrames reports.
 type AsyncReporter struct {
 	eng      *Engine
 	sub      *engine.Submitter
 	switchID uint32
 
-	// scratch is the structured-path staging report, reused across calls
-	// so only the active sub-header is written per report (SubmitReport
-	// copies it out before returning; stale sibling sub-headers are never
-	// read).
+	// scratch is the staging report, reused across calls so only the
+	// active sub-header is written per report (SubmitReport copies it out
+	// before returning; stale sibling sub-headers are never read).
 	scratch wire.Report
-
-	// Frame-mode state (FrameReporter only).
-	frames bool
-	reps   []*reporter.Reporter // per-shard encoder, so each system sees its own IP-ID stream
-	buf    []byte
+	// frame is SubmitFrame's decode target.
+	frame wire.ParsedFrame
 }
 
-// shardFor routes a key the same way ClusterReporter does, so sync and
-// async ingestion agree on ownership.
-func (r *AsyncReporter) shardFor(key Key) int {
-	if r.eng.cluster != nil {
-		return r.eng.cluster.Owner(key)
+// routeKey is the key rep is routed by; an Append goes by its list
+// instead.
+func routeKey(rep *wire.Report) *Key {
+	switch rep.Header.Primitive {
+	case wire.PrimKeyIncrement:
+		return &rep.KeyIncrement.Key
+	case wire.PrimPostcarding:
+		return &rep.Postcard.Key
 	}
-	return 0
+	return &rep.KeyWrite.Key
 }
 
-func (r *AsyncReporter) submit(shard int, ln int, err error) error {
-	if err != nil {
-		return err
-	}
-	return r.sub.Submit(shard, r.buf[:ln], r.eng.systems[shard].Now())
-}
-
-// submitReport validates and stages one structured report on shard.
-func (r *AsyncReporter) submitReport(shard int, rep *wire.Report) error {
+// submit validates rep and stages it on the shard that owns it — the
+// way ClusterReporter routes, so sync and async ingestion agree on
+// ownership — or, on an HACluster engine, on every live owner.
+func (r *AsyncReporter) submit(rep *wire.Report) error {
 	if err := rep.Validate(); err != nil {
 		return err
 	}
-	return r.sub.SubmitReport(shard, rep, r.eng.systems[shard].Now())
+	if r.eng.hac != nil {
+		return r.haFan(rep)
+	}
+	sh := 0
+	if c := r.eng.cluster; c != nil {
+		if rep.Header.Primitive == wire.PrimAppend {
+			sh = c.OwnerOfList(rep.Append.ListID)
+		} else {
+			sh = c.Owner(*routeKey(rep))
+		}
+	}
+	return r.sub.SubmitReport(sh, rep, r.eng.systems[sh].Now())
 }
 
-// haFan encodes and submits one frame-mode report to every live replica
-// owner (HACluster engines only): the same fan-out HAReporter performs
-// synchronously, staged through the owners' shard queues. Down owners
-// are skipped with a counter, never an error. No fence lock here:
-// staging is producer-local (see HACluster.fenceMu).
-func (r *AsyncReporter) haFan(owners []int, encode func(rep *reporter.Reporter, buf []byte) (int, error)) error {
+// haFan is the software form of the paper's multicast translation: the
+// report is staged and planned once, and the staged record and its plan
+// are copied into every live owner's chunk (members plan alike;
+// newEngine checked). Down owners are skipped with a counter, never an
+// error. No fence lock here: staging is producer-local (see
+// HACluster.fenceMu).
+func (r *AsyncReporter) haFan(rep *wire.Report) error {
 	h := r.eng.hac
+	var ob [ha.MaxReplicas]int
+	var owners []int
+	if rep.Header.Primitive == wire.PrimAppend {
+		owners = h.ring.OwnersOfList(rep.Append.ListID, h.r, ob[:0])
+	} else {
+		owners = h.owners(routeKey(rep)[:], ob[:0])
+	}
 	// Skip set decided before the first submit — see HAReporter.fan for
-	// why this ordering is load-bearing for the incremental-resync
-	// epoch fence. unreachable covers both down flags and chaos-plane
+	// why this ordering is load-bearing for the incremental-resync epoch
+	// fence. unreachable covers both down flags and chaos-plane
 	// reporter-link cuts.
-	var skip [ha.MaxReplicas]bool
-	for i, o := range owners {
-		skip[i] = h.unreachable(o)
-	}
-	live := 0
-	for i, o := range owners {
-		if skip[i] {
-			continue
-		}
-		ln, err := encode(r.reps[o], r.buf)
-		if err != nil {
-			return err
-		}
-		if err := r.sub.Submit(o, r.buf[:ln], r.eng.systems[o].Now()); err != nil {
-			return err
-		}
-		live++
-	}
-	h.health.RecordWrite(live, len(owners))
-	return r.flushIfFull()
-}
-
-// haFanReport is haFan for the structured path — the software form of
-// the paper's multicast translation: the report is validated, staged and
-// planned once, and the staged record and its plan are copied into every
-// live owner's chunk (members plan alike; newEngine checked).
-func (r *AsyncReporter) haFanReport(owners []int, rep *wire.Report) error {
-	if err := rep.Validate(); err != nil {
-		return err
-	}
-	h := r.eng.hac
-	// Skip set decided before the first submit — see HAReporter.fan.
 	var live [ha.MaxReplicas]int
 	var nows [ha.MaxReplicas]uint64
 	n := 0
@@ -358,13 +300,8 @@ func (r *AsyncReporter) haFanReport(owners []int, rep *wire.Report) error {
 		return err
 	}
 	h.health.RecordWrite(n, len(owners))
-	return r.flushIfFull()
-}
-
-// flushIfFull queues every owner's staged chunk once a fan-out has filled
-// one — only now, with every owner's copy staged, may a full chunk go
-// out, and only as one event under the resync fence (Flush).
-func (r *AsyncReporter) flushIfFull() error {
+	// Only now, with every owner's copy staged, may a full chunk go out,
+	// and only as one event under the resync fence (Flush).
 	if !r.sub.Full() {
 		return nil
 	}
@@ -385,110 +322,57 @@ func (r *AsyncReporter) Flush() error {
 	return r.sub.Flush()
 }
 
+// SubmitFrame is the ingest edge for wire frames: it decodes one
+// Ethernet/IPv4/UDP/DTA frame and submits the report it carries exactly
+// as the typed methods would, so the engine carries staged records
+// only. A frame not addressed to the DTA port returns ErrNotDTA.
+func (r *AsyncReporter) SubmitFrame(frame []byte) error {
+	if err := wire.DecodeFrame(frame, &r.frame); err != nil {
+		return err
+	}
+	if !r.frame.IsDTA {
+		return ErrNotDTA
+	}
+	return r.submit(&r.frame.Report)
+}
+
 // KeyWrite stores data under key with redundancy n via the owning
 // shard (all R owning shards on an HACluster engine).
 func (r *AsyncReporter) KeyWrite(key Key, data []byte, n int) error {
-	if r.frames {
-		if h := r.eng.hac; h != nil {
-			var ob [ha.MaxReplicas]int
-			return r.haFan(h.owners(key[:], ob[:0]), func(rep *reporter.Reporter, buf []byte) (int, error) {
-				return rep.KeyWrite(buf, key, data, uint8(n), false)
-			})
-		}
-		sh := r.shardFor(key)
-		ln, err := r.reps[sh].KeyWrite(r.buf, key, data, uint8(n), false)
-		return r.submit(sh, ln, err)
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite}
 	rep.KeyWrite = wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}
 	rep.Data = data
-	if h := r.eng.hac; h != nil {
-		var ob [ha.MaxReplicas]int
-		return r.haFanReport(h.owners(key[:], ob[:0]), rep)
-	}
-	return r.submitReport(r.shardFor(key), rep)
+	return r.submit(rep)
 }
 
 // Increment adds delta to key's counter with redundancy n.
 func (r *AsyncReporter) Increment(key Key, delta uint64, n int) error {
-	if r.frames {
-		if h := r.eng.hac; h != nil {
-			var ob [ha.MaxReplicas]int
-			return r.haFan(h.owners(key[:], ob[:0]), func(rep *reporter.Reporter, buf []byte) (int, error) {
-				return rep.KeyIncrement(buf, key, delta, uint8(n))
-			})
-		}
-		sh := r.shardFor(key)
-		ln, err := r.reps[sh].KeyIncrement(r.buf, key, delta, uint8(n))
-		return r.submit(sh, ln, err)
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement}
 	rep.KeyIncrement = wire.KeyIncrement{Redundancy: uint8(n), Key: key, Delta: delta}
 	rep.Data = nil
-	if h := r.eng.hac; h != nil {
-		var ob [ha.MaxReplicas]int
-		return r.haFanReport(h.owners(key[:], ob[:0]), rep)
-	}
-	return r.submitReport(r.shardFor(key), rep)
+	return r.submit(rep)
 }
 
 // Postcard reports a hop observation for key (path tracing), carrying
 // this reporter's switch ID as the hop value.
 func (r *AsyncReporter) Postcard(key Key, hop, pathLen int) error {
-	if r.frames {
-		if h := r.eng.hac; h != nil {
-			var ob [ha.MaxReplicas]int
-			return r.haFan(h.owners(key[:], ob[:0]), func(rep *reporter.Reporter, buf []byte) (int, error) {
-				return rep.Postcard(buf, key, uint8(hop), uint8(pathLen))
-			})
-		}
-		sh := r.shardFor(key)
-		ln, err := r.reps[sh].Postcard(r.buf, key, uint8(hop), uint8(pathLen))
-		return r.submit(sh, ln, err)
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding}
 	rep.Postcard = wire.Postcard{Key: key, Hop: uint8(hop), PathLen: uint8(pathLen), Value: r.switchID}
 	rep.Data = nil
-	if h := r.eng.hac; h != nil {
-		var ob [ha.MaxReplicas]int
-		return r.haFanReport(h.owners(key[:], ob[:0]), rep)
-	}
-	return r.submitReport(r.shardFor(key), rep)
+	return r.submit(rep)
 }
 
 // Append adds data to the tail of list on the shard owning the list
 // (all R owning shards on an HACluster engine).
 func (r *AsyncReporter) Append(list uint32, data []byte) error {
-	if r.frames {
-		if h := r.eng.hac; h != nil {
-			var ob [ha.MaxReplicas]int
-			return r.haFan(h.ring.OwnersOfList(list, h.r, ob[:0]), func(rep *reporter.Reporter, buf []byte) (int, error) {
-				return rep.Append(buf, list, data, false)
-			})
-		}
-		sh := 0
-		if r.eng.cluster != nil {
-			sh = r.eng.cluster.OwnerOfList(list)
-		}
-		ln, err := r.reps[sh].Append(r.buf, list, data, false)
-		return r.submit(sh, ln, err)
-	}
 	rep := &r.scratch
 	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimAppend}
 	rep.Append = wire.Append{ListID: list, DataLen: uint16(len(data))}
 	rep.Data = data
-	if h := r.eng.hac; h != nil {
-		var ob [ha.MaxReplicas]int
-		return r.haFanReport(h.ring.OwnersOfList(list, h.r, ob[:0]), rep)
-	}
-	sh := 0
-	if r.eng.cluster != nil {
-		sh = r.eng.cluster.OwnerOfList(list)
-	}
-	return r.submitReport(sh, rep)
+	return r.submit(rep)
 }
 
 // String aids debugging output in benchmarks and the dtaload CLI.

@@ -2,21 +2,27 @@ package dta_test
 
 import (
 	"bytes"
+	"errors"
 	"runtime/debug"
 	"testing"
 
 	"dta"
+	"dta/internal/reporter"
 )
 
-// driveBoth runs the same workload through a structured Reporter on one
-// cluster and a FrameReporter on an identical second cluster, returning
-// both for comparison.
-func driveBoth(t *testing.T, shards int, drive func(rep interface {
+// workloadReporter is the call shape an AsyncReporter and a frame
+// sender in front of its SubmitFrame edge share.
+type workloadReporter interface {
 	KeyWrite(key dta.Key, data []byte, n int) error
 	Increment(key dta.Key, delta uint64, n int) error
 	Postcard(key dta.Key, hop, pathLen int) error
 	Append(list uint32, data []byte) error
-}) error) (structured, framed *dta.Cluster) {
+}
+
+// driveBoth runs the same workload through an AsyncReporter's typed
+// methods on one cluster and, on an identical second cluster, as wire
+// frames its SubmitFrame edge decodes, returning both for comparison.
+func driveBoth(t *testing.T, shards int, drive func(rep workloadReporter) error) (structured, framed *dta.Cluster) {
 	t.Helper()
 	opts := dta.Options{
 		KeyWrite:     &dta.KeyWriteOptions{Slots: 1 << 12, DataSize: 4},
@@ -34,10 +40,11 @@ func driveBoth(t *testing.T, shards int, drive func(rep interface {
 			t.Fatal(err)
 		}
 		rep := eng.Reporter(5)
+		var drv workloadReporter = rep
 		if mode {
-			rep = eng.FrameReporter(5)
+			drv = &reporter.Sender{Rep: reporter.New(reporter.Config{SwitchID: 5}), Send: rep.SubmitFrame}
 		}
-		if err := drive(rep); err != nil {
+		if err := drive(drv); err != nil {
 			t.Fatal(err)
 		}
 		if err := rep.Flush(); err != nil {
@@ -59,17 +66,12 @@ func driveBoth(t *testing.T, shards int, drive func(rep interface {
 }
 
 // TestStructuredMatchesFramePath drives an identical mixed-primitive
-// workload through both ingest representations and requires
-// byte-identical query results: the structured path must be a pure
-// transport optimisation, invisible to stored state.
+// workload through the typed methods and, encoded as wire frames,
+// through the frame edge, and requires identical query results and
+// counters: decoding at the edge must be invisible to stored state.
 func TestStructuredMatchesFramePath(t *testing.T) {
 	const n = 500
-	structured, framed := driveBoth(t, 3, func(rep interface {
-		KeyWrite(key dta.Key, data []byte, n int) error
-		Increment(key dta.Key, delta uint64, n int) error
-		Postcard(key dta.Key, hop, pathLen int) error
-		Append(list uint32, data []byte) error
-	}) error {
+	structured, framed := driveBoth(t, 3, func(rep workloadReporter) error {
 		for i := 0; i < n; i++ {
 			k := dta.KeyFromUint64(uint64(i))
 			if err := rep.KeyWrite(k, []byte{byte(i), 1, 2, 3}, 2); err != nil {
@@ -154,6 +156,14 @@ func TestStructuredValidationMatchesWire(t *testing.T) {
 	}
 	if err := rep.Postcard(dta.KeyFromUint64(1), 3, 3); err == nil {
 		t.Error("postcard hop outside path accepted")
+	}
+	arp := make([]byte, 64)
+	arp[12], arp[13] = 0x08, 0x06
+	if err := rep.SubmitFrame(arp); !errors.Is(err, dta.ErrNotDTA) {
+		t.Errorf("user-traffic frame: err = %v, want ErrNotDTA", err)
+	}
+	if err := rep.SubmitFrame(arp[:10]); err == nil {
+		t.Error("truncated frame accepted")
 	}
 	if st := eng.Stats(); st.Enqueued != 0 {
 		t.Errorf("invalid reports reached a queue: %+v", st)

@@ -137,7 +137,7 @@ type HACluster struct {
 	//
 	//   - HAReporter.fan writes straight through to its owners' logs, so
 	//     it holds the read side for the whole fan-out.
-	//   - The engine's fan-outs (AsyncReporter.haFan / haFanReport) only
+	//   - The engine's fan-out (AsyncReporter.haFan) only
 	//     STAGE: the copies sit in the producer's own chunks, which no
 	//     drain can reach, so staging takes no lock — a per-report
 	//     RLock was a cache line every producer bounced. The copies

@@ -12,9 +12,14 @@
 // report and count it (Drop), just as the translator's token-bucket
 // rate limiter sheds load with a counter rather than queueing
 // unboundedly. And just as the translator batches appends to amortise
-// RDMA messages, producers batch frames into chunks to amortise queue
-// operations: per-frame channel sends would cost more than the
+// RDMA messages, producers batch reports into chunks to amortise queue
+// operations: per-report channel sends would cost more than the
 // translator work itself.
+//
+// The engine carries one representation: staged records
+// (wire.StagedReport). Wire frames are decoded to reports at the edge —
+// the reporter handle or the socket loop that received them — before
+// they reach a Submitter.
 //
 // Shard workers dequeue chunks in batches, flush the sink's
 // translator-side aggregation state every FlushEvery reports (and
@@ -35,51 +40,30 @@ import (
 	"dta/internal/wire"
 )
 
-// Sink consumes reporter frames for one shard. Implementations are NOT
-// required to be goroutine-safe: the engine guarantees that exactly one
-// worker goroutine touches a given sink.
+// Sink is one shard's consumer. Implementations are NOT required to be
+// goroutine-safe: the engine guarantees that exactly one worker
+// goroutine touches a given sink. Records reach it through
+// StagedBatchSink or, for per-record sinks, StagedSink: New refuses a
+// sink that implements neither.
 type Sink interface {
-	// ProcessFrame ingests one serialised reporter frame at the given
-	// simulation time.
-	ProcessFrame(frame []byte, nowNs uint64) error
 	// Flush pushes out partial aggregation state (append batches,
 	// postcard caches, key-increment aggregates).
 	Flush(nowNs uint64) error
 }
 
-// ReportSink is the structured fast-path extension of Sink: it ingests
-// already-decoded reports, skipping frame serialisation on the producer
-// and frame parsing on the worker. Sinks that implement it accept
-// SubmitReport/EnqueueReport traffic; the frame-based path keeps working
-// either way (wire-level tests exercise real frames through it).
-type ReportSink interface {
-	Sink
-	// ProcessReport ingests one decoded report at the given simulation
-	// time. r (including r.Data) is only read during the call.
-	ProcessReport(r *wire.Report, nowNs uint64) error
-}
-
-// ErrNoReportSink is returned by structured submissions to a shard whose
-// sink does not implement ReportSink.
-var ErrNoReportSink = errors.New("engine: sink does not implement ReportSink")
-
-// StagedSink is an optional further refinement of ReportSink: it takes
-// the compact staged record itself, saving the decompression into a
-// scratch wire.Report. Sinks that only implement ReportSink get records
-// decompressed for them.
+// StagedSink is the per-record entry: New wraps a sink that has only
+// this one in an adapter that calls it record by record.
 type StagedSink interface {
-	ReportSink
+	Sink
 	// ProcessStaged ingests one staged record. s is only read during
 	// the call.
 	ProcessStaged(s *wire.StagedReport, nowNs uint64) error
 }
 
-// StagedBatchSink is how the worker hands structured reports to a sink:
-// one call per dequeued chunk, so the sink can overlap work across the
-// chunk's records (the translator pre-touches every destination line
-// before crafting the first packet). Sinks that only implement the
-// per-record ReportSink/StagedSink entries are wrapped in an adapter by
-// New.
+// StagedBatchSink is how the worker hands records to a sink: one call
+// per dequeued chunk, so the sink can overlap work across the chunk's
+// records (the translator pre-touches every destination line before
+// crafting the first packet).
 type StagedBatchSink interface {
 	// ProcessStagedBatch ingests recs in order. plan is what the sink's
 	// own PlanStaged made of each record when it was staged (zero when the
@@ -105,24 +89,14 @@ type StagedPlanner interface {
 	PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan)
 }
 
-// perRecord adapts a per-record structured sink to StagedBatchSink.
-// Trace handles stop here: a per-record sink has no way to take them.
-// It plans nothing, so its chunks carry no plan.
-type perRecord struct {
-	rsink   ReportSink
-	ssink   StagedSink  // nil: decompress into scratch for rsink
-	scratch wire.Report // worker-lifetime decompression target
-}
+// perRecord adapts a StagedSink to StagedBatchSink. Trace handles stop
+// here: a per-record sink has no way to take them. It plans nothing, so
+// its chunks carry no plan.
+type perRecord struct{ sink StagedSink }
 
-func (a *perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
+func (a perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
 	for i := range recs {
-		var err error
-		if a.ssink != nil {
-			err = a.ssink.ProcessStaged(&recs[i], nowNs)
-		} else {
-			err = a.rsink.ProcessReport(recs[i].View(&a.scratch), nowNs)
-		}
-		if err != nil {
+		if err := a.sink.ProcessStaged(&recs[i], nowNs); err != nil {
 			if failed == 0 {
 				first = err
 			}
@@ -173,7 +147,7 @@ type Config struct {
 	// QueueDepth bounds each shard's chunk queue (0 = 256). Worst-case
 	// buffered reports per shard ≈ QueueDepth × ChunkFrames.
 	QueueDepth int
-	// ChunkFrames is how many frames a Submitter stages per shard
+	// ChunkFrames is how many reports a Submitter stages per shard
 	// before handing the chunk to the worker (0 = 32). 1 disables
 	// producer-side batching.
 	ChunkFrames int
@@ -198,10 +172,10 @@ type Config struct {
 	// the blocked duration on the end event. Nil costs one branch on
 	// the (already stalled) slow path and nothing on the fast path.
 	Journal *journal.Journal
-	// Trace, when non-nil, samples end-to-end data-plane traces on the
-	// structured submit path: Submitters begin traces, the worker
-	// stamps queue stages and hands the chunk's handles to the sink. Nil
-	// keeps the hot path at one predicted branch.
+	// Trace, when non-nil, samples end-to-end data-plane traces:
+	// Submitters begin traces, the worker stamps queue stages and hands
+	// the chunk's handles to the sink. Nil keeps the hot path at one
+	// predicted branch.
 	Trace *trace.Tracer
 }
 
@@ -246,33 +220,24 @@ func (s *Stats) Add(other Stats) {
 // ErrClosed is returned by submissions and Drain after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// chunk is one queue entry: zero or more packed frames, zero or more
-// staged structured reports, or a drain barrier (non-nil drain). A chunk
-// only ever carries one representation at a time (Submitters flush on a
-// mode switch), and its backing slices are recycled through the engine
-// pool, so steady-state ingest allocates nothing.
+// chunk is one queue entry: zero or more staged records, or a drain
+// barrier (non-nil drain). Its backing slices are recycled through the
+// engine pool, so steady-state ingest allocates nothing.
 type chunk struct {
-	data  []byte              // concatenated frames
-	lens  []int32             // per-frame lengths into data
-	recs  []wire.StagedReport // structured reports (fast path)
-	plan  wire.ChunkPlan      // parallel to recs when the sink plans; else empty
-	trcs  []trace.Handle      // parallel to recs when tracing; else empty
-	nowNs uint64              // latest clock among the staged entries
+	recs  []wire.StagedReport
+	plan  wire.ChunkPlan // parallel to recs when the sink plans; else empty
+	trcs  []trace.Handle // parallel to recs when tracing; else empty
+	nowNs uint64         // latest clock among the staged entries
 	drain chan struct{}
 }
 
 func (c *chunk) reset() {
-	c.data = c.data[:0]
-	c.lens = c.lens[:0]
 	c.recs = c.recs[:0]
 	c.plan.Reset()
 	c.trcs = c.trcs[:0]
 	c.nowNs = 0
 	c.drain = nil
 }
-
-// count returns the number of staged reports.
-func (c *chunk) count() int { return len(c.lens) + len(c.recs) }
 
 // shardCounters holds one shard's metrics. The producer-side cells
 // (enqueued/dropped/stalls) are striped: any number of reporter
@@ -319,7 +284,7 @@ func (c *shardCounters) snapshot() Stats {
 
 type shard struct {
 	sink   Sink
-	staged StagedBatchSink // non-nil when sink implements the structured path
+	staged StagedBatchSink // the sink's record entry, adapted when per-record
 	plans  StagedPlanner   // non-nil when staged wants its records planned at staging
 	bsink  BatchSink       // non-nil when sink wants batch-boundary callbacks
 	ch     chan *chunk
@@ -379,8 +344,9 @@ type Engine struct {
 	pool     sync.Pool // *chunk
 }
 
-// New starts one worker goroutine per sink. The engine owns the sinks
-// until Close returns: no other goroutine may touch them concurrently.
+// New starts one worker goroutine per sink. Every sink must implement
+// StagedBatchSink or StagedSink. The engine owns the sinks until Close
+// returns: no other goroutine may touch them concurrently.
 func New(sinks []Sink, cfg Config) (*Engine, error) {
 	if len(sinks) == 0 {
 		return nil, errors.New("engine: no sinks")
@@ -401,12 +367,14 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 			ctr:  newShardCounters(shardScope),
 			jr:   journal.Emitter{J: c.Journal, Comp: journal.CompEngine, Collector: int16(i)},
 		}
-		if b, ok := s.(StagedBatchSink); ok {
-			sh.staged = b
+		switch k := s.(type) {
+		case StagedBatchSink:
+			sh.staged = k
 			sh.plans, _ = s.(StagedPlanner)
-		} else if r, ok := s.(ReportSink); ok {
-			ss, _ := s.(StagedSink)
-			sh.staged = &perRecord{rsink: r, ssink: ss}
+		case StagedSink:
+			sh.staged = perRecord{k}
+		default:
+			return nil, fmt.Errorf("engine: sink %d takes no staged records (implement StagedBatchSink or StagedSink)", i)
 		}
 		sh.bsink, _ = s.(BatchSink)
 		// Queue depth is read straight off the channel at exposition
@@ -426,32 +394,14 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Enqueue copies frame and queues it on shard as a single-frame chunk,
-// bypassing producer-side batching. Safe for concurrent use; for hot
-// paths prefer a per-goroutine Submitter.
-func (e *Engine) Enqueue(shardIdx int, frame []byte, nowNs uint64) error {
-	if shardIdx < 0 || shardIdx >= len(e.shards) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(e.shards))
-	}
-	ck := e.pool.Get().(*chunk)
-	ck.reset()
-	ck.data = append(ck.data, frame...)
-	ck.lens = append(ck.lens, int32(len(frame)))
-	ck.nowNs = nowNs
-	return e.send(e.shards[shardIdx], ck)
-}
-
 // EnqueueReport copies r and queues it on shard as a single-report
-// structured chunk, bypassing producer-side batching. Safe for
-// concurrent use; for hot paths prefer a per-goroutine Submitter.
+// chunk, bypassing producer-side batching. Safe for concurrent use; for
+// hot paths prefer a per-goroutine Submitter.
 func (e *Engine) EnqueueReport(shardIdx int, r *wire.Report, nowNs uint64) error {
 	if shardIdx < 0 || shardIdx >= len(e.shards) {
 		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(e.shards))
 	}
 	sh := e.shards[shardIdx]
-	if sh.staged == nil {
-		return ErrNoReportSink
-	}
 	ck := e.pool.Get().(*chunk)
 	ck.reset()
 	e.stage(sh, ck, r)
@@ -524,7 +474,7 @@ func handleInto(trcs []trace.Handle, h trace.Handle, chunkFrames int) []trace.Ha
 // send hands a chunk to the shard worker, applying the backpressure
 // policy. It consumes ck (requeued to the pool on drop or ErrClosed).
 func (e *Engine) send(sh *shard, ck *chunk) error {
-	frames := uint64(ck.count())
+	reports := uint64(len(ck.recs))
 	// The read lock pins the channel open: Close takes the write lock
 	// before closing channels, so a send in flight here cannot panic.
 	e.mu.RLock()
@@ -546,7 +496,7 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 	if e.cfg.Policy == Drop {
 		select {
 		case sh.ch <- ck:
-			sh.ctr.enqueued.Add(frames)
+			sh.ctr.enqueued.Add(reports)
 		default:
 			// Shed: these reports have no end-to-end latency to
 			// attribute, so their traces are discarded unpublished.
@@ -554,7 +504,7 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 				ck.trcs[i].Abort()
 			}
 			e.pool.Put(ck)
-			sh.ctr.dropped.Add(frames)
+			sh.ctr.dropped.Add(reports)
 		}
 		return nil
 	}
@@ -573,14 +523,14 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 		sh.ch <- ck
 		sh.noteStallEnd()
 	}
-	sh.ctr.enqueued.Add(frames)
+	sh.ctr.enqueued.Add(reports)
 	return nil
 }
 
-// Submitter stages frames into per-shard chunks before queueing them,
+// Submitter stages reports into per-shard chunks before queueing them,
 // amortising queue synchronisation across ChunkFrames reports. It is
 // NOT goroutine-safe: give each producer goroutine its own Submitter,
-// and Flush it before relying on Drain (staged frames are invisible to
+// and Flush it before relying on Drain (staged reports are invisible to
 // the engine until flushed; Close discards them).
 type Submitter struct {
 	e       *Engine
@@ -618,70 +568,22 @@ func (e *Engine) Submitter() *Submitter {
 	return &Submitter{e: e, pending: make([]*chunk, len(e.shards))}
 }
 
-// stagedChunk returns the shard's pending chunk, materialising it from
-// the pool on first use. If the pending chunk holds the other
-// representation (frames vs structured reports), it is flushed first so
-// each chunk stays single-mode and per-producer FIFO order is preserved.
-func (s *Submitter) stagedChunk(shardIdx int, structured bool) (*chunk, error) {
-	ck := s.pending[shardIdx]
-	if ck != nil {
-		other := len(ck.lens) > 0 && structured || len(ck.recs) > 0 && !structured
-		if !other {
-			return ck, nil
-		}
-		s.pending[shardIdx] = nil
-		if err := s.e.send(s.e.shards[shardIdx], ck); err != nil {
-			return nil, err
-		}
-	}
-	ck = s.e.pool.Get().(*chunk)
-	ck.reset()
-	s.pending[shardIdx] = ck
-	return ck, nil
-}
-
-// Submit copies frame into shard's staged chunk, queueing the chunk
-// once it holds ChunkFrames frames.
-func (s *Submitter) Submit(shardIdx int, frame []byte, nowNs uint64) error {
-	if shardIdx < 0 || shardIdx >= len(s.pending) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.pending))
-	}
-	if s.e.closed.Load() {
-		return ErrClosed
-	}
-	ck, err := s.stagedChunk(shardIdx, false)
-	if err != nil {
-		return err
-	}
-	ck.data = append(ck.data, frame...)
-	ck.lens = append(ck.lens, int32(len(frame)))
-	if nowNs > ck.nowNs {
-		ck.nowNs = nowNs
-	}
-	if len(ck.lens) >= s.e.cfg.ChunkFrames {
-		if s.coupled {
-			s.full = true
-			return nil
-		}
-		s.pending[shardIdx] = nil
-		return s.e.send(s.e.shards[shardIdx], ck)
-	}
-	return nil
-}
-
-// structuredChunk is stagedChunk for a structured submission, behind the
-// checks every such submission makes first.
-func (s *Submitter) structuredChunk(shardIdx int) (*chunk, error) {
+// stagedChunk returns shard's pending chunk, materialising it from the
+// pool on first use, behind the checks every submission makes first.
+func (s *Submitter) stagedChunk(shardIdx int) (*chunk, error) {
 	if shardIdx < 0 || shardIdx >= len(s.pending) {
 		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.pending))
 	}
 	if s.e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if s.e.shards[shardIdx].staged == nil {
-		return nil, ErrNoReportSink
+	ck := s.pending[shardIdx]
+	if ck == nil {
+		ck = s.e.pool.Get().(*chunk)
+		ck.reset()
+		s.pending[shardIdx] = ck
 	}
-	return s.stagedChunk(shardIdx, true)
+	return ck, nil
 }
 
 // noteStaged finishes staging one record on ck: its trace handle, when
@@ -711,12 +613,11 @@ func (s *Submitter) queueIfFull(shardIdx int, ck *chunk) error {
 	return s.e.send(s.e.shards[shardIdx], ck)
 }
 
-// SubmitReport stages a copy of r into shard's staged chunk — no frame
-// serialisation, no heap allocation — and, when the shard's sink is a
-// StagedPlanner, plans it there and then; the chunk is queued once it
-// holds ChunkFrames reports. The shard's sink must implement ReportSink.
+// SubmitReport stages a copy of r into shard's staged chunk — no heap
+// allocation — and, when the shard's sink is a StagedPlanner, plans it
+// there and then; the chunk is queued once it holds ChunkFrames reports.
 func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) error {
-	ck, err := s.structuredChunk(shardIdx)
+	ck, err := s.stagedChunk(shardIdx)
 	if err != nil {
 		return err
 	}
@@ -735,7 +636,7 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report) error {
 	var first *chunk
 	for i, shardIdx := range shards {
-		ck, err := s.structuredChunk(shardIdx)
+		ck, err := s.stagedChunk(shardIdx)
 		if err != nil {
 			return err
 		}
@@ -759,7 +660,7 @@ func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report)
 func (s *Submitter) Flush() error {
 	s.full = false
 	for i, ck := range s.pending {
-		if ck == nil || ck.count() == 0 {
+		if ck == nil || len(ck.recs) == 0 {
 			continue
 		}
 		s.pending[i] = nil
@@ -886,33 +787,20 @@ func (e *Engine) run(sh *shard) {
 			pendingDrains = append(pendingDrains, ck.drain)
 			return
 		}
-		off := 0
-		for _, ln := range ck.lens {
-			frame := ck.data[off : off+int(ln)]
-			off += int(ln)
-			if err := sh.sink.ProcessFrame(frame, lastNow); err != nil {
-				sh.ctr.errors.Add(1)
-				e.recordErr(err)
-			}
+		// The chunk goes to the sink in one call. Traced records get
+		// their dequeue stamp as the chunk is picked up and release the
+		// data-side trace reference once the sink is done with it.
+		for i := range ck.trcs {
+			ck.trcs[i].Stamp(trace.StDequeue)
 		}
-		// Structured reports go to the sink a chunk at a time, no frame
-		// parse. Submission guarantees recs is empty when the sink has no
-		// structured entry. Traced records get their dequeue stamp as the
-		// chunk is picked up and release the data-side trace reference
-		// once the sink is done with the chunk.
-		if len(ck.recs) > 0 {
-			for i := range ck.trcs {
-				ck.trcs[i].Stamp(trace.StDequeue)
-			}
-			if failed, err := sh.staged.ProcessStagedBatch(ck.recs, ck.plan, ck.trcs, lastNow); failed > 0 {
-				sh.ctr.errors.Add(uint64(failed))
-				e.recordErr(err)
-			}
-			for i := range ck.trcs {
-				ck.trcs[i].Finish()
-			}
+		if failed, err := sh.staged.ProcessStagedBatch(ck.recs, ck.plan, ck.trcs, lastNow); failed > 0 {
+			sh.ctr.errors.Add(uint64(failed))
+			e.recordErr(err)
 		}
-		n := ck.count()
+		for i := range ck.trcs {
+			ck.trcs[i].Finish()
+		}
+		n := len(ck.recs)
 		sh.ctr.processed.Add(uint64(n))
 		sinceFlush += n
 		e.pool.Put(ck)

@@ -3,24 +3,35 @@ package engine
 import (
 	"errors"
 	"testing"
+
+	"dta/internal/obs/trace"
+	"dta/internal/wire"
 )
 
-// recordSink logs processing order; only the shard worker touches it
-// while the engine runs, and tests read it only after Drain/Close (both
-// establish happens-before).
+// recordSink logs processing order and snapshots every record it
+// receives; only the shard worker touches it while the engine runs, and
+// tests read it only after Drain/Close (both establish happens-before).
 type recordSink struct {
-	ops     []string // "p" per frame, "f" per flush
-	frames  int
+	ops     []string // "p" per record, "f" per flush
+	reports []wire.Report
 	flushes int
 	lastNow uint64
-	err     error
+	err     error // every record fails with it when set
 }
 
-func (s *recordSink) ProcessFrame(frame []byte, nowNs uint64) error {
-	s.ops = append(s.ops, "p")
-	s.frames++
-	s.lastNow = nowNs
-	return s.err
+func (s *recordSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
+	for i := range recs {
+		s.ops = append(s.ops, "p")
+		var r wire.Report
+		recs[i].View(&r)
+		r.Data = append([]byte(nil), r.Data...)
+		s.reports = append(s.reports, r)
+		s.lastNow = nowNs
+		if s.err != nil {
+			failed, first = failed+1, s.err
+		}
+	}
+	return failed, first
 }
 
 func (s *recordSink) Flush(nowNs uint64) error {
@@ -30,21 +41,21 @@ func (s *recordSink) Flush(nowNs uint64) error {
 	return nil
 }
 
-// gatedSink blocks every ProcessFrame on gate; entered signals the first
-// arrival so tests know the worker is mid-frame.
+// gatedSink blocks every chunk on gate; entered signals the first
+// arrival so tests know the worker is mid-chunk.
 type gatedSink struct {
 	recordSink
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (s *gatedSink) ProcessFrame(frame []byte, nowNs uint64) error {
+func (s *gatedSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (int, error) {
 	select {
 	case s.entered <- struct{}{}:
 	default:
 	}
 	<-s.gate
-	return s.recordSink.ProcessFrame(frame, nowNs)
+	return s.recordSink.ProcessStagedBatch(recs, plan, trcs, nowNs)
 }
 
 func mustEngine(t *testing.T, sinks []Sink, cfg Config) *Engine {
@@ -56,23 +67,28 @@ func mustEngine(t *testing.T, sinks []Sink, cfg Config) *Engine {
 	return e
 }
 
+// enqueue queues report i on shard as a chunk of one.
+func enqueue(e *Engine, shard, i int, nowNs uint64) error {
+	return e.EnqueueReport(shard, kwReport(uint64(i), nil), nowNs)
+}
+
 func TestEnqueueAfterClose(t *testing.T) {
 	sink := &recordSink{}
 	e := mustEngine(t, []Sink{sink}, Config{})
-	if err := e.Enqueue(0, []byte{1}, 0); err != nil {
+	if err := enqueue(e, 0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Enqueue(0, []byte{2}, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Enqueue after Close = %v, want ErrClosed", err)
+	if err := enqueue(e, 0, 2, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("EnqueueReport after Close = %v, want ErrClosed", err)
 	}
 	if err := e.Drain(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Drain after Close = %v, want ErrClosed", err)
 	}
-	if sink.frames != 1 {
-		t.Fatalf("frames = %d, want 1 (pre-close report must be ingested)", sink.frames)
+	if len(sink.reports) != 1 {
+		t.Fatalf("records = %d, want 1 (pre-close report must be ingested)", len(sink.reports))
 	}
 	if sink.flushes != 1 {
 		t.Fatalf("flushes = %d, want exactly the final close flush", sink.flushes)
@@ -88,15 +104,15 @@ func TestDrainWaitsForInFlightBatches(t *testing.T) {
 	e := mustEngine(t, []Sink{sink}, Config{QueueDepth: 64, Batch: 8})
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := e.Enqueue(0, []byte{byte(i)}, uint64(i)); err != nil {
+		if err := enqueue(e, 0, i, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Drain(uint64(n)); err != nil {
 		t.Fatal(err)
 	}
-	if sink.frames != n {
-		t.Fatalf("frames after Drain = %d, want %d", sink.frames, n)
+	if len(sink.reports) != n {
+		t.Fatalf("records after Drain = %d, want %d", len(sink.reports), n)
 	}
 	// The drain flush must come after every report, and the engine stays
 	// usable afterwards.
@@ -111,14 +127,14 @@ func TestDrainWaitsForInFlightBatches(t *testing.T) {
 	if sink.lastNow != n {
 		t.Fatalf("flush now = %d, want %d", sink.lastNow, n)
 	}
-	if err := e.Enqueue(0, []byte{0xff}, n+1); err != nil {
-		t.Fatalf("Enqueue after Drain = %v", err)
+	if err := enqueue(e, 0, 0xff, n+1); err != nil {
+		t.Fatalf("EnqueueReport after Drain = %v", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.frames != n+1 {
-		t.Fatalf("frames after Close = %d, want %d", sink.frames, n+1)
+	if len(sink.reports) != n+1 {
+		t.Fatalf("records after Close = %d, want %d", len(sink.reports), n+1)
 	}
 	st := e.Stats()
 	if st.Enqueued != n+1 || st.Processed != n+1 || st.Dropped != 0 {
@@ -130,15 +146,15 @@ func TestDropPolicyCounterAccuracy(t *testing.T) {
 	sink := &gatedSink{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	e := mustEngine(t, []Sink{sink}, Config{QueueDepth: 2, Batch: 1, Policy: Drop})
 
-	// First report: worker picks it up and blocks mid-frame.
-	if err := e.Enqueue(0, []byte{0}, 0); err != nil {
+	// First report: worker picks it up and blocks mid-chunk.
+	if err := enqueue(e, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	<-sink.entered
 	// Next two fill the queue; five more must be shed.
 	for i := 1; i < 8; i++ {
-		if err := e.Enqueue(0, []byte{byte(i)}, 0); err != nil {
-			t.Fatalf("Drop-policy Enqueue %d = %v, want nil", i, err)
+		if err := enqueue(e, 0, i, 0); err != nil {
+			t.Fatalf("Drop-policy EnqueueReport %d = %v, want nil", i, err)
 		}
 	}
 	if st := e.Stats(); st.Enqueued != 3 || st.Dropped != 5 {
@@ -164,7 +180,7 @@ func TestBlockPolicyIsLossless(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			if err := e.Enqueue(0, []byte{byte(i)}, 0); err != nil {
+			if err := enqueue(e, 0, i, 0); err != nil {
 				done <- err
 				return
 			}
@@ -189,7 +205,7 @@ func TestPeriodicFlush(t *testing.T) {
 	sink := &recordSink{}
 	e := mustEngine(t, []Sink{sink}, Config{FlushEvery: 10, Batch: 4})
 	for i := 0; i < 35; i++ {
-		if err := e.Enqueue(0, []byte{byte(i)}, 0); err != nil {
+		if err := enqueue(e, 0, i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +225,7 @@ func TestSinkErrorSurfaces(t *testing.T) {
 	bad := errors.New("collector rejected")
 	sink := &recordSink{err: bad}
 	e := mustEngine(t, []Sink{sink}, Config{})
-	if err := e.Enqueue(0, []byte{1}, 0); err != nil {
+	if err := enqueue(e, 0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Drain(0); !errors.Is(err, bad) {
@@ -228,11 +244,11 @@ func TestSubmitterStagesAndFlushes(t *testing.T) {
 	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 8})
 	sub := e.Submitter()
 	for i := 0; i < 20; i++ {
-		if err := sub.Submit(0, []byte{byte(i)}, uint64(i)); err != nil {
+		if err := sub.SubmitReport(0, kwReport(uint64(i), nil), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Two full chunks are queued; four frames remain staged.
+	// Two full chunks are queued; four reports remain staged.
 	if st := e.Stats(); st.Enqueued != 16 {
 		t.Fatalf("enqueued = %d, want 16 before Flush", st.Enqueued)
 	}
@@ -246,8 +262,8 @@ func TestSubmitterStagesAndFlushes(t *testing.T) {
 	if st.Enqueued != 20 || st.Processed != 20 {
 		t.Fatalf("stats = %+v, want 20 enqueued and processed", st)
 	}
-	if sink.frames != 20 {
-		t.Fatalf("frames = %d, want 20", sink.frames)
+	if len(sink.reports) != 20 {
+		t.Fatalf("records = %d, want 20", len(sink.reports))
 	}
 	if sink.lastNow != 20 {
 		t.Fatalf("flush now = %d, want 20", sink.lastNow)
@@ -263,8 +279,8 @@ func TestSubmitAfterClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.Submit(0, []byte{1}, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := sub.SubmitReport(0, kwReport(1, nil), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitReport after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -272,18 +288,18 @@ func TestMultiShardIsolation(t *testing.T) {
 	a, b := &recordSink{}, &recordSink{}
 	e := mustEngine(t, []Sink{a, b}, Config{})
 	for i := 0; i < 10; i++ {
-		if err := e.Enqueue(i%2, []byte{byte(i)}, 0); err != nil {
+		if err := enqueue(e, i%2, i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Enqueue(2, []byte{0}, 0); err == nil {
+	if err := enqueue(e, 2, 0, 0); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 	if err := e.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	if a.frames != 5 || b.frames != 5 {
-		t.Fatalf("frames = %d/%d, want 5/5", a.frames, b.frames)
+	if len(a.reports) != 5 || len(b.reports) != 5 {
+		t.Fatalf("records = %d/%d, want 5/5", len(a.reports), len(b.reports))
 	}
 	s0, s1 := e.ShardStats(0), e.ShardStats(1)
 	if s0.Processed != 5 || s1.Processed != 5 {
@@ -320,7 +336,7 @@ func TestWorkerSettlesOnlyForDrainAndClose(t *testing.T) {
 	e := mustEngine(t, []Sink{sink}, Config{})
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 5; i++ {
-			if err := e.Enqueue(0, []byte{byte(i)}, 0); err != nil {
+			if err := enqueue(e, 0, i, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,25 +10,6 @@ import (
 	"dta/internal/wire"
 )
 
-// reportRecordSink extends recordSink with the structured path,
-// snapshotting each report it receives.
-type reportRecordSink struct {
-	recordSink
-	reports []wire.Report
-	datas   [][]byte
-}
-
-func (s *reportRecordSink) ProcessReport(r *wire.Report, nowNs uint64) error {
-	s.ops = append(s.ops, "r")
-	s.frames++
-	s.lastNow = nowNs
-	cp := *r
-	cp.Data = append([]byte(nil), r.Data...)
-	s.reports = append(s.reports, cp)
-	s.datas = append(s.datas, cp.Data)
-	return s.err
-}
-
 func kwReport(key uint64, data []byte) *wire.Report {
 	return &wire.Report{
 		Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
@@ -38,7 +19,7 @@ func kwReport(key uint64, data []byte) *wire.Report {
 }
 
 func TestSubmitReportRoundTrip(t *testing.T) {
-	sink := &reportRecordSink{}
+	sink := &recordSink{}
 	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 4})
 	sub := e.Submitter()
 	data := []byte{9, 8, 7}
@@ -80,7 +61,7 @@ func TestSubmitReportRoundTrip(t *testing.T) {
 // the producer reusing its payload buffer — the whole point of the
 // inline payload array.
 func TestSubmitReportPayloadSnapshot(t *testing.T) {
-	sink := &reportRecordSink{}
+	sink := &recordSink{}
 	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 8})
 	sub := e.Submitter()
 	buf := []byte{1, 1, 1, 1}
@@ -97,64 +78,31 @@ func TestSubmitReportPayloadSnapshot(t *testing.T) {
 	if err := e.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.datas[0]; got[0] != 1 {
+	if got := sink.reports[0].Data; got[0] != 1 {
 		t.Fatalf("first report data = %v, want the pre-reuse snapshot", got)
 	}
-	if got := sink.datas[1]; got[0] != 2 {
+	if got := sink.reports[1].Data; got[0] != 2 {
 		t.Fatalf("second report data = %v", got)
 	}
 	e.Close()
 }
 
-// TestSubmitterModeSwitchFlushes checks that interleaving frame and
-// structured submissions on one shard preserves per-producer FIFO order
-// (the staged chunk is flushed when the representation changes).
-func TestSubmitterModeSwitchFlushes(t *testing.T) {
-	sink := &reportRecordSink{}
-	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 100})
-	sub := e.Submitter()
-	if err := sub.SubmitReport(0, kwReport(1, nil), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Submit(0, []byte{0xab}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.SubmitReport(0, kwReport(2, nil), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"r", "p", "r", "f"}
-	if len(sink.ops) != len(want) {
-		t.Fatalf("ops = %v, want %v", sink.ops, want)
-	}
-	for i := range want {
-		if sink.ops[i] != want[i] {
-			t.Fatalf("ops = %v, want %v (FIFO across mode switch)", sink.ops, want)
-		}
-	}
-	e.Close()
-}
+// flushOnlySink takes no records at all.
+type flushOnlySink struct{}
 
-func TestSubmitReportToFrameOnlySink(t *testing.T) {
-	sink := &recordSink{} // no ProcessReport
-	e := mustEngine(t, []Sink{sink}, Config{})
-	defer e.Close()
-	sub := e.Submitter()
-	if err := sub.SubmitReport(0, kwReport(1, nil), 0); !errors.Is(err, ErrNoReportSink) {
-		t.Fatalf("err = %v, want ErrNoReportSink", err)
-	}
-	if err := e.EnqueueReport(0, kwReport(1, nil), 0); !errors.Is(err, ErrNoReportSink) {
-		t.Fatalf("EnqueueReport err = %v, want ErrNoReportSink", err)
+func (flushOnlySink) Flush(uint64) error { return nil }
+
+// TestNewRejectsSinkWithoutStagedEntry: a sink with neither record entry
+// could never ingest anything, so New refuses it up front instead of
+// failing every submission.
+func TestNewRejectsSinkWithoutStagedEntry(t *testing.T) {
+	if _, err := New([]Sink{&recordSink{}, flushOnlySink{}}, Config{}); err == nil {
+		t.Fatal("New accepted a sink that takes no staged records")
 	}
 }
 
 func TestEnqueueReportBypassesBatching(t *testing.T) {
-	sink := &reportRecordSink{}
+	sink := &recordSink{}
 	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 100})
 	if err := e.EnqueueReport(0, kwReport(7, []byte{4}), 42); err != nil {
 		t.Fatal(err)
@@ -173,7 +121,7 @@ func TestEnqueueReportBypassesBatching(t *testing.T) {
 // disabled for the measurement so sync.Pool victim clearing cannot
 // inject warmup re-allocations.
 func TestStructuredSteadyStateZeroAllocs(t *testing.T) {
-	sink := &nullReportSink{}
+	sink := &nullSink{}
 	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 32, QueueDepth: 64})
 	defer e.Close()
 	sub := e.Submitter()
@@ -199,13 +147,15 @@ func TestStructuredSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// nullReportSink discards everything (for allocation measurements the
+// nullSink discards everything (for allocation measurements the
 // recording sinks would themselves allocate).
-type nullReportSink struct{ n int }
+type nullSink struct{ n int }
 
-func (s *nullReportSink) ProcessFrame(frame []byte, nowNs uint64) error    { s.n++; return nil }
-func (s *nullReportSink) ProcessReport(r *wire.Report, nowNs uint64) error { s.n++; return nil }
-func (s *nullReportSink) Flush(nowNs uint64) error                         { return nil }
+func (s *nullSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, _ uint64) (int, error) {
+	s.n += len(recs)
+	return 0, nil
+}
+func (s *nullSink) Flush(nowNs uint64) error { return nil }
 
 // batchRecordSink is a StagedBatchSink that remembers how each chunk
 // arrived and fails the records whose key is odd.
@@ -280,13 +230,9 @@ func TestWorkerHandsChunksToBatchSink(t *testing.T) {
 	}
 }
 
-// stagedOnlySink implements the per-record entries only; New must wrap
-// it so the worker's one path still reaches it, errors counted per
-// record.
-type stagedOnlySink struct {
-	reportRecordSink
-	staged int
-}
+// stagedOnlySink implements the per-record entry only; New must wrap it
+// so the worker's one path still reaches it, errors counted per record.
+type stagedOnlySink struct{ staged int }
 
 func (s *stagedOnlySink) ProcessStaged(rec *wire.StagedReport, nowNs uint64) error {
 	s.staged++
@@ -295,6 +241,8 @@ func (s *stagedOnlySink) ProcessStaged(rec *wire.StagedReport, nowNs uint64) err
 	}
 	return nil
 }
+
+func (s *stagedOnlySink) Flush(uint64) error { return nil }
 
 func TestPerRecordSinksAreAdapted(t *testing.T) {
 	sink := &stagedOnlySink{}
@@ -311,8 +259,8 @@ func TestPerRecordSinksAreAdapted(t *testing.T) {
 	if err := e.Drain(0); !errors.Is(err, errOddKey) {
 		t.Fatalf("Drain = %v, want %v", err, errOddKey)
 	}
-	if sink.staged != 6 || len(sink.reports) != 0 {
-		t.Fatalf("staged entry saw %d records, report entry %d; want 6 and 0", sink.staged, len(sink.reports))
+	if sink.staged != 6 {
+		t.Fatalf("staged entry saw %d records, want 6", sink.staged)
 	}
 	if st := e.Stats(); st.Errors != 3 {
 		t.Fatalf("Errors = %d, want 3", st.Errors)
@@ -327,7 +275,7 @@ func TestPerRecordSinksAreAdapted(t *testing.T) {
 // not the other. Full chunks go out when the owner flushes a Full
 // submitter, after the fan-out.
 func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
-	a, b := &reportRecordSink{}, &reportRecordSink{}
+	a, b := &recordSink{}, &recordSink{}
 	e := mustEngine(t, []Sink{a, b}, Config{ChunkFrames: 2})
 	defer e.Close()
 	sub := e.Submitter()
@@ -384,6 +332,7 @@ func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
 type planSink struct {
 	recordSink
 	chunks   int
+	recs     int
 	planned  int // chunks that arrived with a plan parallel to recs
 	mistakes []string
 }
@@ -406,7 +355,7 @@ func (s *planSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
 
 func (s *planSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (int, error) {
 	s.chunks++
-	s.frames += len(recs)
+	s.recs += len(recs)
 	if len(plan.Recs) != len(recs) {
 		return 0, nil
 	}
@@ -487,8 +436,8 @@ func TestSubmitterPlansAtStaging(t *testing.T) {
 	}
 	// Every record reaches shard 0; shard 1 gets the even rounds' fan-outs,
 	// less the five records that went through EnqueueReport instead.
-	if a.frames != 50*8 || b.frames != 25*8-5 {
-		t.Errorf("shard 0 saw %d records, shard 1 %d; want %d and %d", a.frames, b.frames, 50*8, 25*8-5)
+	if a.recs != 50*8 || b.recs != 25*8-5 {
+		t.Errorf("shard 0 saw %d records, shard 1 %d; want %d and %d", a.recs, b.recs, 50*8, 25*8-5)
 	}
 	if plain.staged == 0 {
 		t.Error("the per-record sink saw nothing")

@@ -202,7 +202,7 @@ func fig8Rig(prim wire.Primitive, reports int, batch int, redundancy int) float6
 			rep.Append = wire.Append{ListID: uint32(i % 4)}
 			rep.Data = []byte{1, 2, 3, 4}
 		}
-		if err := tr.Process(&rep, 0); err != nil {
+		if err := tr.ProcessReport(&rep, 0); err != nil {
 			panic(err)
 		}
 	}

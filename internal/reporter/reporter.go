@@ -113,6 +113,43 @@ func (r *Reporter) PostcardValue(buf []byte, key wire.Key, hop, pathLen uint8, v
 	return r.Encapsulate(buf, &rep)
 }
 
+// Sender puts a reporter in front of a frame edge: each call encodes
+// one report into a full frame and hands it to Send, which decodes it
+// on the receiving side. It has the call shape of the in-process
+// reporter handles, so one workload can drive either.
+type Sender struct {
+	Rep  *Reporter
+	Send func(frame []byte) error
+	buf  [wire.MaxReportLen]byte
+}
+
+func (s *Sender) send(n int, err error) error {
+	if err != nil {
+		return err
+	}
+	return s.Send(s.buf[:n])
+}
+
+// KeyWrite sends a Key-Write frame.
+func (s *Sender) KeyWrite(key wire.Key, data []byte, n int) error {
+	return s.send(s.Rep.KeyWrite(s.buf[:], key, data, uint8(n), false))
+}
+
+// Increment sends a Key-Increment frame.
+func (s *Sender) Increment(key wire.Key, delta uint64, n int) error {
+	return s.send(s.Rep.KeyIncrement(s.buf[:], key, delta, uint8(n)))
+}
+
+// Postcard sends a Postcarding frame carrying the switch ID.
+func (s *Sender) Postcard(key wire.Key, hop, pathLen int) error {
+	return s.send(s.Rep.Postcard(s.buf[:], key, uint8(hop), uint8(pathLen)))
+}
+
+// Append sends an Append frame.
+func (s *Sender) Append(list uint32, data []byte) error {
+	return s.send(s.Rep.Append(s.buf[:], list, data, false))
+}
+
 func flags(immediate bool) uint8 {
 	if immediate {
 		return wire.FlagImmediate

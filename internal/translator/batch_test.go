@@ -33,7 +33,7 @@ func TestAppendFlushSplitsAtRingEnd(t *testing.T) {
 				Append: wire.Append{ListID: uint32(list)},
 				Data:   data[:],
 			}
-			if err := r.tr.Process(&rep, 0); err != nil {
+			if err := r.tr.ProcessReport(&rep, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -104,7 +104,7 @@ func TestThresholdQueryEndToEnd(t *testing.T) {
 				Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 				Postcard: wire.Postcard{Key: f.k, Hop: uint8(hop), PathLen: 5, Value: f.v},
 			}
-			if err := r.tr.Process(&rep, 0); err != nil {
+			if err := r.tr.ProcessReport(&rep, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -141,7 +141,7 @@ func TestKIAggregationReducesAtomics(t *testing.T) {
 			Header:       wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
 			KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: k, Delta: 3},
 		}
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestKIAggregationEvictionPreservesTotals(t *testing.T) {
 			Header:       wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
 			KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: key(kv), Delta: 2},
 		}
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

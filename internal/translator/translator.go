@@ -296,9 +296,8 @@ type Translator struct {
 	// the log stages the records WAL hands it and appends them here — one
 	// publication per chunk, however many records (wal.Writer.Publish).
 	WALPublish func()
-	// walScratch stages reports arriving through the non-staged entries
-	// (ProcessReport/ProcessFrame) for the WAL hook.
-	walScratch wire.StagedReport
+	// staged is where ProcessReport stages the report it was handed.
+	staged wire.StagedReport
 
 	// pktBuf and chunkBuf are the crafting scratch buffers: every
 	// outgoing RoCEv2 packet (and postcard chunk image) is built in
@@ -522,10 +521,9 @@ func needRegion(regions []rdma.RegionInfo, label string, minLen uint64) (rdma.Re
 // caller should forward it as user traffic.
 var ErrNotDTA = errors.New("translator: user traffic")
 
-// ProcessFrame parses a full Ethernet frame and processes DTA reports;
-// other traffic only counts as forwarded. This is the wire-level ingest
-// path; structured producers that already hold a decoded report should
-// call ProcessReport and skip the parse entirely.
+// ProcessFrame is the translator's wire edge: it parses a full Ethernet
+// frame and processes the DTA report it carries; other traffic only
+// counts as forwarded.
 func (t *Translator) ProcessFrame(frame []byte, nowNs uint64) error {
 	p := &t.frame
 	if err := wire.DecodeFrame(frame, p); err != nil {
@@ -540,43 +538,12 @@ func (t *Translator) ProcessFrame(frame []byte, nowNs uint64) error {
 	return t.ProcessReport(&p.Report, nowNs)
 }
 
-// ProcessReport translates one already-decoded DTA report into RDMA
-// operations. No frame crafting or parsing happens between the reporter
-// and the RDMA verbs, and the steady state allocates nothing. r
-// (including r.Data) is only read for the duration of the call.
+// ProcessReport translates one decoded DTA report: it stages r and runs
+// ProcessStaged. r (including r.Data) is only read for the duration of
+// the call.
 func (t *Translator) ProcessReport(r *wire.Report, nowNs uint64) error {
-	span := t.ctr.reportSamp.Start(t.ctr.reportNs)
-	err := t.processReport(r, nowNs)
-	t.traceH.Stamp(trace.StTranslate)
-	span.EndExemplar(t.traceH.ID())
-	t.traceH = trace.Handle{}
-	t.publish()
-	return err
-}
-
-func (t *Translator) processReport(r *wire.Report, nowNs uint64) error {
-	if t.WAL != nil {
-		t.walScratch.Stage(r)
-		if err := t.WAL(&t.walScratch, nowNs); err != nil {
-			return err
-		}
-	}
-	switch r.Header.Primitive {
-	case wire.PrimKeyWrite:
-		t.pend.kwReports++
-		return t.keyWriteArgs(&r.KeyWrite.Key, int(r.KeyWrite.Redundancy), r.Header.Flags, r.Data, nackRef{r: r}, nowNs)
-	case wire.PrimKeyIncrement:
-		t.pend.kiReports++
-		return t.keyIncrementArgs(&r.KeyIncrement, nowNs)
-	case wire.PrimPostcarding:
-		t.pend.pcReports++
-		return t.postcardArgs(&r.Postcard, r.Header.Flags, nackRef{r: r}, nowNs)
-	case wire.PrimAppend:
-		t.pend.apReports++
-		return t.appendArgs(r.Append.ListID, r.Data, r.Header.Flags, nackRef{r: r}, nowNs)
-	default:
-		return t.unknownPrimitive(r.Header.Primitive)
-	}
+	t.staged.Stage(r)
+	return t.ProcessStaged(&t.staged, nowNs)
 }
 
 func (t *Translator) unknownPrimitive(p wire.Primitive) error {
@@ -584,14 +551,6 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 	t.ctr.parseErrors.Inc()
 	t.noteParseError()
 	return fmt.Errorf("translator: unknown primitive %v", p)
-}
-
-// Process translates one DTA report into RDMA operations.
-//
-// Deprecated: Process is the old name of ProcessReport, kept for
-// existing callers.
-func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
-	return t.ProcessReport(r, nowNs)
 }
 
 // ProcessStagedBatch translates a chunk of staged records — the hottest
@@ -604,7 +563,7 @@ func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
 //	   record and immutable configuration, so the engine runs it where the
 //	   record is staged — on the submitting goroutine, through PlanStaged
 //	   — and the result arrives here as plan. A chunk that arrives without
-//	   one (plan.Recs not parallel to recs: chunks of one, frame chunks,
+//	   one (plan.Recs not parallel to recs: chunks of one, socket bursts,
 //	   WAL replay) is planned in place, window by window, by the same
 //	   function;
 //	B. pre-touch, per window of batchWindow records: the collector device
@@ -623,8 +582,8 @@ func (t *Translator) Process(r *wire.Report, nowNs uint64) error {
 // trcs, when non-empty, runs parallel to recs: trcs[i] is recs[i]'s
 // data-plane trace handle (possibly invalid — sampled out). A failing
 // record does not stop the chunk: failed counts them and first is the
-// earliest error. Processing is semantically identical to ProcessReport
-// on each record's View (a full report is materialised lazily only if a
+// earliest error. Processing is semantically identical to ProcessStaged
+// on each record (a full report is materialised lazily only if a
 // rate-limit drop must raise a NACK).
 func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
 	planned := len(plan.Recs) == len(recs)
@@ -902,8 +861,8 @@ func (t *Translator) kwAddrs(dst []uint64, slots []uint32) []uint64 {
 	return dst
 }
 
-// keyWriteArgs is the unplanned Key-Write path (decoded reports, and
-// staged records address generation left alone): hash, then emit.
+// keyWriteArgs is the unplanned Key-Write path (records address
+// generation left alone): hash, then emit.
 func (t *Translator) keyWriteArgs(key *wire.Key, n int, flags uint8, data []byte, src nackRef, nowNs uint64) error {
 	if t.kwIdx == nil {
 		return errors.New("translator: Key-Write not enabled")
@@ -972,8 +931,8 @@ func (t *Translator) kiAddrs(dst []uint64, slots []uint32) []uint64 {
 	return dst
 }
 
-// keyIncrementArgs is the unplanned Key-Increment path: decoded reports,
-// and staged records address generation left alone (aggregation on).
+// keyIncrementArgs is the unplanned Key-Increment path: records address
+// generation left alone (aggregation on).
 func (t *Translator) keyIncrementArgs(ki *wire.KeyIncrement, nowNs uint64) error {
 	if t.kiIdx == nil {
 		return errors.New("translator: Key-Increment not enabled")

@@ -68,7 +68,7 @@ func TestKeyWriteEndToEnd(t *testing.T) {
 		KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(42)},
 		Data:     data,
 	}
-	if err := r.tr.Process(&rep, 0); err != nil {
+	if err := r.tr.ProcessReport(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAWrites != 2 {
@@ -95,7 +95,7 @@ func TestKeyWriteRedundancyCapped(t *testing.T) {
 		KeyWrite: wire.KeyWrite{Redundancy: 8, Key: key(1)},
 		Data:     []byte{1, 2, 3, 4},
 	}
-	if err := r.tr.Process(&rep, 0); err != nil {
+	if err := r.tr.ProcessReport(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAWrites != 2 {
@@ -111,7 +111,7 @@ func TestKeyIncrementEndToEnd(t *testing.T) {
 			Header:       wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
 			KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: key(7), Delta: 10},
 		}
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestPostcardingEndToEnd(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: x, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 10)},
 		}
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestAppendEndToEndWithBatching(t *testing.T) {
 			Append: wire.Append{ListID: 3},
 			Data:   data[:],
 		}
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestAppendPartialFlush(t *testing.T) {
 		Append: wire.Append{ListID: 0},
 		Data:   []byte{9, 9, 9, 9},
 	}
-	if err := r.tr.Process(&rep, 0); err != nil {
+	if err := r.tr.ProcessReport(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().AppendFlushes != 0 {
@@ -223,7 +223,7 @@ func TestDrainPostcards(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: x, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 1)},
 		}
-		r.tr.Process(&rep, 0)
+		r.tr.ProcessReport(&rep, 0)
 	}
 	if err := r.tr.DrainPostcards(0); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestDrainedMiddleHopLossNeverShiftsPath(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: x, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 10)},
 		}
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestDrainedMiddleHopLossNeverShiftsPath(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: y, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 20)},
 		}
-		r.tr.Process(&rep, 0)
+		r.tr.ProcessReport(&rep, 0)
 	}
 	r.tr.DrainPostcards(0)
 	resY, _ := r.host.QueryPostcards(y, 1)
@@ -285,7 +285,7 @@ func TestImmediateFlagRaisesEvent(t *testing.T) {
 		KeyWrite: wire.KeyWrite{Redundancy: 1, Key: key(1)},
 		Data:     []byte{1, 2, 3, 4},
 	}
-	if err := r.tr.Process(&rep, 0); err != nil {
+	if err := r.tr.ProcessReport(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -311,14 +311,14 @@ func TestRateLimiterDropsAndNACKs(t *testing.T) {
 	}
 	// Fire a burst at t=0: only the bucket's initial tokens pass.
 	for i := 0; i < 100; i++ {
-		r.tr.Process(&rep, 0)
+		r.tr.ProcessReport(&rep, 0)
 	}
 	if r.tr.Stats().RateDropped == 0 || nacks == 0 {
 		t.Errorf("dropped=%d nacks=%d, want both > 0", r.tr.Stats().RateDropped, nacks)
 	}
 	// After a second of simulated time, tokens replenish.
 	before := r.tr.Stats().RDMAWrites
-	if err := r.tr.Process(&rep, 1e9); err != nil {
+	if err := r.tr.ProcessReport(&rep, 1e9); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAWrites != before+1 {
@@ -336,7 +336,7 @@ func TestDisabledPrimitiveRejected(t *testing.T) {
 		Append: wire.Append{ListID: 0},
 		Data:   []byte{1},
 	}
-	if err := r.tr.Process(&rep, 0); err == nil {
+	if err := r.tr.ProcessReport(&rep, 0); err == nil {
 		t.Error("append on KW-only translator accepted")
 	}
 }
@@ -406,7 +406,7 @@ func TestFig8MemoryInstrumentation(t *testing.T) {
 			KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(uint64(i))},
 			Data:     []byte{1, 2, 3, 4},
 		}
-		r.tr.Process(&rep, 0)
+		r.tr.ProcessReport(&rep, 0)
 	}
 	r.host.Device().AttributeReports(reports)
 	if got := r.host.Device().Mem.PerReport(); got != 2.0 {
@@ -421,7 +421,7 @@ func TestFig8MemoryInstrumentation(t *testing.T) {
 			Append: wire.Append{ListID: 1},
 			Data:   []byte{1, 2, 3, 4},
 		}
-		r2.tr.Process(&rep, 0)
+		r2.tr.ProcessReport(&rep, 0)
 	}
 	r2.host.Device().AttributeReports(reports)
 	got := r2.host.Device().Mem.PerReport()
@@ -445,7 +445,7 @@ func benchTranslatorKW(b *testing.B, n uint8) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep.KeyWrite.Key = key(uint64(i))
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,7 +463,7 @@ func BenchmarkTranslatorAppendBatch16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.tr.Process(&rep, 0); err != nil {
+		if err := r.tr.ProcessReport(&rep, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -187,7 +187,7 @@ func TestPostListMatchesPerVerb(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					for i := a; i < b; i++ {
-						if s.deliverStagedAt(&st.recs[i], st.now[i]) != nil {
+						if s.deliver(&st.recs[i], st.now[i]) != nil {
 							failed[side]++
 						}
 					}
