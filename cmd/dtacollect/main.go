@@ -327,8 +327,9 @@ func run(duration time.Duration, rate int, snapPath, addr, obsAddr string, wcfg 
 			// The receiver owns the translator (and WAL writer) until it
 			// notices done; flushing concurrently would race it.
 			<-recvDone
-			tr.FlushAppend(0)
-			tr.DrainPostcards(0)
+			if err := tr.Flush(0); err != nil {
+				return err
+			}
 			st := tr.Stats()
 			fmt.Printf("final: reports=%d rdma-writes=%d mem-instr/report=%.3f\n",
 				st.Reports, st.RDMAWrites, func() float64 {

@@ -475,13 +475,7 @@ func (s *System) Flush() error {
 // flushAt is Flush with an explicit timestamp and without the wait for
 // the log (engine shard workers, which settle once per Drain).
 func (s *System) flushAt(nowNs uint64) error {
-	if err := s.tr.FlushAppend(nowNs); err != nil {
-		return err
-	}
-	if err := s.tr.FlushKeyIncrements(nowNs); err != nil {
-		return err
-	}
-	if err := s.tr.DrainPostcards(nowNs); err != nil {
+	if err := s.tr.Flush(nowNs); err != nil {
 		return err
 	}
 	// A flush is a batch boundary for the WAL sync policy too: it

@@ -2,6 +2,7 @@ package postcarding
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dta/internal/crc"
 	"dta/internal/wire"
@@ -17,7 +18,11 @@ import (
 // row, which flushes the incumbent early (a partial report — Fig. 14
 // counts those as failures).
 type Cache struct {
-	rows   []cacheRow
+	rows []cacheRow
+	// live holds one bit per row, set while the row is occupied, so an
+	// epoch-end Drain and Occupancy cost what is cached, not the table's
+	// size.
+	live   []uint64
 	hops   int
 	idxEng *crc.Engine
 	mask   uint64
@@ -69,6 +74,7 @@ func NewCache(rows int, hops int) (*Cache, error) {
 	}
 	return &Cache{
 		rows:   make([]cacheRow, rows),
+		live:   make([]uint64, (rows+63)/64),
 		hops:   hops,
 		idxEng: crc.New(crc.Q),
 		mask:   uint64(rows - 1),
@@ -111,7 +117,8 @@ func (c *Cache) Insert(p *wire.Postcard) []Emit {
 	if hop >= c.hops {
 		hop = c.hops - 1
 	}
-	r := &c.rows[c.rowIndex(p.Key)]
+	i := c.rowIndex(p.Key)
+	r := &c.rows[i]
 	if r.occupied && r.key != p.Key {
 		// Collision: flush the incumbent early.
 		c.Stats.EarlyEmits++
@@ -120,6 +127,7 @@ func (c *Cache) Insert(p *wire.Postcard) []Emit {
 	if !r.occupied {
 		r.occupied = true
 		r.key = p.Key
+		c.live[i/64] |= 1 << (i % 64)
 	}
 	if r.present&(1<<uint(hop)) != 0 {
 		c.Stats.Duplicates++
@@ -138,22 +146,27 @@ func (c *Cache) Insert(p *wire.Postcard) []Emit {
 	if r.count >= target {
 		c.Stats.FullEmits++
 		emits = append(emits, c.flush(r, false))
+		c.live[i/64] &^= 1 << (i % 64)
 	}
 	return emits
 }
 
-// Drain flushes every occupied row (e.g. at shutdown or epoch end). All
-// drained reports are marked partial unless they happen to be complete.
-// The result is the cache's own scratch, valid until the next Drain.
+// Drain flushes every occupied row (e.g. at shutdown or epoch end), in
+// row order. All drained reports are marked partial unless they happen to
+// be complete. The result is the cache's own scratch, valid until the
+// next Drain.
 func (c *Cache) Drain() []Emit {
 	out := c.drained[:0]
-	for i := range c.rows {
-		r := &c.rows[i]
-		if !r.occupied {
+	for w, word := range c.live {
+		if word == 0 {
 			continue
 		}
-		complete := r.count >= uint8(c.hops) || (r.pathLen != 0 && r.count >= r.pathLen)
-		out = append(out, c.flush(r, !complete))
+		c.live[w] = 0
+		for ; word != 0; word &= word - 1 {
+			r := &c.rows[w*64+bits.TrailingZeros64(word)]
+			complete := r.count >= uint8(c.hops) || (r.pathLen != 0 && r.count >= r.pathLen)
+			out = append(out, c.flush(r, !complete))
+		}
 	}
 	c.drained = out
 	return out
@@ -162,10 +175,8 @@ func (c *Cache) Drain() []Emit {
 // Occupancy returns the number of occupied rows.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.rows {
-		if c.rows[i].occupied {
-			n++
-		}
+	for _, word := range c.live {
+		n += bits.OnesCount64(word)
 	}
 	return n
 }

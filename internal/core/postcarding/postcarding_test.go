@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -431,12 +432,127 @@ func TestCacheEndToEndWithStore(t *testing.T) {
 	}
 }
 
+// fullScanDrain is Drain as it was before the occupancy bitmap: a walk
+// over every row. TestCacheDrainMatchesFullScan holds Drain to it.
+func fullScanDrain(c *Cache) []Emit {
+	out := c.drained[:0]
+	for i := range c.rows {
+		r := &c.rows[i]
+		if !r.occupied {
+			continue
+		}
+		complete := r.count >= uint8(c.hops) || (r.pathLen != 0 && r.count >= r.pathLen)
+		out = append(out, c.flush(r, !complete))
+	}
+	c.drained = out
+	return out
+}
+
+// fullScanOccupancy is Occupancy as it was before the bitmap.
+func fullScanOccupancy(c *Cache) int {
+	n := 0
+	for i := range c.rows {
+		if c.rows[i].occupied {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCacheDrainMatchesFullScan drives twin caches through the same random
+// postcards — few rows and a small flow pool, so collisions are frequent;
+// duplicate hops, hops past the bound, short and unannotated paths — and
+// drains one through its bitmap, the other by a full scan, at random
+// points. The emits (content and order), the rows, Occupancy and Stats
+// must agree throughout.
+func TestCacheDrainMatchesFullScan(t *testing.T) {
+	for _, geo := range []struct{ rows, hops int }{{1, 5}, {4, 3}, {64, 5}, {256, MaxHops}} {
+		rnd := rand.New(rand.NewSource(int64(geo.rows)))
+		bitmap, _ := NewCache(geo.rows, geo.hops)
+		scan, _ := NewCache(geo.rows, geo.hops)
+		flows := 3 * geo.rows
+		var prev wire.Postcard
+		drains := 0
+		for step := 0; step < 20000; step++ {
+			p := wire.Postcard{
+				Key:     key(uint64(rnd.Intn(flows))),
+				Hop:     uint8(rnd.Intn(geo.hops + 2)),
+				PathLen: uint8(rnd.Intn(geo.hops + 1)),
+				Value:   rnd.Uint32(),
+			}
+			if rnd.Intn(8) == 0 {
+				p = prev // a duplicate hop
+			}
+			prev = p
+			got, want := bitmap.Insert(&p), scan.Insert(&p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("rows=%d step %d: Insert emitted %+v, reference %+v", geo.rows, step, got, want)
+			}
+			if rnd.Intn(40) == 0 {
+				drains++
+				got, want = bitmap.Drain(), fullScanDrain(scan)
+				if !slices.Equal(got, want) {
+					t.Fatalf("rows=%d step %d: Drain emitted %+v, full scan %+v", geo.rows, step, got, want)
+				}
+			}
+			if n, want := bitmap.Occupancy(), fullScanOccupancy(scan); n != want || fullScanOccupancy(bitmap) != want {
+				t.Fatalf("rows=%d step %d: Occupancy %d, full scan %d (own rows %d)", geo.rows, step, n, want, fullScanOccupancy(bitmap))
+			}
+		}
+		if !slices.Equal(bitmap.rows, scan.rows) {
+			t.Fatalf("rows=%d: cached rows diverge", geo.rows)
+		}
+		if bitmap.Stats != scan.Stats {
+			t.Fatalf("rows=%d: Stats %+v, reference %+v", geo.rows, bitmap.Stats, scan.Stats)
+		}
+		if drains == 0 || bitmap.Stats.FullEmits == 0 || bitmap.Stats.EarlyEmits == 0 || bitmap.Stats.Duplicates == 0 {
+			t.Fatalf("rows=%d: run missed a path (%d drains, %+v)", geo.rows, drains, bitmap.Stats)
+		}
+	}
+}
+
 func BenchmarkCacheInsert(b *testing.B) {
 	c, _ := NewCache(1<<15, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := wire.Postcard{Key: key(uint64(i % 4096)), Hop: uint8(i % 5), PathLen: 5, Value: uint32(i)}
 		c.Insert(&p)
+	}
+}
+
+// BenchmarkCacheDrain is the epoch-end cost of the paper's 32K-row cache
+// with nothing, 1 % and every row pending: each iteration refills the
+// rows (untimed) and drains them.
+func BenchmarkCacheDrain(b *testing.B) {
+	const rows = 1 << 15
+	for _, bc := range []struct {
+		name   string
+		filled int
+	}{{"empty", 0}, {"1pct", rows / 100}, {"full", rows}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, _ := NewCache(rows, 5)
+			// One postcard per row: a distinct flow for each row index.
+			var fill []wire.Postcard
+			taken := make([]bool, rows)
+			for v := uint64(0); len(fill) < bc.filled; v++ {
+				if i := c.rowIndex(key(v)); !taken[i] {
+					taken[i] = true
+					fill = append(fill, wire.Postcard{Key: key(v), PathLen: 5, Value: 1})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := range fill {
+					c.Insert(&fill[j])
+				}
+				b.StartTimer()
+				if n := len(c.Drain()); n != bc.filled {
+					b.Fatalf("drained %d rows, want %d", n, bc.filled)
+				}
+			}
+		})
 	}
 }
 

@@ -343,11 +343,11 @@ func TestExemplarRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	sc := r.Scope(L("collector", "0"))
 	h := sc.Histogram("dta_ex_ns", "histogram with exemplars")
-	h.Observe(100)          // bucket 7: no exemplar
-	h.ObserveEx(5000, 7)    // bucket 13
-	h.ObserveEx(5100, 9)    // bucket 13 again: last trace wins
-	h.ObserveEx(1<<20, 11)  // bucket 21
-	h.ObserveEx(200, 0)     // zero trace ID: counted, no exemplar
+	h.Observe(100)         // bucket 7: no exemplar
+	h.ObserveEx(5000, 7)   // bucket 13
+	h.ObserveEx(5100, 9)   // bucket 13 again: last trace wins
+	h.ObserveEx(1<<20, 11) // bucket 21
+	h.ObserveEx(200, 0)    // zero trace ID: counted, no exemplar
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

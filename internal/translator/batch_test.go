@@ -38,13 +38,13 @@ func TestAppendFlushSplitsAtRingEnd(t *testing.T) {
 			}
 		}
 		add() // one entry, force it out: head = 1, off the batch grid
-		if err := r.tr.FlushAppend(0); err != nil {
+		if err := r.tr.Flush(0); err != nil {
 			t.Fatal(err)
 		}
 		for int(next) < ring+3 { // the batch holding entries ring-2..ring+1 wraps
 			add()
 		}
-		if err := r.tr.FlushAppend(0); err != nil {
+		if err := r.tr.Flush(0); err != nil {
 			t.Fatal(err)
 		}
 		store := r.host.AppendStore()
@@ -174,10 +174,8 @@ func TestBatchPreTouchOnlyReads(t *testing.T) {
 		}
 	}
 	for _, r := range []*rig{plain, touched} {
-		for _, f := range []func(uint64) error{r.tr.FlushAppend, r.tr.FlushKeyIncrements, r.tr.DrainPostcards} {
-			if err := f(0); err != nil {
-				t.Fatal(err)
-			}
+		if err := r.tr.Flush(0); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if plain.tr.Stats() != touched.tr.Stats() {
@@ -218,10 +216,8 @@ func TestProcessStagedBatchZeroAllocs(t *testing.T) {
 		if failed, err := r.tr.ProcessStagedBatch(recs, p, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
-		for _, f := range []func(uint64) error{r.tr.FlushAppend, r.tr.FlushKeyIncrements, r.tr.DrainPostcards} {
-			if err := f(0); err != nil {
-				t.Fatal(err)
-			}
+		if err := r.tr.Flush(0); err != nil {
+			t.Fatal(err)
 		}
 	}
 	epoch() // warm-up: stashes, drain scratch

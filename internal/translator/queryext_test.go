@@ -113,7 +113,7 @@ func TestThresholdQueryEndToEnd(t *testing.T) {
 	if r.tr.Stats().PostcardEmits != 0 {
 		t.Errorf("postcard emits = %d, want 0 (query intercepted)", r.tr.Stats().PostcardEmits)
 	}
-	if err := r.tr.FlushAppend(0); err != nil {
+	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	p, err := r.host.AppendPoller(3)
@@ -151,7 +151,7 @@ func TestKIAggregationReducesAtomics(t *testing.T) {
 	if r.tr.Stats().KIAggregated != 100 {
 		t.Errorf("aggregated = %d", r.tr.Stats().KIAggregated)
 	}
-	if err := r.tr.FlushKeyIncrements(0); err != nil {
+	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAAtomics != 2 {
@@ -182,7 +182,7 @@ func TestKIAggregationEvictionPreservesTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.tr.FlushKeyIncrements(0); err != nil {
+	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	for kv, want := range truth {

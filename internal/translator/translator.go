@@ -783,8 +783,8 @@ func (n nackRef) report(scratch *wire.Report) *wire.Report {
 	if n.s != nil {
 		return n.s.View(scratch)
 	}
-	// Epoch flushes (FlushAppend/DrainPostcards) carry no originating
-	// report; hand the callback a zeroed one, never a stale scratch.
+	// Epoch flushes (Flush) carry no originating report; hand the
+	// callback a zeroed one, never a stale scratch.
 	*scratch = wire.Report{}
 	return scratch
 }
@@ -984,12 +984,11 @@ func (t *Translator) emitFetchAdds(vas []uint64, delta uint64, nowNs uint64) err
 	return nil
 }
 
-// FlushKeyIncrements drains the pre-aggregation cache (epoch end).
-func (t *Translator) FlushKeyIncrements(nowNs uint64) error {
+// flushKeyIncrements drains the pre-aggregation cache.
+func (t *Translator) flushKeyIncrements(nowNs uint64) error {
 	if t.kiAgg == nil {
 		return nil
 	}
-	defer t.publish()
 	out := t.kiAgg.drain()
 	for i := range out {
 		if err := t.fetchAddKey(&out[i], nowNs); err != nil {
@@ -1115,13 +1114,26 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackR
 	return nil
 }
 
-// FlushAppend forces out partial Append batches for every list (epoch
-// end). Postcard cache draining is separate (DrainPostcards).
-func (t *Translator) FlushAppend(nowNs uint64) error {
+// Flush is the epoch end: it forces out partial Append batches, then the
+// pending Key-Increment aggregates, then the cached postcards, and
+// publishes once — one doorbell per epoch. The two caches drain through
+// their occupancy bitmaps, so an epoch with little pending costs little.
+func (t *Translator) Flush(nowNs uint64) error {
+	defer t.publish()
+	if err := t.flushAppend(nowNs); err != nil {
+		return err
+	}
+	if err := t.flushKeyIncrements(nowNs); err != nil {
+		return err
+	}
+	return t.drainPostcards(nowNs)
+}
+
+// flushAppend forces out partial Append batches for every list.
+func (t *Translator) flushAppend(nowNs uint64) error {
 	if t.apBatch == nil {
 		return nil
 	}
-	defer t.publish()
 	for l := 0; l < t.cfg.Append.Lists; l++ {
 		if f := t.apBatch.FlushPartial(l); f != nil {
 			if err := t.emitAppendFlush(f, nil, nackRef{}, nowNs); err != nil {
@@ -1132,12 +1144,11 @@ func (t *Translator) FlushAppend(nowNs uint64) error {
 	return nil
 }
 
-// DrainPostcards flushes every cached postcard row (epoch end).
-func (t *Translator) DrainPostcards(nowNs uint64) error {
+// drainPostcards flushes every cached postcard row.
+func (t *Translator) drainPostcards(nowNs uint64) error {
 	if t.pcCache == nil {
 		return nil
 	}
-	defer t.publish()
 	out := t.pcCache.Drain()
 	for i := range out {
 		if err := t.emitChunk(&out[i], 0, nackRef{}, nowNs); err != nil {

@@ -201,11 +201,11 @@ func TestAppendPartialFlush(t *testing.T) {
 	if r.tr.Stats().AppendFlushes != 0 {
 		t.Fatal("flush before batch complete")
 	}
-	if err := r.tr.FlushAppend(0); err != nil {
+	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().AppendFlushes != 1 {
-		t.Fatalf("flushes = %d after FlushAppend", r.tr.Stats().AppendFlushes)
+		t.Fatalf("flushes = %d after Flush", r.tr.Stats().AppendFlushes)
 	}
 	p, _ := r.host.AppendPoller(0)
 	if p.Poll()[0] != 9 {
@@ -225,7 +225,7 @@ func TestDrainPostcards(t *testing.T) {
 		}
 		r.tr.ProcessReport(&rep, 0)
 	}
-	if err := r.tr.DrainPostcards(0); err != nil {
+	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := r.host.QueryPostcards(x, 1)
@@ -251,7 +251,7 @@ func TestDrainedMiddleHopLossNeverShiftsPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.tr.DrainPostcards(0); err != nil {
+	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	res, err := r.host.QueryPostcards(x, 1)
@@ -270,7 +270,7 @@ func TestDrainedMiddleHopLossNeverShiftsPath(t *testing.T) {
 		}
 		r.tr.ProcessReport(&rep, 0)
 	}
-	r.tr.DrainPostcards(0)
+	r.tr.Flush(0)
 	resY, _ := r.host.QueryPostcards(y, 1)
 	if !resY.Found || len(resY.Values) != 4 || resY.Values[3] != 23 {
 		t.Errorf("tail loss prefix: %+v", resY)
