@@ -402,7 +402,7 @@ func BenchmarkEngine_Async1Shard(b *testing.B) { benchEngineAsync(b, 1, false) }
 func BenchmarkEngine_Async2Shard(b *testing.B) { benchEngineAsync(b, 2, false) }
 func BenchmarkEngine_Async4Shard(b *testing.B) { benchEngineAsync(b, 4, false) }
 
-// Wire frames decoded at the edge (AsyncReporter.SubmitFrame) at the
+// Wire frames decoded at the edge (Reporter.SubmitFrame) at the
 // same shard counts.
 func BenchmarkEngine_AsyncFrame1Shard(b *testing.B) { benchEngineAsync(b, 1, true) }
 func BenchmarkEngine_AsyncFrame2Shard(b *testing.B) { benchEngineAsync(b, 2, true) }

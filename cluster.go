@@ -9,6 +9,7 @@ import (
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
+	"dta/internal/wire"
 )
 
 // Cluster shards telemetry across multiple collectors (§7, "Supporting
@@ -62,9 +63,9 @@ func (c *Cluster) Size() int { return len(c.systems) }
 
 // Owner returns the collector responsible for a key. Ownership is
 // CRC32(key) mod cluster size — the same function a reporter's
-// forwarding table applies (§7), so reporter-side forwarding
-// (ClusterReporter, AsyncReporter) and query routing MUST keep hashing
-// identically or queries will miss the data.
+// forwarding table applies (§7), so reporter-side forwarding (a
+// Reporter of the cluster or of its engine) and query routing MUST keep
+// hashing identically or queries will miss the data.
 func (c *Cluster) Owner(key Key) int {
 	if len(c.systems) == 0 {
 		// NewCluster enforces n >= 1; only a zero-value Cluster gets
@@ -85,51 +86,17 @@ func (c *Cluster) System(i int) *System { return c.systems[i] }
 // Reporter attaches a reporter switch that routes each report to the
 // owning collector, as the reporter's forwarding table would (the DTA
 // header plus collector IP select the partition, §7).
-func (c *Cluster) Reporter(switchID uint32) *ClusterReporter {
-	r := &ClusterReporter{cluster: c}
-	for _, sys := range c.systems {
-		r.reps = append(r.reps, sys.Reporter(switchID))
+func (c *Cluster) Reporter(switchID uint32) *Reporter {
+	return &Reporter{switchID: switchID, systems: c.systems, cluster: c}
+}
+
+// ownerOf is the collector rep goes to: its key's owner, or for an
+// Append its list's.
+func (c *Cluster) ownerOf(rep *wire.Report) int {
+	if rep.Header.Primitive == wire.PrimAppend {
+		return c.OwnerOfList(rep.Append.ListID)
 	}
-	return r
-}
-
-// ClusterReporter is a reporter handle that shards by key.
-type ClusterReporter struct {
-	cluster *Cluster
-	reps    []*Reporter
-}
-
-// KeyWrite stores data under key on the owning collector.
-func (r *ClusterReporter) KeyWrite(key Key, data []byte, n int) error {
-	return r.reps[r.cluster.Owner(key)].KeyWrite(key, data, n)
-}
-
-// Increment adds delta on the owning collector.
-func (r *ClusterReporter) Increment(key Key, delta uint64, n int) error {
-	return r.reps[r.cluster.Owner(key)].Increment(key, delta, n)
-}
-
-// Postcard reports a hop observation to the owning collector.
-func (r *ClusterReporter) Postcard(key Key, hop, pathLen int) error {
-	return r.reps[r.cluster.Owner(key)].Postcard(key, hop, pathLen)
-}
-
-// Append adds data to the collector owning the list.
-func (r *ClusterReporter) Append(list uint32, data []byte) error {
-	return r.reps[r.cluster.OwnerOfList(list)].Append(list, data)
-}
-
-// KeyWriteImmediate stores data under key on the owning collector with
-// the immediate flag set, raising a push notification there (consume it
-// from that collector's Events channel).
-func (r *ClusterReporter) KeyWriteImmediate(key Key, data []byte, n int) error {
-	return r.reps[r.cluster.Owner(key)].KeyWriteImmediate(key, data, n)
-}
-
-// PostcardValue reports an arbitrary per-hop value (e.g. queueing
-// latency) to the owning collector.
-func (r *ClusterReporter) PostcardValue(key Key, hop, pathLen int, value uint32) error {
-	return r.reps[r.cluster.Owner(key)].PostcardValue(key, hop, pathLen, value)
+	return c.Owner(*routeKey(rep))
 }
 
 // LookupValue queries the owning collector's Key-Write store.

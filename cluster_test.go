@@ -177,9 +177,9 @@ func TestClusterOwnershipDistribution(t *testing.T) {
 	}
 }
 
-// TestClusterReporterParity covers the ClusterReporter methods that
-// lagged behind Reporter: KeyWriteImmediate raises the push event on
-// the owning collector, and PostcardValue records per-hop values there.
+// TestClusterReporterParity covers the methods a cluster's handle once
+// lacked: KeyWriteImmediate raises the push event on the owning
+// collector, and PostcardValue records per-hop values there.
 func TestClusterReporterParity(t *testing.T) {
 	c, err := NewCluster(3, fullOptions())
 	if err != nil {

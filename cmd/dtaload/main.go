@@ -160,19 +160,19 @@ type haParams struct {
 func newReporter(eng *dta.Engine, id uint32, frames bool) loadgen.Reporter {
 	r := eng.Reporter(id)
 	if frames {
-		return &frameReporter{Sender: reporter.Sender{Rep: reporter.New(reporter.Config{SwitchID: id}), Send: r.SubmitFrame}, async: r}
+		return &frameReporter{Sender: reporter.Sender{Rep: reporter.New(reporter.Config{SwitchID: id}), Send: r.SubmitFrame}, rep: r}
 	}
 	return r
 }
 
-// frameReporter sends wire frames to an AsyncReporter's SubmitFrame and
+// frameReporter sends wire frames to a dta.Reporter's SubmitFrame and
 // flushes through it.
 type frameReporter struct {
 	reporter.Sender
-	async *dta.AsyncReporter
+	rep *dta.Reporter
 }
 
-func (f *frameReporter) Flush() error { return f.async.Flush() }
+func (f *frameReporter) Flush() error { return f.rep.Flush() }
 
 // runPlain is the original single-owner cluster path.
 func runPlain(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, shards int, frames bool) {

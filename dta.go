@@ -26,7 +26,7 @@
 //
 // Reports travel as one representation: validated with the wire
 // decoder's rules and staged by value (wire.StagedReport). Wire frames
-// are decoded at the edge that receives them (AsyncReporter.SubmitFrame,
+// are decoded at the edge that receives them (Reporter.SubmitFrame,
 // the dtacollect socket loop). The translator crafts RoCEv2 packets with
 // PSN tracking and ICRC, and the collector's device model verifies and
 // applies them, acknowledging back. An optional lossy link model,
@@ -196,9 +196,6 @@ type System struct {
 	// health lazily builds the default /healthz evaluator over obsReg.
 	healthOnce sync.Once
 	health     *obs.HealthEvaluator
-
-	// Stats mirrors the translator's counters.
-	reporters []*Reporter
 }
 
 // New builds a System.
@@ -272,20 +269,18 @@ func newSystem(opts Options, reg *obs.Registry, sc *obs.Scope, jr *journal.Journ
 	return s, nil
 }
 
-// ErrNotDTA is returned by AsyncReporter.SubmitFrame for a frame not
+// ErrNotDTA is returned by Reporter.SubmitFrame for a frame not
 // addressed to the DTA port: user traffic, which a translator forwards
 // instead of ingesting.
 var ErrNotDTA = translator.ErrNotDTA
 
 // Reporter attaches a new reporter switch with the given ID. Reports are
 // validated in memory, staged by value and handed to the translator —
-// the same zero-allocation chain the engine's AsyncReporters use, minus
-// the queue. The lossy-link model accounts the exact on-the-wire frame
+// the same zero-allocation chain an engine's reporters use, minus the
+// queue. The lossy-link model accounts the exact on-the-wire frame
 // size of every report.
 func (s *System) Reporter(switchID uint32) *Reporter {
-	r := &Reporter{sys: s, switchID: switchID}
-	s.reporters = append(s.reporters, r)
-	return r
+	return &Reporter{switchID: switchID, systems: []*System{s}}
 }
 
 // Advance moves the system clock forward (for rate limiting and link
@@ -322,108 +317,6 @@ func (s *System) deliver(rec *wire.StagedReport, nowNs uint64) error {
 		}
 	}
 	return s.tr.ProcessStaged(rec, nowNs)
-}
-
-// Reporter is a handle for one reporting switch. Not goroutine-safe:
-// the staging scratch is per-handle. Create one per producer goroutine;
-// they are cheap.
-type Reporter struct {
-	sys      *System
-	switchID uint32
-
-	// scratch/staged are the staging state: the report is assembled in
-	// scratch (only the active sub-header is written per report),
-	// validated with decoder parity, snapshotted into staged and handed
-	// to the translator — no frame bytes anywhere.
-	scratch wire.Report
-	staged  wire.StagedReport
-
-	// smp is this reporter's trace sampling counter: caller-local so the
-	// sampled-out fast path touches no shared cache line.
-	smp trace.Sampler
-}
-
-// send validates and delivers the scratch report.
-func (r *Reporter) send(rep *wire.Report) error {
-	if err := rep.Validate(); err != nil {
-		return err
-	}
-	r.staged.Stage(rep)
-	if t := r.sys.trc; t != nil && t.Candidate(&r.smp) {
-		return r.sendTraced(t)
-	}
-	return r.sys.deliver(&r.staged, r.sys.Now())
-}
-
-// sendTraced is the sampled-candidate delivery path. Kept out of line
-// so send's common path never materialises a trace Handle: holding the
-// two-word handle live across the deliver call costs registers — a few
-// ns per report, traced or not — which the <3% telemetry overhead gate
-// has no room for.
-//
-//go:noinline
-func (r *Reporter) sendTraced(t *trace.Tracer) error {
-	h := t.BeginCandidate()
-	if h.Valid() {
-		h.Stamp(trace.StSubmit)
-		r.sys.tr.SetTraceHandle(h)
-	}
-	err := r.sys.deliver(&r.staged, r.sys.Now())
-	h.Finish()
-	return err
-}
-
-// KeyWrite stores data under key with redundancy n.
-func (r *Reporter) KeyWrite(key Key, data []byte, n int) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite}
-	rep.KeyWrite = wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}
-	rep.Data = data
-	return r.send(rep)
-}
-
-// KeyWriteImmediate is KeyWrite with the immediate flag set, raising a
-// push notification at the collector.
-func (r *Reporter) KeyWriteImmediate(key Key, data []byte, n int) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite, Flags: wire.FlagImmediate}
-	rep.KeyWrite = wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}
-	rep.Data = data
-	return r.send(rep)
-}
-
-// Append adds data to the tail of list.
-func (r *Reporter) Append(list uint32, data []byte) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimAppend}
-	rep.Append = wire.Append{ListID: list, DataLen: uint16(len(data))}
-	rep.Data = data
-	return r.send(rep)
-}
-
-// Increment adds delta to key's counter with redundancy n.
-func (r *Reporter) Increment(key Key, delta uint64, n int) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement}
-	rep.KeyIncrement = wire.KeyIncrement{Redundancy: uint8(n), Key: key, Delta: delta}
-	rep.Data = nil
-	return r.send(rep)
-}
-
-// Postcard reports this switch's observation of hop of the packet/flow
-// identified by key, carrying the switch ID as the value (path tracing).
-func (r *Reporter) Postcard(key Key, hop, pathLen int) error {
-	return r.PostcardValue(key, hop, pathLen, r.switchID)
-}
-
-// PostcardValue reports an arbitrary per-hop value (e.g. queueing
-// latency) for the packet/flow identified by key.
-func (r *Reporter) PostcardValue(key Key, hop, pathLen int, value uint32) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding}
-	rep.Postcard = wire.Postcard{Key: key, Hop: uint8(hop), PathLen: uint8(pathLen), Value: value}
-	rep.Data = nil
-	return r.send(rep)
 }
 
 // LookupValue queries the Key-Write store: the value stored under key,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dta/internal/engine"
-	"dta/internal/ha"
 	"dta/internal/obs/trace"
 	"dta/internal/wire"
 )
@@ -36,7 +35,7 @@ var ErrEngineClosed = engine.ErrClosed
 // concurrently while collectors ingest in parallel.
 //
 // While an Engine is attached, all reports must flow through its
-// AsyncReporters: driving the owning System's synchronous reporters (or
+// reporters: driving the owning System's synchronous reporters (or
 // calling System.Flush) concurrently would race with the shard workers.
 // Query and Stats methods are safe again once Drain or Close returns.
 type Engine struct {
@@ -140,7 +139,7 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 		cfg.Trace = systems[0].trc
 	}
 	if hac != nil {
-		// A replicated fan-out plans once for all its owners (haFan),
+		// A replicated fan-out plans once for all its owners (Reporter.fan),
 		// which is only right while every member plans alike — what
 		// HACluster.attach admitted them on.
 		for i, s := range systems[1:] {
@@ -161,8 +160,8 @@ func (e *Engine) Shards() int { return e.inner.Shards() }
 
 // Drain blocks until every report queued before the call has been
 // ingested and every shard's translator state has been flushed; the
-// engine keeps accepting reports afterwards. Reports still staged in an
-// AsyncReporter are not covered — Flush each reporter first. Queries
+// engine keeps accepting reports afterwards. Reports still staged in a
+// reporter are not covered — Flush each reporter first. Queries
 // observe all drained reports.
 func (e *Engine) Drain() error {
 	var now uint64
@@ -198,181 +197,16 @@ func (e *Engine) ShardStats() []EngineStats {
 }
 
 // Reporter attaches an async reporter switch: reports are staged by
-// value (fixed-size struct + inline payload) in per-shard chunks, never
-// serialised to a wire frame — the zero-allocation ingest path. The
-// handle owns staged chunks, so it is NOT goroutine-safe: give each
-// producer goroutine its own AsyncReporter (they are cheap). Call Flush
-// before Drain so staged reports reach the shard queues.
-func (e *Engine) Reporter(switchID uint32) *AsyncReporter {
+// value into per-shard chunks, each queued on its shard once it holds
+// EngineConfig.ChunkFrames reports. Give each producer goroutine its
+// own, and call its Flush before Drain so staged reports are queued.
+func (e *Engine) Reporter(switchID uint32) *Reporter {
 	sub := e.inner.Submitter()
-	if e.hac != nil {
-		// HA fan-outs stage one report on several owner shards; the
-		// resync watermark fence needs those copies to reach the shard
-		// queues together (see HACluster.fenceMu).
-		sub.SetCoupled(true)
-	}
-	return &AsyncReporter{
-		eng:      e,
-		sub:      sub,
-		switchID: switchID,
-	}
-}
-
-// AsyncReporter is a reporter handle that stages reports on the calling
-// goroutine (reporter-side work is parallel across switches, as in the
-// real system) into per-shard chunks that are queued on the owning
-// shard every EngineConfig.ChunkFrames reports.
-type AsyncReporter struct {
-	eng      *Engine
-	sub      *engine.Submitter
-	switchID uint32
-
-	// scratch is the staging report, reused across calls so only the
-	// active sub-header is written per report (SubmitReport copies it out
-	// before returning; stale sibling sub-headers are never read).
-	scratch wire.Report
-	// frame is SubmitFrame's decode target.
-	frame wire.ParsedFrame
-}
-
-// routeKey is the key rep is routed by; an Append goes by its list
-// instead.
-func routeKey(rep *wire.Report) *Key {
-	switch rep.Header.Primitive {
-	case wire.PrimKeyIncrement:
-		return &rep.KeyIncrement.Key
-	case wire.PrimPostcarding:
-		return &rep.Postcard.Key
-	}
-	return &rep.KeyWrite.Key
-}
-
-// submit validates rep and stages it on the shard that owns it — the
-// way ClusterReporter routes, so sync and async ingestion agree on
-// ownership — or, on an HACluster engine, on every live owner.
-func (r *AsyncReporter) submit(rep *wire.Report) error {
-	if err := rep.Validate(); err != nil {
-		return err
-	}
-	if r.eng.hac != nil {
-		return r.haFan(rep)
-	}
-	sh := 0
-	if c := r.eng.cluster; c != nil {
-		if rep.Header.Primitive == wire.PrimAppend {
-			sh = c.OwnerOfList(rep.Append.ListID)
-		} else {
-			sh = c.Owner(*routeKey(rep))
-		}
-	}
-	return r.sub.SubmitReport(sh, rep, r.eng.systems[sh].Now())
-}
-
-// haFan is the software form of the paper's multicast translation: the
-// report is staged and planned once, and the staged record and its plan
-// are copied into every live owner's chunk (members plan alike;
-// newEngine checked). Down owners are skipped with a counter, never an
-// error. No fence lock here: staging is producer-local (see
-// HACluster.fenceMu).
-func (r *AsyncReporter) haFan(rep *wire.Report) error {
-	h := r.eng.hac
-	var ob [ha.MaxReplicas]int
-	var owners []int
-	if rep.Header.Primitive == wire.PrimAppend {
-		owners = h.ring.OwnersOfList(rep.Append.ListID, h.r, ob[:0])
-	} else {
-		owners = h.owners(routeKey(rep)[:], ob[:0])
-	}
-	// Skip set decided before the first submit — see HAReporter.fan for
-	// why this ordering is load-bearing for the incremental-resync epoch
-	// fence. unreachable covers both down flags and chaos-plane
-	// reporter-link cuts.
-	var live [ha.MaxReplicas]int
-	var nows [ha.MaxReplicas]uint64
-	n := 0
-	for _, o := range owners {
-		if !h.unreachable(o) {
-			live[n], nows[n] = o, r.eng.systems[o].Now()
-			n++
-		}
-	}
-	if err := r.sub.SubmitReportFan(live[:n], nows[:n], rep); err != nil {
-		return err
-	}
-	h.health.RecordWrite(n, len(owners))
-	// Only now, with every owner's copy staged, may a full chunk go out,
-	// and only as one event under the resync fence (Flush).
-	if !r.sub.Full() {
-		return nil
-	}
-	return r.Flush()
-}
-
-// Flush queues this reporter's staged chunks. Producers must call it
-// (on their own goroutine) before the engine's Drain or Close covers
-// their reports.
-func (r *AsyncReporter) Flush() error {
-	if h := r.eng.hac; h != nil {
-		// This is where staged copies become visible to the engine: all
-		// shards' chunks go out as one atomic event with respect to the
-		// resync watermark fence — see HACluster.fenceMu.
-		h.fenceMu.RLock()
-		defer h.fenceMu.RUnlock()
-	}
-	return r.sub.Flush()
-}
-
-// SubmitFrame is the ingest edge for wire frames: it decodes one
-// Ethernet/IPv4/UDP/DTA frame and submits the report it carries exactly
-// as the typed methods would, so the engine carries staged records
-// only. A frame not addressed to the DTA port returns ErrNotDTA.
-func (r *AsyncReporter) SubmitFrame(frame []byte) error {
-	if err := wire.DecodeFrame(frame, &r.frame); err != nil {
-		return err
-	}
-	if !r.frame.IsDTA {
-		return ErrNotDTA
-	}
-	return r.submit(&r.frame.Report)
-}
-
-// KeyWrite stores data under key with redundancy n via the owning
-// shard (all R owning shards on an HACluster engine).
-func (r *AsyncReporter) KeyWrite(key Key, data []byte, n int) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite}
-	rep.KeyWrite = wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}
-	rep.Data = data
-	return r.submit(rep)
-}
-
-// Increment adds delta to key's counter with redundancy n.
-func (r *AsyncReporter) Increment(key Key, delta uint64, n int) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement}
-	rep.KeyIncrement = wire.KeyIncrement{Redundancy: uint8(n), Key: key, Delta: delta}
-	rep.Data = nil
-	return r.submit(rep)
-}
-
-// Postcard reports a hop observation for key (path tracing), carrying
-// this reporter's switch ID as the hop value.
-func (r *AsyncReporter) Postcard(key Key, hop, pathLen int) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding}
-	rep.Postcard = wire.Postcard{Key: key, Hop: uint8(hop), PathLen: uint8(pathLen), Value: r.switchID}
-	rep.Data = nil
-	return r.submit(rep)
-}
-
-// Append adds data to the tail of list on the shard owning the list
-// (all R owning shards on an HACluster engine).
-func (r *AsyncReporter) Append(list uint32, data []byte) error {
-	rep := &r.scratch
-	rep.Header = wire.Header{Version: wire.Version, Primitive: wire.PrimAppend}
-	rep.Append = wire.Append{ListID: list, DataLen: uint16(len(data))}
-	rep.Data = data
-	return r.submit(rep)
+	// HA fan-outs stage one report on several owner shards; the resync
+	// watermark fence needs those copies to reach the shard queues
+	// together (see HACluster.fenceMu).
+	sub.SetCoupled(e.hac != nil)
+	return &Reporter{switchID: switchID, systems: e.systems, cluster: e.cluster, hac: e.hac, sub: sub}
 }
 
 // String aids debugging output in benchmarks and the dtaload CLI.

@@ -10,7 +10,7 @@ import (
 	"dta/internal/reporter"
 )
 
-// workloadReporter is the call shape an AsyncReporter and a frame
+// workloadReporter is the call shape an engine Reporter and a frame
 // sender in front of its SubmitFrame edge share.
 type workloadReporter interface {
 	KeyWrite(key dta.Key, data []byte, n int) error
@@ -19,7 +19,7 @@ type workloadReporter interface {
 	Append(list uint32, data []byte) error
 }
 
-// driveBoth runs the same workload through an AsyncReporter's typed
+// driveBoth runs the same workload through an engine Reporter's typed
 // methods on one cluster and, on an identical second cluster, as wire
 // frames its SubmitFrame edge decodes, returning both for comparison.
 func driveBoth(t *testing.T, shards int, drive func(rep workloadReporter) error) (structured, framed *dta.Cluster) {
@@ -171,7 +171,7 @@ func TestStructuredValidationMatchesWire(t *testing.T) {
 }
 
 // TestEngineStructuredEndToEndZeroAllocs pins the whole structured
-// ingest chain — AsyncReporter staging, shard queue, translator RDMA
+// ingest chain — engine Reporter staging, shard queue, translator RDMA
 // crafting, device execution — at zero allocations per Key-Write once
 // buffers and pools are warm.
 func TestEngineStructuredEndToEndZeroAllocs(t *testing.T) {

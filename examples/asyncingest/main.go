@@ -37,7 +37,7 @@ func main() {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// One AsyncReporter per goroutine: it owns encoder state and
+			// One Reporter per goroutine: it owns its staging state and
 			// staged chunks.
 			rep := eng.Reporter(uint32(g + 1))
 			for i := 0; i < perProducer; i++ {

@@ -66,7 +66,7 @@ var ErrAllReplicasDown = errors.New("dta: all replicas for key are down")
 //
 // Writers and queries are safe concurrently with SetDown/SetUp.
 // Membership changes (AddCollector, Decommission) and Rebalance require
-// quiesced producers: Flush any AsyncReporters, then call them.
+// quiesced producers: Flush any engine reporters, then call them.
 type HACluster struct {
 	opts   Options
 	r      int
@@ -135,15 +135,15 @@ type HACluster struct {
 	// side wherever a fan-out's copies become visible to that drain —
 	// and only there:
 	//
-	//   - HAReporter.fan writes straight through to its owners' logs, so
-	//     it holds the read side for the whole fan-out.
-	//   - The engine's fan-out (AsyncReporter.haFan) only
-	//     STAGE: the copies sit in the producer's own chunks, which no
+	//   - A synchronous Reporter's fan-out writes straight through to
+	//     its owners' logs, so it holds the read side for the whole
+	//     fan-out (Reporter.send).
+	//   - An engine Reporter's fan-out only STAGES: the copies sit in the producer's own chunks, which no
 	//     drain can reach, so staging takes no lock — a per-report
 	//     RLock was a cache line every producer bounced. The copies
 	//     become visible when the chunks are queued, and that — the
 	//     coupled flush after a fan-out that filled a chunk, and
-	//     AsyncReporter.Flush — runs under the read side, all shards'
+	//     Reporter.Flush — runs under the read side, all shards'
 	//     chunks as one event (Submitter.SetCoupled: no chunk goes out
 	//     from inside a fan-out).
 	//
@@ -158,7 +158,7 @@ type HACluster struct {
 	//
 	// The other half of the fence needs no lock either: a fan-out decides
 	// its whole skip set before it stages or writes anything (see
-	// HAReporter.fan), and the fence takes marks and bumps the epoch
+	// Reporter.fan), and the fence takes marks and bumps the epoch
 	// BEFORE the unreachable flag flips. A fan-out that skips a
 	// collector therefore saw the flag, hence runs after the marks and
 	// the bump: its surviving copies are staged — and later logged and
@@ -166,6 +166,9 @@ type HACluster struct {
 	// window. One that did not skip it staged a copy for it too; queued
 	// after the flag, that copy is an in-flight op the target applies
 	// while flagged down, which walSelf accounts for.
+	//
+	// AddCollector holds the write side too, so a synchronous fan-out
+	// reads the member list under the read side it already holds.
 	//
 	// Lock order: fenceMu strictly before mu, everywhere.
 	fenceMu sync.RWMutex
@@ -372,6 +375,15 @@ func (c *HACluster) owners(key []byte, out []int) []int {
 	return c.ring.Owners(key, c.r, out)
 }
 
+// ownersOf is the owner set rep fans out to: its key's, or for an
+// Append its list's.
+func (c *HACluster) ownersOf(rep *wire.Report, out []int) []int {
+	if rep.Header.Primitive == wire.PrimAppend {
+		return c.ring.OwnersOfList(rep.Append.ListID, c.r, out)
+	}
+	return c.owners(routeKey(rep)[:], out)
+}
+
 // HAStats snapshots the degradation counters.
 func (c *HACluster) HAStats() HAStats { return c.health.Snapshot() }
 
@@ -379,7 +391,7 @@ func (c *HACluster) HAStats() HAStats { return c.health.Snapshot() }
 // answering queries until SetUp. Safe mid-run. The staleness epoch is
 // bumped BEFORE the down flag flips, and the bumped epoch remembered as
 // the rejoin replay window: a fan-out writer decides its whole skip set
-// before its first emit (see HAReporter.fan), so if it skips i it
+// before its first emit (see Reporter.fan), so if it skips i it
 // observed the flag — and therefore the bump — before tagging any
 // replica's blocks, putting every one of its marks at or after the
 // window. No skipped write can escape the replay.
@@ -743,6 +755,8 @@ func (c *HACluster) healOne(i int) {
 // Requires no attached engine (engines have a fixed shard set: Close
 // it, add, then attach a new one) and quiesced producers.
 func (c *HACluster) AddCollector() (int, error) {
+	c.fenceMu.Lock()
+	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.eng != nil && !c.eng.Closed() {
@@ -914,7 +928,7 @@ func (c *HACluster) deferResync(id int, cause uint64) {
 // owner regain their full replica count from whichever peer still holds
 // them.
 //
-// Producers must be quiesced first (Flush AsyncReporters, stop sync
+// Producers must be quiesced first (Flush engine reporters, stop sync
 // reporters): Rebalance copies store memory and must not race ingest.
 //
 // Resync failures do not abort the loop: every live stale collector is
@@ -1174,20 +1188,13 @@ func (c *HACluster) AutoRebalance(budget int) (bool, error) {
 }
 
 // Reporter attaches a synchronous reporter switch that fans every
-// report out to all live owners. Like ClusterReporter it is not
-// goroutine-safe; create one per producer goroutine.
-func (c *HACluster) Reporter(switchID uint32) *HAReporter {
-	r := &HAReporter{hac: c, switchID: switchID}
-	c.mu.RLock()
-	for _, sys := range c.systems {
-		r.reps = append(r.reps, r.newRep(sys))
-	}
-	c.mu.RUnlock()
-	return r
+// report out to all live owners.
+func (c *HACluster) Reporter(switchID uint32) *Reporter {
+	return &Reporter{switchID: switchID, hac: c}
 }
 
 // Engine attaches an async ingest engine with one shard per collector;
-// its AsyncReporters fan every report out to all live owners. Rebalance
+// its reporters fan every report out to all live owners. Rebalance
 // uses the engine's Drain as its barrier.
 func (c *HACluster) Engine(cfg EngineConfig) (*Engine, error) {
 	c.mu.Lock()
@@ -1578,106 +1585,4 @@ func (c *HACluster) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return aggregateStats(c.systems)
-}
-
-// HAReporter is a reporter switch whose reports fan out to every live
-// owner of the key (or Append list). Down owners are skipped and
-// counted — a report is acknowledged as long as one owner is live, and
-// counted as lost otherwise (best-effort, never an error).
-type HAReporter struct {
-	hac      *HACluster
-	switchID uint32
-	reps     []*Reporter
-}
-
-// newRep builds a per-collector reporter handle directly (bypassing
-// System.Reporter, whose bookkeeping append is not goroutine-safe
-// across concurrently created HAReporters). Handles use the structured
-// staged-report fast path, like System.Reporter.
-func (r *HAReporter) newRep(sys *System) *Reporter {
-	return &Reporter{sys: sys, switchID: r.switchID}
-}
-
-// rep returns the handle for collector o, growing the slice after
-// AddCollector (which requires quiesced producers, so growth never
-// races reporting).
-func (r *HAReporter) rep(o int) *Reporter {
-	for len(r.reps) <= o {
-		r.hac.mu.RLock()
-		sys := r.hac.systems[len(r.reps)]
-		r.hac.mu.RUnlock()
-		r.reps = append(r.reps, r.newRep(sys))
-	}
-	return r.reps[o]
-}
-
-func (r *HAReporter) fanKey(key Key, write func(rep *Reporter) error) error {
-	var ob [ha.MaxReplicas]int
-	owners := r.hac.owners(key[:], ob[:0])
-	return r.fan(owners, write)
-}
-
-func (r *HAReporter) fan(owners []int, write func(rep *Reporter) error) error {
-	// The whole fan-out runs under the fence read-lock: a concurrent
-	// SetDown/PartitionReporter fence waits it out, so this op's copies
-	// are all logged before any mark is read (see fenceMu).
-	r.hac.fenceMu.RLock()
-	defer r.hac.fenceMu.RUnlock()
-	// Decide the skip set for ALL owners before the first write. This
-	// ordering is what makes the bump-before-flag epoch fence (SetDown
-	// and PartitionReporter alike) airtight: if any owner reads as
-	// unreachable here, the fence's epoch bump already happened, so
-	// every block this fan-out subsequently tags — on any replica —
-	// carries an epoch inside the skipped owner's replay window.
-	// (Interleaving checks with writes would let a write tag a surviving
-	// peer just below the window and then skip the victim, silently
-	// escaping the incremental resync.)
-	var skip [ha.MaxReplicas]bool
-	for i, o := range owners {
-		skip[i] = r.hac.unreachable(o)
-	}
-	live := 0
-	for i, o := range owners {
-		if skip[i] {
-			continue
-		}
-		if err := write(r.rep(o)); err != nil {
-			return err
-		}
-		live++
-	}
-	r.hac.health.RecordWrite(live, len(owners))
-	return nil
-}
-
-// KeyWrite stores data under key on every live owner.
-func (r *HAReporter) KeyWrite(key Key, data []byte, n int) error {
-	return r.fanKey(key, func(rep *Reporter) error { return rep.KeyWrite(key, data, n) })
-}
-
-// KeyWriteImmediate is KeyWrite with the immediate flag set.
-func (r *HAReporter) KeyWriteImmediate(key Key, data []byte, n int) error {
-	return r.fanKey(key, func(rep *Reporter) error { return rep.KeyWriteImmediate(key, data, n) })
-}
-
-// Increment adds delta on every live owner.
-func (r *HAReporter) Increment(key Key, delta uint64, n int) error {
-	return r.fanKey(key, func(rep *Reporter) error { return rep.Increment(key, delta, n) })
-}
-
-// Postcard reports a hop observation to every live owner.
-func (r *HAReporter) Postcard(key Key, hop, pathLen int) error {
-	return r.fanKey(key, func(rep *Reporter) error { return rep.Postcard(key, hop, pathLen) })
-}
-
-// PostcardValue reports an arbitrary per-hop value to every live owner.
-func (r *HAReporter) PostcardValue(key Key, hop, pathLen int, value uint32) error {
-	return r.fanKey(key, func(rep *Reporter) error { return rep.PostcardValue(key, hop, pathLen, value) })
-}
-
-// Append adds data to list on every live owner of the list.
-func (r *HAReporter) Append(list uint32, data []byte) error {
-	var ob [ha.MaxReplicas]int
-	owners := r.hac.ring.OwnersOfList(list, r.hac.r, ob[:0])
-	return r.fan(owners, func(rep *Reporter) error { return rep.Append(list, data) })
 }

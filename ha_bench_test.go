@@ -156,7 +156,7 @@ const haLookupKeys = 1 << 18
 // (32 MiB a store — sized past the cache), fills it with fill and times
 // lookup over haLookupKeys keys: the `go test -bench` twin of dtaperf's
 // ha.lookup_ns.
-func benchLookup(b *testing.B, opts dta.Options, fill func(rep *dta.HAReporter, k uint64) error, lookup func(c *dta.HACluster, k uint64) error) {
+func benchLookup(b *testing.B, opts dta.Options, fill func(rep *dta.Reporter, k uint64) error, lookup func(c *dta.HACluster, k uint64) error) {
 	for _, r := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
 			c, err := dta.NewHACluster(4, r, opts)
@@ -189,7 +189,7 @@ func benchLookup(b *testing.B, opts dta.Options, fill func(rep *dta.HAReporter, 
 func BenchmarkHA_LookupValue(b *testing.B) {
 	opts := dta.Options{KeyWrite: &dta.KeyWriteOptions{Slots: 1 << 22, DataSize: 4}}
 	benchLookup(b, opts,
-		func(rep *dta.HAReporter, k uint64) error {
+		func(rep *dta.Reporter, k uint64) error {
 			return rep.KeyWrite(dta.KeyFromUint64(k), benchKeyData(k), 2)
 		},
 		func(c *dta.HACluster, k uint64) error {
@@ -204,7 +204,7 @@ func BenchmarkHA_LookupValue(b *testing.B) {
 func BenchmarkHA_LookupCount(b *testing.B) {
 	opts := dta.Options{KeyIncrement: &dta.KeyIncrementOptions{Slots: 1 << 22}}
 	benchLookup(b, opts,
-		func(rep *dta.HAReporter, k uint64) error { return rep.Increment(dta.KeyFromUint64(k), k+1, 2) },
+		func(rep *dta.Reporter, k uint64) error { return rep.Increment(dta.KeyFromUint64(k), k+1, 2) },
 		func(c *dta.HACluster, k uint64) error {
 			count, err := c.LookupCount(dta.KeyFromUint64(k), 2)
 			if err == nil && count < k+1 {
@@ -221,7 +221,7 @@ func BenchmarkHA_LookupPath(b *testing.B) {
 	}
 	opts := dta.Options{Postcarding: &dta.PostcardingOptions{Chunks: 1 << 20, Hops: 5, Values: values, Redundancy: 2}}
 	benchLookup(b, opts,
-		func(rep *dta.HAReporter, k uint64) error {
+		func(rep *dta.Reporter, k uint64) error {
 			for hop := 0; hop < 5; hop++ {
 				if err := rep.PostcardValue(dta.KeyFromUint64(k), hop, 5, uint32(k+uint64(hop))%64+1); err != nil {
 					return err

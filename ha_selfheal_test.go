@@ -415,8 +415,7 @@ func TestHAIncrementalResyncReplaysFewer(t *testing.T) {
 // TestSyncReporterStructuredZeroAllocs pins the synchronous Reporter's
 // staged-report path at zero allocations per report once warm, across
 // all four primitives — the ROADMAP perf follow-on that brought
-// System.Reporter onto the same fast path as the engine's
-// AsyncReporter.
+// System.Reporter onto the same fast path as an engine's Reporter.
 func TestSyncReporterStructuredZeroAllocs(t *testing.T) {
 	sys, err := New(fullOptions())
 	if err != nil {

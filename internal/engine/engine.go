@@ -394,21 +394,6 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// EnqueueReport copies r and queues it on shard as a single-report
-// chunk, bypassing producer-side batching. Safe for concurrent use; for
-// hot paths prefer a per-goroutine Submitter.
-func (e *Engine) EnqueueReport(shardIdx int, r *wire.Report, nowNs uint64) error {
-	if shardIdx < 0 || shardIdx >= len(e.shards) {
-		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(e.shards))
-	}
-	sh := e.shards[shardIdx]
-	ck := e.pool.Get().(*chunk)
-	ck.reset()
-	e.stage(sh, ck, r)
-	ck.nowNs = nowNs
-	return e.send(sh, ck)
-}
-
 // nextRec extends ck.recs by one record slot and returns it. Capacity is
 // reserved for the full chunk up front (and then recycled through the
 // pool), so steady-state staging never re-allocates — incremental append

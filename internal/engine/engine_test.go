@@ -69,7 +69,17 @@ func mustEngine(t *testing.T, sinks []Sink, cfg Config) *Engine {
 
 // enqueue queues report i on shard as a chunk of one.
 func enqueue(e *Engine, shard, i int, nowNs uint64) error {
-	return e.EnqueueReport(shard, kwReport(uint64(i), nil), nowNs)
+	return enqueueReport(e, shard, kwReport(uint64(i), nil), nowNs)
+}
+
+// enqueueReport queues rep on shard as a chunk of one, through a
+// Submitter of its own.
+func enqueueReport(e *Engine, shard int, rep *wire.Report, nowNs uint64) error {
+	sub := e.Submitter()
+	if err := sub.SubmitReport(shard, rep, nowNs); err != nil {
+		return err
+	}
+	return sub.Flush()
 }
 
 func TestEnqueueAfterClose(t *testing.T) {
@@ -82,7 +92,7 @@ func TestEnqueueAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := enqueue(e, 0, 2, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("EnqueueReport after Close = %v, want ErrClosed", err)
+		t.Fatalf("enqueue after Close = %v, want ErrClosed", err)
 	}
 	if err := e.Drain(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Drain after Close = %v, want ErrClosed", err)
@@ -128,7 +138,7 @@ func TestDrainWaitsForInFlightBatches(t *testing.T) {
 		t.Fatalf("flush now = %d, want %d", sink.lastNow, n)
 	}
 	if err := enqueue(e, 0, 0xff, n+1); err != nil {
-		t.Fatalf("EnqueueReport after Drain = %v", err)
+		t.Fatalf("enqueue after Drain = %v", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -154,7 +164,7 @@ func TestDropPolicyCounterAccuracy(t *testing.T) {
 	// Next two fill the queue; five more must be shed.
 	for i := 1; i < 8; i++ {
 		if err := enqueue(e, 0, i, 0); err != nil {
-			t.Fatalf("Drop-policy EnqueueReport %d = %v, want nil", i, err)
+			t.Fatalf("Drop-policy enqueue %d = %v, want nil", i, err)
 		}
 	}
 	if st := e.Stats(); st.Enqueued != 3 || st.Dropped != 5 {

@@ -101,21 +101,6 @@ func TestNewRejectsSinkWithoutStagedEntry(t *testing.T) {
 	}
 }
 
-func TestEnqueueReportBypassesBatching(t *testing.T) {
-	sink := &recordSink{}
-	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: 100})
-	if err := e.EnqueueReport(0, kwReport(7, []byte{4}), 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(42); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.reports) != 1 || sink.reports[0].KeyWrite.Key != wire.KeyFromUint64(7) {
-		t.Fatalf("reports = %+v", sink.reports)
-	}
-	e.Close()
-}
-
 // TestStructuredSteadyStateZeroAllocs pins the structured submission
 // path at zero allocations per report once the chunk pool is warm. GC is
 // disabled for the measurement so sync.Pool victim clearing cannot
@@ -380,8 +365,8 @@ func kiReport(key uint64) *wire.Report {
 }
 
 // TestSubmitterPlansAtStaging: a sink with a plan entry gets every chunk
-// with a plan parallel to its records — through SubmitReport,
-// EnqueueReport and the fan-out entry, on chunks recycled through the
+// with a plan parallel to its records — through SubmitReport, a
+// chunk of one and the fan-out entry, on chunks recycled through the
 // pool with other primitives and redundancies in their slots before —
 // and each entry is exactly what the sink's PlanStaged makes of that
 // record. A per-record sink on the next shard gets no plan at all.
@@ -401,7 +386,7 @@ func TestSubmitterPlansAtStaging(t *testing.T) {
 			var err error
 			switch {
 			case round%5 == 4 && i == 0:
-				err = e.EnqueueReport(0, rep, 0)
+				err = enqueueReport(e, 0, rep, 0)
 			case round%2 == 0:
 				err = sub.SubmitReportFan([]int{0, 1}, nows, rep)
 			default:
@@ -435,7 +420,7 @@ func TestSubmitterPlansAtStaging(t *testing.T) {
 		}
 	}
 	// Every record reaches shard 0; shard 1 gets the even rounds' fan-outs,
-	// less the five records that went through EnqueueReport instead.
+	// less the five records that went alone as chunks of one instead.
 	if a.recs != 50*8 || b.recs != 25*8-5 {
 		t.Errorf("shard 0 saw %d records, shard 1 %d; want %d and %d", a.recs, b.recs, 50*8, 25*8-5)
 	}

@@ -27,8 +27,8 @@ import (
 	"dta/internal/wire"
 )
 
-// Reporter is the submission surface the generator drives. dta.Reporter,
-// dta.ClusterReporter and dta.AsyncReporter all satisfy it.
+// Reporter is the submission surface the generator drives; dta.Reporter
+// satisfies it, whatever it is attached to.
 type Reporter interface {
 	KeyWrite(key wire.Key, data []byte, n int) error
 	Increment(key wire.Key, delta uint64, n int) error

@@ -1,7 +1,7 @@
 // Package trace is the data-plane trace pipeline: sampled end-to-end
-// records that follow ONE report from AsyncReporter submit through the
-// engine queue, translator, RDMA emit and the WAL to the durable ack,
-// answering "where did THIS report's latency go?" — the per-report
+// records that follow ONE report from a dta.Reporter's submit through
+// the engine queue, translator, RDMA emit and the WAL to the durable
+// ack, answering "where did THIS report's latency go?" — the per-report
 // complement to the obs histograms (distributions) and the journal
 // (control-plane events).
 //
@@ -49,7 +49,7 @@ import (
 type Stage uint8
 
 const (
-	// StSubmit: AsyncReporter accepted the report (or the sync path
+	// StSubmit: an engine Reporter accepted the report (or the sync path
 	// began delivery). Always the first stamp.
 	StSubmit Stage = iota
 	// StEnqueue: the report's chunk landed in the engine shard queue.

@@ -2,7 +2,6 @@ package dta
 
 import (
 	"bytes"
-	"fmt"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -163,98 +162,6 @@ func TestPlanEntryIsReadOnlyUnderProducers(t *testing.T) {
 	}
 	if missing > producers*perProducer/50 {
 		t.Errorf("%d of %d keys unreadable: slots were not the planned ones", missing, producers*perProducer)
-	}
-}
-
-// haFanoutOptions is four primitives on every member, Key-Increment
-// aggregation as asked.
-func haFanoutOptions(aggRows int) Options {
-	o := fullOptions()
-	o.KeyIncrement = &KeyIncrementOptions{Slots: 1 << 12, AggregationRows: aggRows}
-	return o
-}
-
-// TestHAAsyncFanoutMatchesSyncReporter: the engine's fan-out — validate,
-// stage and plan once, copy record and plan into every live owner's
-// chunk — must leave each owner's stores byte for byte what the
-// synchronous HAReporter leaves, which runs the whole per-record path on
-// every owner. Four primitives, Key-Increment aggregation off and on, an
-// owner down for the middle third so fan-outs of every width occur.
-func TestHAAsyncFanoutMatchesSyncReporter(t *testing.T) {
-	for _, agg := range []int{0, 16} {
-		t.Run(fmt.Sprintf("agg=%d", agg), func(t *testing.T) {
-			const n, r, reports = 4, 3, 6000
-			drive := func(c *HACluster, rep interface {
-				KeyWrite(Key, []byte, int) error
-				Increment(Key, uint64, int) error
-				Postcard(Key, int, int) error
-				Append(uint32, []byte) error
-			}) {
-				for i := uint64(0); i < reports; i++ {
-					switch i {
-					case reports / 3:
-						if err := c.SetDown(2); err != nil {
-							t.Fatal(err)
-						}
-					case 2 * reports / 3:
-						if err := c.SetUp(2); err != nil {
-							t.Fatal(err)
-						}
-					}
-					var err error
-					switch i % 4 {
-					case 0:
-						err = rep.KeyWrite(KeyFromUint64(i%700), keyData(i), 1+int(i%3))
-					case 1:
-						err = rep.Increment(KeyFromUint64(i%90), 1+i%4, 1+int(i%2))
-					case 2:
-						err = rep.Postcard(KeyFromUint64(1<<32|i/20), int(i/4%5), 5)
-					case 3:
-						err = rep.Append(uint32(i%4), keyData(i))
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			direct, err := NewHACluster(n, r, haFanoutOptions(agg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			drive(direct, direct.Reporter(7))
-			if err := direct.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			async, err := NewHACluster(n, r, haFanoutOptions(agg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := async.Engine(EngineConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := eng.Reporter(7)
-			drive(async, rep)
-			if err := rep.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := async.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				sameImages(t, fmt.Sprintf("collector %d", i), storeImages(direct.System(i)), storeImages(async.System(i)))
-				if a, b := direct.System(i).tr.Stats(), async.System(i).tr.Stats(); a != b {
-					t.Errorf("collector %d translator Stats:\n sync  %+v\n async %+v", i, a, b)
-				}
-			}
-			if a, b := direct.HAStats(), async.HAStats(); a != b {
-				t.Errorf("HAStats:\n sync  %+v\n async %+v", a, b)
-			}
-		})
 	}
 }
 
