@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dta/internal/obs"
+	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
 	"dta/internal/snapshot"
 	"dta/internal/wal"
@@ -184,11 +185,10 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				Seed:         11,
 			}
 			build := func() (*System, *[]tapEvent, string) {
-				reg := obs.NewRegistry()
 				// A pool no run can exhaust: which submits get a trace must
 				// not depend on how fast the log's flusher releases slots.
-				trc := trace.New(trace.Config{InFlight: len(st.recs)})
-				s, err := newSystem(opts, reg, reg.Scope(), newJournal(opts), trc, -1)
+				tel := telemetry{reg: obs.NewRegistry(), jr: journal.New(0), trc: trace.New(trace.Config{InFlight: len(st.recs)})}
+				s, err := newSystem(opts, &tel, -1)
 				if err != nil {
 					t.Fatal(err)
 				}

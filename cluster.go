@@ -2,13 +2,8 @@ package dta
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
 
 	"dta/internal/crc"
-	"dta/internal/obs"
-	"dta/internal/obs/journal"
-	"dta/internal/obs/trace"
 	"dta/internal/wire"
 )
 
@@ -19,18 +14,9 @@ import (
 type Cluster struct {
 	systems []*System
 	eng     *crc.Engine
-	// reg is the shared telemetry registry every member registers into,
-	// each under a collector="i" label (nil with DisableTelemetry).
-	reg *obs.Registry
-	// jr is the shared flight-recorder journal every member emits into,
-	// each under its own collector label (nil with DisableTelemetry).
-	jr *journal.Journal
-	// trc is the shared data-plane trace pipeline (nil with
-	// DisableTelemetry). See internal/obs/trace.
-	trc *trace.Tracer
-	// health lazily builds the default /healthz evaluator over reg.
-	healthOnce sync.Once
-	health     *obs.HealthEvaluator
+	// telemetry is shared by every member, each registering under a
+	// collector="i" label.
+	telemetry
 }
 
 // NewCluster builds n identical collectors from the same options. All
@@ -40,16 +26,11 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dta: cluster size %d < 1", n)
 	}
-	c := &Cluster{eng: crc.New(crc.K32K)}
-	if !opts.DisableTelemetry {
-		c.reg = obs.NewRegistry()
-		c.jr = newJournal(opts)
-		c.trc = trace.New(trace.Config{})
-	}
+	c := &Cluster{eng: crc.New(crc.K32K), telemetry: newTelemetry(opts)}
 	for i := 0; i < n; i++ {
 		o := opts
 		o.Seed = opts.Seed + int64(i)
-		sys, err := newSystem(o, c.reg, c.reg.Scope(obs.L("collector", strconv.Itoa(i))), c.jr, c.trc, int16(i))
+		sys, err := newSystem(o, &c.telemetry, int16(i))
 		if err != nil {
 			return nil, err
 		}

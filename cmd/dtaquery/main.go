@@ -17,20 +17,10 @@ import (
 	"log"
 
 	"dta"
-	"dta/internal/core/appendlist"
-	"dta/internal/core/keyincrement"
-	"dta/internal/core/keywrite"
-	"dta/internal/core/postcarding"
 	"dta/internal/snapshot"
 	"dta/internal/telemetry/netseer"
 	"dta/internal/wire"
 )
-
-// storeView answers the four primitive queries from either source.
-type storeView struct {
-	snap *snapshot.Snapshot
-	sys  *dta.System
-}
 
 func main() {
 	var (
@@ -43,7 +33,9 @@ func main() {
 		count     = flag.Int("count", 10, "append entries to read")
 	)
 	flag.Parse()
-	var view storeView
+	// Both sources answer through one snapshot: a loaded image, or a
+	// view over the recovered system's stores.
+	var view *snapshot.Snapshot
 	switch {
 	case *snapPath != "" && *walDir != "":
 		log.Fatal("dtaquery: -snapshot and -wal are mutually exclusive")
@@ -52,25 +44,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		view.snap = snap
+		view = snap
 	case *walDir != "":
+		// Recovery ends at an epoch boundary: cached aggregation state
+		// (postcards, partial batches) has reached the stores.
 		sys, err := dta.RecoverSystem(*walDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Recovery replays through the live translator; flush so cached
-		// aggregation state (postcards, partial batches) is queryable.
-		if err := sys.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		view.sys = sys
+		view = snapshot.View(sys.Host())
 	default:
 		log.Fatal("dtaquery: -snapshot or -wal is required")
 	}
 	k := wire.KeyFromUint64(*key)
 	switch *primitive {
 	case "keywrite":
-		st, err := view.keyWriteStore()
+		st, err := view.KeyWriteStore()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +74,7 @@ func main() {
 		fmt.Printf("key %d: value=%s (agreements %d/%d)\n",
 			*key, hex.EncodeToString(res.Data), res.Agreements, res.Matches)
 	case "postcarding":
-		st, err := view.postcardingStore()
+		st, err := view.PostcardingStore()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +88,7 @@ func main() {
 		}
 		fmt.Printf("flow %d: path %v (%d valid chunks)\n", *key, res.Values, res.ValidChunks)
 	case "append":
-		st, err := view.appendStore()
+		st, err := view.AppendStore()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +107,7 @@ func main() {
 			}
 		}
 	case "keyincrement":
-		st, err := view.keyIncrementStore()
+		st, err := view.KeyIncrementStore()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -130,44 +119,4 @@ func main() {
 	default:
 		log.Fatalf("dtaquery: unknown primitive %q", *primitive)
 	}
-}
-
-func (v *storeView) keyWriteStore() (*keywrite.Store, error) {
-	if v.sys != nil {
-		if st := v.sys.Host().KeyWriteStore(); st != nil {
-			return st, nil
-		}
-		return nil, fmt.Errorf("dtaquery: recovered system has no key-write store")
-	}
-	return v.snap.KeyWriteStore()
-}
-
-func (v *storeView) keyIncrementStore() (*keyincrement.Store, error) {
-	if v.sys != nil {
-		if st := v.sys.Host().KeyIncrementStore(); st != nil {
-			return st, nil
-		}
-		return nil, fmt.Errorf("dtaquery: recovered system has no key-increment store")
-	}
-	return v.snap.KeyIncrementStore()
-}
-
-func (v *storeView) postcardingStore() (*postcarding.Store, error) {
-	if v.sys != nil {
-		if st := v.sys.Host().PostcardingStore(); st != nil {
-			return st, nil
-		}
-		return nil, fmt.Errorf("dtaquery: recovered system has no postcarding store")
-	}
-	return v.snap.PostcardingStore()
-}
-
-func (v *storeView) appendStore() (*appendlist.Store, error) {
-	if v.sys != nil {
-		if st := v.sys.Host().AppendStore(); st != nil {
-			return st, nil
-		}
-		return nil, fmt.Errorf("dtaquery: recovered system has no append store")
-	}
-	return v.snap.AppendStore()
 }

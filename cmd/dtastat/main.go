@@ -61,10 +61,7 @@ func main() {
 		traces   = flag.Bool("traces", false, "tail the data-plane trace pipeline (/debug/traces) as stage waterfalls")
 	)
 	flag.Parse()
-	base := *addr
-	if len(base) < 7 || base[:7] != "http://" {
-		base = "http://" + base
-	}
+	base := baseURL(*addr)
 	url := base + "/metrics"
 
 	if *raw {
@@ -122,6 +119,15 @@ type eventsPayload struct {
 // tailEvents live-tails the flight recorder: each poll resumes from the
 // previous response's cursor, so every event prints exactly once (ring
 // overwrites are reported as a gap).
+// baseURL is the endpoint's URL: addr as given when it names a scheme
+// (http://h:p, https://h:p), else http://addr.
+func baseURL(addr string) string {
+	if strings.Contains(addr, "://") {
+		return addr
+	}
+	return "http://" + addr
+}
+
 func tailEvents(url string, interval time.Duration, once bool) {
 	var cursor uint64
 	var lastCause uint64

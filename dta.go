@@ -26,11 +26,12 @@
 //
 // Reports travel as one representation: validated with the wire
 // decoder's rules and staged by value (wire.StagedReport). Wire frames
-// are decoded at the edge that receives them (Reporter.SubmitFrame,
-// the dtacollect socket loop). The translator crafts RoCEv2 packets with
-// PSN tracking and ICRC, and the collector's device model verifies and
-// applies them, acknowledging back. An optional lossy link model,
-// charged each report's exact frame size, exercises the recovery paths.
+// are decoded at the edge that receives them (Reporter.SubmitFrame, or
+// Reporter.SubmitDatagram for a socket's bare DTA payloads). The
+// translator crafts RoCEv2 packets with PSN tracking and ICRC, and the
+// collector's device model verifies and applies them, acknowledging
+// back. An optional lossy link model, charged each report's exact frame
+// size, exercises the recovery paths.
 package dta
 
 import (
@@ -134,10 +135,6 @@ type Options struct {
 	// flight-recorder event journal (Journal returns nil; every emit
 	// site degrades to one nil-check branch).
 	DisableTelemetry bool
-
-	// EventJournalSize overrides the flight recorder's ring capacity in
-	// events (rounded up to a power of two; 0 = journal.DefaultSize).
-	EventJournalSize int
 }
 
 // System is an in-process DTA deployment: one collector, one translator,
@@ -164,68 +161,33 @@ type System struct {
 	// recovery and exact log-based replication resync. See durability.go.
 	wal *wal.Writer
 
-	// obsReg/obsScope carry the self-telemetry registry the system's
-	// layers register into: standalone systems own a fresh registry,
-	// cluster members share their cluster's under a collector="i" label
-	// scope, and DisableTelemetry leaves both nil (all obs primitives
-	// are nil-safe). See obs.go and internal/obs.
-	obsReg   *obs.Registry
-	obsScope *obs.Scope
-
-	// jr is the flight-recorder event journal the system's layers emit
-	// control-plane events into: standalone systems own one, cluster
-	// members share their cluster's, DisableTelemetry leaves it nil
-	// (every Emitter is nil-safe). collectorID labels this system's
-	// events in a shared journal; -1 = standalone. See obs.go.
-	jr          *journal.Journal
+	// telemetry is the deployment's registry, journal and tracer:
+	// standalone systems own theirs, cluster members share their
+	// cluster's (see obs.go). obsScope is where this system's layers
+	// register: the registry root, or collector="i" for a member, whose
+	// journal events carry collectorID (-1 = standalone).
+	telemetry
+	obsScope    *obs.Scope
 	collectorID int16
 
-	// trc is the data-plane trace pipeline: sampled end-to-end report
-	// traces (submit → queue → translate → emit → WAL → fsync → ack)
-	// with tail-based retention of outliers. Standalone systems own
-	// one, cluster members share their cluster's, DisableTelemetry
-	// leaves it nil (Begin on a nil tracer is a no-op). See
-	// internal/obs/trace.
-	trc *trace.Tracer
 	// ckptCause, when non-zero, is consumed by the next Checkpoint as
 	// the causality ID for its journal events: HACluster.Rebalance sets
 	// it (under its lock) so a post-resync checkpoint chains under the
 	// failure arc that triggered it.
 	ckptCause uint64
-
-	// health lazily builds the default /healthz evaluator over obsReg.
-	healthOnce sync.Once
-	health     *obs.HealthEvaluator
 }
 
 // New builds a System.
 func New(opts Options) (*System, error) {
-	var reg *obs.Registry
-	var jr *journal.Journal
-	var trc *trace.Tracer
-	if !opts.DisableTelemetry {
-		reg = obs.NewRegistry()
-		jr = newJournal(opts)
-		trc = trace.New(trace.Config{})
-	}
-	return newSystem(opts, reg, reg.Scope(), jr, trc, -1)
+	tel := newTelemetry(opts)
+	return newSystem(opts, &tel, -1)
 }
 
-// newJournal sizes the flight recorder from Options.
-func newJournal(opts Options) *journal.Journal {
-	size := opts.EventJournalSize
-	if size == 0 {
-		size = journal.DefaultSize
-	}
-	return journal.New(size)
-}
-
-// newSystem is New over an externally owned telemetry registry and event
-// journal: clusters call it so every member registers into one registry
-// (each under its own collector="i" scope) and emits into one journal
-// (each under its own collector label). reg, sc and jr may be nil
-// (telemetry off); collectorID is -1 for standalone systems.
-func newSystem(opts Options, reg *obs.Registry, sc *obs.Scope, jr *journal.Journal, trc *trace.Tracer, collectorID int16) (*System, error) {
+// newSystem is New over a deployment's shared telemetry: clusters call
+// it so every member registers into one registry, emits into one
+// journal and traces into one pipeline, each under its own collector
+// label. collectorID is -1 for standalone systems.
+func newSystem(opts Options, shared *telemetry, collectorID int16) (*System, error) {
 	ccfg := collector.Config{}
 	tcfg := translator.Config{RateLimit: opts.RateLimit}
 	if o := opts.KeyWrite; o != nil {
@@ -252,12 +214,14 @@ func newSystem(opts Options, reg *obs.Registry, sc *obs.Scope, jr *journal.Journ
 	if err != nil {
 		return nil, err
 	}
-	tr, err := translator.NewScoped(tcfg, host.Listener(), sc)
+	s := &System{host: host, collectorID: collectorID}
+	s.telemetry, s.obsScope = shared.member(collectorID)
+	tr, err := translator.NewScoped(tcfg, host.Listener(), s.obsScope)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{host: host, tr: tr, obsReg: reg, obsScope: sc, jr: jr, collectorID: collectorID, trc: trc}
-	tr.Journal = journal.Emitter{J: jr, Comp: journal.CompTranslator, Collector: collectorID}
+	s.tr = tr
+	tr.Journal = journal.Emitter{J: s.jr, Comp: journal.CompTranslator, Collector: collectorID}
 	if opts.ReporterLoss > 0 {
 		s.link = netsim.NewLink(100e9, 500, opts.ReporterLoss, opts.Seed)
 	}

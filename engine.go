@@ -124,7 +124,7 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 		// root scope: shard i is collector i (cluster engines) or the
 		// only collector, so the shard="i" label the engine adds already
 		// identifies the member — no collector label needed.
-		cfg.Obs = systems[0].obsReg.Scope()
+		cfg.Obs = systems[0].reg.Scope()
 	}
 	if cfg.Journal == nil && len(systems) > 0 {
 		// Same default for the flight recorder: shards emit queue-stall

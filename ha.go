@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"dta/internal/ha"
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
-	"dta/internal/obs/trace"
 	"dta/internal/rdma"
 	"dta/internal/snapshot"
 	"dta/internal/wire"
@@ -72,29 +70,21 @@ type HACluster struct {
 	r      int
 	ring   *ha.Ring
 	health *ha.Health
-	// reg is the shared telemetry registry: members register under
+	// telemetry is shared by every member: members register under
 	// collector="i" scopes, the health view's dta_ha_* counters at the
-	// cluster root (nil with DisableTelemetry).
-	reg *obs.Registry
-	// jr is the shared flight-recorder journal (nil with
-	// DisableTelemetry); causeOf carries the causality ID minted by a
-	// collector's SetDown (or AddCollector) forward through SetUp,
-	// Rebalance's resync and the post-resync checkpoint, so the whole
-	// failure→recovery arc renders as one chain. Guarded by mu.
-	jr      *journal.Journal
-	causeOf map[int]uint64
-	// trc is the shared data-plane trace pipeline (nil with
-	// DisableTelemetry); deferResync opens a resync window on it so
+	// cluster root. deferResync opens a resync window on its tracer, so
 	// traces completing while a retry backoff is pending are
-	// tail-retained. See internal/obs/trace.
-	trc *trace.Tracer
+	// tail-retained.
+	telemetry
+	// causeOf carries the causality ID minted by a collector's SetDown
+	// (or AddCollector) forward through SetUp, Rebalance's resync and
+	// the post-resync checkpoint, so the whole failure→recovery arc
+	// renders as one journal chain. Guarded by mu.
+	causeOf map[int]uint64
 	// rrGate rate-limits read-repair events: a verification sweep can
 	// repair thousands of slots, and one representative event per gap
 	// (carrying the cumulative count) must not evict the failover chain.
 	rrGate journal.Gate
-	// health lazily builds the default /healthz evaluator over reg.
-	healthOnce sync.Once
-	healthEval *obs.HealthEvaluator
 
 	// mu guards systems growth, the stale set and pending snapshots;
 	// the write lock makes Rebalance (and read-repair store writes)
@@ -223,28 +213,18 @@ func NewHACluster(n, r int, opts Options) (*HACluster, error) {
 	if r > n {
 		return nil, fmt.Errorf("dta: replication factor %d exceeds cluster size %d", r, n)
 	}
-	var reg *obs.Registry
-	var jr *journal.Journal
-	var trc *trace.Tracer
-	if !opts.DisableTelemetry {
-		reg = obs.NewRegistry()
-		jr = newJournal(opts)
-		trc = trace.New(trace.Config{})
-	}
 	c := &HACluster{
-		opts:    opts,
-		r:       r,
-		ring:    ha.NewRing(n),
-		health:  ha.NewHealthScoped(reg.Scope()),
-		reg:     reg,
-		jr:      jr,
-		trc:     trc,
-		causeOf: make(map[int]uint64),
-		stale:   make(map[int]uint64),
-		downAt:  make(map[int]uint64),
-		walMark: make(map[int]map[int]uint64),
-		walSelf: make(map[int]uint64),
+		opts:      opts,
+		r:         r,
+		ring:      ha.NewRing(n),
+		telemetry: newTelemetry(opts),
+		causeOf:   make(map[int]uint64),
+		stale:     make(map[int]uint64),
+		downAt:    make(map[int]uint64),
+		walMark:   make(map[int]map[int]uint64),
+		walSelf:   make(map[int]uint64),
 	}
+	c.health = ha.NewHealthScoped(c.reg.Scope())
 	for i := 0; i < n; i++ {
 		o := opts
 		o.Seed = opts.Seed + int64(i)
@@ -262,7 +242,7 @@ func NewHACluster(n, r int, opts Options) (*HACluster, error) {
 // newMember builds collector id's System registered under the cluster's
 // shared telemetry registry.
 func (c *HACluster) newMember(id int, o Options) (*System, error) {
-	return newSystem(o, c.reg, c.reg.Scope(obs.L("collector", strconv.Itoa(id))), c.jr, c.trc, int16(id))
+	return newSystem(o, &c.telemetry, int16(id))
 }
 
 // emit publishes one HA-component flight-recorder event for collector i

@@ -2,6 +2,8 @@ package dta
 
 import (
 	"net/http"
+	"strconv"
+	"sync"
 
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
@@ -31,19 +33,6 @@ type ObsValue = obs.Value
 
 // ObsLabel is a metric label pair.
 type ObsLabel = obs.Label
-
-// Metrics returns the system's telemetry registry (nil when Options.
-// DisableTelemetry was set). Serve it with ObsMux, scrape it with
-// WritePrometheus, or poll it in-process with Snapshot.
-func (s *System) Metrics() *ObsRegistry { return s.obsReg }
-
-// Metrics returns the registry shared by every member collector; series
-// carry a collector="i" label.
-func (c *Cluster) Metrics() *ObsRegistry { return c.reg }
-
-// Metrics returns the registry shared by every member collector and the
-// health view (dta_ha_* series).
-func (c *HACluster) Metrics() *ObsRegistry { return c.reg }
 
 // ObsMux mounts the registry's HTTP surface on a fresh mux: Prometheus
 // text at /metrics, expvar at /debug/vars, and the full pprof suite at
@@ -76,19 +65,6 @@ type TracePipeline = trace.Tracer
 // nanosecond stamps.
 type TraceRecord = trace.Record
 
-// Tracer returns the system's data-plane trace pipeline (nil when
-// Options.DisableTelemetry was set). Serve it with ObsMux at
-// /debug/traces, render it with dtastat -traces, or poll Since
-// in-process.
-func (s *System) Tracer() *TracePipeline { return s.trc }
-
-// Tracer returns the trace pipeline shared by every member collector.
-func (c *Cluster) Tracer() *TracePipeline { return c.trc }
-
-// Tracer returns the trace pipeline shared by every member collector;
-// resync retries open tail-retention windows on it.
-func (c *HACluster) Tracer() *TracePipeline { return c.trc }
-
 // HealthEvaluator runs SLO rules over a registry's snapshot deltas; its
 // verdict backs /healthz. See internal/obs's DefaultHealthRules.
 type HealthEvaluator = obs.HealthEvaluator
@@ -99,66 +75,84 @@ type HealthStatus = obs.HealthStatus
 // HealthRuleResult is one rule's verdict within a HealthStatus.
 type HealthRuleResult = obs.RuleResult
 
-// Journal returns the system's flight recorder (nil when Options.
-// DisableTelemetry was set). Serve it with ObsMux via the system's
-// ObsMux method, tail it with dtastat -events, or poll Since in-process.
-func (s *System) Journal() *EventJournal { return s.jr }
+// telemetry is a deployment's self-telemetry bundle. System, Cluster and
+// HACluster embed it by value, so its accessors are theirs and the hot
+// path's trc read stays one load deep. A cluster's members share its
+// registry (each under a collector="i" scope), journal and tracer.
+// DisableTelemetry leaves all three nil; every consumer is nil-safe.
+type telemetry struct {
+	// reg is the registry every layer registers into.
+	reg *obs.Registry
+	// jr is the flight recorder control-plane events go to.
+	jr *journal.Journal
+	// trc is the data-plane trace pipeline: sampled end-to-end report
+	// traces (submit → queue → translate → emit → WAL → fsync → ack)
+	// with tail-based retention of outliers. Begin on nil is a no-op.
+	trc *trace.Tracer
+	// eval is the default /healthz evaluator over reg, built on first use.
+	evalOnce sync.Once
+	eval     *obs.HealthEvaluator
+}
 
-// Journal returns the flight recorder shared by every member collector;
-// events carry the emitting member's collector label.
-func (c *Cluster) Journal() *EventJournal { return c.jr }
+// newTelemetry builds a deployment's telemetry, or none with
+// Options.DisableTelemetry.
+func newTelemetry(opts Options) telemetry {
+	if opts.DisableTelemetry {
+		return telemetry{}
+	}
+	return telemetry{reg: obs.NewRegistry(), jr: journal.New(journal.DefaultSize), trc: trace.New(trace.Config{})}
+}
 
-// Journal returns the flight recorder shared by every member collector
-// and the HA control plane (failover and resync chains).
-func (c *HACluster) Journal() *EventJournal { return c.jr }
+// member is collector id's share of the deployment's telemetry, and the
+// scope its layers register under: the registry root for a standalone
+// system (id -1), collector="id" for a cluster member.
+func (t *telemetry) member(id int16) (telemetry, *obs.Scope) {
+	sc := t.reg.Scope()
+	if id >= 0 {
+		sc = t.reg.Scope(obs.L("collector", strconv.Itoa(int(id))))
+	}
+	return telemetry{reg: t.reg, jr: t.jr, trc: t.trc}, sc
+}
+
+// Metrics returns the deployment's telemetry registry (nil when Options.
+// DisableTelemetry was set); a cluster's members share it, their series
+// told apart by a collector="i" label. Serve it with ObsMux, scrape it
+// with WritePrometheus, or poll it in-process with Snapshot.
+func (t *telemetry) Metrics() *ObsRegistry { return t.reg }
+
+// Tracer returns the deployment's data-plane trace pipeline (nil when
+// Options.DisableTelemetry was set), shared by a cluster's members.
+// Serve it with ObsMux at /debug/traces, render it with dtastat
+// -traces, or poll Since in-process.
+func (t *telemetry) Tracer() *TracePipeline { return t.trc }
+
+// Journal returns the deployment's flight recorder (nil when Options.
+// DisableTelemetry was set): a cluster's members and its HA control
+// plane (failover and resync chains) emit into it under their collector
+// labels. Serve it with ObsMux, tail it with dtastat -events, or poll
+// Since in-process.
+func (t *telemetry) Journal() *EventJournal { return t.jr }
 
 // HealthEval returns the deployment's /healthz evaluator (default rules
 // over default thresholds), built once on first use. Call Eval for an
 // in-process verdict — dtaload -verify scenarios assert on it directly.
-// Nil-safe with telemetry disabled: the evaluator always reads healthy.
-func (s *System) HealthEval() *HealthEvaluator {
-	s.healthOnce.Do(func() { s.health = obs.NewHealthEvaluator(s.obsReg) })
-	return s.health
+// On an HACluster the rules include the dta_ha_* availability series,
+// so the verdict flips unhealthy while replicas are down or writes
+// degrade. Nil-safe with telemetry disabled: it always reads healthy.
+func (t *telemetry) HealthEval() *HealthEvaluator {
+	t.evalOnce.Do(func() { t.eval = obs.NewHealthEvaluator(t.reg) })
+	return t.eval
 }
 
-// HealthEval returns the cluster's /healthz evaluator (see System.HealthEval).
-func (c *Cluster) HealthEval() *HealthEvaluator {
-	c.healthOnce.Do(func() { c.health = obs.NewHealthEvaluator(c.reg) })
-	return c.health
-}
-
-// HealthEval returns the HA cluster's /healthz evaluator: the default
-// rules include the dta_ha_* availability series, so the verdict flips
-// unhealthy while replicas are down or writes degrade and back to
-// healthy once Rebalance heals the cluster.
-func (c *HACluster) HealthEval() *HealthEvaluator {
-	c.healthOnce.Do(func() { c.healthEval = obs.NewHealthEvaluator(c.reg) })
-	return c.healthEval
-}
-
-// fullMux assembles the complete observability surface: metrics, expvar
-// and pprof (obs.Mux), the flight recorder at /debug/events, data-plane
-// traces at /debug/traces, and the rule-driven verdict at /healthz.
-func fullMux(r *ObsRegistry, j *EventJournal, t *TracePipeline, e *HealthEvaluator) *http.ServeMux {
-	mux := obs.Mux(r)
-	journal.Mount(mux, j)
-	trace.Mount(mux, t)
-	obs.MountHealth(mux, e)
+// ObsMux mounts the deployment's full observability surface on a fresh
+// mux: everything the package-level ObsMux serves, plus the flight
+// recorder at /debug/events (cursor protocol: ?since=<seq>), data-plane
+// traces at /debug/traces (same cursor protocol) and the health verdict
+// at /healthz (HTTP 503 with per-rule reasons when unhealthy).
+func (t *telemetry) ObsMux() *http.ServeMux {
+	mux := obs.Mux(t.reg)
+	journal.Mount(mux, t.jr)
+	trace.Mount(mux, t.trc)
+	obs.MountHealth(mux, t.HealthEval())
 	return mux
 }
-
-// ObsMux mounts the system's full observability surface on a fresh mux:
-// everything the package-level ObsMux serves, plus the flight recorder
-// at /debug/events (cursor protocol: ?since=<seq>), data-plane traces
-// at /debug/traces (same cursor protocol) and the health verdict at
-// /healthz (HTTP 503 with per-rule reasons when unhealthy).
-func (s *System) ObsMux() *http.ServeMux { return fullMux(s.obsReg, s.jr, s.trc, s.HealthEval()) }
-
-// ObsMux mounts the cluster's full observability surface (see
-// System.ObsMux).
-func (c *Cluster) ObsMux() *http.ServeMux { return fullMux(c.reg, c.jr, c.trc, c.HealthEval()) }
-
-// ObsMux mounts the HA cluster's full observability surface (see
-// System.ObsMux); /debug/events carries the failover, resync and
-// checkpoint chains.
-func (c *HACluster) ObsMux() *http.ServeMux { return fullMux(c.reg, c.jr, c.trc, c.HealthEval()) }

@@ -177,6 +177,16 @@ func (r *Reporter) SubmitFrame(frame []byte) error {
 	return r.send(&r.frame.Report)
 }
 
+// SubmitDatagram is SubmitFrame for a bare DTA payload — base header,
+// sub-header and data — whose L2–L4 a socket already stripped: the edge
+// of a collector that receives reports as UDP datagrams (dtacollect).
+func (r *Reporter) SubmitDatagram(b []byte) error {
+	if err := wire.DecodeReport(b, &r.frame.Report); err != nil {
+		return err
+	}
+	return r.send(&r.frame.Report)
+}
+
 // checkRedundancy refuses a redundancy the one-byte wire field cannot
 // carry, before it is narrowed.
 func checkRedundancy(n int) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dta/internal/reporter"
+	"dta/internal/wire"
 )
 
 // haFanoutOptions is four primitives on every member, Key-Increment
@@ -55,24 +56,84 @@ var reporterTargets = []struct {
 	}},
 }
 
+// reportInput is what the parity drive calls: a Reporter's typed
+// methods and its frame edge.
+type reportInput interface {
+	KeyWrite(key Key, data []byte, n int) error
+	KeyWriteImmediate(key Key, data []byte, n int) error
+	Append(list uint32, data []byte) error
+	Increment(key Key, delta uint64, n int) error
+	Postcard(key Key, hop, pathLen int) error
+	PostcardValue(key Key, hop, pathLen int, value uint32) error
+	SubmitFrame(frame []byte) error
+}
+
+// datagrams turns each typed call into the wire.SerializeReport bytes of
+// the report it describes and hands them to SubmitDatagram, as a socket
+// edge would.
+type datagrams struct {
+	*Reporter
+	buf [wire.MaxReportLen]byte
+}
+
+func (d *datagrams) submit(rep wire.Report) error {
+	rep.Header.Version = wire.Version
+	n, err := wire.SerializeReport(d.buf[:], &rep)
+	if err != nil {
+		return err
+	}
+	return d.SubmitDatagram(d.buf[:n])
+}
+
+func (d *datagrams) KeyWrite(key Key, data []byte, n int) error {
+	return d.submit(wire.Report{Header: wire.Header{Primitive: wire.PrimKeyWrite},
+		KeyWrite: wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}, Data: data})
+}
+
+func (d *datagrams) KeyWriteImmediate(key Key, data []byte, n int) error {
+	return d.submit(wire.Report{Header: wire.Header{Primitive: wire.PrimKeyWrite, Flags: wire.FlagImmediate},
+		KeyWrite: wire.KeyWrite{Redundancy: uint8(n), DataLen: uint16(len(data)), Key: key}, Data: data})
+}
+
+func (d *datagrams) Append(list uint32, data []byte) error {
+	return d.submit(wire.Report{Header: wire.Header{Primitive: wire.PrimAppend},
+		Append: wire.Append{ListID: list, DataLen: uint16(len(data))}, Data: data})
+}
+
+func (d *datagrams) Increment(key Key, delta uint64, n int) error {
+	return d.submit(wire.Report{Header: wire.Header{Primitive: wire.PrimKeyIncrement},
+		KeyIncrement: wire.KeyIncrement{Redundancy: uint8(n), Key: key, Delta: delta}})
+}
+
+func (d *datagrams) Postcard(key Key, hop, pathLen int) error {
+	return d.PostcardValue(key, hop, pathLen, d.switchID)
+}
+
+func (d *datagrams) PostcardValue(key Key, hop, pathLen int, value uint32) error {
+	return d.submit(wire.Report{Header: wire.Header{Primitive: wire.PrimPostcarding},
+		Postcard: wire.Postcard{Key: key, Hop: uint8(hop), PathLen: uint8(pathLen), Value: value}})
+}
+
 // TestReporterParity: a Reporter validates, stages and routes a report
-// the same way whatever it is attached to. On each deployment — a
-// System, a Cluster of 3, and an HACluster of 4 with R = 3 and an owner
-// down for the middle third of the run, so fan-outs of every width
-// occur — the same calls through a synchronous handle and through an
-// engine handle (all six typed methods and SubmitFrame, Key-Increment
-// aggregation off and on) must leave every collector's stores byte for
-// byte alike, with equal translator Stats and immediate-event counts,
-// and equal HAStats. The synchronous HA fan-out delivers one staged
-// record to each live owner; the engine's copies record and plan into
-// each owner's chunk.
+// the same way whatever it is attached to and whichever edge it enters
+// by. On each deployment — a System, a Cluster of 3, and an HACluster
+// of 4 with R = 3 and an owner down for the middle third of the run, so
+// fan-outs of every width occur — the same calls through a synchronous
+// handle (all six typed methods and SubmitFrame, Key-Increment
+// aggregation off and on), through an engine handle, and, with every
+// typed call sent as wire.SerializeReport bytes through SubmitDatagram,
+// through both handles again, must leave every collector's stores byte
+// for byte alike, with equal translator Stats and immediate-event
+// counts, and equal HAStats. The synchronous HA fan-out delivers one
+// staged record to each live owner; the engine's copies record and plan
+// into each owner's chunk.
 func TestReporterParity(t *testing.T) {
 	const reports = 7000
 	for _, agg := range []int{0, 16} {
 		t.Run(fmt.Sprintf("agg=%d", agg), func(t *testing.T) {
 			for _, tg := range reporterTargets {
 				t.Run(tg.name, func(t *testing.T) {
-					drive := func(d reporterTarget, rep *Reporter) {
+					drive := func(d reporterTarget, rep reportInput) {
 						enc := reporter.New(reporter.Config{SwitchID: 7})
 						frame := make([]byte, 256)
 						for i := uint64(0); i < reports; i++ {
@@ -124,47 +185,65 @@ func TestReporterParity(t *testing.T) {
 							}
 						}
 					}
-					flush := func(d reporterTarget) {
+					// run drives a fresh deployment through a synchronous or an
+					// engine handle, the typed calls as given or as datagrams,
+					// and settles it.
+					run := func(viaEngine, viaDatagrams bool) reporterTarget {
+						d := tg.build(t, haFanoutOptions(agg))
+						rep, eng := d.sync(7), (*Engine)(nil)
+						if viaEngine {
+							var err error
+							if eng, err = d.engine(EngineConfig{}); err != nil {
+								t.Fatal(err)
+							}
+							rep = eng.Reporter(7)
+						}
+						var in reportInput = rep
+						if viaDatagrams {
+							in = &datagrams{Reporter: rep}
+						}
+						drive(d, in)
+						if eng != nil {
+							if err := rep.Flush(); err != nil {
+								t.Fatal(err)
+							}
+							if err := eng.Close(); err != nil {
+								t.Fatal(err)
+							}
+						}
 						for _, s := range d.systems {
 							if err := s.Flush(); err != nil {
 								t.Fatal(err)
 							}
 						}
+						return d
 					}
 
-					direct := tg.build(t, haFanoutOptions(agg))
-					drive(direct, direct.sync(7))
-					flush(direct)
-
-					async := tg.build(t, haFanoutOptions(agg))
-					eng, err := async.engine(EngineConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep := eng.Reporter(7)
-					drive(async, rep)
-					if err := rep.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					if err := eng.Close(); err != nil {
-						t.Fatal(err)
-					}
-					flush(async)
-
+					direct := run(false, false)
 					events := func(s *System) int { return len(s.host.Events) + int(s.host.DroppedEvents) }
-					for i, s := range direct.systems {
-						a := async.systems[i]
-						sameImages(t, fmt.Sprintf("collector %d", i), storeImages(s), storeImages(a))
-						if x, y := s.tr.Stats(), a.tr.Stats(); x != y {
-							t.Errorf("collector %d translator Stats:\n sync  %+v\n async %+v", i, x, y)
+					for _, v := range []struct {
+						name                    string
+						viaEngine, viaDatagrams bool
+					}{
+						{"engine", true, false},
+						{"sync datagrams", false, true},
+						{"engine datagrams", true, true},
+					} {
+						got := run(v.viaEngine, v.viaDatagrams)
+						for i, s := range direct.systems {
+							a := got.systems[i]
+							sameImages(t, fmt.Sprintf("%s: collector %d", v.name, i), storeImages(s), storeImages(a))
+							if x, y := s.tr.Stats(), a.tr.Stats(); x != y {
+								t.Errorf("%s: collector %d translator Stats:\n sync  %+v\n got   %+v", v.name, i, x, y)
+							}
+							if x, y := events(s), events(a); x != y || x == 0 {
+								t.Errorf("%s: collector %d immediate events: sync %d, got %d (want equal, > 0)", v.name, i, x, y)
+							}
 						}
-						if x, y := events(s), events(a); x != y || x == 0 {
-							t.Errorf("collector %d immediate events: sync %d, async %d (want equal, > 0)", i, x, y)
-						}
-					}
-					if direct.hac != nil {
-						if x, y := direct.hac.HAStats(), async.hac.HAStats(); x != y {
-							t.Errorf("HAStats:\n sync  %+v\n async %+v", x, y)
+						if direct.hac != nil {
+							if x, y := direct.hac.HAStats(), got.hac.HAStats(); x != y {
+								t.Errorf("%s: HAStats:\n sync  %+v\n got   %+v", v.name, x, y)
+							}
 						}
 					}
 				})
