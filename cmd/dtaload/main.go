@@ -38,7 +38,6 @@ import (
 	"dta"
 	"dta/internal/loadgen"
 	"dta/internal/obs/journal"
-	"dta/internal/obs/trace"
 	"dta/internal/reporter"
 )
 
@@ -638,36 +637,21 @@ func printFailoverChains(hac *dta.HACluster, walAttached bool) {
 //
 // The dominant segment is the inter-stage gap that contributed the most
 // total time across all sampled traces — the stage to blame when the
-// tail is slow. Stamps are sorted by time, not enum order, because the
-// WAL-ring handoff lands before emit/translate on the chronological
-// path. Silent when telemetry is off or nothing was sampled.
+// tail is slow (trace.Record.Segments walks the stamps in time order).
+// Silent when telemetry is off or nothing was sampled.
 func printAckLatency(trc *dta.TracePipeline) {
-	if trc == nil {
-		return
-	}
-	buf := make([]trace.Record, 4096)
-	recs, _, _ := trc.Since(0, buf)
+	recs, _, _ := trc.Since(0, nil)
 	if len(recs) == 0 {
 		return
 	}
 	totals := make([]float64, 0, len(recs))
 	segTotal := map[string]float64{}
-	type stamp struct {
-		name string
-		at   int64
-	}
 	for i := range recs {
-		r := &recs[i]
-		totals = append(totals, float64(r.Total()))
-		stamps := make([]stamp, 0, trace.NumStages)
-		for s := 0; s < trace.NumStages; s++ {
-			if v := r.TS[s]; v != 0 {
-				stamps = append(stamps, stamp{trace.Stage(s).String(), v})
+		totals = append(totals, float64(recs[i].Total()))
+		for _, s := range recs[i].Segments() {
+			if s.To != s.From {
+				segTotal[s.Name()] += float64(s.Ns)
 			}
-		}
-		sort.Slice(stamps, func(a, b int) bool { return stamps[a].at < stamps[b].at })
-		for j := 1; j < len(stamps); j++ {
-			segTotal[stamps[j-1].name+"→"+stamps[j].name] += float64(stamps[j].at - stamps[j-1].at)
 		}
 	}
 	sort.Float64s(totals)

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,6 +50,7 @@ import (
 
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
+	"dta/internal/obs/trace"
 )
 
 func main() {
@@ -73,15 +75,21 @@ func main() {
 		return
 	}
 	if *events {
-		tailEvents(base+"/debug/events", *interval, *once)
+		var lastCause uint64
+		tail(newFollower[journal.Record](base, "events"), *interval, *once, func(recs []journal.Record, missed uint64) {
+			printEvents(os.Stdout, recs, missed, &lastCause)
+		})
 		return
 	}
 	if *traces {
-		tailTraces(base+"/debug/traces", *interval, *once)
+		agg := newStageAgg()
+		tail(newFollower[trace.JSON](base, "traces"), *interval, *once, func(recs []trace.JSON, missed uint64) {
+			printTraces(os.Stdout, recs, missed, agg)
+		})
 		return
 	}
 
-	ack := &traceAck{url: base + "/debug/traces"}
+	ack := &traceAck{f: newFollower[trace.JSON](base, "traces")}
 	prev, prevAt, err := scrape(url)
 	if err != nil {
 		log.Fatal("dtastat: ", err)
@@ -108,17 +116,6 @@ func main() {
 	}
 }
 
-// eventsPayload mirrors the /debug/events response envelope.
-type eventsPayload struct {
-	Last    uint64           `json:"last"`
-	Missed  uint64           `json:"missed"`
-	Dropped uint64           `json:"dropped"`
-	Events  []journal.Record `json:"events"`
-}
-
-// tailEvents live-tails the flight recorder: each poll resumes from the
-// previous response's cursor, so every event prints exactly once (ring
-// overwrites are reported as a gap).
 // baseURL is the endpoint's URL: addr as given when it names a scheme
 // (http://h:p, https://h:p), else http://addr.
 func baseURL(addr string) string {
@@ -128,26 +125,50 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-func tailEvents(url string, interval time.Duration, once bool) {
-	var cursor uint64
-	var lastCause uint64
+// follower reads one of the cursor endpoints (/debug/events,
+// /debug/traces): each poll resumes from the previous response's
+// "last", so every record is delivered exactly once, and the records
+// the ring overwrote before a poll could read them are counted missed.
+type follower[R any] struct {
+	url, key string
+	cursor   uint64
+}
+
+// newFollower follows base's /debug/<key>, whose envelope carries the
+// records under key.
+func newFollower[R any](base, key string) *follower[R] {
+	return &follower[R]{url: base + "/debug/" + key, key: key}
+}
+
+// poll fetches the records published since the previous poll.
+func (f *follower[R]) poll() (recs []R, missed uint64, err error) {
+	body, err := fetch(fmt.Sprintf("%s?since=%d", f.url, f.cursor))
+	if err != nil {
+		return nil, 0, err
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", f.key, err)
+	}
+	var last uint64
+	for k, dst := range map[string]any{"last": &last, "missed": &missed, f.key: &recs} {
+		if err := json.Unmarshal(env[k], dst); err != nil {
+			return nil, 0, fmt.Errorf("%s: %q: %w", f.key, k, err)
+		}
+	}
+	f.cursor = last
+	return recs, missed, nil
+}
+
+// tail polls f every interval (once: a single time) and hands each
+// poll's records to show.
+func tail[R any](f *follower[R], interval time.Duration, once bool, show func(recs []R, missed uint64)) {
 	for {
-		body, err := fetch(fmt.Sprintf("%s?since=%d", url, cursor))
+		recs, missed, err := f.poll()
 		if err != nil {
 			log.Fatal("dtastat: ", err)
 		}
-		var p eventsPayload
-		if err := json.Unmarshal(body, &p); err != nil {
-			log.Fatal("dtastat: events: ", err)
-		}
-		if p.Missed > 0 {
-			fmt.Printf("... %d events lost to ring overwrite ...\n", p.Missed)
-			lastCause = 0
-		}
-		for i := range p.Events {
-			printEvent(&p.Events[i], &lastCause)
-		}
-		cursor = p.Last
+		show(recs, missed)
 		if once {
 			return
 		}
@@ -155,78 +176,45 @@ func tailEvents(url string, interval time.Duration, once bool) {
 	}
 }
 
-// printEvent renders one flight-recorder line; consecutive events of one
-// causal chain get a linked continuation marker.
-func printEvent(r *journal.Record, lastCause *uint64) {
-	link := "  "
-	if r.Cause != 0 && r.Cause == *lastCause {
-		link = "└▶"
+// printEvents renders one poll of the flight recorder, one line per
+// event; consecutive events of one causal chain get a linked
+// continuation marker.
+func printEvents(w io.Writer, recs []journal.Record, missed uint64, lastCause *uint64) {
+	if missed > 0 {
+		fmt.Fprintf(w, "... %d events lost to ring overwrite ...\n", missed)
+		*lastCause = 0
 	}
-	*lastCause = r.Cause
-	who := "-"
-	if r.Collector >= 0 {
-		who = "c" + strconv.Itoa(r.Collector)
+	for i := range recs {
+		r := &recs[i]
+		link := "  "
+		if r.Cause != 0 && r.Cause == *lastCause {
+			link = "└▶"
+		}
+		*lastCause = r.Cause
+		who := "-"
+		if r.Collector >= 0 {
+			who = "c" + strconv.Itoa(r.Collector)
+		}
+		cause := ""
+		if r.Cause != 0 {
+			cause = fmt.Sprintf(" [chain %d]", r.Cause)
+		}
+		fmt.Fprintf(w, "%s %-5s %-10s %-3s %s %s%s\n",
+			r.Time.Local().Format("15:04:05.000"), r.Sev, r.Component, who, link, r.Detail, cause)
 	}
-	cause := ""
-	if r.Cause != 0 {
-		cause = fmt.Sprintf(" [chain %d]", r.Cause)
+}
+
+// printTraces renders one poll of the trace pipeline: every new trace
+// as a stage waterfall, then the cumulative per-segment latency table.
+func printTraces(w io.Writer, recs []trace.JSON, missed uint64, agg *stageAgg) {
+	if missed > 0 {
+		fmt.Fprintf(w, "... %d traces lost to ring overwrite ...\n", missed)
 	}
-	fmt.Printf("%s %-5s %-10s %-3s %s %s%s\n",
-		r.Time.Local().Format("15:04:05.000"), r.Sev, r.Component, who, link, r.Detail, cause)
-}
-
-// traceStage / traceJSON / tracesPayload mirror the /debug/traces
-// response envelope (internal/obs/trace's JSON rendering).
-type traceStage struct {
-	Stage string `json:"stage"`
-	AtNs  int64  `json:"at_ns"`
-}
-
-type traceJSON struct {
-	Seq     uint64       `json:"seq"`
-	ID      uint64       `json:"id"`
-	Flags   []string     `json:"flags"`
-	StartNs int64        `json:"start_ns"`
-	TotalNs int64        `json:"total_ns"`
-	Stages  []traceStage `json:"stages"`
-}
-
-type tracesPayload struct {
-	Last    uint64      `json:"last"`
-	Missed  uint64      `json:"missed"`
-	Dropped uint64      `json:"dropped"`
-	Traces  []traceJSON `json:"traces"`
-}
-
-// tailTraces live-tails the trace pipeline: each poll resumes from the
-// previous response's cursor, renders every new trace as a stage
-// waterfall, and prints the cumulative per-segment latency table.
-func tailTraces(url string, interval time.Duration, once bool) {
-	var cursor uint64
-	agg := newStageAgg()
-	for {
-		body, err := fetch(fmt.Sprintf("%s?since=%d", url, cursor))
-		if err != nil {
-			log.Fatal("dtastat: ", err)
-		}
-		var p tracesPayload
-		if err := json.Unmarshal(body, &p); err != nil {
-			log.Fatal("dtastat: traces: ", err)
-		}
-		if p.Missed > 0 {
-			fmt.Printf("... %d traces lost to ring overwrite ...\n", p.Missed)
-		}
-		for i := range p.Traces {
-			printTrace(&p.Traces[i], agg)
-		}
-		cursor = p.Last
-		if len(p.Traces) > 0 {
-			agg.render(os.Stdout)
-		}
-		if once {
-			return
-		}
-		time.Sleep(interval)
+	for i := range recs {
+		printTrace(w, &recs[i], agg)
+	}
+	if len(recs) > 0 {
+		agg.render(w)
 	}
 }
 
@@ -250,33 +238,32 @@ const waterfallWidth = 40
 // trace's total span. The latency of a segment is attributed to the
 // transition it ends at (e.g. enqueue→dequeue is queue wait,
 // wal_write→fsync is fsync wait).
-func printTrace(t *traceJSON, agg *stageAgg) {
-	sort.Slice(t.Stages, func(i, j int) bool { return t.Stages[i].AtNs < t.Stages[j].AtNs })
+func printTrace(w io.Writer, t *trace.JSON, agg *stageAgg) {
 	flags := ""
 	if len(t.Flags) > 0 {
 		flags = "  [" + strings.Join(t.Flags, ",") + "]"
 	}
-	fmt.Printf("trace %d  seq %d  total %s%s\n", t.ID, t.Seq, dur(t.TotalNs), flags)
+	fmt.Fprintf(w, "trace %d  seq %d  total %s%s\n", t.ID, t.Seq, dur(t.TotalNs), flags)
 	agg.observeTotal(t.TotalNs)
 	var domSeg string
 	var domNs int64
-	for i, st := range t.Stages {
+	rec := t.Record()
+	segs := rec.Segments()
+	for i, sg := range segs {
 		segStr := ""
 		start, barLen := 0, 1
 		if t.TotalNs > 0 {
-			start = int(st.AtNs * waterfallWidth / t.TotalNs)
+			start = int(sg.AtNs * waterfallWidth / t.TotalNs)
 		}
-		if i+1 < len(t.Stages) {
-			next := t.Stages[i+1]
-			seg := next.AtNs - st.AtNs
-			name := st.Stage + "→" + next.Stage
-			segStr = fmt.Sprintf("  %s %s", name, dur(seg))
-			agg.observeSeg(name, seg)
-			if seg > domNs {
-				domSeg, domNs = name, seg
+		if i+1 < len(segs) {
+			name := sg.Name()
+			segStr = fmt.Sprintf("  %s %s", name, dur(sg.Ns))
+			agg.observeSeg(name, sg.Ns)
+			if sg.Ns > domNs {
+				domSeg, domNs = name, sg.Ns
 			}
 			if t.TotalNs > 0 {
-				barLen = int(seg * waterfallWidth / t.TotalNs)
+				barLen = int(sg.Ns * waterfallWidth / t.TotalNs)
 			}
 		}
 		if barLen < 1 {
@@ -289,7 +276,7 @@ func printTrace(t *traceJSON, agg *stageAgg) {
 			barLen = waterfallWidth - start
 		}
 		bar := strings.Repeat(" ", start) + strings.Repeat("█", barLen)
-		fmt.Printf("  %-9s +%-9s |%-*s|%s\n", st.Stage, dur(st.AtNs), waterfallWidth, bar, segStr)
+		fmt.Fprintf(w, "  %-9s +%-9s |%-*s|%s\n", sg.From, dur(sg.AtNs), waterfallWidth, bar, segStr)
 	}
 	if domSeg != "" {
 		agg.observeDominant(domSeg)
@@ -354,8 +341,7 @@ func (a *stageAgg) render(w io.Writer) {
 // engine table in the default metrics view: cumulative p50/p99 over
 // every trace the pipeline has published since dtastat started.
 type traceAck struct {
-	url    string
-	cursor uint64
+	f      *follower[trace.JSON]
 	totals []float64
 	failed bool
 }
@@ -367,19 +353,13 @@ func (a *traceAck) poll() string {
 	if a.failed {
 		return ""
 	}
-	body, err := fetch(fmt.Sprintf("%s?since=%d", a.url, a.cursor))
+	recs, _, err := a.f.poll()
 	if err != nil {
 		a.failed = true // endpoint absent: stop asking
 		return ""
 	}
-	var p tracesPayload
-	if err := json.Unmarshal(body, &p); err != nil {
-		a.failed = true
-		return ""
-	}
-	a.cursor = p.Last
-	for i := range p.Traces {
-		a.totals = append(a.totals, float64(p.Traces[i].TotalNs))
+	for i := range recs {
+		a.totals = append(a.totals, float64(recs[i].TotalNs))
 	}
 	if len(a.totals) == 0 {
 		return ""
@@ -401,15 +381,11 @@ func fetch(url string) ([]byte, error) {
 }
 
 func scrape(url string) (*obs.Snapshot, time.Time, error) {
-	resp, err := http.Get(url)
+	body, err := fetch(url)
 	if err != nil {
 		return nil, time.Time{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, time.Time{}, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	s, err := obs.ParsePrometheus(resp.Body)
+	s, err := obs.ParsePrometheus(bytes.NewReader(body))
 	return s, time.Now(), err
 }
 

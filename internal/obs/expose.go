@@ -96,25 +96,40 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
+// Endpoint is one path an observability mux serves.
+type Endpoint struct {
+	Path    string
+	Handler http.Handler
+}
+
 // Mux builds the observability endpoint: /metrics (Prometheus text),
-// /debug/vars (expvar: cmdline, memstats), and the full /debug/pprof/*
-// suite on a private mux — none of this touches http.DefaultServeMux,
-// so embedding applications keep control of their own handler space.
-func Mux(r *Registry) *http.ServeMux {
+// /debug/vars (expvar: cmdline, memstats), the full /debug/pprof/*
+// suite and then extra, on a private mux — none of this touches
+// http.DefaultServeMux, so embedding applications keep control of
+// their own handler space. Its / page lists every path mounted.
+func Mux(r *Registry, extra ...Endpoint) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	// The pprof index links its own sub-handlers, so the page lists
+	// the subtree once.
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	index := "dta observability endpoint\n\n"
+	for _, e := range append([]Endpoint{
+		{"/metrics", r.Handler()},
+		{"/debug/vars", expvar.Handler()},
+		{"/debug/pprof/", http.HandlerFunc(pprof.Index)},
+	}, extra...) {
+		mux.Handle(e.Path, e.Handler)
+		index += e.Path + "\n"
+	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "dta observability endpoint\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, index)
 	})
 	return mux
 }

@@ -250,8 +250,3 @@ func HealthHandler(e *HealthEvaluator) http.Handler {
 		enc.Encode(st)
 	})
 }
-
-// MountHealth registers the evaluator at /healthz on an existing mux.
-func MountHealth(mux *http.ServeMux, e *HealthEvaluator) {
-	mux.Handle("/healthz", HealthHandler(e))
-}

@@ -1,10 +1,10 @@
 package journal
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
 	"time"
+
+	"dta/internal/obs/ring"
 )
 
 // Record is the rendered (JSON) form of an Event, shared by the
@@ -37,48 +37,9 @@ func (ev *Event) Record() Record {
 	}
 }
 
-// eventsPayload is the /debug/events response envelope.
-type eventsPayload struct {
-	// Last is the newest sequence number in the journal; pass it back
-	// as ?since= to receive only what happened after this scrape.
-	Last uint64 `json:"last"`
-	// Missed counts requested events the ring overwrote before this
-	// scrape (the caller's cursor fell more than the ring capacity
-	// behind); Dropped is the journal-lifetime overwrite total.
-	Missed  uint64   `json:"missed"`
-	Dropped uint64   `json:"dropped"`
-	Events  []Record `json:"events"`
-}
-
-// Handler serves the journal as JSON. GET /debug/events returns every
-// retained event; ?since=<seq> returns only events published after that
-// sequence number (use the previous response's "last" as the cursor).
+// Handler serves the journal at /debug/events: every retained event as
+// a Record under "events", with ring.Handler's ?since= cursor protocol.
 // Nil-safe: a nil journal serves an empty, well-formed payload.
 func Handler(j *Journal) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var since uint64
-		if s := r.URL.Query().Get("since"); s != "" {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		events, last, missed := j.Since(since, nil)
-		p := eventsPayload{Last: last, Missed: missed, Dropped: j.Dropped(), Events: make([]Record, 0, len(events))}
-		for i := range events {
-			p.Events = append(p.Events, events[i].Record())
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(p)
-	})
-}
-
-// Mount registers the journal's HTTP surface on an existing mux (the
-// one obs.Mux built): the event timeline at /debug/events.
-func Mount(mux *http.ServeMux, j *Journal) {
-	mux.Handle("/debug/events", Handler(j))
+	return ring.Handler(j.events(), "events", (*Event).Record)
 }

@@ -8,21 +8,21 @@
 // label and a causality ID, so a kill/restore run renders as one
 // readable timeline instead of a pile of counter deltas.
 //
-// The publish path matches internal/obs's zero-overhead bar: no locks,
-// no allocations, a handful of atomic stores into a pre-sized ring.
+// The journal is a record schema over internal/obs/ring: an event is
+// six words in one of the ring's seqlock slots, so the publish path
+// meets internal/obs's zero-overhead bar (no locks, no allocations, a
+// handful of atomic stores into a pre-sized ring), readers that fall
+// more than Cap events behind lose the overwritten prefix and Since
+// says exactly how many, and a reader never observes a torn event.
 // Every method is nil-safe — with telemetry disabled the emitters hold
 // a nil *Journal and a publish costs one branch.
-//
-// The ring overwrites: readers that fall more than Cap events behind
-// lose the overwritten prefix, and Since reports exactly how many
-// events were missed. Slots are seqlock-validated, so a reader
-// concurrent with a wrapping writer skips the torn slot rather than
-// observing a mixed event.
 package journal
 
 import (
 	"sync/atomic"
 	"time"
+
+	"dta/internal/obs/ring"
 )
 
 // DefaultSize is the ring capacity New(0) provides: large enough that a
@@ -57,24 +57,12 @@ type Event struct {
 	Collector int16
 }
 
-// slot is one ring cell: a seqlock mark plus the event's six packed
-// words, all atomics so concurrent publish/scrape is race-clean. Padded
-// to a cache line so neighbouring publishers don't false-share.
-type slot struct {
-	// mark is seq<<1 when the slot holds the complete event seq, and
-	// odd (seq<<1|1) while a writer is mid-publish.
-	mark atomic.Uint64
-	w    [6]atomic.Uint64
-	_    [8]byte
-}
-
-// Journal is the bounded MPMC event ring. All methods are safe for
-// concurrent use and nil-safe.
+// Journal is the bounded MPMC event ring: a record schema of six words
+// over internal/obs/ring. All methods are safe for concurrent use and
+// nil-safe.
 type Journal struct {
-	next   atomic.Uint64 // last sequence number issued
 	causes atomic.Uint64 // last causality ID minted
-	mask   uint64
-	slots  []slot
+	r      *ring.Ring[Event]
 }
 
 // New builds a journal with the given ring capacity, rounded up to a
@@ -83,11 +71,7 @@ func New(size int) *Journal {
 	if size <= 0 {
 		size = DefaultSize
 	}
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	return &Journal{slots: make([]slot, n), mask: uint64(n - 1)}
+	return &Journal{r: ring.New(size, 6, decode)}
 }
 
 // NewCause mints a fresh causality ID. Events published with the same
@@ -100,40 +84,25 @@ func (j *Journal) NewCause() uint64 {
 }
 
 // Publish appends one event and returns its sequence number. The path
-// is allocation-free and lock-free: claim a sequence, mark the slot
-// in-progress, store six words, mark it complete. On a nil journal it
-// is a single branch and returns 0.
+// is allocation-free and lock-free: claim a slot, store six words,
+// commit. On a nil journal it is a single branch and returns 0.
 func (j *Journal) Publish(comp Component, typ Type, sev Severity, collector int16, cause uint64, a1, a2, a3 uint64) uint64 {
 	if j == nil {
 		return 0
 	}
-	seq := j.next.Add(1)
-	sl := &j.slots[seq&j.mask]
-	sl.mark.Store(seq<<1 | 1)
-	sl.w[0].Store(uint64(time.Now().UnixNano()))
-	sl.w[1].Store(cause)
-	sl.w[2].Store(a1)
-	sl.w[3].Store(a2)
-	sl.w[4].Store(a3)
-	sl.w[5].Store(uint64(typ) | uint64(sev)<<8 | uint64(comp)<<16 | uint64(uint16(collector))<<24)
-	sl.mark.Store(seq << 1)
+	seq, w := j.r.Claim()
+	w[0].Store(uint64(time.Now().UnixNano()))
+	w[1].Store(cause)
+	w[2].Store(a1)
+	w[3].Store(a2)
+	w[4].Store(a3)
+	w[5].Store(uint64(typ) | uint64(sev)<<8 | uint64(comp)<<16 | uint64(uint16(collector))<<24)
+	j.r.Commit(seq)
 	return seq
 }
 
-// get copies the event stored under seq, seqlock-validated: false when
-// the slot was overwritten by a later lap or is mid-publish.
-func (j *Journal) get(seq uint64) (Event, bool) {
-	sl := &j.slots[seq&j.mask]
-	if sl.mark.Load() != seq<<1 {
-		return Event{}, false
-	}
-	var w [6]uint64
-	for i := range w {
-		w[i] = sl.w[i].Load()
-	}
-	if sl.mark.Load() != seq<<1 {
-		return Event{}, false
-	}
+// decode unpacks the six words Publish stored.
+func decode(seq uint64, w []uint64) Event {
 	meta := w[5]
 	return Event{
 		Seq:       seq,
@@ -146,61 +115,30 @@ func (j *Journal) get(seq uint64) (Event, bool) {
 		Sev:       Severity(meta >> 8),
 		Comp:      Component(meta >> 16),
 		Collector: int16(uint16(meta >> 24)),
-	}, true
+	}
 }
 
-// LastSeq returns the newest sequence number issued (0 = empty).
-func (j *Journal) LastSeq() uint64 {
+// events is the journal's ring, nil for a nil journal.
+func (j *Journal) events() *ring.Ring[Event] {
 	if j == nil {
-		return 0
+		return nil
 	}
-	return j.next.Load()
+	return j.r
 }
 
-// Dropped counts events overwritten by ring wrap — the journal's total
-// publishes minus its capacity, never negative.
-func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
-	if last, size := j.next.Load(), uint64(len(j.slots)); last > size {
-		return last - size
-	}
-	return 0
-}
+// Last returns the newest sequence number issued (0 = empty).
+func (j *Journal) Last() uint64 { return j.events().Last() }
+
+// Dropped counts events overwritten by ring wrap.
+func (j *Journal) Dropped() uint64 { return j.events().Dropped() }
 
 // Cap returns the ring capacity in events.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.slots)
-}
+func (j *Journal) Cap() int { return j.events().Cap() }
 
-// Since returns the events published after cursor (a sequence number; 0
-// means "from the beginning"), the cursor to pass next time, and how
-// many requested events were missed because the ring overwrote them
-// before this scrape. Events land in sequence order, appended to buf.
-func (j *Journal) Since(cursor uint64, buf []Event) (events []Event, next uint64, missed uint64) {
-	if j == nil {
-		return buf, cursor, 0
-	}
-	last := j.next.Load()
-	lo := cursor + 1
-	if size := uint64(len(j.slots)); last > size && last-size+1 > lo {
-		missed = last - size + 1 - lo
-		lo = last - size + 1
-	}
-	events = buf
-	for seq := lo; seq <= last; seq++ {
-		if ev, ok := j.get(seq); ok {
-			events = append(events, ev)
-		} else {
-			// Overwritten (or mid-write) between the Load and here.
-			missed++
-		}
-	}
-	return events, last, missed
+// Since appends the events published after cursor to buf and returns
+// the next cursor and how many were missed (see ring.Ring.Since).
+func (j *Journal) Since(cursor uint64, buf []Event) (events []Event, next, missed uint64) {
+	return j.events().Since(cursor, buf)
 }
 
 // Emitter binds a journal to one publishing site: the component and

@@ -59,7 +59,7 @@ func TestNilSafety(t *testing.T) {
 	if seq := j.Publish(CompHA, EvSetDown, SevWarn, 0, 0, 0, 0, 0); seq != 0 {
 		t.Fatalf("nil Publish returned %d", seq)
 	}
-	if j.NewCause() != 0 || j.LastSeq() != 0 || j.Dropped() != 0 || j.Cap() != 0 {
+	if j.NewCause() != 0 || j.Last() != 0 || j.Dropped() != 0 || j.Cap() != 0 {
 		t.Fatal("nil accessors not zero")
 	}
 	if events, next, missed := j.Since(0, nil); len(events) != 0 || next != 0 || missed != 0 {
@@ -177,14 +177,14 @@ func TestConcurrentPublishScrape(t *testing.T) {
 			}
 		}(p)
 	}
-	for j.LastSeq() < publishers*perPublisher {
+	for j.Last() < publishers*perPublisher {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	if got := j.LastSeq(); got != publishers*perPublisher {
-		t.Fatalf("LastSeq = %d, want %d", got, publishers*perPublisher)
+	if got := j.Last(); got != publishers*perPublisher {
+		t.Fatalf("Last = %d, want %d", got, publishers*perPublisher)
 	}
 	// Quiescent scrape: retained suffix + missed = everything.
 	events, _, missed := j.Since(0, nil)
@@ -263,6 +263,14 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
+// eventsPayload is the /debug/events response envelope.
+type eventsPayload struct {
+	Last    uint64   `json:"last"`
+	Missed  uint64   `json:"missed"`
+	Dropped uint64   `json:"dropped"`
+	Events  []Record `json:"events"`
+}
+
 // TestHTTPHandler pins the /debug/events contract: a well-formed
 // payload, an honest since-cursor, and a 400 on garbage cursors.
 func TestHTTPHandler(t *testing.T) {
@@ -321,7 +329,7 @@ func TestCollectorPacking(t *testing.T) {
 	j := New(8)
 	for _, c := range []int16{-1, 0, 1, 255, 256, 32767, -32768} {
 		j.Publish(CompEngine, EvStallEnd, SevInfo, c, 0, 0, 0, 0)
-		events, _, _ := j.Since(j.LastSeq()-1, nil)
+		events, _, _ := j.Since(j.Last()-1, nil)
 		if len(events) != 1 || events[0].Collector != c {
 			t.Fatalf("collector %d round-tripped as %+v", c, events)
 		}

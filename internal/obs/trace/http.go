@@ -1,97 +1,65 @@
 package trace
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
+
+	"dta/internal/obs/ring"
 )
 
-// jsonStage is one stamped stage in a trace's JSON rendering: the
-// stage name and its offset from the trace's first stamp. Unstamped
-// (zero) stages are omitted.
-type jsonStage struct {
+// JSONStage is one stamped stage in a trace's JSON rendering: the stage
+// name and its offset from the trace's first stamp. Unstamped (zero)
+// stages are omitted.
+type JSONStage struct {
 	Stage string `json:"stage"`
 	AtNs  int64  `json:"at_ns"`
 }
 
-// jsonTrace is one completed trace in the /debug/traces payload.
-type jsonTrace struct {
+// JSON is one completed trace as /debug/traces serves it.
+type JSON struct {
 	Seq     uint64      `json:"seq"`
 	ID      uint64      `json:"id"`
 	Flags   []string    `json:"flags,omitempty"`
 	StartNs int64       `json:"start_ns"`
 	TotalNs int64       `json:"total_ns"`
-	Stages  []jsonStage `json:"stages"`
+	Stages  []JSONStage `json:"stages"`
 }
 
-// tracesPayload is the /debug/traces response envelope, mirroring
-// /debug/events: last is the newest sequence (the next ?since=
-// cursor), missed counts traces overwritten inside the requested
-// range, dropped counts ring-lifetime overwrites.
-type tracesPayload struct {
-	Last    uint64      `json:"last"`
-	Missed  uint64      `json:"missed"`
-	Dropped uint64      `json:"dropped"`
-	Traces  []jsonTrace `json:"traces"`
-}
-
-// render converts a Record into its JSON form.
-func render(r *Record) jsonTrace {
+// JSON renders the record.
+func (r *Record) JSON() JSON {
 	start := r.Start()
-	jt := jsonTrace{
+	j := JSON{
 		Seq:     r.Seq,
 		ID:      r.ID,
 		Flags:   FlagNames(r.Flags),
 		StartNs: start,
 		TotalNs: r.Total(),
-		Stages:  make([]jsonStage, 0, NumStages),
+		Stages:  make([]JSONStage, 0, NumStages),
 	}
-	for i := 0; i < NumStages; i++ {
-		if r.TS[i] == 0 {
-			continue
+	for i, ts := range r.TS {
+		if ts != 0 {
+			j.Stages = append(j.Stages, JSONStage{Stage: Stage(i).String(), AtNs: ts - start})
 		}
-		jt.Stages = append(jt.Stages, jsonStage{Stage: Stage(i).String(), AtNs: r.TS[i] - start})
 	}
-	return jt
+	return j
 }
 
-// Handler returns the /debug/traces handler: completed traces as
-// JSON, oldest first, with the same ?since= cursor protocol as
-// /debug/events (pass the previous response's "last").
+// Record rebuilds the identity and stamps of the record a rendering
+// came from (its Flags stay zero: j.Flags names them).
+func (j *JSON) Record() Record {
+	r := Record{Seq: j.Seq, ID: j.ID}
+	for _, st := range j.Stages {
+		for i, name := range stageNames {
+			if name == st.Stage {
+				r.TS[i] = j.StartNs + st.AtNs
+			}
+		}
+	}
+	return r
+}
+
+// Handler returns the /debug/traces handler: completed traces as JSON
+// under "traces", oldest first, with ring.Handler's ?since= cursor
+// protocol. Nil-safe: a nil tracer serves an empty, well-formed payload.
 func Handler(t *Tracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var cursor uint64
-		if s := req.URL.Query().Get("since"); s != "" {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since cursor", http.StatusBadRequest)
-				return
-			}
-			cursor = v
-		}
-		var p tracesPayload
-		if t != nil {
-			buf := make([]Record, len(t.ring))
-			recs, last, missed := t.Since(cursor, buf)
-			p.Last = last
-			p.Missed = missed
-			p.Dropped = t.Dropped()
-			p.Traces = make([]jsonTrace, 0, len(recs))
-			for i := range recs {
-				p.Traces = append(p.Traces, render(&recs[i]))
-			}
-		}
-		if p.Traces == nil {
-			p.Traces = []jsonTrace{}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(p)
-	})
-}
-
-// Mount registers the trace endpoint on mux at /debug/traces.
-func Mount(mux *http.ServeMux, t *Tracer) {
-	mux.Handle("/debug/traces", Handler(t))
+	return ring.Handler(t.traces(), "traces", (*Record).JSON)
 }

@@ -11,9 +11,9 @@
 //     per-stage nanosecond stamp array; no maps, no strings, no
 //     per-report allocation anywhere on the hot path.
 //   - Lock-free everywhere. In-flight slots come from a tagged Treiber
-//     freelist (the tag defeats ABA); completed traces are published
-//     into a seqlock-validated ring identical in protocol to the
-//     journal's, so scrapers never block producers.
+//     freelist (the tag defeats ABA); a completed trace is a record
+//     schema over internal/obs/ring (id, flags and nine stamps), so
+//     scrapers never block producers.
 //   - Nil = off. Every method is nil-receiver / zero-value safe: with
 //     telemetry disabled the whole pipeline costs one predicted branch.
 //
@@ -36,10 +36,12 @@
 package trace
 
 import (
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"dta/internal/obs"
+	"dta/internal/obs/ring"
 )
 
 // Stage identifies one timestamped hop in a report's life. Stamps are
@@ -178,14 +180,6 @@ type inflight struct {
 	_     [32]byte // pad to 128: two cache lines, no false sharing across slots
 }
 
-// slot is one published (completed) trace in the seqlock ring: the
-// same mark protocol as the journal — odd mark = write in progress,
-// mark>>1 = sequence number.
-type slot struct {
-	mark atomic.Uint64
-	w    [2 + NumStages]atomic.Uint64 // id, flags, stamps
-}
-
 // Record is one completed trace as read out of the ring.
 type Record struct {
 	Seq   uint64
@@ -196,27 +190,51 @@ type Record struct {
 
 // Start returns the trace's first nonzero stamp (its submit time).
 func (r *Record) Start() int64 {
-	for i := 0; i < NumStages; i++ {
-		if r.TS[i] != 0 {
-			return r.TS[i]
+	for _, ts := range r.TS {
+		if ts != 0 {
+			return ts
 		}
 	}
 	return 0
 }
 
-// End returns the trace's last stamp.
-func (r *Record) End() int64 {
+// Total returns end-to-end latency in ns: the last stamp minus Start.
+func (r *Record) Total() int64 {
 	var last int64
-	for i := 0; i < NumStages; i++ {
-		if r.TS[i] > last {
-			last = r.TS[i]
-		}
+	for _, ts := range r.TS {
+		last = max(last, ts)
 	}
-	return last
+	return last - r.Start()
 }
 
-// Total returns end-to-end latency in ns.
-func (r *Record) Total() int64 { return r.End() - r.Start() }
+// Segment is one stamped stage of a trace in time order: From, stamped
+// AtNs after the trace's Start, and the gap of Ns to the next stamped
+// stage To. The last segment ends the trace: its To is From and its Ns
+// is 0.
+type Segment struct {
+	From, To Stage
+	AtNs, Ns int64
+}
+
+// Name labels the segment "from→to".
+func (s Segment) Name() string { return s.From.String() + "→" + s.To.String() }
+
+// Segments returns the trace's stamped stages sorted by time, each with
+// the gap to the next. Time order need not be enum order: a report can
+// reach the WAL ring before its emit and translate stamps land.
+func (r *Record) Segments() []Segment {
+	var segs []Segment
+	for i, ts := range r.TS {
+		if ts != 0 {
+			segs = append(segs, Segment{From: Stage(i), To: Stage(i), AtNs: ts - r.Start()})
+		}
+	}
+	sort.SliceStable(segs, func(a, b int) bool { return segs[a].AtNs < segs[b].AtNs })
+	for i := 1; i < len(segs); i++ {
+		segs[i-1].To, segs[i-1].Ns = segs[i].From, segs[i].AtNs-segs[i-1].AtNs
+	}
+	return segs
+}
 
 // Tracer owns the in-flight pool and the completed ring. One Tracer
 // serves a whole deployment (System, Cluster or HACluster), shared by
@@ -239,9 +257,7 @@ type Tracer struct {
 
 	exhausted atomic.Uint64 // candidates dropped: pool empty
 
-	ring []slot
-	mask uint64
-	seq  atomic.Uint64
+	done *ring.Ring[Record] // completed traces
 }
 
 // New builds a Tracer. Zero-value Config fields select defaults.
@@ -261,18 +277,13 @@ func New(cfg Config) *Tracer {
 	if cfg.LatencyNs == 0 {
 		cfg.LatencyNs = defaultLatencyNs
 	}
-	size := 1
-	for size < cfg.Ring {
-		size <<= 1
-	}
 	t := &Tracer{
 		slots:     make([]inflight, cfg.InFlight),
 		next:      make([]atomic.Uint32, cfg.InFlight),
 		headMask:  1<<cfg.HeadShift - 1,
 		candMask:  1<<cfg.CandidateShift - 1,
 		latencyNs: cfg.LatencyNs,
-		ring:      make([]slot, size),
-		mask:      uint64(size - 1),
+		done:      ring.New(cfg.Ring, 2+NumStages, decode),
 	}
 	for i := range t.slots {
 		t.slots[i].idx = uint32(i)
@@ -525,88 +536,43 @@ func (t *Tracer) complete(sl *inflight) {
 	t.release(sl)
 }
 
-// publish copies the trace into the completed ring under the seqlock
-// mark protocol (same as the journal): odd mark while the words are
-// being stored, even mark = consistent.
+// publish copies the trace into the completed ring: its id, flags and
+// stamps, one word each.
 func (t *Tracer) publish(sl *inflight, flags uint32) {
-	seq := t.seq.Add(1)
-	rs := &t.ring[seq&t.mask]
-	rs.mark.Store(seq<<1 | 1)
-	rs.w[0].Store(sl.id)
-	rs.w[1].Store(uint64(flags))
-	for i := 0; i < NumStages; i++ {
-		rs.w[2+i].Store(uint64(sl.ts[i].Load()))
+	seq, w := t.done.Claim()
+	w[0].Store(sl.id)
+	w[1].Store(uint64(flags))
+	for i := range sl.ts {
+		w[2+i].Store(uint64(sl.ts[i].Load()))
 	}
-	rs.mark.Store(seq << 1)
+	t.done.Commit(seq)
 }
 
-// get reads one published trace by sequence number, seqlock-validated.
-func (t *Tracer) get(seq uint64, r *Record) bool {
-	rs := &t.ring[seq&t.mask]
-	m := rs.mark.Load()
-	if m != seq<<1 {
-		return false
+// decode unpacks the words publish stored.
+func decode(seq uint64, w []uint64) Record {
+	r := Record{Seq: seq, ID: w[0], Flags: uint32(w[1])}
+	for i := range r.TS {
+		r.TS[i] = int64(w[2+i])
 	}
-	r.Seq = seq
-	r.ID = rs.w[0].Load()
-	r.Flags = uint32(rs.w[1].Load())
-	for i := 0; i < NumStages; i++ {
-		r.TS[i] = int64(rs.w[2+i].Load())
+	return r
+}
+
+// traces is the completed-trace ring, nil for a nil tracer.
+func (t *Tracer) traces() *ring.Ring[Record] {
+	if t == nil {
+		return nil
 	}
-	return rs.mark.Load() == seq<<1
+	return t.done
 }
 
 // Last returns the newest published sequence number (0 = none yet).
-func (t *Tracer) Last() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.seq.Load()
-}
+func (t *Tracer) Last() uint64 { return t.traces().Last() }
 
-// Dropped returns how many retained traces were overwritten before any
-// reader could have seen them relative to a from-zero read.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	last := t.seq.Load()
-	size := uint64(len(t.ring))
-	if last > size {
-		return last - size
-	}
-	return 0
-}
+// Dropped returns how many retained traces the ring overwrote.
+func (t *Tracer) Dropped() uint64 { return t.traces().Dropped() }
 
-// Since reads the published traces with sequence > cursor into buf,
-// oldest first, mirroring journal.Since: it returns the records, the
-// newest sequence observed (the next cursor) and how many traces in
-// the requested range were already overwritten.
-func (t *Tracer) Since(cursor uint64, buf []Record) (recs []Record, last uint64, missed uint64) {
-	if t == nil {
-		return nil, cursor, 0
-	}
-	last = t.seq.Load()
-	if last <= cursor {
-		return nil, last, 0
-	}
-	lo := cursor + 1
-	size := uint64(len(t.ring))
-	if last >= size && lo < last-size+1 {
-		missed = last - size + 1 - lo
-		lo = last - size + 1
-	}
-	if max := uint64(len(buf)); last-lo+1 > max {
-		missed += last - lo + 1 - max
-		lo = last - max + 1
-	}
-	n := 0
-	for seq := lo; seq <= last; seq++ {
-		if t.get(seq, &buf[n]) {
-			n++
-		} else {
-			missed++
-		}
-	}
-	return buf[:n], last, missed
+// Since appends the traces published after cursor to buf and returns
+// the next cursor and how many were missed (see ring.Ring.Since).
+func (t *Tracer) Since(cursor uint64, buf []Record) (recs []Record, last, missed uint64) {
+	return t.traces().Since(cursor, buf)
 }

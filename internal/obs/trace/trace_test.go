@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestHeadKeepPublishes(t *testing.T) {
 		h.Finish()
 	}
 	buf := make([]Record, 8)
-	recs, last, _ := tr.Since(0, buf)
+	recs, last, _ := tr.Since(0, buf[:0])
 	kept = len(recs)
 	// 16 submits, candShift 1 → 8 candidates, headShift 1 → 4 kept.
 	if kept != 4 {
@@ -91,7 +92,7 @@ func TestTailKeepsSlowWhileHeadDrops(t *testing.T) {
 	slow.Finish()
 
 	buf := make([]Record, 8)
-	recs, _, _ := tr.Since(0, buf)
+	recs, _, _ := tr.Since(0, buf[:0])
 	if len(recs) != 1 {
 		t.Fatalf("got %d published traces, want only the slow one", len(recs))
 	}
@@ -116,7 +117,7 @@ func TestFlaggedTraceAlwaysKept(t *testing.T) {
 		h.Finish()
 	}
 	buf := make([]Record, 8)
-	recs, _, _ := tr.Since(0, buf)
+	recs, _, _ := tr.Since(0, buf[:0])
 	if len(recs) != 3 {
 		t.Fatalf("kept %d flagged traces, want 3", len(recs))
 	}
@@ -136,7 +137,7 @@ func TestResyncWindowFlagsFinishingTraces(t *testing.T) {
 	h.StampAt(StSubmit, 1000)
 	h.Finish()
 	buf := make([]Record, 8)
-	recs, _, _ := tr.Since(0, buf)
+	recs, _, _ := tr.Since(0, buf[:0])
 	if len(recs) != 1 || recs[0].Flags&FResync == 0 {
 		t.Fatalf("trace finishing in resync window not kept/flagged: %+v", recs)
 	}
@@ -233,18 +234,18 @@ func TestSinceCursorAndWrap(t *testing.T) {
 	}
 	publish(3)
 	buf := make([]Record, 8)
-	recs, last, missed := tr.Since(0, buf)
+	recs, last, missed := tr.Since(0, buf[:0])
 	if len(recs) != 3 || last != 3 || missed != 0 {
 		t.Fatalf("first read: %d recs last=%d missed=%d", len(recs), last, missed)
 	}
 	// Cursor resumes.
 	publish(2)
-	recs, last2, missed := tr.Since(last, buf)
+	recs, last2, missed := tr.Since(last, buf[:0])
 	if len(recs) != 2 || last2 != 5 || missed != 0 {
 		t.Fatalf("cursor read: %d recs last=%d missed=%d", len(recs), last2, missed)
 	}
 	// Overflow the ring from cursor 0: ring holds 4, published 5 → 1 missed.
-	recs, _, missed = tr.Since(0, buf)
+	recs, _, missed = tr.Since(0, buf[:0])
 	if len(recs) != 4 || missed != 1 {
 		t.Fatalf("wrap read: %d recs missed=%d, want 4/1", len(recs), missed)
 	}
@@ -293,7 +294,7 @@ func TestScrapeDuringPublish(t *testing.T) {
 			done = true
 		default:
 		}
-		recs, last, _ := tr.Since(cursor, buf)
+		recs, last, _ := tr.Since(cursor, buf[:0])
 		cursor = last
 		for i := range recs {
 			for st := 0; st < NumStages; st++ {
@@ -384,5 +385,36 @@ func TestHTTPHandler(t *testing.T) {
 	Handler(tr).ServeHTTP(rec, req)
 	if rec.Code != 400 {
 		t.Fatalf("bad cursor: status %d", rec.Code)
+	}
+}
+
+// TestSegments pins the chronological walk: stamped stages in time
+// order (not enum order), each with the gap to the next, the last one
+// closing the trace; and the JSON rendering rebuilds the same stamps.
+func TestSegments(t *testing.T) {
+	var r Record
+	r.TS[StSubmit] = 1000
+	r.TS[StWALRing] = 1700 // after emit in time, before it in enum order
+	r.TS[StEmit] = 1200
+	r.TS[StAck] = 5000
+	want := []Segment{
+		{From: StSubmit, To: StEmit, AtNs: 0, Ns: 200},
+		{From: StEmit, To: StWALRing, AtNs: 200, Ns: 500},
+		{From: StWALRing, To: StAck, AtNs: 700, Ns: 3300},
+		{From: StAck, To: StAck, AtNs: 4000, Ns: 0},
+	}
+	got := r.Segments()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Segments = %+v, want %+v", got, want)
+	}
+	if got[1].Name() != "emit→wal_ring" {
+		t.Fatalf("Name = %q", got[1].Name())
+	}
+	if len((&Record{}).Segments()) != 0 {
+		t.Fatal("unstamped record has segments")
+	}
+	j := r.JSON()
+	if back := j.Record(); back.TS != r.TS {
+		t.Fatalf("JSON round trip: %v, want %v", back.TS, r.TS)
 	}
 }

@@ -150,9 +150,8 @@ func (t *telemetry) HealthEval() *HealthEvaluator {
 // traces at /debug/traces (same cursor protocol) and the health verdict
 // at /healthz (HTTP 503 with per-rule reasons when unhealthy).
 func (t *telemetry) ObsMux() *http.ServeMux {
-	mux := obs.Mux(t.reg)
-	journal.Mount(mux, t.jr)
-	trace.Mount(mux, t.trc)
-	obs.MountHealth(mux, t.HealthEval())
-	return mux
+	return obs.Mux(t.reg,
+		obs.Endpoint{Path: "/debug/events", Handler: journal.Handler(t.jr)},
+		obs.Endpoint{Path: "/debug/traces", Handler: trace.Handler(t.trc)},
+		obs.Endpoint{Path: "/healthz", Handler: obs.HealthHandler(t.HealthEval())})
 }

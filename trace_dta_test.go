@@ -100,7 +100,7 @@ func TestTraceFsyncAttribution(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var match *dta.TraceRecord
 	for time.Now().Before(deadline) && match == nil {
-		recs, _, _ := tracer.Since(0, buf)
+		recs, _, _ := tracer.Since(0, buf[:0])
 		for i := range recs {
 			r := &recs[i]
 			if r.Flags&trace.FSlow == 0 {
@@ -119,7 +119,7 @@ func TestTraceFsyncAttribution(t *testing.T) {
 		}
 	}
 	if match == nil {
-		recs, _, _ := tracer.Since(0, buf)
+		recs, _, _ := tracer.Since(0, buf[:0])
 		t.Fatalf("no tail-retained fsync-dominated trace after slow-disk run (%d traces published)", len(recs))
 	}
 	if got := match.TS[trace.StFsync] - match.TS[trace.StWALWrite]; got < int64(fsyncLat)/2 {
