@@ -379,27 +379,26 @@ type Stats struct {
 	AppendFlushes uint64
 	LinkDropped   uint64
 	// MemInstrPerReport is Fig. 8's metric: DMA memory instructions per
-	// attributed report.
+	// report, one per cache line a WRITE stores and two per FETCH&ADD.
 	MemInstrPerReport float64
 }
 
-// Stats snapshots system counters. Reports are attributed to the memory
-// instruction counter on each call.
+// Stats snapshots system counters. It only reads: concurrent calls
+// return the same figures.
 func (s *System) Stats() Stats {
-	dev := s.host.Device()
+	dev := s.host.Device().Stats
 	tst := s.tr.Stats()
-	if attributed := dev.Mem.Reports; tst.Reports > attributed {
-		dev.AttributeReports(tst.Reports - attributed)
-	}
 	st := Stats{
-		Reports:           tst.Reports,
-		RDMAWrites:        tst.RDMAWrites,
-		RDMAAtomics:       tst.RDMAAtomics,
-		RateDropped:       tst.RateDropped,
-		Resyncs:           tst.Resyncs,
-		PostcardEmits:     tst.PostcardEmits,
-		AppendFlushes:     tst.AppendFlushes,
-		MemInstrPerReport: dev.Mem.PerReport(),
+		Reports:       tst.Reports,
+		RDMAWrites:    tst.RDMAWrites,
+		RDMAAtomics:   tst.RDMAAtomics,
+		RateDropped:   tst.RateDropped,
+		Resyncs:       tst.Resyncs,
+		PostcardEmits: tst.PostcardEmits,
+		AppendFlushes: tst.AppendFlushes,
+	}
+	if tst.Reports > 0 {
+		st.MemInstrPerReport = float64(dev.WriteLines+2*dev.FetchAdds) / float64(tst.Reports)
 	}
 	if s.link != nil {
 		st.LinkDropped = s.link.Dropped

@@ -3,6 +3,7 @@ package dta
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 )
 
@@ -180,6 +181,50 @@ func TestStatsAndMemInstr(t *testing.T) {
 	}
 	if st.MemInstrPerReport != 2.0 {
 		t.Errorf("mem instr/report = %v, want 2.0 (Fig. 8)", st.MemInstrPerReport)
+	}
+}
+
+// TestStatsConcurrentReadsAgree: Stats only reads. Concurrent calls on a
+// System and on an HACluster (each member's Stats under the cluster's
+// read lock) all report Fig. 8's 2.0 for Key-Write N = 2, and so does a
+// later call: no call attributes reports another call already counted.
+func TestStatsConcurrentReadsAgree(t *testing.T) {
+	sys, err := New(fullOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hac, err := NewHACluster(4, 2, fullOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]interface {
+		Reporter(id uint32) *Reporter
+		Stats() Stats
+	}{"System": sys, "HACluster": hac} {
+		rep := c.Reporter(1)
+		for i := 0; i < 100; i++ {
+			if err := rep.KeyWrite(KeyFromUint64(uint64(i)), []byte{1, 2, 3, 4}, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got [8]float64
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = c.Stats().MemInstrPerReport
+			}()
+		}
+		wg.Wait()
+		for g, v := range got {
+			if v != 2.0 {
+				t.Errorf("%s: concurrent Stats %d read %v mem instr/report, want 2.0", name, g, v)
+			}
+		}
+		if v := c.Stats().MemInstrPerReport; v != 2.0 {
+			t.Errorf("%s: later Stats read %v mem instr/report, want 2.0", name, v)
+		}
 	}
 }
 

@@ -22,9 +22,9 @@
 // they reach a Submitter.
 //
 // Shard workers dequeue chunks in batches, flush the sink's
-// translator-side aggregation state every FlushEvery reports (and
-// always on a Drain barrier or Close), and publish per-shard statistics
-// through atomics so readers never block the data path.
+// translator-side aggregation state on a Drain barrier and on Close,
+// and publish per-shard statistics through atomics so readers never
+// block the data path.
 package engine
 
 import (
@@ -153,11 +153,6 @@ type Config struct {
 	ChunkFrames int
 	// Batch is the maximum chunk-dequeue batch per worker wakeup (0 = 16).
 	Batch int
-	// FlushEvery flushes a shard's sink after at least this many
-	// processed reports (0 = flush only on Drain/Close). Frequent
-	// flushes defeat translator-side aggregation, so this models epoch
-	// boundaries, not per-report freshness.
-	FlushEvery int
 	// Policy selects Block (default) or Drop backpressure.
 	Policy Policy
 	// Obs, when non-nil, registers per-shard engine metrics
@@ -201,7 +196,7 @@ type Stats struct {
 	Processed uint64 // reports handed to the sink
 	Dropped   uint64 // reports shed by the Drop policy
 	Batches   uint64 // worker dequeue batches
-	Flushes   uint64 // sink flushes (periodic + drain + close)
+	Flushes   uint64 // sink flushes (drain + close)
 	Errors    uint64 // sink errors (first one retained, see Err)
 	Stalls    uint64 // Block-policy sends that found the queue full
 }
@@ -264,7 +259,7 @@ func newShardCounters(sc *obs.Scope) shardCounters {
 		stalls:    sc.ShardedCounter("dta_engine_queue_stalls_total", "Block-policy sends that found the queue full and had to wait."),
 		processed: sc.Counter("dta_engine_processed_total", "Reports handed to the shard sink."),
 		batches:   sc.Counter("dta_engine_batches_total", "Worker dequeue batches."),
-		flushes:   sc.Counter("dta_engine_flushes_total", "Sink flushes (periodic, drain, close)."),
+		flushes:   sc.Counter("dta_engine_flushes_total", "Sink flushes (drain, close)."),
 		errors:    sc.Counter("dta_engine_errors_total", "Sink errors."),
 		batchNs:   sc.Histogram("dta_engine_batch_ns", "Worker on-CPU nanoseconds per dequeue batch; sum/wall-clock is shard utilization."),
 	}
@@ -728,12 +723,11 @@ func (e *Engine) recordErr(err error) {
 }
 
 // run is the per-shard worker: batched dequeue, in-order processing,
-// periodic flush, flush-on-barrier, final flush on Close.
+// flush-on-barrier, final flush on Close.
 func (e *Engine) run(sh *shard) {
 	defer e.wg.Done()
 	batch := make([]*chunk, 0, e.cfg.Batch)
 	var lastNow uint64
-	sinceFlush := 0
 	// pendingDrains holds barrier acks deferred to the end of the
 	// dequeue batch: BatchEnd and then Settle must run before a Drain
 	// caller is released, so Drain is a true quiesce point (the sink's
@@ -750,7 +744,6 @@ func (e *Engine) run(sh *shard) {
 			e.recordErr(err)
 		}
 		sh.ctr.flushes.Add(1)
-		sinceFlush = 0
 	}
 
 	settle := func() {
@@ -785,13 +778,8 @@ func (e *Engine) run(sh *shard) {
 		for i := range ck.trcs {
 			ck.trcs[i].Finish()
 		}
-		n := len(ck.recs)
-		sh.ctr.processed.Add(uint64(n))
-		sinceFlush += n
+		sh.ctr.processed.Add(uint64(len(ck.recs)))
 		e.pool.Put(ck)
-		if e.cfg.FlushEvery > 0 && sinceFlush >= e.cfg.FlushEvery {
-			flush(lastNow)
-		}
 	}
 
 	for {

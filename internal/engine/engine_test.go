@@ -211,9 +211,11 @@ func TestBlockPolicyIsLossless(t *testing.T) {
 	}
 }
 
-func TestPeriodicFlush(t *testing.T) {
+// TestDrainFlushesOnce: processing reports never flushes the sink; the
+// Drain barrier flushes it exactly once.
+func TestDrainFlushesOnce(t *testing.T) {
 	sink := &recordSink{}
-	e := mustEngine(t, []Sink{sink}, Config{FlushEvery: 10, Batch: 4})
+	e := mustEngine(t, []Sink{sink}, Config{Batch: 4})
 	for i := 0; i < 35; i++ {
 		if err := enqueue(e, 0, i, 0); err != nil {
 			t.Fatal(err)
@@ -222,9 +224,8 @@ func TestPeriodicFlush(t *testing.T) {
 	if err := e.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	// 3 periodic (at 10, 20, 30) + 1 drain flush.
-	if sink.flushes != 4 {
-		t.Fatalf("flushes = %d, want 4: %v", sink.flushes, sink.ops)
+	if sink.flushes != 1 {
+		t.Fatalf("flushes = %d, want 1: %v", sink.flushes, sink.ops)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -10,9 +10,10 @@ import (
 	"dta/internal/wire"
 )
 
-// Ablation studies for the design choices DESIGN.md §6 calls out. These
-// have no single figure in the paper but quantify the arguments made in
-// §4 and §7.
+// Ablation studies for the design choices the paper argues in prose
+// (listed under "Index" in paper/README.md). These have no
+// single figure in the paper but quantify the arguments made in §4,
+// §5.2 and §7.
 func (r Runner) Ablation() *Table {
 	t := &Table{
 		ID:      "ablation",

@@ -206,8 +206,8 @@ func fig8Rig(prim wire.Primitive, reports int, batch int, redundancy int) float6
 			panic(err)
 		}
 	}
-	host.Device().AttributeReports(uint64(reports))
-	return host.Device().Mem.PerReport()
+	st := host.Device().Stats
+	return float64(st.WriteLines+2*st.FetchAdds) / float64(reports)
 }
 
 func seqValues(n int) []uint32 {

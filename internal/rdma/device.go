@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"dta/internal/costmodel"
 )
 
 // CacheLine is the DMA write granularity used for memory-instruction
@@ -115,10 +113,6 @@ type Device struct {
 	qpCache  *ResponderQP
 	regCache *MemoryRegion
 
-	// Mem counts memory instructions issued by the DMA engine,
-	// reproducing the accounting of Fig. 8.
-	Mem costmodel.MemInstructions
-
 	// Stats counts processed operations by type.
 	Stats DeviceStats
 
@@ -130,9 +124,14 @@ type Device struct {
 	Epoch func() uint64
 }
 
-// DeviceStats counts the operations a Device has executed.
+// DeviceStats counts the operations a Device has executed. WriteLines
+// counts the cache lines the executed WRITEs stored (at least one each):
+// one DMA memory instruction per line. A FETCH&ADD reads and writes, two
+// instructions, so FetchAdds carries its share: Fig. 8's metric is
+// (WriteLines + 2·FetchAdds) per report.
 type DeviceStats struct {
 	Writes     uint64
+	WriteLines uint64
 	FetchAdds  uint64
 	Sends      uint64
 	Duplicates uint64
@@ -312,6 +311,7 @@ func (d *Device) execute(pkt []byte, c *completion, evs []ImmediateEvent, epoch 
 			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
 		}
 		d.Stats.Writes++
+		d.Stats.WriteLines += uint64(max((len(p.Payload)+CacheLine-1)/CacheLine, 1))
 		qp.advance()
 		if p.HasImm {
 			evs = append(evs, ImmediateEvent{QPN: qp.QPN, Imm: p.Imm})
@@ -371,12 +371,6 @@ func (d *Device) execWrite(p *Packet, epoch uint64) error {
 	if m.Tags != nil {
 		m.RaiseTags(off, len(p.Payload), epoch)
 	}
-	// One memory instruction per cache line touched by the DMA write.
-	lines := uint64((len(p.Payload) + CacheLine - 1) / CacheLine)
-	if lines == 0 {
-		lines = 1
-	}
-	d.Mem.Add(lines, 0) // reports are attributed by the caller
 	return nil
 }
 
@@ -397,8 +391,6 @@ func (d *Device) execFetchAdd(p *Packet, epoch uint64) (uint64, error) {
 	if m.Tags != nil {
 		m.RaiseTags(off, 8, epoch)
 	}
-	// Read-modify-write: two memory instructions.
-	d.Mem.Add(2, 0)
 	return orig, nil
 }
 
@@ -427,16 +419,6 @@ func (d *Device) PreTouch(rkey uint32, vas []uint64, length int) {
 		}
 	}
 	d.touched += acc // keeps the loads live
-}
-
-// AttributeReports credits n telemetry reports to the device's
-// memory-instruction counter (writes were already counted as they
-// executed). The translator calls this once per DTA report so that
-// Mem.PerReport() yields Fig. 8's metric.
-func (d *Device) AttributeReports(n uint64) {
-	d.mu.Lock()
-	d.Mem.Add(0, n)
-	d.mu.Unlock()
 }
 
 // Requester is the initiator-side PSN tracker the translator keeps per

@@ -41,7 +41,7 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	if a.AETH.Syndrome != SynNAKAcc || a.BTH.PSN != faulted {
 		t.Fatalf("completion = syndrome %#x PSN %d, want NAK-access at %d", a.AETH.Syndrome, a.BTH.PSN, faulted)
 	}
-	if want := (DeviceStats{Writes: 1, FetchAdds: 1, AccessErrs: 1}); d.Stats != want {
+	if want := (DeviceStats{Writes: 1, WriteLines: 1, FetchAdds: 1, AccessErrs: 1}); d.Stats != want {
 		t.Fatalf("stats = %+v, want %+v", d.Stats, want)
 	}
 	if mr.Buf[16] != 0 || binary.BigEndian.Uint64(mr.Buf[24:]) != 0 {

@@ -235,8 +235,8 @@ func TestPreTouchBoundsAndReadOnly(t *testing.T) {
 	if !bytes.Equal(mr.Buf, before) {
 		t.Error("pre-touch modified the region")
 	}
-	if d.Stats != (DeviceStats{}) || d.Mem.Ops != 0 {
-		t.Errorf("pre-touch counted as work: %+v %+v", d.Stats, d.Mem)
+	if d.Stats != (DeviceStats{}) {
+		t.Errorf("pre-touch counted as work: %+v", d.Stats)
 	}
 }
 
@@ -368,12 +368,12 @@ func TestMemInstructionAccounting(t *testing.T) {
 		}
 		psn++
 	}
-	if d.Mem.Ops != want {
-		t.Errorf("mem ops = %d, want %d", d.Mem.Ops, want)
+	// A FETCH&ADD stores no line of its own: FetchAdds carries its two.
+	if _, _, err := d.Process(BuildFetchAdd(nil, qp.QPN, psn, mr.Base, mr.RKey, 1), nil); err != nil {
+		t.Fatal(err)
 	}
-	d.AttributeReports(3)
-	if got := d.Mem.PerReport(); got != float64(want)/3 {
-		t.Errorf("per report = %v", got)
+	if d.Stats.WriteLines != want || d.Stats.FetchAdds != 1 {
+		t.Errorf("write lines = %d, fetch-adds = %d, want %d, 1", d.Stats.WriteLines, d.Stats.FetchAdds, want)
 	}
 }
 

@@ -11,7 +11,6 @@ package reporter
 import (
 	"fmt"
 
-	"dta/internal/asic"
 	"dta/internal/wire"
 )
 
@@ -155,11 +154,4 @@ func flags(immediate bool) uint8 {
 		return wire.FlagImmediate
 	}
 	return 0
-}
-
-// Footprint returns the reporter's switch resource usage with the given
-// export mechanism (Fig. 9): total including the monitoring logic, and
-// the report-generation delta alone.
-func Footprint(m asic.ExportMechanism) (total, exportOnly asic.Footprint) {
-	return asic.ReporterFootprint(m)
 }

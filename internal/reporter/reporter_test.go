@@ -3,7 +3,6 @@ package reporter
 import (
 	"testing"
 
-	"dta/internal/asic"
 	"dta/internal/wire"
 )
 
@@ -104,15 +103,6 @@ func TestIPIDIncrements(t *testing.T) {
 	}
 	if ids[0] == ids[1] || ids[1] == ids[2] {
 		t.Errorf("IP IDs not advancing: %v", ids)
-	}
-}
-
-func TestFootprintDelegation(t *testing.T) {
-	total, export := Footprint(asic.ExportDTA)
-	for _, res := range asic.Resources() {
-		if total.Get(res) <= export.Get(res) {
-			t.Errorf("%v: total not above export", res)
-		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"dta/internal/core/keyincrement"
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
+	"dta/internal/rdma"
 	"dta/internal/reporter"
 	"dta/internal/wire"
 )
@@ -393,8 +394,8 @@ func TestUserTrafficForwarded(t *testing.T) {
 }
 
 func TestFig8MemoryInstrumentation(t *testing.T) {
-	// The device counts one memory instruction per cache line; the
-	// translator attributes reports. Check the Fig. 8 values:
+	// The device counts one memory instruction per cache line a WRITE
+	// stores and two per FETCH&ADD. Check the Fig. 8 values:
 	// KW N=2 → 2.0, Append batch 16 → 1/16 ≈ 0.06.
 	ccfg, tcfg := fullConfig()
 	tcfg.AppendBatch = 16
@@ -408,8 +409,7 @@ func TestFig8MemoryInstrumentation(t *testing.T) {
 		}
 		r.tr.ProcessReport(&rep, 0)
 	}
-	r.host.Device().AttributeReports(reports)
-	if got := r.host.Device().Mem.PerReport(); got != 2.0 {
+	if got := memInstrPerReport(r.host.Device(), reports); got != 2.0 {
 		t.Errorf("KW mem instr/report = %v, want 2.0", got)
 	}
 
@@ -423,11 +423,15 @@ func TestFig8MemoryInstrumentation(t *testing.T) {
 		}
 		r2.tr.ProcessReport(&rep, 0)
 	}
-	r2.host.Device().AttributeReports(reports)
-	got := r2.host.Device().Mem.PerReport()
+	got := memInstrPerReport(r2.host.Device(), reports)
 	if got < 0.05 || got > 0.07 {
 		t.Errorf("Append mem instr/report = %v, want ≈0.0625", got)
 	}
+}
+
+// memInstrPerReport is Fig. 8's metric over a device's counters.
+func memInstrPerReport(d *rdma.Device, reports int) float64 {
+	return float64(d.Stats.WriteLines+2*d.Stats.FetchAdds) / float64(reports)
 }
 
 func BenchmarkTranslatorKeyWriteN1(b *testing.B) { benchTranslatorKW(b, 1) }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"dta/internal/costmodel"
 	"dta/internal/ha"
 	"dta/internal/rdma"
 	"dta/internal/translator"
@@ -91,7 +90,6 @@ func refMarkPacket(dev *rdma.Device, regions []rdma.RegionInfo, pkt []byte, epoc
 // devState is what the device and the requester leave behind.
 type devState struct {
 	stats         rdma.DeviceStats
-	mem           costmodel.MemInstructions
 	npsn, acked   uint32
 	resyncs       uint64
 	droppedEvents uint64
@@ -100,7 +98,7 @@ type devState struct {
 
 func stateOf(s *System) devState {
 	dev, req := s.host.Device(), s.tr.Requester()
-	return devState{dev.Stats, dev.Mem, req.NPSN, req.Acked, req.Resyncs, s.host.DroppedEvents, s.tr.Stats()}
+	return devState{dev.Stats, req.NPSN, req.Acked, req.Resyncs, s.host.DroppedEvents, s.tr.Stats()}
 }
 
 // drainEvents appends every immediate event queued on s's host to evs.
