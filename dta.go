@@ -9,7 +9,7 @@
 //   - Reporters (switches) encapsulate telemetry into the lightweight
 //     UDP-based DTA protocol (§5.1).
 //   - The Translator (the collector's top-of-rack switch) converts DTA
-//     reports into RoCEv2 WRITE / FETCH&ADD operations, aggregating
+//     reports into RDMA WRITE / FETCH&ADD operations, aggregating
 //     postcards and batching appends on the way (§5.2, Fig. 6).
 //   - The Collector hosts RDMA-registered, write-only data structures —
 //     Key-Write, Postcarding, Append, Key-Increment — and answers
@@ -28,10 +28,12 @@
 // decoder's rules and staged by value (wire.StagedReport). Wire frames
 // are decoded at the edge that receives them (Reporter.SubmitFrame, or
 // Reporter.SubmitDatagram for a socket's bare DTA payloads). The
-// translator crafts RoCEv2 packets with PSN tracking and ICRC, and the
-// collector's device model verifies and applies them, acknowledging
-// back. An optional lossy link model, charged each report's exact frame
-// size, exercises the recovery paths.
+// translator crafts the verbs with PSN tracking as work-queue entries —
+// the collector's device model shares the process, so no RoCEv2 packet
+// would cross a wire — and the device validates and applies them,
+// answering each doorbell with one completion. An optional lossy link
+// model, charged each report's exact frame size, exercises the recovery
+// paths.
 package dta
 
 import (

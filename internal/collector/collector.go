@@ -4,11 +4,12 @@
 // (modelled) NIC via RDMA (§5.3).
 //
 // A Host registers one memory region per enabled primitive, advertises
-// them through the connection manager, executes the RoCEv2 post-lists a
-// translator rings in with its Device, and exposes typed query views over
-// the same memory: Key-Write lookups, Postcarding path reconstruction,
-// Append polling and Key-Increment count-min estimates. WRITEs carrying
-// immediate data surface on the Events channel (push notifications, §7).
+// them through the connection manager, executes the post-lists of
+// work-queue entries a translator rings in with its Device, and exposes
+// typed query views over the same memory: Key-Write lookups, Postcarding
+// path reconstruction, Append polling and Key-Increment count-min
+// estimates. WRITEs carrying immediate data surface on the Events channel
+// (push notifications, §7).
 package collector
 
 import (
@@ -48,9 +49,8 @@ type Host struct {
 	// When full, further events are dropped, like NIC event queues.
 	Events chan rdma.ImmediateEvent
 
-	sq     rdma.SendQueue // verbs posted since the last doorbell
-	evs    []rdma.ImmediateEvent
-	ackBuf []byte
+	sq  rdma.SendQueue // verbs posted since the last doorbell
+	evs []rdma.ImmediateEvent
 	// DroppedEvents counts notifications lost to a full Events channel.
 	DroppedEvents uint64
 }
@@ -67,56 +67,34 @@ func New(cfg Config) (*Host, error) {
 	h := &Host{
 		dev:    rdma.NewDevice(),
 		Events: make(chan rdma.ImmediateEvent, evBuf),
-		ackBuf: make([]byte, 0, 64),
+	}
+	// register allocates one primitive's region and advertises it.
+	register := func(label string, size int, slots uint64, slotSize int) []byte {
+		mr := h.dev.RegisterMemory(size)
+		h.regions = append(h.regions, rdma.RegionInfo{Label: label, RKey: mr.RKey, VA: mr.Base,
+			Length: uint64(size), Slots: slots, SlotSize: uint32(slotSize)})
+		return mr.Buf
 	}
 	var err error
-	if cfg.KeyWrite != nil {
-		mr := h.dev.RegisterMemory(cfg.KeyWrite.BufferSize())
-		h.kw, err = keywrite.NewStoreOver(*cfg.KeyWrite, mr.Buf)
-		if err != nil {
+	if c := cfg.KeyWrite; c != nil {
+		if h.kw, err = keywrite.NewStoreOver(*c, register("keywrite", c.BufferSize(), c.Slots, c.SlotSize())); err != nil {
 			return nil, err
 		}
-		h.regions = append(h.regions, rdma.RegionInfo{
-			Label: "keywrite", RKey: mr.RKey, VA: mr.Base,
-			Length: uint64(len(mr.Buf)),
-			Slots:  cfg.KeyWrite.Slots, SlotSize: uint32(cfg.KeyWrite.SlotSize()),
-		})
 	}
-	if cfg.KeyIncrement != nil {
-		mr := h.dev.RegisterMemory(cfg.KeyIncrement.BufferSize())
-		h.ki, err = keyincrement.NewStoreOver(*cfg.KeyIncrement, mr.Buf)
-		if err != nil {
+	if c := cfg.KeyIncrement; c != nil {
+		if h.ki, err = keyincrement.NewStoreOver(*c, register("keyincrement", c.BufferSize(), c.Slots, keyincrement.CounterSize)); err != nil {
 			return nil, err
 		}
-		h.regions = append(h.regions, rdma.RegionInfo{
-			Label: "keyincrement", RKey: mr.RKey, VA: mr.Base,
-			Length: uint64(len(mr.Buf)),
-			Slots:  cfg.KeyIncrement.Slots, SlotSize: keyincrement.CounterSize,
-		})
 	}
-	if cfg.Postcarding != nil {
-		mr := h.dev.RegisterMemory(cfg.Postcarding.BufferSize())
-		h.pc, err = postcarding.NewStoreOver(*cfg.Postcarding, mr.Buf)
-		if err != nil {
+	if c := cfg.Postcarding; c != nil {
+		if h.pc, err = postcarding.NewStoreOver(*c, register("postcarding", c.BufferSize(), c.Chunks, c.ChunkBytes())); err != nil {
 			return nil, err
 		}
-		h.regions = append(h.regions, rdma.RegionInfo{
-			Label: "postcarding", RKey: mr.RKey, VA: mr.Base,
-			Length: uint64(len(mr.Buf)),
-			Slots:  cfg.Postcarding.Chunks, SlotSize: uint32(cfg.Postcarding.ChunkBytes()),
-		})
 	}
-	if cfg.Append != nil {
-		mr := h.dev.RegisterMemory(cfg.Append.BufferSize())
-		h.ap, err = appendlist.NewStoreOver(*cfg.Append, mr.Buf)
-		if err != nil {
+	if c := cfg.Append; c != nil {
+		if h.ap, err = appendlist.NewStoreOver(*c, register("append", c.BufferSize(), uint64(c.Lists), c.EntrySize)); err != nil {
 			return nil, err
 		}
-		h.regions = append(h.regions, rdma.RegionInfo{
-			Label: "append", RKey: mr.RKey, VA: mr.Base,
-			Length: uint64(len(mr.Buf)),
-			Slots:  uint64(cfg.Append.Lists), SlotSize: uint32(cfg.Append.EntrySize),
-		})
 	}
 	return h, nil
 }
@@ -129,16 +107,17 @@ func (h *Host) Listener() *rdma.Listener {
 // Device exposes the RDMA device (statistics, Fig. 8 accounting).
 func (h *Host) Device() *rdma.Device { return h.dev }
 
-// Post copies one RoCEv2 verb onto the host's send queue; nothing
-// executes until Doorbell. It is the translator's Emit hook.
-func (h *Host) Post(pkt []byte) { h.sq.Post(pkt) }
+// Post copies one work-queue entry (rdma.WriteWQE, rdma.FetchAddWQE)
+// onto the host's send queue; nothing executes until Doorbell. It is the
+// translator's Emit hook.
+func (h *Host) Post(wqe []byte) { h.sq.Post(wqe) }
 
 // Doorbell executes the posted verbs (rdma.Device.Execute), raises their
-// immediate events on Events and returns the one completion to send
-// back, if any: the translator's Doorbell hook. The NIC runs this, not
-// the collector CPU, so it charges no CPU cycles.
-func (h *Host) Doorbell() (ack []byte, err error) {
-	ack, h.evs, err = h.dev.Execute(&h.sq, h.ackBuf, h.evs[:0])
+// immediate events on Events and returns the one completion: the
+// translator's Doorbell hook. The NIC runs this, not the collector CPU,
+// so it charges no CPU cycles.
+func (h *Host) Doorbell() (c rdma.Completion, err error) {
+	c, h.evs, err = h.dev.Execute(&h.sq, h.evs[:0])
 	for _, ev := range h.evs {
 		select {
 		case h.Events <- ev:
@@ -146,7 +125,7 @@ func (h *Host) Doorbell() (ack []byte, err error) {
 			h.DroppedEvents++
 		}
 	}
-	return ack, err
+	return c, err
 }
 
 // ErrDisabled reports a query against a primitive that was not enabled.

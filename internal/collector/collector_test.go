@@ -64,12 +64,48 @@ func TestQueriesOnDisabledPrimitives(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsGarbage: garbage and every strict prefix of a WRITE,
+// a WRITE with immediate and a FETCH&ADD work-queue entry fail the
+// doorbell and change nothing; the whole entries then execute.
 func TestIngestRejectsGarbage(t *testing.T) {
 	kw := keywrite.Config{Slots: 64, DataSize: 4}
-	h, _ := New(Config{KeyWrite: &kw})
+	ki := keyincrement.Config{Slots: 64}
+	h, _ := New(Config{KeyWrite: &kw, KeyIncrement: &ki})
 	h.Post([]byte{1, 2, 3})
 	if _, err := h.Doorbell(); err == nil {
-		t.Error("garbage packet accepted")
+		t.Error("garbage accepted")
+	}
+	req, regions, err := rdma.Connect(h.Listener(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kwReg, _ := rdma.FindRegion(regions, "keywrite")
+	kiReg, _ := rdma.FindRegion(regions, "keyincrement")
+	imm := uint32(3)
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, build := range []func(psn uint32) []byte{
+		func(psn uint32) []byte {
+			return rdma.WriteWQE(nil, req.DestQP, psn, kwReg.VA, kwReg.RKey, payload, true, nil)
+		},
+		func(psn uint32) []byte {
+			return rdma.WriteWQE(nil, req.DestQP, psn, kwReg.VA, kwReg.RKey, payload, false, &imm)
+		},
+		func(psn uint32) []byte { return rdma.FetchAddWQE(nil, req.DestQP, psn, kiReg.VA, kiReg.RKey, 1) },
+	} {
+		w, before := build(req.NextPSN()), h.Device().Stats
+		for n := 0; n < len(w); n++ {
+			h.Post(w[:n])
+			if _, err := h.Doorbell(); err == nil {
+				t.Fatalf("%d-byte prefix of a %d-byte WQE accepted", n, len(w))
+			}
+		}
+		if st := h.Device().Stats; st != before {
+			t.Fatalf("a refused WQE changed the device: %+v, was %+v", st, before)
+		}
+		h.Post(w)
+		if c, err := h.Doorbell(); err != nil || !c.Set || c.Syndrome != rdma.SynACK {
+			t.Fatalf("whole WQE: completion %+v, %v", c, err)
+		}
 	}
 }
 
@@ -89,8 +125,7 @@ func TestEventOverflowCounted(t *testing.T) {
 	g, _ := rdma.FindRegion(regions, "keywrite")
 	imm := uint32(5)
 	for i := 0; i < 3; i++ {
-		pkt := rdma.BuildWrite(nil, req.DestQP, req.NextPSN(), g.VA, g.RKey, []byte{1}, false, &imm)
-		h.Post(pkt)
+		h.Post(rdma.WriteWQE(nil, req.DestQP, req.NextPSN(), g.VA, g.RKey, []byte{1}, false, &imm))
 		if _, err := h.Doorbell(); err != nil {
 			t.Fatal(err)
 		}

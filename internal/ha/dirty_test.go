@@ -43,7 +43,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 		for _, v := range verbs {
 			q.Post(v)
 		}
-		if _, _, err := d.Execute(&q, nil, nil); err != nil {
+		if _, _, err := d.Execute(&q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	// A WRITE into block 2 tags it with the current epoch; everything
 	// else stays at 0 (never written).
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	run(rdma.BuildWrite(nil, qp.QPN, next(), kw.Base+2*rdma.TagBlockBytes+10, kw.RKey, payload, false, nil))
+	run(rdma.WriteWQE(nil, qp.QPN, next(), kw.Base+2*rdma.TagBlockBytes+10, kw.RKey, payload, false, nil))
 	for b, tag := range tk.Tags("keywrite") {
 		want := uint64(0)
 		if b == 2 {
@@ -67,8 +67,8 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	// both blocks, a FETCH&ADD tags the other region, all at the epoch
 	// the doorbell read.
 	h.BumpEpoch()
-	run(rdma.BuildWrite(nil, qp.QPN, next(), kw.Base+4*rdma.TagBlockBytes-4, kw.RKey, payload, false, nil),
-		rdma.BuildFetchAdd(nil, qp.QPN, next(), ki.Base+rdma.TagBlockBytes, ki.RKey, 5))
+	run(rdma.WriteWQE(nil, qp.QPN, next(), kw.Base+4*rdma.TagBlockBytes-4, kw.RKey, payload, false, nil),
+		rdma.FetchAddWQE(nil, qp.QPN, next(), ki.Base+rdma.TagBlockBytes, ki.RKey, 5))
 	if tags := tk.Tags("keywrite"); tags[3] != 2 || tags[4] != 2 {
 		t.Errorf("straddling write: blocks 3,4 = %d,%d, want 2,2", tags[3], tags[4])
 	}
@@ -91,7 +91,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	// A write past the region faults and tags nothing; so does an empty
 	// range.
 	before := tk.Tags("keywrite")
-	run(rdma.BuildWrite(nil, qp.QPN, psn, kw.Base+8*rdma.TagBlockBytes-4, kw.RKey, payload, false, nil))
+	run(rdma.WriteWQE(nil, qp.QPN, psn, kw.Base+8*rdma.TagBlockBytes-4, kw.RKey, payload, false, nil))
 	kw.RaiseTags(0, 0, 9)
 	if d.Stats.AccessErrs != 1 {
 		t.Fatalf("overrun write not faulted: %+v", d.Stats)

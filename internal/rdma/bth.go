@@ -4,12 +4,18 @@
 // registered memory regions, responder queue pairs with packet-sequence
 // tracking, a connection-manager handshake, and a NIC performance model.
 //
-// The paper's translator crafts these packets inside a Tofino ASIC
-// (§5.2); here the same byte layouts are produced and consumed in
-// software. Deviations from the InfiniBand specification are intentional
-// and documented: ICRC is computed as CRC-32C over the full BTH+payload
-// (the spec masks some mutable fields), and only the packet types DTA
-// uses are implemented.
+// The paper's translator crafts RoCEv2 packets inside a Tofino ASIC
+// (§5.2) because they cross Ethernet to the collector NIC. Here the
+// translator and the device share a process, so verbs travel between
+// them as work-queue entries (WQEs, wqe.go): fixed-layout, native-endian
+// descriptors with no checksum, posted to a SendQueue and run by
+// Device.Execute, which answers with a Completion value. The RoCEv2
+// format is the edge codec: Encode turns a WQE into the packet a wire
+// would carry, and Device.Process decodes a packet, checks its ICRC and
+// runs it through the same execute core as a WQE. Deviations from the
+// InfiniBand specification are intentional and documented: ICRC is
+// computed as CRC-32C over the full BTH+payload (the spec masks some
+// mutable fields), and only the packet types DTA uses are implemented.
 package rdma
 
 import (
@@ -17,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
-	"sync/atomic"
 )
 
 // Port is the IANA UDP port for RoCEv2.
@@ -275,124 +279,17 @@ func BuildWrite(buf []byte, destQP, psn uint32, va uint64, rkey uint32, payload 
 	return b
 }
 
-// CRC-32C is GF(2)-linear in the message for a fixed length:
-// crc(m ⊕ d) = crc(m) ⊕ u(0, d), where u is the raw (init-0, no final
-// inversion) table update. RepatchPSNVA exploits this to maintain the
-// ICRC incrementally: it only ever flips bytes 9..19 (PSN + VA) of the
-// body, so d is zero outside that window and u(0, d) reduces to the raw
-// CRC of the 11 diff bytes advanced through the unchanged tail — and
-// advancing a CRC state through n ZERO bytes is itself a linear map,
-// applied in O(log n) via precomputed powers of the one-zero-byte step
-// matrix instead of re-hashing the whole packet per replica.
-
-// icrcShift[k] is the one-zero-byte CRC step composed 2^k times, as a
-// GF(2) matrix over the 32-bit state (column i = image of bit i). 22
-// powers cover tails up to 4 MiB, far beyond any packet.
-var icrcShift [22][32]uint32
-
-func init() {
-	for i := 0; i < 32; i++ {
-		s := uint32(1) << i
-		icrcShift[0][i] = icrcTable[s&0xff] ^ s>>8
-	}
-	for k := 1; k < len(icrcShift); k++ {
-		for i := 0; i < 32; i++ {
-			icrcShift[k][i] = icrcMatVec(&icrcShift[k-1], icrcShift[k-1][i])
-		}
-	}
-}
-
-func icrcMatVec(m *[32]uint32, v uint32) uint32 {
-	var r uint32
-	for v != 0 {
-		r ^= m[bits.TrailingZeros32(v)]
-		v &= v - 1
-	}
-	return r
-}
-
-// icrcZeroShift advances a raw CRC state through n zero bytes.
-func icrcZeroShift(s uint32, n int) uint32 {
-	for k := 0; n > 0 && k < len(icrcShift); k, n = k+1, n>>1 {
-		if n&1 == 1 {
-			s = icrcMatVec(&icrcShift[k], s)
-		}
-	}
-	return s
-}
-
-// tailEntry is the per-packet-length patch operator: tab[j][b] is the
-// ICRC contribution of XORing byte value b into body position 9+j (the
-// j'th byte of the PSN/VA window) — the raw single-byte CRC advanced
-// through the bytes remaining to the packet's end. CRC linearity makes
-// the total correction the XOR of one lookup per window byte, with no
-// serial dependency between them. Entries are cached per tail length in
-// a small direct-mapped array: a translator repatches same-geometry
-// packets millions of times, so each distinct length is built once and
-// then hit forever.
-type tailEntry struct {
-	n   int
-	tab [repatchRegion - 9][256]uint32
-}
-
-var tailEntries [64]atomic.Pointer[tailEntry]
-
-func tailOp(n int) *tailEntry {
-	slot := &tailEntries[n&(len(tailEntries)-1)]
-	if e := slot.Load(); e != nil && e.n == n {
-		return e
-	}
-	e := &tailEntry{n: n}
-	for j := range e.tab {
-		dist := len(e.tab) - 1 - j + n // zero bytes between window byte j and the body end
-		// Column form of the dist-byte shift, expanded to a byte table.
-		var m [32]uint32
-		for i := range m {
-			m[i] = icrcZeroShift(1<<i, dist)
-		}
-		for v := 0; v < 256; v++ {
-			e.tab[j][v] = icrcMatVec(&m, icrcTable[v])
-		}
-	}
-	slot.Store(e) // racing builders converge on identical entries
-	return e
-}
-
-func (e *tailEntry) apply(diff *[repatchRegion - 9]byte) uint32 {
-	var d uint32
-	for j, b := range diff {
-		d ^= e.tab[j][b]
-	}
-	return d
-}
-
-// repatchRegion spans the bytes RepatchPSNVA may change: BTH PSN
-// (bytes 9..11) then the leading 8 VA bytes of RETH/AtomicETH.
-const repatchRegion = BTHLen + 8
-
 // RepatchPSNVA rewrites the PSN and the remote virtual address of a
-// previously built WRITE or FETCH&ADD request in place and patches the
-// trailing ICRC incrementally (CRC-combining only the changed bytes —
-// see icrcShift — rather than re-hashing the whole packet). Multicast
-// redundancy (Key-Write/Key-Increment fan-out, §5.2) emits N
-// near-identical packets that differ only in these two fields, so the
-// translator crafts the headers and payload once and patches per
-// replica instead of rebuilding.
+// previously built WRITE or FETCH&ADD packet in place and restamps its
+// ICRC: the packet form of PatchWQE, which is what the translator's
+// multicast replicas use. bench/dtaperf prices the edge codec with it.
 func RepatchPSNVA(pkt []byte, psn uint32, va uint64) {
-	var diff [repatchRegion - 9]byte
-	diff[0] = pkt[9] ^ byte(psn>>16)
-	diff[1] = pkt[10] ^ byte(psn>>8)
-	diff[2] = pkt[11] ^ byte(psn)
 	pkt[9] = byte(psn >> 16)
 	pkt[10] = byte(psn >> 8)
 	pkt[11] = byte(psn)
 	// RETH and AtomicETH both lead with the 8-byte VA right after BTH.
-	old := binary.BigEndian.Uint64(pkt[BTHLen:])
-	binary.BigEndian.PutUint64(diff[3:], old^va)
 	binary.BigEndian.PutUint64(pkt[BTHLen:], va)
-	d := tailOp(len(pkt) - ICRCLen - repatchRegion).apply(&diff)
-	tail := pkt[len(pkt)-ICRCLen:]
-	binary.BigEndian.PutUint32(tail, binary.BigEndian.Uint32(tail)^d)
+	stampICRC(pkt)
 }
 
 // BuildFetchAdd serializes an RDMA FETCH&ADD request into buf. Like

@@ -86,9 +86,10 @@ func psnDelta(a, b uint32) int32 {
 // responder queue pairs and executes incoming verbs against memory. It is
 // the collector-side endpoint of DTA; its CPU never sees the packets.
 //
-// Verbs arrive as a post-list (a SendQueue run by Execute, the doorbell)
-// answered with one completion; Process is a list of one. On a region
-// with Tags the loop raises the tags each write touches.
+// Verbs arrive as a post-list of work-queue entries (a SendQueue run by
+// Execute, the doorbell) answered with one Completion; Process takes one
+// RoCEv2 packet off a wire through the same execute core. On a region
+// with Tags the core raises the tags each write touches.
 //
 // Concurrency contract: the data path (Execute, Process, PreTouch) is
 // single-threaded, like the modelled NIC pipeline — callers serialise
@@ -189,71 +190,81 @@ type ImmediateEvent struct {
 	Imm uint32
 }
 
-// SendQueue is a post-list: verbs copied, in order, into one reused
-// arena.
+// SendQueue is a post-list: work-queue entries (WQEs) copied, in order,
+// into one reused arena.
 type SendQueue struct {
 	arena []byte
-	ends  []int // verb i ends at arena[ends[i]]
+	ends  []int // WQE i ends at arena[ends[i]]
 }
 
-// Post copies one verb onto the end of the list.
-func (q *SendQueue) Post(pkt []byte) {
-	q.arena = append(q.arena, pkt...)
+// Post copies one WQE onto the end of the list.
+func (q *SendQueue) Post(wqe []byte) {
+	q.arena = append(q.arena, wqe...)
 	q.ends = append(q.ends, len(q.arena))
 }
 
-// completion is the one response a doorbell answers with.
-type completion struct {
-	set, atomic   bool
-	syndrome      uint8
-	qpn, psn, msn uint32
-	orig          uint64
+// Completion is the one response a doorbell answers with: the last
+// response a verb asked for, or the first NAK. The zero Completion (Set
+// false) is a list that asked for nothing.
+type Completion struct {
+	Set, Atomic   bool
+	Syndrome      uint8
+	QPN, PSN, MSN uint32
+	Orig          uint64 // a FETCH&ADD's pre-add value
 }
 
-// ack serialises c; nil when no verb asked for a response.
-func (c *completion) ack(buf []byte) []byte {
-	if !c.set {
+// ack serialises c as the RoCEv2 acknowledgement; nil when not Set.
+func (c *Completion) ack(buf []byte) []byte {
+	if !c.Set {
 		return nil
 	}
-	return BuildAck(buf, c.qpn, c.psn, c.syndrome, c.msn, c.atomic, c.orig)
+	return BuildAck(buf, c.QPN, c.PSN, c.Syndrome, c.MSN, c.Atomic, c.Orig)
 }
 
 // respond records a verb's response; a NAK stops the list.
-func (c *completion) respond(qp *ResponderQP, psn uint32, syndrome uint8, atomic bool, orig uint64) (stop bool) {
-	*c = completion{set: true, qpn: qp.QPN, psn: psn, msn: qp.MSN, syndrome: syndrome, atomic: atomic, orig: orig}
+func (c *Completion) respond(qp *ResponderQP, psn uint32, syndrome uint8, atomic bool, orig uint64) (stop bool) {
+	*c = Completion{Set: true, QPN: qp.QPN, PSN: psn, MSN: qp.MSN, Syndrome: syndrome, Atomic: atomic, Orig: orig}
 	return syndrome != SynACK
 }
 
-// Execute rings the doorbell on q: it validates each verb as a packet on
-// the wire (ICRC, opcode, PSN, bounds), executes the verbs in order,
-// counts DeviceStats per verb and appends immediate events to evs. It
-// returns one completion: the last response a verb asked for, or the
-// first NAK, after which nothing executes. A verb that cannot be
-// processed at all (decode, QP, opcode) also stops the list, as err.
-// Execute empties q.
-func (d *Device) Execute(q *SendQueue, ackBuf []byte, evs []ImmediateEvent) (ack []byte, _ []ImmediateEvent, err error) {
+// Execute rings the doorbell on q: it decodes each WQE (DecodeWQE),
+// executes the verbs in order with every check a packet gets past its
+// ICRC (opcode, QP, PSN, rkey, bounds, alignment), counts DeviceStats
+// per verb and appends immediate events to evs. It returns one
+// completion: the last response a verb asked for, or the first NAK,
+// after which nothing executes. A verb that cannot be processed at all
+// (decode, QP, opcode) also stops the list, as err. Execute empties q.
+func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent) (c Completion, _ []ImmediateEvent, err error) {
 	epoch := d.Epoch()
-	var c completion
+	var p Packet
 	start := 0
 	for _, end := range q.ends {
+		if err = DecodeWQE(q.arena[start:end], &p); err != nil {
+			break
+		}
 		var stop bool
-		if evs, stop, err = d.execute(q.arena[start:end], &c, evs, epoch); stop {
+		if evs, stop, err = d.execute(&p, &c, evs, epoch); stop {
 			break
 		}
 		start = end
 	}
 	q.arena, q.ends = q.arena[:0], q.ends[:0]
-	return c.ack(ackBuf), evs, err
+	return c, evs, err
 }
 
-// Process executes one incoming RoCEv2 packet — a post-list of one — and
+// Process is the wire edge: it decodes one incoming RoCEv2 packet,
+// checks its ICRC, executes it through the same core as a WQE and
 // returns the serialized acknowledgement (nil if the packet does not
 // elicit one). If the packet carried immediate data, ev describes the
 // interrupt the host would receive.
 func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEvent, err error) {
-	var c completion
+	var p Packet
+	if err := DecodePacket(pkt, &p); err != nil {
+		return nil, nil, err
+	}
+	var c Completion
 	var one [1]ImmediateEvent
-	evs, _, err := d.execute(pkt, &c, one[:0], d.Epoch())
+	evs, _, err := d.execute(&p, &c, one[:0], d.Epoch())
 	if len(evs) > 0 {
 		e := evs[0]
 		ev = &e
@@ -261,16 +272,13 @@ func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEv
 	return c.ack(ackBuf), ev, err
 }
 
-// execute runs one verb of a list and records in c the response it asks
-// for. stop ends the list: a NAK, or err.
-func (d *Device) execute(pkt []byte, c *completion, evs []ImmediateEvent, epoch uint64) (_ []ImmediateEvent, stop bool, err error) {
-	var p Packet
-	if err := DecodePacket(pkt, &p); err != nil {
-		return evs, true, err
-	}
-	// No lock: Process is serialised per device by contract (see the
-	// Device doc comment); taking the mutex per packet cost ~17% of the
-	// whole ingest path.
+// execute is the core every verb runs through, decoded from a WQE or a
+// packet: it records in c the response the verb asks for. stop ends the
+// list: a NAK, or err.
+func (d *Device) execute(p *Packet, c *Completion, evs []ImmediateEvent, epoch uint64) (_ []ImmediateEvent, stop bool, err error) {
+	// No lock: the data path is serialised per device by contract (see
+	// the Device doc comment); taking the mutex per packet cost ~17% of
+	// the whole ingest path.
 	qp := d.qpCache
 	if qp == nil || qp.QPN != p.BTH.DestQP {
 		var ok bool
@@ -306,7 +314,7 @@ func (d *Device) execute(pkt []byte, c *completion, evs []ImmediateEvent, epoch 
 	// In-sequence: execute.
 	switch p.BTH.Opcode {
 	case OpWriteOnly, OpWriteOnlyImm:
-		if err := d.execWrite(&p, epoch); err != nil {
+		if err := d.execWrite(p, epoch); err != nil {
 			d.Stats.AccessErrs++
 			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
 		}
@@ -320,7 +328,7 @@ func (d *Device) execute(pkt []byte, c *completion, evs []ImmediateEvent, epoch 
 			c.respond(qp, p.BTH.PSN, SynACK, false, 0)
 		}
 	case OpFetchAdd:
-		orig, err := d.execFetchAdd(&p, epoch)
+		orig, err := d.execFetchAdd(p, epoch)
 		if err != nil {
 			d.Stats.AccessErrs++
 			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
@@ -396,7 +404,7 @@ func (d *Device) execFetchAdd(p *Packet, epoch uint64) (uint64, error) {
 
 // PreTouch loads one byte from each (va, length) target in the region
 // behind rkey and does nothing else. The translator calls it with a
-// whole chunk's destination addresses before crafting the first packet:
+// whole chunk's destination addresses before building the first verb:
 // the loads are independent, so their cache misses (and page walks)
 // overlap here instead of being paid one at a time behind each later
 // execWrite/execFetchAdd store (and tag raise). Addresses get the same
@@ -443,15 +451,19 @@ func (r *Requester) NextPSN() uint32 {
 	return psn
 }
 
-// HandleAck processes an acknowledgement packet. On a NAK the requester
-// rolls its next PSN back to the NAK's, where the post-list stopped,
-// resynchronising the connection.
-func (r *Requester) HandleAck(p *Packet) {
-	switch p.AETH.Syndrome {
+// HandleAck processes a completion. On a NAK the requester rolls its
+// next PSN back to the NAK's, where the post-list stopped,
+// resynchronising the connection. A completion that is not Set changes
+// nothing.
+func (r *Requester) HandleAck(c Completion) {
+	if !c.Set {
+		return
+	}
+	switch c.Syndrome {
 	case SynACK:
-		r.Acked = (p.BTH.PSN + 1) & psnMask
+		r.Acked = (c.PSN + 1) & psnMask
 	case SynNAKSeq, SynNAKAcc:
-		r.NPSN = p.BTH.PSN
+		r.NPSN = c.PSN
 		r.Resyncs++
 		if r.OnResync != nil {
 			r.OnResync()

@@ -5,14 +5,29 @@ import (
 	"testing"
 )
 
-// ackOf decodes a completion, failing the test on garbage.
-func ackOf(t *testing.T, ack []byte) *Packet {
-	t.Helper()
-	var a Packet
-	if err := DecodePacket(ack, &a); err != nil {
-		t.Fatalf("completion does not decode: %v", err)
+// decodeAck reads the Completion an acknowledgement packet carries: the
+// inverse of the ack Process returns.
+func decodeAck(pkt []byte) (Completion, error) {
+	var p Packet
+	if err := DecodePacket(pkt, &p); err != nil {
+		return Completion{}, err
 	}
-	return &a
+	if p.BTH.Opcode != OpAcknowledge && p.BTH.Opcode != OpAtomicAck {
+		return Completion{}, ErrBadOpcode
+	}
+	return Completion{Set: true, Atomic: p.BTH.Opcode == OpAtomicAck, Syndrome: p.AETH.Syndrome,
+		QPN: p.BTH.DestQP, PSN: p.BTH.PSN, MSN: p.AETH.MSN, Orig: p.OrigValue}, nil
+}
+
+// completionOf decodes an acknowledgement packet, failing the test on
+// garbage.
+func completionOf(t *testing.T, ack []byte) Completion {
+	t.Helper()
+	c, err := decodeAck(ack)
+	if err != nil {
+		t.Fatalf("acknowledgement does not decode: %v", err)
+	}
+	return c
 }
 
 // TestPostListStopsAtNAK: an access fault in the middle of a list is
@@ -26,20 +41,19 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	req := &Requester{DestQP: qp.QPN}
 	imm := uint32(7)
 	var q SendQueue
-	q.Post(BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base, mr.RKey, []byte{1}, false, &imm))
-	q.Post(BuildFetchAdd(nil, qp.QPN, req.NextPSN(), mr.Base+8, mr.RKey, 5))
+	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base, mr.RKey, []byte{1}, false, &imm))
+	q.Post(FetchAddWQE(nil, qp.QPN, req.NextPSN(), mr.Base+8, mr.RKey, 5))
 	faulted := req.NextPSN()
-	q.Post(BuildWrite(nil, qp.QPN, faulted, mr.Base+1020, mr.RKey, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false, nil))
-	q.Post(BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base+16, mr.RKey, []byte{9}, false, &imm))
-	q.Post(BuildFetchAdd(nil, qp.QPN, req.NextPSN(), mr.Base+24, mr.RKey, 1))
+	q.Post(WriteWQE(nil, qp.QPN, faulted, mr.Base+1020, mr.RKey, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false, nil))
+	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+16, mr.RKey, []byte{9}, false, &imm))
+	q.Post(FetchAddWQE(nil, qp.QPN, req.NextPSN(), mr.Base+24, mr.RKey, 1))
 
-	ack, evs, err := d.Execute(&q, nil, nil)
+	a, evs, err := d.Execute(&q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ackOf(t, ack)
-	if a.AETH.Syndrome != SynNAKAcc || a.BTH.PSN != faulted {
-		t.Fatalf("completion = syndrome %#x PSN %d, want NAK-access at %d", a.AETH.Syndrome, a.BTH.PSN, faulted)
+	if a.Syndrome != SynNAKAcc || a.PSN != faulted {
+		t.Fatalf("completion = syndrome %#x PSN %d, want NAK-access at %d", a.Syndrome, a.PSN, faulted)
 	}
 	if want := (DeviceStats{Writes: 1, WriteLines: 1, FetchAdds: 1, AccessErrs: 1}); d.Stats != want {
 		t.Fatalf("stats = %+v, want %+v", d.Stats, want)
@@ -56,16 +70,15 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	}
 
 	// The next list picks up where the responder stopped.
-	q.Post(BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base+16, mr.RKey, []byte{9}, false, nil))
+	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+16, mr.RKey, []byte{9}, false, nil))
 	last := req.NextPSN()
-	q.Post(BuildFetchAdd(nil, qp.QPN, last, mr.Base+24, mr.RKey, 1))
-	ack, _, err = d.Execute(&q, nil, nil)
+	q.Post(FetchAddWQE(nil, qp.QPN, last, mr.Base+24, mr.RKey, 1))
+	a, _, err = d.Execute(&q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a = ackOf(t, ack)
-	if a.AETH.Syndrome != SynACK || a.BTH.PSN != last || d.Stats.SeqErrors != 0 {
-		t.Fatalf("next list: completion syndrome %#x PSN %d, seq errors %d", a.AETH.Syndrome, a.BTH.PSN, d.Stats.SeqErrors)
+	if a.Syndrome != SynACK || a.PSN != last || d.Stats.SeqErrors != 0 {
+		t.Fatalf("next list: completion syndrome %#x PSN %d, seq errors %d", a.Syndrome, a.PSN, d.Stats.SeqErrors)
 	}
 	if mr.Buf[16] != 9 || binary.BigEndian.Uint64(mr.Buf[24:]) != 1 {
 		t.Fatal("next list did not execute")
@@ -77,19 +90,18 @@ func TestPostListStopsAtNAK(t *testing.T) {
 
 	// A list that starts ahead of the responder: nothing executes.
 	_ = req.NextPSN() // lost
-	q.Post(BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base+32, mr.RKey, []byte{1}, false, nil))
-	q.Post(BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base+33, mr.RKey, []byte{1}, true, nil))
-	ack, _, err = d.Execute(&q, nil, nil)
+	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+32, mr.RKey, []byte{1}, false, nil))
+	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+33, mr.RKey, []byte{1}, true, nil))
+	a, _, err = d.Execute(&q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a = ackOf(t, ack)
-	if a.AETH.Syndrome != SynNAKSeq || d.Stats.SeqErrors != 1 || mr.Buf[32]|mr.Buf[33] != 0 {
-		t.Fatalf("list ahead of the responder: syndrome %#x, stats %+v, memory %v", a.AETH.Syndrome, d.Stats, mr.Buf[32:34])
+	if a.Syndrome != SynNAKSeq || d.Stats.SeqErrors != 1 || mr.Buf[32]|mr.Buf[33] != 0 {
+		t.Fatalf("list ahead of the responder: syndrome %#x, stats %+v, memory %v", a.Syndrome, d.Stats, mr.Buf[32:34])
 	}
 	req.HandleAck(a)
-	q.Post(BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base+32, mr.RKey, []byte{1}, true, nil))
-	if ack, _, err = d.Execute(&q, nil, nil); err != nil || ackOf(t, ack).AETH.Syndrome != SynACK || mr.Buf[32] != 1 {
+	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+32, mr.RKey, []byte{1}, true, nil))
+	if a, _, err = d.Execute(&q, nil); err != nil || a.Syndrome != SynACK || mr.Buf[32] != 1 {
 		t.Fatalf("resynchronised list: %v, memory %v", err, mr.Buf[32:34])
 	}
 }
@@ -99,12 +111,12 @@ func TestPostListStopsAtNAK(t *testing.T) {
 func TestPostListEmptyAndUnacked(t *testing.T) {
 	d, mr, qp := newConnectedDevice(t, 64)
 	var q SendQueue
-	if ack, evs, err := d.Execute(&q, nil, nil); ack != nil || evs != nil || err != nil {
-		t.Fatalf("empty list: %v %v %v", ack, evs, err)
+	if c, evs, err := d.Execute(&q, nil); c.Set || evs != nil || err != nil {
+		t.Fatalf("empty list: %+v %v %v", c, evs, err)
 	}
-	q.Post(BuildWrite(nil, qp.QPN, 0, mr.Base, mr.RKey, []byte{1}, false, nil))
-	q.Post(BuildWrite(nil, qp.QPN, 1, mr.Base+1, mr.RKey, []byte{2}, false, nil))
-	if ack, _, err := d.Execute(&q, nil, nil); ack != nil || err != nil || mr.Buf[1] != 2 {
-		t.Fatalf("unacked list: %v %v %v", ack, err, mr.Buf[:2])
+	q.Post(WriteWQE(nil, qp.QPN, 0, mr.Base, mr.RKey, []byte{1}, false, nil))
+	q.Post(WriteWQE(nil, qp.QPN, 1, mr.Base+1, mr.RKey, []byte{2}, false, nil))
+	if c, _, err := d.Execute(&q, nil); c.Set || err != nil || mr.Buf[1] != 2 {
+		t.Fatalf("unacked list: %+v %v %v", c, err, mr.Buf[:2])
 	}
 }

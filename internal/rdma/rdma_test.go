@@ -65,11 +65,38 @@ func TestICRCDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodePacketTruncated: every strict prefix of a WRITE, a WRITE with
+// immediate and a FETCH&ADD is refused, as a packet and as a work-queue
+// entry. A WQE has no checksum, so its length checks alone must reject a
+// short one.
 func TestDecodePacketTruncated(t *testing.T) {
-	pkt := BuildWrite(nil, 1, 2, 0x10000000, 3, []byte{1, 2, 3, 4}, false, nil)
-	var p Packet
-	for n := 0; n < len(pkt); n++ {
-		_ = DecodePacket(pkt[:n], &p) // must not panic; usually errors
+	imm := uint32(0xabcd)
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, c := range []struct {
+		name     string
+		pkt, wqe []byte
+	}{
+		{"write", BuildWrite(nil, 1, 2, 0x10000000, 3, payload, false, nil), WriteWQE(nil, 1, 2, 0x10000000, 3, payload, false, nil)},
+		{"write-imm", BuildWrite(nil, 1, 2, 0x10000000, 3, payload, true, &imm), WriteWQE(nil, 1, 2, 0x10000000, 3, payload, true, &imm)},
+		{"fetchadd", BuildFetchAdd(nil, 1, 2, 0x10000008, 3, 42), FetchAddWQE(nil, 1, 2, 0x10000008, 3, 42)},
+	} {
+		var p Packet
+		if err := DecodePacket(c.pkt, &p); err != nil {
+			t.Fatalf("%s: whole packet refused: %v", c.name, err)
+		}
+		if err := DecodeWQE(c.wqe, &p); err != nil {
+			t.Fatalf("%s: whole WQE refused: %v", c.name, err)
+		}
+		for n := 0; n < len(c.pkt); n++ {
+			if DecodePacket(c.pkt[:n], &p) == nil {
+				t.Errorf("%s: %d-byte prefix of a %d-byte packet accepted", c.name, n, len(c.pkt))
+			}
+		}
+		for n := 0; n < len(c.wqe); n++ {
+			if DecodeWQE(c.wqe[:n], &p) == nil {
+				t.Errorf("%s: %d-byte prefix of a %d-byte WQE accepted", c.name, n, len(c.wqe))
+			}
+		}
 	}
 }
 
@@ -323,18 +350,11 @@ func TestRequesterResyncOnNak(t *testing.T) {
 	// Send PSN 0, then "lose" PSN 1 and send PSN 2.
 	pkt := BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base, mr.RKey, []byte{1}, true, nil)
 	ack, _, _ := d.Process(pkt, nil)
-	var a Packet
-	if err := DecodePacket(ack, &a); err != nil {
-		t.Fatal(err)
-	}
-	req.HandleAck(&a)
+	req.HandleAck(completionOf(t, ack))
 	_ = req.NextPSN() // lost packet
 	pkt = BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base, mr.RKey, []byte{3}, true, nil)
 	ack, _, _ = d.Process(pkt, nil)
-	if err := DecodePacket(ack, &a); err != nil {
-		t.Fatal(err)
-	}
-	req.HandleAck(&a)
+	req.HandleAck(completionOf(t, ack))
 	if req.Resyncs != 1 {
 		t.Fatalf("resyncs = %d, want 1", req.Resyncs)
 	}
@@ -345,10 +365,7 @@ func TestRequesterResyncOnNak(t *testing.T) {
 	for _, v := range []byte{2, 3} {
 		pkt = BuildWrite(nil, qp.QPN, req.NextPSN(), mr.Base+uint64(v), mr.RKey, []byte{v}, true, nil)
 		ack, _, _ = d.Process(pkt, nil)
-		if err := DecodePacket(ack, &a); err != nil {
-			t.Fatal(err)
-		}
-		req.HandleAck(&a)
+		req.HandleAck(completionOf(t, ack))
 	}
 	if mr.Buf[2] != 2 || mr.Buf[3] != 3 {
 		t.Errorf("memory after resync = %v", mr.Buf[:4])

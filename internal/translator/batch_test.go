@@ -126,9 +126,9 @@ func TestBatchPreTouchOnlyReads(t *testing.T) {
 		dev.PreTouch(rkey, vas, length)
 	}
 	emit := touched.tr.Emit
-	touched.tr.Emit = func(pkt []byte) {
+	touched.tr.Emit = func(wqe []byte) {
 		var p rdma.Packet
-		if err := rdma.DecodePacket(pkt, &p); err != nil {
+		if err := rdma.DecodeWQE(wqe, &p); err != nil {
 			t.Fatal(err)
 		}
 		switch {
@@ -137,7 +137,7 @@ func TestBatchPreTouchOnlyReads(t *testing.T) {
 		case p.RETH.RKey == touched.tr.kwReg.RKey:
 			written = append(written, p.RETH.VA)
 		}
-		emit(pkt)
+		emit(wqe)
 	}
 	var recycled wire.ChunkPlan
 	for c := 0; c < 40; c++ {

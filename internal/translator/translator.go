@@ -5,7 +5,7 @@
 // The pipeline mirrors the Tofino implementation's stages:
 //
 //	parse → (user traffic: forward) → primitive processing → multicast
-//	redundancy → RoCEv2 crafting → rate limiting → emit
+//	redundancy → verb crafting → rate limiting → emit
 //
 // Key-Write and Key-Increment hash the key into N slot addresses and
 // replicate the operation N ways (the multicast engine in hardware).
@@ -14,10 +14,13 @@
 // share the RDMA crafting logic: per-connection PSN tracking, queue-pair
 // resynchronisation on NAK, and a token-bucket rate limiter that protects
 // the collector NIC during congestion (§5.2); drops can bounce a NACK
-// back to the reporter.
+// back to the reporter. The collector device shares the process, so the
+// verbs are posted as work-queue entries (rdma.WriteWQE,
+// rdma.FetchAddWQE), not as RoCEv2 packets: none would cross a wire.
 package translator
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -73,8 +76,8 @@ type Stats struct {
 	ParseErrors   uint64
 	RDMAWrites    uint64
 	RDMAAtomics   uint64
-	RDMACrafts    uint64 // full RoCEv2 header crafts (first replica)
-	RDMARepatches uint64 // PSN/VA repatches (multicast replicas 2..N)
+	RDMACrafts    uint64 // work-queue entries built (first replica)
+	RDMARepatches uint64 // PSN/VA patches of a built entry (multicast replicas 2..N)
 	RateDropped   uint64 // reports dropped by the rate limiter
 	NACKs         uint64 // NACKs bounced to reporters
 	Resyncs       uint64 // queue-pair resynchronisations
@@ -174,10 +177,10 @@ func newCounters(sc *obs.Scope) counters {
 
 		userPackets:   sc.Counter("dta_translator_user_packets_total", "Non-DTA packets forwarded as user traffic."),
 		parseErrors:   sc.Counter("dta_translator_parse_errors_total", "Frames or reports the translator could not parse."),
-		rdmaWrites:    sc.Counter("dta_rdma_writes_total", "RoCEv2 WRITEs emitted."),
-		rdmaAtomics:   sc.Counter("dta_rdma_atomics_total", "RoCEv2 FETCH&ADDs emitted."),
-		crafts:        sc.Counter("dta_rdma_crafts_total", "Full packet header crafts (first multicast replica)."),
-		repatches:     sc.Counter("dta_rdma_repatches_total", "PSN/VA repatches reusing a crafted packet (replicas 2..N)."),
+		rdmaWrites:    sc.Counter("dta_rdma_writes_total", "RDMA WRITEs posted."),
+		rdmaAtomics:   sc.Counter("dta_rdma_atomics_total", "RDMA FETCH&ADDs posted."),
+		crafts:        sc.Counter("dta_rdma_crafts_total", "Work-queue entries built (first multicast replica)."),
+		repatches:     sc.Counter("dta_rdma_repatches_total", "PSN/VA patches reusing a built work-queue entry (replicas 2..N)."),
 		rateDropped:   sc.Counter("dta_rate_dropped_total", "Reports shed by the token-bucket rate limiter."),
 		nacks:         sc.Counter("dta_nacks_total", "NACKs bounced to reporters on rate drops."),
 		resyncs:       sc.Counter("dta_resyncs_total", "Queue-pair resynchronisations after NAK-sequence."),
@@ -186,7 +189,7 @@ func newCounters(sc *obs.Scope) counters {
 		kiAggregated:  sc.Counter("dta_ki_aggregated_total", "Key-Increment reports absorbed by translator-side pre-aggregation."),
 
 		reportNs:   sc.Histogram("dta_translator_report_ns", "End-to-end report processing nanoseconds (sampled 1/64)."),
-		emitNs:     sc.Histogram("dta_rdma_emit_ns", "RDMA craft+emit nanoseconds per primitive operation (sampled 1/64)."),
+		emitNs:     sc.Histogram("dta_rdma_emit_ns", "Work-queue entry build+post nanoseconds per primitive operation, doorbell excluded (sampled 1/64)."),
 		reportSamp: obs.NewSampler(spanSampleShift),
 		emitSamp:   obs.NewSampler(spanSampleShift),
 	}
@@ -238,18 +241,20 @@ type Translator struct {
 	// kiAgg is the optional Key-Increment pre-aggregation cache.
 	kiAgg *kiAggCache
 
-	// Emit posts one crafted RoCEv2 verb to the collector's send queue
-	// (collector.Host.Post); nothing executes until Doorbell. Emit must
-	// consume pkt before returning: the translator reuses (and
-	// repatches) the buffer for the next emission.
-	Emit func(pkt []byte)
+	// Emit posts one verb, a work-queue entry (rdma.DecodeWQE reads it;
+	// rdma.Encode turns it into the RoCEv2 packet a wire would carry), to
+	// the collector's send queue (collector.Host.Post); nothing executes
+	// until Doorbell. Emit must consume wqe before returning: the
+	// translator reuses (and patches) the buffer for the next emission.
+	Emit func(wqe []byte)
 
 	// Doorbell, if non-nil, executes the posted verbs and returns their
-	// one completion (collector.Host.Doorbell). It rings after every
-	// stage-C window, before every entry point returns, and when
-	// cap(emitted) emit operations (≤ MaxRedundancy verbs each) wait for
-	// it; emitted holds the sampled or traced ones. An error panics.
-	Doorbell func() (ack []byte, err error)
+	// one completion as a value (collector.Host.Doorbell), which goes
+	// straight to the PSN tracker. It rings after every stage-C window,
+	// before every entry point returns, and when cap(emitted) emit
+	// operations (≤ MaxRedundancy verbs each) wait for it; emitted holds
+	// the sampled or traced ones. An error panics.
+	Doorbell func() (rdma.Completion, error)
 	ops      int
 	emitted  []emitMark
 
@@ -299,10 +304,10 @@ type Translator struct {
 	// staged is where ProcessReport stages the report it was handed.
 	staged wire.StagedReport
 
-	// pktBuf and chunkBuf are the crafting scratch buffers: every
-	// outgoing RoCEv2 packet (and postcard chunk image) is built in
+	// wqeBuf and chunkBuf are the crafting scratch buffers: every
+	// outgoing work-queue entry (and postcard chunk image) is built in
 	// place here, so the steady-state emit path performs no allocation.
-	pktBuf   []byte
+	wqeBuf   []byte
 	chunkBuf []byte
 	// frame is the ingress parsing scratch for ProcessFrame. Keeping it
 	// on the Translator (single-threaded by contract) rather than the
@@ -379,17 +384,16 @@ func (t *Translator) endEmit(span obs.Span) {
 }
 
 // ring is the doorbell: the collector executes the posted verbs, the one
-// completion goes through HandleAck, and then the waiting emit spans and
-// stamps end (translate too: the ack was only handled now).
+// completion goes to the PSN tracker (a NAK resynchronises it), and then
+// the waiting emit spans and stamps end (translate too: the ack was only
+// handled now).
 func (t *Translator) ring() {
 	if t.Doorbell != nil {
-		ack, err := t.Doorbell()
-		if err == nil && ack != nil {
-			err = t.HandleAck(ack)
-		}
+		c, err := t.Doorbell()
 		if err != nil {
 			panic(fmt.Sprintf("translator: collector rejected a posted verb: %v", err))
 		}
+		t.req.HandleAck(c)
 	}
 	t.ops = 0
 	for _, e := range t.emitted {
@@ -427,16 +431,17 @@ func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (*Translator, error)
 	t := &Translator{
 		cfg:      cfg,
 		req:      req,
-		pktBuf:   make([]byte, 0, 512),
+		wqeBuf:   make([]byte, 0, 512),
 		chunkBuf: make([]byte, 0, postcarding.MaxHops*postcarding.SlotSize),
 		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
 		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
 		emitted:  make([]emitMark, 0, 2*batchWindow),
 		ctr:      newCounters(sc),
 	}
-	// A NAK resync fires at the doorbell: flag the traces whose verbs it
-	// executed so tail-based sampling retains them.
+	// A NAK resync fires at the doorbell: count it, and flag the traces
+	// whose verbs it executed so tail-based sampling retains them.
 	t.req.OnResync = func() {
+		t.ctr.resyncs.Inc()
 		for _, e := range t.emitted {
 			e.h.Flag(trace.FResync)
 		}
@@ -571,7 +576,7 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 //	   nothing else, so the window's destination-line misses overlap
 //	   instead of each stalling the instruction after its own store;
 //	C. craft/post: per record, in order, exactly the single-record
-//	   sequence (WAL hook → limiter → craft/repatch → Emit), reading the
+//	   sequence (WAL hook → limiter → build/patch → Emit), reading the
 //	   planned addresses instead of re-hashing; then one doorbell.
 //
 // Stages A and B skip what C will not deterministically write:
@@ -885,30 +890,32 @@ func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data [
 	cfg := t.kwIdx.Config()
 	// Slot image: 4B checksum followed by the (padded) value.
 	var payload [keywrite.ChecksumSize + wire.MaxData]byte
-	payload[0] = byte(csum >> 24)
-	payload[1] = byte(csum >> 16)
-	payload[2] = byte(csum >> 8)
-	payload[3] = byte(csum)
+	binary.BigEndian.PutUint32(payload[:], csum)
 	copy(payload[keywrite.ChecksumSize:keywrite.ChecksumSize+cfg.DataSize], data)
 	img := payload[:keywrite.ChecksumSize+cfg.DataSize]
-	// Multicast: craft the RoCEv2 WRITE once, then patch the address and
-	// PSN per replica — the N copies differ in nothing else, so
-	// rebuilding headers and re-copying the payload N times is pure
-	// waste (the hardware multicast engine replicates identically).
+	// Multicast: build the WRITE once, then patch the address and PSN
+	// per replica — the N copies differ in nothing else, so rebuilding
+	// the entry and re-copying the payload N times is pure waste (the
+	// hardware multicast engine replicates identically).
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
-	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
-		vas[0], t.kwReg.RKey, img, false, immediateOf(wire.PrimKeyWrite, flags))
-	t.pktBuf = pkt[:0]
-	t.Emit(pkt)
-	for _, va := range vas[1:] {
-		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), va)
-		t.Emit(pkt)
-	}
-	t.pend.crafts++
-	t.pend.repatches += uint64(len(vas) - 1)
+	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
+		vas[0], t.kwReg.RKey, img, false, immediateOf(wire.PrimKeyWrite, flags)), vas)
 	t.pend.rdmaWrites += uint64(len(vas))
 	t.endEmit(span)
 	return nil
+}
+
+// post emits w, built for vas[0], then w patched with the next PSN and
+// each further address: one build and len(vas)-1 patches per operation.
+func (t *Translator) post(w []byte, vas []uint64) {
+	t.wqeBuf = w[:0]
+	t.Emit(w)
+	for _, va := range vas[1:] {
+		rdma.PatchWQE(w, t.req.NextPSN(), va)
+		t.Emit(w)
+	}
+	t.pend.crafts++
+	t.pend.repatches += uint64(len(vas) - 1)
 }
 
 // kiRedundancy clamps a requested Key-Increment redundancy; 0 means the
@@ -968,17 +975,9 @@ func (t *Translator) emitFetchAdds(vas []uint64, delta uint64, nowNs uint64) err
 		t.noteShed()
 		return nil
 	}
-	// Craft once, patch address+PSN per replica (see emitKeyWrite).
+	// Build once, patch address+PSN per replica (see emitKeyWrite).
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
-	pkt := rdma.BuildFetchAdd(t.pktBuf, t.req.DestQP, t.req.NextPSN(), vas[0], t.kiReg.RKey, delta)
-	t.pktBuf = pkt[:0]
-	t.Emit(pkt)
-	for _, va := range vas[1:] {
-		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), va)
-		t.Emit(pkt)
-	}
-	t.pend.crafts++
-	t.pend.repatches += uint64(len(vas) - 1)
+	t.post(rdma.FetchAddWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), vas[0], t.kiReg.RKey, delta), vas)
 	t.pend.rdmaAtomics += uint64(len(vas))
 	t.endEmit(span)
 	return nil
@@ -1025,13 +1024,7 @@ func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, n
 func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, nowNs uint64) error {
 	t.pend.postcardEmits++
 	cfg := t.pcCoder.Config()
-	n := t.cfg.PostcardRedundancy
-	if n < 1 {
-		n = 1
-	}
-	if n > postcarding.MaxRedundancy {
-		n = postcarding.MaxRedundancy
-	}
+	n := min(max(t.cfg.PostcardRedundancy, 1), postcarding.MaxRedundancy)
 	if !t.limiter.allow(nowNs, n) {
 		return t.drop(src)
 	}
@@ -1040,19 +1033,13 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, no
 	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
 	payload := t.pcCoder.EncodeChunkSparse(e.Key, &e.Values, t.chunkBuf)
 	t.chunkBuf = payload[:0]
-	// Craft once, patch address+PSN per redundant chunk (see emitKeyWrite).
-	chunk := t.pcCoder.Chunk(0, e.Key)
-	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
-		t.pcReg.VA+uint64(int(chunk)*cfg.ChunkBytes()), t.pcReg.RKey, payload, false, immediateOf(wire.PrimPostcarding, flags))
-	t.pktBuf = pkt[:0]
-	t.Emit(pkt)
-	for j := 1; j < n; j++ {
-		chunk := t.pcCoder.Chunk(j, e.Key)
-		rdma.RepatchPSNVA(pkt, t.req.NextPSN(), t.pcReg.VA+uint64(int(chunk)*cfg.ChunkBytes()))
-		t.Emit(pkt)
+	// Build once, patch address+PSN per redundant chunk (see emitKeyWrite).
+	var vas [postcarding.MaxRedundancy]uint64
+	for j := range n {
+		vas[j] = t.pcReg.VA + uint64(int(t.pcCoder.Chunk(j, e.Key))*cfg.ChunkBytes())
 	}
-	t.pend.crafts++
-	t.pend.repatches += uint64(n - 1)
+	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
+		vas[0], t.pcReg.RKey, payload, false, immediateOf(wire.PrimPostcarding, flags)), vas[:n])
 	t.pend.rdmaWrites += uint64(n)
 	t.endEmit(span)
 	return nil
@@ -1099,16 +1086,11 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackR
 	if tail != nil {
 		headImm = nil
 	}
-	pkt := rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(),
-		listVA+uint64(f.Index*apCfg.EntrySize), t.apReg.RKey, head, false, headImm)
-	t.pktBuf = pkt[:0]
-	t.Emit(pkt)
+	headVA := listVA + uint64(f.Index*apCfg.EntrySize)
+	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), headVA, t.apReg.RKey, head, false, headImm), []uint64{headVA})
 	if tail != nil {
-		pkt = rdma.BuildWrite(t.pktBuf, t.req.DestQP, t.req.NextPSN(), listVA, t.apReg.RKey, tail, false, imm)
-		t.pktBuf = pkt[:0]
-		t.Emit(pkt)
+		t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), listVA, t.apReg.RKey, tail, false, imm), []uint64{listVA})
 	}
-	t.pend.crafts += uint64(msgs)
 	t.pend.rdmaWrites += uint64(msgs)
 	t.endEmit(span)
 	return nil
@@ -1154,21 +1136,6 @@ func (t *Translator) drainPostcards(nowNs uint64) error {
 		if err := t.emitChunk(&out[i], 0, nackRef{}, nowNs); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// HandleAck feeds an acknowledgement from the collector back into the
-// PSN tracker; a NAK triggers resynchronisation.
-func (t *Translator) HandleAck(pkt []byte) error {
-	var p rdma.Packet
-	if err := rdma.DecodePacket(pkt, &p); err != nil {
-		return err
-	}
-	before := t.req.Resyncs
-	t.req.HandleAck(&p)
-	if t.req.Resyncs != before {
-		t.ctr.resyncs.Inc()
 	}
 	return nil
 }

@@ -13,11 +13,12 @@ import (
 	"dta/internal/wire"
 )
 
-// The collector entry as it stood before post-lists, kept as the
-// reference TestPostListMatchesPerVerb compares against: every verb
-// executes the moment the translator emits it (Device.Process), a
-// packet-parsing tagger (the old ha.Tracker.MarkPacket) tags its blocks
-// first, and every ack goes straight back through HandleAck.
+// The wire reference TestPostListMatchesPerVerb compares against: every
+// work-queue entry the translator emits is encoded (rdma.Encode) into
+// the RoCEv2 packet a wire would carry and executed at once, packet by
+// packet, through the edge (Device.Process: decode, ICRC check, execute);
+// a packet-parsing tagger (the old ha.Tracker.MarkPacket) tags its blocks
+// first, and every ack goes straight back, decoded, to the PSN tracker.
 
 // perVerb rewires s to the reference entry. epoch, if non-nil, is the HA
 // tag clock: the reference tagger reads it per packet, and the device's
@@ -28,9 +29,14 @@ func perVerb(s *System, epoch func() uint64) {
 	if epoch != nil {
 		dev.Epoch = func() uint64 { return 0 }
 	}
-	ackBuf := make([]byte, 0, 64)
+	pktBuf, ackBuf := make([]byte, 0, 512), make([]byte, 0, 64)
 	s.tr.Doorbell = nil
-	s.tr.Emit = func(pkt []byte) {
+	s.tr.Emit = func(wqe []byte) {
+		pkt, err := rdma.Encode(pktBuf, wqe)
+		if err != nil {
+			panic(fmt.Sprintf("reference: translator posted a malformed WQE: %v", err))
+		}
+		pktBuf = pkt[:0]
 		if epoch != nil {
 			refMarkPacket(dev, regions, pkt, epoch())
 		}
@@ -46,9 +52,11 @@ func perVerb(s *System, epoch func() uint64) {
 			}
 		}
 		if ack != nil {
-			if err := s.tr.HandleAck(ack); err != nil {
+			var a rdma.Packet
+			if err := rdma.DecodePacket(ack, &a); err != nil {
 				panic(fmt.Sprintf("reference: bad ack: %v", err))
 			}
+			s.tr.Requester().HandleAck(rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
 		}
 	}
 }
@@ -135,9 +143,12 @@ func sameCollector(t *testing.T, what string, got, ref *System, gotEv, refEv []r
 	}
 }
 
-// TestPostListMatchesPerVerb: a collector that runs each stage-C window
-// as one post-list — one doorbell, one completion, tags raised while
-// executing — must leave exactly what the per-verb entry left. A
+// TestPostListMatchesPerVerb is the verbs-match-wire gate: a collector
+// that runs each stage-C window as one post-list of work-queue entries —
+// one doorbell, one completion value, tags raised while executing — must
+// leave exactly what the same verbs left when each was encoded as a
+// RoCEv2 packet and run through Device.Process on a twin: stores,
+// DeviceStats, PSN state, immediate events and dirty tags. A
 // standalone System takes a seeded four-primitive stream (immediates on,
 // Key-Increment unaggregated, a few failing records) through the chunk
 // entry, the per-record entry and epoch flushes (postcard drains, Append
