@@ -343,7 +343,7 @@ func TestChaosClockSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	write(200, keys)
-	if got := c.System(1).ClockSkew(); got != int64(-time.Second) {
+	if got := c.System(1).skew.Load(); got != int64(-time.Second) {
 		t.Fatalf("ClockSkew = %d, want %d", got, int64(-time.Second))
 	}
 	if err := c.SyncWAL(); err != nil {
@@ -358,7 +358,7 @@ func TestChaosClockSkew(t *testing.T) {
 	if err := c.HealChaos(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.System(1).ClockSkew(); got != 0 {
+	if got := c.System(1).skew.Load(); got != 0 {
 		t.Fatalf("heal left skew %d", got)
 	}
 	if ev := journalCounts(c); ev[journal.EvClockSkew] < 3 { // +2s, -1s, heal

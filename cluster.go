@@ -42,22 +42,22 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 // Size returns the number of collectors.
 func (c *Cluster) Size() int { return len(c.systems) }
 
-// Owner returns the collector responsible for a key. Ownership is
+// owner returns the collector responsible for a key. Ownership is
 // CRC32(key) mod cluster size — the same function a reporter's
 // forwarding table applies (§7), so reporter-side forwarding (a
 // Reporter of the cluster or of its engine) and query routing MUST keep
 // hashing identically or queries will miss the data.
-func (c *Cluster) Owner(key Key) int {
+func (c *Cluster) owner(key Key) int {
 	if len(c.systems) == 0 {
 		// NewCluster enforces n >= 1; only a zero-value Cluster gets
 		// here, and a mod-by-zero panic would point at the wrong culprit.
-		panic("dta: Owner on empty Cluster (construct with NewCluster)")
+		panic("dta: owner on empty Cluster (construct with NewCluster)")
 	}
 	return int(c.eng.Sum128((*[16]byte)(&key)) % uint32(len(c.systems)))
 }
 
-// OwnerOfList returns the collector responsible for an Append list.
-func (c *Cluster) OwnerOfList(list uint32) int {
+// ownerOfList returns the collector responsible for an Append list.
+func (c *Cluster) ownerOfList(list uint32) int {
 	return int(list) % len(c.systems)
 }
 
@@ -75,24 +75,24 @@ func (c *Cluster) Reporter(switchID uint32) *Reporter {
 // Append its list's.
 func (c *Cluster) ownerOf(rep *wire.Report) int {
 	if rep.Header.Primitive == wire.PrimAppend {
-		return c.OwnerOfList(rep.Append.ListID)
+		return c.ownerOfList(rep.Append.ListID)
 	}
-	return c.Owner(*routeKey(rep))
+	return c.owner(*routeKey(rep))
 }
 
 // LookupValue queries the owning collector's Key-Write store.
 func (c *Cluster) LookupValue(key Key, n int) ([]byte, bool, error) {
-	return c.systems[c.Owner(key)].LookupValue(key, n)
+	return c.systems[c.owner(key)].LookupValue(key, n)
 }
 
 // LookupPath queries the owning collector's Postcarding store.
 func (c *Cluster) LookupPath(key Key, n int) ([]uint32, bool, error) {
-	return c.systems[c.Owner(key)].LookupPath(key, n)
+	return c.systems[c.owner(key)].LookupPath(key, n)
 }
 
 // LookupCount queries the owning collector's Key-Increment store.
 func (c *Cluster) LookupCount(key Key, n int) (uint64, error) {
-	return c.systems[c.Owner(key)].LookupCount(key, n)
+	return c.systems[c.owner(key)].LookupCount(key, n)
 }
 
 // Flush flushes every collector's translator state.

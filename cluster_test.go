@@ -55,10 +55,10 @@ func TestClusterOwnerStable(t *testing.T) {
 	c, _ := NewCluster(3, fullOptions())
 	for i := 0; i < 100; i++ {
 		k := KeyFromUint64(uint64(i))
-		if c.Owner(k) != c.Owner(k) {
+		if c.owner(k) != c.owner(k) {
 			t.Fatal("owner not deterministic")
 		}
-		if o := c.Owner(k); o < 0 || o >= 3 {
+		if o := c.owner(k); o < 0 || o >= 3 {
 			t.Fatalf("owner %d out of range", o)
 		}
 	}
@@ -69,7 +69,7 @@ func TestClusterQueryOnlyOwnerAnswers(t *testing.T) {
 	rep := c.Reporter(1)
 	k := KeyFromUint64(42)
 	rep.KeyWrite(k, []byte{7, 7, 7, 7}, 2)
-	owner := c.Owner(k)
+	owner := c.owner(k)
 	other := 1 - owner
 	if _, ok, _ := c.System(owner).LookupValue(k, 2); !ok {
 		t.Error("owner cannot answer")
@@ -110,7 +110,7 @@ func TestClusterAppendByList(t *testing.T) {
 		t.Fatal(err)
 	}
 	for list := uint32(0); list < 4; list++ {
-		sys := c.System(c.OwnerOfList(list))
+		sys := c.System(c.ownerOfList(list))
 		p, err := sys.Poller(int(list))
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +163,7 @@ func TestClusterOwnershipDistribution(t *testing.T) {
 	}
 	counts := make([]int, size)
 	for i := 0; i < keys; i++ {
-		owner := c.Owner(KeyFromUint64(uint64(i) * 0x9e3779b97f4a7c15))
+		owner := c.owner(KeyFromUint64(uint64(i) * 0x9e3779b97f4a7c15))
 		if owner < 0 || owner >= size {
 			t.Fatalf("Owner returned %d for cluster of %d", owner, size)
 		}
@@ -187,7 +187,7 @@ func TestClusterReporterParity(t *testing.T) {
 	}
 	rep := c.Reporter(1)
 	k := KeyFromUint64(77)
-	owner := c.Owner(k)
+	owner := c.owner(k)
 
 	if err := rep.KeyWriteImmediate(k, []byte{4, 3, 2, 1}, 2); err != nil {
 		t.Fatal(err)
@@ -294,9 +294,9 @@ func TestEventsSingleConsumerPump(t *testing.T) {
 func TestClusterOwnerEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Owner on zero-value Cluster did not panic with a diagnostic")
+			t.Fatal("owner on zero-value Cluster did not panic with a diagnostic")
 		}
 	}()
 	var c Cluster
-	c.Owner(KeyFromUint64(1))
+	c.owner(KeyFromUint64(1))
 }

@@ -37,7 +37,6 @@
 package dta
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dta/internal/collector"
@@ -49,6 +48,7 @@ import (
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
+	"dta/internal/rdma"
 	"dta/internal/translator"
 	"dta/internal/wal"
 	"dta/internal/wire"
@@ -155,10 +155,6 @@ type System struct {
 	// clock the rate limiter and varint time deltas must survive.
 	skew atomic.Int64
 
-	// eventsOnce guards the single Events pump; see Events.
-	eventsOnce sync.Once
-	events     chan ImmediateEvent
-
 	// wal, when attached (WithWAL), logs every admitted report for crash
 	// recovery and exact log-based replication resync. See durability.go.
 	wal *wal.Writer
@@ -254,19 +250,16 @@ func (s *System) Reporter(switchID uint32) *Reporter {
 func (s *System) Advance(ns uint64) { s.now.Add(ns) }
 
 // Now returns the system clock in nanoseconds, including any injected
-// skew (SetClockSkew).
+// skew (HACluster.SetClockSkew).
 func (s *System) Now() uint64 { return uint64(int64(s.now.Load()) + s.skew.Load()) }
 
-// SetClockSkew injects a signed offset onto this collector's clock — the
+// setClockSkew injects a signed offset onto this collector's clock — the
 // chaos plane's skew/step fault. A negative step makes Now jump
 // backwards (non-monotonic wall time); downstream consumers tolerate it:
 // the translator's token bucket clamps refills on time reversal, and WAL
 // timestamp deltas are signed varints, so recovery decodes skewed
 // records exactly. Safe concurrently with ingest.
-func (s *System) SetClockSkew(d int64) { s.skew.Store(d) }
-
-// ClockSkew returns the injected clock offset in nanoseconds.
-func (s *System) ClockSkew() int64 { return s.skew.Load() }
+func (s *System) setClockSkew(d int64) { s.skew.Store(d) }
 
 // deliver carries one staged record across the (optional) lossy link
 // into the translator. The link is charged the exact on-the-wire size
@@ -343,32 +336,17 @@ func (s *System) flushAt(nowNs uint64) error {
 }
 
 // ImmediateEvent is a push notification raised by a report sent with
-// the immediate flag.
-type ImmediateEvent struct {
-	QPN uint32
-	Imm uint32
-}
+// the immediate flag (Reporter.KeyWriteImmediate): the QP it landed on
+// and its immediate value.
+type ImmediateEvent = rdma.ImmediateEvent
 
 // Events exposes the collector's push-notification channel (reports sent
-// with the immediate flag). The re-typing pump over the internal channel
-// is started once, on the first call, and every call returns the same
-// channel: the stream is single-consumer. Fanning it out to multiple
-// receivers would split events between them nondeterministically —
-// multiplex behind one receiver instead. (Earlier versions spawned a
-// fresh pump per call, so concurrent callers silently stole each other's
-// events and every pump goroutine leaked.)
-func (s *System) Events() <-chan ImmediateEvent {
-	s.eventsOnce.Do(func() {
-		s.events = make(chan ImmediateEvent, cap(s.host.Events))
-		go func() {
-			for ev := range s.host.Events {
-				s.events <- ImmediateEvent{QPN: ev.QPN, Imm: ev.Imm}
-			}
-			close(s.events)
-		}()
-	})
-	return s.events
-}
+// with the immediate flag). Every call returns the same channel, so the
+// stream is single-consumer: fanning it out to multiple receivers would
+// split events between them nondeterministically — multiplex behind one
+// receiver instead. The channel is buffered; an event that finds it
+// full is dropped and counted in Host().DroppedEvents.
+func (s *System) Events() <-chan ImmediateEvent { return s.host.Events }
 
 // Stats reports end-to-end counters.
 type Stats struct {

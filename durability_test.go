@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"slices"
 	"testing"
 
 	"dta/internal/loadgen"
@@ -436,61 +437,8 @@ func TestHALogShippingExactAppendResync(t *testing.T) {
 	}
 }
 
-// TestHAClusterWeightedResharding: reweighting a collector reshards
-// ownership; after the mandatory Rebalance every written key must still
-// answer through its (possibly new) owners, and the heavy collector
-// must own a proportionally larger slice.
-func TestHAClusterWeightedResharding(t *testing.T) {
-	c, err := NewHACluster(4, 2, haOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Reporter(1)
-	const keys = 2000
-	for i := 0; i < keys; i++ {
-		if err := rep.KeyWrite(KeyFromUint64(uint64(i)), keyData(uint64(i)), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetCollectorWeight(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CollectorWeight(0); got != 4 {
-		t.Fatalf("CollectorWeight(0) = %v", got)
-	}
-	if err := c.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	primaries := make([]int, 4)
-	correct := 0
-	for i := 0; i < keys; i++ {
-		val, ok, err := c.LookupValue(KeyFromUint64(uint64(i)), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok && bytes.Equal(val, keyData(uint64(i))) {
-			correct++
-		}
-		primaries[c.Owners(KeyFromUint64(uint64(i)))[0]]++
-	}
-	// Cross-syncing every collector unions all peers' occupied slots, so
-	// a few keys can lose their N slots to colliding foreign keys — the
-	// usual Key-Write collision hazard, not a reshard defect. Requiring
-	// ~99% keeps the test about the reshard+rebalance flow.
-	if correct < keys*99/100 {
-		t.Errorf("only %d/%d keys answer after reweight+rebalance", correct, keys)
-	}
-	// Weight 4 against three weight-1 peers: expected primary share 4/7.
-	if frac := float64(primaries[0]) / keys; frac < 0.45 || frac > 0.68 {
-		t.Errorf("weight-4 collector is primary for %.2f of keys, want ~0.57", frac)
-	}
-}
-
 // TestHALogShippingSkipsReshardedStale: a collector made stale by a
-// reshard (weight change) and THEN flapped must resync from snapshots,
+// reshard (Decommission) and THEN flapped must resync from snapshots,
 // not logs — fresh watermarks taken at its SetDown would hide the moved
 // lists' pre-mark history.
 func TestHALogShippingSkipsReshardedStale(t *testing.T) {
@@ -517,13 +465,24 @@ func TestHALogShippingSkipsReshardedStale(t *testing.T) {
 	if err := hac.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Reshard: every live collector goes stale with voided watermarks.
-	if err := hac.SetCollectorWeight(0, 3); err != nil {
+	// Reshard: decommissioning the list's primary moves the list to a
+	// collector that never held it, and every survivor goes stale with
+	// voided watermarks.
+	before := hac.OwnersOfList(list)
+	if err := hac.Decommission(before[0]); err != nil {
 		t.Fatal(err)
 	}
-	victim := hac.OwnersOfList(list)[0]
-	// Flap the list's (new) primary before Rebalance: its SetDown must
-	// NOT manufacture fresh log watermarks over the reshard staleness.
+	victim := -1
+	for _, o := range hac.OwnersOfList(list) {
+		if !slices.Contains(before, o) {
+			victim = o
+		}
+	}
+	if victim < 0 {
+		t.Fatalf("list did not move: owners %v before, %v after", before, hac.OwnersOfList(list))
+	}
+	// Flap the list's new owner before Rebalance: its SetDown must NOT
+	// manufacture fresh log watermarks over the reshard staleness.
 	makeStale(t, hac, victim)
 	if hac.walMark[victim] != nil {
 		t.Fatalf("flap after reshard recorded log watermarks %v", hac.walMark[victim])

@@ -1,16 +1,30 @@
 package dta
 
 import (
-	"fmt"
+	"errors"
 
 	"dta/internal/engine"
 	"dta/internal/obs/trace"
 	"dta/internal/wire"
 )
 
-// EngineConfig tunes the asynchronous ingest engine. See
-// internal/engine for field semantics.
-type EngineConfig = engine.Config
+// EngineConfig tunes the asynchronous ingest engine. Zero fields take
+// the defaults given below. The engine's metrics, queue-stall events and
+// traces always go to the owning deployment's registry, journal and
+// tracer.
+type EngineConfig struct {
+	// QueueDepth bounds each shard's chunk queue (0 = 256). Worst-case
+	// buffered reports per shard ≈ QueueDepth × ChunkFrames.
+	QueueDepth int
+	// ChunkFrames is how many reports a Reporter stages per shard
+	// before handing the chunk to the worker (0 = 32). 1 disables
+	// producer-side batching.
+	ChunkFrames int
+	// Batch is the maximum chunk-dequeue batch per worker wakeup (0 = 16).
+	Batch int
+	// Policy selects EngineBlock (default) or EngineDrop backpressure.
+	Policy EnginePolicy
+}
 
 // EngineStats snapshots engine counters.
 type EngineStats = engine.Stats
@@ -115,28 +129,22 @@ func (c *Cluster) Engine(cfg EngineConfig) (*Engine, error) {
 }
 
 func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineConfig) (*Engine, error) {
+	if len(systems) == 0 {
+		return nil, errors.New("dta: engine over no collectors (construct the cluster with NewCluster)")
+	}
 	sinks := make([]engine.Sink, len(systems))
 	for i, s := range systems {
 		sinks[i] = systemSink{s}
 	}
-	if cfg.Obs == nil && len(systems) > 0 {
-		// Engine metrics land in the owning deployment's registry at the
-		// root scope: shard i is collector i (cluster engines) or the
-		// only collector, so the shard="i" label the engine adds already
-		// identifies the member — no collector label needed.
-		cfg.Obs = systems[0].reg.Scope()
-	}
-	if cfg.Journal == nil && len(systems) > 0 {
-		// Same default for the flight recorder: shards emit queue-stall
-		// episodes into the owning deployment's journal (shared across
-		// cluster members, so systems[0]'s is the cluster's).
-		cfg.Journal = systems[0].jr
-	}
-	if cfg.Trace == nil && len(systems) > 0 {
-		// Same default for the trace pipeline: submissions begin traces
-		// against the owning deployment's tracer (shared across cluster
-		// members, so systems[0]'s is the cluster's).
-		cfg.Trace = systems[0].trc
+	// Engine metrics land in the owning deployment's registry at the
+	// root scope: shard i is collector i (cluster engines) or the only
+	// collector, so the shard="i" label the engine adds already
+	// identifies the member — no collector label needed. Queue-stall
+	// episodes and traces go to the deployment's journal and tracer,
+	// which cluster members share, so systems[0]'s are the cluster's.
+	ecfg := engine.Config{
+		QueueDepth: cfg.QueueDepth, ChunkFrames: cfg.ChunkFrames, Batch: cfg.Batch, Policy: cfg.Policy,
+		Obs: systems[0].reg.Scope(), Journal: systems[0].jr, Trace: systems[0].trc,
 	}
 	if hac != nil {
 		// A replicated fan-out plans once for all its owners (Reporter.fan),
@@ -148,7 +156,7 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 			}
 		}
 	}
-	inner, err := engine.New(sinks, cfg)
+	inner, err := engine.New(sinks, ecfg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,9 +185,9 @@ func (e *Engine) Drain() error {
 // workers; subsequent submissions fail with ErrEngineClosed.
 func (e *Engine) Close() error { return e.inner.Close() }
 
-// Closed reports whether Close has been called (an HACluster allows
+// closed reports whether Close has been called (an HACluster allows
 // membership changes only once its attached engine is closed).
-func (e *Engine) Closed() bool { return e.inner.Closed() }
+func (e *Engine) closed() bool { return e.inner.Closed() }
 
 // Err returns the first ingest error observed by any shard worker.
 func (e *Engine) Err() error { return e.inner.Err() }
@@ -207,9 +215,4 @@ func (e *Engine) Reporter(switchID uint32) *Reporter {
 	// together (see HACluster.fenceMu).
 	sub.SetCoupled(e.hac != nil)
 	return &Reporter{switchID: switchID, systems: e.systems, cluster: e.cluster, hac: e.hac, sub: sub}
-}
-
-// String aids debugging output in benchmarks and the dtaload CLI.
-func (e *Engine) String() string {
-	return fmt.Sprintf("dta.Engine{shards: %d}", e.Shards())
 }

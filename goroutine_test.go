@@ -9,7 +9,8 @@ import (
 // TestNoGoroutineOutlivesClose: closing what a deployment started stops
 // every goroutine it started — engine shard workers, the WAL flusher —
 // for a System with an engine, an HACluster with an engine, and a System
-// with a log attached (and an engine over it).
+// with a log attached (and an engine over it). A System whose push
+// notifications were consumed starts none.
 func TestNoGoroutineOutlivesClose(t *testing.T) {
 	drive := func(t *testing.T, rep interface {
 		KeyWrite(Key, []byte, int) error
@@ -82,6 +83,17 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 			if err := s.CloseWAL(); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"system+events", func(t *testing.T) {
+			s, err := New(fullOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch := s.Events()
+			if err := s.Reporter(1).KeyWriteImmediate(KeyFromUint64(5), []byte{1, 2, 3, 4}, 1); err != nil {
+				t.Fatal(err)
+			}
+			<-ch
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -329,9 +329,6 @@ func (c *HACluster) Size() int {
 	return len(c.systems)
 }
 
-// Replicas returns the replication factor R.
-func (c *HACluster) Replicas() int { return c.r }
-
 // System returns collector i (direct inspection, Append polling).
 func (c *HACluster) System(i int) *System {
 	c.mu.RLock()
@@ -411,8 +408,8 @@ func (c *HACluster) SetDown(i int) error {
 // window.
 //
 // Two exclusions keep the marks honest:
-//   - A collector that is ALREADY stale without marks (reshard via
-//     Decommission/SetCollectorWeight voided them) must keep the
+//   - A collector that is ALREADY stale without marks (a reshard via
+//     Decommission voided them) must keep the
 //     snapshot resync path: lists moved to it carry history from
 //     long before any mark taken now, so fresh marks would hide it.
 //   - Down peers are still marked (not skipped): their logs are
@@ -439,7 +436,7 @@ func (c *HACluster) fenceForStale(i int, cause uint64) {
 	// the symmetry the exclusion multiset diff needs to be exact. A
 	// drain error is deliberately ignored: a broken engine only
 	// widens the replay window, never narrows it.
-	if c.eng != nil && !c.eng.Closed() {
+	if c.eng != nil && !c.eng.closed() {
 		_ = c.eng.Drain()
 	}
 	// The target's own position first: anything it logs from here on
@@ -674,7 +671,7 @@ func (c *HACluster) SetClockSkew(i int, d time.Duration) error {
 	if i < 0 || i >= len(c.systems) {
 		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
 	}
-	c.systems[i].SetClockSkew(int64(d))
+	c.systems[i].setClockSkew(int64(d))
 	sev := journal.SevWarn
 	if d == 0 {
 		sev = journal.SevInfo
@@ -720,8 +717,8 @@ func (c *HACluster) healOne(i int) {
 		}
 		c.chaos.HealNode(i)
 	}
-	if c.systems[i].ClockSkew() != 0 {
-		c.systems[i].SetClockSkew(0)
+	if c.systems[i].skew.Load() != 0 {
+		c.systems[i].setClockSkew(0)
 		c.emit(i, journal.EvClockSkew, journal.SevInfo, 0, 0, 0, 0)
 	}
 	if c.autoRebalance {
@@ -739,7 +736,7 @@ func (c *HACluster) AddCollector() (int, error) {
 	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.eng != nil && !c.eng.Closed() {
+	if c.eng != nil && !c.eng.closed() {
 		return 0, errors.New("dta: cannot add collector while an engine is attached (Close it first)")
 	}
 	id := len(c.systems)
@@ -776,41 +773,6 @@ func (c *HACluster) AddCollector() (int, error) {
 	return id, nil
 }
 
-// SetCollectorWeight assigns collector i a capacity weight (> 0) in the
-// rendezvous ring: heterogeneous collectors own key slices proportional
-// to their weight. Changing a weight reshards — keys move owners — so
-// it carries the same contract as AddCollector/Decommission: no
-// attached engine, quiesced producers, and every live collector is
-// marked stale until the next Rebalance cross-syncs the moved keys
-// (weight moves cannot be narrowed by epoch windows or log watermarks,
-// so the resync is a full snapshot replay).
-func (c *HACluster) SetCollectorWeight(i int, weight float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.eng != nil && !c.eng.Closed() {
-		return errors.New("dta: cannot change collector weight while an engine is attached (Close it first)")
-	}
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
-	}
-	if err := c.ring.SetWeight(i, weight); err != nil {
-		return err
-	}
-	epoch := c.health.BumpEpoch()
-	c.emit(i, journal.EvWeightChange, journal.SevInfo, 0, uint64(weight*1000), epoch, 0)
-	c.walMark = make(map[int]map[int]uint64)
-	c.walSelf = make(map[int]uint64)
-	for _, id := range c.ring.Members() {
-		if !c.health.IsDown(id) {
-			c.stale[id] = 0
-		}
-	}
-	return nil
-}
-
-// CollectorWeight returns collector i's ring capacity weight.
-func (c *HACluster) CollectorWeight(i int) float64 { return c.ring.Weight(i) }
-
 // Decommission shrinks the cluster: collector i leaves the ring and its
 // keys move to their new owners. Its data is captured immediately and
 // replayed into the survivors at the next Rebalance; until then every
@@ -819,7 +781,7 @@ func (c *HACluster) CollectorWeight(i int) float64 { return c.ring.Weight(i) }
 func (c *HACluster) Decommission(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.eng != nil && !c.eng.Closed() {
+	if c.eng != nil && !c.eng.closed() {
 		return errors.New("dta: cannot decommission while an engine is attached (Close it first)")
 	}
 	if i < 0 || i >= len(c.systems) {
@@ -921,7 +883,7 @@ func (c *HACluster) deferResync(id int, cause uint64) {
 func (c *HACluster) Rebalance() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.eng != nil && !c.eng.Closed() {
+	if c.eng != nil && !c.eng.closed() {
 		if err := c.eng.Drain(); err != nil {
 			return err
 		}
@@ -1179,7 +1141,7 @@ func (c *HACluster) Reporter(switchID uint32) *Reporter {
 func (c *HACluster) Engine(cfg EngineConfig) (*Engine, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.eng != nil && !c.eng.Closed() {
+	if c.eng != nil && !c.eng.closed() {
 		return nil, errors.New("dta: engine already attached")
 	}
 	e, err := newEngine(c.systems, nil, c, cfg)

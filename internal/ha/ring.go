@@ -15,7 +15,6 @@ package ha
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,14 +37,6 @@ const MaxReplicas = 8
 // Scores are CRC-based for the same reason the stores' slot hashes are:
 // the ring models what a reporter's forwarding table computes in a
 // switch pipeline, where CRC units are the available hash hardware.
-// Capacity weights (SetWeight) extend the scheme to heterogeneous
-// collectors with weighted rendezvous hashing: member i's score becomes
-// -wᵢ/ln(uᵢ) for uᵢ uniform in (0,1) derived from the CRC mix, so the
-// probability of owning a key is proportional to wᵢ — a bigger
-// collector owns a proportionally bigger key slice. The ring pays the
-// float math (and a different ownership assignment: switching scoring
-// functions reshards) only once some weight differs from 1; with all
-// weights back at 1 the integer fast path resumes.
 type Ring struct {
 	keyEng *crc.Engine // key bytes → 32-bit digest
 	mixEng *crc.Engine // (digest, member) → score; distinct polynomial
@@ -56,13 +47,8 @@ type Ring struct {
 	// would bounce.
 	view atomic.Pointer[ringView]
 
-	// mu serialises writers; the fields below are theirs.
+	// mu serialises writers.
 	mu sync.Mutex
-	// weights holds per-member capacity weights; absent = 1. skewed
-	// counts members whose weight differs from 1, gating the weighted
-	// scoring path.
-	weights map[int]float64
-	skewed  int
 }
 
 // ringView is one immutable membership snapshot.
@@ -76,17 +62,13 @@ type ringView struct {
 	// and a lookup mixes the digest once, then XORs one constant per
 	// member instead of running the CRC per member.
 	mix []uint32
-	// weights runs parallel to members; nil while every weight is 1 (the
-	// integer fast path).
-	weights []float64
 }
 
 // NewRing builds a ring over members 0..n-1.
 func NewRing(n int) *Ring {
 	r := &Ring{
-		keyEng:  crc.New(crc.K32K),
-		mixEng:  crc.New(crc.Castagnoli),
-		weights: make(map[int]float64),
+		keyEng: crc.New(crc.K32K),
+		mixEng: crc.New(crc.Castagnoli),
 	}
 	members := make([]int, n)
 	for i := range members {
@@ -97,23 +79,13 @@ func NewRing(n int) *Ring {
 }
 
 // publish swaps in a snapshot over members (sorted, owned by the
-// snapshot from here on) and the current weights. Writers call it under
-// mu; NewRing before the ring is shared.
+// snapshot from here on). Writers call it under mu; NewRing before the
+// ring is shared.
 func (r *Ring) publish(members []int) {
 	v := &ringView{members: members, mix: make([]uint32, len(members))}
 	zero := r.mixEng.Sum64Pair(0, 0)
 	for i, id := range members {
 		v.mix[i] = r.mixEng.Sum64Pair(0, uint64(id)) ^ zero
-	}
-	if r.skewed > 0 {
-		v.weights = make([]float64, len(members))
-		for i, id := range members {
-			w, ok := r.weights[id]
-			if !ok {
-				w = 1
-			}
-			v.weights[i] = w
-		}
 	}
 	r.view.Store(v)
 }
@@ -158,7 +130,7 @@ func (r *Ring) Add(id int) error {
 	return nil
 }
 
-// Remove deletes a member (its weight is forgotten with it).
+// Remove deletes a member.
 func (r *Ring) Remove(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -168,77 +140,16 @@ func (r *Ring) Remove(id int) error {
 		return fmt.Errorf("ha: member %d not in ring", id)
 	}
 	old := v.members
-	if w, ok := r.weights[id]; ok {
-		delete(r.weights, id)
-		if w != 1 {
-			r.skewed--
-		}
-	}
 	members := make([]int, 0, len(old)-1)
 	r.publish(append(append(members, old[:i]...), old[i+1:]...))
 	return nil
 }
 
-// SetWeight assigns member id a capacity weight (> 0): its expected
-// share of owned keys becomes weight/Σweights. Callers moving weights
-// on a live cluster own the resharding consequences (keys change
-// owners), exactly as with Add/Remove.
-func (r *Ring) SetWeight(id int, weight float64) error {
-	if !(weight > 0) || math.IsInf(weight, 1) {
-		return fmt.Errorf("ha: weight %v out of range (0, +Inf)", weight)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.view.Load()
-	if _, ok := v.find(id); !ok {
-		return fmt.Errorf("ha: member %d not in ring", id)
-	}
-	old, had := r.weights[id]
-	if !had {
-		old = 1
-	}
-	if old != 1 && weight == 1 {
-		r.skewed--
-	} else if old == 1 && weight != 1 {
-		r.skewed++
-	}
-	r.weights[id] = weight
-	r.publish(v.members) // snapshots never mutate members: safe to share
-	return nil
-}
-
-// Weight returns member id's capacity weight (1 when unset).
-func (r *Ring) Weight(id int) float64 {
-	v := r.view.Load()
-	if i, ok := v.find(id); ok && v.weights != nil {
-		return v.weights[i]
-	}
-	return 1
-}
-
 // score is the rendezvous weight of member id for a key digest. Ties are
 // broken by member ID below, so scores need not be unique. Owners'
-// unweighted loop computes the same value from its affine parts.
+// loop computes the same value from its affine parts.
 func (r *Ring) score(digest uint32, id int) uint32 {
 	return r.mixEng.Sum64Pair(uint64(digest), uint64(id))
-}
-
-// weightedScore is the weighted rendezvous score -w/ln(u), which makes
-// P(member wins) ∝ its weight. The CRC mix is GF(2)-linear, so raw
-// scores of different members for the same key are XOR-correlated —
-// harmless for the symmetric unweighted argmax, but weight-proportional
-// ownership needs (approximately) independent uniforms, so the mix is
-// passed through a 64-bit avalanche finalizer (splitmix64's) first.
-func (r *Ring) weightedScore(digest uint32, id int, w float64) float64 {
-	h := uint64(r.score(digest, id)) | uint64(id+1)<<32
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	// Map the top 53 bits into (0,1), offset by ½ so u is never 0 or 1.
-	u := (float64(h>>11) + 0.5) / (1 << 53)
-	return -w / math.Log(u)
 }
 
 // Owners appends the IDs of the min(n, Size) members owning key to out
@@ -256,9 +167,6 @@ func (r *Ring) Owners(key []byte, n int, out []int) []int {
 	if n > len(v.members) {
 		n = len(v.members)
 	}
-	if v.weights != nil {
-		return r.weightedOwners(v, digest, n, out)
-	}
 	var scores [MaxReplicas]uint32
 	base := len(out)
 	mixed := r.mixEng.Sum64Pair(uint64(digest), 0)
@@ -268,34 +176,6 @@ func (r *Ring) Owners(key []byte, n int, out []int) []int {
 		// Insertion position among the current top-`have`: descending by
 		// score, ascending by ID on ties (members is sorted, so an equal
 		// score never displaces an earlier, smaller ID).
-		pos := have
-		for pos > 0 && s > scores[pos-1] {
-			pos--
-		}
-		if pos >= n {
-			continue
-		}
-		if have < n {
-			out = append(out, 0)
-			have++
-		}
-		copy(scores[pos+1:have], scores[pos:have-1])
-		copy(out[base+pos+1:base+have], out[base+pos:base+have-1])
-		scores[pos] = s
-		out[base+pos] = id
-	}
-	return out
-}
-
-// weightedOwners is Owners' scoring loop over weighted rendezvous
-// scores, taken only when some weight differs from 1 (the float math
-// costs a log per member per lookup).
-func (r *Ring) weightedOwners(v *ringView, digest uint32, n int, out []int) []int {
-	var scores [MaxReplicas]float64
-	base := len(out)
-	for i, id := range v.members {
-		s := r.weightedScore(digest, id, v.weights[i])
-		have := len(out) - base
 		pos := have
 		for pos > 0 && s > scores[pos-1] {
 			pos--

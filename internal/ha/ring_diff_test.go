@@ -9,24 +9,14 @@ import (
 )
 
 // refOwners is ownership as the ring computed it before the affine
-// split: one full CRC mix (score) per member per lookup, weights looked
-// up per member, top-n by descending score with ties to the smaller ID.
+// split: one full CRC mix (score) per member per lookup, top-n by
+// descending score with ties to the smaller ID.
 func refOwners(r *Ring, key []byte, n int) []int {
 	digest := r.keyEng.Sum(key)
 	members := r.Members()
-	weighted := false
-	for _, id := range members {
-		if r.Weight(id) != 1 {
-			weighted = true
-		}
-	}
-	score := make([]float64, len(members))
+	score := make([]uint32, len(members))
 	for i, id := range members {
-		if weighted {
-			score[i] = r.weightedScore(digest, id, r.Weight(id))
-		} else {
-			score[i] = float64(r.score(digest, id)) // uint32: exact in a float64
-		}
+		score[i] = r.score(digest, id)
 	}
 	order := make([]int, len(members))
 	for i := range order {
@@ -58,7 +48,7 @@ func TestRingScoreIsAffine(t *testing.T) {
 }
 
 // TestRingOwnersMatchOldScoring runs Owners against refOwners through a
-// membership history — Add, Remove, SetWeight to skewed and back — with
+// membership history — Add, Remove, re-Add, Remove-then-Add churn — with
 // fresh random keys at every step.
 func TestRingOwnersMatchOldScoring(t *testing.T) {
 	r := NewRing(5)
@@ -94,14 +84,15 @@ func TestRingOwnersMatchOldScoring(t *testing.T) {
 	check("after Add")
 	must(r.Remove(2))
 	check("after Remove")
-	must(r.SetWeight(7, 2.5))
-	must(r.SetWeight(0, 0.5))
-	check("weighted")
-	must(r.Add(2))
-	check("weighted, after Add")
+	must(r.Remove(7))
 	must(r.Remove(0))
-	must(r.SetWeight(7, 1))
-	check("weights back at 1")
+	check("after second Remove")
+	must(r.Add(2))
+	check("re-Add")
+	must(r.Add(0))
+	must(r.Remove(9))
+	must(r.Add(7))
+	check("churn")
 	for id := 10; id < 40; id++ {
 		must(r.Add(id))
 	}
@@ -143,7 +134,10 @@ func TestRingOwnersLockFreeUnderChange(t *testing.T) {
 		if err := r.Add(4); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.SetWeight(4, 2); err != nil {
+		if err := r.Remove(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Add(0); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Remove(4); err != nil {

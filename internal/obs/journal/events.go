@@ -65,7 +65,7 @@ const (
 	EvEpochBump                    // arg1 = new epoch
 	EvMemberAdd                    // arg1 = new cluster size, arg2 = epoch
 	EvMemberRemove                 // arg1 = new cluster size, arg2 = epoch
-	EvWeightChange                 // arg1 = weight ×1000, arg2 = epoch
+	_                              // retired: capacity-weight change
 
 	// Rebalance / resync.
 	EvRebalanceStart // arg1 = stale targets
@@ -123,8 +123,6 @@ func (t Type) String() string {
 		return "member-add"
 	case EvMemberRemove:
 		return "member-remove"
-	case EvWeightChange:
-		return "weight-change"
 	case EvRebalanceStart:
 		return "rebalance-start"
 	case EvRebalanceEnd:
@@ -192,8 +190,6 @@ func (ev *Event) Detail() string {
 		return fmt.Sprintf("epoch=%d", ev.Arg1)
 	case EvMemberAdd, EvMemberRemove:
 		return fmt.Sprintf("members=%d epoch=%d", ev.Arg1, ev.Arg2)
-	case EvWeightChange:
-		return fmt.Sprintf("weight=%.3f epoch=%d", float64(ev.Arg1)/1000, ev.Arg2)
 	case EvRebalanceStart:
 		return fmt.Sprintf("stale-targets=%d", ev.Arg1)
 	case EvRebalanceEnd:

@@ -122,8 +122,8 @@ func TestHAFailoverChainJournal(t *testing.T) {
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/events", nil))
 	var payload struct {
-		Last   uint64          `json:"last"`
-		Events []JournalRecord `json:"events"`
+		Last   uint64           `json:"last"`
+		Events []journal.Record `json:"events"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil || rec.Code != 200 {
 		t.Fatalf("/debug/events: code %d err %v", rec.Code, err)
@@ -177,7 +177,7 @@ func TestRecoveryDumpsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var start, extent *JournalRecord
+	var start, extent *journal.Record
 	for i := range recs {
 		switch recs[i].Type {
 		case "recovery-start":

@@ -24,16 +24,6 @@ import (
 // percent of the uninstrumented one (pinned by tests).
 type ObsRegistry = obs.Registry
 
-// ObsSnapshot is a point-in-time copy of every registered series, with
-// Delta/Rate helpers for interval math (what dtastat renders).
-type ObsSnapshot = obs.Snapshot
-
-// ObsValue is one series in an ObsSnapshot.
-type ObsValue = obs.Value
-
-// ObsLabel is a metric label pair.
-type ObsLabel = obs.Label
-
 // ObsMux mounts the registry's HTTP surface on a fresh mux: Prometheus
 // text at /metrics, expvar at /debug/vars, and the full pprof suite at
 // /debug/pprof/. Nil-safe (a nil registry serves empty metrics).
@@ -47,13 +37,6 @@ func ObsMux(r *ObsRegistry) *http.ServeMux { return obs.Mux(r) }
 // recoveries, queue stalls) with causal linkage. See internal/obs/journal.
 type EventJournal = journal.Journal
 
-// JournalEvent is one decoded flight-recorder entry.
-type JournalEvent = journal.Event
-
-// JournalRecord is a JournalEvent's JSON form (what /debug/events serves
-// and recovery dumps to events.jsonl).
-type JournalRecord = journal.Record
-
 // TracePipeline is the data-plane trace pipeline: sampled end-to-end
 // report traces (submit → queue → translate → emit → WAL → fsync →
 // durable ack) with tail-based retention of outliers — slow, degraded,
@@ -61,19 +44,12 @@ type JournalRecord = journal.Record
 // head-sampled baseline. See internal/obs/trace.
 type TracePipeline = trace.Tracer
 
-// TraceRecord is one published trace: ID, retention flags and per-stage
-// nanosecond stamps.
-type TraceRecord = trace.Record
-
 // HealthEvaluator runs SLO rules over a registry's snapshot deltas; its
 // verdict backs /healthz. See internal/obs's DefaultHealthRules.
 type HealthEvaluator = obs.HealthEvaluator
 
 // HealthStatus is one full health evaluation (the /healthz payload).
 type HealthStatus = obs.HealthStatus
-
-// HealthRuleResult is one rule's verdict within a HealthStatus.
-type HealthRuleResult = obs.RuleResult
 
 // telemetry is a deployment's self-telemetry bundle. System, Cluster and
 // HACluster embed it by value, so its accessors are theirs and the hot

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dta"
+	"dta/internal/obs"
 )
 
 // TestObsMetricsPopulated checks the public telemetry surface end to
@@ -53,7 +54,7 @@ func TestObsMetricsPopulated(t *testing.T) {
 	// Engine processed counts, summed over shards, must equal n.
 	var processed float64
 	for shard := 0; shard < 2; shard++ {
-		v := snap.Find("dta_engine_processed_total", dta.ObsLabel{Key: "shard", Value: string(rune('0' + shard))})
+		v := snap.Find("dta_engine_processed_total", obs.Label{Key: "shard", Value: string(rune('0' + shard))})
 		if v == nil {
 			t.Fatalf("no dta_engine_processed_total series for shard %d", shard)
 		}
@@ -67,8 +68,8 @@ func TestObsMetricsPopulated(t *testing.T) {
 	var reports float64
 	for collector := 0; collector < 2; collector++ {
 		v := snap.Find("dta_translator_reports_total",
-			dta.ObsLabel{Key: "collector", Value: string(rune('0' + collector))},
-			dta.ObsLabel{Key: "primitive", Value: "key_write"})
+			obs.Label{Key: "collector", Value: string(rune('0' + collector))},
+			obs.Label{Key: "primitive", Value: "key_write"})
 		if v == nil {
 			t.Fatalf("no key_write reports series for collector %d", collector)
 		}
@@ -129,7 +130,7 @@ func TestObsWALCommitMetrics(t *testing.T) {
 	}
 	st, _ := sys.WALStats()
 	snap := sys.Metrics().Snapshot()
-	find := func(name string) *dta.ObsValue {
+	find := func(name string) *obs.Value {
 		t.Helper()
 		v := snap.Find(name)
 		if v == nil {

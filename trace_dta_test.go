@@ -96,9 +96,9 @@ func TestTraceFsyncAttribution(t *testing.T) {
 	if tracer == nil {
 		t.Fatal("Tracer() = nil with telemetry enabled")
 	}
-	buf := make([]dta.TraceRecord, 2048)
+	buf := make([]trace.Record, 2048)
 	deadline := time.Now().Add(10 * time.Second)
-	var match *dta.TraceRecord
+	var match *trace.Record
 	for time.Now().Before(deadline) && match == nil {
 		recs, _, _ := tracer.Since(0, buf[:0])
 		for i := range recs {
@@ -156,7 +156,7 @@ func TestTraceFsyncAttribution(t *testing.T) {
 // dominantSegment names the largest inter-stage gap in chronological
 // stamp order (enum order differs: the WAL-ring handoff lands before
 // emit/translate).
-func dominantSegment(r *dta.TraceRecord) string {
+func dominantSegment(r *trace.Record) string {
 	type stamp struct {
 		name string
 		at   int64
