@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"dta/internal/crc"
 	"dta/internal/wire"
 )
 
@@ -210,6 +212,32 @@ func TestIndexerDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEnginesShared pins one engine per polynomial per process: equal
+// Params give the same Engine, so a second Indexer of a geometry builds
+// no tables (an engine's are 8 KiB; an Indexer reads nine of them).
+func TestEnginesShared(t *testing.T) {
+	for _, p := range []crc.Params{crc.IEEE, crc.Castagnoli, crc.D, crc.K32K} {
+		if crc.New(p) != crc.New(p) {
+			t.Errorf("%s: two engines for equal Params", p.Name)
+		}
+	}
+	cfg := Config{Slots: 1 << 12, DataSize: 4}
+	if _, err := NewIndexer(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	x, err := NewIndexer(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(x)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Errorf("second NewIndexer allocated %d B, want < 1 KiB", got)
 	}
 }
 

@@ -11,10 +11,14 @@
 // This package provides a table-driven, reflected CRC-32 parameterised by
 // polynomial, initial value and final XOR, plus Family, which bundles
 // several engines with distinct polynomials into an indexable set of
-// independent hash functions over byte strings.
+// independent hash functions over byte strings, and Walk16, one table
+// walk for any GF(2)-affine map of a 16-byte key.
 package crc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Params describes a CRC-32 variant in the reflected (LSB-first) form used
 // by essentially all switch CRC engines.
@@ -83,8 +87,32 @@ type Engine struct {
 	name   string
 }
 
-// New builds an Engine for the given parameters.
+// engines holds the one Engine built per Params value. An Engine is
+// immutable once built, so every caller configuring the same variant
+// shares its 8 KiB of tables.
+var engines struct {
+	sync.Mutex
+	m map[Params]*Engine
+}
+
+// New returns the Engine for the given parameters, building it on the
+// first call for p and sharing it with every later one.
 func New(p Params) *Engine {
+	engines.Lock()
+	defer engines.Unlock()
+	if e, ok := engines.m[p]; ok {
+		return e
+	}
+	if engines.m == nil {
+		engines.m = make(map[Params]*Engine)
+	}
+	e := build(p)
+	engines.m[p] = e
+	return e
+}
+
+// build computes an Engine's tables.
+func build(p Params) *Engine {
 	e := &Engine{init: p.Init, xorOut: p.XorOut, name: p.Name}
 	for i := range e.tables[0] {
 		c := uint32(i)
@@ -169,6 +197,48 @@ func (e *Engine) Sum128(key *[16]byte) uint32 {
 	return c ^ e.xorOut
 }
 
+// Walk16 evaluates a fixed GF(2)-affine map f of a 16-byte key as one
+// table walk. Every engine here is affine over its input bits (CRC is
+// linear; init and xorout add constants), and so is any composition of
+// engines over a fixed-width input, so
+//
+//	f(k) = f(0) ^ ⊕_i (f(k_i·e_i) ^ f(0))
+//
+// where k_i·e_i is the key holding k's byte i and zeros elsewhere. The
+// table keeps one entry per byte position and value, with f(0) folded
+// into position 0, so Sum is sixteen independent loads XORed together,
+// where a CRC over the same bytes runs rounds that each wait on the last.
+type Walk16 struct {
+	t [16][256]uint32
+}
+
+// NewWalk16 tabulates f, which must be GF(2)-affine in its input bits,
+// from f of the zero key and of the 4 096 one-byte keys.
+func NewWalk16(f func(key *[16]byte) uint32) *Walk16 {
+	w := &Walk16{}
+	var k [16]byte
+	zero := f(&k)
+	for i := range w.t {
+		for v := range w.t[i] {
+			k[i] = byte(v)
+			w.t[i][v] = f(&k) ^ zero
+		}
+		k[i] = 0
+	}
+	for v := range w.t[0] {
+		w.t[0][v] ^= zero
+	}
+	return w
+}
+
+// Sum returns f(key).
+func (w *Walk16) Sum(key *[16]byte) uint32 {
+	return w.t[0][key[0]] ^ w.t[1][key[1]] ^ w.t[2][key[2]] ^ w.t[3][key[3]] ^
+		w.t[4][key[4]] ^ w.t[5][key[5]] ^ w.t[6][key[6]] ^ w.t[7][key[7]] ^
+		w.t[8][key[8]] ^ w.t[9][key[9]] ^ w.t[10][key[10]] ^ w.t[11][key[11]] ^
+		w.t[12][key[12]] ^ w.t[13][key[13]] ^ w.t[14][key[14]] ^ w.t[15][key[15]]
+}
+
 // Family is an indexed set of independent hash functions realised as CRC
 // engines with distinct polynomials, mirroring how the translator derives
 // its N slot-index hashes and its checksum hash from one hardware engine.
@@ -176,7 +246,8 @@ type Family struct {
 	engines []*Engine
 }
 
-// NewFamily returns a family of n independent hash functions.
+// NewFamily returns a family of n independent hash functions over the
+// shared engines of the pool's first n polynomials.
 // n must be between 1 and the size of the polynomial pool (8).
 func NewFamily(n int) (*Family, error) {
 	if n < 1 || n > len(polyPool) {

@@ -41,7 +41,8 @@ func TestSlicingMatchesBytewise(t *testing.T) {
 
 // FuzzSlicingMatchesBytewise lets the fuzzer search for inputs where the
 // slicing-by-8 path and the byte-wise engine disagree, across every
-// configured polynomial.
+// configured polynomial. For inputs of 16 bytes or more it also checks
+// each engine's affine walk over the first 16.
 func FuzzSlicingMatchesBytewise(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("123456789"))
@@ -49,17 +50,26 @@ func FuzzSlicingMatchesBytewise(f *testing.F) {
 	f.Add(make([]byte, 8))
 	f.Add(make([]byte, 9))
 	f.Add(make([]byte, 64))
+	f.Add(make([]byte, 16))
 	engines := make([]*Engine, 0, 10)
+	walks := make([]*Walk16, 0, 10)
 	for _, p := range allParams() {
-		engines = append(engines, New(p))
+		e := New(p)
+		engines = append(engines, e)
+		walks = append(walks, NewWalk16(e.Sum128))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
-		for _, e := range engines {
+		for i, e := range engines {
 			if got, want := e.Sum(data), e.sumBytewise(data); got != want {
 				t.Fatalf("%s: Sum(len=%d) = %#x, bytewise = %#x", e.Name(), len(data), got, want)
+			}
+			if len(data) >= 16 {
+				if got, want := walks[i].Sum((*[16]byte)(data)), e.sumBytewise(data[:16]); got != want {
+					t.Fatalf("%s: walk(%x) = %#x, bytewise = %#x", e.Name(), data[:16], got, want)
+				}
 			}
 		}
 	})

@@ -40,6 +40,9 @@ const MaxReplicas = 8
 type Ring struct {
 	keyEng *crc.Engine // key bytes → 32-bit digest
 	mixEng *crc.Engine // (digest, member) → score; distinct polynomial
+	// walk is mixed for a 16-byte key in one table walk: both CRCs are
+	// affine, so their composition is.
+	walk *crc.Walk16
 
 	// view is the membership Owners reads: an immutable snapshot swapped
 	// in whole by every change, so the fan-out hot path takes no lock —
@@ -70,6 +73,7 @@ func NewRing(n int) *Ring {
 		keyEng: crc.New(crc.K32K),
 		mixEng: crc.New(crc.Castagnoli),
 	}
+	r.walk = crc.NewWalk16(func(key *[16]byte) uint32 { return r.mixed(key[:]) })
 	members := make([]int, n)
 	for i := range members {
 		members[i] = i
@@ -146,10 +150,16 @@ func (r *Ring) Remove(id int) error {
 }
 
 // score is the rendezvous weight of member id for a key digest. Ties are
-// broken by member ID below, so scores need not be unique. Owners'
-// loop computes the same value from its affine parts.
+// broken by member ID below, so scores need not be unique. Owners
+// computes the same value from its affine parts.
 func (r *Ring) score(digest uint32, id int) uint32 {
 	return r.mixEng.Sum64Pair(uint64(digest), uint64(id))
+}
+
+// mixed is the key's share of every member's score: its digest mixed
+// with member 0, by the two CRCs walk tabulates for 16-byte keys.
+func (r *Ring) mixed(key []byte) uint32 {
+	return r.mixEng.Sum64Pair(uint64(r.keyEng.Sum(key)), 0)
 }
 
 // Owners appends the IDs of the min(n, Size) members owning key to out
@@ -159,38 +169,28 @@ func (r *Ring) score(digest uint32, id int) uint32 {
 // Lock-free: a lookup racing a membership change sees the set before or
 // after it, whole.
 func (r *Ring) Owners(key []byte, n int, out []int) []int {
-	digest := r.keyEng.Sum(key)
-	if n > MaxReplicas {
-		n = MaxReplicas
+	var mixed uint32
+	if len(key) == 16 {
+		mixed = r.walk.Sum((*[16]byte)(key))
+	} else {
+		mixed = r.mixed(key)
 	}
 	v := r.view.Load()
-	if n > len(v.members) {
-		n = len(v.members)
+	n = max(0, min(n, MaxReplicas, len(v.members)))
+	// top holds the best n members so far, descending, as
+	// score<<32 | ^index: one compare orders by score, then by the
+	// smaller index (members is sorted, so the smaller ID). A zero entry
+	// sorts below every real one. Each member is carried down the list
+	// by compare-exchange, which compiles without branches on the score.
+	var top [MaxReplicas]uint64
+	for i := range v.members {
+		e := uint64(mixed^v.mix[i])<<32 | uint64(^uint32(i))
+		for j := 0; j < n; j++ {
+			top[j], e = max(top[j], e), min(top[j], e)
+		}
 	}
-	var scores [MaxReplicas]uint32
-	base := len(out)
-	mixed := r.mixEng.Sum64Pair(uint64(digest), 0)
-	for i, id := range v.members {
-		s := mixed ^ v.mix[i]
-		have := len(out) - base
-		// Insertion position among the current top-`have`: descending by
-		// score, ascending by ID on ties (members is sorted, so an equal
-		// score never displaces an earlier, smaller ID).
-		pos := have
-		for pos > 0 && s > scores[pos-1] {
-			pos--
-		}
-		if pos >= n {
-			continue
-		}
-		if have < n {
-			out = append(out, 0)
-			have++
-		}
-		copy(scores[pos+1:have], scores[pos:have-1])
-		copy(out[base+pos+1:base+have], out[base+pos:base+have-1])
-		scores[pos] = s
-		out[base+pos] = id
+	for _, e := range top[:n] {
+		out = append(out, v.members[^uint32(e)])
 	}
 	return out
 }

@@ -49,27 +49,36 @@ func TestRingScoreIsAffine(t *testing.T) {
 
 // TestRingOwnersMatchOldScoring runs Owners against refOwners through a
 // membership history — Add, Remove, re-Add, Remove-then-Add churn — with
-// fresh random keys at every step.
+// fresh random keys at every step: 16-byte keys (the table walk), 4-byte
+// list IDs through OwnersOfList (the two CRCs), n from 0 to past
+// MaxReplicas, and a one-member ring.
 func TestRingOwnersMatchOldScoring(t *testing.T) {
 	r := NewRing(5)
 	rng := rand.New(rand.NewSource(1818))
-	check := func(stage string) {
+	check := func(r *Ring, stage string) {
 		t.Helper()
 		var key [16]byte
 		var buf [MaxReplicas]int
-		for i := 0; i < 20000; i++ {
-			binary.LittleEndian.PutUint64(key[:], rng.Uint64())
-			binary.LittleEndian.PutUint64(key[8:], rng.Uint64())
-			n := 1 + rng.Intn(MaxReplicas+1)
-			got, want := r.Owners(key[:], n, buf[:0]), refOwners(r, key[:], n)
+		same := func(what string, key []byte, n int, got, want []int) {
+			t.Helper()
 			if len(got) != len(want) {
-				t.Fatalf("%s: key %x n=%d: %v, old scoring %v", stage, key, n, got, want)
+				t.Fatalf("%s: %s %x n=%d: %v, old scoring %v", stage, what, key, n, got, want)
 			}
 			for j := range got {
 				if got[j] != want[j] {
-					t.Fatalf("%s: key %x n=%d: %v, old scoring %v", stage, key, n, got, want)
+					t.Fatalf("%s: %s %x n=%d: %v, old scoring %v", stage, what, key, n, got, want)
 				}
 			}
+		}
+		for i := 0; i < 20000; i++ {
+			binary.LittleEndian.PutUint64(key[:], rng.Uint64())
+			binary.LittleEndian.PutUint64(key[8:], rng.Uint64())
+			n := rng.Intn(MaxReplicas + 2)
+			same("key", key[:], n, r.Owners(key[:], n, buf[:0]), refOwners(r, key[:], n))
+			list := rng.Uint32()
+			var lkey [4]byte
+			binary.BigEndian.PutUint32(lkey[:], list)
+			same("list", lkey[:], n, r.OwnersOfList(list, n, buf[:0]), refOwners(r, lkey[:], n))
 		}
 	}
 	must := func(err error) {
@@ -78,25 +87,56 @@ func TestRingOwnersMatchOldScoring(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("fresh")
+	check(r, "fresh")
 	must(r.Add(9))
 	must(r.Add(7))
-	check("after Add")
+	check(r, "after Add")
 	must(r.Remove(2))
-	check("after Remove")
+	check(r, "after Remove")
 	must(r.Remove(7))
 	must(r.Remove(0))
-	check("after second Remove")
+	check(r, "after second Remove")
 	must(r.Add(2))
-	check("re-Add")
+	check(r, "re-Add")
 	must(r.Add(0))
 	must(r.Remove(9))
 	must(r.Add(7))
-	check("churn")
+	check(r, "churn")
 	for id := 10; id < 40; id++ {
 		must(r.Add(id))
 	}
-	check("40 members")
+	check(r, "40 members")
+	one := NewRing(1)
+	check(one, "one member")
+	must(one.Remove(0))
+	must(one.Add(6))
+	check(one, "one member, re-numbered")
+}
+
+// TestRingWalkMatchesDigest pins the ring's table walk to the two CRCs
+// it tabulates, on the zero key, every one-byte key and random keys.
+func TestRingWalkMatchesDigest(t *testing.T) {
+	r := NewRing(1)
+	match := func(key *[16]byte) {
+		t.Helper()
+		if got, want := r.walk.Sum(key), r.mixed(key[:]); got != want {
+			t.Fatalf("key %x: walk %#x, two CRCs %#x", key[:], got, want)
+		}
+	}
+	var key [16]byte
+	match(&key)
+	for i := range key {
+		for v := 0; v < 256; v++ {
+			key[i] = byte(v)
+			match(&key)
+		}
+		key[i] = 0
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 100000; i++ {
+		rng.Read(key[:])
+		match(&key)
+	}
 }
 
 // TestRingOwnersLockFreeUnderChange: lookups racing membership changes
@@ -151,14 +191,19 @@ func TestRingOwnersLockFreeUnderChange(t *testing.T) {
 var ownersSink int
 
 // BenchmarkRingOwners is the HA fan-out's per-report lookup: 4 members,
-// R = 3, the ha_r3 workload's shape.
+// R = 3, the ha_r3 workload's shape. Keys come from a pre-generated
+// table of random 16-byte keys, as the workload's tape does, so the
+// top-R selection sees random scores rather than a sequential pattern.
 func BenchmarkRingOwners(b *testing.B) {
 	r := NewRing(4)
-	var key [16]byte
+	keys := make([][16]byte, 4096)
+	rng := rand.New(rand.NewSource(37))
+	for i := range keys {
+		rng.Read(keys[i][:])
+	}
 	var buf [MaxReplicas]int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		binary.LittleEndian.PutUint64(key[:], uint64(i))
-		ownersSink += len(r.Owners(key[:], 3, buf[:0]))
+		ownersSink += len(r.Owners(keys[i&(len(keys)-1)][:], 3, buf[:0]))
 	}
 }
