@@ -147,15 +147,14 @@ func sameImages(t *testing.T, what string, a, b map[string][]byte) {
 // failing — goes through the per-record entry (a chunk of one, the
 // synchronous reporters' path) on one system and through the worker's
 // chunk entry cut at random boundaries 1…ChunkFrames on an identical
-// second one, limiter and WAL on and off, lossy link on. Everything
+// second one, limiter and WAL on and off. Everything
 // observable must agree: every emitted packet and logged record, in
 // order, with the same trace ID active; store bytes; Stats and WAL
 // counters; WAL segment bytes; failure counts. A third identical system
 // takes the same chunks with their plan made at staging — the sink's
 // PlanStaged per record into one recycled plan array, as a Submitter
 // does it — where the second plans in place: stage A's two homes must be
-// indistinguishable too, Key-Increment aggregation on and off, and the
-// lossy link must cut the plan where it cuts the records. The logs then
+// indistinguishable too, Key-Increment aggregation on and off. The logs then
 // replay — chunked, as Recover does it, and record by record — into
 // identical stores again.
 func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
@@ -164,13 +163,12 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 		name string
 		rate float64
 		wal  bool
-		loss float64
 		agg  int
 	}{
-		{name: "bare", loss: 0.05},
-		{name: "limiter", rate: 1e6, loss: 0.05},
-		{name: "wal", wal: true, loss: 0.05, agg: 64},
-		{name: "limiter+wal", rate: 1e6, wal: true, loss: 0.05},
+		{name: "bare"},
+		{name: "limiter", rate: 1e6},
+		{name: "wal", wal: true, agg: 64},
+		{name: "limiter+wal", rate: 1e6, wal: true},
 		{name: "lossless", rate: 1e6, wal: true, agg: 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,8 +179,6 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				Postcarding:  &PostcardingOptions{Chunks: 1 << 8, Hops: 3, Values: []uint32{1, 2, 3, 4, 5, 6, 7}, CacheRows: 16},
 				Append:       &AppendOptions{Lists: 4, EntriesPerList: 1 << 8, EntrySize: 4, Batch: 4},
 				RateLimit:    tc.rate,
-				ReporterLoss: tc.loss,
-				Seed:         11,
 			}
 			build := func() (*System, *[]tapEvent, string) {
 				// A pool no run can exhaust: which submits get a trace must
@@ -217,7 +213,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 				if h.Valid() {
 					one.tr.SetTraceHandle(h)
 				}
-				if err := one.deliver(&st.recs[i], st.now[i]); err != nil {
+				if err := one.tr.ProcessStaged(&st.recs[i], st.now[i]); err != nil {
 					oneFailed++
 				}
 				h.Finish()
@@ -297,9 +293,6 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			if (tc.rate > 0) != (so.RateDropped > 0) {
 				t.Errorf("RateDropped = %d with RateLimit %v", so.RateDropped, tc.rate)
 			}
-			if (tc.loss > 0) != (so.LinkDropped > 0) {
-				t.Errorf("LinkDropped = %d with ReporterLoss %v", so.LinkDropped, tc.loss)
-			}
 			if !tc.wal {
 				return
 			}
@@ -361,10 +354,8 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 
 // TestSystemSinkBatchZeroAllocs extends the structured-ingest allocation
 // pins to the worker's chunk entry itself — all four primitives,
-// Key-Increment aggregation on, lossy link on (its run-splitting must not
-// allocate either), the plan made at staging (PlanStaged into a recycled
-// array must not allocate, nor cutting it where the link cuts the
-// records).
+// Key-Increment aggregation on, the plan made at staging (PlanStaged
+// into a recycled array must not allocate).
 func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 	values := make([]uint32, 256)
 	for i := range values {
@@ -375,8 +366,6 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 		KeyIncrement: &KeyIncrementOptions{Slots: 1 << 10, AggregationRows: 8},
 		Postcarding:  &PostcardingOptions{Chunks: 1 << 10, Hops: 5, Values: values, CacheRows: 64},
 		Append:       &AppendOptions{Lists: 4, EntriesPerList: 1 << 10, EntrySize: 4, Batch: 4},
-		ReporterLoss: 0.1,
-		Seed:         5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -390,8 +379,10 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
 				KeyWrite: wire.KeyWrite{Redundancy: 2, Key: k}, Data: []byte{1, 2, 3, 4}}
 		case 1:
+			// Keys in pairs: the second of each pair is absorbed by the
+			// aggregation cache, the first may evict another key.
 			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
-				KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: wire.KeyFromUint64(uint64(i % 16)), Delta: 1}}
+				KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: wire.KeyFromUint64(uint64(i / 8)), Delta: 1}}
 		case 2:
 			rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 				Postcard: wire.Postcard{Key: wire.KeyFromUint64(uint64(i / 8)), Hop: uint8(i / 4 % 2), PathLen: 2, Value: uint32(i + 1)}}
@@ -422,9 +413,6 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, chunk)
 	if allocs != 0 {
 		t.Fatalf("systemSink.ProcessStagedBatch allocated %.2f per chunk, want 0", allocs)
-	}
-	if s.Stats().LinkDropped == 0 {
-		t.Fatal("lossy link never dropped: the run-splitting path was not exercised")
 	}
 	if st := s.tr.Stats(); st.PostcardEmits == before.PostcardEmits || st.AppendFlushes == before.AppendFlushes || st.KIAggregated == before.KIAggregated {
 		t.Fatalf("chunk did not exercise every emit path: %+v", st)

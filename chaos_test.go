@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,10 +58,11 @@ func TestChaosRequiresPlane(t *testing.T) {
 		t.Errorf("HealChaos without a plane is a safe no-op: %v", err)
 	}
 
-	if _, err := c.EnableChaos(1); err != nil {
+	first, err := c.EnableChaos(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p, err := c.EnableChaos(2); err != nil || p != c.Chaos() || p.Seed() != 1 {
+	if p, err := c.EnableChaos(2); err != nil || p != first || p != c.Chaos() {
 		t.Errorf("EnableChaos not idempotent: %v %v", p, err)
 	}
 
@@ -240,6 +242,55 @@ func TestChaosPeerPartitionRetry(t *testing.T) {
 	}
 	if hit == 0 {
 		t.Fatal("resynced collector answers nothing")
+	}
+}
+
+// TestRebalanceRetryBackoffIsSeeded: the resync retry jitter is a
+// function of the chaos seed. Two stale targets, both cut from a peer,
+// are deferred in one Rebalance; which collector draws which backoff
+// must not depend on map iteration order, so every cluster built with
+// the same seed journals the same (collector, attempt, backoff)
+// sequence.
+func TestRebalanceRetryBackoffIsSeeded(t *testing.T) {
+	opts := Options{KeyWrite: &KeyWriteOptions{Slots: 1 << 10, DataSize: 4}}
+	retries := func() [][3]uint64 {
+		c, err := NewHACluster(4, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.EnableChaos(7); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 2; i++ {
+			if err := c.PartitionReporter(i); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.PartitionPeers(i, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2 {
+			if err := c.Rebalance(); err == nil {
+				t.Fatal("rebalance succeeded with both targets partitioned")
+			}
+		}
+		var seq [][3]uint64
+		events, _, _ := c.Journal().Since(0, nil)
+		for _, ev := range events {
+			if ev.Type == journal.EvResyncRetry {
+				seq = append(seq, [3]uint64{uint64(ev.Collector), ev.Arg1, ev.Arg2})
+			}
+		}
+		return seq
+	}
+	want := retries()
+	if len(want) != 4 {
+		t.Fatalf("journaled retries %v, want two targets × two attempts", want)
+	}
+	for run := 1; run < 200; run++ {
+		if got := retries(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: retries (collector, attempt, backoff) %v, first run %v", run, got, want)
+		}
 	}
 }
 

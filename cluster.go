@@ -28,9 +28,7 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{eng: crc.New(crc.K32K), telemetry: newTelemetry(opts)}
 	for i := 0; i < n; i++ {
-		o := opts
-		o.Seed = opts.Seed + int64(i)
-		sys, err := newSystem(o, &c.telemetry, int16(i))
+		sys, err := newSystem(opts, &c.telemetry, int16(i))
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +126,6 @@ func aggregateStats(systems []*System) Stats {
 		total.Resyncs += st.Resyncs
 		total.PostcardEmits += st.PostcardEmits
 		total.AppendFlushes += st.AppendFlushes
-		total.LinkDropped += st.LinkDropped
 		memInstr += st.MemInstrPerReport * float64(st.Reports)
 	}
 	if total.Reports > 0 {

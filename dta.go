@@ -31,9 +31,7 @@
 // translator crafts the verbs with PSN tracking as work-queue entries —
 // the collector's device model shares the process, so no RoCEv2 packet
 // would cross a wire — and the device validates and applies them,
-// answering each doorbell with one completion. An optional lossy link
-// model, charged each report's exact frame size, exercises the recovery
-// paths.
+// answering each doorbell with one completion.
 package dta
 
 import (
@@ -44,10 +42,8 @@ import (
 	"dta/internal/core/keyincrement"
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
-	"dta/internal/netsim"
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
-	"dta/internal/obs/trace"
 	"dta/internal/rdma"
 	"dta/internal/translator"
 	"dta/internal/wal"
@@ -123,11 +119,6 @@ type Options struct {
 
 	// RateLimit caps the translator's RDMA rate (messages/s; 0 = off).
 	RateLimit float64
-	// ReporterLoss drops this fraction of reporter→translator frames,
-	// exercising DTA's best-effort behaviour (0 = lossless).
-	ReporterLoss float64
-	// Seed fixes the loss pattern.
-	Seed int64
 
 	// DisableTelemetry turns the self-telemetry registry off: no metric
 	// series are registered (Metrics returns nil) and the per-stage
@@ -144,7 +135,6 @@ type Options struct {
 type System struct {
 	host *collector.Host
 	tr   *translator.Translator
-	link *netsim.Link
 	// now is the simulation clock; atomic so Advance can run while an
 	// attached Engine worker reads it.
 	now atomic.Uint64
@@ -220,9 +210,6 @@ func newSystem(opts Options, shared *telemetry, collectorID int16) (*System, err
 	}
 	s.tr = tr
 	tr.Journal = journal.Emitter{J: s.jr, Comp: journal.CompTranslator, Collector: collectorID}
-	if opts.ReporterLoss > 0 {
-		s.link = netsim.NewLink(100e9, 500, opts.ReporterLoss, opts.Seed)
-	}
 	// Translator → collector is the lossless RDMA hop: the translator
 	// posts a window's verbs to the host's send queue, and its doorbell
 	// executes them and returns the completion synchronously.
@@ -239,14 +226,12 @@ var ErrNotDTA = translator.ErrNotDTA
 // Reporter attaches a new reporter switch with the given ID. Reports are
 // validated in memory, staged by value and handed to the translator —
 // the same zero-allocation chain an engine's reporters use, minus the
-// queue. The lossy-link model accounts the exact on-the-wire frame
-// size of every report.
+// queue.
 func (s *System) Reporter(switchID uint32) *Reporter {
 	return &Reporter{switchID: switchID, systems: []*System{s}}
 }
 
-// Advance moves the system clock forward (for rate limiting and link
-// modelling).
+// Advance moves the system clock forward (for rate limiting).
 func (s *System) Advance(ns uint64) { s.now.Add(ns) }
 
 // Now returns the system clock in nanoseconds, including any injected
@@ -260,23 +245,6 @@ func (s *System) Now() uint64 { return uint64(int64(s.now.Load()) + s.skew.Load(
 // timestamp deltas are signed varints, so recovery decodes skewed
 // records exactly. Safe concurrently with ingest.
 func (s *System) setClockSkew(d int64) { s.skew.Store(d) }
-
-// deliver carries one staged record across the (optional) lossy link
-// into the translator. The link is charged the exact on-the-wire size
-// the report occupies as a frame.
-func (s *System) deliver(rec *wire.StagedReport, nowNs uint64) error {
-	if s.link != nil {
-		if _, dropped := s.link.Send(nowNs, rec.FrameLen()); dropped {
-			// The translator never runs for a dropped report, so it
-			// cannot clear a trace handle installed for this report —
-			// clear it here so a later report can't stamp a recycled
-			// trace slot.
-			s.tr.SetTraceHandle(trace.Handle{})
-			return nil // best-effort: silently lost, like UDP
-		}
-	}
-	return s.tr.ProcessStaged(rec, nowNs)
-}
 
 // LookupValue queries the Key-Write store: the value stored under key,
 // if it is still reconstructible (plurality vote over n slots).
@@ -357,7 +325,11 @@ type Stats struct {
 	Resyncs       uint64
 	PostcardEmits uint64
 	AppendFlushes uint64
-	LinkDropped   uint64
+	// LinkDropped is always 0: reports lost in the network never reach
+	// a System, so nothing counts them. The field remains only because
+	// the repository benchmark's drop count still reads it; ROADMAP item
+	// 1A(iv) drops that read and deletes the field.
+	LinkDropped uint64
 	// MemInstrPerReport is Fig. 8's metric: DMA memory instructions per
 	// report, one per cache line a WRITE stores and two per FETCH&ADD.
 	MemInstrPerReport float64
@@ -379,9 +351,6 @@ func (s *System) Stats() Stats {
 	}
 	if tst.Reports > 0 {
 		st.MemInstrPerReport = float64(dev.WriteLines+2*dev.FetchAdds) / float64(tst.Reports)
-	}
-	if s.link != nil {
-		st.LinkDropped = s.link.Dropped
 	}
 	return st
 }

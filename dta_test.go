@@ -136,39 +136,6 @@ func TestImmediateEvent(t *testing.T) {
 	}
 }
 
-func TestLossyReporterLink(t *testing.T) {
-	opts := fullOptions()
-	opts.ReporterLoss = 0.5
-	opts.Seed = 7
-	sys, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := sys.Reporter(1)
-	const keys = 400
-	for i := 0; i < keys; i++ {
-		if err := rep.KeyWrite(KeyFromUint64(uint64(i)), []byte{9, 9, 9, 9}, 2); err != nil {
-			t.Fatal(err)
-		}
-		sys.Advance(1000)
-	}
-	found := 0
-	for i := 0; i < keys; i++ {
-		if _, ok, _ := sys.LookupValue(KeyFromUint64(uint64(i)), 2); ok {
-			found++
-		}
-	}
-	st := sys.Stats()
-	if st.LinkDropped == 0 {
-		t.Fatal("no frames dropped at 50% loss")
-	}
-	// Best-effort semantics: surviving reports are queryable; lost ones
-	// are not, and nothing breaks.
-	if found < keys/3 || found > 2*keys/3+keys/10 {
-		t.Errorf("found %d/%d at 50%% loss", found, keys)
-	}
-}
-
 func TestStatsAndMemInstr(t *testing.T) {
 	sys, _ := New(fullOptions())
 	rep := sys.Reporter(1)

@@ -59,9 +59,9 @@ type Engine struct {
 	systems []*System  // one per shard
 }
 
-// systemSink adapts one System's lossy-link + translator + collector
-// chain to the engine's per-shard sink: chunks of staged records, the
-// plan made as they were staged, flushes and the log's batch boundaries.
+// systemSink adapts one System's translator + collector chain to the
+// engine's per-shard sink: chunks of staged records, the plan made as
+// they were staged, flushes and the log's batch boundaries.
 type systemSink struct{ s *System }
 
 // PlanStaged is the staging side's entry (engine.StagedPlanner): address
@@ -73,38 +73,9 @@ func (k systemSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
 
 // ProcessStagedBatch is the shard worker's entry (engine.StagedBatchSink):
 // the whole chunk reaches the translator in one call, so it can
-// pre-touch every destination line before crafting the first packet. The
-// lossy-link model still decides record by record; each run of surviving
-// records goes down as one batch, with its slice of the plan and of the
-// trace handles.
+// pre-touch every destination line before crafting the first packet.
 func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
-	s := k.s
-	if s.link == nil {
-		return s.tr.ProcessStagedBatch(recs, plan, trcs, nowNs)
-	}
-	run := func(from, to int) {
-		if from == to {
-			return
-		}
-		var h []trace.Handle
-		if len(trcs) > 0 {
-			h = trcs[from:to]
-		}
-		n, err := s.tr.ProcessStagedBatch(recs[from:to], plan.Slice(from, to), h, nowNs)
-		if failed == 0 {
-			first = err
-		}
-		failed += n
-	}
-	start := 0
-	for i := range recs {
-		if _, dropped := s.link.Send(nowNs, recs[i].FrameLen()); dropped {
-			run(start, i) // best-effort: recs[i] is silently lost, like UDP
-			start = i + 1
-		}
-	}
-	run(start, len(recs))
-	return failed, first
+	return k.s.tr.ProcessStagedBatch(recs, plan, trcs, nowNs)
 }
 
 func (k systemSink) Flush(nowNs uint64) error { return k.s.flushAt(nowNs) }

@@ -312,40 +312,3 @@ func TestEngineDropPolicy(t *testing.T) {
 		t.Fatalf("translator saw %d reports, engine processed %d", got, st.Processed)
 	}
 }
-
-// TestEngineLossyLink runs the engine over a lossy reporter link: the
-// link drops count toward system stats, not engine errors.
-func TestEngineLossyLink(t *testing.T) {
-	opts := engineOptions()
-	opts.ReporterLoss = 0.2
-	opts.Seed = 11
-	sys, err := dta.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := sys.Engine(dta.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	rep := eng.Reporter(1)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		if err := rep.KeyWrite(dta.KeyFromUint64(uint64(i)), []byte{1, 2, 3, 4}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rep.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	st := sys.Stats()
-	if st.LinkDropped == 0 {
-		t.Fatal("lossy link dropped nothing")
-	}
-	if st.Reports+st.LinkDropped != n {
-		t.Fatalf("reports %d + link drops %d != %d", st.Reports, st.LinkDropped, n)
-	}
-}

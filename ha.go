@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -226,9 +227,7 @@ func NewHACluster(n, r int, opts Options) (*HACluster, error) {
 	}
 	c.health = ha.NewHealthScoped(c.reg.Scope())
 	for i := 0; i < n; i++ {
-		o := opts
-		o.Seed = opts.Seed + int64(i)
-		sys, err := c.newMember(i, o)
+		sys, err := c.newMember(i, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -490,7 +489,8 @@ func (c *HACluster) SetUp(i int) error {
 // per-collector disk faults (SlowDisk, and WrapFile wrapping of every
 // WAL segment) and clock skew (SetClockSkew). Call it before WithWAL —
 // segment files are wrapped at open — and before any traffic, like
-// WithWAL itself. Idempotent; returns the plane.
+// WithWAL itself. seed seeds the jitter Rebalance adds to a deferred
+// resync's retry backoff. Idempotent; returns the plane.
 func (c *HACluster) EnableChaos(seed int64) (*chaos.Plane, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -500,7 +500,7 @@ func (c *HACluster) EnableChaos(seed int64) (*chaos.Plane, error) {
 	if c.walDir != "" {
 		return nil, errors.New("dta: EnableChaos must run before WithWAL (WAL segment files are fault-wrapped at open)")
 	}
-	c.chaos = chaos.NewPlane(seed)
+	c.chaos = chaos.NewPlane()
 	c.retryRNG = rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 	return c.chaos, nil
 }
@@ -743,9 +743,7 @@ func (c *HACluster) AddCollector() (int, error) {
 	if id >= ha.MaxMembers {
 		return 0, fmt.Errorf("dta: cluster size limit %d reached", ha.MaxMembers)
 	}
-	o := c.opts
-	o.Seed = c.opts.Seed + int64(id)
-	sys, err := c.newMember(id, o)
+	sys, err := c.newMember(id, c.opts)
 	if err != nil {
 		return 0, err
 	}
@@ -932,7 +930,10 @@ func (c *HACluster) Rebalance() error {
 	livePeers := append(append([]int(nil), stalePeers...), freshPeers...)
 	var errs []error
 	var resynced []int
-	for id, since := range c.stale {
+	// Targets go in ID order, so the deferrals draw their retry jitter
+	// from retryRNG in an order the seed fixes.
+	for _, id := range slices.Sorted(maps.Keys(c.stale)) {
+		since := c.stale[id]
 		if c.health.IsDown(id) {
 			continue // still down: stays stale for its next rejoin
 		}

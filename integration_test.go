@@ -3,6 +3,7 @@ package dta
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -56,9 +57,10 @@ func TestManyReportersSharedStore(t *testing.T) {
 }
 
 // TestEndToEndINTOverLossyFabric drives the full stack — trace
-// generation, INT postcard sources per switch, DTA frames over a lossy
-// link, translation, RDMA, store, queries — and checks that losses only
-// degrade coverage, never correctness.
+// generation, INT postcard sources per switch, translation, RDMA,
+// store, queries — over a fabric that loses ≈ 5 % of postcards before
+// they reach the translator (a seeded draw per postcard), and checks
+// that losses only degrade coverage, never correctness.
 func TestEndToEndINTOverLossyFabric(t *testing.T) {
 	paths, err := inttel.NewPathModel(256, 5, 5)
 	if err != nil {
@@ -68,8 +70,6 @@ func TestEndToEndINTOverLossyFabric(t *testing.T) {
 		Postcarding: &PostcardingOptions{
 			Chunks: 1 << 12, Hops: 5, Values: paths.ValueSpace(), CacheRows: 1 << 12,
 		},
-		ReporterLoss: 0.05,
-		Seed:         3,
 	}
 	sys, err := New(opts)
 	if err != nil {
@@ -79,8 +79,10 @@ func TestEndToEndINTOverLossyFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loss := rand.New(rand.NewSource(3))
 	reps := map[uint32]*Reporter{}
 	seen := map[Key]bool{}
+	dropped := 0
 	for i := 0; i < 3000; i++ {
 		p := g.Next()
 		key := p.Flow.Key()
@@ -95,17 +97,21 @@ func TestEndToEndINTOverLossyFabric(t *testing.T) {
 				rep = sys.Reporter(id)
 				reps[id] = rep
 			}
+			sys.Advance(100)
+			if loss.Float64() < 0.05 {
+				dropped++ // lost in the fabric, like any UDP datagram
+				continue
+			}
 			if err := rep.Postcard(key, hop, 5); err != nil {
 				t.Fatal(err)
 			}
-			sys.Advance(100)
 		}
 	}
 	if err := sys.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Stats().LinkDropped == 0 {
-		t.Fatal("lossy link dropped nothing")
+	if dropped == 0 {
+		t.Fatal("the fabric dropped nothing")
 	}
 	okCount, wrongCount := 0, 0
 	for key := range seen {

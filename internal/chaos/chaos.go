@@ -1,21 +1,26 @@
-// Package chaos is the deterministic fault-injection plane: a seeded
-// set of injectable faults — disk latency and stickiness on the WAL's
-// segment files, asymmetric reporter→collector and peer↔peer link
-// partitions, and (via the System clock hooks) per-collector skew —
-// that the HA cluster and the WAL thread through their normal code
-// paths so failure scenarios run against the production logic, not a
-// mock of it.
+// Package chaos is the fault-injection plane: the injectable faults
+// the HA cluster and the WAL thread through their normal code paths, so
+// failure scenarios run against the production logic, not a mock of
+// it. The faults are:
+//
+//   - asymmetric reporter→collector link partitions (CutReporter);
+//   - symmetric peer↔peer resync partitions (CutPeers);
+//   - added fsync latency on a collector's WAL segment files
+//     (Disk.SetFsyncLatency, the slow-disk fault);
+//   - a sticky errno that fails every later write and fsync — a dead
+//     disk (Disk.FailSticky).
+//
+// Per-collector clock skew lives on the System's clock hooks. None of
+// the faults draws randomness: a chaos run reproduces from its schedule
+// and the seed its cluster gives the resync retry jitter.
 //
 // Everything is designed for the hot paths it touches: a disabled
-// fault costs one nil check or one relaxed atomic load, every knob is
-// safe to flip concurrently with ingest (faults strike mid-run — that
-// is the point), and all randomness (latency jitter) derives from the
-// plane's seed, so a failing chaos run reproduces from its logged seed
-// and schedule alone.
+// fault costs one nil check or one relaxed atomic load, and every knob
+// is safe to flip concurrently with ingest (faults strike mid-run —
+// that is the point).
 package chaos
 
 import (
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -34,8 +39,6 @@ const MaxNodes = 64
 // NewPlane. A nil *Plane is a valid "chaos disabled" value for every
 // query method.
 type Plane struct {
-	seed int64
-
 	// rep[i] cuts the reporter→collector i link: fan-out writers skip i
 	// (counted as degraded, exactly like a down replica) while queries
 	// and resync still reach it — the asymmetric half of a partition.
@@ -49,13 +52,10 @@ type Plane struct {
 	disks map[int]*Disk
 }
 
-// NewPlane builds a fault plane. All per-disk jitter derives from seed.
-func NewPlane(seed int64) *Plane {
-	return &Plane{seed: seed, disks: make(map[int]*Disk)}
+// NewPlane builds a fault plane with no fault injected.
+func NewPlane() *Plane {
+	return &Plane{disks: make(map[int]*Disk)}
 }
-
-// Seed returns the plane's seed (logged by drivers for reproduction).
-func (p *Plane) Seed() int64 { return p.seed }
 
 // Disk returns collector i's fault-injection disk, creating it on first
 // use. Safe for concurrent use.
@@ -64,10 +64,7 @@ func (p *Plane) Disk(i int) *Disk {
 	defer p.mu.Unlock()
 	d := p.disks[i]
 	if d == nil {
-		// splitmix64-style decorrelation: each disk jitters its own
-		// deterministic stream even under one plane seed.
 		d = &Disk{}
-		d.rng.Store(uint64(p.seed) + uint64(i+1)*0x9e3779b97f4a7c15)
 		p.disks[i] = d
 	}
 	return d
@@ -162,71 +159,31 @@ func (p *Plane) HealNode(i int) {
 	d.Heal()
 }
 
-// HealAll clears every fault on the plane.
-func (p *Plane) HealAll() {
-	if p == nil {
-		return
-	}
-	for i := range p.rep {
-		p.rep[i].Store(false)
-	}
-	for i := range p.peer {
-		p.peer[i].Store(false)
-	}
-	p.mu.Lock()
-	disks := make([]*Disk, 0, len(p.disks))
-	for _, d := range p.disks {
-		disks = append(disks, d)
-	}
-	p.mu.Unlock()
-	for _, d := range disks {
-		d.Heal()
-	}
-}
-
-// Disk injects storage faults under one collector's WAL: added write
-// and fsync latency (with seeded jitter), short writes, and a sticky
-// errno that fails every subsequent operation — a dead disk. All knobs
-// are atomics, safe to flip while the WAL flusher is mid-write. The
-// zero value injects nothing; a nil *Disk is a valid no-op for Heal.
+// Disk injects storage faults under one collector's WAL: added fsync
+// latency and a sticky errno that fails every subsequent operation — a
+// dead disk. Both knobs are atomics, safe to flip while the WAL flusher
+// is mid-write. The zero value injects nothing; a nil *Disk is a valid
+// no-op for Heal.
 type Disk struct {
-	writeLat atomic.Int64 // ns added to every Write
 	fsyncLat atomic.Int64 // ns added to every Sync
-	jitter   atomic.Int64 // max extra ns drawn per delayed op
 	errno    atomic.Int64 // non-zero: every op fails with this errno
-	short    atomic.Bool  // Write stores only half and reports it
-	rng      atomic.Uint64
 }
-
-// SetWriteLatency adds d to every Write (0 = none).
-func (d *Disk) SetWriteLatency(lat time.Duration) { d.writeLat.Store(int64(lat)) }
 
 // SetFsyncLatency adds lat to every Sync (0 = none) — the slow-disk
 // fault that drives the WAL's degraded-ack mode.
 func (d *Disk) SetFsyncLatency(lat time.Duration) { d.fsyncLat.Store(int64(lat)) }
 
-// SetJitter adds a seeded-random extra delay in [0, j) to every delayed
-// operation.
-func (d *Disk) SetJitter(j time.Duration) { d.jitter.Store(int64(j)) }
-
 // FailSticky makes every subsequent operation fail with errno — the
 // disk is dead until Heal.
 func (d *Disk) FailSticky(errno syscall.Errno) { d.errno.Store(int64(errno)) }
-
-// SetShortWrites makes Write store only half of each buffer, reporting
-// the truncation — exercising the writer's partial-progress handling.
-func (d *Disk) SetShortWrites(on bool) { d.short.Store(on) }
 
 // Heal clears every fault. Nil-safe.
 func (d *Disk) Heal() {
 	if d == nil {
 		return
 	}
-	d.writeLat.Store(0)
 	d.fsyncLat.Store(0)
-	d.jitter.Store(0)
 	d.errno.Store(0)
-	d.short.Store(false)
 }
 
 // FsyncLatency returns the injected fsync latency (drivers log it).
@@ -235,26 +192,6 @@ func (d *Disk) FsyncLatency() time.Duration {
 		return 0
 	}
 	return time.Duration(d.fsyncLat.Load())
-}
-
-// delay sleeps for base plus seeded jitter. The xorshift step keeps the
-// jitter stream deterministic per disk without a lock.
-func (d *Disk) delay(base int64) {
-	if base <= 0 && d.jitter.Load() <= 0 {
-		return
-	}
-	extra := int64(0)
-	if j := d.jitter.Load(); j > 0 {
-		x := d.rng.Load()
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		d.rng.Store(x)
-		extra = int64(x % uint64(j))
-	}
-	if total := base + extra; total > 0 {
-		time.Sleep(time.Duration(total))
-	}
 }
 
 // WrapFile wraps a WAL segment file with this disk's faults. It is the
@@ -274,14 +211,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	if e := ff.d.errno.Load(); e != 0 {
 		return 0, syscall.Errno(e)
 	}
-	ff.d.delay(ff.d.writeLat.Load())
-	if ff.d.short.Load() && len(p) > 1 {
-		n, err := ff.f.Write(p[:len(p)/2])
-		if err != nil {
-			return n, err
-		}
-		return n, io.ErrShortWrite
-	}
 	return ff.f.Write(p)
 }
 
@@ -289,7 +218,9 @@ func (ff *faultFile) Sync() error {
 	if e := ff.d.errno.Load(); e != 0 {
 		return syscall.Errno(e)
 	}
-	ff.d.delay(ff.d.fsyncLat.Load())
+	if lat := ff.d.fsyncLat.Load(); lat > 0 {
+		time.Sleep(time.Duration(lat))
+	}
 	return ff.f.Sync()
 }
 

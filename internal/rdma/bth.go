@@ -1,6 +1,6 @@
 // Package rdma implements the subset of RoCEv2 (RDMA over Converged
 // Ethernet v2) that Direct Telemetry Access relies on: reliable-connection
-// RDMA WRITE, FETCH&ADD, SEND, and their acknowledgements, together with
+// RDMA WRITE, FETCH&ADD and their acknowledgements, together with
 // registered memory regions, responder queue pairs with packet-sequence
 // tracking, a connection-manager handshake, and a NIC performance model.
 //
@@ -34,7 +34,6 @@ type Opcode uint8
 
 // The RC opcodes DTA uses.
 const (
-	OpSendOnly     Opcode = 0x04
 	OpWriteOnly    Opcode = 0x0a
 	OpWriteOnlyImm Opcode = 0x0b
 	OpAcknowledge  Opcode = 0x11
@@ -45,8 +44,6 @@ const (
 // String names the opcode.
 func (o Opcode) String() string {
 	switch o {
-	case OpSendOnly:
-		return "SEND_ONLY"
 	case OpWriteOnly:
 		return "RDMA_WRITE_ONLY"
 	case OpWriteOnlyImm:
@@ -213,7 +210,7 @@ type Packet struct {
 	HasImm    bool
 	// OrigValue is the pre-add value in an atomic acknowledge.
 	OrigValue uint64
-	// Payload aliases the input buffer for WRITE and SEND packets.
+	// Payload aliases the input buffer for WRITE packets.
 	Payload []byte
 }
 
@@ -304,17 +301,6 @@ func BuildFetchAdd(buf []byte, destQP, psn uint32, va uint64, rkey uint32, add u
 	return b
 }
 
-// BuildSend serializes a SEND-only packet (used by the collector to
-// advertise primitive metadata to the translator, §5.3).
-func BuildSend(buf []byte, destQP, psn uint32, payload []byte) []byte {
-	bth := BTH{Opcode: OpSendOnly, DestQP: destQP, AckReq: true, PSN: psn}
-	b := grow(buf, BTHLen+len(payload)+ICRCLen)
-	bth.serializeTo(b)
-	copy(b[BTHLen:], payload)
-	stampICRC(b)
-	return b
-}
-
 // BuildAck serializes an acknowledge with the given syndrome into buf,
 // reusing its backing array when it fits. For atomic acknowledges
 // origValue carries the pre-add value.
@@ -373,8 +359,6 @@ func DecodePacket(b []byte, p *Packet) error {
 		if err := p.AtomicETH.decode(rest); err != nil {
 			return err
 		}
-	case OpSendOnly:
-		p.Payload = rest
 	case OpAcknowledge, OpAtomicAck:
 		if err := p.AETH.decode(rest); err != nil {
 			return err

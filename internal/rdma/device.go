@@ -134,7 +134,6 @@ type DeviceStats struct {
 	Writes     uint64
 	WriteLines uint64
 	FetchAdds  uint64
-	Sends      uint64
 	Duplicates uint64
 	SeqErrors  uint64
 	AccessErrs uint64
@@ -339,10 +338,6 @@ func (d *Device) execute(p *Packet, c *Completion, evs []ImmediateEvent, epoch u
 		qp.hasAtomicCache = true
 		qp.advance()
 		c.respond(qp, p.BTH.PSN, SynACK, true, orig)
-	case OpSendOnly:
-		d.Stats.Sends++
-		qp.advance()
-		c.respond(qp, p.BTH.PSN, SynACK, false, 0)
 	default:
 		return evs, true, ErrBadOpcode
 	}

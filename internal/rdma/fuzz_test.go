@@ -14,7 +14,7 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Add(BuildWrite(nil, 1, 2, 0x10000000, 3, []byte{1, 2, 3, 4}, true, nil))
 	f.Add(BuildWrite(nil, 1, 2, 0x10000000, 3, []byte{1}, false, &imm))
 	f.Add(BuildFetchAdd(nil, 1, 2, 0x10000000, 3, 42))
-	f.Add(BuildSend(nil, 1, 2, []byte("metadata")))
+	f.Add(BuildWrite(nil, 1, 2, 0x10000000, 3, nil, false, nil))
 	f.Add(BuildAck(nil, 1, 2, SynACK, 0, false, 0))
 	f.Add(BuildAck(nil, 1, 2, SynACK, 0, true, 77))
 	f.Add([]byte{})

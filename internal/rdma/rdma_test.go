@@ -3,6 +3,7 @@ package rdma
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,19 @@ func TestDecodePacketTruncated(t *testing.T) {
 				t.Errorf("%s: %d-byte prefix of a %d-byte WQE accepted", c.name, n, len(c.wqe))
 			}
 		}
+	}
+}
+
+// TestSendRefused: the collector runs no SEND verb, so a SEND-only
+// packet at the edge is refused like any other unknown opcode.
+func TestSendRefused(t *testing.T) {
+	payload := []byte("metadata")
+	pkt := make([]byte, BTHLen+len(payload)+ICRCLen)
+	(&BTH{Opcode: 0x04, DestQP: 1, AckReq: true, PSN: 2}).serializeTo(pkt)
+	copy(pkt[BTHLen:], payload)
+	stampICRC(pkt)
+	if _, _, err := NewDevice().Process(pkt, nil); !errors.Is(err, ErrBadOpcode) {
+		t.Fatalf("SEND-only packet: err = %v, want ErrBadOpcode", err)
 	}
 }
 

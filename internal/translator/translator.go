@@ -4,8 +4,8 @@
 //
 // The pipeline mirrors the Tofino implementation's stages:
 //
-//	parse → (user traffic: forward) → primitive processing → multicast
-//	redundancy → verb crafting → rate limiting → emit
+//	primitive processing → multicast redundancy → verb crafting →
+//	rate limiting → emit
 //
 // Key-Write and Key-Increment hash the key into N slot addresses and
 // replicate the operation N ways (the multicast engine in hardware).
@@ -72,7 +72,6 @@ type Config struct {
 // the Prometheus exposition, so the two can never disagree.
 type Stats struct {
 	Reports       uint64 // DTA reports processed
-	UserPackets   uint64 // non-DTA packets forwarded
 	ParseErrors   uint64
 	RDMAWrites    uint64
 	RDMAAtomics   uint64
@@ -100,7 +99,6 @@ type counters struct {
 	apReports  *obs.Counter
 	unkReports *obs.Counter
 
-	userPackets   *obs.Counter
 	parseErrors   *obs.Counter
 	rdmaWrites    *obs.Counter
 	rdmaAtomics   *obs.Counter
@@ -175,8 +173,7 @@ func newCounters(sc *obs.Scope) counters {
 		apReports:  prim("append").Counter("dta_translator_reports_total", "DTA reports processed, by primitive."),
 		unkReports: prim("unknown").Counter("dta_translator_reports_total", "DTA reports processed, by primitive."),
 
-		userPackets:   sc.Counter("dta_translator_user_packets_total", "Non-DTA packets forwarded as user traffic."),
-		parseErrors:   sc.Counter("dta_translator_parse_errors_total", "Frames or reports the translator could not parse."),
+		parseErrors:   sc.Counter("dta_translator_parse_errors_total", "Reports the translator could not parse (unknown primitive)."),
 		rdmaWrites:    sc.Counter("dta_rdma_writes_total", "RDMA WRITEs posted."),
 		rdmaAtomics:   sc.Counter("dta_rdma_atomics_total", "RDMA FETCH&ADDs posted."),
 		crafts:        sc.Counter("dta_rdma_crafts_total", "Work-queue entries built (first multicast replica)."),
@@ -200,7 +197,6 @@ func (c *counters) snapshot() Stats {
 	return Stats{
 		Reports: c.kwReports.Load() + c.kiReports.Load() + c.pcReports.Load() +
 			c.apReports.Load() + c.unkReports.Load(),
-		UserPackets:   c.userPackets.Load(),
 		ParseErrors:   c.parseErrors.Load(),
 		RDMAWrites:    c.rdmaWrites.Load(),
 		RDMAAtomics:   c.rdmaAtomics.Load(),
@@ -309,11 +305,6 @@ type Translator struct {
 	// place here, so the steady-state emit path performs no allocation.
 	wqeBuf   []byte
 	chunkBuf []byte
-	// frame is the ingress parsing scratch for ProcessFrame. Keeping it
-	// on the Translator (single-threaded by contract) rather than the
-	// stack stops the decoded report from escaping to the heap on every
-	// frame.
-	frame wire.ParsedFrame
 	// nackScratch is the lazily materialised report handed to the NACK
 	// callback when a staged report is rate-limit dropped.
 	nackScratch wire.Report
@@ -525,23 +516,6 @@ func needRegion(regions []rdma.RegionInfo, label string, minLen uint64) (rdma.Re
 // ErrNotDTA reports a packet that was not addressed to the DTA port; the
 // caller should forward it as user traffic.
 var ErrNotDTA = errors.New("translator: user traffic")
-
-// ProcessFrame is the translator's wire edge: it parses a full Ethernet
-// frame and processes the DTA report it carries; other traffic only
-// counts as forwarded.
-func (t *Translator) ProcessFrame(frame []byte, nowNs uint64) error {
-	p := &t.frame
-	if err := wire.DecodeFrame(frame, p); err != nil {
-		t.ctr.parseErrors.Inc()
-		t.noteParseError()
-		return err
-	}
-	if !p.IsDTA {
-		t.ctr.userPackets.Inc()
-		return ErrNotDTA
-	}
-	return t.ProcessReport(&p.Report, nowNs)
-}
 
 // ProcessReport translates one decoded DTA report: it stages r and runs
 // ProcessStaged. r (including r.Data) is only read for the duration of

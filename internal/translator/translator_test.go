@@ -11,7 +11,6 @@ import (
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
 	"dta/internal/rdma"
-	"dta/internal/reporter"
 	"dta/internal/wire"
 )
 
@@ -352,44 +351,6 @@ func TestMissingRegionFailsConstruction(t *testing.T) {
 	_, err = New(Config{KeyWrite: &kw, Append: &ap}, host.Listener())
 	if err == nil {
 		t.Error("translator built without append region")
-	}
-}
-
-func TestProcessFrameFullPath(t *testing.T) {
-	ccfg, tcfg := fullConfig()
-	r := newRig(t, ccfg, tcfg)
-	rp := reporter.New(reporter.Config{
-		SwitchID: 7, SrcIP: [4]byte{10, 0, 0, 7}, CollectorIP: [4]byte{10, 9, 9, 9},
-		SrcPort: 7777,
-	})
-	buf := make([]byte, wire.MaxReportLen)
-	n, err := rp.KeyWrite(buf, key(2024), []byte{4, 3, 2, 1}, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.tr.ProcessFrame(buf[:n], 0); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := r.host.QueryKeyWrite(key(2024), 2, 1)
-	if !res.Found || !bytes.Equal(res.Data, []byte{4, 3, 2, 1}) {
-		t.Errorf("frame path query = %+v", res)
-	}
-	if rp.Sent != 1 {
-		t.Errorf("reporter sent = %d", rp.Sent)
-	}
-}
-
-func TestUserTrafficForwarded(t *testing.T) {
-	ccfg, tcfg := fullConfig()
-	r := newRig(t, ccfg, tcfg)
-	// A non-IPv4 ethernet frame.
-	frame := make([]byte, 64)
-	frame[12], frame[13] = 0x08, 0x06 // ARP
-	if err := r.tr.ProcessFrame(frame, 0); err != ErrNotDTA {
-		t.Errorf("err = %v, want ErrNotDTA", err)
-	}
-	if r.tr.Stats().UserPackets != 1 {
-		t.Errorf("user packets = %d", r.tr.Stats().UserPackets)
 	}
 }
 

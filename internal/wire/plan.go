@@ -72,13 +72,3 @@ func (p *ChunkPlan) SlotsOf(i int) []uint32 {
 	h := p.Recs[i]
 	return p.Slots[h.Start : h.Start+uint16(h.N)]
 }
-
-// Slice returns the plan of records [from, to): entries keep indexing the
-// shared Slots, so a sub-chunk's plan costs nothing to cut. A chunk that
-// was not planned slices to one that was not.
-func (p ChunkPlan) Slice(from, to int) ChunkPlan {
-	if len(p.Recs) == 0 {
-		return ChunkPlan{}
-	}
-	return ChunkPlan{Recs: p.Recs[from:to], Slots: p.Slots}
-}

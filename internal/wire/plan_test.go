@@ -8,7 +8,7 @@ import (
 
 // TestChunkPlanEntries: every record gets a whole entry, planned or not;
 // a record whose slots Start could not address is left not planned and
-// its slots are taken back; sub-plans share Slots.
+// its slots are taken back.
 func TestChunkPlanEntries(t *testing.T) {
 	var p ChunkPlan
 	p.Reserve(4)
@@ -22,13 +22,6 @@ func TestChunkPlanEntries(t *testing.T) {
 	}
 	if got := p.SlotsOf(3); !slices.Equal(got, []uint32{20, 21, 22}) || len(p.SlotsOf(1)) != 0 {
 		t.Fatalf("SlotsOf(3) = %v, SlotsOf(1) = %v", got, p.SlotsOf(1))
-	}
-	sub := p.Slice(2, 4)
-	if len(sub.Recs) != 2 || !slices.Equal(sub.SlotsOf(1), []uint32{20, 21, 22}) {
-		t.Fatalf("Slice(2,4) = %+v", sub)
-	}
-	if got := (ChunkPlan{}).Slice(0, 0); got.Recs != nil || got.Slots != nil {
-		t.Fatalf("an unplanned chunk sliced to %+v", got)
 	}
 
 	// Fill Slots to the last index Start can name, then one more record.

@@ -141,26 +141,6 @@ func (s *StagedReport) PostcardArgs() (key *Key, hop, pathLen uint8, value uint3
 	return &s.key, s.hop, s.pathLen, s.value
 }
 
-// FrameLen returns the full on-the-wire length the staged report would
-// occupy once encapsulated (see FrameLen), or 0 for an unknown
-// primitive.
-func (s *StagedReport) FrameLen() int {
-	n := 0
-	switch s.prim {
-	case PrimKeyWrite:
-		n = HeaderLen + KeyWriteLen + len(s.Payload())
-	case PrimAppend:
-		n = HeaderLen + AppendLen + len(s.Payload())
-	case PrimKeyIncrement:
-		n = HeaderLen + KeyIncrementLen
-	case PrimPostcarding:
-		n = HeaderLen + PostcardLen
-	default:
-		return 0
-	}
-	return EthernetLen + IPv4Len + UDPLen + n
-}
-
 // StagedFixedLen is the fixed (payload-less) portion of a StagedReport's
 // serialised form (see EncodeTo): every active field of every primitive,
 // at a fixed offset, so encode and decode are straight-line byte moves.

@@ -96,12 +96,10 @@ func TestStagedAccessorsMatchView(t *testing.T) {
 }
 
 // TestFrameLenMatchesSerializeFrame pins the arithmetic frame-length
-// model (used by the structured path's link accounting) to the real
-// serialiser, for both Report and StagedReport.
+// model to the real serialiser.
 func TestFrameLenMatchesSerializeFrame(t *testing.T) {
 	f := &Frame{SrcPort: 4001}
 	var buf [MaxReportLen]byte
-	var s StagedReport
 	for _, r := range sampleReports() {
 		r := r
 		n, err := SerializeFrame(buf[:], f, &r)
@@ -110,10 +108,6 @@ func TestFrameLenMatchesSerializeFrame(t *testing.T) {
 		}
 		if got := FrameLen(&r); got != n {
 			t.Fatalf("%v: FrameLen = %d, serialised = %d", r.Header.Primitive, got, n)
-		}
-		s.Stage(&r)
-		if got := s.FrameLen(); got != n {
-			t.Fatalf("%v: StagedReport.FrameLen = %d, serialised = %d", r.Header.Primitive, got, n)
 		}
 	}
 	if FrameLen(&Report{}) != 0 {

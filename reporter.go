@@ -68,7 +68,7 @@ func (r *Reporter) send(rep *wire.Report) error {
 	if t := sys.trc; t != nil && t.Candidate(&r.smp) {
 		return r.deliverTraced(sys, t)
 	}
-	return sys.deliver(&r.staged, sys.Now())
+	return sys.tr.ProcessStaged(&r.staged, sys.Now())
 }
 
 // fan is the software form of the paper's multicast translation: the
@@ -108,7 +108,7 @@ func (r *Reporter) fan(rep *wire.Report) error {
 			if t := sys.trc; t != nil && t.Candidate(&r.smp) {
 				err = r.deliverTraced(sys, t)
 			} else {
-				err = sys.deliver(&r.staged, nows[i])
+				err = sys.tr.ProcessStaged(&r.staged, nows[i])
 			}
 			if err != nil {
 				break
@@ -130,7 +130,7 @@ func (r *Reporter) fan(rep *wire.Report) error {
 
 // deliverTraced is the sampled-candidate synchronous delivery path.
 // Kept out of line so the common path never materialises a trace Handle:
-// holding the two-word handle live across the deliver call costs
+// holding the two-word handle live across the translator call costs
 // registers — a few ns per report, traced or not — which the <3%
 // telemetry overhead gate has no room for.
 //
@@ -141,7 +141,7 @@ func (r *Reporter) deliverTraced(sys *System, t *trace.Tracer) error {
 		h.Stamp(trace.StSubmit)
 		sys.tr.SetTraceHandle(h)
 	}
-	err := sys.deliver(&r.staged, sys.Now())
+	err := sys.tr.ProcessStaged(&r.staged, sys.Now())
 	h.Finish()
 	return err
 }
