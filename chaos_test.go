@@ -62,7 +62,7 @@ func TestChaosRequiresPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, err := c.EnableChaos(2); err != nil || p != first || p != c.Chaos() {
+	if p, err := c.EnableChaos(2); err != nil || p != first {
 		t.Errorf("EnableChaos not idempotent: %v %v", p, err)
 	}
 
@@ -75,6 +75,58 @@ func TestChaosRequiresPlane(t *testing.T) {
 	}
 	if _, err := d.EnableChaos(1); err == nil {
 		t.Error("EnableChaos after WithWAL accepted (segments already open unwrapped)")
+	}
+}
+
+// TestHAControlRejectsBadCollector: every control-plane call that takes
+// a collector index refuses one outside [0, Size()) with the range error
+// and changes nothing. -1 is valid only for HealChaos, where it means
+// every collector.
+func TestHAControlRejectsBadCollector(t *testing.T) {
+	c, err := NewHACluster(3, 2, haOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.EnableChaos(1); err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name   string
+		minOne bool // -1 is a valid argument
+		call   func(i int) error
+	}{
+		{"SetDown", false, c.SetDown},
+		{"SetUp", false, c.SetUp},
+		{"PartitionReporter", false, c.PartitionReporter},
+		{"HealReporter", false, c.HealReporter},
+		{"PartitionPeers(i,0)", false, func(i int) error { return c.PartitionPeers(i, 0) }},
+		{"PartitionPeers(0,i)", false, func(i int) error { return c.PartitionPeers(0, i) }},
+		{"HealPeers(i,0)", false, func(i int) error { return c.HealPeers(i, 0) }},
+		{"HealPeers(0,i)", false, func(i int) error { return c.HealPeers(0, i) }},
+		{"SlowDisk", false, func(i int) error { return c.SlowDisk(i, time.Millisecond) }},
+		{"SetClockSkew", false, func(i int) error { return c.SetClockSkew(i, time.Second) }},
+		{"HealChaos", true, c.HealChaos},
+		{"Decommission", false, c.Decommission},
+	}
+	for _, tc := range calls {
+		for _, i := range []int{-2, -1, c.Size()} {
+			if i == -1 && tc.minOne {
+				continue
+			}
+			err := tc.call(i)
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s(%d) = %v, want the range error", tc.name, i, err)
+			}
+		}
+	}
+	if c.Size() != 3 || c.ChaosActive() || c.staleCount() != 0 {
+		t.Errorf("rejected calls changed the cluster: size %d, chaos active %v, %d stale",
+			c.Size(), c.ChaosActive(), c.staleCount())
+	}
+	for i := 0; i < c.Size(); i++ {
+		if c.health.IsDown(i) || c.System(i).skew.Load() != 0 {
+			t.Errorf("rejected calls touched collector %d", i)
+		}
 	}
 }
 
@@ -414,51 +466,6 @@ func TestChaosClockSkew(t *testing.T) {
 	}
 	if ev := journalCounts(c); ev[journal.EvClockSkew] < 3 { // +2s, -1s, heal
 		t.Fatalf("skew arc not journaled: %v", ev)
-	}
-}
-
-// TestAutoRebalanceOnHeal: with auto-rebalance opted in, a chaos heal
-// arms the cluster and the next AutoRebalance call (the driver's safe
-// barrier) resyncs; a second call reports nothing to do.
-func TestAutoRebalanceOnHeal(t *testing.T) {
-	c, err := NewHACluster(3, 2, haOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.EnableChaos(2); err != nil {
-		t.Fatal(err)
-	}
-	c.SetAutoRebalance(true)
-
-	if ran, err := c.AutoRebalance(0); ran || err != nil {
-		t.Fatalf("unarmed AutoRebalance ran: %v %v", ran, err)
-	}
-
-	rep := c.Reporter(1)
-	if err := c.PartitionReporter(1); err != nil {
-		t.Fatal(err)
-	}
-	const keys = 100
-	for i := uint64(0); i < keys; i++ {
-		if err := rep.KeyWrite(KeyFromUint64(i), keyData(i), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.HealReporter(1); err != nil {
-		t.Fatal(err)
-	}
-	ran, err := c.AutoRebalance(0)
-	if err != nil {
-		t.Fatalf("auto-rebalance: %v", err)
-	}
-	if !ran {
-		t.Fatal("heal did not arm auto-rebalance")
-	}
-	if st := c.HAStats(); st.Resyncs == 0 {
-		t.Fatalf("auto-rebalance resynced nothing: %+v", st)
-	}
-	if ran, _ := c.AutoRebalance(0); ran {
-		t.Fatal("disarmed AutoRebalance ran again")
 	}
 }
 

@@ -63,7 +63,6 @@ func main() {
 		walDegrade  = flag.Duration("wal-degrade", 0, "fsync latency bound above which the WAL degrades to flush-acks (0 = never)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "chaos plane seed (0 = derive from -seed)")
 		retryBudget = flag.Int("retry-budget", dta.DefaultRetryBudget, "max rebalance attempts while resyncs back off")
-		autoReb     = flag.Bool("auto-rebalance", false, "rebalance automatically once a chaos heal arms it")
 	)
 	flag.Parse()
 
@@ -135,7 +134,7 @@ func main() {
 		runHA(opts, cfg, lcfg, haParams{
 			shards: *shards, replicas: *replicas, verify: *verify, frames: *frames,
 			walDir: *walDir, walSync: *walSync, walDegrade: *walDegrade,
-			chaosSeed: *chaosSeed, retryBudget: *retryBudget, autoReb: *autoReb,
+			chaosSeed: *chaosSeed, retryBudget: *retryBudget,
 		})
 		return
 	}
@@ -150,7 +149,6 @@ type haParams struct {
 	walDegrade               time.Duration
 	chaosSeed                int64
 	retryBudget              int
-	autoReb                  bool
 }
 
 // newReporter picks what the run drives: the engine's reporter handle
@@ -211,7 +209,6 @@ func runHA(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, p haPara
 		if _, err := hac.EnableChaos(p.chaosSeed); err != nil {
 			log.Fatal(err)
 		}
-		hac.SetAutoRebalance(p.autoReb)
 	}
 	if p.walDir != "" {
 		pol, err := dta.ParseWALPolicy(p.walSync)
@@ -309,21 +306,8 @@ func runHA(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, p haPara
 			log.Fatalf("dtaload: heal: %v", err)
 		}
 	}
-	rebalanced := false
-	if p.autoReb {
-		ran, err := hac.AutoRebalance(p.retryBudget)
-		if err != nil {
-			log.Fatalf("dtaload: auto-rebalance: %v", err)
-		}
-		if ran {
-			fmt.Println("auto-rebalance: armed by chaos heal, ran")
-			rebalanced = true
-		}
-	}
-	if !rebalanced {
-		if err := hac.RebalanceUntilHealed(p.retryBudget); err != nil {
-			log.Fatalf("dtaload: rebalance: %v", err)
-		}
+	if err := hac.RebalanceUntilHealed(p.retryBudget); err != nil {
+		log.Fatalf("dtaload: rebalance: %v", err)
 	}
 	// After the rebalance healed the cluster the verdict must flip back:
 	// replicas up, the window's delta clean of degradation. The flight

@@ -362,7 +362,8 @@ func (c *HACluster) Recover(dir string) error {
 			return fmt.Errorf("dta: recover collector %d: %w", i, err)
 		}
 		if rec.PassedOver != nil {
-			c.stale[i], c.causeOf[i] = 0, cause
+			c.state[i].markStale(0)
+			c.state[i].cause = cause
 			c.emit(i, journal.EvSetUp, journal.SevWarn, cause, 0, 0, 0)
 		}
 	}
@@ -487,7 +488,7 @@ func (c *HACluster) designatedAppendPeer(target int, list uint32) int {
 // WAL attached) and every live peer's log still retains its suffix
 // above the watermark (a checkpoint may have reclaimed it). Peers' logs
 // are flushed to disk as a side effect so the replay reads everything.
-func (c *HACluster) logResyncReady(id int, marks map[int]uint64, peers []int) bool {
+func (c *HACluster) logResyncReady(id int, s *collectorState, peers []int) bool {
 	for _, p := range peers {
 		if p == id {
 			continue
@@ -503,7 +504,7 @@ func (c *HACluster) logResyncReady(id int, marks map[int]uint64, peers []int) bo
 		if err != nil {
 			return false
 		}
-		if first > marks[p]+1 {
+		if first > s.logFrom(p)+1 {
 			return false // checkpoint reclaimed part of the needed suffix
 		}
 	}

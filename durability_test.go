@@ -484,8 +484,8 @@ func TestHALogShippingSkipsReshardedStale(t *testing.T) {
 	// Flap the list's new owner before Rebalance: its SetDown must NOT
 	// manufacture fresh log watermarks over the reshard staleness.
 	makeStale(t, hac, victim)
-	if hac.walMark[victim] != nil {
-		t.Fatalf("flap after reshard recorded log watermarks %v", hac.walMark[victim])
+	if st := hac.state[victim]; st.src != fromSnapshots {
+		t.Fatalf("flap after reshard recorded log watermarks %v (source %d)", st.marks, st.src)
 	}
 	if err := hac.Rebalance(); err != nil {
 		t.Fatal(err)
@@ -544,10 +544,10 @@ func TestHALogShippingOverlappingFailures(t *testing.T) {
 	if err := hac.SetDown(1); err != nil { // B fails while A is down
 		t.Fatal(err)
 	}
-	if m := hac.walMark[1]; m == nil {
+	if st := hac.state[1]; st.src != fromMarks {
 		t.Fatal("no watermarks recorded for collector 1")
-	} else if _, ok := m[0]; !ok {
-		t.Fatalf("down peer 0 missing from collector 1's watermarks: %v", m)
+	} else if _, ok := st.marks[0]; !ok {
+		t.Fatalf("down peer 0 missing from collector 1's watermarks: %v", st.marks)
 	}
 	if err := hac.SetUp(0); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -34,7 +33,7 @@ var ErrAllReplicasDown = errors.New("dta: all replicas for key are down")
 
 // HACluster is a replicated, fault-tolerant multi-collector deployment:
 // the high-availability layer over the same collectors a Cluster shards
-// across (§7, extended). Three mechanisms distinguish it from Cluster's
+// across (§7, extended). Four mechanisms distinguish it from Cluster's
 // static CRC-mod-N partitioning:
 //
 //   - Replicated ownership. A rendezvous-hash ring maps every key (and
@@ -77,32 +76,19 @@ type HACluster struct {
 	// traces completing while a retry backoff is pending are
 	// tail-retained.
 	telemetry
-	// causeOf carries the causality ID minted by a collector's SetDown
-	// (or AddCollector) forward through SetUp, Rebalance's resync and
-	// the post-resync checkpoint, so the whole failure→recovery arc
-	// renders as one journal chain. Guarded by mu.
-	causeOf map[int]uint64
 	// rrGate rate-limits read-repair events: a verification sweep can
 	// repair thousands of slots, and one representative event per gap
 	// (carrying the cumulative count) must not evict the failover chain.
 	rrGate journal.Gate
 
-	// mu guards systems growth, the stale set and pending snapshots;
-	// the write lock makes Rebalance (and read-repair store writes)
-	// exclusive with queries.
+	// mu guards systems growth, the collector records and pending
+	// snapshots; the write lock makes Rebalance (and read-repair store
+	// writes) exclusive with queries.
 	mu      sync.RWMutex
 	systems []*System
-	// trackers[i] reads and repairs collector i's dirty tags: its device
-	// raises them, to the epoch current at each doorbell, as it executes.
-	trackers []*ha.Tracker
-	// stale maps a live-but-unsynchronised collector to the epoch it
-	// went stale at: Rebalance replays only peer blocks written at or
-	// after that epoch. 0 means "missed everything, replay in full"
-	// (newly added collectors, decommission survivors).
-	stale map[int]uint64
-	// downAt remembers the epoch a down collector failed at, so SetUp
-	// can open its staleness window there.
-	downAt map[int]uint64
+	// state[i] is collector i's record (see collectorState). Indexed like
+	// systems, and like systems it never shrinks.
+	state []collectorState
 	// pending holds captures of decommissioned collectors whose keys
 	// must still be replayed into their new owners at the next Rebalance.
 	pending []*snapshot.Snapshot
@@ -112,14 +98,6 @@ type HACluster struct {
 	// resync (see durability.go).
 	walDir string
 	walPol WALPolicy
-	// walMark[target][peer] is the peer log LSN recorded when target
-	// went stale: every write target missed was logged by its live peers
-	// ABOVE this mark (the mark is snapshotted before the down flag
-	// flips, mirroring the epoch fence), so Rebalance replays exactly
-	// the peers' log suffixes. An entry with an empty inner map (a newly
-	// added collector) replays peer logs from the beginning; a target
-	// with no entry at all resyncs from snapshots.
-	walMark map[int]map[int]uint64
 	// fenceMu makes each replicated fan-out atomic with respect to the
 	// watermark fence: fenceForStale holds the write side while it drains
 	// queued ingest and snapshots WAL marks, and writers hold the read
@@ -156,45 +134,107 @@ type HACluster struct {
 	// epoch-tagged — above them, inside the skipped collector's replay
 	// window. One that did not skip it staged a copy for it too; queued
 	// after the flag, that copy is an in-flight op the target applies
-	// while flagged down, which walSelf accounts for.
+	// while flagged down, which the self-mark accounts for.
 	//
 	// AddCollector holds the write side too, so a synchronous fan-out
 	// reads the member list under the read side it already holds.
 	//
 	// Lock order: fenceMu strictly before mu, everywhere.
 	fenceMu sync.RWMutex
-	// walSelf[target] is the target's OWN log LSN at the same instant:
-	// everything the target logged above it — in-flight ops applied
-	// while flagged down, and all post-restore fan-out — it already
-	// holds, so Rebalance multiset-subtracts those entries from the
-	// peers' replay streams instead of appending them twice.
-	walSelf map[int]uint64
 	// fullResync forces Rebalance to ignore staleness windows and replay
-	// whole peer snapshots (the pre-incremental behaviour); benchmarks
-	// use it to measure what epoch tracking saves.
+	// whole peer snapshots (the pre-incremental behaviour): benchmarks use
+	// it to measure what epoch tracking saves, and tests as the full-replay
+	// reference an incremental resync must match.
 	fullResync bool
 	// chaos, when enabled (EnableChaos), is the deterministic fault-
 	// injection plane: per-link partitions and per-collector disk faults.
 	// Installed before any traffic (like WithWAL), so the plain field
 	// reads on the fan-out hot path never race.
 	chaos *chaos.Plane
-	// retries holds per-target resync retry state under the rebalance
-	// retry/backoff contract; retryRNG jitters the backoff (seeded, so a
-	// chaos run reproduces from its logged seed). Guarded by mu.
-	retries  map[int]*resyncRetry
+	// retryRNG jitters the resync retry backoff (seeded, so a chaos run
+	// reproduces from its logged seed). Guarded by mu.
 	retryRNG *rand.Rand
-	// autoRebalance opts into rebalancing after a chaos heal; healArmed
-	// records that a heal happened since the last successful rebalance.
-	// Guarded by mu.
-	autoRebalance bool
-	healArmed     bool
 }
 
-// resyncRetry is one stale target's retry/backoff state: attempts made
-// and the obs.Nanotime deadline before the next one.
-type resyncRetry struct {
-	attempts int
-	nextAt   int64
+// collectorState is what the cluster knows about one collector besides
+// its System: the dirty tracker, the open failure arc, and the resync
+// state that a fence, SetUp or a membership change builds and a
+// successful Rebalance clears. Guarded by HACluster.mu.
+type collectorState struct {
+	// tracker reads and repairs the collector's dirty tags: its device
+	// raises them, to the epoch current at each doorbell, as it executes.
+	tracker *ha.Tracker
+	// cause carries the causality ID minted by the collector's SetDown (or
+	// AddCollector) forward through SetUp, Rebalance's resync and the
+	// post-resync checkpoint, so the whole failure→recovery arc renders
+	// as one journal chain. 0 while no arc is open.
+	cause uint64
+	// stale marks a live-but-unsynchronised collector, and since is the
+	// epoch it went stale at: Rebalance replays only peer blocks written
+	// at or after it. since 0 means "missed everything, replay in full"
+	// (newly added collectors, decommission survivors).
+	stale bool
+	since uint64
+	// downAt is the epoch a down collector failed at, so SetUp can open
+	// its staleness window there (0: unknown, replay everything).
+	downAt uint64
+	// src is where Rebalance replays the collector's missed Append
+	// operations from. With fromMarks, marks[peer] is the peer's log LSN
+	// when the collector went stale: every write it missed was logged by
+	// its live peers ABOVE this mark (the mark is snapshotted before the
+	// unreachability flag flips, mirroring the epoch fence). self is the
+	// collector's OWN log LSN at the same instant: everything it logged
+	// above it — in-flight ops applied while flagged down, and all
+	// post-restore fan-out — it already holds, so Rebalance
+	// multiset-subtracts those entries from the peers' replay streams
+	// instead of appending them twice.
+	src   resyncSource
+	marks map[int]uint64
+	self  uint64
+	// retry is the resync retry/backoff state (see deferResync).
+	retry resyncRetry
+}
+
+// resyncSource is where a stale collector's Append resync reads from.
+type resyncSource uint8
+
+const (
+	// fromSnapshots replays the peers' index-aligned ring suffixes.
+	fromSnapshots resyncSource = iota
+	// fromLogStart replays every peer's whole log: the collector (a
+	// newcomer) missed the whole history.
+	fromLogStart
+	// fromMarks replays every peer's log above the collector's marks.
+	fromMarks
+)
+
+// markStale opens the collector's staleness window at epoch. A collector
+// already stale keeps its older window: it still misses writes from the
+// first fault.
+func (s *collectorState) markStale(epoch uint64) {
+	if !s.stale || epoch < s.since {
+		s.stale, s.since = true, epoch
+	}
+}
+
+// logFrom is the LSN above which peer p's log holds what the collector
+// missed (log sources only).
+func (s *collectorState) logFrom(p int) uint64 {
+	if s.src == fromLogStart {
+		return 0
+	}
+	return s.marks[p]
+}
+
+// voidLog sends the collector back to snapshot resync.
+func (s *collectorState) voidLog() {
+	s.src, s.marks, s.self = fromSnapshots, nil, 0
+}
+
+// resynced is a successful resync: everything but the tracker and the
+// cause goes (Rebalance releases the cause after the checkpoint).
+func (s *collectorState) resynced() {
+	*s = collectorState{tracker: s.tracker, cause: s.cause}
 }
 
 // NewHACluster builds n identical collectors replicating every key to
@@ -219,11 +259,6 @@ func NewHACluster(n, r int, opts Options) (*HACluster, error) {
 		r:         r,
 		ring:      ha.NewRing(n),
 		telemetry: newTelemetry(opts),
-		causeOf:   make(map[int]uint64),
-		stale:     make(map[int]uint64),
-		downAt:    make(map[int]uint64),
-		walMark:   make(map[int]map[int]uint64),
-		walSelf:   make(map[int]uint64),
 	}
 	c.health = ha.NewHealthScoped(c.reg.Scope())
 	for i := 0; i < n; i++ {
@@ -276,9 +311,8 @@ func (c *HACluster) attach(sys *System) (int, error) {
 			return 0, err
 		}
 	}
-	tk := ha.NewTracker(c.health, sys.Host().Listener())
 	c.systems = append(c.systems, sys)
-	c.trackers = append(c.trackers, tk)
+	c.state = append(c.state, collectorState{tracker: ha.NewTracker(c.health, sys.Host().Listener())})
 	return id, nil
 }
 
@@ -311,7 +345,7 @@ func (c *HACluster) capture(id int) *snapshot.Snapshot {
 	if b := c.systems[id].Translator().AppendBatcher(); b != nil {
 		s.AppendHeads = b.WrittenCounts(nil)
 	}
-	if tk := c.trackers[id]; tk != nil {
+	if tk := c.state[id].tracker; tk != nil {
 		s.KeyWriteTags = tk.Tags("keywrite")
 		s.KeyIncTags = tk.Tags("keyincrement")
 		s.PostcardTags = tk.Tags("postcarding")
@@ -363,6 +397,17 @@ func (c *HACluster) ownersOf(rep *wire.Report, out []int) []int {
 // HAStats snapshots the degradation counters.
 func (c *HACluster) HAStats() HAStats { return c.health.Snapshot() }
 
+// checkCollector refuses a collector index outside [0, Size()). Called
+// under c.mu.
+func (c *HACluster) checkCollector(ids ...int) error {
+	for _, i := range ids {
+		if i < 0 || i >= len(c.systems) {
+			return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+		}
+	}
+	return nil
+}
+
 // SetDown injects a failure: collector i stops receiving writes and
 // answering queries until SetUp. Safe mid-run. The staleness epoch is
 // bumped BEFORE the down flag flips, and the bumped epoch remembered as
@@ -376,21 +421,21 @@ func (c *HACluster) SetDown(i int) error {
 	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkCollector(i); err != nil {
+		return err
 	}
 	if c.health.IsDown(i) {
 		return nil
 	}
 	// One causality ID spans the whole failure→recovery arc: SetDown and
 	// its fence here, SetUp, the Rebalance resync that heals i, and the
-	// post-resync checkpoint all chain under it (see causeOf).
-	cause := c.jr.NewCause()
-	c.causeOf[i] = cause
-	c.emit(i, journal.EvSetDown, journal.SevWarn, cause, c.health.Epoch(), 0, 0)
-	c.fenceForStale(i, cause)
-	c.downAt[i] = c.health.BumpEpoch()
-	c.emit(i, journal.EvEpochBump, journal.SevInfo, cause, c.downAt[i], 0, 0)
+	// post-resync checkpoint all chain under it (see collectorState.cause).
+	s := &c.state[i]
+	s.cause = c.jr.NewCause()
+	c.emit(i, journal.EvSetDown, journal.SevWarn, s.cause, c.health.Epoch(), 0, 0)
+	c.fenceForStale(i, s.cause)
+	s.downAt = c.health.BumpEpoch()
+	c.emit(i, journal.EvEpochBump, journal.SevInfo, s.cause, s.downAt, 0, 0)
 	return c.health.SetDown(i)
 }
 
@@ -421,9 +466,8 @@ func (c *HACluster) fenceForStale(i int, cause uint64) {
 	if c.walDir == "" {
 		return
 	}
-	_, hasMarks := c.walMark[i]
-	_, wasStale := c.stale[i]
-	if hasMarks || wasStale {
+	s := &c.state[i]
+	if s.src != fromSnapshots || s.stale {
 		return
 	}
 	// Quiesce queued ingest before reading any mark. The caller holds
@@ -443,19 +487,18 @@ func (c *HACluster) fenceForStale(i int, cause uint64) {
 	// fan-out) it provably holds, and Rebalance subtracts those entries
 	// from the peers' replay streams.
 	if w := c.systems[i].wal; w != nil {
-		c.walSelf[i] = w.LastLSN()
+		s.self = w.LastLSN()
 	}
-	m := make(map[int]uint64)
+	s.src, s.marks = fromMarks, make(map[int]uint64)
 	for _, p := range c.ring.Members() {
 		if p == i {
 			continue
 		}
 		if w := c.systems[p].wal; w != nil {
-			m[p] = w.LastLSN()
+			s.marks[p] = w.LastLSN()
 		}
 	}
-	c.walMark[i] = m
-	c.emit(i, journal.EvWALFence, journal.SevInfo, cause, c.walSelf[i], uint64(len(m)), 0)
+	c.emit(i, journal.EvWALFence, journal.SevInfo, cause, s.self, uint64(len(s.marks)), 0)
 }
 
 // SetUp revives collector i. It comes back stale — it missed every
@@ -464,8 +507,8 @@ func (c *HACluster) fenceForStale(i int, cause uint64) {
 func (c *HACluster) SetUp(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkCollector(i); err != nil {
+		return err
 	}
 	if !c.health.IsDown(i) {
 		return nil
@@ -473,14 +516,12 @@ func (c *HACluster) SetUp(i int) error {
 	if err := c.health.SetUp(i); err != nil {
 		return err
 	}
-	since := c.downAt[i] // 0 (replay everything) when the failure epoch is unknown
-	delete(c.downAt, i)
 	// A collector that flapped without an intervening Rebalance keeps
 	// its oldest window: it still misses writes from the first failure.
-	if cur, ok := c.stale[i]; !ok || since < cur {
-		c.stale[i] = since
-	}
-	c.emit(i, journal.EvSetUp, journal.SevInfo, c.causeOf[i], c.stale[i], 0, 0)
+	s := &c.state[i]
+	s.markStale(s.downAt)
+	s.downAt = 0
+	c.emit(i, journal.EvSetUp, journal.SevInfo, s.cause, s.since, 0, 0)
 	return nil
 }
 
@@ -505,11 +546,13 @@ func (c *HACluster) EnableChaos(seed int64) (*chaos.Plane, error) {
 	return c.chaos, nil
 }
 
-// Chaos returns the attached fault plane (nil when chaos is off).
-func (c *HACluster) Chaos() *chaos.Plane {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.chaos
+// checkChaos refuses a fault-plane call while no plane is attached, then
+// checks its collector indices. Called under c.mu.
+func (c *HACluster) checkChaos(ids ...int) error {
+	if c.chaos == nil {
+		return errors.New("dta: chaos plane not enabled (EnableChaos)")
+	}
+	return c.checkCollector(ids...)
 }
 
 // ChaosActive reports whether any chaos link (reporter or peer) is
@@ -543,31 +586,25 @@ func (c *HACluster) PartitionReporter(i int) error {
 	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.chaos == nil {
-		return errors.New("dta: chaos plane not enabled (EnableChaos)")
-	}
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkChaos(i); err != nil {
+		return err
 	}
 	if c.chaos.ReporterCut(i) {
 		return nil
 	}
 	// The partition joins the collector's existing failure arc if one is
 	// open (a flapping collector), else mints a fresh one.
-	cause := c.causeOf[i]
-	if cause == 0 {
-		cause = c.jr.NewCause()
-		c.causeOf[i] = cause
+	s := &c.state[i]
+	if s.cause == 0 {
+		s.cause = c.jr.NewCause()
 	}
-	c.emit(i, journal.EvPartition, journal.SevWarn, cause, 0, 0, 0)
-	c.fenceForStale(i, cause)
+	c.emit(i, journal.EvPartition, journal.SevWarn, s.cause, 0, 0, 0)
+	c.fenceForStale(i, s.cause)
 	epoch := c.health.BumpEpoch()
-	c.emit(i, journal.EvEpochBump, journal.SevInfo, cause, epoch, 0, 0)
+	c.emit(i, journal.EvEpochBump, journal.SevInfo, s.cause, epoch, 0, 0)
 	// Stale from the bumped epoch (a collector already stale keeps its
 	// older window — it still misses writes from the first fault).
-	if cur, ok := c.stale[i]; !ok || epoch < cur {
-		c.stale[i] = epoch
-	}
+	s.markStale(epoch)
 	// Cut LAST, mirroring SetDown's bump-before-flag ordering: a fan-out
 	// that skips i observed the cut, hence the bump, so every block it
 	// tags on any replica carries an epoch inside i's replay window.
@@ -581,20 +618,14 @@ func (c *HACluster) PartitionReporter(i int) error {
 func (c *HACluster) HealReporter(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.chaos == nil {
-		return errors.New("dta: chaos plane not enabled (EnableChaos)")
-	}
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkChaos(i); err != nil {
+		return err
 	}
 	if !c.chaos.ReporterCut(i) {
 		return nil
 	}
 	c.chaos.HealReporter(i)
-	c.emit(i, journal.EvPartitionHeal, journal.SevInfo, c.causeOf[i], 0, 0, 0)
-	if c.autoRebalance {
-		c.healArmed = true
-	}
+	c.emit(i, journal.EvPartitionHeal, journal.SevInfo, c.state[i].cause, 0, 0, 0)
 	return nil
 }
 
@@ -606,13 +637,8 @@ func (c *HACluster) HealReporter(i int) error {
 func (c *HACluster) PartitionPeers(a, b int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.chaos == nil {
-		return errors.New("dta: chaos plane not enabled (EnableChaos)")
-	}
-	for _, i := range [2]int{a, b} {
-		if i < 0 || i >= len(c.systems) {
-			return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
-		}
+	if err := c.checkChaos(a, b); err != nil {
+		return err
 	}
 	c.chaos.CutPeers(a, b)
 	c.emit(a, journal.EvPartition, journal.SevWarn, 0, 1, uint64(b), 0)
@@ -623,19 +649,11 @@ func (c *HACluster) PartitionPeers(a, b int) error {
 func (c *HACluster) HealPeers(a, b int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.chaos == nil {
-		return errors.New("dta: chaos plane not enabled (EnableChaos)")
-	}
-	for _, i := range [2]int{a, b} {
-		if i < 0 || i >= len(c.systems) {
-			return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
-		}
+	if err := c.checkChaos(a, b); err != nil {
+		return err
 	}
 	c.chaos.HealPeers(a, b)
 	c.emit(a, journal.EvPartitionHeal, journal.SevInfo, 0, 1, uint64(b), 0)
-	if c.autoRebalance {
-		c.healArmed = true
-	}
 	return nil
 }
 
@@ -645,11 +663,8 @@ func (c *HACluster) HealPeers(a, b int) error {
 func (c *HACluster) SlowDisk(i int, fsyncLat time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.chaos == nil {
-		return errors.New("dta: chaos plane not enabled (EnableChaos)")
-	}
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkChaos(i); err != nil {
+		return err
 	}
 	c.chaos.Disk(i).SetFsyncLatency(fsyncLat)
 	sev := journal.SevWarn
@@ -668,8 +683,8 @@ func (c *HACluster) SlowDisk(i int, fsyncLat time.Duration) error {
 func (c *HACluster) SetClockSkew(i int, d time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkCollector(i); err != nil {
+		return err
 	}
 	c.systems[i].setClockSkew(int64(d))
 	sev := journal.SevWarn
@@ -681,20 +696,20 @@ func (c *HACluster) SetClockSkew(i int, d time.Duration) error {
 }
 
 // HealChaos clears injected faults on collector i, or on every
-// collector when i < 0: reporter and peer cuts, disk faults, and clock
+// collector when i is -1: reporter and peer cuts, disk faults, and clock
 // skew (which lives on the System rather than the plane). Heals are
 // journaled per fault kind.
 func (c *HACluster) HealChaos(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
-	}
-	if i < 0 {
+	if i == -1 {
 		for id := range c.systems {
 			c.healOne(id)
 		}
 		return nil
+	}
+	if err := c.checkCollector(i); err != nil {
+		return err
 	}
 	c.healOne(i)
 	return nil
@@ -704,7 +719,7 @@ func (c *HACluster) HealChaos(i int) error {
 func (c *HACluster) healOne(i int) {
 	if c.chaos != nil {
 		if c.chaos.ReporterCut(i) {
-			c.emit(i, journal.EvPartitionHeal, journal.SevInfo, c.causeOf[i], 0, 0, 0)
+			c.emit(i, journal.EvPartitionHeal, journal.SevInfo, c.state[i].cause, 0, 0, 0)
 		}
 		for j := range c.systems {
 			if j != i && c.chaos.PeersCut(i, j) {
@@ -720,9 +735,6 @@ func (c *HACluster) healOne(i int) {
 	if c.systems[i].skew.Load() != 0 {
 		c.systems[i].setClockSkew(0)
 		c.emit(i, journal.EvClockSkew, journal.SevInfo, 0, 0, 0, 0)
-	}
-	if c.autoRebalance {
-		c.healArmed = true
 	}
 }
 
@@ -751,23 +763,23 @@ func (c *HACluster) AddCollector() (int, error) {
 		if err := sys.WithWAL(walSubdir(c.walDir, id), c.memberWALPolicy(id, c.walPol)); err != nil {
 			return 0, err
 		}
-		// Empty mark map: replay every peer's log from the beginning —
-		// the newcomer missed the whole history.
-		c.walMark[id] = make(map[int]uint64)
 	}
 	if _, err := c.attach(sys); err != nil {
 		_ = sys.CloseWAL() // refused: nothing else holds sys, there is nothing to sync
-		delete(c.walMark, id)
 		return 0, err
 	}
 	if err := c.ring.Add(id); err != nil {
 		return 0, err
 	}
 	epoch := c.health.BumpEpoch()
-	c.stale[id] = 0 // the newcomer missed everything: full replay
+	s := &c.state[id]
+	s.markStale(0) // the newcomer missed everything: full replay
+	if c.walDir != "" {
+		s.src = fromLogStart
+	}
 	// The newcomer's join→resync arc chains like a rejoin's.
-	c.causeOf[id] = c.jr.NewCause()
-	c.emit(id, journal.EvMemberAdd, journal.SevInfo, c.causeOf[id], uint64(len(c.ring.Members())), epoch, 0)
+	s.cause = c.jr.NewCause()
+	c.emit(id, journal.EvMemberAdd, journal.SevInfo, s.cause, uint64(len(c.ring.Members())), epoch, 0)
 	return id, nil
 }
 
@@ -782,33 +794,34 @@ func (c *HACluster) Decommission(i int) error {
 	if c.eng != nil && !c.eng.closed() {
 		return errors.New("dta: cannot decommission while an engine is attached (Close it first)")
 	}
-	if i < 0 || i >= len(c.systems) {
-		return fmt.Errorf("dta: collector %d out of range [0,%d)", i, len(c.systems))
+	if err := c.checkCollector(i); err != nil {
+		return err
 	}
 	if err := c.ring.Remove(i); err != nil {
 		return err
 	}
 	epoch := c.health.BumpEpoch()
 	c.emit(i, journal.EvMemberRemove, journal.SevInfo, 0, uint64(len(c.ring.Members())), epoch, 0)
-	delete(c.causeOf, i)
+	// The leaving collector's record starts over; its tracker stays wired
+	// to its device.
+	c.state[i] = collectorState{tracker: c.state[i].tracker}
 	if !c.health.IsDown(i) {
 		if err := c.systems[i].Flush(); err != nil {
 			return err
 		}
 		c.pending = append(c.pending, c.capture(i))
 	}
-	delete(c.stale, i)
-	delete(c.downAt, i)
 	// Decommission moves keys whose history lives only in the pending
 	// capture, which carries no log; every survivor resyncs from
 	// snapshots, so all log watermarks are void.
-	c.walMark = make(map[int]map[int]uint64)
-	c.walSelf = make(map[int]uint64)
+	for id := range c.state {
+		c.state[id].voidLog()
+	}
 	for _, id := range c.ring.Members() {
 		if !c.health.IsDown(id) {
 			// Moved keys may have been written at any time, so epoch
 			// windows cannot narrow this replay: full resync.
-			c.stale[id] = 0
+			c.state[id].markStale(0)
 		}
 	}
 	return nil
@@ -824,6 +837,13 @@ const (
 	DefaultRetryBudget = 8
 )
 
+// resyncRetry is one stale target's retry/backoff state: attempts made
+// and the obs.Nanotime deadline before the next one.
+type resyncRetry struct {
+	attempts int
+	nextAt   int64
+}
+
 // deferResync records a failed (or undeliverable) resync attempt for
 // target id: backoff doubles per attempt up to the cap, plus seeded
 // jitter, with an EvResyncRetry event and an HAStats counter. The
@@ -831,14 +851,7 @@ const (
 // via RebalanceUntilHealed, which sleeps out the deadline — retries it.
 // Called under c.mu.
 func (c *HACluster) deferResync(id int, cause uint64) {
-	if c.retries == nil {
-		c.retries = make(map[int]*resyncRetry)
-	}
-	r := c.retries[id]
-	if r == nil {
-		r = &resyncRetry{}
-		c.retries[id] = r
-	}
+	r := &c.state[id].retry
 	backoff := resyncBackoffCap
 	if r.attempts < 6 {
 		if b := resyncBackoffBase << r.attempts; b < backoff {
@@ -895,7 +908,8 @@ func (c *HACluster) Rebalance() error {
 			}
 		}
 	}
-	if len(c.stale) == 0 && len(c.pending) == 0 {
+	stale := c.staleCount()
+	if stale == 0 && len(c.pending) == 0 {
 		return nil
 	}
 	// The rebalance pass gets its own chain; each target's resync events
@@ -903,7 +917,7 @@ func (c *HACluster) Rebalance() error {
 	// timeline links failure to healing per collector.
 	rebCause := c.jr.NewCause()
 	rebStart := obs.Nanotime()
-	c.emit(-1, journal.EvRebalanceStart, journal.SevInfo, rebCause, uint64(len(c.stale)), 0, 0)
+	c.emit(-1, journal.EvRebalanceStart, journal.SevInfo, rebCause, uint64(stale), 0, 0)
 	// Capture every live ring member once, before any resync, so all
 	// replays see pre-rebalance state. Stale members are peers too:
 	// when everyone is stale (Decommission marks all survivors), they
@@ -917,7 +931,7 @@ func (c *HACluster) Rebalance() error {
 		if c.health.IsDown(id) {
 			continue
 		}
-		if _, isStale := c.stale[id]; isStale {
+		if c.state[id].stale {
 			stalePeers = append(stalePeers, id)
 		} else {
 			freshPeers = append(freshPeers, id)
@@ -932,10 +946,10 @@ func (c *HACluster) Rebalance() error {
 	var resynced []int
 	// Targets go in ID order, so the deferrals draw their retry jitter
 	// from retryRNG in an order the seed fixes.
-	for _, id := range slices.Sorted(maps.Keys(c.stale)) {
-		since := c.stale[id]
-		if c.health.IsDown(id) {
-			continue // still down: stays stale for its next rejoin
+	for id := range c.state {
+		s := &c.state[id]
+		if !s.stale || c.health.IsDown(id) {
+			continue // a down target stays stale for its next rejoin
 		}
 		// A live peer partitioned from the target defers the WHOLE
 		// resync: clearing the stale mark after a partial replay (some
@@ -944,7 +958,7 @@ func (c *HACluster) Rebalance() error {
 		// later Rebalance — after the partition heals, or routes around
 		// it — converges it.
 		if blocked := c.cutPeerOf(id, livePeers); blocked >= 0 {
-			cause := c.causeOf[id]
+			cause := s.cause
 			if cause == 0 {
 				cause = rebCause
 			}
@@ -957,16 +971,11 @@ func (c *HACluster) Rebalance() error {
 		// replays the peers' logged operations (exact) instead of the
 		// snapshots' index-aligned ring suffixes (approximate under
 		// concurrent producers).
-		marks, useLog := c.walMark[id]
-		if c.fullResync || !useLog {
-			useLog = false
-		} else {
-			useLog = c.logResyncReady(id, marks, livePeers)
-		}
+		useLog := s.src != fromSnapshots && !c.fullResync && c.logResyncReady(id, s, livePeers)
 		var excl map[appendOpKey]int
 		if useLog {
 			var err error
-			if excl, err = c.appendExclusion(id, c.walSelf[id]); err != nil {
+			if excl, err = c.appendExclusion(id, s.self); err != nil {
 				useLog = false // self-log unreadable: snapshot path
 			}
 		}
@@ -974,7 +983,7 @@ func (c *HACluster) Rebalance() error {
 			if !useLog {
 				return nil
 			}
-			return c.appendOpsFrom(id, p, marks[p], excl)
+			return c.appendOpsFrom(id, p, s.logFrom(p), excl)
 		}
 		var peers []ha.Peer
 		for _, p := range stalePeers {
@@ -989,13 +998,14 @@ func (c *HACluster) Rebalance() error {
 			peers = append(peers, ha.Peer{Snap: caps[p], AppendOps: opsFor(p)})
 		}
 		if len(peers) > 0 {
+			since := s.since
 			if c.fullResync {
 				since = 0
 			}
 			// Resync events chain under the cause the target's failure
 			// minted; targets stale for other reasons (reshard) join the
 			// rebalance's own chain.
-			cause := c.causeOf[id]
+			cause := s.cause
 			if cause == 0 {
 				cause = rebCause
 			}
@@ -1004,7 +1014,7 @@ func (c *HACluster) Rebalance() error {
 			st, err := ha.Resync(ha.Target{
 				Host:       c.systems[id].Host(),
 				Batcher:    c.systems[id].Translator().AppendBatcher(),
-				Dirty:      c.trackers[id],
+				Dirty:      s.tracker,
 				StaleSince: since,
 			}, peers)
 			if err != nil {
@@ -1018,10 +1028,7 @@ func (c *HACluster) Rebalance() error {
 			c.health.RecordResync(&st)
 			resynced = append(resynced, id)
 		}
-		delete(c.stale, id)
-		delete(c.walMark, id)
-		delete(c.walSelf, id)
-		delete(c.retries, id)
+		s.resynced()
 	}
 	// Resync writes land in the stores directly, not through the
 	// targets' own logs — so without a checkpoint, a later crash would
@@ -1037,8 +1044,8 @@ func (c *HACluster) Rebalance() error {
 	for _, id := range resynced {
 		// The healed collector's failure arc ends here (or at the resync
 		// end, when it has no log to checkpoint): release its cause.
-		cause := c.causeOf[id]
-		delete(c.causeOf, id)
+		cause := c.state[id].cause
+		c.state[id].cause = 0
 		if c.systems[id].wal == nil {
 			continue
 		}
@@ -1056,8 +1063,18 @@ func (c *HACluster) Rebalance() error {
 		return errors.Join(errs...)
 	}
 	c.pending = nil
-	c.healArmed = false
 	return nil
+}
+
+// staleCount is the number of stale collectors. Called under c.mu.
+func (c *HACluster) staleCount() int {
+	n := 0
+	for i := range c.state {
+		if c.state[i].stale {
+			n++
+		}
+	}
+	return n
 }
 
 // cutPeerOf returns the first live peer partitioned from target id (-1
@@ -1093,10 +1110,8 @@ func (c *HACluster) RebalanceUntilHealed(budget int) error {
 		// every deferred target at once.
 		c.mu.RLock()
 		var until int64
-		for _, r := range c.retries {
-			if r.nextAt > until {
-				until = r.nextAt
-			}
+		for i := range c.state {
+			until = max(until, c.state[i].retry.nextAt)
 		}
 		c.mu.RUnlock()
 		if wait := until - obs.Nanotime(); wait > 0 {
@@ -1104,30 +1119,6 @@ func (c *HACluster) RebalanceUntilHealed(budget int) error {
 		}
 	}
 	return err
-}
-
-// SetAutoRebalance opts the cluster into automatic rebalancing after a
-// chaos heal: HealReporter/HealPeers/HealChaos arm it, and the next
-// AutoRebalance call (from a driver at a safe barrier — producers
-// quiesced) runs RebalanceUntilHealed. The heal itself cannot
-// rebalance: it may land mid-ingest, and Rebalance requires quiescence.
-func (c *HACluster) SetAutoRebalance(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.autoRebalance = on
-}
-
-// AutoRebalance runs RebalanceUntilHealed if armed (a chaos heal
-// happened since the last successful rebalance); reports whether it ran
-// and the result.
-func (c *HACluster) AutoRebalance(budget int) (bool, error) {
-	c.mu.RLock()
-	armed := c.autoRebalance && c.healArmed
-	c.mu.RUnlock()
-	if !armed {
-		return false, nil
-	}
-	return true, c.RebalanceUntilHealed(budget)
 }
 
 // Reporter attaches a synchronous reporter switch that fans every
@@ -1193,7 +1184,7 @@ func (c *HACluster) scan(rd *replicaRead, planErr error) error {
 			rd.skipped++
 			continue
 		}
-		if _, rd.staleRep[oi] = c.stale[o]; rd.staleRep[oi] {
+		if rd.staleRep[oi] = c.state[o].stale; rd.staleRep[oi] {
 			rd.skipped++
 		}
 		rd.live[oi] = c.systems[o]
@@ -1297,7 +1288,7 @@ func (c *HACluster) repair(rd *replicaRead, set *[ha.MaxReplicas]bool, write fun
 // in collector o's dirty tracker, so a later incremental resync treating
 // o as a peer replays them.
 func (c *HACluster) markRepaired(o int, region string, slots []uint64, offset func(slot uint64) int, size int) {
-	if tk := c.trackers[o]; tk != nil {
+	if tk := c.state[o].tracker; tk != nil {
 		for _, slot := range slots {
 			tk.MarkRange(region, offset(slot), size)
 		}
@@ -1496,8 +1487,7 @@ func (c *HACluster) Poller(list uint32) (*AppendPoller, error) {
 	for pass := 0; pass < 2; pass++ {
 		useStale := pass == 1
 		for _, o := range owners {
-			_, isStale := c.stale[o]
-			if c.health.IsDown(o) || isStale != useStale {
+			if c.health.IsDown(o) || c.state[o].stale != useStale {
 				continue
 			}
 			return c.systems[o].Poller(int(list))

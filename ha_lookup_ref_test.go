@@ -50,7 +50,7 @@ func (c *HACluster) refScanOwner(sc *refScan, st *refLookupState, oi, o int) boo
 		st.degraded = true
 		return false
 	}
-	_, isStale := c.stale[o]
+	isStale := c.state[o].stale
 	if isStale {
 		st.degraded = true
 	}
@@ -64,7 +64,7 @@ func (c *HACluster) refScanOwner(sc *refScan, st *refLookupState, oi, o int) boo
 // slots in collector o's dirty tracker, so a later incremental resync
 // treating o as a peer replays them.
 func (c *HACluster) refMarkKeyWrite(o int, key Key, n int) {
-	tk := c.trackers[o]
+	tk := c.state[o].tracker
 	if tk == nil {
 		return
 	}
@@ -76,7 +76,7 @@ func (c *HACluster) refMarkKeyWrite(o int, key Key, n int) {
 }
 
 func (c *HACluster) refMarkKeyIncrement(o int, key Key, n int) {
-	tk := c.trackers[o]
+	tk := c.state[o].tracker
 	if tk == nil {
 		return
 	}
@@ -87,7 +87,7 @@ func (c *HACluster) refMarkKeyIncrement(o int, key Key, n int) {
 }
 
 func (c *HACluster) refMarkPostcard(o int, key Key, n int) {
-	tk := c.trackers[o]
+	tk := c.state[o].tracker
 	if tk == nil {
 		return
 	}

@@ -175,7 +175,7 @@ func TestHALookupMatchesPerOwnerReference(t *testing.T) {
 			t.Errorf("collector %d: store bytes differ from the reference after read-repair", i)
 		}
 		for _, region := range []string{"keywrite", "keyincrement", "postcarding"} {
-			if !slices.Equal(got.trackers[i].Tags(region), ref.trackers[i].Tags(region)) {
+			if !slices.Equal(got.state[i].tracker.Tags(region), ref.state[i].tracker.Tags(region)) {
 				t.Errorf("collector %d: %s dirty tags differ from the reference", i, region)
 			}
 		}

@@ -302,7 +302,7 @@ func TestHARebalancePartialFailureRetry(t *testing.T) {
 		t.Errorf("error not aggregated across both stale collectors: %v", err)
 	}
 	c.mu.RLock()
-	staleLeft, pendingLeft := len(c.stale), len(c.pending)
+	staleLeft, pendingLeft := c.staleCount(), len(c.pending)
 	c.mu.RUnlock()
 	if staleLeft != 2 {
 		t.Errorf("stale collectors after failed rebalance = %d, want 2 (retryable)", staleLeft)
@@ -319,7 +319,7 @@ func TestHARebalancePartialFailureRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.mu.RLock()
-	staleLeft = len(c.stale)
+	staleLeft = c.staleCount()
 	c.mu.RUnlock()
 	if staleLeft != 0 {
 		t.Errorf("stale collectors after retry = %d, want 0", staleLeft)

@@ -312,7 +312,7 @@ func TestPostListMatchesPerVerb(t *testing.T) {
 		}
 		got, ref := clusters[0], clusters[1]
 		for i := 0; i < n; i++ {
-			sameCollector(t, fmt.Sprintf("collector %d", i), got.System(i), ref.System(i), evs[0][i], evs[1][i], got.trackers[i], ref.trackers[i])
+			sameCollector(t, fmt.Sprintf("collector %d", i), got.System(i), ref.System(i), evs[0][i], evs[1][i], got.state[i].tracker, ref.state[i].tracker)
 		}
 		if g, r := got.HAStats(), ref.HAStats(); g != r {
 			t.Errorf("HAStats:\n post-list %+v\n per verb  %+v", g, r)
@@ -390,7 +390,7 @@ func TestDoorbellTagsAfterCut(t *testing.T) {
 					}
 					host := c.System(o).Host()
 					kw, ki := host.KeyWriteStore().Indexer(), host.KeyIncrementStore().Indexer()
-					kwTags, kiTags := c.trackers[o].Tags("keywrite"), c.trackers[o].Tags("keyincrement")
+					kwTags, kiTags := c.state[o].tracker.Tags("keywrite"), c.state[o].tracker.Tags("keyincrement")
 					for j := 0; j < 2; j++ {
 						if tag := kwTags[kw.Offset(kw.Slot(j, key))/rdma.TagBlockBytes]; tag < bumped {
 							t.Fatalf("key %d on collector %d: Key-Write block tagged %d, before the cut's epoch %d", k, o, tag, bumped)

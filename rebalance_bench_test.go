@@ -8,7 +8,7 @@ import (
 // kill/rejoin scenario — a collector misses a small write suffix and
 // rebalances back in — comparing full snapshot replay against the
 // epoch-windowed incremental resync. It lives in package dta (not
-// dta_test) to reach the fullResync knob and the stale map directly:
+// dta_test) to reach the fullResync knob and the stale mark directly:
 // each iteration re-marks the victim stale instead of replaying the
 // whole write history, so the benchmark isolates resync cost.
 //
@@ -70,7 +70,7 @@ func BenchmarkRebalance(b *testing.B) {
 				// Re-open the victim's staleness window for the next
 				// iteration without re-driving the workload.
 				c.mu.Lock()
-				c.stale[1] = window
+				c.state[1].markStale(window)
 				c.mu.Unlock()
 				b.StartTimer()
 			}
