@@ -1,24 +1,15 @@
 package dta
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
-	"time"
-
-	"math/rand"
 
 	"dta/internal/chaos"
-	"dta/internal/collector"
-	"dta/internal/core/keyincrement"
-	"dta/internal/core/keywrite"
-	"dta/internal/core/postcarding"
 	"dta/internal/ha"
-	"dta/internal/obs"
 	"dta/internal/obs/journal"
-	"dta/internal/rdma"
 	"dta/internal/snapshot"
 	"dta/internal/wire"
 )
@@ -156,87 +147,6 @@ type HACluster struct {
 	retryRNG *rand.Rand
 }
 
-// collectorState is what the cluster knows about one collector besides
-// its System: the dirty tracker, the open failure arc, and the resync
-// state that a fence, SetUp or a membership change builds and a
-// successful Rebalance clears. Guarded by HACluster.mu.
-type collectorState struct {
-	// tracker reads and repairs the collector's dirty tags: its device
-	// raises them, to the epoch current at each doorbell, as it executes.
-	tracker *ha.Tracker
-	// cause carries the causality ID minted by the collector's SetDown (or
-	// AddCollector) forward through SetUp, Rebalance's resync and the
-	// post-resync checkpoint, so the whole failure→recovery arc renders
-	// as one journal chain. 0 while no arc is open.
-	cause uint64
-	// stale marks a live-but-unsynchronised collector, and since is the
-	// epoch it went stale at: Rebalance replays only peer blocks written
-	// at or after it. since 0 means "missed everything, replay in full"
-	// (newly added collectors, decommission survivors).
-	stale bool
-	since uint64
-	// downAt is the epoch a down collector failed at, so SetUp can open
-	// its staleness window there (0: unknown, replay everything).
-	downAt uint64
-	// src is where Rebalance replays the collector's missed Append
-	// operations from. With fromMarks, marks[peer] is the peer's log LSN
-	// when the collector went stale: every write it missed was logged by
-	// its live peers ABOVE this mark (the mark is snapshotted before the
-	// unreachability flag flips, mirroring the epoch fence). self is the
-	// collector's OWN log LSN at the same instant: everything it logged
-	// above it — in-flight ops applied while flagged down, and all
-	// post-restore fan-out — it already holds, so Rebalance
-	// multiset-subtracts those entries from the peers' replay streams
-	// instead of appending them twice.
-	src   resyncSource
-	marks map[int]uint64
-	self  uint64
-	// retry is the resync retry/backoff state (see deferResync).
-	retry resyncRetry
-}
-
-// resyncSource is where a stale collector's Append resync reads from.
-type resyncSource uint8
-
-const (
-	// fromSnapshots replays the peers' index-aligned ring suffixes.
-	fromSnapshots resyncSource = iota
-	// fromLogStart replays every peer's whole log: the collector (a
-	// newcomer) missed the whole history.
-	fromLogStart
-	// fromMarks replays every peer's log above the collector's marks.
-	fromMarks
-)
-
-// markStale opens the collector's staleness window at epoch. A collector
-// already stale keeps its older window: it still misses writes from the
-// first fault.
-func (s *collectorState) markStale(epoch uint64) {
-	if !s.stale || epoch < s.since {
-		s.stale, s.since = true, epoch
-	}
-}
-
-// logFrom is the LSN above which peer p's log holds what the collector
-// missed (log sources only).
-func (s *collectorState) logFrom(p int) uint64 {
-	if s.src == fromLogStart {
-		return 0
-	}
-	return s.marks[p]
-}
-
-// voidLog sends the collector back to snapshot resync.
-func (s *collectorState) voidLog() {
-	s.src, s.marks, s.self = fromSnapshots, nil, 0
-}
-
-// resynced is a successful resync: everything but the tracker and the
-// cause goes (Rebalance releases the cause after the checkpoint).
-func (s *collectorState) resynced() {
-	*s = collectorState{tracker: s.tracker, cause: s.cause}
-}
-
 // NewHACluster builds n identical collectors replicating every key to
 // r of them. r = 1 reproduces Cluster's single-owner behaviour (but
 // over the rendezvous ring, so membership can still change); r ≥ 2
@@ -285,20 +195,6 @@ func (c *HACluster) emit(i int, typ journal.Type, sev journal.Severity, cause, a
 	journal.Emitter{J: c.jr, Comp: journal.CompHA, Collector: int16(i)}.Emit(typ, sev, cause, a1, a2, a3)
 }
 
-// readRepairEventGap spaces read-repair journal events: a verification
-// sweep over a divergent store repairs per query, and one representative
-// event per gap (with the cumulative count) is plenty.
-const readRepairEventGap = 100 * time.Millisecond
-
-// noteReadRepair publishes a rate-gated read-repair event: repaired
-// replicas this query in Arg1, the cumulative count in Arg2.
-func (c *HACluster) noteReadRepair(repaired int) {
-	if repaired == 0 || c.jr == nil || !c.rrGate.Allow(readRepairEventGap) {
-		return
-	}
-	c.emit(-1, journal.EvReadRepair, journal.SevInfo, 0, uint64(repaired), c.health.Snapshot().ReadRepairs, 0)
-}
-
 // attach registers a collector system and turns on its device's dirty
 // tags, so every write is epoch-tagged for incremental resync. Called
 // before the system sees any traffic. It refuses a system unlike member
@@ -335,23 +231,6 @@ func checkMember(first, sys *System, id int) error {
 		return fmt.Errorf("dta: collector %d's store geometry differs from collector 0's: HA members must plan alike", id)
 	}
 	return nil
-}
-
-// capture snapshots collector id's stores together with the replication
-// metadata resync needs: Append head counts (ring-suffix replay) and
-// dirty-epoch tags (incremental replay).
-func (c *HACluster) capture(id int) *snapshot.Snapshot {
-	s := snapshot.Capture(c.systems[id].Host())
-	if b := c.systems[id].Translator().AppendBatcher(); b != nil {
-		s.AppendHeads = b.WrittenCounts(nil)
-	}
-	if tk := c.state[id].tracker; tk != nil {
-		s.KeyWriteTags = tk.Tags("keywrite")
-		s.KeyIncTags = tk.Tags("keyincrement")
-		s.PostcardTags = tk.Tags("postcarding")
-		s.TagBlockBytes = rdma.TagBlockBytes
-	}
-	return s
 }
 
 // Size returns the number of collectors ever attached (including
@@ -406,336 +285,6 @@ func (c *HACluster) checkCollector(ids ...int) error {
 		}
 	}
 	return nil
-}
-
-// SetDown injects a failure: collector i stops receiving writes and
-// answering queries until SetUp. Safe mid-run. The staleness epoch is
-// bumped BEFORE the down flag flips, and the bumped epoch remembered as
-// the rejoin replay window: a fan-out writer decides its whole skip set
-// before its first emit (see Reporter.fan), so if it skips i it
-// observed the flag — and therefore the bump — before tagging any
-// replica's blocks, putting every one of its marks at or after the
-// window. No skipped write can escape the replay.
-func (c *HACluster) SetDown(i int) error {
-	c.fenceMu.Lock()
-	defer c.fenceMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkCollector(i); err != nil {
-		return err
-	}
-	if c.health.IsDown(i) {
-		return nil
-	}
-	// One causality ID spans the whole failure→recovery arc: SetDown and
-	// its fence here, SetUp, the Rebalance resync that heals i, and the
-	// post-resync checkpoint all chain under it (see collectorState.cause).
-	s := &c.state[i]
-	s.cause = c.jr.NewCause()
-	c.emit(i, journal.EvSetDown, journal.SevWarn, s.cause, c.health.Epoch(), 0, 0)
-	c.fenceForStale(i, s.cause)
-	s.downAt = c.health.BumpEpoch()
-	c.emit(i, journal.EvEpochBump, journal.SevInfo, s.cause, s.downAt, 0, 0)
-	return c.health.SetDown(i)
-}
-
-// fenceForStale snapshots log-shipping watermarks for collector i, the
-// moment before its unreachability flag (down or partitioned) flips.
-//
-// The marks are taken BEFORE the flag (the same fence ordering as the
-// epoch bump): a fan-out that skips i observed the flag, so its peer
-// submissions — and therefore their log records — land strictly above
-// these marks. Nothing i misses can hide below its replay window;
-// records at or below the marks that i also holds are merely replayed
-// redundantly (append replay tolerates duplicates within one ring lap).
-// A flapping collector keeps its oldest marks, like its oldest epoch
-// window.
-//
-// Two exclusions keep the marks honest:
-//   - A collector that is ALREADY stale without marks (a reshard via
-//     Decommission voided them) must keep the
-//     snapshot resync path: lists moved to it carry history from
-//     long before any mark taken now, so fresh marks would hide it.
-//   - Down peers are still marked (not skipped): their logs are
-//     frozen while down, and the suffix i misses — including what a
-//     currently-down peer logs after ITS later revival — sits above
-//     today's frozen position. Omitting the entry would default the
-//     watermark to zero and replay that peer's entire log,
-//     duplicating all shared history far beyond one ring lap.
-func (c *HACluster) fenceForStale(i int, cause uint64) {
-	if c.walDir == "" {
-		return
-	}
-	s := &c.state[i]
-	if s.src != fromSnapshots || s.stale {
-		return
-	}
-	// Quiesce queued ingest before reading any mark. The caller holds
-	// fenceMu's write side, so no fan-out is in flight and none can
-	// start; draining the engine then forces every already-queued op
-	// through the shard workers onto its owners' logs. After this,
-	// every replicated op is either logged on ALL its owners (below
-	// all marks) or still producer-staged on NONE (above all marks) —
-	// the symmetry the exclusion multiset diff needs to be exact. A
-	// drain error is deliberately ignored: a broken engine only
-	// widens the replay window, never narrows it.
-	if c.eng != nil && !c.eng.closed() {
-		_ = c.eng.Drain()
-	}
-	// The target's own position first: anything it logs from here on
-	// (in-flight ops applied while flagged down, later post-restore
-	// fan-out) it provably holds, and Rebalance subtracts those entries
-	// from the peers' replay streams.
-	if w := c.systems[i].wal; w != nil {
-		s.self = w.LastLSN()
-	}
-	s.src, s.marks = fromMarks, make(map[int]uint64)
-	for _, p := range c.ring.Members() {
-		if p == i {
-			continue
-		}
-		if w := c.systems[p].wal; w != nil {
-			s.marks[p] = w.LastLSN()
-		}
-	}
-	c.emit(i, journal.EvWALFence, journal.SevInfo, cause, s.self, uint64(len(s.marks)), 0)
-}
-
-// SetUp revives collector i. It comes back stale — it missed every
-// write while down, so queries prefer its peers — until Rebalance
-// resynchronises it (replaying only what was written since it failed).
-func (c *HACluster) SetUp(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkCollector(i); err != nil {
-		return err
-	}
-	if !c.health.IsDown(i) {
-		return nil
-	}
-	if err := c.health.SetUp(i); err != nil {
-		return err
-	}
-	// A collector that flapped without an intervening Rebalance keeps
-	// its oldest window: it still misses writes from the first failure.
-	s := &c.state[i]
-	s.markStale(s.downAt)
-	s.downAt = 0
-	c.emit(i, journal.EvSetUp, journal.SevInfo, s.cause, s.since, 0, 0)
-	return nil
-}
-
-// EnableChaos attaches a deterministic fault-injection plane to the
-// cluster: per-link partitions (PartitionReporter, PartitionPeers),
-// per-collector disk faults (SlowDisk, and WrapFile wrapping of every
-// WAL segment) and clock skew (SetClockSkew). Call it before WithWAL —
-// segment files are wrapped at open — and before any traffic, like
-// WithWAL itself. seed seeds the jitter Rebalance adds to a deferred
-// resync's retry backoff. Idempotent; returns the plane.
-func (c *HACluster) EnableChaos(seed int64) (*chaos.Plane, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.chaos != nil {
-		return c.chaos, nil
-	}
-	if c.walDir != "" {
-		return nil, errors.New("dta: EnableChaos must run before WithWAL (WAL segment files are fault-wrapped at open)")
-	}
-	c.chaos = chaos.NewPlane()
-	c.retryRNG = rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
-	return c.chaos, nil
-}
-
-// checkChaos refuses a fault-plane call while no plane is attached, then
-// checks its collector indices. Called under c.mu.
-func (c *HACluster) checkChaos(ids ...int) error {
-	if c.chaos == nil {
-		return errors.New("dta: chaos plane not enabled (EnableChaos)")
-	}
-	return c.checkCollector(ids...)
-}
-
-// ChaosActive reports whether any chaos link (reporter or peer) is
-// currently cut. Nil-safe with chaos off.
-func (c *HACluster) ChaosActive() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.chaos.AnyCut()
-}
-
-// unreachable reports whether fan-out writers must skip collector o:
-// marked down, or its reporter→collector link is cut by the chaos
-// plane. Hot path — one atomic load, plus a nil check when chaos is
-// off.
-func (c *HACluster) unreachable(o int) bool {
-	if c.health.IsDown(o) {
-		return true
-	}
-	return c.chaos.ReporterCut(o)
-}
-
-// PartitionReporter cuts the reporter→collector i link: fan-out writers
-// skip i (counted as degraded, like a down replica) while queries and
-// resync still reach it — the asymmetric half of a network partition.
-// Safe mid-run. The same fence as SetDown runs first (WAL watermarks,
-// then the epoch bump, then the cut), so every write i misses lands
-// inside its replay window; unlike SetDown there is no SetUp moment, so
-// i is marked stale immediately.
-func (c *HACluster) PartitionReporter(i int) error {
-	c.fenceMu.Lock()
-	defer c.fenceMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkChaos(i); err != nil {
-		return err
-	}
-	if c.chaos.ReporterCut(i) {
-		return nil
-	}
-	// The partition joins the collector's existing failure arc if one is
-	// open (a flapping collector), else mints a fresh one.
-	s := &c.state[i]
-	if s.cause == 0 {
-		s.cause = c.jr.NewCause()
-	}
-	c.emit(i, journal.EvPartition, journal.SevWarn, s.cause, 0, 0, 0)
-	c.fenceForStale(i, s.cause)
-	epoch := c.health.BumpEpoch()
-	c.emit(i, journal.EvEpochBump, journal.SevInfo, s.cause, epoch, 0, 0)
-	// Stale from the bumped epoch (a collector already stale keeps its
-	// older window — it still misses writes from the first fault).
-	s.markStale(epoch)
-	// Cut LAST, mirroring SetDown's bump-before-flag ordering: a fan-out
-	// that skips i observed the cut, hence the bump, so every block it
-	// tags on any replica carries an epoch inside i's replay window.
-	c.chaos.CutReporter(i)
-	return nil
-}
-
-// HealReporter restores the reporter→collector i link. The collector
-// stays stale — it missed every fan-out while cut — until Rebalance
-// resynchronises it.
-func (c *HACluster) HealReporter(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkChaos(i); err != nil {
-		return err
-	}
-	if !c.chaos.ReporterCut(i) {
-		return nil
-	}
-	c.chaos.HealReporter(i)
-	c.emit(i, journal.EvPartitionHeal, journal.SevInfo, c.state[i].cause, 0, 0, 0)
-	return nil
-}
-
-// PartitionPeers cuts the peer↔peer resync path between collectors a
-// and b (symmetric): neither can serve the other's resyncs until
-// HealPeers. Fan-out writes are unaffected, so no fence is needed —
-// Rebalance defers any stale target with a cut live peer instead of
-// resyncing partially (see Rebalance).
-func (c *HACluster) PartitionPeers(a, b int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkChaos(a, b); err != nil {
-		return err
-	}
-	c.chaos.CutPeers(a, b)
-	c.emit(a, journal.EvPartition, journal.SevWarn, 0, 1, uint64(b), 0)
-	return nil
-}
-
-// HealPeers restores the resync path between a and b.
-func (c *HACluster) HealPeers(a, b int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkChaos(a, b); err != nil {
-		return err
-	}
-	c.chaos.HealPeers(a, b)
-	c.emit(a, journal.EvPartitionHeal, journal.SevInfo, 0, 1, uint64(b), 0)
-	return nil
-}
-
-// SlowDisk injects fsync latency under collector i's WAL (0 heals). The
-// writer's degraded-ack machinery (WALPolicy.DegradeFsync) reacts to
-// the slowdown; the injection itself is journaled under CompWAL.
-func (c *HACluster) SlowDisk(i int, fsyncLat time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkChaos(i); err != nil {
-		return err
-	}
-	c.chaos.Disk(i).SetFsyncLatency(fsyncLat)
-	sev := journal.SevWarn
-	if fsyncLat == 0 {
-		sev = journal.SevInfo
-	}
-	journal.Emitter{J: c.jr, Comp: journal.CompWAL, Collector: int16(i)}.
-		Emit(journal.EvSlowDisk, sev, 0, uint64(fsyncLat), 0, 0)
-	return nil
-}
-
-// SetClockSkew injects a signed clock offset on collector i (0 heals):
-// its reports, token-bucket refills and WAL timestamps run off a
-// shifted — across a step, non-monotonic — clock. Lives on the System,
-// so it needs no chaos plane; journaled for the timeline either way.
-func (c *HACluster) SetClockSkew(i int, d time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkCollector(i); err != nil {
-		return err
-	}
-	c.systems[i].setClockSkew(int64(d))
-	sev := journal.SevWarn
-	if d == 0 {
-		sev = journal.SevInfo
-	}
-	c.emit(i, journal.EvClockSkew, sev, 0, uint64(d), 0, 0)
-	return nil
-}
-
-// HealChaos clears injected faults on collector i, or on every
-// collector when i is -1: reporter and peer cuts, disk faults, and clock
-// skew (which lives on the System rather than the plane). Heals are
-// journaled per fault kind.
-func (c *HACluster) HealChaos(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i == -1 {
-		for id := range c.systems {
-			c.healOne(id)
-		}
-		return nil
-	}
-	if err := c.checkCollector(i); err != nil {
-		return err
-	}
-	c.healOne(i)
-	return nil
-}
-
-// healOne clears collector i's faults under c.mu.
-func (c *HACluster) healOne(i int) {
-	if c.chaos != nil {
-		if c.chaos.ReporterCut(i) {
-			c.emit(i, journal.EvPartitionHeal, journal.SevInfo, c.state[i].cause, 0, 0, 0)
-		}
-		for j := range c.systems {
-			if j != i && c.chaos.PeersCut(i, j) {
-				c.emit(i, journal.EvPartitionHeal, journal.SevInfo, 0, 1, uint64(j), 0)
-			}
-		}
-		if d := c.chaos.Disk(i); d.FsyncLatency() != 0 {
-			journal.Emitter{J: c.jr, Comp: journal.CompWAL, Collector: int16(i)}.
-				Emit(journal.EvSlowDisk, journal.SevInfo, 0, 0, 0, 0)
-		}
-		c.chaos.HealNode(i)
-	}
-	if c.systems[i].skew.Load() != 0 {
-		c.systems[i].setClockSkew(0)
-		c.emit(i, journal.EvClockSkew, journal.SevInfo, 0, 0, 0, 0)
-	}
 }
 
 // AddCollector grows the cluster by one collector and returns its
@@ -827,300 +376,6 @@ func (c *HACluster) Decommission(i int) error {
 	return nil
 }
 
-// Resync retry/backoff contract: capped exponential backoff with
-// seeded jitter per stale target.
-const (
-	resyncBackoffBase = 5 * time.Millisecond
-	resyncBackoffCap  = 200 * time.Millisecond
-	// DefaultRetryBudget bounds RebalanceUntilHealed attempts when the
-	// caller passes no budget.
-	DefaultRetryBudget = 8
-)
-
-// resyncRetry is one stale target's retry/backoff state: attempts made
-// and the obs.Nanotime deadline before the next one.
-type resyncRetry struct {
-	attempts int
-	nextAt   int64
-}
-
-// deferResync records a failed (or undeliverable) resync attempt for
-// target id: backoff doubles per attempt up to the cap, plus seeded
-// jitter, with an EvResyncRetry event and an HAStats counter. The
-// target keeps its stale mark (and watermarks); Rebalance — typically
-// via RebalanceUntilHealed, which sleeps out the deadline — retries it.
-// Called under c.mu.
-func (c *HACluster) deferResync(id int, cause uint64) {
-	r := &c.state[id].retry
-	backoff := resyncBackoffCap
-	if r.attempts < 6 {
-		if b := resyncBackoffBase << r.attempts; b < backoff {
-			backoff = b
-		}
-	}
-	if c.retryRNG != nil {
-		backoff += time.Duration(c.retryRNG.Int63n(int64(backoff)/2 + 1))
-	}
-	r.attempts++
-	r.nextAt = obs.Nanotime() + int64(backoff)
-	c.health.RecordResyncRetry()
-	// Open a trace resync window covering the backoff: any data-plane
-	// trace completing while the retry is pending is tail-retained with
-	// FResync, tying slow acks to the recovery in progress.
-	c.trc.NoteResyncUntil(r.nextAt)
-	c.emit(id, journal.EvResyncRetry, journal.SevWarn, cause, uint64(r.attempts), uint64(backoff), 0)
-}
-
-// Rebalance is the resharding barrier: it drains the attached engine
-// (or flushes every live collector when reporting synchronously), then
-// replays peer snapshots into every live stale collector and clears its
-// stale mark. Afterwards rejoined, added and survivor collectors all
-// serve their owned slices at full fidelity. When every live collector
-// is stale (e.g. after decommissioning one while it was down), the
-// survivors cross-sync from each other's snapshots, so keys that moved
-// owner regain their full replica count from whichever peer still holds
-// them.
-//
-// Producers must be quiesced first (Flush engine reporters, stop sync
-// reporters): Rebalance copies store memory and must not race ingest.
-//
-// Resync failures do not abort the loop: every live stale collector is
-// attempted, the errors are aggregated, and only the failed collectors
-// keep their stale marks (and the pending snapshots their data) for the
-// next attempt. Successfully resynced collectors are never replayed
-// again on retry, and a retried replay into a still-stale collector is
-// idempotent (overwrite / max-merge), so a partial failure leaves the
-// cluster in a consistent, retryable state rather than half-rebalanced.
-func (c *HACluster) Rebalance() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.eng != nil && !c.eng.closed() {
-		if err := c.eng.Drain(); err != nil {
-			return err
-		}
-	} else {
-		for _, id := range c.ring.Members() {
-			if c.health.IsDown(id) {
-				continue
-			}
-			if err := c.systems[id].Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	stale := c.staleCount()
-	if stale == 0 && len(c.pending) == 0 {
-		return nil
-	}
-	// The rebalance pass gets its own chain; each target's resync events
-	// chain under the cause its SetDown (or AddCollector) minted, so the
-	// timeline links failure to healing per collector.
-	rebCause := c.jr.NewCause()
-	rebStart := obs.Nanotime()
-	c.emit(-1, journal.EvRebalanceStart, journal.SevInfo, rebCause, uint64(stale), 0, 0)
-	// Capture every live ring member once, before any resync, so all
-	// replays see pre-rebalance state. Stale members are peers too:
-	// when everyone is stale (Decommission marks all survivors), they
-	// cross-sync from each other — each survivor holds data its peers
-	// are missing — rather than skipping resync for want of a fresh
-	// peer. Stale captures are merely older, so they replay BEFORE
-	// pending and fresh ones: later merges win slot conflicts, keeping
-	// fresher values on top.
-	var stalePeers, freshPeers []int
-	for _, id := range c.ring.Members() {
-		if c.health.IsDown(id) {
-			continue
-		}
-		if c.state[id].stale {
-			stalePeers = append(stalePeers, id)
-		} else {
-			freshPeers = append(freshPeers, id)
-		}
-	}
-	caps := make(map[int]*snapshot.Snapshot, len(stalePeers)+len(freshPeers))
-	for _, id := range append(append([]int(nil), stalePeers...), freshPeers...) {
-		caps[id] = c.capture(id)
-	}
-	livePeers := append(append([]int(nil), stalePeers...), freshPeers...)
-	var errs []error
-	var resynced []int
-	// Targets go in ID order, so the deferrals draw their retry jitter
-	// from retryRNG in an order the seed fixes.
-	for id := range c.state {
-		s := &c.state[id]
-		if !s.stale || c.health.IsDown(id) {
-			continue // a down target stays stale for its next rejoin
-		}
-		// A live peer partitioned from the target defers the WHOLE
-		// resync: clearing the stale mark after a partial replay (some
-		// peers' history unreachable) would lose that history for good.
-		// The target stays stale under the retry/backoff contract and a
-		// later Rebalance — after the partition heals, or routes around
-		// it — converges it.
-		if blocked := c.cutPeerOf(id, livePeers); blocked >= 0 {
-			cause := s.cause
-			if cause == 0 {
-				cause = rebCause
-			}
-			c.deferResync(id, cause)
-			errs = append(errs, fmt.Errorf("dta: rebalance collector %d: peer %d partitioned, resync deferred", id, blocked))
-			continue
-		}
-		// Log-shipping: when the target has recorded watermarks and
-		// every live peer's log still retains its suffix, Append resync
-		// replays the peers' logged operations (exact) instead of the
-		// snapshots' index-aligned ring suffixes (approximate under
-		// concurrent producers).
-		useLog := s.src != fromSnapshots && !c.fullResync && c.logResyncReady(id, s, livePeers)
-		var excl map[appendOpKey]int
-		if useLog {
-			var err error
-			if excl, err = c.appendExclusion(id, s.self); err != nil {
-				useLog = false // self-log unreadable: snapshot path
-			}
-		}
-		opsFor := func(p int) ha.AppendOps {
-			if !useLog {
-				return nil
-			}
-			return c.appendOpsFrom(id, p, s.logFrom(p), excl)
-		}
-		var peers []ha.Peer
-		for _, p := range stalePeers {
-			if p != id {
-				peers = append(peers, ha.Peer{Snap: caps[p], AppendOps: opsFor(p)})
-			}
-		}
-		for _, snap := range c.pending {
-			peers = append(peers, ha.Peer{Snap: snap})
-		}
-		for _, p := range freshPeers {
-			peers = append(peers, ha.Peer{Snap: caps[p], AppendOps: opsFor(p)})
-		}
-		if len(peers) > 0 {
-			since := s.since
-			if c.fullResync {
-				since = 0
-			}
-			// Resync events chain under the cause the target's failure
-			// minted; targets stale for other reasons (reshard) join the
-			// rebalance's own chain.
-			cause := s.cause
-			if cause == 0 {
-				cause = rebCause
-			}
-			c.emit(id, journal.EvResyncStart, journal.SevInfo, cause, since, uint64(len(peers)), 0)
-			t0 := obs.Nanotime()
-			st, err := ha.Resync(ha.Target{
-				Host:       c.systems[id].Host(),
-				Batcher:    c.systems[id].Translator().AppendBatcher(),
-				Dirty:      s.tracker,
-				StaleSince: since,
-			}, peers)
-			if err != nil {
-				c.emit(id, journal.EvResyncFail, journal.SevError, cause, 0, 0, 0)
-				c.deferResync(id, cause)
-				errs = append(errs, fmt.Errorf("dta: rebalance collector %d: %w", id, err))
-				continue // keep the stale mark (and watermarks): retry resyncs it
-			}
-			c.emit(id, journal.EvResyncEnd, journal.SevInfo, cause,
-				st.SlotsReplayed(), st.SlotsSkipped, uint64(obs.Nanotime()-t0))
-			c.health.RecordResync(&st)
-			resynced = append(resynced, id)
-		}
-		s.resynced()
-	}
-	// Resync writes land in the stores directly, not through the
-	// targets' own logs — so without a checkpoint, a later crash would
-	// recover a healed collector from a log that never saw the healing
-	// and silently re-diverge. Checkpointing folds the healed stores
-	// into each target's recovery baseline (and reclaims its covered
-	// segments); it runs after the whole resync loop because a
-	// checkpoint truncates the target's log, which other stale targets
-	// may still be reading as log-shipping peers. A checkpoint failure
-	// is a durability regression, not a resync failure: the live
-	// replicas are already converged, so it joins the error aggregate
-	// without re-marking anyone stale.
-	for _, id := range resynced {
-		// The healed collector's failure arc ends here (or at the resync
-		// end, when it has no log to checkpoint): release its cause.
-		cause := c.state[id].cause
-		c.state[id].cause = 0
-		if c.systems[id].wal == nil {
-			continue
-		}
-		// Thread the arc's cause into the checkpoint's events (safe under
-		// c.mu; see System.ckptCause).
-		c.systems[id].ckptCause = cause
-		if _, err := c.systems[id].Checkpoint(); err != nil {
-			errs = append(errs, fmt.Errorf("dta: rebalance checkpoint collector %d: %w", id, err))
-		}
-	}
-	c.emit(-1, journal.EvRebalanceEnd, journal.SevInfo, rebCause,
-		uint64(len(resynced)), uint64(obs.Nanotime()-rebStart), 0)
-	if len(errs) > 0 {
-		// Keep pending too: still-stale collectors need it on retry.
-		return errors.Join(errs...)
-	}
-	c.pending = nil
-	return nil
-}
-
-// staleCount is the number of stale collectors. Called under c.mu.
-func (c *HACluster) staleCount() int {
-	n := 0
-	for i := range c.state {
-		if c.state[i].stale {
-			n++
-		}
-	}
-	return n
-}
-
-// cutPeerOf returns the first live peer partitioned from target id (-1
-// when none, or chaos is off). Called under c.mu.
-func (c *HACluster) cutPeerOf(id int, livePeers []int) int {
-	if c.chaos == nil {
-		return -1
-	}
-	for _, p := range livePeers {
-		if p != id && c.chaos.PeersCut(id, p) {
-			return p
-		}
-	}
-	return -1
-}
-
-// RebalanceUntilHealed runs Rebalance until every stale target heals or
-// the retry budget runs out, sleeping out the per-target backoff
-// deadlines between attempts — the driver loop of the retry/backoff
-// contract. budget <= 0 means DefaultRetryBudget. On a clean cluster
-// (nothing deferred) it degenerates to a single Rebalance. Same
-// quiescence contract as Rebalance.
-func (c *HACluster) RebalanceUntilHealed(budget int) error {
-	if budget <= 0 {
-		budget = DefaultRetryBudget
-	}
-	var err error
-	for attempt := 0; attempt < budget; attempt++ {
-		if err = c.Rebalance(); err == nil {
-			return nil
-		}
-		// Sleep to the latest pending deadline so the next pass retries
-		// every deferred target at once.
-		c.mu.RLock()
-		var until int64
-		for i := range c.state {
-			until = max(until, c.state[i].retry.nextAt)
-		}
-		c.mu.RUnlock()
-		if wait := until - obs.Nanotime(); wait > 0 {
-			time.Sleep(time.Duration(wait))
-		}
-	}
-	return err
-}
-
 // Reporter attaches a synchronous reporter switch that fans every
 // report out to all live owners.
 func (c *HACluster) Reporter(switchID uint32) *Reporter {
@@ -1142,358 +397,6 @@ func (c *HACluster) Engine(cfg EngineConfig) (*Engine, error) {
 	}
 	c.eng = e
 	return e, nil
-}
-
-// replicaRead is one failover query between its stages. The three
-// lookups read the way the fan-out writes: scan classifies the owners;
-// the key is hashed once, against member 0's indexer (attach admits only
-// members of one geometry, so the plan serves every owner); one byte is
-// loaded from every live owner's planned lines before any is read, so
-// the R × n cache misses overlap instead of queueing behind each owner's
-// vote; then each owner answers from the planned slots, the answers are
-// merged, and owners found diverging are repaired. Fixed-size so the
-// no-divergence fast path allocates nothing.
-type replicaRead struct {
-	ob     [ha.MaxReplicas]int
-	owners []int
-	// live[i] is owner i's collector when it is up, nil when it is down;
-	// staleRep and answered say whether a live owner is stale and whether
-	// it had an answer.
-	live     [ha.MaxReplicas]*System
-	staleRep [ha.MaxReplicas]bool
-	answered [ha.MaxReplicas]bool
-
-	skipped         int // owners down or stale
-	queried         int // live replicas consulted
-	fresh           int // fresh replicas that answered
-	primaryAnswered bool
-}
-
-// scan is the first stage of every failover query, under c.mu's read
-// side: it classifies key's owners. Down owners are skipped; stale live
-// owners ARE consulted — their divergence is exactly what read-repair
-// heals — but marked so the merge can prefer fresh answers. planErr is
-// what planning the query against member 0 returned (members hold stores
-// of one geometry, so it speaks for every owner): a query that cannot be
-// planned fails at its first live owner, and one with no live owner with
-// ErrAllReplicasDown. On an error scan has unlocked and accounted the
-// query.
-func (c *HACluster) scan(rd *replicaRead, planErr error) error {
-	for oi, o := range rd.owners {
-		if c.health.IsDown(o) {
-			rd.skipped++
-			continue
-		}
-		if rd.staleRep[oi] = c.state[o].stale; rd.staleRep[oi] {
-			rd.skipped++
-		}
-		rd.live[oi] = c.systems[o]
-		rd.queried++
-		if planErr != nil {
-			break
-		}
-	}
-	if rd.queried == 0 {
-		planErr = ErrAllReplicasDown
-	}
-	if planErr != nil {
-		c.mu.RUnlock()
-		c.record(rd)
-	}
-	return planErr
-}
-
-// note records owner oi's answer (or lack of one) for the merge.
-func (rd *replicaRead) note(oi int, ok bool) {
-	if !ok {
-		return
-	}
-	rd.answered[oi] = true
-	if !rd.staleRep[oi] {
-		rd.fresh++
-		if oi == 0 {
-			rd.primaryAnswered = true
-		}
-	}
-}
-
-func (c *HACluster) record(rd *replicaRead) {
-	c.health.RecordQuery(rd.skipped, rd.queried > 0, rd.primaryAnswered)
-}
-
-// plurality is the merge of Key-Write and Postcarding: the answer most
-// owners gave, where fresh replicas outvote stale ones (stale answers —
-// from replicas that missed writes while down — count only when no fresh
-// replica has one) and ties favour the earliest answer in owner order:
-// the primary when it answered, including a stale primary when only
-// stale replicas answer. It returns the winning owner's index, or -1
-// when nobody answered, and with it the owners to read-repair: every
-// live replica whose answer differs from the winner's (observed
-// divergence), plus live STALE replicas with no answer at all — a stale
-// replica most likely missed the write while down. A live FRESH replica
-// with no answer is deliberately left alone: the usual cause is a
-// colliding key legitimately occupying the slot (last-writer-wins), and
-// "repairing" it would resurrect the older key over the newer one and
-// set up a repair ping-pong between the two.
-func (rd *replicaRead) plurality(equal func(i, j int) bool) (best int, repair [ha.MaxReplicas]bool, repairs int) {
-	useStale := rd.fresh == 0
-	best, votes := -1, 0
-	for i := range rd.owners {
-		if !rd.answered[i] || rd.staleRep[i] != useStale {
-			continue
-		}
-		v := 1
-		for j := i + 1; j < len(rd.owners); j++ {
-			if rd.answered[j] && rd.staleRep[j] == useStale && equal(i, j) {
-				v++
-			}
-		}
-		if v > votes { // ties keep the earlier owner: primary preference
-			best, votes = i, v
-		}
-	}
-	if best < 0 {
-		return best, repair, 0
-	}
-	for i := range rd.owners { // answered or stale implies live
-		if rd.answered[i] && i != best && !equal(i, best) || !rd.answered[i] && rd.staleRep[i] {
-			repair[i] = true
-			repairs++
-		}
-	}
-	return best, repair, repairs
-}
-
-// repair is the last stage of a query that observed divergence: write
-// applies the merged answer to each owner in set that is still up. It
-// runs under the write lock, which orders repairs against other queries
-// and Rebalance captures. Producers are a non-issue by contract, not by
-// lock — queries were never safe concurrently with ingest (they read the
-// same raw store buffers the writers mutate), so no acknowledged write
-// can land between the merge and the repair.
-func (c *HACluster) repair(rd *replicaRead, set *[ha.MaxReplicas]bool, write func(o int) error) {
-	c.mu.Lock()
-	repaired := 0
-	for i, o := range rd.owners {
-		if set[i] && !c.health.IsDown(o) && write(o) == nil {
-			repaired++
-		}
-	}
-	c.health.RecordReadRepair(repaired)
-	c.mu.Unlock()
-	c.noteReadRepair(repaired)
-}
-
-// markRepaired stamps read-repaired slots (size bytes each, at offset)
-// in collector o's dirty tracker, so a later incremental resync treating
-// o as a peer replays them.
-func (c *HACluster) markRepaired(o int, region string, slots []uint64, offset func(slot uint64) int, size int) {
-	if tk := c.state[o].tracker; tk != nil {
-		for _, slot := range slots {
-			tk.MarkRange(region, offset(slot), size)
-		}
-	}
-}
-
-// LookupValue queries the Key-Write stores of every live owner of key
-// and plurality-merges the answers (see plurality). Owners found
-// disagreeing with the winner — and stale owners with no answer at all —
-// are read-repaired: the winning value is written back into their slots
-// before returning, so a failover query leaves the live replicas
-// converged. Returns ErrAllReplicasDown when no owner is live.
-func (c *HACluster) LookupValue(key Key, n int) ([]byte, bool, error) {
-	var rd replicaRead
-	var sb [keywrite.MaxRedundancy]uint64
-	var slots []uint64
-	var csum uint32
-	var answers [ha.MaxReplicas][]byte
-	rd.owners = c.owners(key[:], rd.ob[:0])
-	c.mu.RLock()
-	err := collector.ErrDisabled
-	if kw := c.systems[0].Host().KeyWriteStore(); kw != nil {
-		slots, csum, err = kw.Indexer().Plan(key, n, sb[:0])
-	}
-	if err = c.scan(&rd, err); err != nil {
-		return nil, false, err
-	}
-	for _, sys := range rd.live {
-		if sys != nil {
-			sys.Host().KeyWriteStore().Touch(slots)
-		}
-	}
-	for oi, sys := range rd.live {
-		if sys != nil {
-			res := sys.Host().KeyWriteStore().QueryAt(csum, slots, 1)
-			answers[oi] = res.Data
-			rd.note(oi, res.Found)
-		}
-	}
-	c.record(&rd)
-	best, repair, repairs := rd.plurality(func(i, j int) bool { return bytes.Equal(answers[i], answers[j]) })
-	if best < 0 {
-		c.mu.RUnlock()
-		return nil, false, nil
-	}
-	// Copy the winner out of the store before releasing any lock: store
-	// views are no longer stable once queries can write (a concurrent
-	// query read-repairing a colliding slot would mutate the bytes under
-	// the caller).
-	var vbuf [wire.MaxData]byte
-	winner := vbuf[:copy(vbuf[:], answers[best])]
-	c.mu.RUnlock()
-	if repairs > 0 {
-		c.repair(&rd, &repair, func(o int) error {
-			kw := c.systems[o].Host().KeyWriteStore()
-			err := kw.Write(key, winner, n)
-			if err == nil {
-				c.markRepaired(o, "keywrite", slots, kw.Indexer().Offset, kw.Indexer().Config().SlotSize())
-			}
-			return err
-		})
-	}
-	return winner, true, nil
-}
-
-// LookupPath queries the Postcarding stores of every live owner of key
-// and plurality-merges the reconstructed paths exactly like LookupValue
-// merges values; owners that disagree with (or, stale, lack) the winning
-// path are read-repaired by re-encoding the winning chunk into their
-// stores.
-func (c *HACluster) LookupPath(key Key, n int) ([]uint32, bool, error) {
-	var rd replicaRead
-	var sb [postcarding.MaxRedundancy]uint64
-	var chunks []uint64
-	var answers [ha.MaxReplicas][]uint32
-	rd.owners = c.owners(key[:], rd.ob[:0])
-	c.mu.RLock()
-	err := collector.ErrDisabled
-	if pcs := c.systems[0].Host().PostcardingStore(); pcs != nil {
-		chunks, err = pcs.Coder().Plan(key, n, sb[:0])
-	}
-	if err = c.scan(&rd, err); err != nil {
-		return nil, false, err
-	}
-	for _, sys := range rd.live {
-		if sys != nil {
-			sys.Host().PostcardingStore().Touch(chunks)
-		}
-	}
-	for oi, sys := range rd.live {
-		if sys != nil {
-			res := sys.Host().PostcardingStore().QueryAt(key, chunks)
-			answers[oi] = res.Values
-			rd.note(oi, res.Found)
-		}
-	}
-	c.record(&rd)
-	best, repair, repairs := rd.plurality(func(i, j int) bool { return slices.Equal(answers[i], answers[j]) })
-	c.mu.RUnlock()
-	if best < 0 {
-		return nil, false, nil
-	}
-	winner := answers[best] // a heap copy from the store query, stable after unlock
-	if repairs > 0 {
-		c.repair(&rd, &repair, func(o int) error {
-			pcs := c.systems[o].Host().PostcardingStore()
-			err := pcs.Write(key, winner, len(winner), n)
-			if err == nil {
-				c.markRepaired(o, "postcarding", chunks, pcs.ChunkOffset, pcs.Coder().Config().ChunkBytes())
-			}
-			return err
-		})
-	}
-	return winner, true, nil
-}
-
-// LookupCount returns the count-min estimate for key: the minimum over
-// its live fresh owners (each owner received every increment for the
-// key, so the cross-replica minimum keeps the never-undercount
-// guarantee while discarding single-replica collision inflation).
-// Stale replicas undercount and contribute to the estimate only when no
-// fresh owner is live — but they are still consulted, and any stale
-// replica reporting less than the fresh estimate is read-repaired by
-// raising its counters to that estimate (never lowering, so other keys'
-// guarantees survive).
-func (c *HACluster) LookupCount(key Key, n int) (uint64, error) {
-	var rd replicaRead
-	var sb [keyincrement.MaxRedundancy]uint64
-	var slots []uint64
-	var counts [ha.MaxReplicas]uint64
-	rd.owners = c.owners(key[:], rd.ob[:0])
-	c.mu.RLock()
-	err := collector.ErrDisabled
-	if ki := c.systems[0].Host().KeyIncrementStore(); ki != nil {
-		slots, err = ki.Indexer().Plan(key, n, sb[:0])
-	}
-	if err = c.scan(&rd, err); err != nil {
-		return 0, err
-	}
-	for _, sys := range rd.live {
-		if sys != nil {
-			sys.Host().KeyIncrementStore().Touch(slots)
-		}
-	}
-	for oi, sys := range rd.live {
-		if sys != nil {
-			counts[oi] = sys.Host().KeyIncrementStore().QueryAt(slots)
-			rd.note(oi, true)
-		}
-	}
-	c.record(&rd)
-	useStale := rd.fresh == 0
-	var min uint64
-	first := true
-	for i := range rd.owners {
-		if rd.answered[i] && rd.staleRep[i] == useStale && (first || counts[i] < min) {
-			min, first = counts[i], false
-		}
-	}
-	// Read-repair: a stale replica reporting below the fresh estimate
-	// missed increments while down; raise its counters to the estimate.
-	// (Fresh replicas are never below the fresh minimum by definition,
-	// and counters are never lowered — inflation is collision noise the
-	// count-min contract already absorbs.)
-	var repair [ha.MaxReplicas]bool
-	repairs := 0
-	if !useStale {
-		for i := range rd.owners {
-			if rd.answered[i] && rd.staleRep[i] && counts[i] < min {
-				repair[i] = true
-				repairs++
-			}
-		}
-	}
-	c.mu.RUnlock()
-	if repairs > 0 {
-		c.repair(&rd, &repair, func(o int) error {
-			ki := c.systems[o].Host().KeyIncrementStore()
-			err := ki.Raise(key, min, n)
-			if err == nil {
-				c.markRepaired(o, "keyincrement", slots, ki.Indexer().Offset, keyincrement.CounterSize)
-			}
-			return err
-		})
-	}
-	return min, nil
-}
-
-// Poller returns an Append reader over the first live owner of list.
-// Call Flush (or drain the engine) first to push out partial batches.
-func (c *HACluster) Poller(list uint32) (*AppendPoller, error) {
-	var ob [ha.MaxReplicas]int
-	owners := c.ring.OwnersOfList(list, c.r, ob[:0])
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for pass := 0; pass < 2; pass++ {
-		useStale := pass == 1
-		for _, o := range owners {
-			if c.health.IsDown(o) || c.state[o].stale != useStale {
-				continue
-			}
-			return c.systems[o].Poller(int(list))
-		}
-	}
-	return nil, ErrAllReplicasDown
 }
 
 // Flush flushes every live collector's translator state. Only for
