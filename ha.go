@@ -364,7 +364,8 @@ func (c *HACluster) Decommission(i int) error {
 	// capture, which carries no log; every survivor resyncs from
 	// snapshots, so all log watermarks are void.
 	for id := range c.state {
-		c.state[id].voidLog()
+		s := &c.state[id]
+		s.src, s.marks, s.self = fromSnapshots, nil, 0
 	}
 	for _, id := range c.ring.Members() {
 		if !c.health.IsDown(id) {
@@ -404,6 +405,11 @@ func (c *HACluster) Engine(cfg EngineConfig) (*Engine, error) {
 func (c *HACluster) Flush() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.flushLive()
+}
+
+// flushLive flushes every live ring member. Called under c.mu.
+func (c *HACluster) flushLive() error {
 	for _, id := range c.ring.Members() {
 		if c.health.IsDown(id) {
 			continue

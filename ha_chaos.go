@@ -155,8 +155,7 @@ func (c *HACluster) SlowDisk(i int, fsyncLat time.Duration) error {
 	if fsyncLat == 0 {
 		sev = journal.SevInfo
 	}
-	journal.Emitter{J: c.jr, Comp: journal.CompWAL, Collector: int16(i)}.
-		Emit(journal.EvSlowDisk, sev, 0, uint64(fsyncLat), 0, 0)
+	c.systems[i].walEmitter().Emit(journal.EvSlowDisk, sev, 0, uint64(fsyncLat), 0, 0)
 	return nil
 }
 
@@ -211,8 +210,7 @@ func (c *HACluster) healOne(i int) {
 			}
 		}
 		if d := c.chaos.Disk(i); d.FsyncLatency() != 0 {
-			journal.Emitter{J: c.jr, Comp: journal.CompWAL, Collector: int16(i)}.
-				Emit(journal.EvSlowDisk, journal.SevInfo, 0, 0, 0, 0)
+			c.systems[i].walEmitter().Emit(journal.EvSlowDisk, journal.SevInfo, 0, 0, 0, 0)
 		}
 		c.chaos.HealNode(i)
 	}

@@ -1,6 +1,7 @@
 package dta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -47,8 +48,10 @@ type collectorState struct {
 	src   resyncSource
 	marks map[int]uint64
 	self  uint64
-	// retry is the resync retry/backoff state (see deferResync).
-	retry resyncRetry
+	// attempts counts deferred resyncs, and retryAt is the obs.Nanotime
+	// deadline before the next one (see deferResync).
+	attempts int
+	retryAt  int64
 }
 
 // resyncSource is where a stale collector's Append resync reads from.
@@ -80,11 +83,6 @@ func (s *collectorState) logFrom(p int) uint64 {
 		return 0
 	}
 	return s.marks[p]
-}
-
-// voidLog sends the collector back to snapshot resync.
-func (s *collectorState) voidLog() {
-	s.src, s.marks, s.self = fromSnapshots, nil, 0
 }
 
 // resynced is a successful resync: everything but the tracker and the
@@ -237,13 +235,6 @@ const (
 	DefaultRetryBudget = 8
 )
 
-// resyncRetry is one stale target's retry/backoff state: attempts made
-// and the obs.Nanotime deadline before the next one.
-type resyncRetry struct {
-	attempts int
-	nextAt   int64
-}
-
 // deferResync records a failed (or undeliverable) resync attempt for
 // target id: backoff doubles per attempt up to the cap, plus seeded
 // jitter, with an EvResyncRetry event and an HAStats counter. The
@@ -251,24 +242,19 @@ type resyncRetry struct {
 // via RebalanceUntilHealed, which sleeps out the deadline — retries it.
 // Called under c.mu.
 func (c *HACluster) deferResync(id int, cause uint64) {
-	r := &c.state[id].retry
-	backoff := resyncBackoffCap
-	if r.attempts < 6 {
-		if b := resyncBackoffBase << r.attempts; b < backoff {
-			backoff = b
-		}
-	}
+	s := &c.state[id]
+	backoff := min(resyncBackoffCap, resyncBackoffBase<<min(s.attempts, 6))
 	if c.retryRNG != nil {
 		backoff += time.Duration(c.retryRNG.Int63n(int64(backoff)/2 + 1))
 	}
-	r.attempts++
-	r.nextAt = obs.Nanotime() + int64(backoff)
+	s.attempts++
+	s.retryAt = obs.Nanotime() + int64(backoff)
 	c.health.RecordResyncRetry()
 	// Open a trace resync window covering the backoff: any data-plane
 	// trace completing while the retry is pending is tail-retained with
 	// FResync, tying slow acks to the recovery in progress.
-	c.trc.NoteResyncUntil(r.nextAt)
-	c.emit(id, journal.EvResyncRetry, journal.SevWarn, cause, uint64(r.attempts), uint64(backoff), 0)
+	c.trc.NoteResyncUntil(s.retryAt)
+	c.emit(id, journal.EvResyncRetry, journal.SevWarn, cause, uint64(s.attempts), uint64(backoff), 0)
 }
 
 // Rebalance is the resharding barrier: it drains the attached engine
@@ -298,15 +284,8 @@ func (c *HACluster) Rebalance() error {
 		if err := c.eng.Drain(); err != nil {
 			return err
 		}
-	} else {
-		for _, id := range c.ring.Members() {
-			if c.health.IsDown(id) {
-				continue
-			}
-			if err := c.systems[id].Flush(); err != nil {
-				return err
-			}
-		}
+	} else if err := c.flushLive(); err != nil {
+		return err
 	}
 	stale := c.staleCount()
 	if stale == 0 && len(c.pending) == 0 {
@@ -337,11 +316,11 @@ func (c *HACluster) Rebalance() error {
 			freshPeers = append(freshPeers, id)
 		}
 	}
-	caps := make(map[int]*snapshot.Snapshot, len(stalePeers)+len(freshPeers))
-	for _, id := range append(append([]int(nil), stalePeers...), freshPeers...) {
+	livePeers := append(append([]int(nil), stalePeers...), freshPeers...)
+	caps := make(map[int]*snapshot.Snapshot, len(livePeers))
+	for _, id := range livePeers {
 		caps[id] = c.capture(id)
 	}
-	livePeers := append(append([]int(nil), stalePeers...), freshPeers...)
 	var errs []error
 	var resynced []int
 	// Targets go in ID order, so the deferrals draw their retry jitter
@@ -351,6 +330,10 @@ func (c *HACluster) Rebalance() error {
 		if !s.stale || c.health.IsDown(id) {
 			continue // a down target stays stale for its next rejoin
 		}
+		// Resync events chain under the cause the target's failure
+		// minted; targets stale for other reasons (reshard) join the
+		// rebalance's own chain.
+		cause := cmp.Or(s.cause, rebCause)
 		// A live peer partitioned from the target defers the WHOLE
 		// resync: clearing the stale mark after a partial replay (some
 		// peers' history unreachable) would lose that history for good.
@@ -358,10 +341,6 @@ func (c *HACluster) Rebalance() error {
 		// later Rebalance — after the partition heals, or routes around
 		// it — converges it.
 		if blocked := c.cutPeerOf(id, livePeers); blocked >= 0 {
-			cause := s.cause
-			if cause == 0 {
-				cause = rebCause
-			}
 			c.deferResync(id, cause)
 			errs = append(errs, fmt.Errorf("dta: rebalance collector %d: peer %d partitioned, resync deferred", id, blocked))
 			continue
@@ -401,13 +380,6 @@ func (c *HACluster) Rebalance() error {
 			since := s.since
 			if c.fullResync {
 				since = 0
-			}
-			// Resync events chain under the cause the target's failure
-			// minted; targets stale for other reasons (reshard) join the
-			// rebalance's own chain.
-			cause := s.cause
-			if cause == 0 {
-				cause = rebCause
 			}
 			c.emit(id, journal.EvResyncStart, journal.SevInfo, cause, since, uint64(len(peers)), 0)
 			t0 := obs.Nanotime()
@@ -511,7 +483,7 @@ func (c *HACluster) RebalanceUntilHealed(budget int) error {
 		c.mu.RLock()
 		var until int64
 		for i := range c.state {
-			until = max(until, c.state[i].retry.nextAt)
+			until = max(until, c.state[i].retryAt)
 		}
 		c.mu.RUnlock()
 		if wait := until - obs.Nanotime(); wait > 0 {
