@@ -5,7 +5,6 @@
 package dta_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -14,23 +13,21 @@ import (
 	"dta/internal/reporter"
 )
 
-func engineBenchCluster(b *testing.B, shards int) *dta.Cluster {
-	b.Helper()
-	cl, err := dta.NewCluster(shards, dta.Options{
+func engineBenchOptions() dta.Options {
+	return dta.Options{
 		KeyWrite:     &dta.KeyWriteOptions{Slots: 1 << 18, DataSize: 4},
 		KeyIncrement: &dta.KeyIncrementOptions{Slots: 1 << 16},
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
-	return cl
 }
 
 // BenchmarkEngine_Sync1Shard is the baseline every engine configuration
 // is measured against: the synchronous single-collector call chain.
 func BenchmarkEngine_Sync1Shard(b *testing.B) {
-	cl := engineBenchCluster(b, 1)
-	rep := cl.Reporter(1)
+	sys, err := dta.New(engineBenchOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep := sys.Reporter(1)
 	data := []byte{1, 2, 3, 4}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,12 +54,13 @@ func benchEngineAsync(b *testing.B, shards int, frames bool) {
 // with the given sync policy, measuring what durability costs the hot
 // ingest path (WAL-on vs WAL-off per policy).
 func benchEngineAsyncWAL(b *testing.B, shards int, frames bool, wal *dta.WALPolicy) {
-	cl := engineBenchCluster(b, shards)
+	cl, err := dta.NewHACluster(shards, 1, engineBenchOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	if wal != nil {
-		for i := 0; i < shards; i++ {
-			if err := cl.System(i).WithWAL(fmt.Sprintf("%s/wal-%d", b.TempDir(), i), *wal); err != nil {
-				b.Fatal(err)
-			}
+		if err := cl.WithWAL(b.TempDir(), *wal); err != nil {
+			b.Fatal(err)
 		}
 	}
 	// Shallow queues on purpose: with Block backpressure the producers

@@ -7,13 +7,13 @@ import (
 )
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(0, fullOptions()); err == nil {
+	if _, err := NewHACluster(0, 1, fullOptions()); err == nil {
 		t.Error("zero-size cluster accepted")
 	}
 }
 
 func TestClusterShardsKeys(t *testing.T) {
-	c, err := NewCluster(4, fullOptions())
+	c, err := NewHACluster(4, 1, fullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,24 +52,24 @@ func TestClusterShardsKeys(t *testing.T) {
 }
 
 func TestClusterOwnerStable(t *testing.T) {
-	c, _ := NewCluster(3, fullOptions())
+	c, _ := NewHACluster(3, 1, fullOptions())
 	for i := 0; i < 100; i++ {
 		k := KeyFromUint64(uint64(i))
-		if c.owner(k) != c.owner(k) {
+		if c.Owners(k)[0] != c.Owners(k)[0] {
 			t.Fatal("owner not deterministic")
 		}
-		if o := c.owner(k); o < 0 || o >= 3 {
-			t.Fatalf("owner %d out of range", o)
+		if o := c.Owners(k); len(o) != 1 || o[0] < 0 || o[0] >= 3 {
+			t.Fatalf("owners %v: want one, in range", o)
 		}
 	}
 }
 
 func TestClusterQueryOnlyOwnerAnswers(t *testing.T) {
-	c, _ := NewCluster(2, fullOptions())
+	c, _ := NewHACluster(2, 1, fullOptions())
 	rep := c.Reporter(1)
 	k := KeyFromUint64(42)
 	rep.KeyWrite(k, []byte{7, 7, 7, 7}, 2)
-	owner := c.owner(k)
+	owner := c.Owners(k)[0]
 	other := 1 - owner
 	if _, ok, _ := c.System(owner).LookupValue(k, 2); !ok {
 		t.Error("owner cannot answer")
@@ -80,7 +80,7 @@ func TestClusterQueryOnlyOwnerAnswers(t *testing.T) {
 }
 
 func TestClusterPostcardsAndCounts(t *testing.T) {
-	c, _ := NewCluster(2, fullOptions())
+	c, _ := NewHACluster(2, 1, fullOptions())
 	rep := c.Reporter(1)
 	k := KeyFromUint64(9)
 	for hop := 0; hop < 5; hop++ {
@@ -99,7 +99,7 @@ func TestClusterPostcardsAndCounts(t *testing.T) {
 }
 
 func TestClusterAppendByList(t *testing.T) {
-	c, _ := NewCluster(2, fullOptions())
+	c, _ := NewHACluster(2, 1, fullOptions())
 	rep := c.Reporter(1)
 	for list := uint32(0); list < 4; list++ {
 		if err := rep.Append(list, []byte{byte(list), 0, 0, 0}); err != nil {
@@ -110,7 +110,7 @@ func TestClusterAppendByList(t *testing.T) {
 		t.Fatal(err)
 	}
 	for list := uint32(0); list < 4; list++ {
-		sys := c.System(c.ownerOfList(list))
+		sys := c.System(c.OwnersOfList(list)[0])
 		p, err := sys.Poller(int(list))
 		if err != nil {
 			t.Fatal(err)
@@ -152,18 +152,18 @@ func TestKIAggregationThroughFacade(t *testing.T) {
 	}
 }
 
-// TestClusterOwnershipDistribution checks the CRC sharding satellite:
+// TestClusterOwnershipDistribution checks the ring's key partitioning:
 // ownership over a large key sample spreads close to uniformly, so no
 // collector silently becomes a hot spot.
 func TestClusterOwnershipDistribution(t *testing.T) {
 	const size, keys = 4, 40000
-	c, err := NewCluster(size, fullOptions())
+	c, err := NewHACluster(size, 1, fullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, size)
 	for i := 0; i < keys; i++ {
-		owner := c.owner(KeyFromUint64(uint64(i) * 0x9e3779b97f4a7c15))
+		owner := c.Owners(KeyFromUint64(uint64(i) * 0x9e3779b97f4a7c15))[0]
 		if owner < 0 || owner >= size {
 			t.Fatalf("Owner returned %d for cluster of %d", owner, size)
 		}
@@ -181,13 +181,13 @@ func TestClusterOwnershipDistribution(t *testing.T) {
 // lacked: KeyWriteImmediate raises the push event on the owning
 // collector, and PostcardValue records per-hop values there.
 func TestClusterReporterParity(t *testing.T) {
-	c, err := NewCluster(3, fullOptions())
+	c, err := NewHACluster(3, 1, fullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := c.Reporter(1)
 	k := KeyFromUint64(77)
-	owner := c.owner(k)
+	owner := c.Owners(k)[0]
 
 	if err := rep.KeyWriteImmediate(k, []byte{4, 3, 2, 1}, 2); err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestClusterReporterParity(t *testing.T) {
 // clustering as the report-weighted average, not vanish (the old code
 // summed every counter but never set MemInstrPerReport).
 func TestClusterStatsMemInstrWeighted(t *testing.T) {
-	c, err := NewCluster(3, fullOptions())
+	c, err := NewHACluster(3, 1, fullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +289,4 @@ func TestEventsSingleConsumerPump(t *testing.T) {
 		t.Errorf("second event %+v appeared for a single immediate write", extra)
 	default:
 	}
-}
-
-func TestClusterOwnerEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("owner on zero-value Cluster did not panic with a diagnostic")
-		}
-	}()
-	var c Cluster
-	c.owner(KeyFromUint64(1))
 }

@@ -7,10 +7,11 @@
 //	dtaload -profile zipf -shards 4 -reporters 8 -reports 200000
 //	dtaload -profile incast -policy drop -queue 64 -chunk 16
 //
-// With -replicas ≥ 1 the run goes through the replicated HA cluster
-// instead, and -schedule injects collector failures mid-run; after the
-// run the cluster is rebalanced and every key the workload wrote is
-// queried back, so the report shows what a failure actually cost:
+// The collectors form an HACluster replicating every key to -replicas
+// of them (default 1: each key has one owner), and -schedule injects
+// collector failures mid-run; after the run the cluster is rebalanced
+// and every key the workload wrote is queried back, so the report shows
+// what a failure actually cost:
 //
 //	dtaload -replicas 2 -schedule 'kill@0.25=1,restore@0.75=1'
 //
@@ -53,11 +54,11 @@ func main() {
 		chunk     = flag.Int("chunk", 32, "reports staged per chunk")
 		batch     = flag.Int("batch", 16, "worker dequeue batch (chunks)")
 		policy    = flag.String("policy", "block", "backpressure: block or drop")
-		replicas  = flag.Int("replicas", 0, "replication factor R (0 = plain cluster, no HA)")
-		schedule  = flag.String("schedule", "", "failure schedule, e.g. 'kill@0.25=1,restore@0.75=1' (needs -replicas)")
-		verify    = flag.Int("verify", 20000, "max written keys to query back after an HA run (0 = skip)")
+		replicas  = flag.Int("replicas", 1, "replication factor R (1 = one owner per key)")
+		schedule  = flag.String("schedule", "", "failure schedule, e.g. 'kill@0.25=1,restore@0.75=1'")
+		verify    = flag.Int("verify", 20000, "max written keys to query back after the run (0 = skip)")
 		frames    = flag.Bool("frames", false, "send every report as a wire frame, decoded by the reporter's frame edge")
-		walDir    = flag.String("wal", "", "write-ahead-log root directory (needs -replicas; enables exact log-based Append resync)")
+		walDir    = flag.String("wal", "", "write-ahead-log root directory (enables exact log-based Append resync)")
 		walSync   = flag.String("wal-sync", "none", "WAL sync policy: none, interval[=d], batch")
 
 		walDegrade  = flag.Duration("wal-degrade", 0, "fsync latency bound above which the WAL degrades to flush-acks (0 = never)")
@@ -82,12 +83,12 @@ func main() {
 		log.Fatalf("dtaload: unknown policy %q (want block or drop)", *policy)
 	}
 
+	if *replicas < 1 {
+		log.Fatalf("dtaload: -replicas %d < 1", *replicas)
+	}
 	sched, err := loadgen.ParseSchedule(*schedule)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if len(sched) > 0 && *replicas < 1 {
-		log.Fatal("dtaload: -schedule requires -replicas >= 1")
 	}
 
 	vals := make([]uint32, *reporters)
@@ -126,23 +127,15 @@ func main() {
 		fmt.Printf("schedule: seed=%d chaos-seed=%d plan=%s\n", *seed, *chaosSeed, loadgen.FormatSchedule(sched))
 	}
 
-	if *walDir != "" && *replicas < 1 {
-		log.Fatal("dtaload: -wal requires -replicas >= 1")
-	}
-
-	if *replicas >= 1 {
-		runHA(opts, cfg, lcfg, haParams{
-			shards: *shards, replicas: *replicas, verify: *verify, frames: *frames,
-			walDir: *walDir, walSync: *walSync, walDegrade: *walDegrade,
-			chaosSeed: *chaosSeed, retryBudget: *retryBudget,
-		})
-		return
-	}
-	runPlain(opts, cfg, lcfg, *shards, *frames)
+	run(opts, cfg, lcfg, params{
+		shards: *shards, replicas: *replicas, verify: *verify, frames: *frames,
+		walDir: *walDir, walSync: *walSync, walDegrade: *walDegrade,
+		chaosSeed: *chaosSeed, retryBudget: *retryBudget,
+	})
 }
 
-// haParams bundles the HA/chaos knobs runHA needs.
-type haParams struct {
+// params bundles the cluster, HA and chaos knobs run needs.
+type params struct {
 	shards, replicas, verify int
 	frames                   bool
 	walDir, walSync          string
@@ -171,34 +164,9 @@ type frameReporter struct {
 
 func (f *frameReporter) Flush() error { return f.rep.Flush() }
 
-// runPlain is the original single-owner cluster path.
-func runPlain(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, shards int, frames bool) {
-	cluster, err := dta.NewCluster(shards, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := cluster.Engine(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lcfg.Drain = eng.Drain
-	res, err := loadgen.Run(lcfg, func(i int) loadgen.Reporter {
-		return newReporter(eng, uint32(i+1), frames)
-	})
-	if err != nil {
-		log.Fatalf("dtaload: %v", err)
-	}
-	if err := eng.Close(); err != nil {
-		log.Fatalf("dtaload: close: %v", err)
-	}
-	printRun(res, eng)
-	printShards(eng, func(i int) dta.Stats { return cluster.System(i).Stats() })
-	printAckLatency(cluster.Tracer())
-}
-
-// runHA drives the replicated cluster, optionally injecting the failure
-// schedule, then rebalances and verifies recovery of written keys.
-func runHA(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, p haParams) {
+// run drives the cluster, optionally injecting the failure schedule,
+// then rebalances and verifies recovery of written keys.
+func run(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, p params) {
 	hac, err := dta.NewHACluster(p.shards, p.replicas, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -354,7 +322,7 @@ type verifyResult struct {
 // final rebalance every surviving key reads back its exact value, no
 // owner set is unreachable, Append lists recovered fully, and slow-disk
 // runs actually exercised the WAL's degraded-ack machinery.
-func chaosVerdict(hac *dta.HACluster, lcfg loadgen.Config, p haParams, vr verifyResult, appendPct float64, hasAppends bool) error {
+func chaosVerdict(hac *dta.HACluster, lcfg loadgen.Config, p params, vr verifyResult, appendPct float64, hasAppends bool) error {
 	var degradeEnter, degradeExit int
 	if j := hac.Journal(); j != nil {
 		events, _, _ := j.Since(0, nil)

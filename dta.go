@@ -228,7 +228,7 @@ var ErrNotDTA = translator.ErrNotDTA
 // the same zero-allocation chain an engine's reporters use, minus the
 // queue.
 func (s *System) Reporter(switchID uint32) *Reporter {
-	return &Reporter{switchID: switchID, systems: []*System{s}}
+	return &Reporter{switchID: switchID, sys: s}
 }
 
 // Advance moves the system clock forward (for rate limiting).

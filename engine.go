@@ -54,7 +54,6 @@ var ErrEngineClosed = engine.ErrClosed
 // Query and Stats methods are safe again once Drain or Close returns.
 type Engine struct {
 	inner   *engine.Engine
-	cluster *Cluster   // nil unless attached to a Cluster
 	hac     *HACluster // nil unless attached to an HACluster (replicated fan-out)
 	systems []*System  // one per shard
 }
@@ -91,17 +90,12 @@ func (k systemSink) Settle() error { return k.s.walSettle() }
 
 // Engine attaches a single-shard async ingest engine to this System.
 func (s *System) Engine(cfg EngineConfig) (*Engine, error) {
-	return newEngine([]*System{s}, nil, nil, cfg)
+	return newEngine([]*System{s}, nil, cfg)
 }
 
-// Engine attaches an async ingest engine with one shard per collector.
-func (c *Cluster) Engine(cfg EngineConfig) (*Engine, error) {
-	return newEngine(c.systems, c, nil, cfg)
-}
-
-func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineConfig) (*Engine, error) {
+func newEngine(systems []*System, hac *HACluster, cfg EngineConfig) (*Engine, error) {
 	if len(systems) == 0 {
-		return nil, errors.New("dta: engine over no collectors (construct the cluster with NewCluster)")
+		return nil, errors.New("dta: engine over no collectors (construct the cluster with NewHACluster)")
 	}
 	sinks := make([]engine.Sink, len(systems))
 	for i, s := range systems {
@@ -117,21 +111,19 @@ func newEngine(systems []*System, cluster *Cluster, hac *HACluster, cfg EngineCo
 		QueueDepth: cfg.QueueDepth, ChunkFrames: cfg.ChunkFrames, Batch: cfg.Batch, Policy: cfg.Policy,
 		Obs: systems[0].reg.Scope(), Journal: systems[0].jr, Trace: systems[0].trc,
 	}
-	if hac != nil {
-		// A replicated fan-out plans once for all its owners (Reporter.fan),
-		// which is only right while every member plans alike — what
-		// HACluster.attach admitted them on.
-		for i, s := range systems[1:] {
-			if err := checkMember(systems[0], s, i+1); err != nil {
-				return nil, err
-			}
+	// A replicated fan-out plans once for all its owners (Reporter.fan),
+	// which is only right while every member plans alike — what
+	// HACluster.attach admitted them on.
+	for i, s := range systems[1:] {
+		if err := checkMember(systems[0], s, i+1); err != nil {
+			return nil, err
 		}
 	}
 	inner, err := engine.New(sinks, ecfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{inner: inner, cluster: cluster, hac: hac, systems: systems}, nil
+	return &Engine{inner: inner, hac: hac, systems: systems}, nil
 }
 
 // Shards returns the number of shard workers.
@@ -185,5 +177,5 @@ func (e *Engine) Reporter(switchID uint32) *Reporter {
 	// watermark fence needs those copies to reach the shard queues
 	// together (see HACluster.fenceMu).
 	sub.SetCoupled(e.hac != nil)
-	return &Reporter{switchID: switchID, systems: e.systems, cluster: e.cluster, hac: e.hac, sub: sub}
+	return &Reporter{switchID: switchID, sys: e.systems[0], hac: e.hac, sub: sub}
 }

@@ -22,7 +22,7 @@ type workloadReporter interface {
 // driveBoth runs the same workload through an engine Reporter's typed
 // methods on one cluster and, on an identical second cluster, as wire
 // frames its SubmitFrame edge decodes, returning both for comparison.
-func driveBoth(t *testing.T, shards int, drive func(rep workloadReporter) error) (structured, framed *dta.Cluster) {
+func driveBoth(t *testing.T, shards int, drive func(rep workloadReporter) error) (structured, framed *dta.HACluster) {
 	t.Helper()
 	opts := dta.Options{
 		KeyWrite:     &dta.KeyWriteOptions{Slots: 1 << 12, DataSize: 4},
@@ -31,7 +31,7 @@ func driveBoth(t *testing.T, shards int, drive func(rep workloadReporter) error)
 		Append:       &dta.AppendOptions{Lists: 4, EntriesPerList: 1 << 10, EntrySize: 4, Batch: 4},
 	}
 	for _, mode := range []bool{false, true} {
-		cl, err := dta.NewCluster(shards, opts)
+		cl, err := dta.NewHACluster(shards, 1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +135,11 @@ func TestStructuredMatchesFramePath(t *testing.T) {
 // TestStructuredValidationMatchesWire: invalid reports must be rejected
 // at submission, exactly like the wire decoder would reject them.
 func TestStructuredValidationMatchesWire(t *testing.T) {
-	cl, err := dta.NewCluster(1, dta.Options{KeyWrite: &dta.KeyWriteOptions{Slots: 64, DataSize: 4}, Append: &dta.AppendOptions{Lists: 1, EntriesPerList: 16, EntrySize: 4}})
+	sys, err := dta.New(dta.Options{KeyWrite: &dta.KeyWriteOptions{Slots: 64, DataSize: 4}, Append: &dta.AppendOptions{Lists: 1, EntriesPerList: 16, EntrySize: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cl.Engine(dta.EngineConfig{})
+	eng, err := sys.Engine(dta.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +175,14 @@ func TestStructuredValidationMatchesWire(t *testing.T) {
 // crafting, device execution — at zero allocations per Key-Write once
 // buffers and pools are warm.
 func TestEngineStructuredEndToEndZeroAllocs(t *testing.T) {
-	cl, err := dta.NewCluster(1, dta.Options{
+	sys, err := dta.New(dta.Options{
 		KeyWrite:     &dta.KeyWriteOptions{Slots: 1 << 16, DataSize: 4},
 		KeyIncrement: &dta.KeyIncrementOptions{Slots: 1 << 12},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cl.Engine(dta.EngineConfig{QueueDepth: 64})
+	eng, err := sys.Engine(dta.EngineConfig{QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,11 +97,11 @@ func TestEngineSystemAsyncIngest(t *testing.T) {
 // queries identically.
 func TestEngineClusterMatchesSync(t *testing.T) {
 	const shards, keys = 4, 2000
-	syncCl, err := dta.NewCluster(shards, engineOptions())
+	syncCl, err := dta.NewHACluster(shards, 1, engineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncCl, err := dta.NewCluster(shards, engineOptions())
+	asyncCl, err := dta.NewHACluster(shards, 1, engineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestEngineClusterMatchesSync(t *testing.T) {
 // twice and requires identical per-shard enqueue counts.
 func TestEngineLoadgenDeterminism(t *testing.T) {
 	perShard := func(seed int64) []uint64 {
-		cl, err := dta.NewCluster(4, engineOptions())
+		cl, err := dta.NewHACluster(4, 1, engineOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

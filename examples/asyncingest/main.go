@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	cluster, err := dta.NewCluster(2, dta.Options{
+	cluster, err := dta.NewHACluster(2, 1, dta.Options{
 		KeyWrite:     &dta.KeyWriteOptions{Slots: 1 << 18, DataSize: 4},
 		KeyIncrement: &dta.KeyIncrementOptions{Slots: 1 << 16},
 	})

@@ -22,15 +22,16 @@ type HAStats = ha.Stats
 // of the key is marked down.
 var ErrAllReplicasDown = errors.New("dta: all replicas for key are down")
 
-// HACluster is a replicated, fault-tolerant multi-collector deployment:
-// the high-availability layer over the same collectors a Cluster shards
-// across (§7, extended). Four mechanisms distinguish it from Cluster's
-// static CRC-mod-N partitioning:
+// HACluster is the multi-collector deployment (§7, "Supporting Multiple
+// Collectors", extended): keys are partitioned across collectors by
+// hash, and each may be replicated to R of them. Four mechanisms go
+// beyond the paper's static partitioning:
 //
 //   - Replicated ownership. A rendezvous-hash ring maps every key (and
 //     Append list) to R replica collectors; reporters fan each report
 //     out to all live owners, and membership change moves only the keys
-//     the joining/leaving collector gains or loses.
+//     the joining/leaving collector gains or loses. R = 1 is the plain
+//     partitioned cluster.
 //   - Failure injection and failover. SetDown/SetUp flip a lock-free
 //     per-collector health flag mid-run. Writers skip down replicas
 //     (counting degraded and lost writes instead of failing — reports
@@ -148,9 +149,10 @@ type HACluster struct {
 }
 
 // NewHACluster builds n identical collectors replicating every key to
-// r of them. r = 1 reproduces Cluster's single-owner behaviour (but
-// over the rendezvous ring, so membership can still change); r ≥ 2
-// survives collector failure without losing acknowledged reports.
+// r of them. All members share one telemetry registry (Metrics), their
+// series told apart by a collector="i" label. r = 1 gives every key a
+// single owner, the paper's partitioned cluster; r ≥ 2 survives
+// collector failure without losing acknowledged reports.
 func NewHACluster(n, r int, opts Options) (*HACluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dta: cluster size %d < 1", n)
@@ -392,7 +394,7 @@ func (c *HACluster) Engine(cfg EngineConfig) (*Engine, error) {
 	if c.eng != nil && !c.eng.closed() {
 		return nil, errors.New("dta: engine already attached")
 	}
-	e, err := newEngine(c.systems, nil, c, cfg)
+	e, err := newEngine(c.systems, c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -422,9 +424,28 @@ func (c *HACluster) flushLive() error {
 }
 
 // Stats sums counters across all collectors (including down ones:
-// their pre-failure work still happened).
+// their pre-failure work still happened). MemInstrPerReport, a ratio, is
+// averaged weighted by each collector's report count, so the Fig. 8
+// metric means the same thing for a cluster as for one collector
+// (summing ratios would overstate it by up to the cluster size).
 func (c *HACluster) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return aggregateStats(c.systems)
+	var total Stats
+	var memInstr float64 // report-weighted sum of per-collector ratios
+	for _, sys := range c.systems {
+		st := sys.Stats()
+		total.Reports += st.Reports
+		total.RDMAWrites += st.RDMAWrites
+		total.RDMAAtomics += st.RDMAAtomics
+		total.RateDropped += st.RateDropped
+		total.Resyncs += st.Resyncs
+		total.PostcardEmits += st.PostcardEmits
+		total.AppendFlushes += st.AppendFlushes
+		memInstr += st.MemInstrPerReport * float64(st.Reports)
+	}
+	if total.Reports > 0 {
+		total.MemInstrPerReport = memInstr / float64(total.Reports)
+	}
+	return total
 }

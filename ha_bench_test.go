@@ -147,17 +147,6 @@ func BenchmarkHA_FailoverIngest(b *testing.B) {
 	}
 }
 
-// deployment is what Cluster and HACluster share: the benchmarks below
-// drive either through it.
-type deployment interface {
-	Reporter(switchID uint32) *dta.Reporter
-	Engine(cfg dta.EngineConfig) (*dta.Engine, error)
-	LookupValue(key dta.Key, n int) ([]byte, bool, error)
-	LookupPath(key dta.Key, n int) ([]uint32, bool, error)
-	LookupCount(key dta.Key, n int) (uint64, error)
-	Flush() error
-}
-
 // haLookupBits sets how many keys (1 << haLookupBits) the lookup
 // benchmarks write and then read back in a scrambled order: their slots
 // spread over every page of the stores below, so a lookup's lines come
@@ -167,7 +156,7 @@ const haLookupBits = 18
 // benchLookup builds a 4-collector cluster at R = 1, 2 and 3 over opts
 // (32 MiB a store — sized past the cache) and times lookups over it
 // (timeLookups): the `go test -bench` twin of dtaperf's ha.lookup_ns.
-func benchLookup(b *testing.B, opts dta.Options, fill func(rep *dta.Reporter, k uint64) error, lookup func(d deployment, k uint64) error) {
+func benchLookup(b *testing.B, opts dta.Options, fill func(rep *dta.Reporter, k uint64) error, lookup func(d *dta.HACluster, k uint64) error) {
 	for _, r := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
 			c, err := dta.NewHACluster(4, r, opts)
@@ -181,7 +170,7 @@ func benchLookup(b *testing.B, opts dta.Options, fill func(rep *dta.Reporter, k 
 
 // timeLookups fills d with 1 << bits keys through fill and times lookup
 // over them.
-func timeLookups(b *testing.B, d deployment, bits uint, fill func(rep *dta.Reporter, k uint64) error, lookup func(d deployment, k uint64) error) {
+func timeLookups(b *testing.B, d *dta.HACluster, bits uint, fill func(rep *dta.Reporter, k uint64) error, lookup func(d *dta.HACluster, k uint64) error) {
 	rep := d.Reporter(1)
 	for k := uint64(0); k < 1<<bits; k++ {
 		if err := fill(rep, k); err != nil {
@@ -207,7 +196,7 @@ func fillValue(rep *dta.Reporter, k uint64) error {
 	return rep.KeyWrite(dta.KeyFromUint64(k), benchKeyData(k), 2)
 }
 
-func lookupValue(d deployment, k uint64) error {
+func lookupValue(d *dta.HACluster, k uint64) error {
 	data, ok, err := d.LookupValue(dta.KeyFromUint64(k), 2)
 	if err == nil && ok && !bytes.Equal(data, benchKeyData(k)) {
 		err = fmt.Errorf("key %d: wrong value %x", k, data)
@@ -219,7 +208,7 @@ func fillCount(rep *dta.Reporter, k uint64) error {
 	return rep.Increment(dta.KeyFromUint64(k), k+1, 2)
 }
 
-func lookupCount(d deployment, k uint64) error {
+func lookupCount(d *dta.HACluster, k uint64) error {
 	count, err := d.LookupCount(dta.KeyFromUint64(k), 2)
 	if err == nil && count < k+1 {
 		err = fmt.Errorf("key %d: count %d undercounts %d", k, count, k+1)
@@ -250,7 +239,7 @@ func BenchmarkHA_LookupPath(b *testing.B) {
 			}
 			return nil
 		},
-		func(d deployment, k uint64) error {
+		func(d *dta.HACluster, k uint64) error {
 			path, ok, err := d.LookupPath(dta.KeyFromUint64(k), 2)
 			if err == nil && ok && (len(path) != 5 || path[0] != uint32(k)%64+1) {
 				err = fmt.Errorf("flow %d: wrong path %v", k, path)
@@ -259,80 +248,62 @@ func BenchmarkHA_LookupPath(b *testing.B) {
 		})
 }
 
-// BenchmarkHA_R1VsCluster is the gate for folding Cluster into
-// HACluster{R: 1}: the same four-collector deployment, sharded
-// (Cluster) and replicated once (HACluster, R = 1), on the write and
-// read paths of the benchmarks above with their geometry and key
-// scramble. LookupValueResident reads 1 << 10 keys, whose lines stay
-// in cache, so it prices the lookup's own work apart from its misses.
-func BenchmarkHA_R1VsCluster(b *testing.B) {
-	deployments := []struct {
-		name  string
-		build func(opts dta.Options) (deployment, error)
-	}{
-		{"Cluster", func(opts dta.Options) (deployment, error) { return dta.NewCluster(4, opts) }},
-		{"HA_R1", func(opts dta.Options) (deployment, error) { return dta.NewHACluster(4, 1, opts) }},
-	}
-	each := func(b *testing.B, opts dta.Options, run func(b *testing.B, d deployment)) {
-		for _, dep := range deployments {
-			b.Run(dep.name, func(b *testing.B) {
-				d, err := dep.build(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				run(b, d)
-			})
+// BenchmarkHA_R1 prices the single-owner deployment — four collectors,
+// HACluster at R = 1 — on the write and read paths of the benchmarks
+// above with their geometry and key scramble. LookupValueResident reads
+// 1 << 10 keys, whose lines stay in cache, so it prices the lookup's own
+// work apart from its misses.
+func BenchmarkHA_R1(b *testing.B) {
+	r1 := func(b *testing.B, opts dta.Options) *dta.HACluster {
+		d, err := dta.NewHACluster(4, 1, opts)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return d
 	}
 	data := []byte{1, 2, 3, 4}
 	b.Run("SyncKeyWrite", func(b *testing.B) {
-		each(b, haBenchOptions(), func(b *testing.B, d deployment) {
-			rep := d.Reporter(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rep.KeyWrite(dta.KeyFromUint64(uint64(i)), data, 2); err != nil {
-					b.Fatal(err)
-				}
+		rep := r1(b, haBenchOptions()).Reporter(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := rep.KeyWrite(dta.KeyFromUint64(uint64(i)), data, 2); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	})
 	b.Run("EngineIngest", func(b *testing.B) {
-		each(b, haBenchOptions(), func(b *testing.B, d deployment) {
-			eng, err := d.Engine(dta.EngineConfig{})
-			if err != nil {
+		eng, err := r1(b, haBenchOptions()).Engine(dta.EngineConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep := eng.Reporter(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := rep.KeyWrite(dta.KeyFromUint64(uint64(i)), data, 2); err != nil {
 				b.Fatal(err)
 			}
-			rep := eng.Reporter(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rep.KeyWrite(dta.KeyFromUint64(uint64(i)), data, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := rep.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Drain(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
+		}
+		if err := rep.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
 	})
 	kw := dta.Options{KeyWrite: &dta.KeyWriteOptions{Slots: 1 << 22, DataSize: 4}}
 	b.Run("LookupValue", func(b *testing.B) {
-		each(b, kw, func(b *testing.B, d deployment) { timeLookups(b, d, haLookupBits, fillValue, lookupValue) })
+		timeLookups(b, r1(b, kw), haLookupBits, fillValue, lookupValue)
 	})
 	b.Run("LookupValueResident", func(b *testing.B) {
-		each(b, kw, func(b *testing.B, d deployment) { timeLookups(b, d, 10, fillValue, lookupValue) })
+		timeLookups(b, r1(b, kw), 10, fillValue, lookupValue)
 	})
 	b.Run("LookupCount", func(b *testing.B) {
-		each(b, dta.Options{KeyIncrement: &dta.KeyIncrementOptions{Slots: 1 << 22}}, func(b *testing.B, d deployment) {
-			timeLookups(b, d, haLookupBits, fillCount, lookupCount)
-		})
+		timeLookups(b, r1(b, dta.Options{KeyIncrement: &dta.KeyIncrementOptions{Slots: 1 << 22}}), haLookupBits, fillCount, lookupCount)
 	})
 }

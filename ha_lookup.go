@@ -11,7 +11,6 @@ import (
 	"dta/internal/core/postcarding"
 	"dta/internal/ha"
 	"dta/internal/obs/journal"
-	"dta/internal/wire"
 )
 
 // readRepairEventGap spaces read-repair journal events: a verification
@@ -35,8 +34,9 @@ func (c *HACluster) noteReadRepair(repaired int) {
 // loaded from every live owner's planned lines before any is read, so
 // the R × n cache misses overlap instead of queueing behind each owner's
 // vote; then each owner answers from the planned slots, the answers are
-// merged, and owners found diverging are repaired. Fixed-size so the
-// no-divergence fast path allocates nothing.
+// merged, and owners found diverging are repaired. Fixed-size, so the
+// no-divergence fast path allocates only what it returns: nothing for
+// LookupCount, the winner's exact-length copy for LookupValue.
 type replicaRead struct {
 	ob     [ha.MaxReplicas]int
 	owners []int
@@ -218,12 +218,12 @@ func (c *HACluster) LookupValue(key Key, n int) ([]byte, bool, error) {
 		c.mu.RUnlock()
 		return nil, false, nil
 	}
-	// Copy the winner out of the store before releasing any lock: store
-	// views are no longer stable once queries can write (a concurrent
-	// query read-repairing a colliding slot would mutate the bytes under
-	// the caller).
-	var vbuf [wire.MaxData]byte
-	winner := vbuf[:copy(vbuf[:], answers[best])]
+	// Copy the winner out of the store, at its exact length, before
+	// releasing any lock: store views are no longer stable once queries
+	// can write (a concurrent query read-repairing a colliding slot, or
+	// a Rebalance, would mutate the bytes under the caller).
+	winner := make([]byte, len(answers[best]))
+	copy(winner, answers[best])
 	c.mu.RUnlock()
 	if repairs > 0 {
 		c.repair(&rd, &repair, func(o int) error {

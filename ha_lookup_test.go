@@ -269,42 +269,50 @@ func TestHAParallelLookups(t *testing.T) {
 	}
 }
 
-// TestHALookupAllocs pins the no-divergence fast path's allocations:
-// LookupValue's one is the winner's copy out of the store, LookupCount
-// makes none.
+// TestHALookupAllocs pins the no-divergence fast path's allocations, at
+// R = 3 and at R = 1, the single-owner cluster: LookupValue's one is the
+// winner's copy out of the store, at its exact length (cap == len), and
+// LookupCount makes none.
 func TestHALookupAllocs(t *testing.T) {
-	c, err := NewHACluster(4, 3, fullOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Reporter(1)
-	for k := uint64(0); k < 512; k++ {
-		if err := rep.KeyWrite(KeyFromUint64(k), []byte{1, 2, 3, 4}, 2); err != nil {
+	for _, r := range []int{3, 1} {
+		c, err := NewHACluster(4, r, fullOptions())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rep.Increment(KeyFromUint64(k), 1, 2); err != nil {
+		rep := c.Reporter(1)
+		for k := uint64(0); k < 512; k++ {
+			if err := rep.KeyWrite(KeyFromUint64(k), []byte{1, 2, 3, 4}, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Increment(KeyFromUint64(k), 1, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	k := uint64(0)
-	if allocs := testing.AllocsPerRun(2000, func() {
-		if _, _, err := c.LookupValue(KeyFromUint64(k%512), 2); err != nil {
-			t.Fatal(err)
+		k := uint64(0)
+		var got []byte
+		if allocs := testing.AllocsPerRun(2000, func() {
+			var err error
+			if got, _, err = c.LookupValue(KeyFromUint64(k%512), 2); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}); allocs > 1 {
+			t.Errorf("R=%d: LookupValue allocated %.2f/op, want at most 1", r, allocs)
 		}
-		k++
-	}); allocs > 1 {
-		t.Errorf("LookupValue allocated %.2f/op, want at most 1", allocs)
-	}
-	if allocs := testing.AllocsPerRun(2000, func() {
-		if _, err := c.LookupCount(KeyFromUint64(k%512), 2); err != nil {
-			t.Fatal(err)
+		if len(got) == 0 || cap(got) != len(got) {
+			t.Errorf("R=%d: LookupValue returned len %d cap %d, want an exact-length copy", r, len(got), cap(got))
 		}
-		k++
-	}); allocs != 0 {
-		t.Errorf("LookupCount allocated %.2f/op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(2000, func() {
+			if _, err := c.LookupCount(KeyFromUint64(k%512), 2); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}); allocs != 0 {
+			t.Errorf("R=%d: LookupCount allocated %.2f/op, want 0", r, allocs)
+		}
 	}
 }
 

@@ -281,8 +281,3 @@ func (f *Family) Hash16(i int, key *[16]byte) uint32 { return f.engines[i].Sum12
 
 // Hash64 applies the i'th function to a fixed 64-bit key.
 func (f *Family) Hash64(i int, key uint64) uint32 { return f.engines[i].Sum64(key) }
-
-// Hash64Pair applies the i'th function to a (key, sub) pair.
-func (f *Family) Hash64Pair(i int, key, sub uint64) uint32 {
-	return f.engines[i].Sum64Pair(key, sub)
-}

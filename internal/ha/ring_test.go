@@ -67,7 +67,7 @@ func TestRingDescendingScores(t *testing.T) {
 }
 
 // TestRingDistribution checks rendezvous ownership spreads near
-// uniformly, like the CRC-mod-N distribution test for Cluster.
+// uniformly at R = 2, like the root package's R = 1 distribution test.
 func TestRingDistribution(t *testing.T) {
 	const members, keys, rf = 4, 40000, 2
 	r := NewRing(members)

@@ -53,14 +53,6 @@ func (v *Value) Label(key string) string {
 	return ""
 }
 
-// Mean returns a histogram's mean observation (0 when empty).
-func (v *Value) Mean() float64 {
-	if v.Count == 0 {
-		return 0
-	}
-	return float64(v.Sum) / float64(v.Count)
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) from the log2
 // buckets, interpolating linearly inside the winning bucket. Log2
 // buckets bound the error to 2x — good enough for "is p99 flush

@@ -51,7 +51,7 @@ type HealthEvaluator = obs.HealthEvaluator
 // HealthStatus is one full health evaluation (the /healthz payload).
 type HealthStatus = obs.HealthStatus
 
-// telemetry is a deployment's self-telemetry bundle. System, Cluster and
+// telemetry is a deployment's self-telemetry bundle. System and
 // HACluster embed it by value, so its accessors are theirs and the hot
 // path's trc read stays one load deep. A cluster's members share its
 // registry (each under a collector="i" scope), journal and tracer.

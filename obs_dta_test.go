@@ -20,7 +20,7 @@ import (
 // through Metrics() — the registry series and the Stats snapshots are
 // views over the same cells, so they must agree exactly.
 func TestObsMetricsPopulated(t *testing.T) {
-	cl, err := dta.NewCluster(2, dta.Options{
+	cl, err := dta.NewHACluster(2, 1, dta.Options{
 		KeyWrite: &dta.KeyWriteOptions{Slots: 1 << 12, DataSize: 4},
 	})
 	if err != nil {
@@ -348,7 +348,7 @@ func TestObsOverheadUnder3Pct(t *testing.T) {
 // exposition path never takes a lock the hot path touches and never
 // reads a cell non-atomically.
 func TestObsConcurrentReadersDuringIngest(t *testing.T) {
-	cl, err := dta.NewCluster(2, dta.Options{
+	cl, err := dta.NewHACluster(2, 1, dta.Options{
 		KeyWrite: &dta.KeyWriteOptions{Slots: 1 << 14, DataSize: 4},
 	})
 	if err != nil {

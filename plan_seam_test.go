@@ -212,10 +212,10 @@ func TestHAEngineRejectsUnlikeMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newEngine([]*System{c.System(0), odd}, nil, c, EngineConfig{}); err == nil {
+	if _, err := newEngine([]*System{c.System(0), odd}, c, EngineConfig{}); err == nil {
 		t.Fatal("engine started over members with different store geometry")
 	}
-	if _, err := newEngine([]*System{c.System(0), c.System(1)}, nil, c, EngineConfig{}); err != nil {
+	if _, err := newEngine([]*System{c.System(0), c.System(1)}, c, EngineConfig{}); err != nil {
 		t.Fatalf("identical members rejected: %v", err)
 	}
 }

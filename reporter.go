@@ -12,20 +12,19 @@ import (
 
 // Reporter is a handle for one reporting switch. Each method
 // encapsulates one report, validates it once and routes it the way the
-// handle was attached (§5.1, §7): into one System, to the key's owner
-// in a Cluster, to every live owner in an HACluster, or, from an
+// handle was attached (§5.1, §7): into one System, to every live owner
+// of its key in an HACluster (the one owner at R = 1), or, from an
 // Engine, staged by value into the owning shards' chunks. Not
 // goroutine-safe: the staging state is per-handle. Create one per
 // producer goroutine; they are cheap.
 type Reporter struct {
 	switchID uint32
-	// systems are the collectors reports go to, indexed by owner: the
-	// one System, a Cluster's members or an engine's shards. An HA
-	// handle reads its cluster's, which AddCollector may grow.
-	systems []*System
-	cluster *Cluster          // key-owner routing; nil routes to systems[0]
-	hac     *HACluster        // replicated fan-out to every live owner
-	sub     *engine.Submitter // engine handles: stage into shard chunks
+	// sys is the one collector a non-replicated handle reports to. An HA
+	// handle reads its cluster's member list instead, which AddCollector
+	// may grow.
+	sys *System
+	hac *HACluster        // replicated fan-out to every live owner
+	sub *engine.Submitter // engine handles: stage into shard chunks
 
 	// frame.Report is the scratch report the typed methods fill (only
 	// the active sub-header) and SubmitFrame decodes into; a synchronous
@@ -56,15 +55,11 @@ func (r *Reporter) send(rep *wire.Report) error {
 		h.fenceMu.RUnlock()
 		return err
 	}
-	o := 0
-	if r.cluster != nil {
-		o = r.cluster.ownerOf(rep)
-	}
+	sys := r.sys
 	if r.sub != nil {
-		return r.sub.SubmitReport(o, rep, r.systems[o].Now())
+		return r.sub.SubmitReport(0, rep, sys.Now())
 	}
 	r.staged.Stage(rep)
-	sys := r.systems[o]
 	if t := sys.trc; t != nil && t.Candidate(&r.smp) {
 		return r.deliverTraced(sys, t)
 	}

@@ -17,8 +17,9 @@ func haFanoutOptions(aggRows int) Options {
 }
 
 // reporterTarget is one deployment a Reporter attaches to: its
-// collectors, its synchronous and engine attachments, and the HACluster
-// when it is one.
+// collectors, its synchronous and engine attachments, and, for the
+// replicated HACluster, the cluster the parity drive takes an owner of
+// down and whose HAStats it compares.
 type reporterTarget struct {
 	systems []*System
 	sync    func(switchID uint32) *Reporter
@@ -27,8 +28,8 @@ type reporterTarget struct {
 }
 
 // reporterTargets builds each deployment kind the parity and range
-// tables run over: a System, a Cluster of 3 and an HACluster of 4 with
-// R = 3.
+// tables run over: a System, a cluster of 3 at R = 1 (named Cluster)
+// and an HACluster of 4 with R = 3.
 var reporterTargets = []struct {
 	name  string
 	build func(t *testing.T, opts Options) reporterTarget
@@ -41,7 +42,7 @@ var reporterTargets = []struct {
 		return reporterTarget{systems: []*System{s}, sync: s.Reporter, engine: s.Engine}
 	}},
 	{"Cluster", func(t *testing.T, opts Options) reporterTarget {
-		c, err := NewCluster(3, opts)
+		c, err := NewHACluster(3, 1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,15 +117,15 @@ func (d *datagrams) PostcardValue(key Key, hop, pathLen int, value uint32) error
 
 // TestReporterParity: a Reporter validates, stages and routes a report
 // the same way whatever it is attached to and whichever edge it enters
-// by. On each deployment — a System, a Cluster of 3, and an HACluster
-// of 4 with R = 3 and an owner down for the middle third of the run, so
-// fan-outs of every width occur — the same calls through a synchronous
-// handle (all six typed methods and SubmitFrame, Key-Increment
-// aggregation off and on), through an engine handle, and, with every
-// typed call sent as wire.SerializeReport bytes through SubmitDatagram,
-// through both handles again, must leave every collector's stores byte
-// for byte alike, with equal translator Stats and immediate-event
-// counts, and equal HAStats. The synchronous HA fan-out delivers one
+// by. On each deployment — a System, an HACluster of 3 at R = 1, and
+// one of 4 with R = 3 and an owner down for the middle third of the
+// run, so fan-outs of every width occur — the same calls through a
+// synchronous handle (all six typed methods and SubmitFrame,
+// Key-Increment aggregation off and on), through an engine handle, and,
+// with every typed call sent as wire.SerializeReport bytes through
+// SubmitDatagram, through both handles again, must leave every
+// collector's stores byte for byte alike, with equal translator Stats
+// and immediate-event counts, and equal HAStats. The synchronous HA fan-out delivers one
 // staged record to each live owner; the engine's copies record and plan
 // into each owner's chunk.
 func TestReporterParity(t *testing.T) {
