@@ -45,7 +45,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"syscall"
 	"time"
 
 	"dta"
@@ -213,10 +212,7 @@ func receive(conn *net.UDPConn, sys *dta.System, rep *dta.Reporter, done <-chan 
 	}
 	buf := make([]byte, 2048)
 	var n int
-	poll := func(fd uintptr) bool {
-		n, _ = syscall.Read(int(fd), buf) // the socket is non-blocking: EAGAIN when empty
-		return true
-	}
+	next := readReady(rc, buf)
 	start := time.Now()
 	for {
 		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
@@ -233,9 +229,7 @@ func receive(conn *net.UDPConn, sys *dta.System, rep *dta.Reporter, done <-chan 
 			// A datagram that does not decode is dropped, as a ToR
 			// translator drops a malformed report.
 			_ = rep.SubmitDatagram(buf[:n])
-			if rc.Read(poll) != nil {
-				break
-			}
+			n = next()
 		}
 		if err := rep.Flush(); err != nil {
 			return err

@@ -18,8 +18,9 @@ const CacheLine = 64
 const TagBlockBytes = 1024
 
 // MemoryRegion is a registered, remotely accessible buffer. DTA registers
-// one region per primitive store (the paper allocates them on 1 GB huge
-// pages; here they are ordinary slices).
+// one region per primitive store. The paper allocates them on 1 GB huge
+// pages; here they are heap slices of exactly the registered size whose
+// 2 MiB-aligned interior is advised onto transparent huge pages on Linux.
 type MemoryRegion struct {
 	Base uint64 // starting virtual address as seen by remote peers
 	RKey uint32
@@ -151,11 +152,13 @@ func NewDevice() *Device {
 	}
 }
 
-// RegisterMemory allocates and registers a region of the given size.
+// RegisterMemory allocates and registers a zeroed region of the given
+// size (see allocRegion for its pages).
 func (d *Device) RegisterMemory(size int) *MemoryRegion {
+	buf := allocRegion(size)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m := &MemoryRegion{Base: d.nextVA, RKey: d.nextKey, Buf: make([]byte, size)}
+	m := &MemoryRegion{Base: d.nextVA, RKey: d.nextKey, Buf: buf}
 	d.regions[m.RKey] = m
 	// Leave an unmapped guard gap between regions so off-by-one
 	// addressing faults instead of corrupting a neighbour.
