@@ -240,10 +240,13 @@ func (s *Store) Query(key wire.Key, n, threshold int) (QueryResult, error) {
 	return s.QueryAt(csum, slots, threshold), nil
 }
 
-// Touch loads one byte from each planned slot and does nothing else: the
-// read-side twin of rdma.Device.PreTouch. A replicated lookup touches
-// every owner's slots before reading the first, so the cache misses
-// overlap instead of queueing behind each owner's vote.
+// Touch loads one byte from each planned slot and does nothing else. A
+// replicated lookup touches every owner's slots before reading the
+// first, so the cache misses overlap instead of queueing behind each
+// owner's vote. Unlike the write side's rdma.Device.PreTouch, which
+// hints, these are demand loads: the lookup reads the slots at once,
+// with no work in between for a hint's miss to overlap, so a hint would
+// save nothing here.
 func (s *Store) Touch(slots []uint64) {
 	var acc byte
 	for _, slot := range slots {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // CacheLine is the DMA write granularity used for memory-instruction
@@ -118,9 +119,9 @@ type Device struct {
 	// Stats counts processed operations by type.
 	Stats DeviceStats
 
-	// touched accumulates the bytes PreTouch loads, so the compiler
-	// cannot drop the loads.
-	touched byte
+	// hinted counts the targets PreTouch has hinted. It is not work the
+	// verbs did, so DeviceStats does not carry it.
+	hinted uint64
 
 	// Epoch is the dirty-tag clock, read once per doorbell.
 	Epoch func() uint64
@@ -400,31 +401,34 @@ func (d *Device) execFetchAdd(p *Packet, epoch uint64) (uint64, error) {
 	return orig, nil
 }
 
-// PreTouch loads one byte from each (va, length) target in the region
-// behind rkey and does nothing else. The translator calls it with a
-// whole chunk's destination addresses before building the first verb:
-// the loads are independent, so their cache misses (and page walks)
-// overlap here instead of being paid one at a time behind each later
-// execWrite/execFetchAdd store (and tag raise). Addresses get the same
-// bounds check the executing verbs apply; one that fails it is skipped —
-// the verb will fault on it. PreTouch only reads, and runs on the data
-// path's goroutine like Process.
+// PreTouch hints each (va, length) target in the region behind rkey
+// into the cache and does nothing else. The translator calls it with a
+// window's destination addresses before crafting the window's first
+// verb: a hint (prefetch) retires at once, so the lines arrive while the
+// window is crafted and the doorbell's execWrite/execFetchAdd stores
+// (and tag raises) find them resident. Each target gets one hint for the
+// line at its first byte and, on a region with Tags, one for its tag
+// word. Addresses get the same bounds check the executing verbs apply;
+// one that fails it is skipped — the verb will fault on it. PreTouch
+// neither loads nor writes region memory, and runs on the data path's
+// goroutine like Process.
 func (d *Device) PreTouch(rkey uint32, vas []uint64, length int) {
 	m, ok := d.region(rkey)
 	if !ok {
 		return
 	}
-	length = max(length, 1) // the byte loaded must itself be in bounds
-	var acc byte
+	length = max(length, 1) // the byte hinted must itself be in bounds
+	n := 0
 	for _, va := range vas {
 		if off, err := m.contains(va, length); err == nil {
-			acc += m.Buf[off]
+			prefetch(unsafe.Pointer(&m.Buf[off]))
 			if m.Tags != nil {
-				acc += byte(m.Tags[off/TagBlockBytes].Load())
+				prefetch(unsafe.Pointer(&m.Tags[off/TagBlockBytes]))
 			}
+			n++
 		}
 	}
-	d.touched += acc // keeps the loads live
+	d.hinted += uint64(n)
 }
 
 // Requester is the initiator-side PSN tracker the translator keeps per

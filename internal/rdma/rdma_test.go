@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -255,29 +256,42 @@ func TestDeviceBoundsChecks(t *testing.T) {
 
 // TestPreTouchBoundsAndReadOnly: pre-touch applies the executing verbs'
 // bounds check — the addresses TestDeviceBoundsChecks faults on are
-// skipped, not loaded — loads from every address that passes it, ignores
-// an unknown rkey, and never writes.
+// skipped, not hinted — hints every address that passes it, ignores an
+// unknown rkey, and changes nothing: no byte, tag or counter, on an
+// untagged region and on a tagged (HA) one.
 func TestPreTouchBoundsAndReadOnly(t *testing.T) {
-	d, mr, _ := newConnectedDevice(t, 64)
-	for i := range mr.Buf {
-		mr.Buf[i] = byte(i + 1)
-	}
-	before := append([]byte(nil), mr.Buf...)
-	vas := []uint64{
-		mr.Base - 1, mr.Base + 61, mr.Base + 1<<30, // fault in execWrite(…, 4 bytes)
-		mr.Base, mr.Base + 8, mr.Base + 60, // in bounds
-	}
-	d.PreTouch(mr.RKey, vas, 4)
-	if want := before[0] + before[8] + before[60]; d.touched != want {
-		t.Errorf("touched sum = %d, want %d: exactly the in-bounds bytes load", d.touched, want)
-	}
-	d.PreTouch(mr.RKey+999, vas, 4) // unknown region: nothing to touch
-	d.PreTouch(mr.RKey, []uint64{mr.Base + 64}, 0)
-	if !bytes.Equal(mr.Buf, before) {
-		t.Error("pre-touch modified the region")
-	}
-	if d.Stats != (DeviceStats{}) {
-		t.Errorf("pre-touch counted as work: %+v", d.Stats)
+	for _, tagged := range []bool{false, true} {
+		d, mr, _ := newConnectedDevice(t, 64)
+		for i := range mr.Buf {
+			mr.Buf[i] = byte(i + 1)
+		}
+		if tagged {
+			mr.Tags = make([]atomic.Uint64, 1)
+			mr.Tags[0].Store(7)
+		}
+		before := append([]byte(nil), mr.Buf...)
+		vas := []uint64{
+			mr.Base - 1, mr.Base + 61, mr.Base + 1<<30, // fault in execWrite(…, 4 bytes)
+			mr.Base, mr.Base + 8, mr.Base + 60, // in bounds
+		}
+		d.PreTouch(mr.RKey, vas, 4)
+		if d.hinted != 3 {
+			t.Errorf("tagged=%v: hinted %d targets, want exactly the 3 in bounds", tagged, d.hinted)
+		}
+		d.PreTouch(mr.RKey+999, vas, 4) // unknown region: nothing to hint
+		d.PreTouch(mr.RKey, []uint64{mr.Base + 64}, 0)
+		if d.hinted != 3 {
+			t.Errorf("tagged=%v: hinted %d targets after an unknown rkey and an out-of-bounds empty target, want 3", tagged, d.hinted)
+		}
+		if !bytes.Equal(mr.Buf, before) {
+			t.Errorf("tagged=%v: pre-touch modified the region", tagged)
+		}
+		if tagged && mr.Tags[0].Load() != 7 {
+			t.Errorf("pre-touch moved the tag to %d", mr.Tags[0].Load())
+		}
+		if d.Stats != (DeviceStats{}) {
+			t.Errorf("tagged=%v: pre-touch counted as work: %+v", tagged, d.Stats)
+		}
 	}
 }
 

@@ -255,11 +255,12 @@ type Translator struct {
 	emitted  []emitMark
 
 	// PreTouch, if non-nil, is the collector device's pre-touch entry
-	// (rdma.Device.PreTouch): before crafting a chunk the translator
-	// hands it every slot address the chunk's Key-Write and Key-Increment
-	// records will write, so those lines' cache misses overlap instead of
-	// stalling the emits one by one. It must only read. Nil (stand-alone
-	// translators) skips the stage.
+	// (rdma.Device.PreTouch): before crafting a window the translator
+	// hands it every slot address the window's Key-Write and
+	// Key-Increment records will write, so those lines' cache misses
+	// overlap the crafting instead of stalling the doorbell's stores one
+	// by one. It must change nothing. Nil (stand-alone translators) skips
+	// the stage.
 	PreTouch func(rkey uint32, vas []uint64, length int)
 
 	// NACK, if non-nil, is invoked with the reporter-visible reason when
@@ -333,8 +334,8 @@ type Translator struct {
 // batchWindow is how many records pass through address generation,
 // pre-touch and craft together (the engine's default ChunkFrames); a
 // longer batch runs as consecutive windows. It bounds the pre-touched
-// working set (≤ batchWindow × redundancy lines, far inside L1) so a
-// line is still resident when its record is crafted.
+// working set (≤ batchWindow × redundancy lines, far inside L1) so the
+// hinted lines stay resident until the window's doorbell stores to them.
 const batchWindow = 32
 
 // emitMark is an emit operation's span and trace handle.
@@ -546,9 +547,10 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 //	   WAL replay) is planned in place, window by window, by the same
 //	   function;
 //	B. pre-touch, per window of batchWindow records: the collector device
-//	   loads one byte from each planned address in a loop that does
-//	   nothing else, so the window's destination-line misses overlap
-//	   instead of each stalling the instruction after its own store;
+//	   issues a cache-line hint for each planned address, which loads
+//	   and writes nothing and retires at once, so the window's
+//	   destination lines arrive while stage C crafts it and the
+//	   doorbell's stores find them resident;
 //	C. craft/post: per record, in order, exactly the single-record
 //	   sequence (WAL hook → limiter → build/patch → Emit), reading the
 //	   planned addresses instead of re-hashing; then one doorbell.
@@ -556,7 +558,7 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 // Stages A and B skip what C will not deterministically write:
 // aggregated Key-Increments (the emitted slot belongs to the evicted
 // row), postcards (the cache decides) and appends (sequential). A record
-// the WAL hook fails or the limiter sheds wasted a touch, nothing else.
+// the WAL hook fails or the limiter sheds wasted a hint, nothing else.
 //
 // trcs, when non-empty, runs parallel to recs: trcs[i] is recs[i]'s
 // data-plane trace handle (possibly invalid — sampled out). A failing

@@ -416,6 +416,39 @@ func benchTranslatorKW(b *testing.B, n uint8) {
 	}
 }
 
+// BenchmarkTranslatorKeyWriteWindow is the ingest mechanism at a
+// dtaperf kw_ingest store geometry (2^22 slots, 4-byte data, 32 MiB):
+// one op is one 32-record chunk of fresh random Key-Writes (N = 2)
+// through ProcessStagedBatch, with the device's pre-touch and doorbell
+// wired, so each window's destination lines really miss.
+func BenchmarkTranslatorKeyWriteWindow(b *testing.B) {
+	kw := keywrite.Config{Slots: 1 << 22, DataSize: 4}
+	r := newRig(b, collector.Config{KeyWrite: &kw}, Config{KeyWrite: &kw})
+	r.tr.PreTouch = r.host.Device().PreTouch
+	rep := wire.Report{
+		Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+		KeyWrite: wire.KeyWrite{Redundancy: 2},
+		Data:     []byte{1, 2, 3, 4},
+	}
+	recs := make([]wire.StagedReport, batchWindow)
+	var x uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range recs {
+			x += 0x9e3779b97f4a7c15 // splitmix64
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			rep.KeyWrite.Key = key(z ^ z>>31)
+			recs[j].Stage(&rep)
+		}
+		if failed, err := r.tr.ProcessStagedBatch(recs, wire.ChunkPlan{}, nil, 0); failed != 0 {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/report")
+}
+
 func BenchmarkTranslatorAppendBatch16(b *testing.B) {
 	ccfg, tcfg := fullConfig()
 	tcfg.AppendBatch = 16
