@@ -72,10 +72,23 @@ func (x *Indexer) Plan(key wire.Key, n int, dst []uint64) ([]uint64, error) {
 	if n < 1 || n > MaxRedundancy {
 		return dst, fmt.Errorf("keyincrement: redundancy %d out of range [1,%d]", n, MaxRedundancy)
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, x.Slot(i, key))
+	var buf [MaxRedundancy]uint32
+	for _, slot := range x.PlanWrite(&key, n, buf[:0]) {
+		dst = append(dst, uint64(slot))
 	}
 	return dst, nil
+}
+
+// PlanWrite is the write side's address generation (the translator's
+// stage A): Plan for an n already in [1, MaxRedundancy], appending
+// 32-bit counter indexes, all n from one kernel call.
+func (x *Indexer) PlanWrite(key *wire.Key, n int, dst []uint32) []uint32 {
+	var h [MaxRedundancy]uint32
+	x.slots.Sum128((*[wire.KeySize]byte)(key), h[:n])
+	for _, s := range h[:n] {
+		dst = append(dst, uint32(uint64(s)&x.mask))
+	}
+	return dst
 }
 
 // Offset converts a slot index to a byte offset.
@@ -128,11 +141,13 @@ func (s *Store) addCounter(slot uint64, delta uint64) {
 // Increment adds delta to key's N counters, performing locally what the
 // translator performs with N FETCH&ADDs (Algorithm 5).
 func (s *Store) Increment(key wire.Key, delta uint64, n int) error {
-	if n < 1 || n > MaxRedundancy {
-		return fmt.Errorf("keyincrement: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	slots, err := s.x.Plan(key, n, buf[:0])
+	if err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		s.addCounter(s.x.Slot(i, key), delta)
+	for _, slot := range slots {
+		s.addCounter(slot, delta)
 	}
 	return nil
 }
@@ -144,11 +159,12 @@ func (s *Store) Increment(key wire.Key, delta uint64, n int) error {
 // counter, so the never-undercount guarantee of every other key is
 // preserved.
 func (s *Store) Raise(key wire.Key, value uint64, n int) error {
-	if n < 1 || n > MaxRedundancy {
-		return fmt.Errorf("keyincrement: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	slots, err := s.x.Plan(key, n, buf[:0])
+	if err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		slot := s.x.Slot(i, key)
+	for _, slot := range slots {
 		if s.counter(slot) < value {
 			off := s.x.Offset(slot)
 			binary.BigEndian.PutUint64(s.buf[off:off+CounterSize], value)

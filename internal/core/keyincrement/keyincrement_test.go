@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dta/internal/crc"
 	"dta/internal/wire"
 )
 
@@ -248,5 +249,37 @@ func TestTouchOnlyReads(t *testing.T) {
 	}
 	if !bytes.Equal(before, s.Buffer()) {
 		t.Fatal("a planned read wrote to the store")
+	}
+}
+
+// slotPolys is the slot family's polynomials in member order.
+var slotPolys = []crc.Params{crc.IEEE, crc.Castagnoli, crc.Koopman, crc.Koopman2, crc.Q, crc.AUTOSAR, crc.CDROMEDC, crc.XFER}
+
+// TestPlanMatchesSlicingReference holds the one-pass plan (one kernel
+// call for the n counters) to the plan of n slicing-by-8 CRCs over the
+// key's bytes (Engine.Sum), on the read side's Plan and the write
+// side's PlanWrite, for every n. 2^32 counters keep every hash bit.
+func TestPlanMatchesSlicingReference(t *testing.T) {
+	x, err := NewIndexer(Config{Slots: 1 << 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(5))
+	for range 300 {
+		var k wire.Key
+		rnd.Read(k[:])
+		for n := 1; n <= MaxRedundancy; n++ {
+			slots, err := x.Plan(k, n, nil)
+			wslots := x.PlanWrite(&k, n, nil)
+			if err != nil || len(slots) != n || len(wslots) != n {
+				t.Fatalf("n=%d key %x: Plan %v %v, PlanWrite %v", n, k[:], slots, err, wslots)
+			}
+			for i, p := range slotPolys[:n] {
+				if want := crc.New(p).Sum(k[:]); slots[i] != uint64(want) || wslots[i] != want {
+					t.Fatalf("n=%d key %x counter %d: Plan %#x, PlanWrite %#x, %s %#x",
+						n, k[:], i, slots[i], wslots[i], p.Name, want)
+				}
+			}
+		}
 	}
 }

@@ -75,9 +75,10 @@ func (c Config) BufferSize() int { return int(c.Slots) * c.SlotSize() }
 // destroying the redundancy. This is exactly why §5.2 emphasises
 // "carefully selected CRC polynomials".
 type Indexer struct {
-	cfg      Config
-	slots    *crc.Family
-	csumEng  *crc.Engine
+	cfg Config
+	// hash is the checksum polynomial (CRC-32D) as member 0, then the
+	// slot family: one Sum128 over its first n+1 members plans a key.
+	hash     *crc.Family
 	slotMask uint64
 	csumMask uint32
 }
@@ -92,11 +93,10 @@ func NewIndexer(cfg Config) (*Indexer, error) {
 		mask = 1<<uint(cfg.ChecksumBits) - 1
 	}
 	return &Indexer{
-		cfg:   cfg,
-		slots: crc.MustFamily(MaxRedundancy),
+		cfg: cfg,
 		// The checksum polynomial (CRC-32D) is outside the slot family:
 		// see the crc package for why sharing one would be fatal.
-		csumEng:  crc.New(crc.D),
+		hash:     crc.MustFamilyAfter(crc.D, MaxRedundancy),
 		slotMask: cfg.Slots - 1,
 		csumMask: mask,
 	}, nil
@@ -104,12 +104,12 @@ func NewIndexer(cfg Config) (*Indexer, error) {
 
 // Slot computes the n'th redundant location for key.
 func (x *Indexer) Slot(n int, key wire.Key) uint64 {
-	return uint64(x.slots.Hash16(n, (*[wire.KeySize]byte)(&key))) & x.slotMask
+	return uint64(x.hash.Hash16(n+1, (*[wire.KeySize]byte)(&key))) & x.slotMask
 }
 
 // Checksum computes the key checksum, masked to the configured width.
 func (x *Indexer) Checksum(key wire.Key) uint32 {
-	return x.csumEng.Sum128((*[wire.KeySize]byte)(&key)) & x.csumMask
+	return x.hash.Hash16(0, (*[wire.KeySize]byte)(&key)) & x.csumMask
 }
 
 // Plan is the read side's address generation: it validates n, then
@@ -120,10 +120,25 @@ func (x *Indexer) Plan(key wire.Key, n int, dst []uint64) (slots []uint64, csum 
 	if n < 1 || n > MaxRedundancy {
 		return dst, 0, fmt.Errorf("keywrite: redundancy %d out of range [1,%d]", n, MaxRedundancy)
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, x.Slot(i, key))
+	var buf [MaxRedundancy]uint32
+	planned, csum := x.PlanWrite(&key, n, buf[:0])
+	for _, slot := range planned {
+		dst = append(dst, uint64(slot))
 	}
-	return dst, x.Checksum(key), nil
+	return dst, csum, nil
+}
+
+// PlanWrite is the write side's address generation (the translator's
+// stage A): Plan for an n already in [1, MaxRedundancy], appending
+// 32-bit slot indexes. The checksum and the n slots come from one
+// kernel call.
+func (x *Indexer) PlanWrite(key *wire.Key, n int, dst []uint32) (slots []uint32, csum uint32) {
+	var h [MaxRedundancy + 1]uint32
+	x.hash.Sum128((*[wire.KeySize]byte)(key), h[:n+1])
+	for _, s := range h[1 : n+1] {
+		dst = append(dst, uint32(uint64(s)&x.slotMask))
+	}
+	return dst, h[0] & x.csumMask
 }
 
 // Offset converts a slot index to a byte offset within the store buffer.
@@ -187,18 +202,19 @@ func (s *Store) writeSlot(slot uint64, csum uint32, data []byte) {
 // the translator performs with n RDMA WRITEs (Algorithm 1). Data longer
 // than the configured width is truncated; shorter data is zero-padded.
 func (s *Store) Write(key wire.Key, data []byte, n int) error {
-	if n < 1 || n > MaxRedundancy {
-		return fmt.Errorf("keywrite: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	slots, csum, err := s.x.Plan(key, n, buf[:0])
+	if err != nil {
+		return err
 	}
-	csum := s.x.Checksum(key)
 	var padded [wire.MaxData]byte
 	d := data
 	if len(d) != s.x.cfg.DataSize {
 		copy(padded[:s.x.cfg.DataSize], d)
 		d = padded[:s.x.cfg.DataSize]
 	}
-	for i := 0; i < n; i++ {
-		s.writeSlot(s.Slot(i, key), csum, d)
+	for _, slot := range slots {
+		s.writeSlot(slot, csum, d)
 	}
 	return nil
 }

@@ -486,3 +486,67 @@ func TestTouchOnlyReads(t *testing.T) {
 		t.Fatal("a planned read wrote to the store")
 	}
 }
+
+// slotPolys is the slot family's polynomials in member order.
+var slotPolys = []crc.Params{crc.IEEE, crc.Castagnoli, crc.Koopman, crc.Koopman2, crc.Q, crc.AUTOSAR, crc.CDROMEDC, crc.XFER}
+
+// TestPlanMatchesSlicingReference holds the one-pass plan (one kernel
+// call for the checksum and the n slots) to the plan of n+1 slicing-by-8
+// CRCs over the key's bytes (Engine.Sum), on both sides — the read
+// side's Plan and the write side's PlanWrite — for every n and the
+// checksum widths 32, 8 and 31. 2^32 slots keep every hash bit.
+func TestPlanMatchesSlicingReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for _, bits := range []int{0, 8, 31} {
+		x, err := NewIndexer(Config{Slots: 1 << 32, DataSize: 4, ChecksumBits: bits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := uint32(math.MaxUint32)
+		if bits != 0 {
+			mask = 1<<bits - 1
+		}
+		for range 300 {
+			var k wire.Key
+			rnd.Read(k[:])
+			wantCsum := crc.New(crc.D).Sum(k[:]) & mask
+			for n := 1; n <= MaxRedundancy; n++ {
+				slots, csum, err := x.Plan(k, n, nil)
+				wslots, wcsum := x.PlanWrite(&k, n, nil)
+				if err != nil || len(slots) != n || len(wslots) != n || csum != wantCsum || wcsum != wantCsum {
+					t.Fatalf("b=%d n=%d key %x: Plan %v %#x %v, PlanWrite %v %#x, want checksum %#x",
+						bits, n, k[:], slots, csum, err, wslots, wcsum, wantCsum)
+				}
+				for i, p := range slotPolys[:n] {
+					if want := crc.New(p).Sum(k[:]); slots[i] != uint64(want) || wslots[i] != want {
+						t.Fatalf("b=%d n=%d key %x slot %d: Plan %#x, PlanWrite %#x, %s %#x",
+							bits, n, k[:], i, slots[i], wslots[i], p.Name, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkIndexerPlan plans 4 096 pre-generated keys at N = 2 with the
+// checksum, as the translator's stage A does per Key-Write report.
+func BenchmarkIndexerPlan(b *testing.B) {
+	x, err := NewIndexer(Config{Slots: 1 << 20, DataSize: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]wire.Key, 4096)
+	rnd := rand.New(rand.NewSource(1))
+	for i := range keys {
+		rnd.Read(keys[i][:])
+	}
+	var buf [MaxRedundancy]uint32
+	var sink uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		slots, csum := x.PlanWrite(&keys[i&4095], 2, buf[:0])
+		sink += slots[0] ^ slots[1] ^ csum
+	}
+	_ = sink
+}

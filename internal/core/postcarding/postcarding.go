@@ -145,14 +145,16 @@ func (c *Coder) Chunk(j int, x wire.Key) uint64 {
 }
 
 // Plan is the read side's address generation: it validates n, then
-// appends flow x's n chunk indexes to dst. Stores of equal geometry
-// answer QueryAt and Touch over one plan.
+// appends flow x's n chunk indexes to dst, all n hashes from one kernel
+// call. Stores of equal geometry answer QueryAt and Touch over one plan.
 func (c *Coder) Plan(x wire.Key, n int, dst []uint64) ([]uint64, error) {
 	if n < 1 || n > MaxRedundancy {
 		return dst, fmt.Errorf("postcarding: redundancy %d out of range [1,%d]", n, MaxRedundancy)
 	}
-	for j := 0; j < n; j++ {
-		dst = append(dst, c.Chunk(j, x))
+	var h [MaxRedundancy]uint32
+	c.chunks.Sum128((*[wire.KeySize]byte)(&x), h[:n])
+	for _, v := range h[:n] {
+		dst = append(dst, uint64(v)&(c.cfg.Chunks-1))
 	}
 	return dst, nil
 }
@@ -168,7 +170,7 @@ func (c *Coder) checksum(x wire.Key, hop int) uint32 {
 	for i := range buf {
 		buf[i] = x[(i+hop)%wire.KeySize]
 	}
-	return c.csumEng.Sum(buf[:]) & c.mask
+	return c.csumEng.Sum128(&buf) & c.mask
 }
 
 // EncodeSlot produces the stored image of hop i of flow x carrying value
@@ -277,14 +279,15 @@ func (s *Store) ChunkOffset(chunk uint64) int { return int(chunk) * s.c.cfg.Chun
 // Write inserts a flow's postcards with redundancy n, performing locally
 // what the translator performs with n chunk-sized RDMA WRITEs.
 func (s *Store) Write(x wire.Key, values []uint32, pathLen, n int) error {
-	if n < 1 || n > MaxRedundancy {
-		return fmt.Errorf("postcarding: redundancy %d out of range [1,%d]", n, MaxRedundancy)
+	var buf [MaxRedundancy]uint64
+	chunks, err := s.c.Plan(x, n, buf[:0])
+	if err != nil {
+		return err
 	}
 	var chunk [MaxHops * SlotSize]byte
 	payload := s.c.EncodeChunk(x, values, pathLen, chunk[:])
-	for j := 0; j < n; j++ {
-		off := s.ChunkOffset(s.c.Chunk(j, x))
-		copy(s.buf[off:], payload)
+	for _, c := range chunks {
+		copy(s.buf[s.ChunkOffset(c):], payload)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dta/internal/crc"
 	"dta/internal/wire"
 )
 
@@ -613,5 +614,46 @@ func TestTouchOnlyReads(t *testing.T) {
 	}
 	if !bytes.Equal(before, s.Buffer()) {
 		t.Fatal("a planned read wrote to the store")
+	}
+}
+
+// slotPolys is the chunk family's polynomials in member order.
+var slotPolys = []crc.Params{crc.IEEE, crc.Castagnoli, crc.Koopman, crc.Koopman2, crc.Q, crc.AUTOSAR, crc.CDROMEDC, crc.XFER}
+
+// TestPlanMatchesSlicingReference holds the one-pass chunk plan (one
+// kernel call for the n chunks) to the plan of n slicing-by-8 CRCs over
+// the key's bytes (Engine.Sum) for every n, and each hop's checksum to
+// CRC-32D of the key rotated by the hop, by slicing too. 2^32 chunks
+// keep every hash bit.
+func TestPlanMatchesSlicingReference(t *testing.T) {
+	c, err := NewCoder(Config{Chunks: 1 << 32, Hops: 5, Values: testValues(64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, k32k := crc.New(crc.D), crc.New(crc.K32K)
+	rnd := rand.New(rand.NewSource(5))
+	for range 300 {
+		var k wire.Key
+		rnd.Read(k[:])
+		for n := 1; n <= MaxRedundancy; n++ {
+			chunks, err := c.Plan(k, n, nil)
+			if err != nil || len(chunks) != n {
+				t.Fatalf("n=%d key %x: Plan %v %v", n, k[:], chunks, err)
+			}
+			for j, p := range slotPolys[:n] {
+				if want := crc.New(p).Sum(k[:]); chunks[j] != uint64(want) {
+					t.Fatalf("n=%d key %x chunk %d: Plan %#x, %s %#x", n, k[:], j, chunks[j], p.Name, want)
+				}
+			}
+		}
+		for hop := range MaxHops {
+			var rot [wire.KeySize]byte
+			for i := range rot {
+				rot[i] = k[(i+hop)%wire.KeySize]
+			}
+			if got, want := c.EncodeSlot(k, hop, Blank), d.Sum(rot[:])^k32k.Sum64(Blank); got != want {
+				t.Fatalf("key %x hop %d: blank slot %#x, slicing reference %#x", k[:], hop, got, want)
+			}
+		}
 	}
 }

@@ -8,15 +8,20 @@
 // slots, another computes the 4-byte key checksum, and per-hop Postcarding
 // checksums use further custom polynomials.
 //
-// This package provides a table-driven, reflected CRC-32 parameterised by
-// polynomial, initial value and final XOR, plus Family, which bundles
-// several engines with distinct polynomials into an indexable set of
-// independent hash functions over byte strings, and Walk16, one table
-// walk for any GF(2)-affine map of a 16-byte key.
+// This package provides a reflected CRC-32 parameterised by polynomial,
+// initial value and final XOR, plus Family, which bundles several engines
+// with distinct polynomials into an indexable set of independent hash
+// functions, and Walk16, one table walk for any GF(2)-affine map of a
+// 16-byte key. A 16-byte key (Sum128) is hashed by carry-less
+// multiplication where the CPU has it (amd64 with PCLMULQDQ), with no
+// tables, and a Family evaluates any prefix of its members on one key in
+// one kernel call. Slicing-by-8 is the fallback there and the only path
+// for other lengths.
 package crc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -74,17 +79,37 @@ var (
 // checksum polynomials D and K32K are intentionally absent.
 var polyPool = []Params{IEEE, Castagnoli, Koopman, Koopman2, Q, AUTOSAR, CDROMEDC, XFER}
 
-// Engine is a single configured CRC unit. The register update is
-// implemented with slicing-by-8: tables[0] is the classic byte-at-a-time
-// table and tables[k] advances a byte through k further zero bytes, so
-// eight input bytes fold into the register with eight independent table
-// reads instead of eight serial ones. Telemetry keys are 8 or 16 bytes,
-// so the slot-hash path runs entirely inside the unrolled fast path.
+// Engine is a single configured CRC unit. Sum128 runs the
+// carry-less-multiply kernel where the CPU has one; everywhere else the
+// register update is slicing-by-8: tables[0] is the classic
+// byte-at-a-time table and tables[k] advances a byte through k further
+// zero bytes, so eight input bytes fold into the register with eight
+// independent table reads instead of eight serial ones. Telemetry keys
+// are 8 or 16 bytes, so the fallback runs entirely inside the unrolled
+// fast path.
 type Engine struct {
 	tables [8][256]uint32
+	k      kernel
 	init   uint32
 	xorOut uint32
 	name   string
+}
+
+// kernel is one engine's constants for the carry-less-multiply stub,
+// which reads them at these offsets (the stub steps 40 bytes per
+// engine). With P the polynomial in normal form and ' a bit reversal:
+//
+//	r4 = ((x^96 mod P) << 32)' << 1   folds the key's first 8 bytes
+//	r5 = ((x^64 mod P) << 32)' << 1   folds 96 bits to 64
+//	p  = P' (33 bits), mu = (x^64 / P)' (33 bits)   Barrett reduction
+//
+// Those give the register of the key from a zero register, which is
+// linear in the key; c0, the engine's CRC of the all-zero key, is the
+// affine part that init and xorOut add.
+type kernel struct {
+	r4, r5, p, mu uint64
+	c0            uint32
+	_             uint32 // the stub's 40-byte stride on every GOARCH
 }
 
 // engines holds the one Engine built per Params value. An Engine is
@@ -111,7 +136,7 @@ func New(p Params) *Engine {
 	return e
 }
 
-// build computes an Engine's tables.
+// build computes an Engine's tables and kernel constants.
 func build(p Params) *Engine {
 	e := &Engine{init: p.Init, xorOut: p.XorOut, name: p.Name}
 	for i := range e.tables[0] {
@@ -132,8 +157,45 @@ func build(p Params) *Engine {
 			e.tables[k][i] = e.tables[0][byte(c)] ^ (c >> 8)
 		}
 	}
+	poly := 1<<32 | uint64(bits.Reverse32(p.Poly))
+	e.k = kernel{
+		r4: bits.Reverse64(xnMod(96, poly)<<32) << 1,
+		r5: bits.Reverse64(xnMod(64, poly)<<32) << 1,
+		p:  rev33(poly),
+		mu: rev33(x64Div(poly)),
+		c0: e.sum128Slicing(&[16]byte{}),
+	}
 	return e
 }
+
+// xnMod returns x^n mod poly, poly of degree 32 in normal form.
+func xnMod(n int, poly uint64) uint64 {
+	r := uint64(1)
+	for range n {
+		if r <<= 1; r&(1<<32) != 0 {
+			r ^= poly
+		}
+	}
+	return r
+}
+
+// x64Div returns the quotient of x^64 by poly (degree 32, normal form):
+// a polynomial of degree 32.
+func x64Div(poly uint64) uint64 {
+	r, q := uint64(1), uint64(0)
+	for range 64 {
+		r <<= 1
+		q <<= 1
+		if r&(1<<32) != 0 {
+			r ^= poly
+			q |= 1
+		}
+	}
+	return q
+}
+
+// rev33 reverses the low 33 bits of v.
+func rev33(v uint64) uint64 { return bits.Reverse64(v) >> 31 }
 
 // Name reports the configured variant name.
 func (e *Engine) Name() string { return e.name }
@@ -189,9 +251,21 @@ func (e *Engine) Sum64Pair(a, b uint64) uint32 {
 	return e.fold64(e.fold64(e.init, a), b) ^ e.xorOut
 }
 
-// Sum128 hashes a 16-byte key (the wire.Key width) in two unrolled
-// rounds, equivalent to Sum over the same bytes.
+// Sum128 hashes a 16-byte key (the wire.Key width), equivalent to Sum
+// over the same bytes: one kernel call where the CPU has carry-less
+// multiply, two unrolled slicing-by-8 rounds elsewhere.
 func (e *Engine) Sum128(key *[16]byte) uint32 {
+	if haveCLMUL {
+		var out uint32
+		clmul16(key, &e.k, 1, &out)
+		return out
+	}
+	return e.sum128Slicing(key)
+}
+
+// sum128Slicing is Sum128 by slicing-by-8: the fallback, and the
+// reference the kernel is tested against.
+func (e *Engine) sum128Slicing(key *[16]byte) uint32 {
 	c := e.slice8(e.init, key[0], key[1], key[2], key[3], key[4], key[5], key[6], key[7])
 	c = e.slice8(c, key[8], key[9], key[10], key[11], key[12], key[13], key[14], key[15])
 	return c ^ e.xorOut
@@ -242,22 +316,29 @@ func (w *Walk16) Sum(key *[16]byte) uint32 {
 // Family is an indexed set of independent hash functions realised as CRC
 // engines with distinct polynomials, mirroring how the translator derives
 // its N slot-index hashes and its checksum hash from one hardware engine.
+// Sum128 evaluates any prefix of the members on one key in one pass.
 type Family struct {
 	engines []*Engine
+	k       []kernel // the members' kernels, contiguous, for Sum128
 }
 
 // NewFamily returns a family of n independent hash functions over the
 // shared engines of the pool's first n polynomials.
 // n must be between 1 and the size of the polynomial pool (8).
 func NewFamily(n int) (*Family, error) {
+	ps, err := pool(n)
+	if err != nil {
+		return nil, err
+	}
+	return familyOf(ps), nil
+}
+
+// pool returns the pool's first n polynomials.
+func pool(n int) ([]Params, error) {
 	if n < 1 || n > len(polyPool) {
 		return nil, fmt.Errorf("crc: family size %d out of range [1,%d]", n, len(polyPool))
 	}
-	f := &Family{engines: make([]*Engine, n)}
-	for i := 0; i < n; i++ {
-		f.engines[i] = New(polyPool[i])
-	}
-	return f, nil
+	return polyPool[:n], nil
 }
 
 // MustFamily is NewFamily for static configuration; it panics on a bad n.
@@ -269,15 +350,54 @@ func MustFamily(n int) *Family {
 	return f
 }
 
+// MustFamilyAfter is MustFamily(n) with lead as member 0 and the pool's
+// polynomials as members 1..n, so that one Sum128 yields a key's
+// checksum (lead, outside the pool) and its first slots. It panics on a
+// bad n or a lead whose polynomial is one of those n.
+func MustFamilyAfter(lead Params, n int) *Family {
+	ps, err := pool(n)
+	if err != nil {
+		panic(err)
+	}
+	return familyOf(append([]Params{lead}, ps...))
+}
+
+// familyOf returns the family of ps's engines, in order. Their
+// polynomials must be pairwise distinct.
+func familyOf(ps []Params) *Family {
+	f := &Family{engines: make([]*Engine, len(ps)), k: make([]kernel, len(ps))}
+	for i, p := range ps {
+		for _, q := range ps[:i] {
+			if q.Poly == p.Poly {
+				panic(fmt.Errorf("crc: %s and %s share a polynomial", q.Name, p.Name))
+			}
+		}
+		f.engines[i] = New(p)
+		f.k[i] = f.engines[i].k
+	}
+	return f
+}
+
 // Size reports the number of hash functions in the family.
 func (f *Family) Size() int { return len(f.engines) }
 
-// Hash applies the i'th function to data.
-func (f *Family) Hash(i int, data []byte) uint32 { return f.engines[i].Sum(data) }
-
 // Hash16 applies the i'th function to a fixed 16-byte key (the DTA
-// telemetry key width) through the fully unrolled fast path.
+// telemetry key width) with its engine's Sum128.
 func (f *Family) Hash16(i int, key *[16]byte) uint32 { return f.engines[i].Sum128(key) }
 
-// Hash64 applies the i'th function to a fixed 64-bit key.
-func (f *Family) Hash64(i int, key uint64) uint32 { return f.engines[i].Sum64(key) }
+// Sum128 sets out[i] to the i'th function of key for every i below
+// len(out), which must not exceed Size: one kernel call for all of them
+// where the CPU has carry-less multiply, reading no table.
+func (f *Family) Sum128(key *[16]byte, out []uint32) {
+	k := f.k[:len(out)]
+	if len(k) == 0 {
+		return
+	}
+	if haveCLMUL {
+		clmul16(key, &k[0], len(k), &out[0])
+		return
+	}
+	for i := range out {
+		out[i] = f.engines[i].sum128Slicing(key)
+	}
+}

@@ -107,7 +107,7 @@ func TestFamilyMembersDisagree(t *testing.T) {
 		for j := i + 1; j < f.Size(); j++ {
 			same := 0
 			for k := uint64(0); k < keys; k++ {
-				if f.Hash64(i, k) == f.Hash64(j, k) {
+				if f.engines[i].Sum64(k) == f.engines[j].Sum64(k) {
 					same++
 				}
 			}
@@ -154,7 +154,7 @@ func TestFamilyUniformity(t *testing.T) {
 	for i := 0; i < f.Size(); i++ {
 		var counts [buckets]int
 		for k := uint64(0); k < keys; k++ {
-			counts[f.Hash64(i, k)%buckets]++
+			counts[f.engines[i].Sum64(k)%buckets]++
 		}
 		exp := float64(keys) / buckets
 		chi := 0.0

@@ -42,7 +42,7 @@ func newKIAggCache(rows int) *kiAggCache {
 // key, the incumbent is evicted and returned with flushed=true; the new
 // increment takes its place.
 func (c *kiAggCache) add(ki *wire.KeyIncrement) (key wire.Key, delta uint64, red uint8, flushed bool) {
-	i := uint64(c.eng.Sum(ki.Key[:])) & c.mask
+	i := uint64(c.eng.Sum128((*[wire.KeySize]byte)(&ki.Key))) & c.mask
 	r := &c.rows[i]
 	if r.occupied && r.key != ki.Key {
 		key, delta, red = r.key, r.delta, r.red

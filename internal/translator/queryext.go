@@ -83,7 +83,7 @@ type Event struct {
 // triggered event and whether the postcard was consumed.
 func (q *ThresholdQuery) Offer(p *wire.Postcard) (ev *Event, consumed bool) {
 	q.Stats.Postcards++
-	r := &q.rows[uint64(q.eng.Sum(p.Key[:]))&q.mask]
+	r := &q.rows[uint64(q.eng.Sum128((*[wire.KeySize]byte)(&p.Key)))&q.mask]
 	if r.occupied && r.key != p.Key {
 		// Collision: drop the incumbent's partial sum. A production
 		// deployment would size the cache for the flow arrival rate, as

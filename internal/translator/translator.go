@@ -613,7 +613,8 @@ func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 
 // planRecord is stage A, the one place a staged record's slots are
 // hashed: it appends the indexes of the slots s will write to dst and
-// says whose store they index and, for a Key-Write, the key checksum.
+// says whose store they index and, for a Key-Write, the key checksum
+// (the slots and the checksum from one pass over the key: PlanWrite).
 // Nothing appended (prim 0) means not planned: Key-Increment under
 // aggregation, postcards, appends, a disabled primitive, redundancy 0.
 // It reads the record and configuration fixed at New, nothing else.
@@ -625,7 +626,8 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uin
 		}
 		key, red := s.KeyWriteArgs()
 		if n := t.kwRedundancy(int(red)); n > 0 {
-			return t.kwSlots(dst, key, n), wire.PrimKeyWrite, t.kwIdx.Checksum(*key)
+			slots, csum := t.kwIdx.PlanWrite(key, n, dst)
+			return slots, wire.PrimKeyWrite, csum
 		}
 	case wire.PrimKeyIncrement:
 		if t.kiIdx == nil || t.kiAgg != nil {
@@ -633,7 +635,7 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uin
 		}
 		key, red, _ := s.KeyIncrementArgs()
 		if n := kiRedundancy(int(red)); n > 0 {
-			return t.kiSlots(dst, key, n), wire.PrimKeyIncrement, 0
+			return t.kiIdx.PlanWrite(key, n, dst), wire.PrimKeyIncrement, 0
 		}
 	}
 	return dst, 0, 0
@@ -826,14 +828,6 @@ func (t *Translator) kwRedundancy(n int) int {
 	return min(n, keywrite.MaxRedundancy)
 }
 
-// kwSlots appends the indexes of key's first n Key-Write slots.
-func (t *Translator) kwSlots(dst []uint32, key *wire.Key, n int) []uint32 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, uint32(t.kwIdx.Slot(i, *key)))
-	}
-	return dst
-}
-
 // kwAddrs appends the remote addresses of Key-Write slots.
 func (t *Translator) kwAddrs(dst []uint64, slots []uint32) []uint64 {
 	for _, slot := range slots {
@@ -852,9 +846,10 @@ func (t *Translator) keyWriteArgs(key *wire.Key, n int, flags uint8, data []byte
 	if n < 1 {
 		return nil
 	}
-	var slots [keywrite.MaxRedundancy]uint32
+	var buf [keywrite.MaxRedundancy]uint32
 	var vas [keywrite.MaxRedundancy]uint64
-	return t.emitKeyWrite(t.kwAddrs(vas[:0], t.kwSlots(slots[:0], key, n)), t.kwIdx.Checksum(*key), flags, data, src, nowNs)
+	slots, csum := t.kwIdx.PlanWrite(key, n, buf[:0])
+	return t.emitKeyWrite(t.kwAddrs(vas[:0], slots), csum, flags, data, src, nowNs)
 }
 
 // emitKeyWrite writes the slot image (checksum csum, value data) to
@@ -898,14 +893,6 @@ func (t *Translator) post(w []byte, vas []uint64) {
 // report adds nothing.
 func kiRedundancy(n int) int { return min(n, keyincrement.MaxRedundancy) }
 
-// kiSlots appends the indexes of key's first n counters.
-func (t *Translator) kiSlots(dst []uint32, key *wire.Key, n int) []uint32 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, uint32(t.kiIdx.Slot(i, *key)))
-	}
-	return dst
-}
-
 // kiAddrs appends the remote addresses of counters.
 func (t *Translator) kiAddrs(dst []uint64, slots []uint32) []uint64 {
 	for _, slot := range slots {
@@ -941,7 +928,7 @@ func (t *Translator) fetchAddKey(ki *wire.KeyIncrement, nowNs uint64) error {
 	}
 	var slots [keyincrement.MaxRedundancy]uint32
 	var vas [keyincrement.MaxRedundancy]uint64
-	return t.emitFetchAdds(t.kiAddrs(vas[:0], t.kiSlots(slots[:0], &ki.Key, n)), ki.Delta, nowNs)
+	return t.emitFetchAdds(t.kiAddrs(vas[:0], t.kiIdx.PlanWrite(&ki.Key, n, slots[:0])), ki.Delta, nowNs)
 }
 
 // emitFetchAdds adds delta to the counter at every address in vas.
@@ -1011,8 +998,10 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, no
 	t.chunkBuf = payload[:0]
 	// Build once, patch address+PSN per redundant chunk (see emitKeyWrite).
 	var vas [postcarding.MaxRedundancy]uint64
-	for j := range n {
-		vas[j] = t.pcReg.VA + uint64(int(t.pcCoder.Chunk(j, e.Key))*cfg.ChunkBytes())
+	// The chunk indexes land in vas, and each becomes its address in place.
+	chunks, _ := t.pcCoder.Plan(e.Key, n, vas[:0])
+	for j, c := range chunks {
+		vas[j] = t.pcReg.VA + c*uint64(cfg.ChunkBytes())
 	}
 	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
 		vas[0], t.pcReg.RKey, payload, false, immediateOf(wire.PrimPostcarding, flags)), vas[:n])
