@@ -247,12 +247,14 @@ func (c *HACluster) LookupPath(key Key, n int) ([]uint32, bool, error) {
 	var rd replicaRead
 	var sb [postcarding.MaxRedundancy]uint64
 	var chunks []uint64
+	var coder *postcarding.Coder
 	var answers [ha.MaxReplicas][]uint32
 	rd.owners = c.owners(key[:], rd.ob[:0])
 	c.mu.RLock()
 	err := collector.ErrDisabled
 	if pcs := c.systems[0].Host().PostcardingStore(); pcs != nil {
-		chunks, err = pcs.Coder().Plan(key, n, sb[:0])
+		coder = pcs.Coder()
+		chunks, err = coder.Plan(key, n, sb[:0])
 	}
 	if err = c.scan(&rd, err); err != nil {
 		return nil, false, err
@@ -262,9 +264,12 @@ func (c *HACluster) LookupPath(key Key, n int) ([]uint32, bool, error) {
 			sys.Host().PostcardingStore().Touch(chunks)
 		}
 	}
+	// The hop checksums, like the plan, serve every owner.
+	var sums [postcarding.MaxHops]uint32
+	coder.HopSums(key, &sums)
 	for oi, sys := range rd.live {
 		if sys != nil {
-			res := sys.Host().PostcardingStore().QueryAt(key, chunks)
+			res := sys.Host().PostcardingStore().QueryAt(&sums, chunks)
 			answers[oi] = res.Values
 			rd.note(oi, res.Found)
 		}

@@ -72,14 +72,17 @@ func lookupScenario(t *testing.T, opts Options) (c *HACluster, clobbered []uint6
 		key := KeyFromUint64(k)
 		if kw := c.System(0).Host().KeyWriteStore(); kw != nil {
 			for i := 0; i < 2; i++ {
-				off := kw.Indexer().Offset(kw.Slot(i, key))
+				off := kw.Indexer().Offset(kw.Indexer().Slot(i, key))
 				copy(kw.Buffer()[off:], []byte{0xde, 0xad, 0xbe, 0xef})
 			}
 		}
 		if pcs := c.System(0).Host().PostcardingStore(); pcs != nil {
-			for j := 0; j < 2; j++ {
-				off := pcs.ChunkOffset(pcs.Coder().Chunk(j, key))
-				copy(pcs.Buffer()[off:], []byte{0xde, 0xad, 0xbe, 0xef})
+			chunks, err := pcs.Coder().Plan(key, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range chunks {
+				copy(pcs.Buffer()[pcs.ChunkOffset(ch):], []byte{0xde, 0xad, 0xbe, 0xef})
 			}
 		}
 		clobbered = append(clobbered, k)

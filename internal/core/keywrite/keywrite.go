@@ -219,9 +219,6 @@ func (s *Store) Write(key wire.Key, data []byte, n int) error {
 	return nil
 }
 
-// Slot exposes the indexer's slot computation.
-func (s *Store) Slot(n int, key wire.Key) uint64 { return s.x.Slot(n, key) }
-
 // readSlot returns the stored checksum and a view of the value bytes.
 func (s *Store) readSlot(slot uint64) (uint32, []byte) {
 	off := s.x.Offset(slot)

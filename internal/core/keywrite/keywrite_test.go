@@ -120,7 +120,7 @@ func TestPartialOverwriteStillAnswers(t *testing.T) {
 	s.Write(k, []byte{9, 9, 9, 9}, 2)
 	// Forge an overwrite of slot 0 by writing a conflicting image
 	// directly (as a colliding key's RDMA write would).
-	s.writeSlot(s.Slot(0, k), 0xdeadbeef, []byte{0, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(0, k), 0xdeadbeef, []byte{0, 0, 0, 0})
 	res, _ := s.Query(k, 2, 1)
 	if !res.Found || !bytes.Equal(res.Data, []byte{9, 9, 9, 9}) {
 		t.Errorf("got %+v, want survivor answer", res)
@@ -134,7 +134,7 @@ func TestConsensusThreshold(t *testing.T) {
 	s := mustStore(t, Config{Slots: 1 << 10, DataSize: 4})
 	k := key(55)
 	s.Write(k, []byte{5, 5, 5, 5}, 2)
-	s.writeSlot(s.Slot(0, k), 0x11111111, []byte{0, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(0, k), 0x11111111, []byte{0, 0, 0, 0})
 	// One surviving replica: plurality (T=1) answers, consensus T=2 does not.
 	if res, _ := s.Query(k, 2, 1); !res.Found {
 		t.Error("T=1 should answer with one survivor")
@@ -150,8 +150,8 @@ func TestConflictingCandidatesTie(t *testing.T) {
 	s := mustStore(t, Config{Slots: 1 << 10, DataSize: 4})
 	k := key(77)
 	csum := s.Indexer().Checksum(k)
-	s.writeSlot(s.Slot(0, k), csum, []byte{1, 0, 0, 0})
-	s.writeSlot(s.Slot(1, k), csum, []byte{2, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(0, k), csum, []byte{1, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(1, k), csum, []byte{2, 0, 0, 0})
 	res, _ := s.Query(k, 2, 1)
 	if res.Found {
 		t.Errorf("tie returned a value: %+v", res)
@@ -166,9 +166,9 @@ func TestMajorityBeatsMinority(t *testing.T) {
 	s := mustStore(t, Config{Slots: 1 << 10, DataSize: 4})
 	k := key(88)
 	csum := s.Indexer().Checksum(k)
-	s.writeSlot(s.Slot(0, k), csum, []byte{1, 0, 0, 0})
-	s.writeSlot(s.Slot(1, k), csum, []byte{1, 0, 0, 0})
-	s.writeSlot(s.Slot(2, k), csum, []byte{2, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(0, k), csum, []byte{1, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(1, k), csum, []byte{1, 0, 0, 0})
+	s.writeSlot(s.Indexer().Slot(2, k), csum, []byte{2, 0, 0, 0})
 	res, _ := s.Query(k, 3, 1)
 	if !res.Found || res.Data[0] != 1 || res.Agreements != 2 {
 		t.Errorf("got %+v, want majority value 1", res)
@@ -185,7 +185,7 @@ func TestSlotDistributionAcrossN(t *testing.T) {
 		k := key(uint64(i))
 		seen := map[uint64]bool{}
 		for n := 0; n < 4; n++ {
-			sl := s.Slot(n, k)
+			sl := s.Indexer().Slot(n, k)
 			if sl >= 1<<14 {
 				t.Fatalf("slot %d out of range", sl)
 			}

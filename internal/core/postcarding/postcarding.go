@@ -159,80 +159,39 @@ func (c *Coder) Plan(x wire.Key, n int, dst []uint64) ([]uint64, error) {
 	return dst, nil
 }
 
-// checksum computes the hop-specific checksum(x, i). Each hop uses a
-// distinct linear map — the input is rotated by i bytes before hashing —
-// mirroring the per-hop custom CRC polynomials of §5.2. (An additive hop
-// constant would NOT work: CRC is linear, so the per-hop checksums of two
-// flows would differ by a hop-independent constant and hop collisions
-// would be perfectly correlated.)
-func (c *Coder) checksum(x wire.Key, hop int) uint32 {
-	var buf [wire.KeySize]byte
-	for i := range buf {
-		buf[i] = x[(i+hop)%wire.KeySize]
+// HopSums sets sums[i] to the hop-specific checksum(x, i) for every hop
+// i below B, all B from one kernel call. Each hop uses a distinct
+// linear map — the key is rotated by i bytes before hashing (see
+// crc.Engine.Sum128Rot) — mirroring the per-hop custom CRC polynomials
+// of §5.2. (An additive hop constant would NOT work: CRC is linear, so
+// the per-hop checksums of two flows would differ by a hop-independent
+// constant and hop collisions would be perfectly correlated.)
+func (c *Coder) HopSums(x wire.Key, sums *[MaxHops]uint32) {
+	hops := sums[:c.cfg.Hops]
+	c.csumEng.Sum128Rot((*[wire.KeySize]byte)(&x), hops)
+	for i := range hops {
+		hops[i] &= c.mask
 	}
-	return c.csumEng.Sum128(&buf) & c.mask
-}
-
-// EncodeSlot produces the stored image of hop i of flow x carrying value
-// v (Blank for uncollected hops).
-func (c *Coder) EncodeSlot(x wire.Key, hop int, v uint32) uint32 {
-	var gv uint32
-	if v == Blank {
-		gv = c.gBlank
-	} else {
-		gv = c.g(v)
-	}
-	return (c.checksum(x, hop) ^ gv) & c.mask
-}
-
-// DecodeSlot inverts EncodeSlot: it strips the checksum and consults the
-// pre-populated lookup table. ok is false if the residue is not the code
-// of any registered value (an invalid slot).
-func (c *Coder) DecodeSlot(x wire.Key, hop int, stored uint32) (v uint32, ok bool) {
-	residue := (stored ^ c.checksum(x, hop)) & c.mask
-	v, ok = c.lookup[residue]
-	return v, ok
 }
 
 // EncodeChunkSparse fills out with the encoded image of a flow's
-// postcards where values[i] == Blank marks hops that were not collected.
-// Hop positions are preserved: a missing middle hop stays blank, so a
-// query sees an invalid chunk rather than a shifted (wrong) path.
+// postcards, checksum(x,i) ⊕ g(values[i]) in slot i, where values[i] ==
+// Blank marks hops that were not collected. Hop positions are preserved:
+// a missing middle hop stays blank, so a query sees an invalid chunk
+// rather than a shifted (wrong) path. The returned slice is exactly the
+// RDMA WRITE payload the translator emits.
 func (c *Coder) EncodeChunkSparse(x wire.Key, values *[MaxHops]uint32, out []byte) []byte {
+	var sums [MaxHops]uint32
+	c.HopSums(x, &sums)
 	out = out[:0]
 	for i := 0; i < c.stride; i++ {
-		var s uint32
-		switch {
-		case i < c.cfg.Hops:
-			s = c.EncodeSlot(x, i, values[i])
-		default:
-			s = 0 // padding slots beyond B
-		}
-		out = append(out, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
-	}
-	return out
-}
-
-// EncodeChunk fills out (stride slots) with the encoded image of a flow's
-// postcards: values[0:pathLen] real, the rest blank. The returned slice
-// is exactly the RDMA WRITE payload the translator emits.
-func (c *Coder) EncodeChunk(x wire.Key, values []uint32, pathLen int, out []byte) []byte {
-	if pathLen > len(values) {
-		pathLen = len(values)
-	}
-	if pathLen > c.cfg.Hops {
-		pathLen = c.cfg.Hops
-	}
-	out = out[:0]
-	for i := 0; i < c.stride; i++ {
-		var s uint32
-		switch {
-		case i < pathLen:
-			s = c.EncodeSlot(x, i, values[i])
-		case i < c.cfg.Hops:
-			s = c.EncodeSlot(x, i, Blank)
-		default:
-			s = 0 // padding slots beyond B
+		var s uint32 // padding slots beyond B stay zero
+		if i < c.cfg.Hops {
+			gv := c.gBlank
+			if values[i] != Blank {
+				gv = c.g(values[i])
+			}
+			s = sums[i] ^ gv
 		}
 		out = append(out, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
 	}
@@ -284,8 +243,15 @@ func (s *Store) Write(x wire.Key, values []uint32, pathLen, n int) error {
 	if err != nil {
 		return err
 	}
+	var vals [MaxHops]uint32
+	for i := range vals {
+		vals[i] = Blank
+		if i < pathLen && i < len(values) {
+			vals[i] = values[i]
+		}
+	}
 	var chunk [MaxHops * SlotSize]byte
-	payload := s.c.EncodeChunk(x, values, pathLen, chunk[:])
+	payload := s.c.EncodeChunkSparse(x, &vals, chunk[:])
 	for _, c := range chunks {
 		copy(s.buf[s.ChunkOffset(c):], payload)
 	}
@@ -302,9 +268,11 @@ type QueryResult struct {
 	ValidChunks int
 }
 
-// decodeChunk attempts to reconstruct a flow's values from one chunk.
+// decodeChunk attempts to reconstruct a flow's values from one chunk,
+// given its hop checksums: each slot's residue after its checksum must
+// be the code of a registered value in the pre-populated lookup table.
 // Validity requires a prefix of real values followed only by blanks.
-func (s *Store) decodeChunk(x wire.Key, chunk uint64, out []uint32) ([]uint32, bool) {
+func (s *Store) decodeChunk(sums *[MaxHops]uint32, chunk uint64, out []uint32) ([]uint32, bool) {
 	off := s.ChunkOffset(chunk)
 	out = out[:0]
 	seenBlank := false
@@ -312,7 +280,7 @@ func (s *Store) decodeChunk(x wire.Key, chunk uint64, out []uint32) ([]uint32, b
 		o := off + i*SlotSize
 		stored := uint32(s.buf[o])<<24 | uint32(s.buf[o+1])<<16 |
 			uint32(s.buf[o+2])<<8 | uint32(s.buf[o+3])
-		v, ok := s.c.DecodeSlot(x, i, stored)
+		v, ok := s.c.lookup[(stored^sums[i])&s.c.mask]
 		if !ok {
 			return out, false
 		}
@@ -331,8 +299,8 @@ func (s *Store) decodeChunk(x wire.Key, chunk uint64, out []uint32) ([]uint32, b
 
 // Query reconstructs flow x's postcards from its n redundant chunks. The
 // answer is returned only when at least one chunk is valid and all valid
-// chunks agree (§4). The chunks are touched before the first is decoded:
-// a decode's per-hop checksums would otherwise sit between the misses.
+// chunks agree (§4). The chunks are touched before the hop checksums are
+// computed, so the misses overlap that work.
 func (s *Store) Query(x wire.Key, n int) (QueryResult, error) {
 	var buf [MaxRedundancy]uint64
 	chunks, err := s.c.Plan(x, n, buf[:0])
@@ -340,7 +308,9 @@ func (s *Store) Query(x wire.Key, n int) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	s.Touch(chunks)
-	return s.QueryAt(x, chunks), nil
+	var sums [MaxHops]uint32
+	s.c.HopSums(x, &sums)
+	return s.QueryAt(&sums, chunks), nil
 }
 
 // Touch loads one byte from each planned chunk and does nothing else
@@ -354,15 +324,16 @@ func (s *Store) Touch(chunks []uint64) {
 	runtime.KeepAlive(acc)
 }
 
-// QueryAt is Query over chunks planned beforehand (Coder.Plan, on this
-// store's coder or one of equal geometry), without the touch.
-func (s *Store) QueryAt(x wire.Key, chunks []uint64) QueryResult {
+// QueryAt is Query over chunks and hop checksums planned beforehand
+// (Coder.Plan and Coder.HopSums, on this store's coder or one of equal
+// geometry), without the touch.
+func (s *Store) QueryAt(sums *[MaxHops]uint32, chunks []uint64) QueryResult {
 	var res QueryResult
 	var first [MaxHops]uint32
 	var cur [MaxHops]uint32
 	var winner []uint32
 	for _, chunk := range chunks {
-		vals, ok := s.decodeChunk(x, chunk, cur[:0])
+		vals, ok := s.decodeChunk(sums, chunk, cur[:0])
 		if !ok {
 			continue
 		}

@@ -2,6 +2,7 @@ package postcarding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -31,6 +32,22 @@ func mustStore(t testing.TB, cfg Config) *Store {
 }
 
 func key(v uint64) wire.Key { return wire.KeyFromUint64(v) }
+
+// firstChunk is flow x's chunk 0 in s.
+func firstChunk(s *Store, x wire.Key) uint64 {
+	chunks, _ := s.Coder().Plan(x, 1, nil)
+	return chunks[0]
+}
+
+// rotatedChecksum is the hop checksum by definition: CRC-32D, by
+// slicing-by-8, over x rotated left by hop bytes.
+func rotatedChecksum(x wire.Key, hop int) uint32 {
+	var rot [wire.KeySize]byte
+	for i := range rot {
+		rot[i] = x[(i+hop)%wire.KeySize]
+	}
+	return crc.New(crc.D).Sum(rot[:])
+}
 
 func TestConfigValidation(t *testing.T) {
 	vals := testValues(8)
@@ -135,7 +152,7 @@ func TestOverwriteByAnotherFlowInvalidatesChunk(t *testing.T) {
 	var y wire.Key
 	for v := uint64(2); ; v++ {
 		y = key(v)
-		if s.Coder().Chunk(0, y) == s.Coder().Chunk(0, x) {
+		if firstChunk(s, y) == firstChunk(s, x) {
 			break
 		}
 	}
@@ -159,7 +176,7 @@ func TestRedundancySurvivesSingleOverwrite(t *testing.T) {
 	path := []uint32{1, 2, 3, 4, 5}
 	s.Write(x, path, 5, 2)
 	// Clobber chunk 0 directly with garbage.
-	off := s.ChunkOffset(s.Coder().Chunk(0, x))
+	off := s.ChunkOffset(firstChunk(s, x))
 	for i := 0; i < cfg.ChunkBytes(); i++ {
 		s.Buffer()[off+i] = byte(i*37 + 1)
 	}
@@ -174,17 +191,26 @@ func TestRedundancySurvivesSingleOverwrite(t *testing.T) {
 
 func TestHopChecksumsDiffer(t *testing.T) {
 	// Per-hop checksums must be genuinely different maps, not constant
-	// offsets of each other (see Coder.checksum comment).
-	c, err := NewCoder(Config{Chunks: 64, Hops: 5, Values: testValues(4)})
+	// offsets of each other (see Coder.HopSums comment).
+	c, err := NewCoder(Config{Chunks: 64, Hops: MaxHops, Values: testValues(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			d0 := c.checksum(key(0), i) ^ c.checksum(key(0), j)
+	sums := make([][MaxHops]uint32, 200)
+	for v := range sums {
+		c.HopSums(key(uint64(v)), &sums[v])
+		for hop, got := range sums[v] {
+			if want := rotatedChecksum(key(uint64(v)), hop); got != want {
+				t.Fatalf("flow %d hop %d: HopSums %#x, rotated reference %#x", v, hop, got, want)
+			}
+		}
+	}
+	for i := 0; i < MaxHops; i++ {
+		for j := i + 1; j < MaxHops; j++ {
+			d0 := sums[0][i] ^ sums[0][j]
 			constant := true
-			for v := uint64(1); v < 200; v++ {
-				if c.checksum(key(v), i)^c.checksum(key(v), j) != d0 {
+			for v := 1; v < len(sums); v++ {
+				if sums[v][i]^sums[v][j] != d0 {
 					constant = false
 					break
 				}
@@ -196,26 +222,31 @@ func TestHopChecksumsDiffer(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeSlotRoundTrip(t *testing.T) {
-	c, err := NewCoder(Config{Chunks: 64, Hops: 5, Values: testValues(128)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(kv uint64, hop uint8, vi uint8) bool {
+// TestEncodeDecodeChunkRoundTrip encodes a flow's path of any length,
+// blanks after it, and decodes the chunk against the flow's hop
+// checksums: every value, and the blank tail, round-trips.
+func TestEncodeDecodeChunkRoundTrip(t *testing.T) {
+	s := mustStore(t, Config{Chunks: 64, Hops: 5, Values: testValues(128)})
+	c := s.Coder()
+	f := func(kv uint64, pl uint8, vi [MaxHops]uint8) bool {
 		x := key(kv)
-		h := int(hop % 5)
-		v := uint32(vi%128) + 1
-		stored := c.EncodeSlot(x, h, v)
-		got, ok := c.DecodeSlot(x, h, stored)
-		return ok && got == v
+		path := make([]uint32, pl%6)
+		var vals [MaxHops]uint32
+		for i := range vals {
+			vals[i] = Blank
+			if i < len(path) {
+				path[i] = uint32(vi[i]%128) + 1
+				vals[i] = path[i]
+			}
+		}
+		copy(s.Buffer()[s.ChunkOffset(3):], c.EncodeChunkSparse(x, &vals, nil))
+		var sums [MaxHops]uint32
+		c.HopSums(x, &sums)
+		res := s.QueryAt(&sums, []uint64{3})
+		return res.Found && res.ValidChunks == 1 && slices.Equal(res.Values, path)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-	// Blank round-trips too.
-	stored := c.EncodeSlot(key(1), 2, Blank)
-	if v, ok := c.DecodeSlot(key(1), 2, stored); !ok || v != Blank {
-		t.Error("blank does not round-trip")
 	}
 }
 
@@ -608,7 +639,9 @@ func TestTouchOnlyReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.QueryAt(key(i), chunks); got.Found != want.Found || got.ValidChunks != want.ValidChunks || !equalU32(got.Values, want.Values) {
+		var sums [MaxHops]uint32
+		s.Coder().HopSums(key(i), &sums)
+		if got := s.QueryAt(&sums, chunks); got.Found != want.Found || got.ValidChunks != want.ValidChunks || !equalU32(got.Values, want.Values) {
 			t.Fatalf("flow %d n=%d: QueryAt %+v, Query %+v", i, n, got, want)
 		}
 	}
@@ -617,20 +650,51 @@ func TestTouchOnlyReads(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocs pins the per-flow paths' allocations: encoding a
+// chunk into a reused buffer makes none, and a planned query makes at
+// most the returned Values.
+func TestHotPathAllocs(t *testing.T) {
+	s := mustStore(t, Config{Chunks: 1 << 10, Hops: 5, Values: testValues(64)})
+	x := key(42)
+	if err := s.Write(x, []uint32{1, 2, 3, 4, 5}, 5, 2); err != nil {
+		t.Fatal(err)
+	}
+	vals := [MaxHops]uint32{1, 2, 3, Blank, Blank, Blank, Blank, Blank}
+	buf := make([]byte, 0, MaxHops*SlotSize)
+	if a := testing.AllocsPerRun(100, func() { buf = s.Coder().EncodeChunkSparse(x, &vals, buf) }); a != 0 {
+		t.Errorf("EncodeChunkSparse: %v allocations per run, want 0", a)
+	}
+	chunks, err := s.Coder().Plan(x, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums [MaxHops]uint32
+	s.Coder().HopSums(x, &sums)
+	var res QueryResult
+	if a := testing.AllocsPerRun(100, func() { res = s.QueryAt(&sums, chunks) }); a > 1 {
+		t.Errorf("QueryAt: %v allocations per run, want at most 1", a)
+	}
+	if !res.Found || len(res.Values) != 5 {
+		t.Errorf("QueryAt = %+v, want the written path", res)
+	}
+}
+
 // slotPolys is the chunk family's polynomials in member order.
 var slotPolys = []crc.Params{crc.IEEE, crc.Castagnoli, crc.Koopman, crc.Koopman2, crc.Q, crc.AUTOSAR, crc.CDROMEDC, crc.XFER}
 
 // TestPlanMatchesSlicingReference holds the one-pass chunk plan (one
 // kernel call for the n chunks) to the plan of n slicing-by-8 CRCs over
-// the key's bytes (Engine.Sum) for every n, and each hop's checksum to
-// CRC-32D of the key rotated by the hop, by slicing too. 2^32 chunks
-// keep every hash bit.
+// the key's bytes (Engine.Sum) for every n, and each hop's blank slot in
+// the encoded chunk (one kernel call for the B hop checksums) to CRC-32D
+// of the key rotated by the hop, by slicing too, for all MaxHops hops.
+// 2^32 chunks keep every hash bit.
 func TestPlanMatchesSlicingReference(t *testing.T) {
-	c, err := NewCoder(Config{Chunks: 1 << 32, Hops: 5, Values: testValues(64)})
+	c, err := NewCoder(Config{Chunks: 1 << 32, Hops: MaxHops, Values: testValues(64)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, k32k := crc.New(crc.D), crc.New(crc.K32K)
+	k32k := crc.New(crc.K32K)
+	blank := [MaxHops]uint32{Blank, Blank, Blank, Blank, Blank, Blank, Blank, Blank}
 	rnd := rand.New(rand.NewSource(5))
 	for range 300 {
 		var k wire.Key
@@ -646,12 +710,10 @@ func TestPlanMatchesSlicingReference(t *testing.T) {
 				}
 			}
 		}
+		chunk := c.EncodeChunkSparse(k, &blank, nil)
 		for hop := range MaxHops {
-			var rot [wire.KeySize]byte
-			for i := range rot {
-				rot[i] = k[(i+hop)%wire.KeySize]
-			}
-			if got, want := c.EncodeSlot(k, hop, Blank), d.Sum(rot[:])^k32k.Sum64(Blank); got != want {
+			got := binary.BigEndian.Uint32(chunk[hop*SlotSize:])
+			if want := rotatedChecksum(k, hop) ^ k32k.Sum64(Blank); got != want {
 				t.Fatalf("key %x hop %d: blank slot %#x, slicing reference %#x", k[:], hop, got, want)
 			}
 		}

@@ -12,3 +12,9 @@ func cpuidECX1() uint32
 //
 //go:noescape
 func clmul16(key *[16]byte, k *kernel, n int, out *uint32)
+
+// clmul16rot writes to out[0..n) the CRC under the kernel at k of key
+// rotated by 0..n-1 bytes. n must be at least 1.
+//
+//go:noescape
+func clmul16rot(key *[16]byte, k *kernel, n int, out *uint32)

@@ -9,3 +9,7 @@ const haveCLMUL = false
 func clmul16(key *[16]byte, k *kernel, n int, out *uint32) {
 	panic("crc: no carry-less-multiply kernel on this GOARCH")
 }
+
+func clmul16rot(key *[16]byte, k *kernel, n int, out *uint32) {
+	panic("crc: no carry-less-multiply kernel on this GOARCH")
+}

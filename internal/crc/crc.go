@@ -5,8 +5,10 @@
 // polynomial is configurable per table. DTA (§5.2) derives several
 // independent hash functions from the same engine by carefully selecting
 // distinct CRC polynomials: one family indexes the N redundant Key-Write
-// slots, another computes the 4-byte key checksum, and per-hop Postcarding
-// checksums use further custom polynomials.
+// slots, another computes the 4-byte key checksum, and the per-hop
+// Postcarding checksums are that checksum polynomial (CRC-32D) over the
+// key rotated by the hop, which makes each hop a distinct linear map of
+// the key.
 //
 // This package provides a reflected CRC-32 parameterised by polynomial,
 // initial value and final XOR, plus Family, which bundles several engines
@@ -15,8 +17,9 @@
 // 16-byte key. A 16-byte key (Sum128) is hashed by carry-less
 // multiplication where the CPU has it (amd64 with PCLMULQDQ), with no
 // tables, and a Family evaluates any prefix of its members on one key in
-// one kernel call. Slicing-by-8 is the fallback there and the only path
-// for other lengths.
+// one kernel call, as Engine.Sum128Rot does every rotation of one key.
+// Slicing-by-8 is the fallback there and the only path for other
+// lengths.
 package crc
 
 import (
@@ -269,6 +272,33 @@ func (e *Engine) sum128Slicing(key *[16]byte) uint32 {
 	c := e.slice8(e.init, key[0], key[1], key[2], key[3], key[4], key[5], key[6], key[7])
 	c = e.slice8(c, key[8], key[9], key[10], key[11], key[12], key[13], key[14], key[15])
 	return c ^ e.xorOut
+}
+
+// Sum128Rot sets out[h] to Sum128 of key rotated by h bytes (byte i of
+// the rotation is key[(i+h) mod 16]) for every h below len(out): one
+// kernel call for all of them where the CPU has carry-less multiply,
+// which loads the key once and rotates it in a register between hops,
+// and slicing-by-8 over the byte-rotated key elsewhere.
+func (e *Engine) Sum128Rot(key *[16]byte, out []uint32) {
+	if len(out) == 0 {
+		return
+	}
+	if haveCLMUL {
+		clmul16rot(key, &e.k, len(out), &out[0])
+		return
+	}
+	e.sum128RotSlicing(key, out)
+}
+
+// sum128RotSlicing is Sum128Rot by slicing-by-8: the fallback, and a
+// reference the kernel is tested against.
+func (e *Engine) sum128RotSlicing(key *[16]byte, out []uint32) {
+	var twice [32]byte
+	copy(twice[:16], key[:])
+	copy(twice[16:], key[:])
+	for h := range out {
+		out[h] = e.sum128Slicing((*[16]byte)(twice[h%16:]))
+	}
 }
 
 // Walk16 evaluates a fixed GF(2)-affine map f of a 16-byte key as one

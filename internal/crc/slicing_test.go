@@ -60,6 +60,73 @@ func check16(t *testing.T, fam *Family, key *[16]byte) {
 	}
 }
 
+// checkRot holds Sum128Rot to the byte-at-a-time reference over the
+// byte-rotated key, for every n in 1–16, by each path: through the CPU
+// gate, the slicing fallback and, where the CPU has carry-less multiply,
+// the stub called directly. None may write past out[n-1].
+func checkRot(t *testing.T, e *Engine, key *[16]byte) {
+	t.Helper()
+	var want [16]uint32
+	for h := range want {
+		var rot [16]byte
+		for i := range rot {
+			rot[i] = key[(i+h)%16]
+		}
+		want[h] = e.sumBytewise(rot[:])
+	}
+	paths := map[string]func(n int, out *[17]uint32){
+		"gated":   func(n int, out *[17]uint32) { e.Sum128Rot(key, out[:n]) },
+		"slicing": func(n int, out *[17]uint32) { e.sum128RotSlicing(key, out[:n]) },
+	}
+	if haveCLMUL {
+		paths["kernel"] = func(n int, out *[17]uint32) { clmul16rot(key, &e.k, n, &out[0]) }
+	}
+	for name, sum := range paths {
+		for n := 1; n <= 16; n++ {
+			var got [17]uint32
+			for i := range got {
+				got[i] = 0xdeadbeef
+			}
+			sum(n, &got)
+			for h := range n {
+				if got[h] != want[h] {
+					t.Fatalf("%s: %s Sum128Rot(%x) hop %d of %d = %#x, bytewise = %#x", e.Name(), name, key[:], h, n, got[h], want[h])
+				}
+			}
+			for i := n; i < len(got); i++ {
+				if got[i] != 0xdeadbeef {
+					t.Fatalf("%s: %s Sum128Rot over %d hops wrote out[%d]", e.Name(), name, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSum128RotMatchesBytewise holds every engine's rotated-key sums
+// (checkRot) to the byte-wise CRC of each rotation, on the edge keys,
+// every one-bit key and random keys.
+func TestSum128RotMatchesBytewise(t *testing.T) {
+	rnd := rand.New(rand.NewSource(17))
+	for _, p := range allParams() {
+		e := New(p)
+		var key [16]byte
+		checkRot(t, e, &key)
+		for i := range key {
+			key[i] = 0xff
+		}
+		checkRot(t, e, &key)
+		for bit := range 128 {
+			key = [16]byte{}
+			key[bit/8] = 1 << (bit % 8)
+			checkRot(t, e, &key)
+		}
+		for range 200 {
+			rnd.Read(key[:])
+			checkRot(t, e, &key)
+		}
+	}
+}
+
 // TestSlicingMatchesBytewise differentially checks the slicing-by-8 fast
 // path against the byte-at-a-time reference for all 10 pool/reserved
 // polynomials on random inputs of every length 0–64 (crossing the 8-byte
@@ -105,8 +172,8 @@ func TestSlicingMatchesBytewise(t *testing.T) {
 // FuzzSlicingMatchesBytewise lets the fuzzer search for inputs where the
 // slicing-by-8 path and the byte-wise engine disagree, across every
 // configured polynomial. For inputs of 16 bytes or more it also checks
-// every 16-byte path (check16) and each engine's affine walk over the
-// first 16.
+// every 16-byte path (check16), each engine's rotated-key sums over the
+// first 16 (checkRot) and each engine's affine walk over them.
 func FuzzSlicingMatchesBytewise(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("123456789"))
@@ -132,6 +199,7 @@ func FuzzSlicingMatchesBytewise(f *testing.F) {
 				if got, want := walks[i].Sum((*[16]byte)(data)), e.sumBytewise(data[:16]); got != want {
 					t.Fatalf("%s: walk(%x) = %#x, bytewise = %#x", e.Name(), data[:16], got, want)
 				}
+				checkRot(t, e, (*[16]byte)(data))
 			}
 		}
 		if len(data) >= 16 {
@@ -238,7 +306,9 @@ func TestSum64MatchesBytewiseAllPolys(t *testing.T) {
 // BenchmarkSum128 hashes 4 096 pre-generated keys per pass, by the
 // kernel and by slicing-by-8, one engine (Sum128) and three engines per
 // key (Key-Write's checksum plus two slots: one Family.Sum128 call, or
-// three slicing Sum128s over 24 KiB of tables).
+// three slicing Sum128s over 24 KiB of tables), and a key's five hop
+// rotations under one engine (Postcarding's hop checksums at B = 5: one
+// Sum128Rot call, or five slicing Sum128s over byte-rotated copies).
 func BenchmarkSum128(b *testing.B) {
 	keys := make([][16]byte, 4096)
 	rnd := rand.New(rand.NewSource(1))
@@ -281,6 +351,22 @@ func BenchmarkSum128(b *testing.B) {
 		for i := range b.N {
 			k := &keys[i&4095]
 			sink += fam.engines[0].sum128Slicing(k) ^ fam.engines[1].sum128Slicing(k) ^ fam.engines[2].sum128Slicing(k)
+		}
+	})
+	b.Run("rot-5", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := range b.N {
+			var out [5]uint32
+			e.Sum128Rot(&keys[i&4095], out[:])
+			sink += out[0] ^ out[4]
+		}
+	})
+	b.Run("rot-5-slicing", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := range b.N {
+			var out [5]uint32
+			e.sum128RotSlicing(&keys[i&4095], out[:])
+			sink += out[0] ^ out[4]
 		}
 	})
 	_ = sink
