@@ -98,10 +98,19 @@ type Coder struct {
 	csumEng *crc.Engine // per-hop checksum base (input rotated per hop)
 	gEng    *crc.Engine // value encoding g
 	mask    uint32
-	lookup  map[uint32]uint32 // g(v) → v, pre-populated (constant-time query)
 	gBlank  uint32
-	stride  int
+	// table is the pre-populated g(v) → v lookup of every registered
+	// value, open-addressed: a code probes linearly from code & (len−1),
+	// and an entry whose value is Blank is empty (Blank's own code,
+	// gBlank, is not stored: decode checks it first). Codes are CRC
+	// outputs, so their low bits are already mixed; at least half the
+	// entries stay empty.
+	table      []codeEntry
+	chunkBytes int // ChunkBytes, kept for the per-chunk offset
 }
+
+// codeEntry is one (code, value) pair of a Coder's lookup table.
+type codeEntry struct{ code, value uint32 }
 
 // NewCoder builds a Coder for the configuration.
 func NewCoder(cfg Config) (*Coder, error) {
@@ -112,25 +121,55 @@ func NewCoder(cfg Config) (*Coder, error) {
 	if cfg.SlotBits != 0 && cfg.SlotBits < 32 {
 		mask = 1<<uint(cfg.SlotBits) - 1
 	}
+	size := 1
+	for size < 2*(len(cfg.Values)+1) {
+		size <<= 1
+	}
 	c := &Coder{
-		cfg:     cfg,
-		chunks:  crc.MustFamily(MaxRedundancy),
-		csumEng: crc.New(crc.D),
-		gEng:    crc.New(crc.K32K),
-		mask:    mask,
-		lookup:  make(map[uint32]uint32, len(cfg.Values)+1),
-		stride:  cfg.chunkStride(),
+		cfg:        cfg,
+		chunks:     crc.MustFamily(MaxRedundancy),
+		csumEng:    crc.New(crc.D),
+		gEng:       crc.New(crc.K32K),
+		mask:       mask,
+		table:      make([]codeEntry, size),
+		chunkBytes: cfg.ChunkBytes(),
+	}
+	for i := range c.table {
+		c.table[i].value = Blank
 	}
 	c.gBlank = c.gEng.Sum64(uint64(Blank)) & mask
-	c.lookup[c.gBlank] = Blank
 	for _, v := range cfg.Values {
 		gv := c.g(v)
-		if prev, dup := c.lookup[gv]; dup && prev != v {
+		prev, ok := c.decode(gv)
+		if ok && prev != v {
 			return nil, fmt.Errorf("postcarding: g collision between values %d and %d at b=%d; widen SlotBits", prev, v, cfg.SlotBits)
 		}
-		c.lookup[gv] = v
+		if !ok {
+			*c.slot(gv) = codeEntry{gv, v}
+		}
 	}
 	return c, nil
+}
+
+// slot returns code's entry in the lookup table: the one holding it, or
+// the empty one where it would go.
+func (c *Coder) slot(code uint32) *codeEntry {
+	m := uint32(len(c.table) - 1)
+	for i := code & m; ; i = (i + 1) & m {
+		if e := &c.table[i]; e.code == code || e.value == Blank {
+			return e
+		}
+	}
+}
+
+// decode maps a slot residue to the registered value whose code it is
+// (Blank for the blank code); ok is false when it is no value's code.
+func (c *Coder) decode(code uint32) (v uint32, ok bool) {
+	if code == c.gBlank {
+		return Blank, true
+	}
+	e := c.slot(code)
+	return e.value, e.value != Blank
 }
 
 // Config returns the coder's configuration.
@@ -184,7 +223,7 @@ func (c *Coder) EncodeChunkSparse(x wire.Key, values *[MaxHops]uint32, out []byt
 	var sums [MaxHops]uint32
 	c.HopSums(x, &sums)
 	out = out[:0]
-	for i := 0; i < c.stride; i++ {
+	for i := 0; i < c.chunkBytes/SlotSize; i++ {
 		var s uint32 // padding slots beyond B stay zero
 		if i < c.cfg.Hops {
 			gv := c.gBlank
@@ -233,7 +272,7 @@ func (s *Store) Coder() *Coder { return s.c }
 func (s *Store) Buffer() []byte { return s.buf }
 
 // ChunkOffset returns the byte offset of a chunk.
-func (s *Store) ChunkOffset(chunk uint64) int { return int(chunk) * s.c.cfg.ChunkBytes() }
+func (s *Store) ChunkOffset(chunk uint64) int { return int(chunk) * s.c.chunkBytes }
 
 // Write inserts a flow's postcards with redundancy n, performing locally
 // what the translator performs with n chunk-sized RDMA WRITEs.
@@ -280,7 +319,7 @@ func (s *Store) decodeChunk(sums *[MaxHops]uint32, chunk uint64, out []uint32) (
 		o := off + i*SlotSize
 		stored := uint32(s.buf[o])<<24 | uint32(s.buf[o+1])<<16 |
 			uint32(s.buf[o+2])<<8 | uint32(s.buf[o+3])
-		v, ok := s.c.lookup[(stored^sums[i])&s.c.mask]
+		v, ok := s.c.decode((stored ^ sums[i]) & s.c.mask)
 		if !ok {
 			return out, false
 		}

@@ -719,3 +719,65 @@ func TestPlanMatchesSlicingReference(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupTableMatchesMap holds the coder's open-addressed lookup table
+// to the g(v) → v map it replaced (the blank code included): every residue
+// at b = 8, where the table is dense with values, and at b = 32 every
+// registered code, each with its low bit flipped, and 10⁴ random residues.
+func TestLookupTableMatchesMap(t *testing.T) {
+	check := func(t *testing.T, c *Coder, residues []uint32) {
+		t.Helper()
+		ref := map[uint32]uint32{c.gBlank: Blank}
+		for _, v := range c.cfg.Values {
+			ref[c.g(v)] = v
+		}
+		for _, r := range residues {
+			want, wantOK := ref[r]
+			if got, ok := c.decode(r); got != want && wantOK || ok != wantOK {
+				t.Fatalf("residue %#x decodes to (%d, %v), the map to (%d, %v)", r, got, ok, want, wantOK)
+			}
+		}
+	}
+
+	t.Run("b=8", func(t *testing.T) {
+		// Values with distinct 8-bit codes, as many as the codes allow
+		// before a quarter of them is left.
+		probe, err := NewCoder(Config{Chunks: 64, Hops: 5, SlotBits: 8, Values: []uint32{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := map[uint32]bool{probe.gBlank: true}
+		var vals []uint32
+		for v := uint32(1); len(vals) < 192; v++ {
+			if gv := probe.g(v); !taken[gv] {
+				taken[gv] = true
+				vals = append(vals, v)
+			}
+		}
+		c, err := NewCoder(Config{Chunks: 64, Hops: 5, SlotBits: 8, Values: vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		residues := make([]uint32, 256)
+		for r := range residues {
+			residues[r] = uint32(r)
+		}
+		check(t, c, residues)
+	})
+
+	t.Run("b=32", func(t *testing.T) {
+		c, err := NewCoder(Config{Chunks: 64, Hops: 5, Values: testValues(1000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		residues := []uint32{c.gBlank, c.gBlank ^ 1}
+		for _, v := range c.cfg.Values {
+			residues = append(residues, c.g(v), c.g(v)^1)
+		}
+		rng := rand.New(rand.NewSource(8))
+		for range 10000 {
+			residues = append(residues, rng.Uint32())
+		}
+		check(t, c, residues)
+	})
+}

@@ -102,19 +102,19 @@ func psnDelta(a, b uint32) int32 {
 // readers must quiesce the data path first (Drain/Close), as the dta
 // package documents.
 type Device struct {
-	mu      sync.Mutex
-	regions map[uint32]*MemoryRegion
+	mu sync.Mutex
+	// regions[i] is the region of rkey firstRKey+i: RegisterMemory hands
+	// rkeys out densely, so a verb resolves its region by one index,
+	// whichever region the verb before it hit.
+	regions []*MemoryRegion
 	qps     map[uint32]*ResponderQP
 	nextVA  uint64
-	nextKey uint32
 	nextQPN uint32
 
-	// qpCache/regCache are one-entry context caches, mirroring the QP
-	// and MR context caches real NICs keep on-die. DTA traffic is
-	// extremely cache-friendly here: one translator connection and one
-	// region per primitive, so the map lookups almost always short-cut.
-	qpCache  *ResponderQP
-	regCache *MemoryRegion
+	// qpCache is a one-entry context cache, mirroring the QP context
+	// cache real NICs keep on-die: DTA traffic arrives on one translator
+	// connection, so the map lookup almost always short-cuts.
+	qpCache *ResponderQP
 
 	// Stats counts processed operations by type.
 	Stats DeviceStats
@@ -141,13 +141,14 @@ type DeviceStats struct {
 	AccessErrs uint64
 }
 
+// firstRKey is the rkey of a device's first registered region.
+const firstRKey = 0x1000
+
 // NewDevice returns an empty Device.
 func NewDevice() *Device {
 	return &Device{
-		regions: make(map[uint32]*MemoryRegion),
 		qps:     make(map[uint32]*ResponderQP),
 		nextVA:  0x10000000, // arbitrary non-zero base
-		nextKey: 0x1000,
 		nextQPN: 0x11,
 		Epoch:   func() uint64 { return 0 },
 	}
@@ -159,12 +160,11 @@ func (d *Device) RegisterMemory(size int) *MemoryRegion {
 	buf := allocRegion(size)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m := &MemoryRegion{Base: d.nextVA, RKey: d.nextKey, Buf: buf}
-	d.regions[m.RKey] = m
+	m := &MemoryRegion{Base: d.nextVA, RKey: firstRKey + uint32(len(d.regions)), Buf: buf}
+	d.regions = append(d.regions, m)
 	// Leave an unmapped guard gap between regions so off-by-one
 	// addressing faults instead of corrupting a neighbour.
 	d.nextVA += uint64(size) + 1<<20
-	d.nextKey++
 	return m
 }
 
@@ -182,8 +182,7 @@ func (d *Device) CreateQP(startPSN uint32) *ResponderQP {
 func (d *Device) Region(rkey uint32) (*MemoryRegion, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m, ok := d.regions[rkey]
-	return m, ok
+	return d.region(rkey)
 }
 
 // ImmediateEvent is the completion notification raised by a WRITE with
@@ -353,16 +352,12 @@ func (qp *ResponderQP) advance() {
 	qp.MSN = (qp.MSN + 1) & psnMask
 }
 
-// region resolves an rkey through the MR context cache.
+// region resolves an rkey to its region (ok false: no such region).
 func (d *Device) region(rkey uint32) (*MemoryRegion, bool) {
-	if m := d.regCache; m != nil && m.RKey == rkey {
-		return m, true
+	if i := rkey - firstRKey; i < uint32(len(d.regions)) {
+		return d.regions[i], true
 	}
-	m, ok := d.regions[rkey]
-	if ok {
-		d.regCache = m
-	}
-	return m, ok
+	return nil, false
 }
 
 func (d *Device) execWrite(p *Packet, epoch uint64) error {

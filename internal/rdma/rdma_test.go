@@ -254,6 +254,61 @@ func TestDeviceBoundsChecks(t *testing.T) {
 	}
 }
 
+// TestInterleavedRegions runs WRITEs and FETCH&ADDs that hop between four
+// regions of different sizes, in post-lists of one to eight verbs, and
+// holds every byte of every region to a model of the verbs; an rkey just
+// outside the registered range still NAKs with an access fault.
+func TestInterleavedRegions(t *testing.T) {
+	d := NewDevice()
+	qp := d.CreateQP(0)
+	req := &Requester{DestQP: qp.QPN}
+	var mrs [4]*MemoryRegion
+	var model [4][]byte
+	for i, size := range []int{64, 4 << 10, 256, 32 << 10} {
+		mrs[i], model[i] = d.RegisterMemory(size), make([]byte, size)
+	}
+	rng := rand.New(rand.NewSource(4))
+	var q SendQueue
+	for list := 0; list < 2000; list++ {
+		for range 1 + rng.Intn(8) {
+			r := rng.Intn(len(mrs))
+			mr, mem := mrs[r], model[r]
+			if rng.Intn(2) == 0 {
+				payload := make([]byte, 1+rng.Intn(32))
+				rng.Read(payload)
+				off := rng.Intn(len(mem) - len(payload) + 1)
+				q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+uint64(off), mr.RKey, payload, false, nil))
+				copy(mem[off:], payload)
+			} else {
+				add := rng.Uint64()
+				off := 8 * rng.Intn(len(mem)/8)
+				q.Post(FetchAddWQE(nil, qp.QPN, req.NextPSN(), mr.Base+uint64(off), mr.RKey, add))
+				binary.BigEndian.PutUint64(mem[off:], binary.BigEndian.Uint64(mem[off:])+add)
+			}
+		}
+		c, _, err := d.Execute(&q, nil)
+		if err != nil || c.Syndrome != SynACK {
+			t.Fatalf("list %d: completion syndrome %#x, %v", list, c.Syndrome, err)
+		}
+	}
+	for i, mr := range mrs {
+		if !bytes.Equal(mr.Buf, model[i]) {
+			t.Fatalf("region %d (rkey %#x) differs from the verbs' model", i, mr.RKey)
+		}
+	}
+	for _, rkey := range []uint32{mrs[0].RKey - 1, mrs[3].RKey + 1} {
+		if _, ok := d.Region(rkey); ok {
+			t.Fatalf("Region(%#x) found a region", rkey)
+		}
+		q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mrs[0].Base, rkey, []byte{1}, true, nil))
+		c, _, err := d.Execute(&q, nil)
+		if err != nil || c.Syndrome != SynNAKAcc {
+			t.Fatalf("rkey %#x: completion syndrome %#x, %v; want NAK-access", rkey, c.Syndrome, err)
+		}
+		req.HandleAck(c)
+	}
+}
+
 // TestPreTouchBoundsAndReadOnly: pre-touch applies the executing verbs'
 // bounds check — the addresses TestDeviceBoundsChecks faults on are
 // skipped, not hinted — hints every address that passes it, ignores an

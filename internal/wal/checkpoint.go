@@ -167,13 +167,16 @@ type Recovered struct {
 }
 
 // Recover is the one canonical recovery sequence over a log directory:
-// truncate any torn tail, read the newest checkpoint image that verifies
-// into the stores into describes (a snapshot.View of a fresh host: the
-// image lands in its regions), set heads — the Append batcher, nil only
-// without an Append store — to the image's counts, then stream the log
-// records above the image to apply (typically the translator's ingest
-// entry). Beside the stores, a restart costs one read buffer whatever the
-// image or log size.
+// remove a last segment shorter than its header, read the newest
+// checkpoint image that verifies into the stores into describes (a
+// snapshot.View of a fresh host: the image lands in its regions), set
+// heads — the Append batcher, nil only without an Append store — to the
+// image's counts, then stream the log records above the image to apply
+// (typically the translator's ingest entry) and, in the same scan, find
+// where the last segment stops being intact: once the replay is through,
+// a torn tail is truncated there. The log is read once, through one read
+// buffer whatever the image or log size; a recovery that fails leaves
+// the segments as it found them, bar a header-less last one.
 //
 // A damaged image is passed over for checkpoint.prev, then for the whole
 // log, its bytes zeroed again: hence a fresh host. Recover refuses to
@@ -191,8 +194,9 @@ type Recovered struct {
 func Recover(dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
 	apply func(lsn, nowNs uint64, rec *wire.StagedReport) error,
 ) (rec Recovered, err error) {
-	buf := make([]byte, readBufLen)
-	if _, rec.TornBytes, err = repairTail(dir, buf); err != nil {
+	bases, removed, err := dropHeaderlessTail(dir)
+	rec.TornBytes = removed
+	if err != nil {
 		return rec, err
 	}
 	if rec.ImageLSN, rec.PassedOver, err = loadCheckpoint(dir, into); err != nil {
@@ -200,9 +204,7 @@ func Recover(dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
 	}
 	rec.AppendHeads = into.AppendHeads
 	from := rec.ImageLSN + 1
-	if bases, err := segBases(dir); err != nil {
-		return rec, err
-	} else if len(bases) > 0 && bases[0] > from {
+	if len(bases) > 0 && bases[0] > from {
 		err := fmt.Errorf("wal: the log starts at LSN %d, recovery needs it from %d", bases[0], from)
 		if rec.PassedOver != nil {
 			err = fmt.Errorf("%w (%w)", err, rec.PassedOver)
@@ -214,17 +216,21 @@ func Recover(dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
 			return rec, fmt.Errorf("wal: recover checkpoint: %w", err)
 		}
 	}
-	rec.Last, err = replay(dir, from, buf, func(lsn, nowNs uint64, r *wire.StagedReport) error {
+	last, tail, err := replay(dir, from, make([]byte, readBufLen), func(lsn, nowNs uint64, r *wire.StagedReport) error {
 		if err := apply(lsn, nowNs, r); err != nil {
 			rec.Skipped++
 		}
 		return nil
 	})
 	if err != nil {
-		rec.Last = 0
 		return rec, err
 	}
-	rec.Last = max(rec.Last, rec.ImageLSN)
+	torn, err := truncateTorn(&tail)
+	if err != nil {
+		return rec, err
+	}
+	rec.TornBytes += torn
+	rec.Last = max(last, rec.ImageLSN)
 	return rec, nil
 }
 

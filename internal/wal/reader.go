@@ -158,9 +158,7 @@ func readRecord(b []byte, prevNow uint64, img *[wire.MaxStagedEncodedLen]byte, r
 	}
 	body = body[vn:]
 	// Reassemble the fixed staged image: elided groups are zero.
-	for i := range img[:wire.StagedFixedLen] {
-		img[i] = 0
-	}
+	clear(img[:wire.StagedFixedLen])
 	for g := 0; g < stagedGroups; g++ {
 		if bitmap&(1<<g) == 0 {
 			continue
@@ -228,18 +226,21 @@ func Bounds(dir string) (first, last uint64, err error) {
 // delivered in one pass (a recovery aborts either way). fn errors abort
 // the replay. A segment whose records all lie below from is not read.
 func Replay(dir string, from uint64, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (last uint64, err error) {
-	return replay(dir, from, make([]byte, readBufLen), fn)
+	last, _, err = replay(dir, from, make([]byte, readBufLen), fn)
+	return last, err
 }
 
-func replay(dir string, from uint64, buf []byte, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (last uint64, err error) {
+// replay is Replay through buf; it also returns the last segment's scan,
+// which always reads it to its end (Path empty: no segment).
+func replay(dir string, from uint64, buf []byte, fn func(lsn, nowNs uint64, rec *wire.StagedReport) error) (last uint64, tail SegmentInfo, err error) {
 	bases, err := segBases(dir)
 	if err != nil {
-		return 0, err
+		return 0, tail, err
 	}
 	next := uint64(0)
 	for si, base := range bases {
-		tail := si == len(bases)-1
-		if !tail && bases[si+1] <= from {
+		isTail := si == len(bases)-1
+		if !isTail && bases[si+1] <= from {
 			continue
 		}
 		s, err := scanFile(dir, base, buf, func(lsn, nowNs uint64, rec *wire.StagedReport) error {
@@ -256,19 +257,20 @@ func replay(dir string, from uint64, buf []byte, fn func(lsn, nowNs uint64, rec 
 			return nil
 		})
 		if err != nil {
-			return last, err
+			return last, tail, err
 		}
-		if s.Records == 0 && s.Err == nil && !tail {
-			return last, fmt.Errorf("%w: segment %s is empty mid-log", ErrCorrupt, s.Path)
+		if isTail {
+			return last, s, nil
 		}
-		if (s.Err != nil || s.TornBytes > 0) && !tail {
-			return last, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.Path, s.Err)
+		if s.Records == 0 && s.Err == nil {
+			return last, tail, fmt.Errorf("%w: segment %s is empty mid-log", ErrCorrupt, s.Path)
 		}
-		if s.Records > 0 {
-			next = s.Last + 1
+		if s.Err != nil || s.TornBytes > 0 {
+			return last, tail, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.Path, s.Err)
 		}
+		next = s.Last + 1
 	}
-	return last, nil
+	return last, tail, nil
 }
 
 // RepairTail truncates the last segment just past its final valid
@@ -282,27 +284,43 @@ func RepairTail(dir string) (removed int64, err error) {
 }
 
 // repairTail is RepairTail through buf; it also returns the tail as it
-// stands afterwards (Path empty: no segment). A tail whose header did not
-// survive is removed, and the segment before it, as it is, is the tail.
+// stands afterwards (Path empty: no segment).
 func repairTail(dir string, buf []byte) (tail SegmentInfo, removed int64, err error) {
-	bases, err := segBases(dir)
+	bases, removed, err := dropHeaderlessTail(dir)
 	if err != nil || len(bases) == 0 {
-		return tail, 0, err
+		return tail, removed, err
 	}
 	tail, err = scanFile(dir, bases[len(bases)-1], buf, nil)
-	if err != nil || tail.TornBytes == 0 {
-		return tail, 0, err
+	if err != nil {
+		return tail, removed, err
 	}
-	removed, tail.TornBytes, tail.Err = tail.TornBytes, 0, nil
-	if tail.Bytes >= segHeaderLen {
-		return tail, removed, os.Truncate(tail.Path, tail.Bytes)
+	n, err := truncateTorn(&tail)
+	return tail, removed + n, err
+}
+
+// dropHeaderlessTail removes the last segment when it is shorter than a
+// segment header — a crash between its creation and its header reaching
+// the disk — judged by its size alone; the segment before it, if any, is
+// then the tail. It returns the segment bases left and the bytes removed.
+func dropHeaderlessTail(dir string) (bases []uint64, removed int64, err error) {
+	if bases, err = segBases(dir); err != nil || len(bases) == 0 {
+		return bases, 0, err
 	}
-	if err := os.Remove(tail.Path); err != nil {
-		return tail, 0, err
+	path := filepath.Join(dir, segName(bases[len(bases)-1]))
+	fi, err := os.Stat(path)
+	if err != nil || fi.Size() >= segHeaderLen {
+		return bases, 0, err
 	}
-	if len(bases) == 1 {
-		return SegmentInfo{}, removed, nil
+	return bases[:len(bases)-1], fi.Size(), os.Remove(path)
+}
+
+// truncateTorn cuts a scanned tail segment just past its last intact
+// record and returns the bytes cut (0: it ended cleanly).
+func truncateTorn(tail *SegmentInfo) (int64, error) {
+	n := tail.TornBytes
+	if n == 0 {
+		return 0, nil
 	}
-	tail, err = scanFile(dir, bases[len(bases)-2], buf, nil)
-	return tail, removed, err
+	tail.TornBytes, tail.Err = 0, nil
+	return n, os.Truncate(tail.Path, tail.Bytes)
 }
