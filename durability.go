@@ -3,6 +3,7 @@ package dta
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 
 	"dta/internal/ha"
@@ -302,12 +303,15 @@ func walSubdir(dir string, i int) string {
 
 // WithWAL attaches a write-ahead log to every collector, each under its
 // own subdirectory of dir (collector-000, collector-001, ...), and
-// enables log-shipping resync: SetDown records every live peer's log
+// enables log-shipping resync: SetDown records every peer's log
 // position, and the next Rebalance replays the rejoining collector's
 // missed Append operations from the peers' logs — exact under
 // concurrent producers — instead of index-aligned snapshot suffixes.
-// Call before ingest; collectors added later inherit the directory and
-// policy.
+// Each replicated Append is logged with its recipient set, the
+// collectors its fan-out reached; that set, not the log positions, says
+// who missed it and which peer replays it, so neither writers nor the
+// fence take a lock for it (see appendOpsFrom). Call before ingest;
+// collectors added later inherit the directory and policy.
 func (c *HACluster) WithWAL(dir string, pol WALPolicy) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -382,105 +386,42 @@ func (c *HACluster) SyncWAL() error {
 	return nil
 }
 
-// appendOpKey identifies one logged Append operation for the
-// multiset-diff between a peer's log and the target's own.
-type appendOpKey struct {
-	list uint32
-	data string
-}
-
-// appendExclusion is the multiset of Append operations the target's own
-// log proves it already holds: everything it logged above its SetDown
-// self-mark — in-flight ops applied while flagged down, and the whole
-// post-restore fan-out. Subtracting it from the peers' replay streams
-// makes log-shipping resync duplicate-free as well as loss-free: an
-// entry is replayed exactly (peer count − target count) times, the
-// number of copies the target actually missed.
-func (c *HACluster) appendExclusion(id int, selfMark uint64) (map[appendOpKey]int, error) {
-	w := c.systems[id].wal
-	if w == nil {
-		return nil, nil
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	excl := make(map[appendOpKey]int)
-	_, err := wal.Replay(w.Dir(), selfMark+1, func(lsn, nowNs uint64, rec *wire.StagedReport) error {
-		if rec.Primitive() == wire.PrimAppend {
-			excl[appendOpKey{rec.AppendArgs(), string(rec.Payload())}]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return excl, nil
-}
-
 // appendOpsFrom builds the log-shipping stream Rebalance hands to
-// ha.Resync: peer's logged Append operations above the target's
-// watermark, filtered to the lists the target owns AND for which peer
-// is the target's designated source — the first live owner-peer in ring
-// order — so each missed entry is replayed exactly once even when
-// several live peers hold the same list. Operations present in the
-// exclusion multiset (the target's own post-mark log) are consumed from
-// it instead of yielded: the target already holds them.
-func (c *HACluster) appendOpsFrom(target, peer int, fromLSN uint64, excl map[appendOpKey]int) ha.AppendOps {
+// ha.Resync: peer's logged Append operations above the target's mark
+// that the target missed and peer is the one to replay. Every replicated
+// Append names the collectors its fan-out reached (its recipient set,
+// wire.StagedReport.Recipients), so a record is replayed when the
+// target owns its list, is not in the set, and peer is the set's
+// lowest-numbered member among the live peers, bit p of live for
+// collector p (Rebalance defers a target cut off from any of them). Each
+// peer applies that rule to its own log, so every missed entry lands
+// exactly once, whoever else missed it too. A record without a set (a
+// single collector's, logged before sets were stamped) counts as sent
+// to every owner of its list but the target.
+func (c *HACluster) appendOpsFrom(target, peer int, fromLSN, live uint64) ha.AppendOps {
 	dir := c.systems[peer].wal.Dir()
-	decided := make(map[uint32]bool)
 	return func(yield func(list uint32, data []byte) error) error {
-		_, err := wal.Replay(dir, fromLSN+1, func(lsn, nowNs uint64, rec *wire.StagedReport) error {
+		var ob [ha.MaxReplicas]int
+		_, err := wal.Replay(dir, fromLSN+1, func(_, _ uint64, rec *wire.StagedReport) error {
 			if rec.Primitive() != wire.PrimAppend {
 				return nil
 			}
 			list := rec.AppendArgs()
-			take, ok := decided[list]
-			if !ok {
-				take = c.designatedAppendPeer(target, list) == peer
-				decided[list] = take
+			var owners uint64
+			for _, o := range c.ring.OwnersOfList(list, c.r, ob[:0]) {
+				owners |= 1 << o
 			}
-			if !take {
-				return nil
+			sent := rec.Recipients()
+			if sent == 0 {
+				sent = owners &^ (1 << target)
 			}
-			key := appendOpKey{list, string(rec.Payload())}
-			if excl[key] > 0 {
-				excl[key]--
+			if owners&(1<<target) == 0 || sent&(1<<target) != 0 || bits.TrailingZeros64(sent&live) != peer {
 				return nil
 			}
 			return yield(list, rec.Payload())
 		})
 		return err
 	}
-}
-
-// designatedAppendPeer picks the one live peer whose log serves list
-// for target (-1: target does not own the list, or no live peer does).
-func (c *HACluster) designatedAppendPeer(target int, list uint32) int {
-	var ob [ha.MaxReplicas]int
-	owners := c.ring.OwnersOfList(list, c.r, ob[:0])
-	targetOwns := false
-	for _, o := range owners {
-		if o == target {
-			targetOwns = true
-			break
-		}
-	}
-	if !targetOwns {
-		return -1
-	}
-	for _, o := range owners {
-		if o == target || c.health.IsDown(o) {
-			continue
-		}
-		// Route around peer partitions: a cut peer's log is unreadable
-		// by contract. (Rebalance already defers wholly-blocked targets;
-		// this keeps the designation itself partition-aware.)
-		if c.chaos.PeersCut(target, o) {
-			continue
-		}
-		return o
-	}
-	return -1
 }
 
 // logResyncReady reports whether log-shipping can serve target id's

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"dta/internal/loadgen"
@@ -577,11 +578,11 @@ func TestHALogShippingOverlappingFailures(t *testing.T) {
 	}
 }
 
-// TestHALogShippingNoDuplicates pins the multiset-diff: entries the
+// TestHALogShippingNoDuplicates pins exactly-once replay: entries the
 // restored collector ingested live — before the kill (in-flight) and
-// after the restore — appear in its own log and must NOT be replayed
-// again from the peers. After Rebalance every owner holds every entry
-// EXACTLY once.
+// after the restore — name it in their recipient sets and must NOT be
+// replayed again from the peers. After Rebalance every owner holds
+// every entry EXACTLY once.
 func TestHALogShippingNoDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	opts := haOptions()
@@ -750,6 +751,203 @@ func TestHALogShippingNewcomerFullReplay(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		if got := binary.BigEndian.Uint32(p.Poll()); got != uint32(i) {
 			t.Fatalf("newcomer entry %d = %d", i, got)
+		}
+	}
+}
+
+// appendCounts tallies what collector o's ring of list holds, entry by
+// entry (4-byte big-endian entries), and how many it has written.
+func appendCounts(c *HACluster, o int, list uint32) (map[uint32]int, uint64) {
+	sys := c.System(o)
+	written := sys.Translator().AppendBatcher().Written(int(list))
+	store := sys.Host().AppendStore()
+	seen := map[uint32]int{}
+	for i := uint64(0); i < written; i++ {
+		seen[binary.BigEndian.Uint32(store.Entry(int(list), int(i)))]++
+	}
+	return seen, written
+}
+
+// TestHALogShippingDoubleMiss: two collectors down over the same
+// Appends, restored together and healed by one Rebalance. Each logged
+// Append names the collectors its fan-out reached, so the entries both
+// missed ship from the one collector that holds them — never from the
+// other target, whose log lacks them — and the entries both received
+// after the restore ship to neither. Every owner of every list ends
+// with every entry exactly once.
+func TestHALogShippingDoubleMiss(t *testing.T) {
+	dir := t.TempDir()
+	opts := haOptions()
+	opts.Append = &AppendOptions{Lists: 16, EntriesPerList: 64, EntrySize: 4, Batch: 4}
+	hac, err := NewHACluster(3, 3, opts) // R=3: every collector owns every list
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hac.WithWAL(dir, WALPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	rep := hac.Reporter(1)
+	appendN := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			for list := uint32(0); list < 16; list++ {
+				var e [4]byte
+				binary.BigEndian.PutUint32(e[:], uint32(i))
+				if err := rep.Append(list, e[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := hac.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(0, 10)
+	for _, o := range []int{0, 1} {
+		if err := hac.SetDown(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(10, 20) // only collector 2 receives these
+	for _, o := range []int{0, 1} {
+		if err := hac.SetUp(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(20, 30) // every collector receives these live
+	if err := hac.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	for list := uint32(0); list < 16; list++ {
+		for _, o := range hac.OwnersOfList(list) {
+			seen, written := appendCounts(hac, o, list)
+			if written != 30 {
+				t.Errorf("list %d collector %d holds %d entries, want exactly 30", list, o, written)
+			}
+			for i := 0; i < 30; i++ {
+				if seen[uint32(i)] != 1 {
+					t.Errorf("list %d collector %d holds entry %d ×%d, want exactly once", list, o, i, seen[uint32(i)])
+				}
+			}
+		}
+	}
+}
+
+// TestHALogShippingUnstampedRecords: an Append logged without a
+// recipient set — written through a member System's own reporter, as
+// every record logged before sets existed was — counts as sent to every
+// owner of its list but the target. A newcomer that owns the list
+// replays each such entry exactly once, from the lowest-numbered owner.
+func TestHALogShippingUnstampedRecords(t *testing.T) {
+	dir := t.TempDir()
+	opts := haOptions()
+	opts.Append = &AppendOptions{Lists: 16, EntriesPerList: 64, EntrySize: 4, Batch: 4}
+	hac, err := NewHACluster(3, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hac.WithWAL(dir, WALPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	for list := uint32(0); list < 16; list++ {
+		for _, o := range hac.OwnersOfList(list) {
+			rep := hac.System(o).Reporter(1)
+			for i := 0; i < 12; i++ {
+				var e [4]byte
+				binary.BigEndian.PutUint32(e[:], uint32(i))
+				if err := rep.Append(list, e[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := hac.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := hac.AddCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hac.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	owned := 0
+	for list := uint32(0); list < 16; list++ {
+		if !slices.Contains(hac.OwnersOfList(list), id) {
+			continue
+		}
+		owned++
+		seen, written := appendCounts(hac, id, list)
+		if written != 12 {
+			t.Errorf("list %d: newcomer holds %d entries, want exactly 12", list, written)
+		}
+		for i := 0; i < 12; i++ {
+			if seen[uint32(i)] != 1 {
+				t.Errorf("list %d: newcomer holds entry %d ×%d, want exactly once", list, i, seen[uint32(i)])
+			}
+		}
+	}
+	if owned == 0 {
+		t.Fatal("the newcomer owns none of the 16 lists")
+	}
+}
+
+// TestHALogShippingFlapsUnderSyncFanout: a synchronous reporter fans
+// Appends out while another goroutine takes collectors down two at a
+// time and brings them back. No lock orders the two: each fan-out
+// decides its recipients before it writes, and SetDown reads the WAL
+// marks before the flag flips. After one Rebalance every owner holds
+// every entry exactly once.
+func TestHALogShippingFlapsUnderSyncFanout(t *testing.T) {
+	dir := t.TempDir()
+	opts := haOptions()
+	opts.Append = &AppendOptions{Lists: 4, EntriesPerList: 1 << 10, EntrySize: 4, Batch: 4}
+	hac, err := NewHACluster(3, 3, opts) // R=3: every collector owns every list
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hac.WithWAL(dir, WALPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	const entries = 2000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rep := hac.Reporter(1)
+		for i := 0; i < entries; i++ {
+			var e [4]byte
+			binary.BigEndian.PutUint32(e[:], uint32(i))
+			if err := rep.Append(uint32(i%4), e[:]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 30; round++ {
+		a, b := round%3, (round+1)%3 // one collector stays up throughout
+		for _, step := range []func(int) error{hac.SetDown, hac.SetDown, hac.SetUp, hac.SetUp} {
+			if err := step(a); err != nil {
+				t.Fatal(err)
+			}
+			a, b = b, a
+		}
+	}
+	wg.Wait()
+	if err := hac.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	for list := uint32(0); list < 4; list++ {
+		for o := 0; o < 3; o++ {
+			seen, written := appendCounts(hac, o, list)
+			if written != entries/4 {
+				t.Errorf("list %d collector %d holds %d entries, want exactly %d", list, o, written, entries/4)
+			}
+			for i := int(list); i < entries; i += 4 {
+				if seen[uint32(i)] != 1 {
+					t.Errorf("list %d collector %d holds entry %d ×%d, want exactly once", list, o, i, seen[uint32(i)])
+				}
+			}
 		}
 	}
 }

@@ -172,10 +172,5 @@ func (e *Engine) ShardStats() []EngineStats {
 // EngineConfig.ChunkFrames reports. Give each producer goroutine its
 // own, and call its Flush before Drain so staged reports are queued.
 func (e *Engine) Reporter(switchID uint32) *Reporter {
-	sub := e.inner.Submitter()
-	// HA fan-outs stage one report on several owner shards; the resync
-	// watermark fence needs those copies to reach the shard queues
-	// together (see HACluster.fenceMu).
-	sub.SetCoupled(e.hac != nil)
-	return &Reporter{switchID: switchID, sys: e.systems[0], hac: e.hac, sub: sub}
+	return &Reporter{switchID: switchID, sys: e.systems[0], hac: e.hac, sub: e.inner.Submitter()}
 }

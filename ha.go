@@ -90,49 +90,6 @@ type HACluster struct {
 	// resync (see durability.go).
 	walDir string
 	walPol WALPolicy
-	// fenceMu makes each replicated fan-out atomic with respect to the
-	// watermark fence: fenceForStale holds the write side while it drains
-	// queued ingest and snapshots WAL marks, and writers hold the read
-	// side wherever a fan-out's copies become visible to that drain —
-	// and only there:
-	//
-	//   - A synchronous Reporter's fan-out writes straight through to
-	//     its owners' logs, so it holds the read side for the whole
-	//     fan-out (Reporter.send).
-	//   - An engine Reporter's fan-out only STAGES: the copies sit in the producer's own chunks, which no
-	//     drain can reach, so staging takes no lock — a per-report
-	//     RLock was a cache line every producer bounced. The copies
-	//     become visible when the chunks are queued, and that — the
-	//     coupled flush after a fan-out that filled a chunk, and
-	//     Reporter.Flush — runs under the read side, all shards'
-	//     chunks as one event (Submitter.SetCoupled: no chunk goes out
-	//     from inside a fan-out).
-	//
-	// So when marks are read every replicated op is wholly staged (on
-	// no owner's queue: above all marks), wholly queued (the fence's
-	// drain pushes it onto every owner's log: below all marks) or
-	// wholly logged — no op can be logged on one owner below its mark
-	// but on another above it, which is exactly the asymmetry that
-	// would corrupt the appendExclusion multiset diff (an excluded op
-	// missing from the replay stream silently eats a later same-payload
-	// op the target never saw).
-	//
-	// The other half of the fence needs no lock either: a fan-out decides
-	// its whole skip set before it stages or writes anything (see
-	// Reporter.fan), and the fence takes marks and bumps the epoch
-	// BEFORE the unreachable flag flips. A fan-out that skips a
-	// collector therefore saw the flag, hence runs after the marks and
-	// the bump: its surviving copies are staged — and later logged and
-	// epoch-tagged — above them, inside the skipped collector's replay
-	// window. One that did not skip it staged a copy for it too; queued
-	// after the flag, that copy is an in-flight op the target applies
-	// while flagged down, which the self-mark accounts for.
-	//
-	// AddCollector holds the write side too, so a synchronous fan-out
-	// reads the member list under the read side it already holds.
-	//
-	// Lock order: fenceMu strictly before mu, everywhere.
-	fenceMu sync.RWMutex
 	// fullResync forces Rebalance to ignore staleness windows and replay
 	// whole peer snapshots (the pre-incremental behaviour): benchmarks use
 	// it to measure what epoch tracking saves, and tests as the full-replay
@@ -295,8 +252,6 @@ func (c *HACluster) checkCollector(ids ...int) error {
 // Requires no attached engine (engines have a fixed shard set: Close
 // it, add, then attach a new one) and quiesced producers.
 func (c *HACluster) AddCollector() (int, error) {
-	c.fenceMu.Lock()
-	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.eng != nil && !c.eng.closed() {
@@ -367,7 +322,7 @@ func (c *HACluster) Decommission(i int) error {
 	// snapshots, so all log watermarks are void.
 	for id := range c.state {
 		s := &c.state[id]
-		s.src, s.marks, s.self = fromSnapshots, nil, 0
+		s.src, s.marks = fromSnapshots, nil
 	}
 	for _, id := range c.ring.Members() {
 		if !c.health.IsDown(id) {

@@ -66,8 +66,6 @@ func (c *HACluster) unreachable(o int) bool {
 // inside its replay window; unlike SetDown there is no SetUp moment, so
 // i is marked stale immediately.
 func (c *HACluster) PartitionReporter(i int) error {
-	c.fenceMu.Lock()
-	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkChaos(i); err != nil {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"dta/internal/core/keyincrement"
+	"dta/internal/crc"
 	"dta/internal/ha"
 	"dta/internal/wire"
 )
@@ -60,6 +61,17 @@ func (c *HACluster) refScanOwner(sc *refScan, st *refLookupState, oi, o int) boo
 	return true
 }
 
+// refFamily indexes Key-Increment counters and postcard chunks one hash
+// at a time (crc.Family.Hash16): the reference's own slot arithmetic,
+// not the stores' Plan, which computes all of a key's slots in one
+// kernel call and is what the reference checks.
+var refFamily = crc.MustFamily(keyincrement.MaxRedundancy)
+
+// refSlot is slot n of key in a table of size entries (a power of two).
+func refSlot(n int, key Key, size uint64) uint64 {
+	return uint64(refFamily.Hash16(n, (*[wire.KeySize]byte)(&key))) & (size - 1)
+}
+
 // refMarkKeyWrite, refMarkKeyIncrement and refMarkPostcard stamp read-repaired
 // slots in collector o's dirty tracker, so a later incremental resync
 // treating o as a peer replays them.
@@ -80,9 +92,10 @@ func (c *HACluster) refMarkKeyIncrement(o int, key Key, n int) {
 	if tk == nil {
 		return
 	}
-	x := c.systems[o].Host().KeyIncrementStore().Indexer()
+	st := c.systems[o].Host().KeyIncrementStore()
+	slots := uint64(len(st.Buffer()) / keyincrement.CounterSize)
 	for i := 0; i < n; i++ {
-		tk.MarkRange("keyincrement", x.Offset(x.Slot(i, key)), keyincrement.CounterSize)
+		tk.MarkRange("keyincrement", st.Indexer().Offset(refSlot(i, key, slots)), keyincrement.CounterSize)
 	}
 }
 
@@ -94,7 +107,7 @@ func (c *HACluster) refMarkPostcard(o int, key Key, n int) {
 	pcs := c.systems[o].Host().PostcardingStore()
 	size := pcs.Coder().Config().ChunkBytes()
 	for j := 0; j < n; j++ {
-		tk.MarkRange("postcarding", pcs.ChunkOffset(pcs.Coder().Chunk(j, key)), size)
+		tk.MarkRange("postcarding", pcs.ChunkOffset(refSlot(j, key, pcs.Coder().Config().Chunks)), size)
 	}
 }
 

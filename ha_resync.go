@@ -39,15 +39,11 @@ type collectorState struct {
 	// operations from. With fromMarks, marks[peer] is the peer's log LSN
 	// when the collector went stale: every write it missed was logged by
 	// its live peers ABOVE this mark (the mark is snapshotted before the
-	// unreachability flag flips, mirroring the epoch fence). self is the
-	// collector's OWN log LSN at the same instant: everything it logged
-	// above it — in-flight ops applied while flagged down, and all
-	// post-restore fan-out — it already holds, so Rebalance
-	// multiset-subtracts those entries from the peers' replay streams
-	// instead of appending them twice.
+	// unreachability flag flips, mirroring the epoch fence). The
+	// records' recipient sets say which of them it missed and which peer
+	// replays each (see appendOpsFrom).
 	src   resyncSource
 	marks map[int]uint64
-	self  uint64
 	// attempts counts deferred resyncs, and retryAt is the obs.Nanotime
 	// deadline before the next one (see deferResync).
 	attempts int
@@ -115,10 +111,10 @@ func (c *HACluster) capture(id int) *snapshot.Snapshot {
 // before its first emit (see Reporter.fan), so if it skips i it
 // observed the flag — and therefore the bump — before tagging any
 // replica's blocks, putting every one of its marks at or after the
-// window. No skipped write can escape the replay.
+// window. No skipped write can escape the replay. Nor can a skipped
+// Append escape log-shipping: the WAL marks are read before the flag too,
+// and the skipped Append's recipient set leaves i out.
 func (c *HACluster) SetDown(i int) error {
-	c.fenceMu.Lock()
-	defer c.fenceMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkCollector(i); err != nil {
@@ -144,12 +140,14 @@ func (c *HACluster) SetDown(i int) error {
 //
 // The marks are taken BEFORE the flag (the same fence ordering as the
 // epoch bump): a fan-out that skips i observed the flag, so its peer
-// submissions — and therefore their log records — land strictly above
-// these marks. Nothing i misses can hide below its replay window;
-// records at or below the marks that i also holds are merely replayed
-// redundantly (append replay tolerates duplicates within one ring lap).
-// A flapping collector keeps its oldest marks, like its oldest epoch
-// window.
+// copies — and therefore their log records — land strictly above these
+// marks, and every such Append's recipient set leaves i out. That is
+// all the fence needs, so it takes no lock against writers and drains
+// nothing. A fan-out that did not skip i named i in its set: whether its
+// copies are logged below the marks or above them, queued, still staged
+// or applied by i while flagged down, log-shipping never replays them
+// into i. A flapping collector keeps its oldest marks, like its oldest
+// epoch window.
 //
 // Two exclusions keep the marks honest:
 //   - A collector that is ALREADY stale without marks (a reshard via
@@ -160,8 +158,8 @@ func (c *HACluster) SetDown(i int) error {
 //     frozen while down, and the suffix i misses — including what a
 //     currently-down peer logs after ITS later revival — sits above
 //     today's frozen position. Omitting the entry would default the
-//     watermark to zero and replay that peer's entire log,
-//     duplicating all shared history far beyond one ring lap.
+//     watermark to zero and replay that peer's whole log, Appends i
+//     missed in an earlier window and already got back included.
 func (c *HACluster) fenceForStale(i int, cause uint64) {
 	if c.walDir == "" {
 		return
@@ -169,25 +167,6 @@ func (c *HACluster) fenceForStale(i int, cause uint64) {
 	s := &c.state[i]
 	if s.src != fromSnapshots || s.stale {
 		return
-	}
-	// Quiesce queued ingest before reading any mark. The caller holds
-	// fenceMu's write side, so no fan-out is in flight and none can
-	// start; draining the engine then forces every already-queued op
-	// through the shard workers onto its owners' logs. After this,
-	// every replicated op is either logged on ALL its owners (below
-	// all marks) or still producer-staged on NONE (above all marks) —
-	// the symmetry the exclusion multiset diff needs to be exact. A
-	// drain error is deliberately ignored: a broken engine only
-	// widens the replay window, never narrows it.
-	if c.eng != nil && !c.eng.closed() {
-		_ = c.eng.Drain()
-	}
-	// The target's own position first: anything it logs from here on
-	// (in-flight ops applied while flagged down, later post-restore
-	// fan-out) it provably holds, and Rebalance subtracts those entries
-	// from the peers' replay streams.
-	if w := c.systems[i].wal; w != nil {
-		s.self = w.LastLSN()
 	}
 	s.src, s.marks = fromMarks, make(map[int]uint64)
 	for _, p := range c.ring.Members() {
@@ -198,7 +177,7 @@ func (c *HACluster) fenceForStale(i int, cause uint64) {
 			s.marks[p] = w.LastLSN()
 		}
 	}
-	c.emit(i, journal.EvWALFence, journal.SevInfo, cause, s.self, uint64(len(s.marks)), 0)
+	c.emit(i, journal.EvWALFence, journal.SevInfo, cause, uint64(len(s.marks)), 0, 0)
 }
 
 // SetUp revives collector i. It comes back stale — it missed every
@@ -317,6 +296,10 @@ func (c *HACluster) Rebalance() error {
 		}
 	}
 	livePeers := append(append([]int(nil), stalePeers...), freshPeers...)
+	var live uint64 // livePeers as a collector set, for log-shipping
+	for _, p := range livePeers {
+		live |= 1 << p
+	}
 	caps := make(map[int]*snapshot.Snapshot, len(livePeers))
 	for _, id := range livePeers {
 		caps[id] = c.capture(id)
@@ -351,18 +334,11 @@ func (c *HACluster) Rebalance() error {
 		// snapshots' index-aligned ring suffixes (approximate under
 		// concurrent producers).
 		useLog := s.src != fromSnapshots && !c.fullResync && c.logResyncReady(id, s, livePeers)
-		var excl map[appendOpKey]int
-		if useLog {
-			var err error
-			if excl, err = c.appendExclusion(id, s.self); err != nil {
-				useLog = false // self-log unreadable: snapshot path
-			}
-		}
 		opsFor := func(p int) ha.AppendOps {
 			if !useLog {
 				return nil
 			}
-			return c.appendOpsFrom(id, p, s.logFrom(p), excl)
+			return c.appendOpsFrom(id, p, s.logFrom(p), live)
 		}
 		var peers []ha.Peer
 		for _, p := range stalePeers {

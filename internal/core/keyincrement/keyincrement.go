@@ -60,11 +60,6 @@ func NewIndexer(cfg Config) (*Indexer, error) {
 	return &Indexer{cfg: cfg, slots: crc.MustFamily(MaxRedundancy), mask: cfg.Slots - 1}, nil
 }
 
-// Slot computes the n'th counter location for key.
-func (x *Indexer) Slot(n int, key wire.Key) uint64 {
-	return uint64(x.slots.Hash16(n, (*[wire.KeySize]byte)(&key))) & x.mask
-}
-
 // Plan is the read side's address generation: it validates n, then
 // appends key's n counter indexes to dst. Stores of equal geometry answer
 // QueryAt and Touch over one plan.

@@ -178,11 +178,6 @@ func (c *Coder) Config() Config { return c.cfg }
 // g encodes a value into its b-bit code.
 func (c *Coder) g(v uint32) uint32 { return c.gEng.Sum64(uint64(v)) & c.mask }
 
-// Chunk computes the j'th redundant chunk index for flow key x.
-func (c *Coder) Chunk(j int, x wire.Key) uint64 {
-	return uint64(c.chunks.Hash16(j, (*[wire.KeySize]byte)(&x))) & (c.cfg.Chunks - 1)
-}
-
 // Plan is the read side's address generation: it validates n, then
 // appends flow x's n chunk indexes to dst, all n hashes from one kernel
 // call. Stores of equal geometry answer QueryAt and Touch over one plan.

@@ -515,33 +515,11 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 type Submitter struct {
 	e       *Engine
 	pending []*chunk // lazily allocated, one per shard
-	// coupled keeps the staged set all-or-nothing across shards: a full
-	// chunk does not queue itself, it marks the submitter full, and the
-	// owner queues EVERY shard's staged chunk with a Flush once it is Full.
-	// HA engines need this: a replicated report is staged on all its
-	// owners in one fan-out, and resync watermark fences are only exact
-	// if no fan-out can be half-visible — one owner's copy queued while
-	// another's is still staged (see HACluster.fenceMu). That is also why
-	// the flush cannot run from inside the submission that filled the
-	// chunk: that submission is one leg of a fan-out whose other legs are
-	// not staged yet.
-	coupled bool
-	full    bool
 	// smp is this producer's trace candidate filter: caller-local like
 	// the Submitter itself, so the sampled-out path costs no shared
 	// cache traffic.
 	smp trace.Sampler
 }
-
-// SetCoupled switches the submitter to coupled (all-or-nothing) chunk
-// flushing across shards: the caller must then check Full, and Flush,
-// after each complete fan-out.
-func (s *Submitter) SetCoupled(v bool) { s.coupled = v }
-
-// Full reports whether a submission since the last Flush filled a chunk
-// (coupled submitters only; otherwise full chunks queue themselves). The
-// owner then calls Flush — between fan-outs, never inside one.
-func (s *Submitter) Full() bool { return s.full }
 
 // Submitter returns a new producer handle.
 func (e *Engine) Submitter() *Submitter {
@@ -580,13 +558,9 @@ func (s *Submitter) noteStaged(ck *chunk, nowNs uint64) {
 }
 
 // queueIfFull queues shard's staged chunk once it holds ChunkFrames
-// reports (coupled submitters only mark themselves full).
+// reports.
 func (s *Submitter) queueIfFull(shardIdx int, ck *chunk) error {
 	if len(ck.recs) < s.e.cfg.ChunkFrames {
-		return nil
-	}
-	if s.coupled {
-		s.full = true
 		return nil
 	}
 	s.pending[shardIdx] = nil
@@ -611,7 +585,10 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 // planned on shards[0], and the record and its plan are copied into the
 // other shards' chunks. The shards must be distinct and their sinks must
 // plan alike (the caller's guarantee: replicas of one deployment).
-// nows[i] is shards[i]'s clock. No chunk is queued before every copy is
+// nows[i] is shards[i]'s clock. An Append is stamped with the set of
+// shards it goes to (wire.StagedReport.SetRecipients): in a replicated
+// deployment shard i is collector i. The copies are taken from the
+// first shard's chunk, so no chunk is queued before every copy is
 // staged.
 func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report) error {
 	var first *chunk
@@ -622,6 +599,7 @@ func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report)
 		}
 		if first == nil {
 			s.e.stage(s.e.shards[shardIdx], ck, r)
+			ck.recs[len(ck.recs)-1].SetRecipients(shards)
 			first = ck
 		} else {
 			s.e.restage(ck, first)
@@ -638,7 +616,6 @@ func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report)
 
 // Flush queues every non-empty staged chunk.
 func (s *Submitter) Flush() error {
-	s.full = false
 	for i, ck := range s.pending {
 		if ck == nil || len(ck.recs) == 0 {
 			continue

@@ -253,62 +253,6 @@ func TestPerRecordSinksAreAdapted(t *testing.T) {
 	e.Close()
 }
 
-// TestCoupledFanoutIsNeverHalfQueued: on a coupled submitter the leg of
-// a fan-out that fills its shard's chunk must not queue that chunk while
-// the fan-out's other legs are still unstaged — a watermark fence
-// draining the engine in between would see the report on one owner and
-// not the other. Full chunks go out when the owner flushes a Full
-// submitter, after the fan-out.
-func TestCoupledFanoutIsNeverHalfQueued(t *testing.T) {
-	a, b := &recordSink{}, &recordSink{}
-	e := mustEngine(t, []Sink{a, b}, Config{ChunkFrames: 2})
-	defer e.Close()
-	sub := e.Submitter()
-	sub.SetCoupled(true)
-	fan := func(key uint64, shards ...int) {
-		t.Helper()
-		for _, sh := range shards {
-			if err := sub.SubmitReport(sh, kwReport(key, []byte{1}), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fan(1, 0) // shard 0's chunk is one short of full
-	// The fan-out of report 2, stopped between its legs: the first leg
-	// filled shard 0's chunk.
-	fan(2, 0)
-	if err := e.Drain(0); err != nil { // what a fence does
-		t.Fatal(err)
-	}
-	if len(a.reports) != 0 {
-		t.Fatalf("shard 0 already ingested %d reports with report 2 unstaged on shard 1", len(a.reports))
-	}
-	fan(2, 1)
-	if !sub.Full() {
-		t.Fatal("submitter not Full after a leg filled shard 0's chunk")
-	}
-	if err := sub.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.reports) != 2 || len(b.reports) != 1 {
-		t.Fatalf("after the fan-out: shard 0 has %d reports, shard 1 has %d; want 2 and 1", len(a.reports), len(b.reports))
-	}
-	// Nothing filled since: the owner leaves a partial chunk staged.
-	fan(3, 0, 1)
-	if sub.Full() {
-		t.Fatal("submitter Full with only partial chunks staged")
-	}
-	if err := e.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.reports) != 2 || len(b.reports) != 1 {
-		t.Fatalf("a partial chunk was queued: shard 0 has %d reports, shard 1 has %d", len(a.reports), len(b.reports))
-	}
-}
-
 // planSink is a StagedBatchSink + StagedPlanner whose plan is a pure
 // function of the record — redundancy-many slots derived from the key
 // for Key-Writes, nothing for anything else — so the worker side can
@@ -431,69 +375,121 @@ func TestSubmitterPlansAtStaging(t *testing.T) {
 
 // TestFanOutStagesLikeSubmitReport: SubmitReportFan leaves every shard
 // exactly what one SubmitReport per shard would have — records, order,
-// clocks, trace handles per copy, chunk boundaries — on plain and coupled
-// submitters.
+// clocks, trace handles per copy, chunk boundaries.
 func TestFanOutStagesLikeSubmitReport(t *testing.T) {
-	for _, coupled := range []bool{false, true} {
-		run := func(fan bool) (sinks [3]*batchRecordSink, st Stats) {
-			for i := range sinks {
-				sinks[i] = &batchRecordSink{}
-			}
-			tracer := trace.New(trace.Config{CandidateShift: 1})
-			e := mustEngine(t, []Sink{sinks[0], sinks[1], sinks[2]}, Config{ChunkFrames: 4, Trace: tracer})
-			sub := e.Submitter()
-			sub.SetCoupled(coupled)
-			for i := 0; i < 23; i++ {
-				shards := [][]int{{0, 1, 2}, {2, 0}, {1}, {}}[i%4]
-				nows := []uint64{uint64(i), uint64(i) + 1, uint64(i) + 2}[:len(shards)]
-				rep := kwReport(uint64(i)*2, []byte{byte(i)})
-				if fan {
-					if err := sub.SubmitReportFan(shards, nows, rep); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					for j, sh := range shards {
-						if err := sub.SubmitReport(sh, rep, nows[j]); err != nil {
-							t.Fatal(err)
-						}
-					}
+	run := func(fan bool) (sinks [3]*batchRecordSink, st Stats) {
+		for i := range sinks {
+			sinks[i] = &batchRecordSink{}
+		}
+		tracer := trace.New(trace.Config{CandidateShift: 1})
+		e := mustEngine(t, []Sink{sinks[0], sinks[1], sinks[2]}, Config{ChunkFrames: 4, Trace: tracer})
+		sub := e.Submitter()
+		for i := 0; i < 23; i++ {
+			shards := [][]int{{0, 1, 2}, {2, 0}, {1}, {}}[i%4]
+			nows := []uint64{uint64(i), uint64(i) + 1, uint64(i) + 2}[:len(shards)]
+			rep := kwReport(uint64(i)*2, []byte{byte(i)})
+			if fan {
+				if err := sub.SubmitReportFan(shards, nows, rep); err != nil {
+					t.Fatal(err)
 				}
-				if coupled && sub.Full() {
-					if err := sub.Flush(); err != nil {
+			} else {
+				for j, sh := range shards {
+					if err := sub.SubmitReport(sh, rep, nows[j]); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			if err := sub.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return sinks, e.Stats()
 		}
-		loop, loopStats := run(false)
-		fan, fanStats := run(true)
-		loopStats.Batches, fanStats.Batches = 0, 0 // how the worker woke up: timing
-		if loopStats != fanStats {
-			t.Errorf("coupled=%v: engine stats %+v fanned, %+v looped", coupled, fanStats, loopStats)
+		if err := sub.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		for i := range loop {
-			if !slices.Equal(loop[i].chunks, fan[i].chunks) {
-				t.Errorf("coupled=%v shard %d: chunk sizes %v fanned, %v looped", coupled, i, fan[i].chunks, loop[i].chunks)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sinks, e.Stats()
+	}
+	loop, loopStats := run(false)
+	fan, fanStats := run(true)
+	loopStats.Batches, fanStats.Batches = 0, 0 // how the worker woke up: timing
+	if loopStats != fanStats {
+		t.Errorf("engine stats %+v fanned, %+v looped", fanStats, loopStats)
+	}
+	for i := range loop {
+		if !slices.Equal(loop[i].chunks, fan[i].chunks) {
+			t.Errorf("shard %d: chunk sizes %v fanned, %v looped", i, fan[i].chunks, loop[i].chunks)
+		}
+		valid := func(ids []uint64) (out []bool) {
+			for _, id := range ids {
+				out = append(out, id != 0)
 			}
-			valid := func(ids []uint64) (out []bool) {
-				for _, id := range ids {
-					out = append(out, id != 0)
-				}
-				return out
-			}
-			if !slices.Equal(valid(loop[i].traceID), valid(fan[i].traceID)) {
-				t.Errorf("coupled=%v shard %d: traced records differ: %v fanned, %v looped", coupled, i, valid(fan[i].traceID), valid(loop[i].traceID))
-			}
-			if !slices.Equal(loop[i].nows, fan[i].nows) {
-				t.Errorf("coupled=%v shard %d: chunk clocks %v fanned, %v looped", coupled, i, fan[i].nows, loop[i].nows)
-			}
+			return out
+		}
+		if !slices.Equal(valid(loop[i].traceID), valid(fan[i].traceID)) {
+			t.Errorf("shard %d: traced records differ: %v fanned, %v looped", i, valid(fan[i].traceID), valid(loop[i].traceID))
+		}
+		if !slices.Equal(loop[i].nows, fan[i].nows) {
+			t.Errorf("shard %d: chunk clocks %v fanned, %v looped", i, fan[i].nows, loop[i].nows)
+		}
+	}
+}
+
+// recipientSink records, per record, the 8 bytes an Append's recipient
+// set shares with a Key-Increment's delta.
+type recipientSink struct {
+	recordSink
+	sets []uint64
+}
+
+func (s *recipientSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, _ uint64) (int, error) {
+	for i := range recs {
+		if recs[i].Primitive() == wire.PrimAppend {
+			s.sets = append(s.sets, recs[i].Recipients())
+		} else {
+			_, _, delta := recs[i].KeyIncrementArgs()
+			s.sets = append(s.sets, delta)
+		}
+	}
+	return 0, nil
+}
+
+// TestFanOutStampsAppendRecipients: every copy of a fanned-out Append
+// names the shards the fan-out staged it on; a single-shard submission
+// stamps nothing, and a Key-Increment keeps its delta in the same bytes.
+func TestFanOutStampsAppendRecipients(t *testing.T) {
+	var sinks [3]*recipientSink
+	for i := range sinks {
+		sinks[i] = &recipientSink{}
+	}
+	e := mustEngine(t, []Sink{sinks[0], sinks[1], sinks[2]}, Config{ChunkFrames: 2})
+	sub := e.Submitter()
+	app := &wire.Report{
+		Header: wire.Header{Version: wire.Version, Primitive: wire.PrimAppend},
+		Append: wire.Append{ListID: 3, DataLen: 1},
+		Data:   []byte{7},
+	}
+	ki := kiReport(5)
+	ki.KeyIncrement.Delta = 9
+	steps := []func() error{
+		func() error { return sub.SubmitReportFan([]int{2, 0}, []uint64{0, 0}, app) },
+		func() error { return sub.SubmitReportFan([]int{0, 1, 2}, []uint64{0, 0, 0}, ki) },
+		func() error { return sub.SubmitReportFan([]int{1}, []uint64{0}, app) },
+		func() error { return sub.SubmitReport(1, app, 0) },
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sub.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := [3][]uint64{{0b101, 9}, {9, 0b010, 0}, {0b101, 9}}
+	for i, s := range sinks {
+		if !slices.Equal(s.sets, want[i]) {
+			t.Errorf("shard %d: recipient sets / deltas %b, want %b", i, s.sets, want[i])
 		}
 	}
 }

@@ -36,18 +36,21 @@ func (st *ResyncStats) SlotsReplayed() uint64 {
 	return st.KeyWriteSlots + st.Counters + st.PostcardSlots + st.AppendEntries
 }
 
-// AppendOps streams a peer's logged Append operations — the exact
-// (list, entry) sequence its translator admitted after the target's
-// watermark LSN — to yield, in log order. The callback's data slice is
-// only valid during the call.
+// AppendOps streams to yield, in log order, the Append operations a
+// peer's log holds for the target: (list, entry) pairs its translator
+// admitted after the target's watermark LSN that the target missed and
+// this peer is the one to replay (the caller decides both from each
+// record's recipient set). The callback's data slice is only valid
+// during the call.
 type AppendOps func(yield func(list uint32, data []byte) error) error
 
 // Peer is one resync source: a snapshot of its stores, plus optionally
-// the suffix of its operation log. When AppendOps is non-nil, Append
-// recovery replays those logged operations through the target's own
-// ring instead of copying the snapshot's index-aligned ring suffix —
-// exact under concurrent producers, where index alignment loses the
-// entries whose arrival order skewed across the failure boundary.
+// the operations its log holds for the target. When AppendOps is
+// non-nil, Append recovery replays them through the target's own ring
+// instead of copying the snapshot's index-aligned ring suffix — exact
+// under concurrent producers, where index alignment loses the entries
+// whose arrival order skewed across the failure boundary. The peers'
+// streams are disjoint: each missed entry comes from one of them.
 type Peer struct {
 	Snap      *snapshot.Snapshot
 	AppendOps AppendOps
@@ -248,11 +251,10 @@ func mergePostcarding(t Target, peer *snapshot.Snapshot, st *ResyncStats) error 
 // mergeAppendOps replays a peer's logged Append operations into the
 // target: each entry is appended at the target's OWN ring head (the
 // operations are re-executed, not position-copied), so every entry the
-// target missed lands exactly once regardless of how replica arrival
-// orders skewed around the failure — the recovery is multiset-exact
-// where mergeAppend's index-aligned suffix copy is approximate. The
-// target's pre-failure prefix stays in place; replayed entries follow
-// it in the peer's log order.
+// streams carry lands once regardless of how replica arrival orders
+// skewed around the failure, where mergeAppend's index-aligned suffix
+// copy is approximate. The target's pre-failure prefix stays in place;
+// replayed entries follow it in the peer's log order.
 func mergeAppendOps(t Target, ops AppendOps, st *ResyncStats) error {
 	dst := t.Host.AppendStore()
 	if dst == nil || t.Batcher == nil {

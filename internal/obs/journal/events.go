@@ -59,13 +59,18 @@ type Type uint8
 const (
 	// HA control plane. One SetDown mints a cause shared by its fence,
 	// epoch bump, and the eventual SetUp/Resync/Checkpoint chain.
-	EvSetDown      Type = iota + 1 // arg1 = epoch after the bump
-	EvSetUp                        // arg1 = epoch after the bump
-	EvWALFence                     // arg1 = downed collector's own durable LSN, arg2 = peer marks recorded
-	EvEpochBump                    // arg1 = new epoch
-	EvMemberAdd                    // arg1 = new cluster size, arg2 = epoch
-	EvMemberRemove                 // arg1 = new cluster size, arg2 = epoch
-	_                              // retired: capacity-weight change
+	EvSetDown Type = iota + 1 // arg1 = epoch after the bump
+	EvSetUp                   // arg1 = epoch after the bump
+	// EvWALFence: the collector's peers' log marks, read before its flag
+	// flips. No lock holds writers off meanwhile: every replicated Append
+	// carries its recipient set, the collectors its fan-out reached, and
+	// a record above the marks is replayed into the collector only when
+	// that set leaves it out.
+	EvWALFence     // arg1 = peer log marks recorded
+	EvEpochBump    // arg1 = new epoch
+	EvMemberAdd    // arg1 = new cluster size, arg2 = epoch
+	EvMemberRemove // arg1 = new cluster size, arg2 = epoch
+	_              // retired: capacity-weight change
 
 	// Rebalance / resync.
 	EvRebalanceStart // arg1 = stale targets
@@ -185,7 +190,7 @@ func (ev *Event) Detail() string {
 	case EvSetDown, EvSetUp:
 		return fmt.Sprintf("epoch=%d", ev.Arg1)
 	case EvWALFence:
-		return fmt.Sprintf("self-lsn=%d peer-marks=%d", ev.Arg1, ev.Arg2)
+		return fmt.Sprintf("peer-marks=%d", ev.Arg1)
 	case EvEpochBump:
 		return fmt.Sprintf("epoch=%d", ev.Arg1)
 	case EvMemberAdd, EvMemberRemove:

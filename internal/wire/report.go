@@ -66,7 +66,7 @@ type StagedReport struct {
 	listID  uint32
 	value   uint32 // Postcarding hop value
 	key     Key
-	delta   uint64 // Key-Increment
+	delta   uint64 // Key-Increment delta; an Append's recipient set
 	buf     [MaxData]byte
 }
 
@@ -129,6 +129,26 @@ func (s *StagedReport) KeyWriteArgs() (key *Key, redundancy uint8) {
 
 // AppendArgs returns the Append list ID.
 func (s *StagedReport) AppendArgs() (listID uint32) { return s.listID }
+
+// SetRecipients stamps an Append with the collectors a replicated
+// fan-out sent it to, as a set: bit i for collector i, which must be
+// below 64. The set rides in the 8 bytes only Key-Increment uses, so the
+// encoded and logged forms keep their layout. Other primitives are left
+// as they are.
+func (s *StagedReport) SetRecipients(collectors []int) {
+	if s.prim != PrimAppend {
+		return
+	}
+	var set uint64
+	for _, c := range collectors {
+		set |= 1 << uint(c)
+	}
+	s.delta = set
+}
+
+// Recipients returns an Append's recipient set: 0 when nothing stamped
+// it (a single collector's record).
+func (s *StagedReport) Recipients() uint64 { return s.delta }
 
 // KeyIncrementArgs returns the Key-Increment fields. The key pointer
 // aliases s.

@@ -115,3 +115,34 @@ func TestDecodeStagedRejectsDamage(t *testing.T) {
 		t.Error("out-of-range payload length accepted")
 	}
 }
+
+// TestRecipientsRideTheLog: an Append's recipient set survives the log
+// codec (EncodeTo / DecodeStaged), and SetRecipients leaves every other
+// primitive's image as it was — a Key-Increment's delta shares the bytes.
+func TestRecipientsRideTheLog(t *testing.T) {
+	var s, back StagedReport
+	buf := make([]byte, MaxStagedEncodedLen)
+	before := make([]byte, MaxStagedEncodedLen)
+	for _, r := range sampleReports() {
+		r := r
+		s.Stage(&r)
+		n := s.EncodeTo(before)
+		s.SetRecipients([]int{3, 0, 1})
+		m := s.EncodeTo(buf)
+		if r.Header.Primitive != PrimAppend {
+			if !bytes.Equal(before[:n], buf[:m]) {
+				t.Errorf("%v: SetRecipients changed the record", r.Header.Primitive)
+			}
+			continue
+		}
+		if _, err := DecodeStaged(buf[:m], &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Recipients(); got != 0b1011 {
+			t.Errorf("Append recipients %b after the round trip, want 1011", got)
+		}
+		if n != m || back.AppendArgs() != r.Append.ListID || !bytes.Equal(back.Payload(), r.Data) {
+			t.Errorf("stamping moved the Append's fields: %d → %dB, list %d, payload %x", n, m, back.AppendArgs(), back.Payload())
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dta/internal/core/keyincrement"
 	"dta/internal/ha"
 	"dta/internal/rdma"
 	"dta/internal/translator"
@@ -389,13 +390,14 @@ func TestDoorbellTagsAfterCut(t *testing.T) {
 						continue
 					}
 					host := c.System(o).Host()
-					kw, ki := host.KeyWriteStore().Indexer(), host.KeyIncrementStore().Indexer()
+					kw, ki := host.KeyWriteStore().Indexer(), host.KeyIncrementStore()
+					kiSlots := uint64(len(ki.Buffer()) / keyincrement.CounterSize)
 					kwTags, kiTags := c.state[o].tracker.Tags("keywrite"), c.state[o].tracker.Tags("keyincrement")
 					for j := 0; j < 2; j++ {
 						if tag := kwTags[kw.Offset(kw.Slot(j, key))/rdma.TagBlockBytes]; tag < bumped {
 							t.Fatalf("key %d on collector %d: Key-Write block tagged %d, before the cut's epoch %d", k, o, tag, bumped)
 						}
-						if tag := kiTags[ki.Offset(ki.Slot(j, key))/rdma.TagBlockBytes]; tag < bumped {
+						if tag := kiTags[ki.Indexer().Offset(refSlot(j, key, kiSlots))/rdma.TagBlockBytes]; tag < bumped {
 							t.Fatalf("key %d on collector %d: Key-Increment block tagged %d, before the cut's epoch %d", k, o, tag, bumped)
 						}
 					}

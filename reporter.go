@@ -42,18 +42,8 @@ func (r *Reporter) send(rep *wire.Report) error {
 	if err := rep.Validate(); err != nil {
 		return err
 	}
-	if h := r.hac; h != nil {
-		if r.sub != nil {
-			return r.fan(rep)
-		}
-		// A synchronous fan-out writes straight through to its owners'
-		// logs, so it holds the fence's read side throughout: a
-		// concurrent SetDown/PartitionReporter fence or AddCollector
-		// waits it out (see HACluster.fenceMu).
-		h.fenceMu.RLock()
-		err := r.fan(rep)
-		h.fenceMu.RUnlock()
-		return err
+	if r.hac != nil {
+		return r.fan(rep)
 	}
 	sys := r.sys
 	if r.sub != nil {
@@ -70,7 +60,9 @@ func (r *Reporter) send(rep *wire.Report) error {
 // report is staged once and the staged record goes to every live owner
 // of its key (or Append list) — members plan alike, attach checked.
 // Down owners are skipped with a counter, never an error: a report is
-// acknowledged while one owner is live and counted lost otherwise.
+// acknowledged while one owner is live and counted lost otherwise. An
+// Append is stamped with the set of owners it went to, which is what
+// log-shipping resync replays by (see HACluster.appendOpsFrom).
 func (r *Reporter) fan(rep *wire.Report) error {
 	h := r.hac
 	var ob, live [ha.MaxReplicas]int
@@ -94,10 +86,11 @@ func (r *Reporter) fan(rep *wire.Report) error {
 	}
 	var err error
 	if r.sub != nil {
-		// Copied with its plan into each owner's chunk.
+		// Copied with its plan, and stamped, into each owner's chunk.
 		err = r.sub.SubmitReportFan(live[:n], nows[:n], rep)
 	} else {
 		r.staged.Stage(rep)
+		r.staged.SetRecipients(live[:n])
 		for i, o := range live[:n] {
 			sys := h.systems[o]
 			if t := sys.trc; t != nil && t.Candidate(&r.smp) {
@@ -114,12 +107,6 @@ func (r *Reporter) fan(rep *wire.Report) error {
 		return err
 	}
 	h.health.RecordWrite(n, len(owners))
-	// An engine handle's copies only STAGE, in its own chunks, so no
-	// fence lock was needed. Only now, with every owner's copy staged,
-	// may a full chunk go out, and only as one event under the fence.
-	if r.sub != nil && r.sub.Full() {
-		return r.Flush()
-	}
 	return nil
 }
 
@@ -147,13 +134,6 @@ func (r *Reporter) deliverTraced(sys *System, t *trace.Tracer) error {
 func (r *Reporter) Flush() error {
 	if r.sub == nil {
 		return nil
-	}
-	if h := r.hac; h != nil {
-		// This is where staged copies become visible to the engine: all
-		// shards' chunks go out as one atomic event with respect to the
-		// resync watermark fence — see HACluster.fenceMu.
-		h.fenceMu.RLock()
-		defer h.fenceMu.RUnlock()
 	}
 	return r.sub.Flush()
 }
