@@ -145,7 +145,9 @@ func (e *Engine) Drain() error {
 }
 
 // Close drains queued reports, flushes every shard and stops the
-// workers; subsequent submissions fail with ErrEngineClosed.
+// workers; subsequent submissions fail with ErrEngineClosed. Reports a
+// reporter staged and did not Flush are discarded, and their trace
+// slots stay held until that reporter's next call.
 func (e *Engine) Close() error { return e.inner.Close() }
 
 // closed reports whether Close has been called (an HACluster allows

@@ -30,6 +30,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,13 +68,14 @@ type StagedSink interface {
 type StagedBatchSink interface {
 	// ProcessStagedBatch ingests recs in order. plan is what the sink's
 	// own PlanStaged made of each record when it was staged (zero when the
-	// sink is no StagedPlanner). trcs, when non-empty, runs parallel to
-	// recs: trcs[i] is recs[i]'s data-plane trace handle (invalid when the
-	// report was sampled out), for downstream layers to stamp their stages
-	// on; the worker keeps ownership and releases the handles after the
-	// call. All three are only read during the call. A failing record does
-	// not stop the chunk: failed counts the records whose processing
-	// returned an error and first is the earliest one.
+	// sink is no StagedPlanner). trcs is a prefix of recs' data-plane trace
+	// handles, for downstream layers to stamp their stages on: trcs[i] is
+	// recs[i]'s (invalid when that report was sampled out), and trcs ends
+	// at the chunk's last trace candidate, so a record at index len(trcs)
+	// or beyond was sampled out. The worker keeps ownership and releases
+	// the handles after the call. All three are only read during the call.
+	// A failing record does not stop the chunk: failed counts the records
+	// whose processing returned an error and first is the earliest one.
 	ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error)
 }
 
@@ -89,9 +91,9 @@ type StagedPlanner interface {
 	PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan)
 }
 
-// perRecord adapts a StagedSink to StagedBatchSink. Trace handles stop
-// here: a per-record sink has no way to take them. It plans nothing, so
-// its chunks carry no plan.
+// perRecord adapts a StagedSink to StagedBatchSink. The chunk's trace
+// handle prefix stops here: a per-record sink has no way to take it. It
+// plans nothing, so its chunks carry no plan.
 type perRecord struct{ sink StagedSink }
 
 func (a perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
@@ -168,9 +170,10 @@ type Config struct {
 	// the (already stalled) slow path and nothing on the fast path.
 	Journal *journal.Journal
 	// Trace, when non-nil, samples end-to-end data-plane traces:
-	// Submitters begin traces, the worker stamps queue stages and hands
-	// the chunk's handles to the sink. Nil keeps the hot path at one
-	// predicted branch.
+	// Submitters begin traces for their sampling candidates, the worker
+	// stamps queue stages and hands the chunk's handles to the sink. A
+	// sampled-out record carries no handle; it costs the sampler's
+	// increment and branch, and nil one predicted branch.
 	Trace *trace.Tracer
 }
 
@@ -221,7 +224,7 @@ var ErrClosed = errors.New("engine: closed")
 type chunk struct {
 	recs  []wire.StagedReport
 	plan  wire.ChunkPlan // parallel to recs when the sink plans; else empty
-	trcs  []trace.Handle // parallel to recs when tracing; else empty
+	trcs  []trace.Handle // recs' handles up to the last trace candidate; else empty
 	nowNs uint64         // latest clock among the staged entries
 	drain chan struct{}
 }
@@ -347,9 +350,15 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 		return nil, errors.New("engine: no sinks")
 	}
 	c := cfg.withDefaults()
-	e := &Engine{
-		cfg:  c,
-		pool: sync.Pool{New: func() any { return &chunk{} }},
+	e := &Engine{cfg: c}
+	// A chunk has room for ChunkFrames records, plans and trace handles
+	// from the start and is recycled through the pool, so staging never
+	// re-allocates: append growth would churn the heap badly enough under
+	// deep queues to defeat the pool via GC clearing.
+	e.pool.New = func() any {
+		ck := &chunk{recs: make([]wire.StagedReport, 0, c.ChunkFrames), trcs: make([]trace.Handle, 0, c.ChunkFrames)}
+		ck.plan.Reserve(c.ChunkFrames)
+		return ck
 	}
 	for i, s := range sinks {
 		if s == nil {
@@ -389,66 +398,39 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// nextRec extends ck.recs by one record slot and returns it. Capacity is
-// reserved for the full chunk up front (and then recycled through the
-// pool), so steady-state staging never re-allocates — incremental append
-// growth would churn the heap badly enough under deep queues to defeat
-// the pool via GC clearing.
-func (e *Engine) nextRec(ck *chunk) *wire.StagedReport {
+// nextRec extends ck.recs by one record slot and returns it.
+func nextRec(ck *chunk) *wire.StagedReport {
 	n := len(ck.recs)
-	if n < cap(ck.recs) {
-		ck.recs = ck.recs[:n+1]
-	} else {
-		grown := make([]wire.StagedReport, n+1, max(e.cfg.ChunkFrames, n+1))
-		copy(grown, ck.recs)
-		ck.recs = grown
-	}
+	ck.recs = slices.Grow(ck.recs, 1)[:n+1]
 	return &ck.recs[n]
 }
 
 // stage appends a staged copy of r to ck and, when the shard's sink
 // plans, the record's plan beside it.
 func (e *Engine) stage(sh *shard, ck *chunk, r *wire.Report) {
-	rec := e.nextRec(ck)
+	rec := nextRec(ck)
 	rec.Stage(r)
 	if sh.plans != nil {
-		sh.plans.PlanStaged(rec, e.planOf(ck))
+		sh.plans.PlanStaged(rec, &ck.plan)
 	}
-}
-
-// planOf returns ck's plan, with room for a full chunk reserved before
-// its first entry (like nextRec's: no growth in the steady state).
-func (e *Engine) planOf(ck *chunk) *wire.ChunkPlan {
-	if len(ck.plan.Recs) == 0 {
-		ck.plan.Reserve(e.cfg.ChunkFrames)
-	}
-	return &ck.plan
 }
 
 // restage appends a copy of src's last record, and of its plan if it has
 // one, to ck: the other legs of a fan-out whose first leg staged into src.
 func (e *Engine) restage(ck, src *chunk) {
-	*e.nextRec(ck) = src.recs[len(src.recs)-1]
+	*nextRec(ck) = src.recs[len(src.recs)-1]
 	if last := len(src.plan.Recs) - 1; last >= 0 {
 		h := src.plan.Recs[last]
-		e.planOf(ck).Append(h.Prim, h.Csum, src.plan.SlotsOf(last))
+		ck.plan.Append(h.Prim, h.Csum, src.plan.SlotsOf(last))
 	}
 }
 
-// handleInto appends a trace handle parallel to nextRec's record,
-// with the same up-front capacity reservation so steady-state traced
-// staging never re-allocates.
-func handleInto(trcs []trace.Handle, h trace.Handle, chunkFrames int) []trace.Handle {
-	n := len(trcs)
-	if n < cap(trcs) {
-		trcs = trcs[:n+1]
-	} else {
-		grown := make([]trace.Handle, n+1, max(chunkFrames, n+1))
-		copy(grown, trcs)
-		trcs = grown
+// abort pools ck unprocessed, its trace handles released unpublished.
+func (e *Engine) abort(ck *chunk) {
+	for i := range ck.trcs {
+		ck.trcs[i].Abort()
 	}
-	trcs[n] = h
-	return trcs
+	e.pool.Put(ck)
 }
 
 // send hands a chunk to the shard worker, applying the backpressure
@@ -460,10 +442,7 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed.Load() {
-		for i := range ck.trcs {
-			ck.trcs[i].Abort()
-		}
-		e.pool.Put(ck)
+		e.abort(ck)
 		return ErrClosed
 	}
 	// Stamp the enqueue stage before the channel send: once the worker
@@ -480,10 +459,7 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 		default:
 			// Shed: these reports have no end-to-end latency to
 			// attribute, so their traces are discarded unpublished.
-			for i := range ck.trcs {
-				ck.trcs[i].Abort()
-			}
-			e.pool.Put(ck)
+			e.abort(ck)
 			sh.ctr.dropped.Add(reports)
 		}
 		return nil
@@ -515,15 +491,16 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 type Submitter struct {
 	e       *Engine
 	pending []*chunk // lazily allocated, one per shard
-	// smp is this producer's trace candidate filter: caller-local like
-	// the Submitter itself, so the sampled-out path costs no shared
-	// cache traffic.
+	// trc is the engine's tracer and smp this producer's trace candidate
+	// filter: caller-local like the Submitter itself, so the sampled-out
+	// path reads no engine field and costs no shared cache traffic.
+	trc *trace.Tracer
 	smp trace.Sampler
 }
 
 // Submitter returns a new producer handle.
 func (e *Engine) Submitter() *Submitter {
-	return &Submitter{e: e, pending: make([]*chunk, len(e.shards))}
+	return &Submitter{e: e, pending: make([]*chunk, len(e.shards)), trc: e.cfg.Trace}
 }
 
 // stagedChunk returns shard's pending chunk, materialising it from the
@@ -533,6 +510,7 @@ func (s *Submitter) stagedChunk(shardIdx int) (*chunk, error) {
 		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.pending))
 	}
 	if s.e.closed.Load() {
+		_ = s.Flush() // ErrClosed: it discards what is staged
 		return nil, ErrClosed
 	}
 	ck := s.pending[shardIdx]
@@ -544,17 +522,30 @@ func (s *Submitter) stagedChunk(shardIdx int) (*chunk, error) {
 	return ck, nil
 }
 
-// noteStaged finishes staging one record on ck: its trace handle, when
-// tracing, and the chunk's clock.
-func (s *Submitter) noteStaged(ck *chunk, nowNs uint64) {
-	if tw := s.e.cfg.Trace; tw != nil {
-		h := tw.Begin(&s.smp)
-		h.Stamp(trace.StSubmit)
-		ck.trcs = handleInto(ck.trcs, h, s.e.cfg.ChunkFrames)
-	}
+// noteStaged finishes staging one record on ck: it advances the chunk's
+// clock and reports whether the record is a trace candidate, for the
+// caller to traceLast. It inlines, so a sampled-out record pays the
+// sampler's increment and branch and no call.
+func (s *Submitter) noteStaged(ck *chunk, nowNs uint64) bool {
 	if nowNs > ck.nowNs {
 		ck.nowNs = nowNs
 	}
+	return s.trc != nil && s.trc.Candidate(&s.smp)
+}
+
+// traceLast begins the trace of ck's last record, a sampling candidate,
+// and extends ck's handle prefix to it. The array comes from the pool
+// and still holds its previous use's released handles, so the gap of
+// sampled-out records since the last candidate is cleared.
+//
+//go:noinline
+func (s *Submitter) traceLast(ck *chunk) {
+	h := s.trc.BeginCandidate()
+	h.Stamp(trace.StSubmit)
+	i, n := len(ck.recs)-1, len(ck.trcs)
+	ck.trcs = slices.Grow(ck.trcs, i+1-n)[:i+1]
+	clear(ck.trcs[n:i])
+	ck.trcs[i] = h
 }
 
 // queueIfFull queues shard's staged chunk once it holds ChunkFrames
@@ -576,7 +567,9 @@ func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) err
 		return err
 	}
 	s.e.stage(s.e.shards[shardIdx], ck, r)
-	s.noteStaged(ck, nowNs)
+	if s.noteStaged(ck, nowNs) {
+		s.traceLast(ck)
+	}
 	return s.queueIfFull(shardIdx, ck)
 }
 
@@ -604,7 +597,9 @@ func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report)
 		} else {
 			s.e.restage(ck, first)
 		}
-		s.noteStaged(ck, nows[i])
+		if s.noteStaged(ck, nows[i]) {
+			s.traceLast(ck)
+		}
 	}
 	for _, shardIdx := range shards {
 		if err := s.queueIfFull(shardIdx, s.pending[shardIdx]); err != nil {
@@ -614,18 +609,20 @@ func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report)
 	return nil
 }
 
-// Flush queues every non-empty staged chunk.
+// Flush queues every non-empty staged chunk. Once the engine is closed
+// it discards them all and returns ErrClosed.
 func (s *Submitter) Flush() error {
+	var err error
 	for i, ck := range s.pending {
 		if ck == nil || len(ck.recs) == 0 {
 			continue
 		}
 		s.pending[i] = nil
-		if err := s.e.send(s.e.shards[i], ck); err != nil {
-			return err
+		if serr := s.e.send(s.e.shards[i], ck); err == nil {
+			err = serr
 		}
 	}
-	return nil
+	return err
 }
 
 // Drain blocks until every report queued before the call has been
@@ -655,7 +652,9 @@ func (e *Engine) Drain(nowNs uint64) error {
 
 // Close stops the engine: subsequent submissions and Drain fail with
 // ErrClosed, queued chunks are processed, sinks get a final flush, and
-// all workers exit before Close returns. Close is idempotent.
+// all workers exit before Close returns. Close is idempotent. Reports a
+// Submitter has not flushed are discarded, and their trace slots stay
+// held until that Submitter's next call, which fails with ErrClosed.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed.Load() {

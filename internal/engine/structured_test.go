@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -212,6 +213,137 @@ func TestWorkerHandsChunksToBatchSink(t *testing.T) {
 	}
 	if err := e.Close(); !errors.Is(err, errOddKey) {
 		t.Fatalf("Close = %v", err)
+	}
+}
+
+// prefixSink records, per chunk, its records' keys, the handle prefix
+// (live or zero per handle) and the chunk's backing array, by which a
+// recycled chunk is recognised.
+type prefixSink struct {
+	recordSink
+	chunks []prefixChunk
+}
+
+type prefixChunk struct {
+	keys       []uint64
+	live, zero []bool // per handle of the prefix
+	backing    *wire.StagedReport
+}
+
+func (s *prefixSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, trcs []trace.Handle, _ uint64) (int, error) {
+	ck := prefixChunk{backing: &recs[0]}
+	for i := range recs {
+		key, _ := recs[i].KeyWriteArgs()
+		ck.keys = append(ck.keys, key.Uint64())
+	}
+	for _, h := range trcs {
+		ck.live = append(ck.live, h.Valid())
+		ck.zero = append(ck.zero, h == trace.Handle{})
+	}
+	s.chunks = append(s.chunks, ck)
+	return 0, nil
+}
+
+// TestSampledOutChunksCarryNoHandles pins the handle prefix: a chunk's
+// handles end at its last trace candidate, every handle before that is a
+// candidate's or the zero handle — never one a recycled chunk held
+// before — and every candidate the sampler drew carries a live handle.
+func TestSampledOutChunksCarryNoHandles(t *testing.T) {
+	// One P and no GC: the chunks the worker pools are the producer's
+	// next ones, so handle arrays really are reused.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const shift, frames = 4, 13 // chunk boundaries drift against the sampler's period
+	sink := &prefixSink{}
+	e := mustEngine(t, []Sink{sink}, Config{ChunkFrames: frames, Trace: trace.New(trace.Config{CandidateShift: shift})})
+	defer e.Close()
+	sub := e.Submitter()
+	var key uint64
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 4*frames+3*round; i++ {
+			if err := sub.SubmitReport(0, kwReport(key, []byte{1}), 0); err != nil {
+				t.Fatal(err)
+			}
+			key++
+		}
+		if err := sub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	candidate := func(k uint64) bool { return (k+1)%(1<<shift) == 0 } // the sampler's n is key+1
+	var live uint64
+	reused := false
+	seen := map[*wire.StagedReport]bool{}
+	for c, ck := range sink.chunks {
+		reused = reused || seen[ck.backing]
+		seen[ck.backing] = true
+		end := 0
+		for i, l := range ck.live {
+			if l {
+				end = i + 1
+				live++
+			}
+			if l != candidate(ck.keys[i]) || l == ck.zero[i] {
+				t.Errorf("chunk %d, key %d: live handle %v, zero handle %v, candidate %v", c, ck.keys[i], l, ck.zero[i], candidate(ck.keys[i]))
+			}
+		}
+		if len(ck.live) != end {
+			t.Errorf("chunk %d: %d handles, want %d (up to its last candidate)", c, len(ck.live), end)
+		}
+		for _, k := range ck.keys[len(ck.live):] {
+			if candidate(k) {
+				t.Errorf("chunk %d: candidate key %d past the handle prefix", c, k)
+			}
+		}
+	}
+	if want := key >> shift; live != want {
+		t.Errorf("%d live handles, want one per candidate: %d", live, want)
+	}
+	if !reused {
+		t.Fatal("no chunk was recycled: the prefix was never built over a used handle array")
+	}
+}
+
+// TestClosedSubmitterReleasesTraceSlots: candidates staged on two shards
+// and never flushed hold trace slots past Close; the Submitter's next
+// call (Flush or a submission, both failing with ErrClosed) releases
+// every one of them, over several engines sharing one tracer.
+func TestClosedSubmitterReleasesTraceSlots(t *testing.T) {
+	const inFlight = 2
+	tracer := trace.New(trace.Config{CandidateShift: 1, InFlight: inFlight})
+	for round := 0; round < 3; round++ {
+		e := mustEngine(t, []Sink{&recordSink{}, &recordSink{}}, Config{ChunkFrames: 32, Trace: tracer})
+		sub := e.Submitter()
+		for i, shard := range []int{0, 0, 1, 1} { // every 2nd submit is a candidate: one per shard
+			if err := sub.SubmitReport(shard, kwReport(uint64(i), []byte{1}), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err := sub.Flush()
+		if round == 1 {
+			err = sub.SubmitReport(0, kwReport(0, nil), 0)
+		}
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: next call after Close = %v, want ErrClosed", round, err)
+		}
+		var hs [inFlight]trace.Handle
+		for i := range hs {
+			if hs[i] = tracer.BeginCandidate(); !hs[i].Valid() {
+				t.Fatalf("round %d: only %d of %d trace slots free after the Submitter's next call", round, i, inFlight)
+			}
+		}
+		for _, h := range hs {
+			h.Abort()
+		}
+	}
+	if n := tracer.Exhausted(); n != 0 {
+		t.Errorf("%d candidates found the slot pool empty", n)
 	}
 }
 

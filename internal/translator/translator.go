@@ -560,12 +560,13 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 // row), postcards (the cache decides) and appends (sequential). A record
 // the WAL hook fails or the limiter sheds wasted a hint, nothing else.
 //
-// trcs, when non-empty, runs parallel to recs: trcs[i] is recs[i]'s
-// data-plane trace handle (possibly invalid — sampled out). A failing
-// record does not stop the chunk: failed counts them and first is the
-// earliest error. Processing is semantically identical to ProcessStaged
-// on each record (a full report is materialised lazily only if a
-// rate-limit drop must raise a NACK).
+// trcs is a prefix of recs' data-plane trace handles: trcs[i] is
+// recs[i]'s (possibly invalid — sampled out), and a record at index
+// len(trcs) or beyond was sampled out. A failing record does not stop
+// the chunk: failed counts them and first is the earliest error.
+// Processing is semantically identical to ProcessStaged on each record
+// (a full report is materialised lazily only if a rate-limit drop must
+// raise a NACK).
 func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
 	planned := len(plan.Recs) == len(recs)
 	for base := 0; base < len(recs); base += batchWindow {
