@@ -508,7 +508,7 @@ func renderTranslator(w io.Writer, s *obs.Snapshot, elapsed time.Duration) {
 	all := flat.byKey[""]
 	fmt.Fprintf(tw, "parse errors\t%s\t\n", rate(all["dta_translator_parse_errors_total"], elapsed))
 	fmt.Fprintf(tw, "rate-limit drops\t%s\t\n", rate(all["dta_rate_dropped_total"], elapsed))
-	fmt.Fprintf(tw, "report span p50/p99 µs\t%s\t(sampled 1/64)\n", quantiles(all["dta_translator_report_ns"]))
+	fmt.Fprintf(tw, "report span p50/p99 µs\t%s\t(traced reports)\n", quantiles(all["dta_translator_report_ns"]))
 	tw.Flush()
 }
 
@@ -518,7 +518,7 @@ func renderRDMA(w io.Writer, s *obs.Snapshot, elapsed time.Duration) {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 2, 2, ' ', 0)
-	fmt.Fprintln(tw, "RDMA\twrites\tatomics\tcrafts\trepatches\temit p50/p99 µs")
+	fmt.Fprintln(tw, "RDMA\twrites\tatomics\tcrafts\trepatches\temit p50/p99 µs (traced)")
 	fmt.Fprintf(tw, "\t%s\t%s\t%s\t%s\t%s\n",
 		rate(all["dta_rdma_writes_total"], elapsed),
 		rate(all["dta_rdma_atomics_total"], elapsed),

@@ -1,4 +1,4 @@
-package rdma
+package costmodel
 
 import "math"
 

@@ -6,7 +6,7 @@ import (
 
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
-	"dta/internal/rdma"
+	"dta/internal/costmodel"
 	"dta/internal/wire"
 )
 
@@ -33,7 +33,7 @@ func (r Runner) Ablation() *Table {
 // Key-Write per hop (64-bit checksum+value slots) — same memory, fewer
 // writes, far lower wrong-output probability.
 func (r Runner) ablatePostcardingVsKW(t *Table) {
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 	// Writes per 5-hop path report.
 	kwRate := nic.ReportsPerSec(keywrite.ChecksumSize+4, 5, 1, 4) // 5 writes per path
 	pcRate := nic.ReportsPerSec(32, 1, 1, 4)                      // 1 chunk write per path
@@ -80,7 +80,7 @@ func (r Runner) ablateChecksumWidth(t *Table) {
 // ablateQueuePairs quantifies why the translator terminates RDMA instead
 // of letting every switch hold queue pairs ([15]'s up-to-5x collapse).
 func (r Runner) ablateQueuePairs(t *Table) {
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 	base := nic.MessagesPerSec(8, 4)
 	for _, qps := range []int{4, 64, 1024, 16384} {
 		rate := nic.MessagesPerSec(8, qps)

@@ -13,7 +13,6 @@ import (
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
 	"dta/internal/costmodel"
-	"dta/internal/rdma"
 	"dta/internal/telemetry/marple"
 	"dta/internal/trace"
 	"dta/internal/translator"
@@ -42,7 +41,7 @@ func cpuBaselineRate(c baseline.Collector, n int) float64 {
 // of Fig. 7a: Key-Write (N=1), Postcarding (5-hop chunks) and Append
 // (batch 16), in reports/s.
 func dtaRates() (kw, pc, ap float64) {
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 	kw = nic.ReportsPerSec(keywrite.ChecksumSize+4, 1, 1, 4) // 4B INT + checksum
 	pc = nic.ReportsPerSec(32, 1, 5, 4)                      // padded 32B chunk = 5 postcards
 	ap = nic.ReportsPerSec(64, 1, 16, 4)                     // 16×4B batch
@@ -129,7 +128,7 @@ func (r Runner) Fig7b() *Table {
 		n = 4000
 	}
 	mlRate := cpuBaselineRate(multilog.New(1<<16), n)
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 
 	// Per-switch report rates.
 	lossyRate := lossyPP * pps

@@ -9,14 +9,14 @@ import (
 	"time"
 
 	"dta/internal/core/keywrite"
-	"dta/internal/rdma"
+	"dta/internal/costmodel"
 	"dta/internal/wire"
 )
 
 // Fig10 reproduces Fig. 10: Key-Write collection rate vs redundancy for
 // 4B postcards and 20B path traces.
 func (r Runner) Fig10() *Table {
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 	t := &Table{
 		ID:      "fig10",
 		Title:   "Key-Write collection rate vs redundancy (NIC model + local Go data path)",

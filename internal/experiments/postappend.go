@@ -10,7 +10,7 @@ import (
 
 	"dta/internal/core/appendlist"
 	"dta/internal/core/postcarding"
-	"dta/internal/rdma"
+	"dta/internal/costmodel"
 	"dta/internal/wire"
 )
 
@@ -54,7 +54,7 @@ func simulatePostcardCache(cacheRows, intermediate, flows int, seed int64) float
 // Fig14 reproduces Fig. 14: Postcarding aggregation throughput vs cache
 // size and intermediate flows.
 func (r Runner) Fig14() *Table {
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 	chunkRate := nic.MessagesPerSec(32, 4) // padded 32B chunk writes
 	caches := []int{8192, 16384, 32768, 65536, 131072}
 	inters := []int{0, 100, 1000, 5000, 10000}
@@ -88,7 +88,7 @@ func (r Runner) Fig14() *Table {
 // Fig15 reproduces Fig. 15: Append collection rate vs batch size and
 // list size.
 func (r Runner) Fig15() *Table {
-	nic := rdma.BlueField2()
+	nic := costmodel.BlueField2()
 	t := &Table{
 		ID:      "fig15",
 		Title:   "Append collection rate vs batch size (4B event reports)",

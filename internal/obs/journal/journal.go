@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dta/internal/obs"
 	"dta/internal/obs/ring"
 )
 
@@ -164,16 +165,19 @@ func (e Emitter) NewCause() uint64 { return e.J.NewCause() }
 // read-repair during a verification sweep): Allow returns true at most
 // once per minGap, atomically, so a burst publishes one representative
 // event (callers pass the cumulative count as an argument) instead of
-// flooding the ring and evicting the control-plane chain.
+// flooding the ring and evicting the control-plane chain. It reads the
+// monotonic clock, so a wall-clock step cannot silence it.
 type Gate struct {
-	last atomic.Int64
+	last atomic.Int64 // obs.Nanotime()+1 of the last admission; 0 = none yet
 }
 
-// Allow reports whether a publication may proceed now.
+// Allow reports whether a publication may proceed now. The zero Gate
+// admits its first call: the monotonic clock starts near zero, so
+// "never admitted" cannot be read as an admission at time zero.
 func (g *Gate) Allow(minGap time.Duration) bool {
-	now := time.Now().UnixNano()
+	now := obs.Nanotime() + 1
 	last := g.last.Load()
-	if now-last < int64(minGap) {
+	if last != 0 && now-last < int64(minGap) {
 		return false
 	}
 	return g.last.CompareAndSwap(last, now)

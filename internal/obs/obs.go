@@ -12,7 +12,8 @@
 //
 //   - Hot-path primitives never allocate. A Counter is one padded
 //     atomic; a Histogram observation is three uncontended atomic adds;
-//     a skipped Span is two predictable branches and no clock read.
+//     a Span against a nil Histogram is one predictable branch and no
+//     clock read.
 //   - Every mutable cell is cache-line padded (64B) so two counters
 //     owned by different shard workers never share a line — the same
 //     de-sharing discipline the sharded ingest queues apply.
@@ -20,10 +21,12 @@
 //     fan-out accounting) are striped across lines (ShardedCounter) and
 //     summed at read time, so concurrent writers do not serialise on one
 //     LOCK-prefixed cell.
-//   - Per-stage latency spans are sampled (default 1/64) so the clock
-//     reads they cost amortise to under a nanosecond per report, and
-//     they vanish entirely — including the clock reads — when telemetry
-//     is disabled (a nil *Histogram makes Start/End no-ops).
+//   - Per-report latency spans time only the reports the trace
+//     pipeline drew at submit (internal/obs/trace, 1 in 1024 by
+//     default): one draw decides a report's trace and its spans, so an
+//     untraced report reads no clock for them. Spans vanish entirely —
+//     including the clock reads — when telemetry is disabled (a nil
+//     *Histogram makes Start/End no-ops).
 //
 // Registration happens at construction time (it allocates; the hot path
 // only ever touches pre-resolved pointers). Every constructor is
@@ -270,7 +273,7 @@ var timeBase = time.Now()
 func Nanotime() int64 { return int64(time.Since(timeBase)) }
 
 // Span is one in-flight stage timing. The zero Span is a no-op, which
-// is how skipped samples and disabled telemetry cost no clock reads.
+// is how disabled telemetry costs no clock reads.
 type Span struct {
 	h  *Histogram
 	t0 int64
@@ -291,44 +294,6 @@ func (s Span) End() {
 		s.h.Observe(uint64(Nanotime() - s.t0))
 	}
 }
-
-// EndExemplar records the elapsed nanoseconds and attaches traceID as
-// the landing bucket's exemplar (no-op span or zero ID degrade to a
-// plain End).
-func (s Span) EndExemplar(traceID uint64) {
-	if s.h != nil {
-		s.h.ObserveEx(uint64(Nanotime()-s.t0), traceID)
-	}
-}
-
-// Sampler admits every 2^shift-th hit — the hot-path span thinner. It
-// is single-writer (live on a worker/translator owned by one
-// goroutine), like the structures it instruments.
-type Sampler struct {
-	n     uint64
-	shift uint
-}
-
-// NewSampler samples one in every 2^shift operations (shift 0 = every
-// operation).
-func NewSampler(shift uint) Sampler { return Sampler{shift: shift} }
-
-// Start begins a span against h for one in every 2^shift calls; other
-// calls (and a nil h) return a no-op span with no clock read.
-func (s *Sampler) Start(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	s.n++
-	if s.n&(1<<s.shift-1) != 0 {
-		return Span{}
-	}
-	return Start(h)
-}
-
-// Weight returns the number of operations each recorded sample stands
-// for (2^shift).
-func (s *Sampler) Weight() uint64 { return 1 << s.shift }
 
 // metric is one registered series.
 type metric struct {

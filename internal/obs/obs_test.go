@@ -127,27 +127,6 @@ func TestBucketBoundGeometry(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	var h Histogram
-	s := NewSampler(4) // 1/16
-	for i := 0; i < 160; i++ {
-		sp := s.Start(&h)
-		sp.End()
-	}
-	if got := h.Count(); got != 10 {
-		t.Fatalf("sampled count = %d, want 10", got)
-	}
-	if s.Weight() != 16 {
-		t.Fatalf("weight = %d, want 16", s.Weight())
-	}
-	// Sampler with nil histogram records nothing and reads no clock.
-	s2 := NewSampler(0)
-	sp := s2.Start(nil)
-	if sp.h != nil {
-		t.Fatal("nil-hist sampler span must be inert")
-	}
-}
-
 func TestRegistryReplaceOnDuplicate(t *testing.T) {
 	r := NewRegistry()
 	sc := r.Scope()
@@ -326,13 +305,12 @@ func TestHotPathAllocations(t *testing.T) {
 	var shc ShardedCounter
 	g := sc.Gauge("alloc_level", "")
 	h := sc.Histogram("alloc_ns", "")
-	smp := NewSampler(6)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		shc.Add(2)
 		g.SetMax(3)
 		h.Observe(17)
-		sp := smp.Start(h)
+		sp := Start(h)
 		sp.End()
 	}); n != 0 {
 		t.Fatalf("hot-path primitives allocate %v/op, want 0", n)
@@ -390,19 +368,5 @@ func TestExemplarRoundTrip(t *testing.T) {
 	}
 	if ex := v.ExemplarFor(7); ex != nil {
 		t.Fatalf("bucket 7 grew an exemplar: %+v", ex)
-	}
-
-	// EndExemplar attaches the span's trace ID.
-	h2 := sc.Histogram("dta_ex2_ns", "")
-	sp := Start(h2)
-	sp.EndExemplar(42)
-	found := false
-	for i := 0; i < HistBuckets; i++ {
-		if id, _ := h2.Exemplar(i); id == 42 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("EndExemplar left no exemplar")
 	}
 }

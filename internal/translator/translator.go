@@ -111,17 +111,11 @@ type counters struct {
 	appendFlushes *obs.Counter
 	kiAggregated  *obs.Counter
 
-	// Sampled per-stage latency (nil histograms when unobserved — the
-	// samplers then skip the clock reads entirely).
-	reportNs   *obs.Histogram
-	emitNs     *obs.Histogram
-	reportSamp obs.Sampler
-	emitSamp   obs.Sampler
+	// Per-stage latency of traced reports only (nil histograms when
+	// unobserved): an untraced report reads no clock for them.
+	reportNs *obs.Histogram
+	emitNs   *obs.Histogram
 }
-
-// spanSampleShift thins per-stage spans to 1 in 64: two clock reads
-// (~50ns) amortise to under a nanosecond per report.
-const spanSampleShift = 6
 
 // pending holds the per-report counters of the call in progress as plain
 // integers: a locked add per report per counter is measurable on the hot
@@ -185,10 +179,8 @@ func newCounters(sc *obs.Scope) counters {
 		appendFlushes: sc.Counter("dta_append_flushes_total", "Append batch flushes emitted."),
 		kiAggregated:  sc.Counter("dta_ki_aggregated_total", "Key-Increment reports absorbed by translator-side pre-aggregation."),
 
-		reportNs:   sc.Histogram("dta_translator_report_ns", "End-to-end report processing nanoseconds (sampled 1/64)."),
-		emitNs:     sc.Histogram("dta_rdma_emit_ns", "Work-queue entry build+post nanoseconds per primitive operation, doorbell excluded (sampled 1/64)."),
-		reportSamp: obs.NewSampler(spanSampleShift),
-		emitSamp:   obs.NewSampler(spanSampleShift),
+		reportNs: sc.Histogram("dta_translator_report_ns", "End-to-end report processing nanoseconds (traced reports only)."),
+		emitNs:   sc.Histogram("dta_rdma_emit_ns", "Work-queue entry build+post nanoseconds per primitive operation, doorbell excluded (traced reports only)."),
 	}
 }
 
@@ -247,12 +239,12 @@ type Translator struct {
 	// Doorbell, if non-nil, executes the posted verbs and returns their
 	// one completion as a value (collector.Host.Doorbell), which goes
 	// straight to the PSN tracker. It rings after every stage-C window,
-	// before every entry point returns, and when cap(emitted) emit
+	// before every entry point returns, and when doorbellOps emit
 	// operations (≤ MaxRedundancy verbs each) wait for it; emitted holds
-	// the sampled or traced ones. An error panics.
+	// the traced ones' handles. An error panics.
 	Doorbell func() (rdma.Completion, error)
 	ops      int
-	emitted  []emitMark
+	emitted  []trace.Handle
 
 	// PreTouch, if non-nil, is the collector device's pre-touch entry
 	// (rdma.Device.PreTouch): before crafting a window the translator
@@ -338,11 +330,8 @@ type Translator struct {
 // hinted lines stay resident until the window's doorbell stores to them.
 const batchWindow = 32
 
-// emitMark is an emit operation's span and trace handle.
-type emitMark struct {
-	span obs.Span
-	h    trace.Handle
-}
+// doorbellOps is how many emit operations may wait for one doorbell.
+const doorbellOps = 2 * batchWindow
 
 // slotPlan is one record's wire.StagedPlan with its slot indexes turned
 // into remote addresses.
@@ -364,21 +353,39 @@ func (t *Translator) SetTraceHandle(h trace.Handle) { t.traceH = h }
 // trace ownership to the durability path.
 func (t *Translator) TraceHandle() trace.Handle { return t.traceH }
 
-// endEmit ends an emit operation: a sampled span or a traced report
-// waits for the doorbell that executes its verbs.
-func (t *Translator) endEmit(span obs.Span) {
-	if span != (obs.Span{}) || t.traceH.Valid() {
-		t.emitted = append(t.emitted, emitMark{span, t.traceH})
+// emitStart begins an emit operation: a traced report's start instant,
+// or 0 without a clock read.
+func (t *Translator) emitStart() int64 {
+	if !t.traceH.Valid() {
+		return 0
 	}
-	if t.ops++; t.ops == cap(t.emitted) {
+	return obs.Nanotime()
+}
+
+// endEmit ends an emit operation begun at t0 (emitStart). An untraced
+// one that leaves the doorbell room costs a count and a branch.
+func (t *Translator) endEmit(t0 int64) {
+	if t.ops++; t.ops == doorbellOps || t.traceH.Valid() {
+		t.endEmitSlow(t0)
+	}
+}
+
+// endEmitSlow is endEmit's rare half: it times a traced operation and
+// queues its handle for the doorbell, and rings a full doorbell batch.
+func (t *Translator) endEmitSlow(t0 int64) {
+	if t.traceH.Valid() {
+		t.ctr.emitNs.ObserveEx(uint64(obs.Nanotime()-t0), t.traceH.ID())
+		t.emitted = append(t.emitted, t.traceH)
+	}
+	if t.ops == doorbellOps {
 		t.ring()
 	}
 }
 
 // ring is the doorbell: the collector executes the posted verbs, the one
 // completion goes to the PSN tracker (a NAK resynchronises it), and then
-// the waiting emit spans and stamps end (translate too: the ack was only
-// handled now).
+// the waiting traces are stamped emitted and translated (the ack was
+// only handled now).
 func (t *Translator) ring() {
 	if t.Doorbell != nil {
 		c, err := t.Doorbell()
@@ -388,10 +395,13 @@ func (t *Translator) ring() {
 		t.req.HandleAck(c)
 	}
 	t.ops = 0
-	for _, e := range t.emitted {
-		e.h.Stamp(trace.StEmit)
-		e.h.Stamp(trace.StTranslate)
-		e.span.EndExemplar(e.h.ID())
+	if len(t.emitted) == 0 {
+		return
+	}
+	now := obs.Nanotime() // one clock read stamps every waiting trace
+	for _, h := range t.emitted {
+		h.StampAt(trace.StEmit, now)
+		h.StampAt(trace.StTranslate, now)
 	}
 	clear(t.emitted) // drop the handles: their slots recycle
 	t.emitted = t.emitted[:0]
@@ -410,9 +420,9 @@ func New(cfg Config, l *rdma.Listener) (*Translator, error) {
 
 // NewScoped is New with the translator's metrics (dta_translator_*,
 // dta_rdma_*, dta_rate_*, dta_nacks_*) registered under the given obs
-// scope, plus sampled per-stage latency histograms. A nil scope keeps
-// the counters behind Stats() live but unexposed and disables the
-// latency spans entirely (no clock reads). The scope is deliberately
+// scope, plus the per-stage latency histograms of traced reports. A nil
+// scope keeps the counters behind Stats() live but unexposed, and the
+// histograms record nothing. The scope is deliberately
 // not part of Config: Config is the serialisable deployment geometry
 // (it rides in the WAL's Meta record); a live registry handle is not.
 func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (*Translator, error) {
@@ -427,15 +437,15 @@ func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (*Translator, error)
 		chunkBuf: make([]byte, 0, postcarding.MaxHops*postcarding.SlotSize),
 		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
 		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
-		emitted:  make([]emitMark, 0, 2*batchWindow),
+		emitted:  make([]trace.Handle, 0, doorbellOps),
 		ctr:      newCounters(sc),
 	}
 	// A NAK resync fires at the doorbell: count it, and flag the traces
 	// whose verbs it executed so tail-based sampling retains them.
 	t.req.OnResync = func() {
 		t.ctr.resyncs.Inc()
-		for _, e := range t.emitted {
-			e.h.Flag(trace.FResync)
+		for _, h := range t.emitted {
+			h.Flag(trace.FResync)
 		}
 	}
 	// Burst of rate/1000 ≈ one millisecond of credit, as before; the
@@ -584,10 +594,14 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 		}
 		t.preTouch()
 		for i := range w {
-			if base+i < len(trcs) {
+			var err error
+			if base+i < len(trcs) && trcs[base+i].Valid() {
 				t.traceH = trcs[base+i]
+				err = t.craftTraced(i, &w[i], nowNs)
+			} else {
+				err = t.craft(i, &w[i], nowNs)
 			}
-			if err := t.craft(i, &w[i], nowNs); err != nil {
+			if err != nil {
 				if failed == 0 {
 					first = err
 				}
@@ -607,7 +621,12 @@ func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 	t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
 	t.planInPlace(0, s)
 	t.preTouch()
-	err := t.craft(0, s, nowNs)
+	var err error
+	if t.traceH.Valid() {
+		err = t.craftTraced(0, s, nowNs)
+	} else {
+		err = t.craft(0, s, nowNs)
+	}
 	t.publish()
 	return err
 }
@@ -702,17 +721,24 @@ func (t *Translator) preTouch() {
 	}
 }
 
-// craft is stage C for window slot i.
-func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
-	span := t.ctr.reportSamp.Start(t.ctr.reportNs)
-	err := t.craftStaged(i, s, nowNs)
-	t.traceH.Stamp(trace.StTranslate)
-	span.EndExemplar(t.traceH.ID())
+// craftTraced is craft for a traced report, the only kind timed; out of
+// line, like the reporter's deliverTraced. The span end shares its clock
+// read with the StTranslate stamp, and the handle is cleared so the
+// epoch-flush emit paths can never stamp a recycled trace.
+//
+//go:noinline
+func (t *Translator) craftTraced(i int, s *wire.StagedReport, nowNs uint64) error {
+	t0 := obs.Nanotime()
+	err := t.craft(i, s, nowNs)
+	now := obs.Nanotime()
+	t.traceH.StampAt(trace.StTranslate, now)
+	t.ctr.reportNs.ObserveEx(uint64(now-t0), t.traceH.ID())
 	t.traceH = trace.Handle{}
 	return err
 }
 
-func (t *Translator) craftStaged(i int, s *wire.StagedReport, nowNs uint64) error {
+// craft is stage C for window slot i.
+func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 	if t.WAL != nil {
 		if err := t.WAL(s, nowNs); err != nil {
 			return err
@@ -869,11 +895,11 @@ func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data [
 	// per replica — the N copies differ in nothing else, so rebuilding
 	// the entry and re-copying the payload N times is pure waste (the
 	// hardware multicast engine replicates identically).
-	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
+	t0 := t.emitStart()
 	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
 		vas[0], t.kwReg.RKey, img, false, immediateOf(wire.PrimKeyWrite, flags)), vas)
 	t.pend.rdmaWrites += uint64(len(vas))
-	t.endEmit(span)
+	t.endEmit(t0)
 	return nil
 }
 
@@ -940,10 +966,10 @@ func (t *Translator) emitFetchAdds(vas []uint64, delta uint64, nowNs uint64) err
 		return nil
 	}
 	// Build once, patch address+PSN per replica (see emitKeyWrite).
-	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
+	t0 := t.emitStart()
 	t.post(rdma.FetchAddWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), vas[0], t.kiReg.RKey, delta), vas)
 	t.pend.rdmaAtomics += uint64(len(vas))
-	t.endEmit(span)
+	t.endEmit(t0)
 	return nil
 }
 
@@ -994,7 +1020,7 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, no
 	}
 	// Encode hop-positionally: missing middle hops stay blank so a
 	// query rejects the chunk instead of returning a shifted path.
-	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
+	t0 := t.emitStart()
 	payload := t.pcCoder.EncodeChunkSparse(e.Key, &e.Values, t.chunkBuf)
 	t.chunkBuf = payload[:0]
 	// Build once, patch address+PSN per redundant chunk (see emitKeyWrite).
@@ -1007,7 +1033,7 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, no
 	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
 		vas[0], t.pcReg.RKey, payload, false, immediateOf(wire.PrimPostcarding, flags)), vas[:n])
 	t.pend.rdmaWrites += uint64(n)
-	t.endEmit(span)
+	t.endEmit(t0)
 	return nil
 }
 
@@ -1045,7 +1071,7 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackR
 		return t.drop(src)
 	}
 	t.pend.appendFlushes++
-	span := t.ctr.emitSamp.Start(t.ctr.emitNs)
+	t0 := t.emitStart()
 	listVA := t.apReg.VA + uint64(f.List*apCfg.ListBytes())
 	// The immediate (push notification) rides the batch's last WRITE.
 	headImm := imm
@@ -1058,7 +1084,7 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackR
 		t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), listVA, t.apReg.RKey, tail, false, imm), []uint64{listVA})
 	}
 	t.pend.rdmaWrites += uint64(msgs)
-	t.endEmit(span)
+	t.endEmit(t0)
 	return nil
 }
 

@@ -1061,16 +1061,15 @@ func (w *Writer) syncPoint(force bool) {
 		// fsync — the recovery probe.
 	}
 	t0 := obs.Nanotime()
-	span := obs.Start(w.ctr.fsyncNs)
 	err := w.f.Sync()
+	ns := obs.Nanotime() - t0
 	// The newest trace covered by this fsync becomes the fsync
 	// histogram's bucket exemplar.
 	var exID uint64
 	if n := len(w.unsynced); n > 0 {
 		exID = w.unsynced[n-1].ID()
 	}
-	span.EndExemplar(exID)
-	ns := obs.Nanotime() - t0
+	w.ctr.fsyncNs.ObserveEx(uint64(ns), exID)
 	w.ctr.syncs.Inc()
 	if w.fail(err) {
 		w.abortUnsynced()

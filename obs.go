@@ -19,9 +19,10 @@ import (
 //
 // The design constraint is the paper's own: measurement that perturbs
 // the stream is worthless. Counters are padded (or striped) atomics,
-// histograms are fixed log2 buckets, spans are sampled — the
-// instrumented ingest path stays allocation-free and within a few
-// percent of the uninstrumented one (pinned by tests).
+// histograms are fixed log2 buckets, spans time only the reports the
+// trace sampler drew — the instrumented ingest path stays
+// allocation-free and within a few percent of the uninstrumented one
+// (pinned by tests).
 type ObsRegistry = obs.Registry
 
 // ObsMux mounts the registry's HTTP surface on a fresh mux: Prometheus

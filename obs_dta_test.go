@@ -247,7 +247,7 @@ func TestObsStructuredIngestZeroAllocs(t *testing.T) {
 // the compiler can inline these entry points. A wall clock cannot tell a
 // lost inline from a busy neighbour; the compiler's own report can.
 func TestObsSampledOutPathInlines(t *testing.T) {
-	out, err := exec.Command("go", "build", "-gcflags=-m", "./internal/obs", "./internal/obs/trace", "./internal/engine").CombinedOutput()
+	out, err := exec.Command("go", "build", "-gcflags=-m", "./internal/obs", "./internal/obs/trace", "./internal/engine", "./internal/translator").CombinedOutput()
 	if err != nil {
 		t.Skipf("go build -gcflags=-m: %v\n%s", err, out)
 	}
@@ -258,6 +258,9 @@ func TestObsSampledOutPathInlines(t *testing.T) {
 		"Handle.Stamp", // invalid handle → return
 		"Handle.Finish",
 		"(*Submitter).noteStaged", // engine staging: sampled out → no call
+		"Handle.Valid",
+		"(*Translator).emitStart", // untraced emit: no clock read
+		"(*Translator).endEmit",   // untraced emit: a count and a branch
 	} {
 		if !strings.Contains(string(out), ": can inline "+fn+"\n") {
 			t.Errorf("%s is no longer inlinable: every report now pays a call for it", fn)
@@ -269,7 +272,8 @@ func TestObsSampledOutPathInlines(t *testing.T) {
 // the instrumented structured sync path stays within 3% of the
 // DisableTelemetry baseline. Both variants pay the counter increments
 // (the counters back Stats either way); the delta under test is the
-// histogram observes plus the 1-in-64 sampled clock reads.
+// trace sampler's draw per report and, for the 1 in 1024 it admits, the
+// trace stamps and the translator's span clock reads.
 //
 // It is a wall-clock A/B, so it is opt-in (DTA_WALLCLOCK_GATES=1; CI's
 // overhead step sets it on a quiet runner): inside `go test ./...` some
