@@ -210,10 +210,13 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			oneFailed := 0
 			for i := range st.recs {
 				h := begin(one, i)
+				var err error
 				if h.Valid() {
-					one.tr.SetTraceHandle(h)
+					_, err = one.tr.ProcessStagedBatch(st.recs[i:i+1], wire.ChunkPlan{}, []trace.Handle{h}, st.now[i])
+				} else {
+					err = one.tr.ProcessStaged(&st.recs[i], st.now[i])
 				}
-				if err := one.tr.ProcessStaged(&st.recs[i], st.now[i]); err != nil {
+				if err != nil {
 					oneFailed++
 				}
 				h.Finish()

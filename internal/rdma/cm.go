@@ -1,16 +1,11 @@
 package rdma
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
 // The RDMA connection manager (RDMA_CM) exchange. In the paper the
 // translator's control program crafts CM packets on the switch CPU and
 // injects them into the ASIC (§5.2); the collector answers and advertises
 // the memory geometry of each primitive store over RDMA SEND (§5.3).
-// Here the same exchange is carried as serialized messages.
+// Here translator and collector share the process, so the exchange is a
+// call: no CM message would cross a wire.
 
 // RegionInfo advertises one primitive store: where it lives and how it is
 // laid out. Slots and SlotSize let the translator compute slot addresses
@@ -24,93 +19,6 @@ type RegionInfo struct {
 	SlotSize uint32
 }
 
-// ConnectRequest asks a device for a reliable connection.
-type ConnectRequest struct {
-	InitiatorQPN uint32
-	StartPSN     uint32
-}
-
-// ConnectReply carries the responder QP and the advertised regions.
-type ConnectReply struct {
-	ResponderQPN uint32
-	StartPSN     uint32
-	Regions      []RegionInfo
-}
-
-// ErrBadCM reports a malformed CM message.
-var ErrBadCM = errors.New("rdma: malformed CM message")
-
-// MarshalReply serializes a ConnectReply.
-func MarshalReply(r *ConnectReply) []byte {
-	size := 12
-	for _, g := range r.Regions {
-		size += 1 + len(g.Label) + 4 + 8 + 8 + 8 + 4
-	}
-	b := make([]byte, 0, size)
-	var tmp [8]byte
-	binary.BigEndian.PutUint32(tmp[:4], r.ResponderQPN)
-	b = append(b, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], r.StartPSN)
-	b = append(b, tmp[:4]...)
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.Regions)))
-	b = append(b, tmp[:4]...)
-	for _, g := range r.Regions {
-		if len(g.Label) > 255 {
-			g.Label = g.Label[:255]
-		}
-		b = append(b, byte(len(g.Label)))
-		b = append(b, g.Label...)
-		binary.BigEndian.PutUint32(tmp[:4], g.RKey)
-		b = append(b, tmp[:4]...)
-		binary.BigEndian.PutUint64(tmp[:], g.VA)
-		b = append(b, tmp[:]...)
-		binary.BigEndian.PutUint64(tmp[:], g.Length)
-		b = append(b, tmp[:]...)
-		binary.BigEndian.PutUint64(tmp[:], g.Slots)
-		b = append(b, tmp[:]...)
-		binary.BigEndian.PutUint32(tmp[:4], g.SlotSize)
-		b = append(b, tmp[:4]...)
-	}
-	return b
-}
-
-// UnmarshalReply parses a serialized ConnectReply.
-func UnmarshalReply(b []byte) (*ConnectReply, error) {
-	if len(b) < 12 {
-		return nil, ErrBadCM
-	}
-	r := &ConnectReply{
-		ResponderQPN: binary.BigEndian.Uint32(b[0:4]),
-		StartPSN:     binary.BigEndian.Uint32(b[4:8]),
-	}
-	n := int(binary.BigEndian.Uint32(b[8:12]))
-	if n > 1<<20 {
-		return nil, fmt.Errorf("%w: %d regions", ErrBadCM, n)
-	}
-	b = b[12:]
-	r.Regions = make([]RegionInfo, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, ErrBadCM
-		}
-		ll := int(b[0])
-		b = b[1:]
-		if len(b) < ll+32 {
-			return nil, ErrBadCM
-		}
-		g := RegionInfo{Label: string(b[:ll])}
-		b = b[ll:]
-		g.RKey = binary.BigEndian.Uint32(b[0:4])
-		g.VA = binary.BigEndian.Uint64(b[4:12])
-		g.Length = binary.BigEndian.Uint64(b[12:20])
-		g.Slots = binary.BigEndian.Uint64(b[20:28])
-		g.SlotSize = binary.BigEndian.Uint32(b[28:32])
-		b = b[32:]
-		r.Regions = append(r.Regions, g)
-	}
-	return r, nil
-}
-
 // Listener accepts connections on behalf of a Device and advertises a
 // fixed set of regions.
 type Listener struct {
@@ -118,30 +26,14 @@ type Listener struct {
 	Regions []RegionInfo
 }
 
-// Accept services a connect request: it allocates a responder QP and
-// returns the reply the collector would transmit over RDMA SEND.
-func (l *Listener) Accept(req *ConnectRequest) *ConnectReply {
-	qp := l.Device.CreateQP(req.StartPSN)
-	return &ConnectReply{
-		ResponderQPN: qp.QPN,
-		StartPSN:     req.StartPSN,
-		Regions:      l.Regions,
-	}
-}
-
-// Connect performs the full exchange and returns a ready Requester plus
-// the advertised regions, as the translator control plane does at startup.
+// Connect performs the exchange and returns a ready Requester plus the
+// advertised regions, as the translator control plane does at startup:
+// the device allocates a responder QP starting at startPSN. The error is
+// always nil in-process; it is where a CM exchange over a wire would fail.
 func Connect(l *Listener, startPSN uint32) (*Requester, []RegionInfo, error) {
-	req := &ConnectRequest{InitiatorQPN: 1, StartPSN: startPSN & psnMask}
-	rep := l.Accept(req)
-	// Round-trip through the wire encoding to exercise the same paths a
-	// distributed deployment would.
-	rep2, err := UnmarshalReply(MarshalReply(rep))
-	if err != nil {
-		return nil, nil, err
-	}
-	r := &Requester{DestQP: rep2.ResponderQPN, NPSN: rep2.StartPSN}
-	return r, rep2.Regions, nil
+	startPSN &= psnMask
+	qp := l.Device.CreateQP(startPSN)
+	return &Requester{DestQP: qp.QPN, NPSN: startPSN}, l.Regions, nil
 }
 
 // FindRegion returns the first advertised region with the given label.

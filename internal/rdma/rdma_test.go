@@ -496,37 +496,6 @@ func TestGuardGapBetweenRegions(t *testing.T) {
 	}
 }
 
-func TestCMReplyRoundTrip(t *testing.T) {
-	in := &ConnectReply{
-		ResponderQPN: 0x17,
-		StartPSN:     12345,
-		Regions: []RegionInfo{
-			{Label: "keywrite", RKey: 1, VA: 0x1000, Length: 1 << 20, Slots: 1 << 17, SlotSize: 8},
-			{Label: "append:0", RKey: 2, VA: 0x200000, Length: 1 << 16, Slots: 1 << 14, SlotSize: 4},
-		},
-	}
-	out, err := UnmarshalReply(MarshalReply(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ResponderQPN != in.ResponderQPN || out.StartPSN != in.StartPSN {
-		t.Errorf("header mismatch: %+v", out)
-	}
-	if len(out.Regions) != 2 || out.Regions[0] != in.Regions[0] || out.Regions[1] != in.Regions[1] {
-		t.Errorf("regions mismatch: %+v", out.Regions)
-	}
-}
-
-func TestCMUnmarshalGarbage(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	buf := make([]byte, 64)
-	for i := 0; i < 5000; i++ {
-		n := rnd.Intn(len(buf))
-		rnd.Read(buf[:n])
-		_, _ = UnmarshalReply(buf[:n]) // must not panic
-	}
-}
-
 func TestConnectHandshake(t *testing.T) {
 	d := NewDevice()
 	mr := d.RegisterMemory(256)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"testing"
 
 	"dta/internal/rdma"
@@ -315,5 +316,66 @@ func TestMisalignedPlanIsIgnored(t *testing.T) {
 	if !bytes.Equal(a.host.KeyWriteStore().Buffer(), b.host.KeyWriteStore().Buffer()) ||
 		!bytes.Equal(a.host.KeyIncrementStore().Buffer(), b.host.KeyIncrementStore().Buffer()) {
 		t.Fatal("a misaligned plan changed what was written")
+	}
+}
+
+// TestDoorbellsPerChunk pins the doorbell as the translator's one
+// publication point: a chunk rings once per window, a ring with nothing
+// posted skips the doorbell, and the log publishes at every ring — so a
+// chunk that only stashes, or an empty epoch flush, publishes without a
+// doorbell. log holds "D<emits posted since the last doorbell>" per
+// doorbell and "P" per log publication, in order.
+func TestDoorbellsPerChunk(t *testing.T) {
+	ccfg, tcfg := fullConfig() // Append batch 4: three appends only stash
+	r := newRig(t, ccfg, tcfg)
+	var log []string
+	emits := 0
+	emit, doorbell := r.tr.Emit, r.tr.Doorbell
+	r.tr.Emit = func(wqe []byte) { emits++; emit(wqe) }
+	r.tr.Doorbell = func() (rdma.Completion, error) {
+		log = append(log, "D"+strconv.Itoa(emits))
+		emits = 0
+		return doorbell()
+	}
+	r.tr.WALPublish = func() { log = append(log, "P") }
+
+	chunk := func(n int, prim wire.Primitive) []wire.StagedReport {
+		recs := make([]wire.StagedReport, n)
+		for i := range recs {
+			rep := wire.Report{Header: wire.Header{Version: wire.Version, Primitive: prim},
+				KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(uint64(i))},
+				Append:   wire.Append{ListID: 3}, Data: []byte{byte(i), 2, 3, 4}}
+			recs[i].Stage(&rep)
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name string
+		recs []wire.StagedReport
+		want []string
+	}{
+		{"kw1", chunk(1, wire.PrimKeyWrite), []string{"D2", "P"}},
+		{"kw32", chunk(32, wire.PrimKeyWrite), []string{"D64", "P"}},
+		{"kw40", chunk(40, wire.PrimKeyWrite), []string{"D64", "P", "D16", "P"}},
+		{"append3", chunk(3, wire.PrimAppend), []string{"P"}},
+	} {
+		log = log[:0]
+		if failed, err := r.tr.ProcessStagedBatch(tc.recs, wire.ChunkPlan{}, nil, 0); failed != 0 {
+			t.Fatalf("%s: %d failed: %v", tc.name, failed, err)
+		}
+		if !slices.Equal(log, tc.want) {
+			t.Errorf("%s: rings %v, want %v", tc.name, log, tc.want)
+		}
+	}
+	// The stashed appends go out at the epoch flush, under one doorbell;
+	// a second, empty flush still publishes but rings no doorbell.
+	for _, want := range [][]string{{"D1", "P"}, {"P"}} {
+		log = log[:0]
+		if err := r.tr.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(log, want) {
+			t.Errorf("flush: rings %v, want %v", log, want)
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // tokenBucket is the translator's RDMA rate limiter (§5.2): it protects
 // the collector NIC during congestion by capping emitted messages per
-// second, dropping (with a counter, optionally a NACK) rather than
-// queueing.
+// second, dropping (with a counter and a rate-gated journal event)
+// rather than queueing.
 //
 // The arithmetic is integer throughout. The previous float64
 // implementation accumulated `Δns × rate / 1e9` per call; with

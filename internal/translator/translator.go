@@ -13,10 +13,12 @@
 // WRITEs. Append stashes entries and emits batch WRITEs. All primitives
 // share the RDMA crafting logic: per-connection PSN tracking, queue-pair
 // resynchronisation on NAK, and a token-bucket rate limiter that protects
-// the collector NIC during congestion (§5.2); drops can bounce a NACK
-// back to the reporter. The collector device shares the process, so the
-// verbs are posted as work-queue entries (rdma.WriteWQE,
-// rdma.FetchAddWQE), not as RoCEv2 packets: none would cross a wire.
+// the collector NIC during congestion (§5.2): a report it sheds is
+// counted and journalled, nothing more. The collector device shares the
+// process, so the verbs are posted as work-queue entries (rdma.WriteWQE,
+// rdma.FetchAddWQE), not as RoCEv2 packets: none would cross a wire. The
+// doorbell (ring) is the one publication point: it executes what was
+// posted, publishes the log and the counters, and stamps the traces.
 package translator
 
 import (
@@ -63,8 +65,6 @@ type Config struct {
 	KIAggregationRows int
 	// RateLimit caps emitted RDMA messages per second; 0 disables.
 	RateLimit float64
-	// MaxKWRedundancy caps the redundancy reporters may request.
-	MaxKWRedundancy int
 }
 
 // Stats counts translator activity. It is a snapshot view over the
@@ -78,7 +78,6 @@ type Stats struct {
 	RDMACrafts    uint64 // work-queue entries built (first replica)
 	RDMARepatches uint64 // PSN/VA patches of a built entry (multicast replicas 2..N)
 	RateDropped   uint64 // reports dropped by the rate limiter
-	NACKs         uint64 // NACKs bounced to reporters
 	Resyncs       uint64 // queue-pair resynchronisations
 	PostcardEmits uint64
 	AppendFlushes uint64
@@ -105,7 +104,6 @@ type counters struct {
 	crafts        *obs.Counter
 	repatches     *obs.Counter
 	rateDropped   *obs.Counter
-	nacks         *obs.Counter
 	resyncs       *obs.Counter
 	postcardEmits *obs.Counter
 	appendFlushes *obs.Counter
@@ -119,10 +117,11 @@ type counters struct {
 
 // pending holds the per-report counters of the call in progress as plain
 // integers: a locked add per report per counter is measurable on the hot
-// path, so the craft stage counts here and every public entry point
-// publishes the totals with one Add per touched counter before it
-// returns. Readers see exact values whenever the translator is between
-// calls; a scrape racing a call lags by at most that call's reports.
+// path, so the craft stage counts here and every doorbell (ring)
+// publishes the totals with one Add per touched counter. Every entry
+// point ends with a ring, so readers see exact values whenever the
+// translator is between calls; a scrape racing a call lags by at most
+// one window's reports.
 type pending struct {
 	kwReports, kiReports, pcReports, apReports uint64
 
@@ -135,27 +134,6 @@ func publishCount(c *obs.Counter, v *uint64) {
 		c.Add(*v)
 		*v = 0
 	}
-}
-
-// publish rings the doorbell, moves the pending counts into the obs
-// cells and, with a log attached, appends the records the call staged.
-func (t *Translator) publish() {
-	t.ring()
-	if t.WALPublish != nil {
-		t.WALPublish()
-	}
-	c, p := &t.ctr, &t.pend
-	publishCount(c.kwReports, &p.kwReports)
-	publishCount(c.kiReports, &p.kiReports)
-	publishCount(c.pcReports, &p.pcReports)
-	publishCount(c.apReports, &p.apReports)
-	publishCount(c.rdmaWrites, &p.rdmaWrites)
-	publishCount(c.rdmaAtomics, &p.rdmaAtomics)
-	publishCount(c.crafts, &p.crafts)
-	publishCount(c.repatches, &p.repatches)
-	publishCount(c.postcardEmits, &p.postcardEmits)
-	publishCount(c.appendFlushes, &p.appendFlushes)
-	publishCount(c.kiAggregated, &p.kiAggregated)
 }
 
 func newCounters(sc *obs.Scope) counters {
@@ -173,7 +151,6 @@ func newCounters(sc *obs.Scope) counters {
 		crafts:        sc.Counter("dta_rdma_crafts_total", "Work-queue entries built (first multicast replica)."),
 		repatches:     sc.Counter("dta_rdma_repatches_total", "PSN/VA patches reusing a built work-queue entry (replicas 2..N)."),
 		rateDropped:   sc.Counter("dta_rate_dropped_total", "Reports shed by the token-bucket rate limiter."),
-		nacks:         sc.Counter("dta_nacks_total", "NACKs bounced to reporters on rate drops."),
 		resyncs:       sc.Counter("dta_resyncs_total", "Queue-pair resynchronisations after NAK-sequence."),
 		postcardEmits: sc.Counter("dta_postcard_emits_total", "Aggregated postcard chunks emitted."),
 		appendFlushes: sc.Counter("dta_append_flushes_total", "Append batch flushes emitted."),
@@ -195,7 +172,6 @@ func (c *counters) snapshot() Stats {
 		RDMACrafts:    c.crafts.Load(),
 		RDMARepatches: c.repatches.Load(),
 		RateDropped:   c.rateDropped.Load(),
-		NACKs:         c.nacks.Load(),
 		Resyncs:       c.resyncs.Load(),
 		PostcardEmits: c.postcardEmits.Load(),
 		AppendFlushes: c.appendFlushes.Load(),
@@ -238,10 +214,11 @@ type Translator struct {
 
 	// Doorbell, if non-nil, executes the posted verbs and returns their
 	// one completion as a value (collector.Host.Doorbell), which goes
-	// straight to the PSN tracker. It rings after every stage-C window,
-	// before every entry point returns, and when doorbellOps emit
-	// operations (≤ MaxRedundancy verbs each) wait for it; emitted holds
-	// the traced ones' handles. An error panics.
+	// straight to the PSN tracker. The translator rings after every
+	// stage-C window (so an entry point ends with a ring) and when
+	// doorbellOps emit operations (≤ MaxRedundancy verbs each) wait; a
+	// ring with nothing posted skips Doorbell. emitted holds the traced
+	// operations' handles. An error panics.
 	Doorbell func() (rdma.Completion, error)
 	ops      int
 	emitted  []trace.Handle
@@ -254,10 +231,6 @@ type Translator struct {
 	// by one. It must change nothing. Nil (stand-alone translators) skips
 	// the stage.
 	PreTouch func(rkey uint32, vas []uint64, length int)
-
-	// NACK, if non-nil, is invoked with the reporter-visible reason when
-	// a report is dropped by the rate limiter.
-	NACK func(r *wire.Report)
 
 	// Journal, when wired, receives rate-gated flight-recorder events
 	// for shed episodes (rate-limit drops) and parse errors. The zero
@@ -286,9 +259,10 @@ type Translator struct {
 	// reports, not over emitted RDMA operations; restored state can
 	// only gain best-effort-shed reports, never lose acknowledged ones.
 	WAL func(rec *wire.StagedReport, nowNs uint64) error
-	// WALPublish, if non-nil, runs once as every ingest call returns:
-	// the log stages the records WAL hands it and appends them here — one
-	// publication per chunk, however many records (wal.Writer.Publish).
+	// WALPublish, if non-nil, runs at every ring: the log stages the
+	// records WAL hands it and appends them here — one publication per
+	// window, however many records (wal.Writer.Publish). A ring with
+	// nothing staged costs the log a comparison.
 	WALPublish func()
 	// staged is where ProcessReport stages the report it was handed.
 	staged wire.StagedReport
@@ -298,16 +272,12 @@ type Translator struct {
 	// place here, so the steady-state emit path performs no allocation.
 	wqeBuf   []byte
 	chunkBuf []byte
-	// nackScratch is the lazily materialised report handed to the NACK
-	// callback when a staged report is rate-limit dropped.
-	nackScratch wire.Report
 
 	// traceH is the data-plane trace handle for the report currently
-	// being processed (taken from the chunk's handle slice, or set by a
-	// sync caller via SetTraceHandle), cleared when the report's craft
-	// stage returns so the epoch-flush emit paths can never stamp a
-	// recycled trace. The translator is single-threaded by contract, so a
-	// plain field is race-free.
+	// being processed (taken from the chunk's handle slice), cleared when
+	// the report's craft stage returns so the epoch-flush emit paths can
+	// never stamp a recycled trace. The translator is single-threaded by
+	// contract, so a plain field is race-free.
 	traceH trace.Handle
 
 	// plan, kwVAs and kiVAs are the window being processed, its planned
@@ -341,12 +311,6 @@ type slotPlan struct {
 	prim  wire.Primitive // which of the two: craft honours a plan only for the primitive it was made for
 	csum  uint32         // Key-Write key checksum
 }
-
-// SetTraceHandle installs the trace handle for the NEXT report processed
-// through a single-report entry (ProcessStaged/ProcessReport), which
-// consumes it; chunks carry their handles as an argument instead. The
-// handle may be invalid (report sampled out).
-func (t *Translator) SetTraceHandle(h trace.Handle) { t.traceH = h }
 
 // TraceHandle returns the active report's trace handle (invalid
 // outside a processing call). The WAL append hook uses it to hand
@@ -382,12 +346,14 @@ func (t *Translator) endEmitSlow(t0 int64) {
 	}
 }
 
-// ring is the doorbell: the collector executes the posted verbs, the one
-// completion goes to the PSN tracker (a NAK resynchronises it), and then
-// the waiting traces are stamped emitted and translated (the ack was
+// ring is the doorbell and the translator's one publication point: the
+// collector executes the posted verbs (if any were posted), the one
+// completion goes to the PSN tracker (a NAK resynchronises it), the log
+// publishes what was staged, the pending counts move to their cells, and
+// then the waiting traces are stamped emitted and translated (the ack was
 // only handled now).
 func (t *Translator) ring() {
-	if t.Doorbell != nil {
+	if t.ops > 0 && t.Doorbell != nil {
 		c, err := t.Doorbell()
 		if err != nil {
 			panic(fmt.Sprintf("translator: collector rejected a posted verb: %v", err))
@@ -395,6 +361,21 @@ func (t *Translator) ring() {
 		t.req.HandleAck(c)
 	}
 	t.ops = 0
+	if t.WALPublish != nil {
+		t.WALPublish()
+	}
+	c, p := &t.ctr, &t.pend
+	publishCount(c.kwReports, &p.kwReports)
+	publishCount(c.kiReports, &p.kiReports)
+	publishCount(c.pcReports, &p.pcReports)
+	publishCount(c.apReports, &p.apReports)
+	publishCount(c.rdmaWrites, &p.rdmaWrites)
+	publishCount(c.rdmaAtomics, &p.rdmaAtomics)
+	publishCount(c.crafts, &p.crafts)
+	publishCount(c.repatches, &p.repatches)
+	publishCount(c.postcardEmits, &p.postcardEmits)
+	publishCount(c.appendFlushes, &p.appendFlushes)
+	publishCount(c.kiAggregated, &p.kiAggregated)
 	if len(t.emitted) == 0 {
 		return
 	}
@@ -419,7 +400,7 @@ func New(cfg Config, l *rdma.Listener) (*Translator, error) {
 }
 
 // NewScoped is New with the translator's metrics (dta_translator_*,
-// dta_rdma_*, dta_rate_*, dta_nacks_*) registered under the given obs
+// dta_rdma_*, dta_rate_*) registered under the given obs
 // scope, plus the per-stage latency histograms of traced reports. A nil
 // scope keeps the counters behind Stats() live but unexposed, and the
 // histograms record nothing. The scope is deliberately
@@ -574,9 +555,8 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 // recs[i]'s (possibly invalid — sampled out), and a record at index
 // len(trcs) or beyond was sampled out. A failing record does not stop
 // the chunk: failed counts them and first is the earliest error.
-// Processing is semantically identical to ProcessStaged on each record
-// (a full report is materialised lazily only if a rate-limit drop must
-// raise a NACK).
+// Processing is semantically identical to ProcessStaged on each record.
+// A synchronous caller hands a traced record here as a chunk of one.
 func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
 	planned := len(plan.Recs) == len(recs)
 	for base := 0; base < len(recs); base += batchWindow {
@@ -610,24 +590,20 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 		}
 		t.ring()
 	}
-	t.publish()
 	return failed, first
 }
 
-// ProcessStaged is ProcessStagedBatch for a chunk of one (synchronous
-// reporters, tools, benchmarks), planned in place. The record's trace
-// handle, if any, was installed by SetTraceHandle.
+// ProcessStaged is ProcessStagedBatch for an untraced chunk of one
+// (synchronous reporters, tools, benchmarks), planned in place: the same
+// stages, in a straight line. It stays out of the window loop because
+// that loop, run for one record, cost the synchronous path ≈ 4 % more
+// CPU per report (sync_readwrite, 2-vCPU VM).
 func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 	t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
 	t.planInPlace(0, s)
 	t.preTouch()
-	var err error
-	if t.traceH.Valid() {
-		err = t.craftTraced(0, s, nowNs)
-	} else {
-		err = t.craft(0, s, nowNs)
-	}
-	t.publish()
+	err := t.craft(0, s, nowNs)
+	t.ring()
 	return err
 }
 
@@ -645,7 +621,7 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uin
 			break
 		}
 		key, red := s.KeyWriteArgs()
-		if n := t.kwRedundancy(int(red)); n > 0 {
+		if n := kwRedundancy(int(red)); n > 0 {
 			slots, csum := t.kwIdx.PlanWrite(key, n, dst)
 			return slots, wire.PrimKeyWrite, csum
 		}
@@ -702,7 +678,7 @@ func (t *Translator) PlansLike(o *Translator) bool {
 	if (t.kwIdx == nil) != (o.kwIdx == nil) || (t.kiIdx == nil) != (o.kiIdx == nil) || (t.kiAgg == nil) != (o.kiAgg == nil) {
 		return false
 	}
-	if t.kwIdx != nil && (*t.cfg.KeyWrite != *o.cfg.KeyWrite || t.cfg.MaxKWRedundancy != o.cfg.MaxKWRedundancy) {
+	if t.kwIdx != nil && *t.cfg.KeyWrite != *o.cfg.KeyWrite {
 		return false
 	}
 	return t.kiIdx == nil || *t.cfg.KeyIncrement == *o.cfg.KeyIncrement
@@ -749,11 +725,13 @@ func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 		t.pend.kwReports++
 		if p := t.plan[i]; p.prim == wire.PrimKeyWrite {
 			vas := t.kwVAs[p.start : p.start+uint16(p.n)]
-			return t.emitKeyWrite(vas, p.csum, s.Flags(), s.Payload(), nackRef{s: s}, nowNs)
+			return t.emitKeyWrite(vas, p.csum, s.Flags(), s.Payload(), nowNs)
 		}
-		// Not planned: Key-Write disabled or nothing to write.
-		key, red := s.KeyWriteArgs()
-		return t.keyWriteArgs(key, int(red), s.Flags(), s.Payload(), nackRef{s: s}, nowNs)
+		// Not planned: Key-Write disabled or redundancy 0.
+		if t.kwIdx == nil {
+			return errors.New("translator: Key-Write not enabled")
+		}
+		return nil
 	case wire.PrimKeyIncrement:
 		t.pend.kiReports++
 		key, red, delta := s.KeyIncrementArgs()
@@ -767,45 +745,20 @@ func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 		t.pend.pcReports++
 		key, hop, pathLen, value := s.PostcardArgs()
 		pc := wire.Postcard{Key: *key, Hop: hop, PathLen: pathLen, Value: value}
-		return t.postcardArgs(&pc, s.Flags(), nackRef{s: s}, nowNs)
+		return t.postcardArgs(&pc, s.Flags(), nowNs)
 	case wire.PrimAppend:
 		t.pend.apReports++
-		return t.appendArgs(s.AppendArgs(), s.Payload(), s.Flags(), nackRef{s: s}, nowNs)
+		return t.appendArgs(s.AppendArgs(), s.Payload(), s.Flags(), nowNs)
 	default:
 		return t.unknownPrimitive(s.Primitive())
 	}
 }
 
-// drop handles a rate-limited report.
-// nackRef is a lazily materialised handle to the report being
-// processed, used only on the (rare) rate-limit drop path: the staged
-// fast path decompresses a full wire.Report for the NACK callback only
-// if a NACK is actually sent.
-type nackRef struct {
-	r *wire.Report
-	s *wire.StagedReport
-}
-
-func (n nackRef) report(scratch *wire.Report) *wire.Report {
-	if n.r != nil {
-		return n.r
-	}
-	if n.s != nil {
-		return n.s.View(scratch)
-	}
-	// Epoch flushes (Flush) carry no originating report; hand the
-	// callback a zeroed one, never a stale scratch.
-	*scratch = wire.Report{}
-	return scratch
-}
-
-func (t *Translator) drop(src nackRef) error {
+// drop handles an operation the rate limiter shed: it is counted and
+// journalled, and the report it came from still succeeds.
+func (t *Translator) drop() error {
 	t.ctr.rateDropped.Inc()
 	t.noteShed()
-	if t.NACK != nil {
-		t.ctr.nacks.Inc()
-		t.NACK(src.report(&t.nackScratch))
-	}
 	return nil
 }
 
@@ -848,12 +801,7 @@ func immediateOf(prim wire.Primitive, flags uint8) *uint32 {
 
 // kwRedundancy clamps a requested Key-Write redundancy; 0 means the
 // report writes nothing.
-func (t *Translator) kwRedundancy(n int) int {
-	if max := t.cfg.MaxKWRedundancy; max > 0 && n > max {
-		n = max
-	}
-	return min(n, keywrite.MaxRedundancy)
-}
+func kwRedundancy(n int) int { return min(n, keywrite.MaxRedundancy) }
 
 // kwAddrs appends the remote addresses of Key-Write slots.
 func (t *Translator) kwAddrs(dst []uint64, slots []uint32) []uint64 {
@@ -863,27 +811,11 @@ func (t *Translator) kwAddrs(dst []uint64, slots []uint32) []uint64 {
 	return dst
 }
 
-// keyWriteArgs is the unplanned Key-Write path (records address
-// generation left alone): hash, then emit.
-func (t *Translator) keyWriteArgs(key *wire.Key, n int, flags uint8, data []byte, src nackRef, nowNs uint64) error {
-	if t.kwIdx == nil {
-		return errors.New("translator: Key-Write not enabled")
-	}
-	n = t.kwRedundancy(n)
-	if n < 1 {
-		return nil
-	}
-	var buf [keywrite.MaxRedundancy]uint32
-	var vas [keywrite.MaxRedundancy]uint64
-	slots, csum := t.kwIdx.PlanWrite(key, n, buf[:0])
-	return t.emitKeyWrite(t.kwAddrs(vas[:0], slots), csum, flags, data, src, nowNs)
-}
-
 // emitKeyWrite writes the slot image (checksum csum, value data) to
 // every address in vas.
-func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data []byte, src nackRef, nowNs uint64) error {
+func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data []byte, nowNs uint64) error {
 	if !t.limiter.allow(nowNs, len(vas)) {
-		return t.drop(src)
+		return t.drop()
 	}
 	cfg := t.kwIdx.Config()
 	// Slot image: 4B checksum followed by the (padded) value.
@@ -929,25 +861,25 @@ func (t *Translator) kiAddrs(dst []uint64, slots []uint32) []uint64 {
 }
 
 // keyIncrementArgs is the unplanned Key-Increment path: records address
-// generation left alone (aggregation on).
+// generation left alone (aggregation on, or redundancy 0).
 func (t *Translator) keyIncrementArgs(ki *wire.KeyIncrement, nowNs uint64) error {
 	if t.kiIdx == nil {
 		return errors.New("translator: Key-Increment not enabled")
 	}
-	if t.kiAgg != nil {
-		key, delta, red, flushed := t.kiAgg.add(ki)
-		if !flushed {
-			t.pend.kiAggregated++
-			return nil
-		}
-		// An incumbent was evicted: emit its accumulated delta instead.
-		agg := wire.KeyIncrement{Redundancy: red, Key: key, Delta: delta}
-		return t.fetchAddKey(&agg, nowNs)
+	if t.kiAgg == nil {
+		return nil // redundancy 0: nothing to add
 	}
-	return t.fetchAddKey(ki, nowNs)
+	key, delta, red, flushed := t.kiAgg.add(ki)
+	if !flushed {
+		t.pend.kiAggregated++
+		return nil
+	}
+	// An incumbent was evicted: emit its accumulated delta instead.
+	agg := wire.KeyIncrement{Redundancy: red, Key: key, Delta: delta}
+	return t.fetchAddKey(&agg, nowNs)
 }
 
-// fetchAddKey hashes ki's counters and emits the FETCH&ADDs.
+// fetchAddKey hashes an aggregate's counters and emits the FETCH&ADDs.
 func (t *Translator) fetchAddKey(ki *wire.KeyIncrement, nowNs uint64) error {
 	n := kiRedundancy(int(ki.Redundancy))
 	if n < 1 {
@@ -961,9 +893,7 @@ func (t *Translator) fetchAddKey(ki *wire.KeyIncrement, nowNs uint64) error {
 // emitFetchAdds adds delta to the counter at every address in vas.
 func (t *Translator) emitFetchAdds(vas []uint64, delta uint64, nowNs uint64) error {
 	if !t.limiter.allow(nowNs, len(vas)) {
-		t.ctr.rateDropped.Inc()
-		t.noteShed()
-		return nil
+		return t.drop()
 	}
 	// Build once, patch address+PSN per replica (see emitKeyWrite).
 	t0 := t.emitStart()
@@ -987,14 +917,14 @@ func (t *Translator) flushKeyIncrements(nowNs uint64) error {
 	return nil
 }
 
-func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, nowNs uint64) error {
+func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, nowNs uint64) error {
 	if q := t.thresholdQuery; q != nil {
 		if ev, consumed := q.Offer(pc); consumed {
 			if ev == nil {
 				return nil
 			}
 			rep := q.EventReport(ev)
-			return t.appendArgs(rep.Append.ListID, rep.Data, rep.Header.Flags, nackRef{r: &rep}, nowNs)
+			return t.appendArgs(rep.Append.ListID, rep.Data, rep.Header.Flags, nowNs)
 		}
 	}
 	if t.pcCoder == nil {
@@ -1002,7 +932,7 @@ func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, n
 	}
 	emits := t.pcCache.Insert(pc)
 	for i := range emits {
-		if err := t.emitChunk(&emits[i], flags, src, nowNs); err != nil {
+		if err := t.emitChunk(&emits[i], flags, nowNs); err != nil {
 			return err
 		}
 	}
@@ -1011,12 +941,12 @@ func (t *Translator) postcardArgs(pc *wire.Postcard, flags uint8, src nackRef, n
 
 // emitChunk writes one aggregated flow chunk with redundancy N
 // (configured at the store; the paper uses the same N for all flows).
-func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, nowNs uint64) error {
+func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, nowNs uint64) error {
 	t.pend.postcardEmits++
 	cfg := t.pcCoder.Config()
 	n := min(max(t.cfg.PostcardRedundancy, 1), postcarding.MaxRedundancy)
 	if !t.limiter.allow(nowNs, n) {
-		return t.drop(src)
+		return t.drop()
 	}
 	// Encode hop-positionally: missing middle hops stay blank so a
 	// query rejects the chunk instead of returning a shifted path.
@@ -1037,7 +967,7 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, src nackRef, no
 	return nil
 }
 
-func (t *Translator) appendArgs(listID uint32, data []byte, flags uint8, src nackRef, nowNs uint64) error {
+func (t *Translator) appendArgs(listID uint32, data []byte, flags uint8, nowNs uint64) error {
 	if t.apBatch == nil {
 		return errors.New("translator: Append not enabled")
 	}
@@ -1048,7 +978,7 @@ func (t *Translator) appendArgs(listID uint32, data []byte, flags uint8, src nac
 	if f == nil {
 		return nil
 	}
-	return t.emitAppendFlush(f, immediateOf(wire.PrimAppend, flags), src, nowNs)
+	return t.emitAppendFlush(f, immediateOf(wire.PrimAppend, flags), nowNs)
 }
 
 // emitAppendFlush writes one batch to its list's ring. A batch is one
@@ -1056,7 +986,7 @@ func (t *Translator) appendArgs(listID uint32, data []byte, flags uint8, src nac
 // partial flush left the head off a batch boundary — where it splits in
 // two at the wrap, as appendlist.Store.Apply does: a single WRITE would
 // run on into the next list (or past the region, on the last one).
-func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackRef, nowNs uint64) error {
+func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, nowNs uint64) error {
 	apCfg := t.cfg.Append
 	head, tail := f.Data, []byte(nil)
 	if over := f.Index + f.Entries - apCfg.EntriesPerList; over > 0 {
@@ -1068,7 +998,7 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackR
 		msgs = 2
 	}
 	if !t.limiter.allow(nowNs, msgs) {
-		return t.drop(src)
+		return t.drop()
 	}
 	t.pend.appendFlushes++
 	t0 := t.emitStart()
@@ -1089,11 +1019,12 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, src nackR
 }
 
 // Flush is the epoch end: it forces out partial Append batches, then the
-// pending Key-Increment aggregates, then the cached postcards, and
-// publishes once — one doorbell per epoch. The two caches drain through
-// their occupancy bitmaps, so an epoch with little pending costs little.
+// pending Key-Increment aggregates, then the cached postcards, and rings
+// once (more only if doorbellOps operations wait). The two caches drain
+// through their occupancy bitmaps, so an epoch with little pending costs
+// little.
 func (t *Translator) Flush(nowNs uint64) error {
-	defer t.publish()
+	defer t.ring()
 	if err := t.flushAppend(nowNs); err != nil {
 		return err
 	}
@@ -1110,7 +1041,7 @@ func (t *Translator) flushAppend(nowNs uint64) error {
 	}
 	for l := 0; l < t.cfg.Append.Lists; l++ {
 		if f := t.apBatch.FlushPartial(l); f != nil {
-			if err := t.emitAppendFlush(f, nil, nackRef{}, nowNs); err != nil {
+			if err := t.emitAppendFlush(f, nil, nowNs); err != nil {
 				return err
 			}
 		}
@@ -1125,7 +1056,7 @@ func (t *Translator) drainPostcards(nowNs uint64) error {
 	}
 	out := t.pcCache.Drain()
 	for i := range out {
-		if err := t.emitChunk(&out[i], 0, nackRef{}, nowNs); err != nil {
+		if err := t.emitChunk(&out[i], 0, nowNs); err != nil {
 			return err
 		}
 	}

@@ -28,7 +28,6 @@ func fullMeta() *Meta {
 	m.Translator.PostcardRedundancy = 2
 	m.Translator.KIAggregationRows = 8
 	m.Translator.RateLimit = 1.5e6
-	m.Translator.MaxKWRedundancy = 4
 	return m
 }
 

@@ -53,9 +53,10 @@
 //
 // A record is appended when it is published: Publish hands the flusher,
 // and every reader, all records staged so far. The appender publishes
-// (a) when the ingest call that staged them returns
-// (translator.Translator.WALPublish: per chunk on the engine path, per
-// record on the synchronous one), (b) inside CommitBatch and Close, (c)
+// (a) at every translator doorbell (translator.Translator.WALPublish:
+// once per window of a chunk on the engine path, once per record on the
+// synchronous one; a doorbell with nothing staged publishes nothing),
+// (b) inside CommitBatch and Close, (c)
 // when unpublished bytes pass publishEarlyBytes, and (d) always before it
 // waits on a full ring, whose bytes only it can release. LastLSN, Sync,
 // Flush and WStats — safe from any goroutine — see published records

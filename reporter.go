@@ -28,9 +28,11 @@ type Reporter struct {
 
 	// frame.Report is the scratch report the typed methods fill (only
 	// the active sub-header) and SubmitFrame decodes into; a synchronous
-	// route snapshots it into staged for its collector(s).
+	// route snapshots it into staged for its collector(s). staged is an
+	// array of one so that a traced record is a one-record chunk as it
+	// stands (deliverTraced).
 	frame  wire.ParsedFrame
-	staged wire.StagedReport
+	staged [1]wire.StagedReport
 
 	// smp is this reporter's trace sampling counter: caller-local so the
 	// sampled-out fast path touches no shared cache line.
@@ -49,11 +51,11 @@ func (r *Reporter) send(rep *wire.Report) error {
 	if r.sub != nil {
 		return r.sub.SubmitReport(0, rep, sys.Now())
 	}
-	r.staged.Stage(rep)
+	r.staged[0].Stage(rep)
 	if t := sys.trc; t != nil && t.Candidate(&r.smp) {
 		return r.deliverTraced(sys, t)
 	}
-	return sys.tr.ProcessStaged(&r.staged, sys.Now())
+	return sys.tr.ProcessStaged(&r.staged[0], sys.Now())
 }
 
 // fan is the software form of the paper's multicast translation: the
@@ -89,14 +91,14 @@ func (r *Reporter) fan(rep *wire.Report) error {
 		// Copied with its plan, and stamped, into each owner's chunk.
 		err = r.sub.SubmitReportFan(live[:n], nows[:n], rep)
 	} else {
-		r.staged.Stage(rep)
-		r.staged.SetRecipients(live[:n])
+		r.staged[0].Stage(rep)
+		r.staged[0].SetRecipients(live[:n])
 		for i, o := range live[:n] {
 			sys := h.systems[o]
 			if t := sys.trc; t != nil && t.Candidate(&r.smp) {
 				err = r.deliverTraced(sys, t)
 			} else {
-				err = sys.tr.ProcessStaged(&r.staged, nows[i])
+				err = sys.tr.ProcessStaged(&r.staged[0], nows[i])
 			}
 			if err != nil {
 				break
@@ -110,21 +112,19 @@ func (r *Reporter) fan(rep *wire.Report) error {
 	return nil
 }
 
-// deliverTraced is the sampled-candidate synchronous delivery path.
-// Kept out of line so the common path never materialises a trace Handle:
-// holding the two-word handle live across the translator call costs
-// registers — a few ns per report, traced or not — which the <3%
-// telemetry overhead gate has no room for.
+// deliverTraced is the sampled-candidate synchronous delivery path: the
+// staged record goes to the translator as a chunk of one whose handle
+// prefix is the candidate's handle. Kept out of line so the common path
+// never materialises a trace Handle: holding the two-word handle live
+// across the translator call costs registers — a few ns per report,
+// traced or not — which the <3% telemetry overhead gate has no room for.
 //
 //go:noinline
 func (r *Reporter) deliverTraced(sys *System, t *trace.Tracer) error {
-	h := t.BeginCandidate()
-	if h.Valid() {
-		h.Stamp(trace.StSubmit)
-		sys.tr.SetTraceHandle(h)
-	}
-	err := sys.tr.ProcessStaged(&r.staged, sys.Now())
-	h.Finish()
+	h := [1]trace.Handle{t.BeginCandidate()}
+	h[0].Stamp(trace.StSubmit)
+	_, err := sys.tr.ProcessStagedBatch(r.staged[:], wire.ChunkPlan{}, h[:], sys.Now())
+	h[0].Finish()
 	return err
 }
 
