@@ -112,12 +112,12 @@ func (h *Host) Device() *rdma.Device { return h.dev }
 // translator's Emit hook.
 func (h *Host) Post(wqe []byte) { h.sq.Post(wqe) }
 
-// Doorbell executes the posted verbs (rdma.Device.Execute), raises their
-// immediate events on Events and returns the one completion: the
-// translator's Doorbell hook. The NIC runs this, not the collector CPU,
-// so it charges no CPU cycles.
-func (h *Host) Doorbell() (c rdma.Completion, err error) {
-	c, h.evs, err = h.dev.Execute(&h.sq, h.evs[:0])
+// Doorbell executes the posted verbs (rdma.Device.Execute), writes the
+// one completion into the requester's CQE *c and raises the verbs'
+// immediate events on Events: the translator's Doorbell hook. The NIC
+// runs this, not the collector CPU, so it charges no CPU cycles.
+func (h *Host) Doorbell(c *rdma.Completion) (err error) {
+	h.evs, err = h.dev.Execute(&h.sq, h.evs[:0], c)
 	for _, ev := range h.evs {
 		select {
 		case h.Events <- ev:
@@ -125,7 +125,7 @@ func (h *Host) Doorbell() (c rdma.Completion, err error) {
 			h.DroppedEvents++
 		}
 	}
-	return c, err
+	return err
 }
 
 // ErrDisabled reports a query against a primitive that was not enabled.

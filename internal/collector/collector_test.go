@@ -71,14 +71,12 @@ func TestIngestRejectsGarbage(t *testing.T) {
 	kw := keywrite.Config{Slots: 64, DataSize: 4}
 	ki := keyincrement.Config{Slots: 64}
 	h, _ := New(Config{KeyWrite: &kw, KeyIncrement: &ki})
+	var c rdma.Completion
 	h.Post([]byte{1, 2, 3})
-	if _, err := h.Doorbell(); err == nil {
+	if err := h.Doorbell(&c); err == nil {
 		t.Error("garbage accepted")
 	}
-	req, regions, err := rdma.Connect(h.Listener(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, regions := rdma.Connect(h.Listener(), 0)
 	kwReg, _ := rdma.FindRegion(regions, "keywrite")
 	kiReg, _ := rdma.FindRegion(regions, "keyincrement")
 	imm := uint32(3)
@@ -95,7 +93,7 @@ func TestIngestRejectsGarbage(t *testing.T) {
 		w, before := build(req.NextPSN()), h.Device().Stats
 		for n := 0; n < len(w); n++ {
 			h.Post(w[:n])
-			if _, err := h.Doorbell(); err == nil {
+			if err := h.Doorbell(&c); err == nil {
 				t.Fatalf("%d-byte prefix of a %d-byte WQE accepted", n, len(w))
 			}
 		}
@@ -103,7 +101,7 @@ func TestIngestRejectsGarbage(t *testing.T) {
 			t.Fatalf("a refused WQE changed the device: %+v, was %+v", st, before)
 		}
 		h.Post(w)
-		if c, err := h.Doorbell(); err != nil || !c.Set || c.Syndrome != rdma.SynACK {
+		if err := h.Doorbell(&c); err != nil || !c.Set || c.Syndrome != rdma.SynACK {
 			t.Fatalf("whole WQE: completion %+v, %v", c, err)
 		}
 	}
@@ -118,15 +116,12 @@ func TestEventOverflowCounted(t *testing.T) {
 	// Write directly through the device with immediates to overflow the
 	// 1-slot event channel.
 	l := h.Listener()
-	req, regions, err := rdma.Connect(l, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, regions := rdma.Connect(l, 0)
 	g, _ := rdma.FindRegion(regions, "keywrite")
 	imm := uint32(5)
 	for i := 0; i < 3; i++ {
 		h.Post(rdma.WriteWQE(nil, req.DestQP, req.NextPSN(), g.VA, g.RKey, []byte{1}, false, &imm))
-		if _, err := h.Doorbell(); err != nil {
+		if err := h.Doorbell(new(rdma.Completion)); err != nil {
 			t.Fatal(err)
 		}
 	}

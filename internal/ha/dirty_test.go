@@ -43,7 +43,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 		for _, v := range verbs {
 			q.Post(v)
 		}
-		if _, _, err := d.Execute(&q, nil); err != nil {
+		if _, err := d.Execute(&q, nil, new(rdma.Completion)); err != nil {
 			t.Fatal(err)
 		}
 	}

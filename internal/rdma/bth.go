@@ -9,7 +9,7 @@
 // translator and the device share a process, so verbs travel between
 // them as work-queue entries (WQEs, wqe.go): fixed-layout, native-endian
 // descriptors with no checksum, posted to a SendQueue and run by
-// Device.Execute, which answers with a Completion value. The RoCEv2
+// Device.Execute, which writes one Completion (a CQE) in place. The RoCEv2
 // format is the edge codec: Encode turns a WQE into the packet a wire
 // would carry, and Device.Process decodes a packet, checks its ICRC and
 // runs it through the same execute core as a WQE. Deviations from the

@@ -28,12 +28,12 @@ type Listener struct {
 
 // Connect performs the exchange and returns a ready Requester plus the
 // advertised regions, as the translator control plane does at startup:
-// the device allocates a responder QP starting at startPSN. The error is
-// always nil in-process; it is where a CM exchange over a wire would fail.
-func Connect(l *Listener, startPSN uint32) (*Requester, []RegionInfo, error) {
+// the device allocates a responder QP starting at startPSN. In-process
+// the exchange cannot fail.
+func Connect(l *Listener, startPSN uint32) (*Requester, []RegionInfo) {
 	startPSN &= psnMask
 	qp := l.Device.CreateQP(startPSN)
-	return &Requester{DestQP: qp.QPN, NPSN: startPSN}, l.Regions, nil
+	return &Requester{DestQP: qp.QPN, NPSN: startPSN}, l.Regions
 }
 
 // FindRegion returns the first advertised region with the given label.

@@ -89,9 +89,10 @@ func psnDelta(a, b uint32) int32 {
 // the collector-side endpoint of DTA; its CPU never sees the packets.
 //
 // Verbs arrive as a post-list of work-queue entries (a SendQueue run by
-// Execute, the doorbell) answered with one Completion; Process takes one
-// RoCEv2 packet off a wire through the same execute core. On a region
-// with Tags the core raises the tags each write touches.
+// Execute, the doorbell), which leaves one Completion (the CQE) in the
+// requester's memory; Process takes one RoCEv2 packet off a wire
+// through the same execute core. On a region with Tags the core raises
+// the tags each write touches.
 //
 // Concurrency contract: the data path (Execute, Process, PreTouch) is
 // single-threaded, like the modelled NIC pipeline — callers serialise
@@ -205,9 +206,10 @@ func (q *SendQueue) Post(wqe []byte) {
 	q.ends = append(q.ends, len(q.arena))
 }
 
-// Completion is the one response a doorbell answers with: the last
-// response a verb asked for, or the first NAK. The zero Completion (Set
-// false) is a list that asked for nothing.
+// Completion is the completion-queue entry (CQE) a doorbell leaves in
+// the requester's memory: the last response a verb asked for, or the
+// first NAK. The zero Completion (Set false) is a list that asked for
+// nothing. Execute writes it in place; it is never returned by value.
 type Completion struct {
 	Set, Atomic   bool
 	Syndrome      uint8
@@ -225,18 +227,24 @@ func (c *Completion) ack(buf []byte) []byte {
 
 // respond records a verb's response; a NAK stops the list.
 func (c *Completion) respond(qp *ResponderQP, psn uint32, syndrome uint8, atomic bool, orig uint64) (stop bool) {
-	*c = Completion{Set: true, QPN: qp.QPN, PSN: psn, MSN: qp.MSN, Syndrome: syndrome, Atomic: atomic, Orig: orig}
+	// Field by field: a composite literal is built on the stack and
+	// copied with wider loads than its stores, which wait for every older
+	// store, the verbs' cache misses included, to reach L1.
+	c.Set, c.Atomic, c.Syndrome = true, atomic, syndrome
+	c.QPN, c.PSN, c.MSN, c.Orig = qp.QPN, psn, qp.MSN, orig
 	return syndrome != SynACK
 }
 
 // Execute rings the doorbell on q: it decodes each WQE (DecodeWQE),
 // executes the verbs in order with every check a packet gets past its
 // ICRC (opcode, QP, PSN, rkey, bounds, alignment), counts DeviceStats
-// per verb and appends immediate events to evs. It returns one
-// completion: the last response a verb asked for, or the first NAK,
-// after which nothing executes. A verb that cannot be processed at all
-// (decode, QP, opcode) also stops the list, as err. Execute empties q.
-func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent) (c Completion, _ []ImmediateEvent, err error) {
+// per verb and appends immediate events to evs. It clears the CQE *c and
+// writes the one completion into it: the last response a verb asked
+// for, or the first NAK, after which nothing executes. A verb that
+// cannot be processed at all (decode, QP, opcode) also stops the list,
+// as err. Execute empties q.
+func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent, c *Completion) (_ []ImmediateEvent, err error) {
+	*c = Completion{}
 	epoch := d.Epoch()
 	var p Packet
 	start := 0
@@ -245,13 +253,13 @@ func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent) (c Completion, _ []
 			break
 		}
 		var stop bool
-		if evs, stop, err = d.execute(&p, &c, evs, epoch); stop {
+		if evs, stop, err = d.execute(&p, c, evs, epoch); stop {
 			break
 		}
 		start = end
 	}
 	q.arena, q.ends = q.arena[:0], q.ends[:0]
-	return c, evs, err
+	return evs, err
 }
 
 // Process is the wire edge: it decodes one incoming RoCEv2 packet,
@@ -448,11 +456,11 @@ func (r *Requester) NextPSN() uint32 {
 	return psn
 }
 
-// HandleAck processes a completion. On a NAK the requester rolls its
-// next PSN back to the NAK's, where the post-list stopped,
-// resynchronising the connection. A completion that is not Set changes
-// nothing.
-func (r *Requester) HandleAck(c Completion) {
+// HandleAck processes the CQE a doorbell wrote (Device.Execute), read
+// where it lies. On a NAK the requester rolls its next PSN back to the
+// NAK's, where the post-list stopped, resynchronising the connection. A
+// completion that is not Set changes nothing.
+func (r *Requester) HandleAck(c *Completion) {
 	if !c.Set {
 		return
 	}

@@ -151,7 +151,8 @@ func FuzzDeviceProcess(f *testing.F) {
 		for _, w := range wqes {
 			q.Post(w)
 		}
-		c, evs, err := d.Execute(&q, nil)
+		var c Completion
+		evs, err := d.Execute(&q, nil, &c)
 		refC, refEvs, refErr := perVerbVerdict(ref, wqes)
 		if c != refC || !slices.Equal(evs, refEvs) || (err == nil) != (refErr == nil) {
 			t.Fatalf("post-list answered %+v %v %v, per verb %+v %v %v", c, evs, err, refC, refEvs, refErr)

@@ -21,13 +21,13 @@ func decodeAck(pkt []byte) (Completion, error) {
 
 // completionOf decodes an acknowledgement packet, failing the test on
 // garbage.
-func completionOf(t *testing.T, ack []byte) Completion {
+func completionOf(t *testing.T, ack []byte) *Completion {
 	t.Helper()
 	c, err := decodeAck(ack)
 	if err != nil {
 		t.Fatalf("acknowledgement does not decode: %v", err)
 	}
-	return c
+	return &c
 }
 
 // TestPostListStopsAtNAK: an access fault in the middle of a list is
@@ -48,7 +48,8 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+16, mr.RKey, []byte{9}, false, &imm))
 	q.Post(FetchAddWQE(nil, qp.QPN, req.NextPSN(), mr.Base+24, mr.RKey, 1))
 
-	a, evs, err := d.Execute(&q, nil)
+	var a Completion
+	evs, err := d.Execute(&q, nil, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	if len(evs) != 1 || evs[0] != (ImmediateEvent{QPN: qp.QPN, Imm: imm}) {
 		t.Fatalf("events = %v, want only the first verb's", evs)
 	}
-	req.HandleAck(a)
+	req.HandleAck(&a)
 	if req.NPSN != faulted || req.Resyncs != 1 {
 		t.Fatalf("requester NPSN %d resyncs %d, want %d and 1", req.NPSN, req.Resyncs, faulted)
 	}
@@ -73,7 +74,7 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+16, mr.RKey, []byte{9}, false, nil))
 	last := req.NextPSN()
 	q.Post(FetchAddWQE(nil, qp.QPN, last, mr.Base+24, mr.RKey, 1))
-	a, _, err = d.Execute(&q, nil)
+	_, err = d.Execute(&q, nil, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	if mr.Buf[16] != 9 || binary.BigEndian.Uint64(mr.Buf[24:]) != 1 {
 		t.Fatal("next list did not execute")
 	}
-	req.HandleAck(a)
+	req.HandleAck(&a)
 	if req.Acked != req.NPSN {
 		t.Fatalf("Acked %d, NPSN %d: the last completion should acknowledge everything", req.Acked, req.NPSN)
 	}
@@ -92,16 +93,16 @@ func TestPostListStopsAtNAK(t *testing.T) {
 	_ = req.NextPSN() // lost
 	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+32, mr.RKey, []byte{1}, false, nil))
 	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+33, mr.RKey, []byte{1}, true, nil))
-	a, _, err = d.Execute(&q, nil)
+	_, err = d.Execute(&q, nil, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Syndrome != SynNAKSeq || d.Stats.SeqErrors != 1 || mr.Buf[32]|mr.Buf[33] != 0 {
 		t.Fatalf("list ahead of the responder: syndrome %#x, stats %+v, memory %v", a.Syndrome, d.Stats, mr.Buf[32:34])
 	}
-	req.HandleAck(a)
+	req.HandleAck(&a)
 	q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+32, mr.RKey, []byte{1}, true, nil))
-	if a, _, err = d.Execute(&q, nil); err != nil || a.Syndrome != SynACK || mr.Buf[32] != 1 {
+	if _, err = d.Execute(&q, nil, &a); err != nil || a.Syndrome != SynACK || mr.Buf[32] != 1 {
 		t.Fatalf("resynchronised list: %v, memory %v", err, mr.Buf[32:34])
 	}
 }
@@ -111,12 +112,53 @@ func TestPostListStopsAtNAK(t *testing.T) {
 func TestPostListEmptyAndUnacked(t *testing.T) {
 	d, mr, qp := newConnectedDevice(t, 64)
 	var q SendQueue
-	if c, evs, err := d.Execute(&q, nil); c.Set || evs != nil || err != nil {
+	var c Completion
+	if evs, err := d.Execute(&q, nil, &c); c.Set || evs != nil || err != nil {
 		t.Fatalf("empty list: %+v %v %v", c, evs, err)
 	}
 	q.Post(WriteWQE(nil, qp.QPN, 0, mr.Base, mr.RKey, []byte{1}, false, nil))
 	q.Post(WriteWQE(nil, qp.QPN, 1, mr.Base+1, mr.RKey, []byte{2}, false, nil))
-	if c, _, err := d.Execute(&q, nil); c.Set || err != nil || mr.Buf[1] != 2 {
+	if _, err := d.Execute(&q, nil, &c); c.Set || err != nil || mr.Buf[1] != 2 {
 		t.Fatalf("unacked list: %+v %v %v", c, err, mr.Buf[:2])
+	}
+}
+
+// TestExecuteWritesCompletionInPlace: Execute clears the CQE it is
+// handed, whatever it held, and writes the list's one completion into
+// it — nothing for an empty list or for writes that ask for no
+// response, the acknowledged verb's response, or the NAK that stopped
+// the list.
+func TestExecuteWritesCompletionInPlace(t *testing.T) {
+	d, mr, qp := newConnectedDevice(t, 64)
+	garbage := Completion{Set: true, Atomic: true, Syndrome: 0xee, QPN: 0xdead, PSN: 0xbeef, MSN: 0xf00d, Orig: ^uint64(0)}
+	var q SendQueue
+	run := func(what string) Completion {
+		t.Helper()
+		c := garbage
+		if _, err := d.Execute(&q, nil, &c); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return c
+	}
+	if c := run("empty list"); c != (Completion{}) {
+		t.Fatalf("empty list left %+v in the CQE", c)
+	}
+	q.Post(WriteWQE(nil, qp.QPN, 0, mr.Base, mr.RKey, []byte{1}, false, nil))
+	q.Post(WriteWQE(nil, qp.QPN, 1, mr.Base+1, mr.RKey, []byte{2}, false, nil))
+	if c := run("unacked writes"); c != (Completion{}) || mr.Buf[1] != 2 {
+		t.Fatalf("unacked writes left %+v in the CQE, memory %v", c, mr.Buf[:2])
+	}
+	q.Post(WriteWQE(nil, qp.QPN, 2, mr.Base+2, mr.RKey, []byte{3}, true, nil))
+	if c, want := run("acked write"), (Completion{Set: true, Syndrome: SynACK, QPN: qp.QPN, PSN: 2, MSN: qp.MSN}); c != want {
+		t.Fatalf("acked write: CQE %+v, want %+v", c, want)
+	}
+	q.Post(WriteWQE(nil, qp.QPN, 3, mr.Base+3, mr.RKey, []byte{4}, true, nil))
+	q.Post(WriteWQE(nil, qp.QPN, 4, mr.Base+60, mr.RKey, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false, nil))
+	q.Post(WriteWQE(nil, qp.QPN, 5, mr.Base+5, mr.RKey, []byte{6}, true, nil))
+	if c, want := run("NAK mid-list"), (Completion{Set: true, Syndrome: SynNAKAcc, QPN: qp.QPN, PSN: 4, MSN: qp.MSN}); c != want {
+		t.Fatalf("NAK mid-list: CQE %+v, want %+v", c, want)
+	}
+	if mr.Buf[3] != 4 || mr.Buf[5] != 0 {
+		t.Fatalf("memory %v: the verb before the NAK must land, the one after it must not", mr.Buf[:6])
 	}
 }

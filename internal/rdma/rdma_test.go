@@ -285,7 +285,8 @@ func TestInterleavedRegions(t *testing.T) {
 				binary.BigEndian.PutUint64(mem[off:], binary.BigEndian.Uint64(mem[off:])+add)
 			}
 		}
-		c, _, err := d.Execute(&q, nil)
+		var c Completion
+		_, err := d.Execute(&q, nil, &c)
 		if err != nil || c.Syndrome != SynACK {
 			t.Fatalf("list %d: completion syndrome %#x, %v", list, c.Syndrome, err)
 		}
@@ -300,11 +301,12 @@ func TestInterleavedRegions(t *testing.T) {
 			t.Fatalf("Region(%#x) found a region", rkey)
 		}
 		q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mrs[0].Base, rkey, []byte{1}, true, nil))
-		c, _, err := d.Execute(&q, nil)
+		var c Completion
+		_, err := d.Execute(&q, nil, &c)
 		if err != nil || c.Syndrome != SynNAKAcc {
 			t.Fatalf("rkey %#x: completion syndrome %#x, %v; want NAK-access", rkey, c.Syndrome, err)
 		}
-		req.HandleAck(c)
+		req.HandleAck(&c)
 	}
 }
 
@@ -505,10 +507,7 @@ func TestConnectHandshake(t *testing.T) {
 			{Label: "keywrite", RKey: mr.RKey, VA: mr.Base, Length: uint64(len(mr.Buf)), Slots: 32, SlotSize: 8},
 		},
 	}
-	req, regions, err := Connect(l, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req, regions := Connect(l, 500)
 	g, ok := FindRegion(regions, "keywrite")
 	if !ok {
 		t.Fatal("keywrite region not advertised")

@@ -332,10 +332,10 @@ func TestDoorbellsPerChunk(t *testing.T) {
 	emits := 0
 	emit, doorbell := r.tr.Emit, r.tr.Doorbell
 	r.tr.Emit = func(wqe []byte) { emits++; emit(wqe) }
-	r.tr.Doorbell = func() (rdma.Completion, error) {
+	r.tr.Doorbell = func(c *rdma.Completion) error {
 		log = append(log, "D"+strconv.Itoa(emits))
 		emits = 0
-		return doorbell()
+		return doorbell(c)
 	}
 	r.tr.WALPublish = func() { log = append(log, "P") }
 
@@ -377,5 +377,46 @@ func TestDoorbellsPerChunk(t *testing.T) {
 		if !slices.Equal(log, want) {
 			t.Errorf("flush: rings %v, want %v", log, want)
 		}
+	}
+}
+
+// TestCountsPublishedBeforeDoorbell: a ring publishes the pending
+// counts before the device executes the verbs they count, so a Stats
+// read from inside the doorbell already sees every record crafted so
+// far — Reports, and RDMAWrites at N = 2 verbs each — including the
+// first window of a chunk that rings twice.
+func TestCountsPublishedBeforeDoorbell(t *testing.T) {
+	ccfg, tcfg := fullConfig()
+	r := newRig(t, ccfg, tcfg)
+	emits, rings := 0, 0
+	emit, doorbell := r.tr.Emit, r.tr.Doorbell
+	r.tr.Emit = func(wqe []byte) { emits++; emit(wqe) }
+	r.tr.Doorbell = func(c *rdma.Completion) error {
+		rings++
+		crafted := uint64(emits / 2)
+		if st := r.tr.Stats(); st.Reports != crafted || st.RDMAWrites != 2*crafted {
+			t.Errorf("ring %d: Stats reads %d reports, %d writes; %d records crafted (%d writes)",
+				rings, st.Reports, st.RDMAWrites, crafted, 2*crafted)
+		}
+		return doorbell(c)
+	}
+	base := 0
+	for _, n := range []int{1, 32, 40} {
+		recs := make([]wire.StagedReport, n)
+		for i := range recs {
+			rep := wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+				KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(uint64(base + i))}, Data: []byte{byte(i), 2, 3, 4}}
+			recs[i].Stage(&rep)
+		}
+		base += n
+		if failed, err := r.tr.ProcessStagedBatch(recs, wire.ChunkPlan{}, nil, 0); failed != 0 {
+			t.Fatalf("chunk of %d: %d failed: %v", n, failed, err)
+		}
+	}
+	if rings != 4 {
+		t.Fatalf("%d doorbells rang, want 4 (1 + 1 + 2)", rings)
+	}
+	if st := r.tr.Stats(); st.Reports != 73 || st.RDMAWrites != 146 {
+		t.Fatalf("after the chunks: %d reports, %d writes; want 73 and 146", st.Reports, st.RDMAWrites)
 	}
 }

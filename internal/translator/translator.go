@@ -118,10 +118,11 @@ type counters struct {
 // pending holds the per-report counters of the call in progress as plain
 // integers: a locked add per report per counter is measurable on the hot
 // path, so the craft stage counts here and every doorbell (ring)
-// publishes the totals with one Add per touched counter. Every entry
-// point ends with a ring, so readers see exact values whenever the
-// translator is between calls; a scrape racing a call lags by at most
-// one window's reports.
+// publishes the totals with one Add per touched counter, just before
+// the device executes the verbs they count. Every entry point ends with
+// a ring, so readers see exact values whenever the translator is
+// between calls; a scrape racing a call sees the counts at most one
+// window ahead of the stores.
 type pending struct {
 	kwReports, kiReports, pcReports, apReports uint64
 
@@ -212,16 +213,19 @@ type Translator struct {
 	// translator reuses (and patches) the buffer for the next emission.
 	Emit func(wqe []byte)
 
-	// Doorbell, if non-nil, executes the posted verbs and returns their
-	// one completion as a value (collector.Host.Doorbell), which goes
-	// straight to the PSN tracker. The translator rings after every
+	// Doorbell, if non-nil, executes the posted verbs and writes their
+	// one completion into the CQE it is handed (collector.Host.Doorbell);
+	// the PSN tracker reads it there. The translator rings after every
 	// stage-C window (so an entry point ends with a ring) and when
 	// doorbellOps emit operations (≤ MaxRedundancy verbs each) wait; a
 	// ring with nothing posted skips Doorbell. emitted holds the traced
 	// operations' handles. An error panics.
-	Doorbell func() (rdma.Completion, error)
+	Doorbell func(*rdma.Completion) error
 	ops      int
 	emitted  []trace.Handle
+	// cqe is the completion-queue entry every doorbell writes. It is a
+	// field, not a local: a local handed to the hook escapes to the heap.
+	cqe rdma.Completion
 
 	// PreTouch, if non-nil, is the collector device's pre-touch entry
 	// (rdma.Device.PreTouch): before crafting a window the translator
@@ -347,23 +351,17 @@ func (t *Translator) endEmitSlow(t0 int64) {
 }
 
 // ring is the doorbell and the translator's one publication point: the
-// collector executes the posted verbs (if any were posted), the one
-// completion goes to the PSN tracker (a NAK resynchronises it), the log
-// publishes what was staged, the pending counts move to their cells, and
-// then the waiting traces are stamped emitted and translated (the ack was
-// only handled now).
+// pending counts move to their cells, the collector executes the posted
+// verbs (if any were posted) and writes the one completion into t.cqe,
+// where the PSN tracker reads it (a NAK resynchronises it), the log
+// publishes what was staged, and then the waiting traces are stamped
+// emitted and translated (the ack was only handled now).
+//
+// The counts go first because they count posted verbs: a reader between
+// calls sees the same values either way, and the locked adds, issued
+// before the doorbell's stores rather than after them, do not wait for
+// those stores' cache misses to drain.
 func (t *Translator) ring() {
-	if t.ops > 0 && t.Doorbell != nil {
-		c, err := t.Doorbell()
-		if err != nil {
-			panic(fmt.Sprintf("translator: collector rejected a posted verb: %v", err))
-		}
-		t.req.HandleAck(c)
-	}
-	t.ops = 0
-	if t.WALPublish != nil {
-		t.WALPublish()
-	}
 	c, p := &t.ctr, &t.pend
 	publishCount(c.kwReports, &p.kwReports)
 	publishCount(c.kiReports, &p.kiReports)
@@ -376,6 +374,16 @@ func (t *Translator) ring() {
 	publishCount(c.postcardEmits, &p.postcardEmits)
 	publishCount(c.appendFlushes, &p.appendFlushes)
 	publishCount(c.kiAggregated, &p.kiAggregated)
+	if t.ops > 0 && t.Doorbell != nil {
+		if err := t.Doorbell(&t.cqe); err != nil {
+			panic(fmt.Sprintf("translator: collector rejected a posted verb: %v", err))
+		}
+		t.req.HandleAck(&t.cqe)
+	}
+	t.ops = 0
+	if t.WALPublish != nil {
+		t.WALPublish()
+	}
 	if len(t.emitted) == 0 {
 		return
 	}
@@ -406,11 +414,8 @@ func New(cfg Config, l *rdma.Listener) (*Translator, error) {
 // histograms record nothing. The scope is deliberately
 // not part of Config: Config is the serialisable deployment geometry
 // (it rides in the WAL's Meta record); a live registry handle is not.
-func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (*Translator, error) {
-	req, regions, err := rdma.Connect(l, 1000)
-	if err != nil {
-		return nil, err
-	}
+func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (_ *Translator, err error) {
+	req, regions := rdma.Connect(l, 1000)
 	t := &Translator{
 		cfg:      cfg,
 		req:      req,

@@ -446,6 +446,35 @@ func BenchmarkTranslatorKeyWriteWindow(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/report")
 }
 
+// BenchmarkTranslatorKeyWriteSync is the synchronous path's share of
+// the same mechanism: one op is one fresh random Key-Write (N = 2)
+// through ProcessStaged, so one doorbell per report, over a 4 Mi-slot
+// store (32 MiB) with the device's pre-touch and doorbell wired.
+func BenchmarkTranslatorKeyWriteSync(b *testing.B) {
+	kw := keywrite.Config{Slots: 1 << 22, DataSize: 4}
+	r := newRig(b, collector.Config{KeyWrite: &kw}, Config{KeyWrite: &kw})
+	r.tr.PreTouch = r.host.Device().PreTouch
+	rep := wire.Report{
+		Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+		KeyWrite: wire.KeyWrite{Redundancy: 2},
+		Data:     []byte{1, 2, 3, 4},
+	}
+	var rec wire.StagedReport
+	var x uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x += 0x9e3779b97f4a7c15 // splitmix64
+		z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		rep.KeyWrite.Key = key(z ^ z>>31)
+		rec.Stage(&rep)
+		if err := r.tr.ProcessStaged(&rec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTranslatorAppendBatch16(b *testing.B) {
 	ccfg, tcfg := fullConfig()
 	tcfg.AppendBatch = 16

@@ -57,7 +57,7 @@ func perVerb(s *System, epoch func() uint64) {
 			if err := rdma.DecodePacket(ack, &a); err != nil {
 				panic(fmt.Sprintf("reference: bad ack: %v", err))
 			}
-			s.tr.Requester().HandleAck(rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
+			s.tr.Requester().HandleAck(&rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
 		}
 	}
 }
