@@ -19,7 +19,9 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden from the package's exported surface")
+// update rewrites the golden files of TestAPISurface and TestClosureSize
+// (testdata/api.golden, testdata/closure.golden) instead of comparing.
+var update = flag.Bool("update", false, "rewrite the testdata golden files of the tests that run")
 
 const apiGolden = "testdata/api.golden"
 
@@ -40,18 +42,26 @@ func TestAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *updateAPI {
-		if err := os.MkdirAll(filepath.Dir(apiGolden), 0o755); err != nil {
+	checkGolden(t, apiGolden, "exported surface", got)
+}
+
+// checkGolden compares got, one line each, with the golden file at path
+// and reports the lines pinned there but gone (-) and the lines new
+// (+). With -update it rewrites the file instead.
+func checkGolden(t *testing.T, path, what string, got []string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(apiGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(apiGolden)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (create it with: go test -run TestAPISurface . -update)", err)
+		t.Fatalf("%v (create it with: go test -run %s . -update)", err, t.Name())
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	var diff []string
@@ -66,8 +76,8 @@ func TestAPISurface(t *testing.T) {
 		}
 	}
 	if len(diff) > 0 {
-		t.Errorf("exported surface differs from %s (- pinned, + now); if intended, run go test -run TestAPISurface . -update\n%s",
-			apiGolden, strings.Join(diff, "\n"))
+		t.Errorf("%s differs from %s (- pinned, + now); if intended, run go test -run %s . -update\n%s",
+			what, path, t.Name(), strings.Join(diff, "\n"))
 	}
 }
 

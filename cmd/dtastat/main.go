@@ -385,7 +385,7 @@ func scrape(url string) (*obs.Snapshot, time.Time, error) {
 	if err != nil {
 		return nil, time.Time{}, err
 	}
-	s, err := obs.ParsePrometheus(bytes.NewReader(body))
+	s, err := parsePrometheus(bytes.NewReader(body))
 	return s, time.Now(), err
 }
 

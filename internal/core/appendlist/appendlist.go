@@ -166,12 +166,6 @@ func NewBatcher(cfg Config, batch int) (*Batcher, error) {
 	return b, nil
 }
 
-// Batch returns the configured batch size.
-func (b *Batcher) Batch() int { return b.batch }
-
-// Head returns the translator's head pointer for list l, in entries.
-func (b *Batcher) Head(l int) int { return b.heads[l] }
-
 // Written returns the cumulative (non-wrapping) number of entries
 // flushed to the collector for list l. Stashed-but-unflushed entries are
 // not counted: they are not in collector memory yet.
@@ -237,9 +231,6 @@ func (b *Batcher) Append(l int, entry []byte) (*Flush, error) {
 	b.Stats.Flushes++
 	return f, nil
 }
-
-// Pending returns the number of stashed (unflushed) entries for list l.
-func (b *Batcher) Pending(l int) int { return b.fill[l] }
 
 // FlushPartial forces out a partial batch for list l (e.g. at epoch end).
 // It returns nil when nothing is pending. The flush covers only the

@@ -90,8 +90,8 @@ func TestHeadWrapsAround(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.Append(0, []byte{byte(i)})
 	}
-	if b.Head(0) != 0 {
-		t.Errorf("head after full ring = %d, want 0 (wrapped)", b.Head(0))
+	if b.heads[0] != 0 {
+		t.Errorf("head after full ring = %d, want 0 (wrapped)", b.heads[0])
 	}
 }
 
@@ -161,16 +161,16 @@ func TestFlushPartial(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Append(0, []byte{byte(i + 1)})
 	}
-	if b.Pending(0) != 3 {
-		t.Fatalf("pending = %d", b.Pending(0))
+	if b.fill[0] != 3 {
+		t.Fatalf("pending = %d", b.fill[0])
 	}
 	f := b.FlushPartial(0)
 	if f == nil || f.Entries != 3 || f.Index != 0 {
 		t.Fatalf("partial flush = %+v", f)
 	}
 	s.Apply(f)
-	if b.Head(0) != 3 {
-		t.Errorf("head = %d, want 3", b.Head(0))
+	if b.heads[0] != 3 {
+		t.Errorf("head = %d, want 3", b.heads[0])
 	}
 	if b.FlushPartial(0) != nil {
 		t.Error("second partial flush not nil")
@@ -331,7 +331,7 @@ func TestWrittenTracksFlushedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, head := bt.Written(0), bt.Head(0); got != 38 || head != int(got%16) {
+	if got, head := bt.Written(0), bt.heads[0]; got != 38 || head != int(got%16) {
 		t.Errorf("written = %d head = %d, want 38 and %d", got, head, got%16)
 	}
 	counts := bt.WrittenCounts(nil)
@@ -349,8 +349,8 @@ func TestSyncList(t *testing.T) {
 	if err := bt.SyncList(0, 37); err != nil {
 		t.Fatal(err)
 	}
-	if bt.Written(0) != 37 || bt.Head(0) != 5 {
-		t.Errorf("after sync: written=%d head=%d, want 37/5", bt.Written(0), bt.Head(0))
+	if bt.Written(0) != 37 || bt.heads[0] != 5 {
+		t.Errorf("after sync: written=%d head=%d, want 37/5", bt.Written(0), bt.heads[0])
 	}
 	if err := bt.SyncList(1, 0); err == nil {
 		t.Error("out-of-range list accepted")

@@ -58,13 +58,3 @@ func OptimalRedundancy(alpha float64, maxN int) int {
 	}
 	return best
 }
-
-// AgeToAlpha converts a report age (number of keys written after the
-// queried one) and a store geometry to the load factor α used by the
-// bounds. This is the x-axis transformation of Fig. 13.
-func AgeToAlpha(age uint64, slots uint64) float64 {
-	if slots == 0 {
-		return math.Inf(1)
-	}
-	return float64(age) / float64(slots)
-}

@@ -399,15 +399,6 @@ func TestOptimalRedundancyShape(t *testing.T) {
 	}
 }
 
-func TestAgeToAlpha(t *testing.T) {
-	if a := AgeToAlpha(100, 1000); a != 0.1 {
-		t.Errorf("AgeToAlpha = %v, want 0.1", a)
-	}
-	if a := AgeToAlpha(1, 0); !math.IsInf(a, 1) {
-		t.Errorf("AgeToAlpha with zero slots = %v, want +Inf", a)
-	}
-}
-
 func TestQueryNoAllocs(t *testing.T) {
 	s := mustStore(t, Config{Slots: 1 << 12, DataSize: 20})
 	k := key(5)

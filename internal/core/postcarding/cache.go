@@ -20,8 +20,7 @@ import (
 type Cache struct {
 	rows []cacheRow
 	// live holds one bit per row, set while the row is occupied, so an
-	// epoch-end Drain and Occupancy cost what is cached, not the table's
-	// size.
+	// epoch-end Drain costs what is cached, not the table's size.
 	live   []uint64
 	hops   int
 	idxEng *crc.Engine
@@ -170,13 +169,4 @@ func (c *Cache) Drain() []Emit {
 	}
 	c.drained = out
 	return out
-}
-
-// Occupancy returns the number of occupied rows.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, word := range c.live {
-		n += bits.OnesCount64(word)
-	}
-	return n
 }

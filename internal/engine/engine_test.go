@@ -13,7 +13,7 @@ import (
 // tests read it only after Drain/Close (both establish happens-before).
 type recordSink struct {
 	ops     []string // "p" per record, "f" per flush
-	reports []wire.Report
+	reports []wire.StagedReport
 	flushes int
 	lastNow uint64
 	err     error // every record fails with it when set
@@ -22,10 +22,7 @@ type recordSink struct {
 func (s *recordSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
 	for i := range recs {
 		s.ops = append(s.ops, "p")
-		var r wire.Report
-		recs[i].View(&r)
-		r.Data = append([]byte(nil), r.Data...)
-		s.reports = append(s.reports, r)
+		s.reports = append(s.reports, recs[i])
 		s.lastNow = nowNs
 		if s.err != nil {
 			failed, first = failed+1, s.err

@@ -38,15 +38,17 @@ func TestSubmitReportRoundTrip(t *testing.T) {
 	if len(sink.reports) != 10 {
 		t.Fatalf("sink saw %d reports, want 10", len(sink.reports))
 	}
-	for i, r := range sink.reports {
-		if r.Header.Primitive != wire.PrimKeyWrite {
-			t.Fatalf("report %d: primitive %v", i, r.Header.Primitive)
+	for i := range sink.reports {
+		r := &sink.reports[i]
+		if r.Primitive() != wire.PrimKeyWrite {
+			t.Fatalf("report %d: primitive %v", i, r.Primitive())
 		}
-		if r.KeyWrite.Key != wire.KeyFromUint64(uint64(i)) {
+		key, red := r.KeyWriteArgs()
+		if *key != wire.KeyFromUint64(uint64(i)) {
 			t.Fatalf("report %d: wrong key (order not preserved?)", i)
 		}
-		if r.KeyWrite.Redundancy != 2 || len(r.Data) != 3 || r.Data[0] != 9 {
-			t.Fatalf("report %d: fields corrupted: %+v data=%v", i, r.KeyWrite, r.Data)
+		if data := r.Payload(); red != 2 || len(data) != 3 || data[0] != 9 {
+			t.Fatalf("report %d: fields corrupted: redundancy %d data=%v", i, red, data)
 		}
 	}
 	st := e.Stats()
@@ -79,10 +81,10 @@ func TestSubmitReportPayloadSnapshot(t *testing.T) {
 	if err := e.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.reports[0].Data; got[0] != 1 {
+	if got := sink.reports[0].Payload(); got[0] != 1 {
 		t.Fatalf("first report data = %v, want the pre-reuse snapshot", got)
 	}
-	if got := sink.reports[1].Data; got[0] != 2 {
+	if got := sink.reports[1].Payload(); got[0] != 2 {
 		t.Fatalf("second report data = %v", got)
 	}
 	e.Close()

@@ -184,6 +184,7 @@ func fig8Rig(prim wire.Primitive, reports int, batch int, redundancy int) float6
 		panic(err)
 	}
 	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
+	var staged wire.StagedReport
 	for i := 0; i < reports; i++ {
 		var rep wire.Report
 		rep.Header = wire.Header{Version: wire.Version, Primitive: prim}
@@ -201,7 +202,8 @@ func fig8Rig(prim wire.Primitive, reports int, batch int, redundancy int) float6
 			rep.Append = wire.Append{ListID: uint32(i % 4)}
 			rep.Data = []byte{1, 2, 3, 4}
 		}
-		if err := tr.ProcessReport(&rep, 0); err != nil {
+		staged.Stage(&rep)
+		if err := tr.ProcessStaged(&staged, 0); err != nil {
 			panic(err)
 		}
 	}

@@ -26,7 +26,7 @@ func trackedDevice(t *testing.T, h *Health) (*rdma.Device, *Tracker, *rdma.Respo
 // rang; MarkRange stamps collector-CPU writes; tags only move forward;
 // a faulted verb tags nothing.
 func TestRegionTagsRaisedByExecution(t *testing.T) {
-	h := NewHealth()
+	h := NewHealthScoped(nil)
 	d, tk, qp, mr := trackedDevice(t, h)
 	kw, ki := mr[0], mr[1]
 
@@ -56,7 +56,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	for b, tag := range tk.Tags("keywrite") {
 		want := uint64(0)
 		if b == 2 {
-			want = 1 // NewHealth starts the epoch clock at 1
+			want = 1 // NewHealthScoped starts the epoch clock at 1
 		}
 		if tag != want {
 			t.Errorf("block %d tag = %d, want %d", b, tag, want)

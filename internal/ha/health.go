@@ -94,14 +94,9 @@ type Health struct {
 	resyncRetries   *obs.Counter
 }
 
-// NewHealth returns a view with every member up and no metric
-// exposition (the counters still work — see NewHealthScoped).
-func NewHealth() *Health {
-	return NewHealthScoped(nil)
-}
-
-// NewHealthScoped is NewHealth with the degradation counters (dta_ha_*)
-// registered under the given obs scope.
+// NewHealthScoped returns a view with every member up and its
+// degradation counters (dta_ha_*) registered under the given obs scope.
+// A nil scope keeps the counters working, unexposed.
 func NewHealthScoped(sc *obs.Scope) *Health {
 	h := &Health{
 		degradedWrites:  sc.ShardedCounter("dta_ha_degraded_writes_total", "Reports that reached some but not all of their R owners."),

@@ -68,7 +68,7 @@ func TestResyncKeyIncrementPeerOrderIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		copy(host.KeyIncrementStore().Buffer(), own)
-		h := NewHealth()
+		h := NewHealthScoped(nil)
 		for h.Epoch() < staleSince+2 {
 			h.BumpEpoch()
 		}

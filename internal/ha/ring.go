@@ -94,9 +94,6 @@ func (r *Ring) publish(members []int) {
 	r.view.Store(v)
 }
 
-// Size returns the current member count.
-func (r *Ring) Size() int { return len(r.view.Load().members) }
-
 // Members returns a copy of the current member set, sorted.
 func (r *Ring) Members() []int {
 	return append([]int(nil), r.view.Load().members...)
@@ -106,12 +103,6 @@ func (r *Ring) Members() []int {
 func (v *ringView) find(id int) (int, bool) {
 	i := sort.SearchInts(v.members, id)
 	return i, i < len(v.members) && v.members[i] == id
-}
-
-// Contains reports whether id is in the ring.
-func (r *Ring) Contains(id int) bool {
-	_, ok := r.view.Load().find(id)
-	return ok
 }
 
 // Add inserts a member. Adding an existing member is an error: callers
@@ -149,23 +140,17 @@ func (r *Ring) Remove(id int) error {
 	return nil
 }
 
-// score is the rendezvous weight of member id for a key digest. Ties are
-// broken by member ID below, so scores need not be unique. Owners
-// computes the same value from its affine parts.
-func (r *Ring) score(digest uint32, id int) uint32 {
-	return r.mixEng.Sum64Pair(uint64(digest), uint64(id))
-}
-
 // mixed is the key's share of every member's score: its digest mixed
 // with member 0, by the two CRCs walk tabulates for 16-byte keys.
 func (r *Ring) mixed(key []byte) uint32 {
 	return r.mixEng.Sum64Pair(uint64(r.keyEng.Sum(key)), 0)
 }
 
-// Owners appends the IDs of the min(n, Size) members owning key to out
-// (pass a reused slice to avoid allocation) in descending score order,
-// so out[0] is the primary replica. Deterministic for a fixed member
-// set; stable under membership change except for keys the change moves.
+// Owners appends the IDs of the min(n, member count) members owning key
+// to out (pass a reused slice to avoid allocation) in descending score
+// order, so out[0] is the primary replica. Deterministic for a fixed
+// member set; stable under membership change except for keys the change
+// moves.
 // Lock-free: a lookup racing a membership change sees the set before or
 // after it, whole.
 func (r *Ring) Owners(key []byte, n int, out []int) []int {

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// score is the rendezvous weight of member id for a key digest, mixed
+// whole. Ties are broken by member ID, so scores need not be unique.
+// Owners computes the same value from its affine parts.
+func (r *Ring) score(digest uint32, id int) uint32 {
+	return r.mixEng.Sum64Pair(uint64(digest), uint64(id))
+}
+
 // refOwners is ownership as the ring computed it before the affine
 // split: one full CRC mix (score) per member per lookup, top-n by
 // descending score with ties to the smaller ID.

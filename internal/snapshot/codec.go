@@ -33,8 +33,8 @@ import (
 //
 // Both directions are one pass whose working memory does not depend on
 // the image size: Write hands store memory to the writer block by block,
-// Read lands each block in its final place and checks it there. Only the
-// uint64 arrays pass through scratch, at most one block of it.
+// the reader lands each block in its final place and checks it there.
+// Only the uint64 arrays pass through scratch, at most one block of it.
 const (
 	formatVersion = 1
 	blockSize     = 1 << 20
@@ -62,7 +62,7 @@ var (
 // look like. There is no converter; take a new snapshot or checkpoint.
 var ErrVersion = errors.New("snapshot: unreadable image format")
 
-// ErrGeometry reports an image laid out unlike the stores ReadInto was
+// ErrGeometry reports an image laid out unlike the stores LoadInto was
 // to land it in.
 var ErrGeometry = errors.New("snapshot: image laid out unlike its destination")
 
@@ -94,7 +94,7 @@ func (s *Snapshot) sectionSizes() (sz [nSections]uint64) {
 // slices about to be written — against the configs beside it: a store
 // buffer is exactly its config's BufferSize() (empty without a config),
 // AppendHeads has at most one count per list and a tag array at most one
-// tag per block of its store. Read calls it before it allocates anything.
+// tag per block of its store. read calls it before it allocates anything.
 func (s *Snapshot) checkSizes(sz [nSections]uint64) error {
 	// want[i] is store i's BufferSize(), asked for only once the factors
 	// behind it — which may be untrusted bytes — are known to stay under
@@ -381,34 +381,19 @@ func readHeader(r io.Reader, avail int64) (*Snapshot, [nSections]uint64, error) 
 	return s, sz, nil
 }
 
-// Read parses a snapshot: it validates the header and every section
-// length before it allocates, allocates each buffer once at its final
-// size and verifies each block's CRC as it lands. A short, damaged or
-// over-long input is an error. When r can tell how much it holds (a
-// Len() int method, as bytes.Reader and bytes.Buffer have; Load asks the
-// file) an image that describes anything else is refused before the
-// first buffer is allocated — hand untrusted bytes to Read that way.
-func Read(r io.Reader) (*Snapshot, error) {
-	avail := int64(-1)
-	if l, ok := r.(interface{ Len() int }); ok {
-		avail = int64(l.Len())
-	}
-	return read(r, avail, nil)
-}
-
-// ReadInto is Read into dst's store buffers — a View of a fresh host, so
-// the image lands in its regions, not in a second copy. They must be laid
-// out as the image says (ErrGeometry, before anything is written); any
-// failure after that zeroes every byte written. On success dst also takes
-// the image's metadata (WALLSN, AppendHeads, tags). size is the number of
-// bytes r holds (negative: unknown), which Read learns from Len.
-func ReadInto(r io.Reader, size int64, dst *Snapshot) error {
-	_, err := read(r, size, dst)
-	return err
-}
-
-// read is the one block loop behind Read and ReadInto: with into nil it
-// allocates each store buffer at the header's size, else uses into's.
+// read parses a snapshot: it validates the header and every section
+// length before it allocates and verifies each block's CRC as it lands.
+// A short, damaged or over-long input is an error. avail is the number of
+// bytes r holds (negative: unknown); when it is known, an image that
+// describes anything else is refused before the first buffer is
+// allocated.
+//
+// With into nil, read allocates each store buffer once at its final
+// size. Otherwise the image lands in into's store buffers — a View of a
+// fresh host, so it lands in its regions, not in a second copy. They
+// must be laid out as the image says (ErrGeometry, before anything is
+// written); any failure after that zeroes every byte written. On success
+// into also takes the image's metadata (WALLSN, AppendHeads, tags).
 func read(r io.Reader, avail int64, into *Snapshot) (_ *Snapshot, err error) {
 	s, sz, err := readHeader(r, avail)
 	if err != nil {
@@ -513,7 +498,7 @@ type Check struct {
 	Sections [nSections]SectionCheck
 }
 
-// Verify walks an image the way Read does — header, every block's CRC,
+// Verify walks an image the way Load does — header, every block's CRC,
 // trailer, nothing after it — through one block of scratch, keeping
 // nothing. A block whose bytes are wrong does not stop the walk: the
 // header fixes where every section lies, so each gets its own verdict;

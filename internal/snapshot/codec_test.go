@@ -91,7 +91,7 @@ func encode(t testing.TB, s *Snapshot) []byte {
 func roundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
 	img := encode(t, s)
-	got, err := Read(bytes.NewReader(img))
+	got, err := readImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +152,26 @@ func TestWriteRejectsWhatReadWould(t *testing.T) {
 	}
 }
 
-// unsized hides a reader's Len, so Read cannot hold the header against
-// the input's size and has to find the end the hard way.
-type unsized struct{ io.Reader }
+// readImage reads img whole, its size known, as Load reads a file.
+func readImage(img []byte) (*Snapshot, error) {
+	return read(bytes.NewReader(img), int64(len(img)), nil)
+}
+
+// readUnsized reads img without its size, so the header cannot be held
+// against the input's size and the end has to be found the hard way.
+func readUnsized(img []byte) (*Snapshot, error) {
+	return read(bytes.NewReader(img), -1, nil)
+}
 
 // TestReadTooShort: every proper prefix of an image is refused, whether
 // or not the reader knows its length.
 func TestReadTooShort(t *testing.T) {
 	img := encode(t, tinySnapshot(t))
 	for n := 0; n < len(img); n++ {
-		if _, err := Read(bytes.NewReader(img[:n])); err == nil {
+		if _, err := readImage(img[:n]); err == nil {
 			t.Fatalf("sized prefix of %d/%d bytes accepted", n, len(img))
 		}
-		if _, err := Read(unsized{bytes.NewReader(img[:n])}); err == nil {
+		if _, err := readUnsized(img[:n]); err == nil {
 			t.Fatalf("unsized prefix of %d/%d bytes accepted", n, len(img))
 		}
 		if _, err := Verify(bytes.NewReader(img[:n])); err == nil {
@@ -174,7 +181,7 @@ func TestReadTooShort(t *testing.T) {
 	// The block seams of a larger image.
 	big := encode(t, multiBlockSnapshot(t))
 	for _, n := range []int{blockSize, blockSize + 200, 2*blockSize + 300, len(big) - trailerLen, len(big) - 1} {
-		if _, err := Read(unsized{bytes.NewReader(big[:n])}); err == nil {
+		if _, err := readUnsized(big[:n]); err == nil {
 			t.Errorf("prefix of %d/%d bytes accepted", n, len(big))
 		}
 	}
@@ -186,7 +193,7 @@ func TestReadFlipped(t *testing.T) {
 	img := encode(t, tinySnapshot(t))
 	for i := range img {
 		img[i] ^= 0x40
-		if _, err := Read(bytes.NewReader(img)); err == nil {
+		if _, err := readImage(img); err == nil {
 			t.Fatalf("flip at byte %d/%d accepted", i, len(img))
 		}
 		if _, err := Verify(bytes.NewReader(img)); err == nil {
@@ -198,10 +205,10 @@ func TestReadFlipped(t *testing.T) {
 
 func TestReadTrailingGarbage(t *testing.T) {
 	img := append(encode(t, fullSnapshot(t)), 0)
-	if _, err := Read(bytes.NewReader(img)); err == nil {
+	if _, err := readImage(img); err == nil {
 		t.Error("sized reader: byte after the trailer accepted")
 	}
-	if _, err := Read(unsized{bytes.NewReader(img)}); err == nil || !strings.Contains(err.Error(), "after the trailer") {
+	if _, err := readUnsized(img); err == nil || !strings.Contains(err.Error(), "after the trailer") {
 		t.Errorf("unsized reader: byte after the trailer: %v", err)
 	}
 	if _, err := Verify(bytes.NewReader(img)); err == nil {
@@ -233,13 +240,13 @@ func TestVersionErrors(t *testing.T) {
 	// How an image written before format version 1 starts: the gob type
 	// descriptor of Snapshot.
 	old := "\xff\xf0\x7f\x03\x01\x01\bSnapshot\x01\xff\x80\x00\x01\x0e\x01\bKeyWrite\x01\xff\x82\x00\x01\vKey"
-	if _, err := Read(strings.NewReader(old)); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "gob") {
+	if _, err := readImage([]byte(old)); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "gob") {
 		t.Errorf("gob image: %v", err)
 	}
 	img := encode(t, fullSnapshot(t))
 	binary.BigEndian.PutUint32(img[8:], formatVersion+1)
 	restamp(img)
-	if _, err := Read(bytes.NewReader(img)); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") {
+	if _, err := readImage(img); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") {
 		t.Errorf("next version's image: %v", err)
 	}
 }
@@ -261,7 +268,7 @@ func promise(slots uint64) []byte {
 func TestReadChecksThePromiseFirst(t *testing.T) {
 	img := promise(1 << 36)
 	var err error
-	got := allocated(func() { _, err = Read(bytes.NewReader(img)) })
+	got := allocated(func() { _, err = readImage(img) })
 	if err == nil || !strings.Contains(err.Error(), "the input holds") {
 		t.Errorf("Read: %v", err)
 	}
@@ -269,7 +276,7 @@ func TestReadChecksThePromiseFirst(t *testing.T) {
 		t.Errorf("Read allocated %d bytes before refusing", got)
 	}
 	// Past what any store may be, it is refused whoever reads.
-	if _, err := Read(unsized{bytes.NewReader(promise(1 << 40))}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := readUnsized(promise(1 << 40)); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("8 TiB store: %v", err)
 	}
 }
@@ -291,7 +298,7 @@ func TestReadAllocatesOnce(t *testing.T) {
 	img := encode(t, s)
 	sections := uint64(len(s.KeyWriteBuf) + 8*len(s.KeyWriteTags))
 	var err error
-	got := allocated(func() { _, err = Read(bytes.NewReader(img)) })
+	got := allocated(func() { _, err = readImage(img) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +355,7 @@ func TestReadIntoLandsInPlace(t *testing.T) {
 	img := encode(t, s)
 	d := emptyLike(s)
 	buf := &d.KeyWriteBuf[0]
-	if err := ReadInto(bytes.NewReader(img), int64(len(img)), d); err != nil {
+	if _, err := read(bytes.NewReader(img), int64(len(img)), d); err != nil {
 		t.Fatal(err)
 	}
 	assertEqual(t, s, d)
@@ -371,13 +378,13 @@ func TestReadIntoLandsInPlace(t *testing.T) {
 		bad := bytes.Clone(img)
 		bad[at] ^= 0x20
 		d := emptyLike(s)
-		if err := ReadInto(bytes.NewReader(bad), int64(len(bad)), d); err == nil {
+		if _, err := read(bytes.NewReader(bad), int64(len(bad)), d); err == nil {
 			t.Errorf("flip in the %s: read", name)
 		}
 		requireUntouched(t, "flip in the "+name, d)
 	}
 	d = emptyLike(s)
-	if err := ReadInto(bytes.NewReader(img[:kw+blockSize+4+100]), -1, d); err == nil {
+	if _, err := read(bytes.NewReader(img[:kw+blockSize+4+100]), -1, d); err == nil {
 		t.Error("image cut in its second block: read")
 	}
 	requireUntouched(t, "image cut in its second block", d)
@@ -396,7 +403,7 @@ func TestReadIntoLandsInPlace(t *testing.T) {
 	} {
 		d := emptyLike(s)
 		mutate(d)
-		if err := ReadInto(bytes.NewReader(img), int64(len(img)), d); !errors.Is(err, ErrGeometry) {
+		if _, err := read(bytes.NewReader(img), int64(len(img)), d); !errors.Is(err, ErrGeometry) {
 			t.Errorf("%s: %v, want ErrGeometry", name, err)
 		}
 		requireUntouched(t, name, d)
@@ -612,7 +619,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		for _, img := range [][]byte{data, restamped(data)} {
 			var s *Snapshot
 			var err error
-			got := allocated(func() { s, err = Read(bytes.NewReader(img)) })
+			got := allocated(func() { s, err = readImage(img) })
 			if limit := uint64(len(img)) + blockSize + 64<<10; got > limit {
 				t.Errorf("Read allocated %d bytes over an input of %d", got, len(img))
 			}
@@ -621,7 +628,7 @@ func FuzzSnapshotRead(f *testing.F) {
 				t.Errorf("Read says %v, Verify says %v", err, verr)
 			}
 			d := emptyLike(tiny)
-			switch ierr := ReadInto(bytes.NewReader(img), int64(len(img)), d); {
+			switch _, ierr := read(bytes.NewReader(img), int64(len(img)), d); {
 			case ierr != nil:
 				requireUntouched(t, "refused in place", d)
 			case err != nil:

@@ -11,10 +11,9 @@
 // without a second copy of them. Capture copies, and is what everything
 // else wants: HA resync peers, which outlive the barrier they were taken
 // under, and files for offline queries. Who reads in place, who
-// allocates: ReadInto and LoadInto land an image in a View of a fresh
-// host, so a restart (wal.Recover) holds no copy of it; Read and Load
-// allocate snapshots that own their buffers, for readers with no stores
-// to fill (dtaquery, the fuzz targets).
+// allocates: LoadInto lands an image in a View of a fresh host, so a
+// restart (wal.Recover) holds no copy of it; Load allocates a snapshot
+// that owns its buffers, for readers with no stores to fill (dtaquery).
 //
 // The image format is in codec.go: versioned, length-prefixed, CRC-32C
 // per block, one pass in each direction.
@@ -125,7 +124,8 @@ func (s *Snapshot) Save(path string) error {
 // else.
 func Load(path string) (*Snapshot, error) { return load(path, nil) }
 
-// LoadInto is ReadInto over such a file.
+// LoadInto reads such a file into dst's store buffers, a View of a fresh
+// host (see read).
 func LoadInto(path string, dst *Snapshot) error {
 	_, err := load(path, dst)
 	return err

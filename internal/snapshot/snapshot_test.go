@@ -40,7 +40,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 	if err := snap.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Read(&buf)
+	loaded, err := read(&buf, int64(buf.Len()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestMissingStoresRejected(t *testing.T) {
 }
 
 func TestReadGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	if _, err := readImage([]byte("not a snapshot")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestReplicationMetadataRoundTrip(t *testing.T) {
 	if err := snap.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Read(&buf)
+	loaded, err := read(&buf, int64(buf.Len()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

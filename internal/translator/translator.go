@@ -268,8 +268,6 @@ type Translator struct {
 	// window, however many records (wal.Writer.Publish). A ring with
 	// nothing staged costs the log a comparison.
 	WALPublish func()
-	// staged is where ProcessReport stages the report it was handed.
-	staged wire.StagedReport
 
 	// wqeBuf and chunkBuf are the crafting scratch buffers: every
 	// outgoing work-queue entry (and postcard chunk image) is built in
@@ -513,14 +511,6 @@ func needRegion(regions []rdma.RegionInfo, label string, minLen uint64) (rdma.Re
 // ErrNotDTA reports a packet that was not addressed to the DTA port; the
 // caller should forward it as user traffic.
 var ErrNotDTA = errors.New("translator: user traffic")
-
-// ProcessReport translates one decoded DTA report: it stages r and runs
-// ProcessStaged. r (including r.Data) is only read for the duration of
-// the call.
-func (t *Translator) ProcessReport(r *wire.Report, nowNs uint64) error {
-	t.staged.Stage(r)
-	return t.ProcessStaged(&t.staged, nowNs)
-}
 
 func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 	t.ctr.unkReports.Inc()
@@ -1077,6 +1067,3 @@ func (t *Translator) PostcardCache() *postcarding.Cache { return t.pcCache }
 
 // AppendBatcher exposes the batcher for statistics.
 func (t *Translator) AppendBatcher() *appendlist.Batcher { return t.apBatch }
-
-// Requester exposes the PSN tracker (tests and diagnostics).
-func (t *Translator) Requester() *rdma.Requester { return t.req }

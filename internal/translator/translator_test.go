@@ -18,8 +18,15 @@ import (
 // translator's emissions are processed by the host and the resulting
 // acks fed straight back.
 type rig struct {
-	host *collector.Host
-	tr   *Translator
+	host   *collector.Host
+	tr     *Translator
+	staged wire.StagedReport
+}
+
+// process stages rep and translates it (ProcessStaged).
+func (r *rig) process(rep *wire.Report, nowNs uint64) error {
+	r.staged.Stage(rep)
+	return r.tr.ProcessStaged(&r.staged, nowNs)
 }
 
 func values(n int) []uint32 {
@@ -68,7 +75,7 @@ func TestKeyWriteEndToEnd(t *testing.T) {
 		KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(42)},
 		Data:     data,
 	}
-	if err := r.tr.ProcessReport(&rep, 0); err != nil {
+	if err := r.process(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAWrites != 2 {
@@ -94,7 +101,7 @@ func TestKeyWriteRedundancyCapped(t *testing.T) {
 		KeyWrite: wire.KeyWrite{Redundancy: keywrite.MaxRedundancy + 1, Key: key(1)},
 		Data:     []byte{1, 2, 3, 4},
 	}
-	if err := r.tr.ProcessReport(&rep, 0); err != nil {
+	if err := r.process(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAWrites != keywrite.MaxRedundancy {
@@ -110,7 +117,7 @@ func TestKeyIncrementEndToEnd(t *testing.T) {
 			Header:       wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
 			KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: key(7), Delta: 10},
 		}
-		if err := r.tr.ProcessReport(&rep, 0); err != nil {
+		if err := r.process(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +142,7 @@ func TestPostcardingEndToEnd(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: x, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 10)},
 		}
-		if err := r.tr.ProcessReport(&rep, 0); err != nil {
+		if err := r.process(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +174,7 @@ func TestAppendEndToEndWithBatching(t *testing.T) {
 			Append: wire.Append{ListID: 3},
 			Data:   data[:],
 		}
-		if err := r.tr.ProcessReport(&rep, 0); err != nil {
+		if err := r.process(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +201,7 @@ func TestAppendPartialFlush(t *testing.T) {
 		Append: wire.Append{ListID: 0},
 		Data:   []byte{9, 9, 9, 9},
 	}
-	if err := r.tr.ProcessReport(&rep, 0); err != nil {
+	if err := r.process(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().AppendFlushes != 0 {
@@ -222,7 +229,7 @@ func TestDrainPostcards(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: x, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 1)},
 		}
-		r.tr.ProcessReport(&rep, 0)
+		r.process(&rep, 0)
 	}
 	if err := r.tr.Flush(0); err != nil {
 		t.Fatal(err)
@@ -246,7 +253,7 @@ func TestDrainedMiddleHopLossNeverShiftsPath(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: x, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 10)},
 		}
-		if err := r.tr.ProcessReport(&rep, 0); err != nil {
+		if err := r.process(&rep, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +274,7 @@ func TestDrainedMiddleHopLossNeverShiftsPath(t *testing.T) {
 			Header:   wire.Header{Version: wire.Version, Primitive: wire.PrimPostcarding},
 			Postcard: wire.Postcard{Key: y, Hop: uint8(hop), PathLen: 5, Value: uint32(hop + 20)},
 		}
-		r.tr.ProcessReport(&rep, 0)
+		r.process(&rep, 0)
 	}
 	r.tr.Flush(0)
 	resY, _ := r.host.QueryPostcards(y, 1)
@@ -284,7 +291,7 @@ func TestImmediateFlagRaisesEvent(t *testing.T) {
 		KeyWrite: wire.KeyWrite{Redundancy: 1, Key: key(1)},
 		Data:     []byte{1, 2, 3, 4},
 	}
-	if err := r.tr.ProcessReport(&rep, 0); err != nil {
+	if err := r.process(&rep, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -308,14 +315,14 @@ func TestRateLimiterDropsAndNACKs(t *testing.T) {
 	}
 	// Fire a burst at t=0: only the bucket's initial tokens pass.
 	for i := 0; i < 100; i++ {
-		r.tr.ProcessReport(&rep, 0)
+		r.process(&rep, 0)
 	}
 	if r.tr.Stats().RateDropped == 0 {
 		t.Error("no report dropped")
 	}
 	// After a second of simulated time, tokens replenish.
 	before := r.tr.Stats().RDMAWrites
-	if err := r.tr.ProcessReport(&rep, 1e9); err != nil {
+	if err := r.process(&rep, 1e9); err != nil {
 		t.Fatal(err)
 	}
 	if r.tr.Stats().RDMAWrites != before+1 {
@@ -333,7 +340,7 @@ func TestDisabledPrimitiveRejected(t *testing.T) {
 		Append: wire.Append{ListID: 0},
 		Data:   []byte{1},
 	}
-	if err := r.tr.ProcessReport(&rep, 0); err == nil {
+	if err := r.process(&rep, 0); err == nil {
 		t.Error("append on KW-only translator accepted")
 	}
 }
@@ -365,7 +372,7 @@ func TestFig8MemoryInstrumentation(t *testing.T) {
 			KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(uint64(i))},
 			Data:     []byte{1, 2, 3, 4},
 		}
-		r.tr.ProcessReport(&rep, 0)
+		r.process(&rep, 0)
 	}
 	if got := memInstrPerReport(r.host.Device(), reports); got != 2.0 {
 		t.Errorf("KW mem instr/report = %v, want 2.0", got)
@@ -379,7 +386,7 @@ func TestFig8MemoryInstrumentation(t *testing.T) {
 			Append: wire.Append{ListID: 1},
 			Data:   []byte{1, 2, 3, 4},
 		}
-		r2.tr.ProcessReport(&rep, 0)
+		r2.process(&rep, 0)
 	}
 	got := memInstrPerReport(r2.host.Device(), reports)
 	if got < 0.05 || got > 0.07 {
@@ -407,7 +414,7 @@ func benchTranslatorKW(b *testing.B, n uint8) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep.KeyWrite.Key = key(uint64(i))
-		if err := r.tr.ProcessReport(&rep, 0); err != nil {
+		if err := r.process(&rep, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -487,7 +494,7 @@ func BenchmarkTranslatorAppendBatch16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.tr.ProcessReport(&rep, 0); err != nil {
+		if err := r.process(&rep, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

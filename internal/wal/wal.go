@@ -627,8 +627,8 @@ func (w *Writer) WStats() Stats {
 	}
 }
 
-// Append is Stage + Publish for one untraced record: what tools and
-// tests that log record by record call.
+// Append is Stage + Publish for one untraced record, for tests that log
+// record by record; ingest stages and publishes per window instead.
 func (w *Writer) Append(rec *wire.StagedReport, nowNs uint64) (uint64, error) {
 	lsn, err := w.Stage(rec, nowNs, trace.Handle{})
 	w.Publish()

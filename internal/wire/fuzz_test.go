@@ -144,8 +144,8 @@ func FuzzDecodeStaged(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n < StagedFixedLen || n > len(data) || n != s.EncodedLen() {
-			t.Fatalf("consumed %dB of %d, EncodedLen %d", n, len(data), s.EncodedLen())
+		if want := StagedFixedLen + len(s.Payload()); n > len(data) || n != want {
+			t.Fatalf("consumed %dB of %d, fixed part and payload %dB", n, len(data), want)
 		}
 		img := make([]byte, MaxStagedEncodedLen)
 		img = img[:s.EncodeTo(img)]

@@ -19,36 +19,6 @@ type Report struct {
 // Ethernet, IPv4 and UDP carriers.
 const MaxReportLen = EthernetLen + IPv4Len + UDPLen + HeaderLen + KeyIncrementLen + MaxData
 
-// ReportLen returns the serialized length of the DTA portion of r
-// (sub-header selected by the primitive, plus payload for Key-Write and
-// Append), or 0 for an unknown primitive. It performs no serialization;
-// the structured ingest path uses it to model wire sizes (link byte
-// accounting) without crafting a frame.
-func ReportLen(r *Report) int {
-	switch r.Header.Primitive {
-	case PrimKeyWrite:
-		return HeaderLen + KeyWriteLen + len(r.Data)
-	case PrimAppend:
-		return HeaderLen + AppendLen + len(r.Data)
-	case PrimKeyIncrement:
-		return HeaderLen + KeyIncrementLen
-	case PrimPostcarding:
-		return HeaderLen + PostcardLen
-	default:
-		return 0
-	}
-}
-
-// FrameLen returns the full on-the-wire length of r once encapsulated in
-// Ethernet/IPv4/UDP, or 0 for an unknown primitive.
-func FrameLen(r *Report) int {
-	n := ReportLen(r)
-	if n == 0 {
-		return 0
-	}
-	return EthernetLen + IPv4Len + UDPLen + n
-}
-
 // StagedReport is a compact, fixed-size staging form of a Report that
 // queues and pools can hold by value with no heap indirection: only the
 // fields of the active primitive are kept, and the payload (whose slice
@@ -169,20 +139,11 @@ const StagedFixedLen = 1 + 1 + 1 + 1 + 1 + 1 + 2 + 4 + 4 + KeySize + 8
 // MaxStagedEncodedLen bounds EncodeTo's output.
 const MaxStagedEncodedLen = StagedFixedLen + MaxData
 
-// EncodedLen returns the exact number of bytes EncodeTo writes for s.
-func (s *StagedReport) EncodedLen() int {
-	n := StagedFixedLen
-	if s.dataLen > 0 {
-		n += int(s.dataLen)
-	}
-	return n
-}
-
 // EncodeTo serialises s into b — the WAL's record body — and returns the
 // bytes written. The layout is the staged record itself (fixed fields at
 // fixed offsets, payload appended), so encoding is a plain copy with no
-// per-primitive branching and no allocation. b must hold EncodedLen()
-// bytes (MaxStagedEncodedLen always suffices).
+// per-primitive branching and no allocation. b must hold StagedFixedLen
+// bytes plus the payload (MaxStagedEncodedLen always suffices).
 func (s *StagedReport) EncodeTo(b []byte) int {
 	b[0] = byte(s.prim)
 	b[1] = s.flags
@@ -279,8 +240,7 @@ func (s *StagedReport) EncodeGroupsTo(b []byte) (n int, bitmap uint8) {
 
 // DecodeStaged parses an EncodeTo image back into s, returning the bytes
 // consumed. It validates the framing (length, primitive, payload bounds)
-// but not report semantics — records were validated on admission; use
-// View + Validate to re-check.
+// but not report semantics: records were validated on admission.
 func DecodeStaged(b []byte, s *StagedReport) (int, error) {
 	if len(b) < StagedFixedLen {
 		return 0, fmt.Errorf("wire: staged record truncated at %dB", len(b))
@@ -318,31 +278,6 @@ func DecodeStaged(b []byte, s *StagedReport) (int, error) {
 		copy(s.buf[:dataLen], b[StagedFixedLen:n])
 	}
 	return n, nil
-}
-
-// View decompresses s into dst, overwriting the header, the active
-// sub-header and Data (re-pointed at the inline buffer, so it is only
-// valid while s is). dst is a scratch the caller reuses across records;
-// sub-headers of other primitives may hold stale values, which consumers
-// never read. Returns dst.
-func (s *StagedReport) View(dst *Report) *Report {
-	dst.Header = Header{Version: Version, Primitive: s.prim, Flags: s.flags}
-	if s.dataLen >= 0 {
-		dst.Data = s.buf[:s.dataLen]
-	} else {
-		dst.Data = nil
-	}
-	switch s.prim {
-	case PrimKeyWrite:
-		dst.KeyWrite = KeyWrite{Redundancy: s.red, DataLen: uint16(len(dst.Data)), Key: s.key}
-	case PrimAppend:
-		dst.Append = Append{ListID: s.listID, DataLen: uint16(len(dst.Data))}
-	case PrimKeyIncrement:
-		dst.KeyIncrement = KeyIncrement{Redundancy: s.red, Key: s.key, Delta: s.delta}
-	case PrimPostcarding:
-		dst.Postcard = Postcard{Key: s.key, Hop: s.hop, PathLen: s.pathLen, Value: s.value}
-	}
-	return dst
 }
 
 // DecodeReport parses the DTA portion of a packet (everything after UDP)

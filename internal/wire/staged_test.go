@@ -28,7 +28,31 @@ func sampleReports() []Report {
 	}
 }
 
-// TestStagedRoundTrip pins Stage+View as lossless for every primitive:
+// view decompresses s into dst, overwriting the header, the active
+// sub-header and Data (re-pointed at the inline buffer, so it is only
+// valid while s is); sub-headers of other primitives may hold stale
+// values. Returns dst.
+func (s *StagedReport) view(dst *Report) *Report {
+	dst.Header = Header{Version: Version, Primitive: s.prim, Flags: s.flags}
+	if s.dataLen >= 0 {
+		dst.Data = s.buf[:s.dataLen]
+	} else {
+		dst.Data = nil
+	}
+	switch s.prim {
+	case PrimKeyWrite:
+		dst.KeyWrite = KeyWrite{Redundancy: s.red, DataLen: uint16(len(dst.Data)), Key: s.key}
+	case PrimAppend:
+		dst.Append = Append{ListID: s.listID, DataLen: uint16(len(dst.Data))}
+	case PrimKeyIncrement:
+		dst.KeyIncrement = KeyIncrement{Redundancy: s.red, Key: s.key, Delta: s.delta}
+	case PrimPostcarding:
+		dst.Postcard = Postcard{Key: s.key, Hop: s.hop, PathLen: s.pathLen, Value: s.value}
+	}
+	return dst
+}
+
+// TestStagedRoundTrip pins Stage as lossless for every primitive:
 // the decompressed report must serialise byte-identically to the
 // original.
 func TestStagedRoundTrip(t *testing.T) {
@@ -37,7 +61,7 @@ func TestStagedRoundTrip(t *testing.T) {
 	for _, r := range sampleReports() {
 		r := r
 		s.Stage(&r)
-		got := s.View(&dst)
+		got := s.view(&dst)
 		var wantBuf, gotBuf [MaxReportLen]byte
 		wn, err := SerializeReport(wantBuf[:], &r)
 		if err != nil {
@@ -64,7 +88,7 @@ func TestStagedAccessorsMatchView(t *testing.T) {
 	for _, r := range sampleReports() {
 		r := r
 		s.Stage(&r)
-		v := s.View(&dst)
+		v := s.view(&dst)
 		if s.Primitive() != v.Header.Primitive || s.Flags() != v.Header.Flags {
 			t.Fatalf("%v: header accessors disagree", r.Header.Primitive)
 		}
@@ -92,26 +116,6 @@ func TestStagedAccessorsMatchView(t *testing.T) {
 				t.Fatal("postcard accessors disagree")
 			}
 		}
-	}
-}
-
-// TestFrameLenMatchesSerializeFrame pins the arithmetic frame-length
-// model to the real serialiser.
-func TestFrameLenMatchesSerializeFrame(t *testing.T) {
-	f := &Frame{SrcPort: 4001}
-	var buf [MaxReportLen]byte
-	for _, r := range sampleReports() {
-		r := r
-		n, err := SerializeFrame(buf[:], f, &r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := FrameLen(&r); got != n {
-			t.Fatalf("%v: FrameLen = %d, serialised = %d", r.Header.Primitive, got, n)
-		}
-	}
-	if FrameLen(&Report{}) != 0 {
-		t.Fatal("unknown primitive must report length 0")
 	}
 }
 

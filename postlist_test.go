@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -57,9 +58,15 @@ func perVerb(s *System, epoch func() uint64) {
 			if err := rdma.DecodePacket(ack, &a); err != nil {
 				panic(fmt.Sprintf("reference: bad ack: %v", err))
 			}
-			s.tr.Requester().HandleAck(&rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
+			requester(s.tr).HandleAck(&rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
 		}
 	}
+}
+
+// requester is tr's PSN tracker, which the translator keeps to itself:
+// the reference hands it every ack, and stateOf reads both twins'.
+func requester(tr *translator.Translator) *rdma.Requester {
+	return (*rdma.Requester)(reflect.ValueOf(tr).Elem().FieldByName("req").UnsafePointer())
 }
 
 // refMarkPacket is the old MarkPacket: a WRITE or FETCH&ADD tags every
@@ -106,7 +113,7 @@ type devState struct {
 }
 
 func stateOf(s *System) devState {
-	dev, req := s.host.Device(), s.tr.Requester()
+	dev, req := s.host.Device(), requester(s.tr)
 	return devState{dev.Stats, req.NPSN, req.Acked, req.Resyncs, s.host.DroppedEvents, s.tr.Stats()}
 }
 
@@ -162,11 +169,14 @@ func TestPostListMatchesPerVerb(t *testing.T) {
 			if i%7 != 0 {
 				continue
 			}
-			var scratch wire.Report
-			rep := *st.recs[i].View(&scratch)
-			rep.Data = slices.Clone(rep.Data)
-			rep.Header.Flags |= wire.FlagImmediate
-			st.recs[i].Stage(&rep)
+			// Raise the immediate flag in the record's staged image,
+			// whose second byte is its flags.
+			var img [wire.MaxStagedEncodedLen]byte
+			n := st.recs[i].EncodeTo(img[:])
+			img[1] |= wire.FlagImmediate
+			if _, err := wire.DecodeStaged(img[:n], &st.recs[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		opts := Options{
 			KeyWrite:     &KeyWriteOptions{Slots: 1 << 10, DataSize: 4},
