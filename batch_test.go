@@ -14,6 +14,7 @@ import (
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
 	"dta/internal/snapshot"
+	"dta/internal/vfs"
 	"dta/internal/wal"
 	"dta/internal/wire"
 )
@@ -336,7 +337,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := wal.Recover(oneDir, snapshot.View(serial.host), serial.tr.AppendBatcher(),
+			if _, err := wal.Recover(vfs.OS{}, oneDir, snapshot.View(serial.host), serial.tr.AppendBatcher(),
 				func(lsn, nowNs uint64, rec *wire.StagedReport) error {
 					return serial.tr.ProcessStaged(rec, nowNs)
 				}); err != nil {

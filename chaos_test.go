@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -36,7 +39,7 @@ func journalCounts(c *HACluster) map[journal.Type]int {
 
 // TestChaosRequiresPlane: every fault API (except clock skew, which
 // lives on the System) demands EnableChaos first, and EnableChaos must
-// run before WithWAL so segment files open fault-wrapped.
+// run before WithWAL, which hands each collector its chaos disk.
 func TestChaosRequiresPlane(t *testing.T) {
 	c, err := NewHACluster(3, 2, haOptions())
 	if err != nil {
@@ -347,7 +350,8 @@ func TestRebalanceRetryBackoffIsSeeded(t *testing.T) {
 }
 
 // TestChaosSlowDiskDegradesWAL: the chaos plane's disk faults reach the
-// WAL through HACluster.WithWAL's per-collector WrapFile threading —
+// WAL through the chaos disk HACluster.WithWAL makes each collector's
+// file system —
 // injected fsync latency trips degraded-ack mode on exactly the slow
 // collector, and healing the disk lets a probe exit it.
 func TestChaosSlowDiskDegradesWAL(t *testing.T) {
@@ -407,6 +411,71 @@ func TestChaosSlowDiskDegradesWAL(t *testing.T) {
 	}
 	if ev[journal.EvSlowDisk] < 2 { // inject + heal
 		t.Fatalf("slow-disk fault not journaled: %v", ev)
+	}
+}
+
+// TestChaosDeadDiskFailsCheckpoint: a collector whose chaos disk is dead
+// (FailSticky) cannot checkpoint. Checkpoint returns the disk's errno and
+// leaves the collector's image and segments as they were.
+func TestChaosDeadDiskFailsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewHACluster(2, 2, haOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane, err := c.EnableChaos(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WithWAL(dir, WALPolicy{Mode: WALSyncBatch}); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.Reporter(1)
+	write := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := rep.KeyWrite(KeyFromUint64(uint64(i)), keyData(uint64(i)), 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.SyncWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(walSubdir(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(walSubdir(dir, 0), e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	write(0, 100)
+	if _, err := c.System(0).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	write(100, 200)
+	before := files()
+	plane.Disk(0).FailSticky(syscall.EIO)
+	if lsn, err := c.System(0).Checkpoint(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Checkpoint on a dead disk = %d, %v; want EIO", lsn, err)
+	}
+	after := files()
+	if len(after) != len(before) {
+		t.Errorf("the failed checkpoint left %d files, there were %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Errorf("the failed checkpoint changed %s", name)
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ func run(opts dta.Options, cfg dta.EngineConfig, lcfg loadgen.Config, p params) 
 	}
 	needsChaos := loadgen.ScheduleNeedsChaos(lcfg.Schedule)
 	if needsChaos {
-		// Before WithWAL: segment files are fault-wrapped at open.
+		// Before WithWAL, which hands each collector its chaos disk.
 		if _, err := hac.EnableChaos(p.chaosSeed); err != nil {
 			log.Fatal(err)
 		}

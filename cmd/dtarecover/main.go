@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 
 	"dta/internal/obs/journal"
+	"dta/internal/vfs"
 	"dta/internal/wal"
 	"dta/internal/wire"
 )
@@ -89,7 +90,7 @@ func printEvents(dir string) error {
 
 func run(dir string, verify, dump bool, from uint64, limit int, repair bool) error {
 	if repair {
-		removed, err := wal.RepairTail(dir)
+		removed, err := wal.RepairTail(vfs.OS{}, dir)
 		if err != nil {
 			return err
 		}

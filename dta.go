@@ -46,6 +46,7 @@ import (
 	"dta/internal/obs/journal"
 	"dta/internal/rdma"
 	"dta/internal/translator"
+	"dta/internal/vfs"
 	"dta/internal/wal"
 	"dta/internal/wire"
 )
@@ -148,6 +149,9 @@ type System struct {
 	// wal, when attached (WithWAL), logs every admitted report for crash
 	// recovery and exact log-based replication resync. See durability.go.
 	wal *wal.Writer
+	// fs is what the log, its images and recovery write the disk
+	// through: the OS, or a cluster chaos plane's fault disk.
+	fs vfs.FS
 
 	// telemetry is the deployment's registry, journal and tracer:
 	// standalone systems own theirs, cluster members share their
@@ -202,7 +206,7 @@ func newSystem(opts Options, shared *telemetry, collectorID int16) (*System, err
 	if err != nil {
 		return nil, err
 	}
-	s := &System{host: host, collectorID: collectorID}
+	s := &System{host: host, collectorID: collectorID, fs: vfs.OS{}}
 	s.telemetry, s.obsScope = shared.member(collectorID)
 	tr, err := translator.NewScoped(tcfg, host.Listener(), s.obsScope)
 	if err != nil {

@@ -44,11 +44,11 @@ func (s *System) WithWAL(dir string, pol WALPolicy) error {
 	if s.wal != nil {
 		return errors.New("dta: WAL already attached")
 	}
-	w, err := wal.CreateScoped(dir, pol, s.obsScope)
+	w, err := wal.CreateScoped(s.fs, dir, pol, s.obsScope)
 	if err != nil {
 		return err
 	}
-	if err := wal.SaveMeta(dir, &wal.Meta{Translator: s.tr.Config()}); err != nil {
+	if err := wal.SaveMeta(s.fs, dir, &wal.Meta{Translator: s.tr.Config()}); err != nil {
 		w.Close()
 		return err
 	}
@@ -173,7 +173,7 @@ func (s *System) recover(dir string) (rec wal.Recovered, cause uint64, err error
 		failed += n
 		chunk = chunk[:0]
 	}
-	rec, err = wal.Recover(dir, snapshot.View(s.host), s.tr.AppendBatcher(),
+	rec, err = wal.Recover(s.fs, dir, snapshot.View(s.host), s.tr.AppendBatcher(),
 		func(lsn, nowNs uint64, r *wire.StagedReport) error {
 			if len(chunk) == cap(chunk) || (len(chunk) > 0 && nowNs != chunkNow) {
 				flush()
@@ -243,7 +243,7 @@ func (s *System) Checkpoint() (uint64, error) {
 	// their own chain.
 	cause := s.ckptCause
 	s.ckptCause = 0
-	if _, err := wal.Checkpoint(s.wal.Dir(), snap, s.walEmitter(), cause); err != nil {
+	if _, err := wal.Checkpoint(s.fs, s.wal.Dir(), snap, s.walEmitter(), cause); err != nil {
 		return 0, err
 	}
 	return lsn, nil
@@ -319,22 +319,15 @@ func (c *HACluster) WithWAL(dir string, pol WALPolicy) error {
 		return errors.New("dta: WAL already attached")
 	}
 	for i, sys := range c.systems {
-		if err := sys.WithWAL(walSubdir(dir, i), c.memberWALPolicy(i, pol)); err != nil {
+		if c.chaos != nil {
+			sys.fs = c.chaos.Disk(i)
+		}
+		if err := sys.WithWAL(walSubdir(dir, i), pol); err != nil {
 			return err
 		}
 	}
 	c.walDir, c.walPol = dir, pol
 	return nil
-}
-
-// memberWALPolicy is collector i's copy of the cluster WAL policy: with
-// a chaos plane enabled, its segment files open through the collector's
-// fault-injection disk (slow fsyncs, sticky errnos, short writes).
-func (c *HACluster) memberWALPolicy(i int, pol WALPolicy) WALPolicy {
-	if c.chaos != nil {
-		pol.WrapFile = c.chaos.Disk(i).WrapFile
-	}
-	return pol
 }
 
 // Recover rebuilds every collector's state from an HA WAL root written

@@ -1,8 +1,12 @@
 package dta
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,11 +16,11 @@ import (
 	"dta/internal/wal/waltest"
 )
 
-// modelWAL attaches a WAL whose segment files sit on a waltest.Disk: a
-// disk that counts fsyncs and can show what a host crash would leave.
+// modelWAL attaches a WAL on a waltest.Disk: a disk that counts fsyncs
+// and can show what a host crash would leave.
 func modelWAL(t *testing.T, sys *System, dir string, pol WALPolicy, d *waltest.Disk) {
 	t.Helper()
-	pol.WrapFile = func(f *os.File) wal.File { return d.Wrap(f) }
+	sys.fs = d
 	if err := sys.WithWAL(dir, pol); err != nil {
 		t.Fatal(err)
 	}
@@ -363,5 +367,126 @@ func TestCheckpointFsyncsOncePerNeed(t *testing.T) {
 		if got := d.Syncs(); got != 2 {
 			t.Errorf("%v: CloseWAL of a durable log issued %d more fsyncs, want 0", mode, got-2)
 		}
+	}
+}
+
+// TestWrapFileWrapsSegmentsOnly pins what Policy.WrapFile wraps: the
+// writer's segment files, each once, and the directory handle it syncs
+// after creating each one — no image, temporary or meta file. A disk
+// modelled behind the hook sees the log's work and only that.
+func TestWrapFileWrapsSegmentsOnly(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	seen := map[string]int{}
+	pol := WALPolicy{Mode: WALSyncBatch, SegmentBytes: 4096, WrapFile: func(f *os.File) wal.File {
+		mu.Lock()
+		seen[filepath.Base(f.Name())]++
+		mu.Unlock()
+		return f
+	}}
+	sys, err := New(fullOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WithWAL(dir, pol); err != nil {
+		t.Fatal(err)
+	}
+	ingestMixed(t, sys.Reporter(1), 0, 50)
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := sys.WALStats()
+	if err := sys.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Rotations < 2 {
+		t.Fatalf("%d rotations: the test wants at least 2", st.Rotations)
+	}
+	segs := int(st.Rotations) + 1
+	mu.Lock()
+	defer mu.Unlock()
+	if n := seen[filepath.Base(dir)]; n != segs {
+		t.Errorf("hook saw the directory %d times, want once per segment created (%d)", n, segs)
+	}
+	delete(seen, filepath.Base(dir))
+	for name, n := range seen {
+		if !strings.HasSuffix(name, ".wseg") || n != 1 {
+			t.Errorf("hook saw %s %d times, want segment files once each", name, n)
+		}
+	}
+	if len(seen) != segs {
+		t.Errorf("hook saw %d segment files, want %d", len(seen), segs)
+	}
+}
+
+// TestCheckpointOperationTrace pins the order in which a checkpoint
+// changes the disk: the image written and fsynced under its temporary
+// name, the newest image kept as the older generation, the new one
+// renamed into place, the directory fsynced — and only then the
+// segments below the older image removed.
+func TestCheckpointOperationTrace(t *testing.T) {
+	var d waltest.Disk
+	dir := t.TempDir()
+	sys, err := New(fullOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelWAL(t, sys, dir, WALPolicy{Mode: WALSyncBatch, SegmentBytes: 4096}, &d)
+	rep := sys.Reporter(1)
+	ingestMixed(t, rep, 0, 30)
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ingestMixed(t, rep, 30, 60)
+	if err := sys.Flush(); err != nil { // nothing left for the checkpoint to log
+		t.Fatal(err)
+	}
+	segs := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "*.wseg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before, from := segs(), len(d.Trace())
+	if _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(dir, "checkpoint.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"open checkpoint.snap.tmp",
+		fmt.Sprintf("write checkpoint.snap.tmp %d", st.Size()),
+		fmt.Sprintf("sync checkpoint.snap.tmp %d", st.Size()),
+		"rename checkpoint.snap checkpoint.prev",
+		"rename checkpoint.snap.tmp checkpoint.snap",
+		"syncdir .",
+	}
+	after := segs()
+	for _, name := range before {
+		if !slices.Contains(after, name) {
+			want = append(want, "remove "+filepath.Base(name))
+		}
+	}
+	if len(want) == 6 {
+		t.Fatalf("the checkpoint removed none of %d segments: the test wants it to", len(before))
+	}
+	var got []string
+	for _, op := range d.Trace()[from:] {
+		rel := func(p string) string { r, _ := filepath.Rel(dir, p); return r }
+		s := op.Op + " " + rel(op.Path)
+		if op.To != "" {
+			s += " " + rel(op.To)
+		}
+		if op.Bytes != 0 {
+			s += fmt.Sprint(" ", op.Bytes)
+		}
+		got = append(got, s)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("checkpoint changed the disk as\n\t%s\nwant\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dta/internal/ha"
 	"dta/internal/obs/journal"
 	"dta/internal/snapshot"
+	"dta/internal/vfs"
 	"dta/internal/wal"
 	"dta/internal/wire"
 )
@@ -357,7 +358,7 @@ func TestRestoreInPlaceMatchesResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := wal.Recover(dir, snapshot.View(got.host), got.tr.AppendBatcher(),
+	rec, err := wal.Recover(vfs.OS{}, dir, snapshot.View(got.host), got.tr.AppendBatcher(),
 		func(lsn, _ uint64, _ *wire.StagedReport) error {
 			t.Errorf("LSN %d replayed: the image covers the whole log", lsn)
 			return nil
@@ -384,7 +385,7 @@ func TestRecoveryMemoryIndependentOfLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := wal.SaveMeta(dir, &wal.Meta{Translator: sys.Translator().Config()}); err != nil {
+	if err := wal.SaveMeta(vfs.OS{}, dir, &wal.Meta{Translator: sys.Translator().Config()}); err != nil {
 		t.Fatal(err)
 	}
 	// Two identical records at time 0: the second one's frame (timestamp
@@ -463,7 +464,7 @@ func TestRecoveryMemoryIndependentOfLog(t *testing.T) {
 		return err
 	})
 	measure("wal.RepairTail", slack, func() error {
-		removed, err := wal.RepairTail(dir)
+		removed, err := wal.RepairTail(vfs.OS{}, dir)
 		if err == nil && removed != int64(len(torn)) {
 			err = fmt.Errorf("removed %d torn bytes, want %d", removed, len(torn))
 		}

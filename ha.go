@@ -266,7 +266,10 @@ func (c *HACluster) AddCollector() (int, error) {
 		return 0, err
 	}
 	if c.walDir != "" {
-		if err := sys.WithWAL(walSubdir(c.walDir, id), c.memberWALPolicy(id, c.walPol)); err != nil {
+		if c.chaos != nil {
+			sys.fs = c.chaos.Disk(id)
+		}
+		if err := sys.WithWAL(walSubdir(c.walDir, id), c.walPol); err != nil {
 			return 0, err
 		}
 	}

@@ -11,10 +11,10 @@ import (
 
 // EnableChaos attaches a deterministic fault-injection plane to the
 // cluster: per-link partitions (PartitionReporter, PartitionPeers),
-// per-collector disk faults (SlowDisk, and WrapFile wrapping of every
-// WAL segment) and clock skew (SetClockSkew). Call it before WithWAL —
-// segment files are wrapped at open — and before any traffic, like
-// WithWAL itself. seed seeds the jitter Rebalance adds to a deferred
+// per-collector disk faults (SlowDisk; each collector's log and images
+// are written through its chaos disk) and clock skew (SetClockSkew).
+// Call it before WithWAL — which hands each collector its disk — and
+// before any traffic, like WithWAL itself. seed seeds the jitter Rebalance adds to a deferred
 // resync's retry backoff. Idempotent; returns the plane.
 func (c *HACluster) EnableChaos(seed int64) (*chaos.Plane, error) {
 	c.mu.Lock()
@@ -23,7 +23,7 @@ func (c *HACluster) EnableChaos(seed int64) (*chaos.Plane, error) {
 		return c.chaos, nil
 	}
 	if c.walDir != "" {
-		return nil, errors.New("dta: EnableChaos must run before WithWAL (WAL segment files are fault-wrapped at open)")
+		return nil, errors.New("dta: EnableChaos must run before WithWAL (WithWAL hands each collector its chaos disk)")
 	}
 	c.chaos = chaos.NewPlane()
 	c.retryRNG = rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))

@@ -5,10 +5,13 @@
 //
 //   - asymmetric reporter→collector link partitions (CutReporter);
 //   - symmetric peer↔peer resync partitions (CutPeers);
-//   - added fsync latency on a collector's WAL segment files
-//     (Disk.SetFsyncLatency, the slow-disk fault);
-//   - a sticky errno that fails every later write and fsync — a dead
-//     disk (Disk.FailSticky).
+//   - added latency on every fsync under a collector's log directory:
+//     segments, directory syncs, images (Disk.SetFsyncLatency);
+//   - a sticky errno that fails every later open for writing, write and
+//     fsync there, checkpoints included — a dead disk (Disk.FailSticky).
+//
+// A Disk decorates any vfs.FS; the cluster writes a collector's log and
+// images through it.
 //
 // Per-collector clock skew lives on the System's clock hooks. None of
 // the faults draws randomness: a chaos run reproduces from its schedule
@@ -22,12 +25,11 @@ package chaos
 
 import (
 	"os"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"dta/internal/wal"
+	"dta/internal/vfs"
 )
 
 // MaxNodes bounds the partition matrix; it matches ha.MaxMembers (not
@@ -47,28 +49,21 @@ type Plane struct {
 	// pair cannot serve each other's resyncs (snapshot or log-shipping)
 	// until healed.
 	peer [MaxNodes * MaxNodes]atomic.Bool
-
-	mu    sync.Mutex
-	disks map[int]*Disk
+	// disks[i] is collector i's disk, over the OS's file system.
+	disks [MaxNodes]Disk
 }
 
 // NewPlane builds a fault plane with no fault injected.
 func NewPlane() *Plane {
-	return &Plane{disks: make(map[int]*Disk)}
+	p := &Plane{}
+	for i := range p.disks {
+		p.disks[i].FS = vfs.OS{}
+	}
+	return p
 }
 
-// Disk returns collector i's fault-injection disk, creating it on first
-// use. Safe for concurrent use.
-func (p *Plane) Disk(i int) *Disk {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d := p.disks[i]
-	if d == nil {
-		d = &Disk{}
-		p.disks[i] = d
-	}
-	return d
-}
+// Disk returns collector i's fault-injection disk (i < MaxNodes).
+func (p *Plane) Disk(i int) *Disk { return &p.disks[i] }
 
 // CutReporter severs the reporter→collector i link.
 func (p *Plane) CutReporter(i int) {
@@ -153,18 +148,17 @@ func (p *Plane) HealNode(i int) {
 		p.peer[i*MaxNodes+j].Store(false)
 		p.peer[j*MaxNodes+i].Store(false)
 	}
-	p.mu.Lock()
-	d := p.disks[i]
-	p.mu.Unlock()
-	d.Heal()
+	p.disks[i].Heal()
 }
 
-// Disk injects storage faults under one collector's WAL: added fsync
-// latency and a sticky errno that fails every subsequent operation — a
-// dead disk. Both knobs are atomics, safe to flip while the WAL flusher
-// is mid-write. The zero value injects nothing; a nil *Disk is a valid
-// no-op for Heal.
+// Disk injects storage faults into the file system under it: added
+// fsync latency, and a sticky errno that fails every later open for
+// writing, write and fsync — a dead disk. Renames, removals and
+// truncations pass through. Both knobs are atomics, safe to flip while
+// the WAL flusher is mid-write. A nil *Disk is a valid no-op for Heal.
 type Disk struct {
+	vfs.FS // the disk underneath
+
 	fsyncLat atomic.Int64 // ns added to every Sync
 	errno    atomic.Int64 // non-zero: every op fails with this errno
 }
@@ -194,36 +188,57 @@ func (d *Disk) FsyncLatency() time.Duration {
 	return time.Duration(d.fsyncLat.Load())
 }
 
-// WrapFile wraps a WAL segment file with this disk's faults. It is the
-// wal.Policy.WrapFile hook: the flusher opens segments through it, so
-// every write, fsync and close flows through the injection layer.
-func (d *Disk) WrapFile(f *os.File) wal.File {
-	return &faultFile{f: f, d: d}
+// failed is the sticky errno (nil: the disk works).
+func (d *Disk) failed() error {
+	if e := d.errno.Load(); e != 0 {
+		return syscall.Errno(e)
+	}
+	return nil
 }
 
-// faultFile is one wrapped segment file.
+// sync is every fsync's fault: the latency, then the errno.
+func (d *Disk) sync() error {
+	time.Sleep(time.Duration(d.fsyncLat.Load()))
+	return d.failed()
+}
+
+// OpenFile opens name underneath, the file faulted by this disk.
+func (d *Disk) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	if err := d.failed(); err != nil {
+		return nil, err
+	}
+	f, err := d.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{f, d}, nil
+}
+
+func (d *Disk) SyncDir(dir string) error {
+	if err := d.sync(); err != nil {
+		return err
+	}
+	return d.FS.SyncDir(dir)
+}
+
+// faultFile is a file opened through a Disk. Close never injects: a dead
+// disk must still release its descriptor, or every chaos run would leak
+// files.
 type faultFile struct {
-	f *os.File
+	vfs.File
 	d *Disk
 }
 
-func (ff *faultFile) Write(p []byte) (int, error) {
-	if e := ff.d.errno.Load(); e != 0 {
-		return 0, syscall.Errno(e)
+func (ff faultFile) Write(p []byte) (int, error) {
+	if err := ff.d.failed(); err != nil {
+		return 0, err
 	}
-	return ff.f.Write(p)
+	return ff.File.Write(p)
 }
 
-func (ff *faultFile) Sync() error {
-	if e := ff.d.errno.Load(); e != 0 {
-		return syscall.Errno(e)
+func (ff faultFile) Sync() error {
+	if err := ff.d.sync(); err != nil {
+		return err
 	}
-	if lat := ff.d.fsyncLat.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
-	}
-	return ff.f.Sync()
+	return ff.File.Sync()
 }
-
-// Close never injects: a dead disk must still release its descriptor,
-// or every chaos run would leak files.
-func (ff *faultFile) Close() error { return ff.f.Close() }

@@ -90,8 +90,8 @@ func TestNilPlaneSafe(t *testing.T) {
 	}
 }
 
-// TestDiskFaultFile drives a real file through WrapFile and checks each
-// injected fault: fsync latency and sticky errno.
+// TestDiskFaultFile drives a real file opened through a Disk and checks
+// each injected fault: fsync latency and sticky errno.
 func TestDiskFaultFile(t *testing.T) {
 	open := func(t *testing.T, d *Disk) interface {
 		Write([]byte) (int, error)
@@ -99,11 +99,10 @@ func TestDiskFaultFile(t *testing.T) {
 		Close() error
 	} {
 		t.Helper()
-		f, err := os.Create(filepath.Join(t.TempDir(), "seg"))
+		w, err := d.OpenFile(filepath.Join(t.TempDir(), "seg"), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := d.WrapFile(f)
 		t.Cleanup(func() { w.Close() })
 		return w
 	}
@@ -144,8 +143,14 @@ func TestDiskFaultFile(t *testing.T) {
 
 	t.Run("sticky errno", func(t *testing.T) {
 		d := NewPlane().Disk(0)
-		d.FailSticky(syscall.EIO)
 		w := open(t, d)
+		d.FailSticky(syscall.EIO)
+		if _, err := d.OpenFile(filepath.Join(t.TempDir(), "new"), os.O_WRONLY|os.O_CREATE, 0o644); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("open error = %v, want EIO", err)
+		}
+		if err := d.SyncDir(t.TempDir()); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("directory sync error = %v, want EIO", err)
+		}
 		if _, err := w.Write([]byte("x")); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("write error = %v, want EIO", err)
 		}

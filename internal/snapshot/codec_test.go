@@ -18,6 +18,7 @@ import (
 	"dta/internal/core/keyincrement"
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -486,13 +487,20 @@ func TestViewAliases(t *testing.T) {
 	assertEqual(t, copied, view)
 }
 
-// failingFile is the temporary file of an atomic write on a disk that
-// fails: at the limit-th written byte, at Sync, or at Close.
+// failingFile is a disk that fails the temporary file of an atomic
+// write: at the limit-th written byte, at Sync, or at Close.
 type failingFile struct {
-	*os.File
+	vfs.OS
+	vfs.File
 	writeLimit         int
 	syncErr, closeErr  error
 	synced, closedOnce bool
+}
+
+func (f *failingFile) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	var err error
+	f.File, err = f.OS.OpenFile(name, flag, perm)
+	return f, err
 }
 
 var errDisk = errors.New("disk says no")
@@ -545,7 +553,7 @@ func TestSaveReportsWhatTheDiskDid(t *testing.T) {
 		if err := os.WriteFile(path, []byte("the old file"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := writeFileAtomic(path, "", snap.Write, func(f *os.File) syncFile { disk.File = f; return disk })
+		err := WriteFileAtomic(disk, path, "", snap.Write)
 		if !errors.Is(err, errDisk) {
 			t.Errorf("%s fails: Save returned %v", name, err)
 		}
@@ -559,7 +567,7 @@ func TestSaveReportsWhatTheDiskDid(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dta.snap")
 	disk := &failingFile{writeLimit: -1}
-	if err := writeFileAtomic(path, "", snap.Write, func(f *os.File) syncFile { disk.File = f; return disk }); err != nil {
+	if err := WriteFileAtomic(disk, path, "", snap.Write); err != nil {
 		t.Fatal(err)
 	}
 	if !disk.synced || !disk.closedOnce {
@@ -579,7 +587,7 @@ func TestWriteFileAtomicKeepsAGeneration(t *testing.T) {
 	path, prev := filepath.Join(dir, "image"), filepath.Join(dir, "image.prev")
 	write := func(s string) {
 		t.Helper()
-		if err := WriteFileAtomic(path, prev, func(w io.Writer) error { _, err := io.WriteString(w, s); return err }); err != nil {
+		if err := WriteFileAtomic(vfs.OS{}, path, prev, func(w io.Writer) error { _, err := io.WriteString(w, s); return err }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,6 +31,7 @@ import (
 	"dta/internal/core/keyincrement"
 	"dta/internal/core/keywrite"
 	"dta/internal/core/postcarding"
+	"dta/internal/vfs"
 )
 
 // Snapshot is the serialised form of a collector's stores.
@@ -117,7 +118,7 @@ func Capture(h *collector.Host) *Snapshot {
 // Save writes the snapshot to a file: all of it, durably, or not at all
 // (WriteFileAtomic).
 func (s *Snapshot) Save(path string) error {
-	return WriteFileAtomic(path, "", s.Write)
+	return WriteFileAtomic(vfs.OS{}, path, "", s.Write)
 }
 
 // Load reads a snapshot from a file that holds one image and nothing
@@ -154,58 +155,41 @@ func VerifyFile(path string) (*Check, error) {
 	return Verify(f)
 }
 
-// syncFile is what WriteFileAtomic asks of the temporary file it fills:
-// an *os.File, or what a test's failing disk made of one.
-type syncFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
-// WriteFileAtomic writes a file through a temporary sibling: fill it,
-// fsync it, close it — each checked — rename it over path, fsync the
+// WriteFileAtomic writes a file through fs and a temporary sibling: fill
+// it, fsync it, close it — each checked — rename it over path, fsync the
 // directory. Readers see the old file or the whole new one, and once it
 // returns nil a host crash cannot take the new one back. With keepAs
 // set, the file path named before is renamed to keepAs just before the
 // swap instead of being replaced (the previous generation; none there is
-// fine).
-func WriteFileAtomic(path, keepAs string, fill func(io.Writer) error) error {
-	return writeFileAtomic(path, keepAs, fill, func(f *os.File) syncFile { return f })
-}
-
-func writeFileAtomic(path, keepAs string, fill func(io.Writer) error, wrap func(*os.File) syncFile) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// fine). The temporary name is fixed, path + ".tmp": a directory has one
+// writer of each file (a System's checkpoints run one at a time behind
+// quiesced producers), and one a crash left behind is truncated on reuse.
+func WriteFileAtomic(fs vfs.FS, path, keepAs string, fill func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // gone already once renamed
-	f := wrap(tmp)
-	if err := fill(f); err != nil {
-		f.Close()
-		return err
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if keepAs != "" {
-		if err := os.Rename(path, keepAs); err != nil && !os.IsNotExist(err) {
-			return err
+	if err == nil && keepAs != "" {
+		if err = fs.Rename(path, keepAs); os.IsNotExist(err) {
+			err = nil
 		}
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+	if err == nil {
+		err = fs.Rename(tmp, path)
 	}
-	d, err := os.Open(dir)
 	if err != nil {
+		_ = fs.Remove(tmp) // best effort: the error above is the one to report
 		return err
 	}
-	defer d.Close() // only read
-	return d.Sync()
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 // KeyWriteStore rebuilds a queryable Key-Write view.

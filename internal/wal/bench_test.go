@@ -6,6 +6,7 @@ import (
 
 	"dta/internal/obs/trace"
 	"dta/internal/snapshot"
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -116,7 +117,7 @@ func BenchmarkRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		rec, err := Recover(dir, &snapshot.Snapshot{}, nil, func(uint64, uint64, *wire.StagedReport) error {
+		rec, err := Recover(vfs.OS{}, dir, &snapshot.Snapshot{}, nil, func(uint64, uint64, *wire.StagedReport) error {
 			n++
 			return nil
 		})

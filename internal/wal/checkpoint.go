@@ -13,6 +13,7 @@ import (
 	"dta/internal/obs/journal"
 	"dta/internal/snapshot"
 	"dta/internal/translator"
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -37,7 +38,7 @@ var generations = [2]string{checkpointName, checkpointPrev}
 // log is no longer needed: the WALLSN of the OLDER of the two images, so
 // that losing the newest still leaves an image and every record above
 // it. It is 0 (reclaim nothing) while there is no verified older image.
-func WriteCheckpoint(dir string, snap *snapshot.Snapshot) (floor uint64, err error) {
+func WriteCheckpoint(fs vfs.FS, dir string, snap *snapshot.Snapshot) (floor uint64, err error) {
 	if snap.WALLSN == 0 {
 		return 0, fmt.Errorf("wal: checkpoint snapshot has no WALLSN")
 	}
@@ -45,7 +46,7 @@ func WriteCheckpoint(dir string, snap *snapshot.Snapshot) (floor uint64, err err
 	if ck, err := snapshot.VerifyFile(path); err == nil {
 		floor, keepAs = ck.WALLSN, filepath.Join(dir, checkpointPrev)
 	}
-	if err := snapshot.WriteFileAtomic(path, keepAs, snap.Write); err != nil {
+	if err := snapshot.WriteFileAtomic(fs, path, keepAs, snap.Write); err != nil {
 		return 0, err
 	}
 	return floor, nil
@@ -56,12 +57,12 @@ func WriteCheckpoint(dir string, snap *snapshot.Snapshot) (floor uint64, err err
 // needs (TruncateBelow its floor) and journal both under cause (0 mints a
 // chain). snap may alias store memory (snapshot.View): it is only read,
 // and the caller keeps producers quiesced until Checkpoint returns.
-func Checkpoint(dir string, snap *snapshot.Snapshot, jr journal.Emitter, cause uint64) (removed int, err error) {
-	floor, err := WriteCheckpoint(dir, snap)
+func Checkpoint(fs vfs.FS, dir string, snap *snapshot.Snapshot, jr journal.Emitter, cause uint64) (removed int, err error) {
+	floor, err := WriteCheckpoint(fs, dir, snap)
 	if err != nil {
 		return 0, err
 	}
-	if removed, err = TruncateBelow(dir, floor); err != nil {
+	if removed, err = TruncateBelow(fs, dir, floor); err != nil {
 		return removed, err
 	}
 	if cause == 0 {
@@ -129,7 +130,7 @@ func checkpointLSN(dir string) uint64 {
 // lsn is lost). The segment containing lsn itself is retained: records
 // are only reclaimed in whole segments. Returns the number of segment
 // files removed.
-func TruncateBelow(dir string, lsn uint64) (removed int, err error) {
+func TruncateBelow(fs vfs.FS, dir string, lsn uint64) (removed int, err error) {
 	bases, err := segBases(dir)
 	if err != nil {
 		return 0, err
@@ -139,7 +140,7 @@ func TruncateBelow(dir string, lsn uint64) (removed int, err error) {
 		if bases[i+1] > lsn+1 {
 			break
 		}
-		if err := os.Remove(filepath.Join(dir, segName(bases[i]))); err != nil {
+		if err := fs.Remove(filepath.Join(dir, segName(bases[i]))); err != nil {
 			return removed, err
 		}
 		removed++
@@ -191,10 +192,10 @@ type Recovered struct {
 // errors and continue) — aborting would let one rejected report hold
 // every later acknowledged record hostage on every recovery attempt.
 // Log damage (Replay's own errors) still aborts.
-func Recover(dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
+func Recover(fs vfs.FS, dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
 	apply func(lsn, nowNs uint64, rec *wire.StagedReport) error,
 ) (rec Recovered, err error) {
-	bases, removed, err := dropHeaderlessTail(dir)
+	bases, removed, err := dropHeaderlessTail(fs, dir)
 	rec.TornBytes = removed
 	if err != nil {
 		return rec, err
@@ -225,7 +226,7 @@ func Recover(dir string, into *snapshot.Snapshot, heads *appendlist.Batcher,
 	if err != nil {
 		return rec, err
 	}
-	torn, err := truncateTorn(&tail)
+	torn, err := truncateTorn(fs, &tail)
 	if err != nil {
 		return rec, err
 	}
@@ -244,8 +245,8 @@ type Meta struct {
 }
 
 // SaveMeta writes the geometry next to the segments (atomic).
-func SaveMeta(dir string, m *Meta) error {
-	return snapshot.WriteFileAtomic(filepath.Join(dir, metaName), "", m.encode)
+func SaveMeta(fs vfs.FS, dir string, m *Meta) error {
+	return snapshot.WriteFileAtomic(fs, filepath.Join(dir, metaName), "", m.encode)
 }
 
 // encode writes m in the meta file's format (gob).

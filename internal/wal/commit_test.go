@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -13,15 +12,10 @@ import (
 
 	"dta/internal/obs/trace"
 	"dta/internal/snapshot"
+	"dta/internal/vfs"
 	"dta/internal/wal/waltest"
 	"dta/internal/wire"
 )
-
-// modelPolicy opens segments through a waltest.Disk.
-func modelPolicy(pol Policy, d *waltest.Disk) Policy {
-	pol.WrapFile = func(f *os.File) File { return d.Wrap(f) }
-	return pol
-}
 
 // recoverImage recovers from the crash image of dir and returns the last
 // LSN restored, checking every record's content on the way.
@@ -33,7 +27,7 @@ func recoverImage(t *testing.T, d *waltest.Disk, dir string) uint64 {
 		return 0
 	}
 	next := uint64(1)
-	got, err := Recover(img, &snapshot.Snapshot{}, nil, func(lsn, _ uint64, rec *wire.StagedReport) error {
+	got, err := Recover(vfs.OS{}, img, &snapshot.Snapshot{}, nil, func(lsn, _ uint64, rec *wire.StagedReport) error {
 		if lsn != next {
 			t.Errorf("crash image replays LSN %d after %d", lsn, next-1)
 		}
@@ -71,9 +65,9 @@ func TestDurabilityProperty(t *testing.T) {
 			}
 			dir := t.TempDir()
 			mode := []SyncMode{SyncBatch, SyncBatch, SyncInterval, SyncNone}[rng.Intn(4)]
-			w, err := Create(dir, modelPolicy(Policy{
+			w, err := CreateScoped(&d, dir, Policy{
 				Mode: mode, Interval: time.Millisecond, SegmentBytes: int64(2048 + rng.Intn(8192)),
-			}, &d))
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +174,7 @@ func TestDurabilityProperty(t *testing.T) {
 // records share one.
 func TestCommitCosts(t *testing.T) {
 	var d waltest.Disk
-	w, err := Create(t.TempDir(), modelPolicy(Policy{Mode: SyncBatch}, &d))
+	w, err := CreateScoped(&d, t.TempDir(), Policy{Mode: SyncBatch}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +282,7 @@ func TestCommitCosts(t *testing.T) {
 // only ran when the next record arrived).
 func TestIntervalCommitsByAge(t *testing.T) {
 	var d waltest.Disk
-	w, err := Create(t.TempDir(), modelPolicy(Policy{Mode: SyncInterval, Interval: 2 * time.Millisecond}, &d))
+	w, err := CreateScoped(&d, t.TempDir(), Policy{Mode: SyncInterval, Interval: 2 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +309,13 @@ func TestIntervalCommitsByAge(t *testing.T) {
 // durability — parked before the failure or arriving after it — and a
 // waiter must not hang on a flusher that has exited.
 func TestWaitersSeeStickyError(t *testing.T) {
-	pol, tf := wrapPolicy(Policy{Mode: SyncBatch})
-	tf.noDisk.Store(true)
-	w, err := Create(t.TempDir(), pol)
+	disk := faultDisk()
+	w, err := CreateScoped(disk, t.TempDir(), Policy{Mode: SyncBatch}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Park a waiter behind a slow fsync that then fails.
-	tf.syncDelay.Store(int64(5 * time.Millisecond))
+	disk.SetFsyncLatency(5 * time.Millisecond)
 	if _, err := w.Append(stagedKW(1, []byte{1, 2, 3, 4}, 2), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +325,7 @@ func TestWaitersSeeStickyError(t *testing.T) {
 	parked := make(chan error, 1)
 	go func() { parked <- w.Settle() }()
 	time.Sleep(time.Millisecond) // let the fsync start; either order must end in EIO
-	tf.errno.Store(int64(syscall.EIO))
+	disk.FailSticky(syscall.EIO)
 	if _, err := w.Append(stagedKW(2, []byte{1, 2, 3, 4}, 2), 2); err != nil && !errors.Is(err, syscall.EIO) {
 		t.Fatal(err)
 	}
@@ -378,14 +371,13 @@ func TestWaitersSeeStickyError(t *testing.T) {
 // every degradeProbeEvery-th one probes the disk — so repeated SyncWAL
 // calls on an idle log do reach a real fsync once the disk has healed.
 func TestDegradedSyncReasks(t *testing.T) {
-	pol, tf := wrapPolicy(Policy{DegradeFsync: time.Millisecond})
-	tf.noDisk.Store(true)
-	w, err := Create(t.TempDir(), pol)
+	disk := faultDisk()
+	w, err := CreateScoped(disk, t.TempDir(), Policy{DegradeFsync: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	tf.syncDelay.Store(int64(3 * time.Millisecond))
+	disk.SetFsyncLatency(3 * time.Millisecond)
 	for i := 0; i <= degradeEnterAfter; i++ {
 		if _, err := w.Append(stagedKW(uint64(i), []byte{1, 2, 3, 4}, 2), uint64(i)); err != nil {
 			t.Fatal(err)
@@ -397,7 +389,7 @@ func TestDegradedSyncReasks(t *testing.T) {
 	if st := w.WStats(); !st.Degraded || st.DegradedAcks == 0 || w.DurableLSN() == w.LastLSN() {
 		t.Fatalf("want a degraded writer with an un-durable, acknowledged tail: %+v", st)
 	}
-	tf.syncDelay.Store(0) // healed; nothing more is appended
+	disk.SetFsyncLatency(0) // healed; nothing more is appended
 	// Each Sync waits for a commit of its own — a counted ack or the probe
 	// — so a probe comes due every degradeProbeEvery calls with no sleeping
 	// for it. (Two rounds: the probe is timed against the bound, and a

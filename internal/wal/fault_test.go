@@ -4,72 +4,46 @@ import (
 	"errors"
 	"io"
 	"os"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"dta/internal/chaos"
 	"dta/internal/obs/journal"
+	"dta/internal/vfs"
+	"dta/internal/wal/waltest"
 	"dta/internal/wire"
 )
 
-// testFile is the inline fault-injection File used by these tests. The
-// wal package cannot use internal/chaos (chaos imports wal for the File
-// interface), so the faults are re-modelled here: injectable sync
-// latency, a sticky errno, and short writes.
-type testFile struct {
-	f         *os.File
-	syncDelay atomic.Int64 // ns added to every Sync
-	errno     atomic.Int64 // non-zero: Write and Sync fail with it
-	short     atomic.Bool  // Write stores only half and reports it
-	// noDisk makes Sync take the injected delay and nothing else. Tests
-	// that assert on which side of a latency bound a HEALTHY fsync falls
-	// set it: the sandbox disk's own fsync time is not theirs to assert.
-	noDisk atomic.Bool
+// faultDisk is the disk these tests inject faults into: chaos's
+// decorator (fsync latency, the sticky errno) over a recording disk that
+// performs no real fsync, so which side of a latency bound a HEALTHY
+// fsync falls is the test's, not the host disk's.
+func faultDisk() *chaos.Disk { return &chaos.Disk{FS: &waltest.Disk{}} }
+
+// shortFS stores half of every write to a file opened through it and
+// reports the write short.
+type shortFS struct{ vfs.FS }
+
+type shortFile struct{ vfs.File }
+
+func (s shortFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return shortFile{f}, nil
 }
 
-func (tf *testFile) Write(p []byte) (int, error) {
-	if e := tf.errno.Load(); e != 0 {
-		return 0, syscall.Errno(e)
+func (f shortFile) Write(p []byte) (int, error) {
+	if len(p) < 2 {
+		return f.File.Write(p)
 	}
-	if tf.short.Load() && len(p) > 1 {
-		n, err := tf.f.Write(p[:len(p)/2])
-		if err != nil {
-			return n, err
-		}
-		return n, io.ErrShortWrite
+	n, err := f.File.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
 	}
-	return tf.f.Write(p)
-}
-
-func (tf *testFile) Sync() error {
-	if e := tf.errno.Load(); e != 0 {
-		return syscall.Errno(e)
-	}
-	if d := tf.syncDelay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	if tf.noDisk.Load() {
-		return nil
-	}
-	return tf.f.Sync()
-}
-
-func (tf *testFile) Close() error { return tf.f.Close() }
-
-// wrapPolicy returns a policy whose segments open through a shared
-// testFile fault state (segments rotate; the faults must follow). The
-// log directory, opened to be synced, passes through unwrapped.
-func wrapPolicy(pol Policy) (Policy, *testFile) {
-	tf := &testFile{}
-	pol.WrapFile = func(f *os.File) File {
-		if st, err := f.Stat(); err == nil && st.IsDir() {
-			return f
-		}
-		tf.f = f
-		return tf
-	}
-	return pol, tf
+	return n, io.ErrShortWrite
 }
 
 // countEvents tallies journal events by type.
@@ -88,9 +62,8 @@ func countEvents(j *journal.Journal) map[journal.Type]int {
 // DurableLSN, probes keep testing the disk, and a healed probe exits
 // with DurableLSN catching up. Both transitions are journaled.
 func TestDegradedAckCycle(t *testing.T) {
-	pol, tf := wrapPolicy(Policy{DegradeFsync: time.Millisecond})
-	tf.noDisk.Store(true)
-	w, err := Create(t.TempDir(), pol)
+	disk := faultDisk()
+	w, err := CreateScoped(disk, t.TempDir(), Policy{DegradeFsync: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +91,7 @@ func TestDegradedAckCycle(t *testing.T) {
 
 	// Slow disk: degradeEnterAfter consecutive over-bound fsyncs enter
 	// degraded mode.
-	tf.syncDelay.Store(int64(5 * time.Millisecond))
+	disk.SetFsyncLatency(5 * time.Millisecond)
 	for i := 1; i <= degradeEnterAfter; i++ {
 		sync(i)
 	}
@@ -155,7 +128,7 @@ func TestDegradedAckCycle(t *testing.T) {
 
 	// Heal the disk: the next probe comes back under the bound and
 	// exits, with DurableLSN catching up at that fsync.
-	tf.syncDelay.Store(0)
+	disk.SetFsyncLatency(0)
 	for i := 0; i < degradeProbeEvery && w.WStats().Degraded; i++ {
 		sync(300 + i)
 	}
@@ -178,12 +151,12 @@ func TestDegradedAckCycle(t *testing.T) {
 // disk that was being probed.
 func TestDegradedCloseForcesFsync(t *testing.T) {
 	dir := t.TempDir()
-	pol, tf := wrapPolicy(Policy{DegradeFsync: time.Millisecond})
-	w, err := Create(dir, pol)
+	disk := faultDisk()
+	w, err := CreateScoped(disk, dir, Policy{DegradeFsync: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf.syncDelay.Store(int64(3 * time.Millisecond))
+	disk.SetFsyncLatency(3 * time.Millisecond)
 	const records = degradeEnterAfter + 4
 	for i := 0; i < records; i++ {
 		if _, err := w.Append(stagedKW(uint64(i), []byte{9, 9, 9, 9}, 2), uint64(i)); err != nil {
@@ -219,12 +192,10 @@ func TestDegradedCloseForcesFsync(t *testing.T) {
 // the records replay intact.
 func TestShortWritesRetried(t *testing.T) {
 	dir := t.TempDir()
-	pol, tf := wrapPolicy(Policy{})
-	w, err := Create(dir, pol)
+	w, err := CreateScoped(shortFS{vfs.OS{}}, dir, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf.short.Store(true)
 	const records = 300
 	for i := 0; i < records; i++ {
 		if _, err := w.Append(stagedKW(uint64(i), []byte{byte(i), 1, 2, 3}, 2), uint64(i)*7); err != nil {
@@ -260,8 +231,8 @@ func TestShortWritesRetried(t *testing.T) {
 // source), the failure is journaled with the errno, and appenders see
 // the error instead of wedging.
 func TestStickyErrnoSurfaced(t *testing.T) {
-	pol, tf := wrapPolicy(Policy{})
-	w, err := Create(t.TempDir(), pol)
+	disk := faultDisk()
+	w, err := CreateScoped(disk, t.TempDir(), Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +240,7 @@ func TestStickyErrnoSurfaced(t *testing.T) {
 	j := journal.New(64)
 	w.SetJournal(journal.Emitter{J: j, Comp: journal.CompWAL})
 
-	tf.errno.Store(int64(syscall.EIO))
+	disk.FailSticky(syscall.EIO)
 	if _, err := w.Append(stagedKW(1, []byte{1, 2, 3, 4}, 2), 1); err != nil {
 		t.Fatal(err) // the append itself is accepted; the flusher fails
 	}
@@ -279,8 +250,8 @@ func TestStickyErrnoSurfaced(t *testing.T) {
 	if st := w.WStats(); st.FailedErrno != int64(syscall.EIO) {
 		t.Fatalf("stats after dead disk: %+v", st)
 	}
-	// Sticky: healing the file does not resurrect the writer.
-	tf.errno.Store(0)
+	// Sticky: healing the disk does not resurrect the writer.
+	disk.Heal()
 	if _, err := w.Append(stagedKW(2, []byte{1, 2, 3, 4}, 2), 2); err == nil {
 		t.Fatal("append accepted on a failed log")
 	}

@@ -129,9 +129,9 @@ func TestPublishProperty(t *testing.T) {
 			}
 			dir := t.TempDir()
 			mode := []SyncMode{SyncBatch, SyncInterval, SyncNone}[rng.Intn(3)]
-			w, err := Create(dir, modelPolicy(Policy{
+			w, err := CreateScoped(&d, dir, Policy{
 				Mode: mode, Interval: time.Millisecond, SegmentBytes: int64(2048 + rng.Intn(8192)),
-			}, &d))
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +236,7 @@ func TestRingWrapAndStall(t *testing.T) {
 		}
 		return 0
 	}
-	w, err := Create(dir, modelPolicy(Policy{Mode: SyncBatch, SegmentBytes: 1 << 20}, &d))
+	w, err := CreateScoped(&d, dir, Policy{Mode: SyncBatch, SegmentBytes: 1 << 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRingWrapAndStall(t *testing.T) {
 func TestCrashAfterRotationKeepsAckedRecords(t *testing.T) {
 	var d waltest.Disk
 	dir := t.TempDir()
-	w, err := Create(dir, modelPolicy(Policy{Mode: SyncBatch, SegmentBytes: 256}, &d))
+	w, err := CreateScoped(&d, dir, Policy{Mode: SyncBatch, SegmentBytes: 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -148,7 +149,7 @@ func readRecord(b []byte, prevNow uint64, img *[wire.MaxStagedEncodedLen]byte, r
 		return 0, 0, fmt.Errorf("wal: record CRC mismatch (%08x != %08x)", got, want)
 	}
 	bitmap := b[5]
-	if bitmap>>stagedGroups != 0 {
+	if bitmap>>wire.StagedGroups != 0 {
 		return 0, 0, fmt.Errorf("wal: record group bitmap %08b out of range", bitmap)
 	}
 	body := b[recordHeaderLen:total]
@@ -159,7 +160,7 @@ func readRecord(b []byte, prevNow uint64, img *[wire.MaxStagedEncodedLen]byte, r
 	body = body[vn:]
 	// Reassemble the fixed staged image: elided groups are zero.
 	clear(img[:wire.StagedFixedLen])
-	for g := 0; g < stagedGroups; g++ {
+	for g := 0; g < wire.StagedGroups; g++ {
 		if bitmap&(1<<g) == 0 {
 			continue
 		}
@@ -278,15 +279,15 @@ func replay(dir string, from uint64, buf []byte, fn func(lsn, nowNs uint64, rec 
 // the number of bytes removed (0 = nothing to repair). Damage in
 // non-tail segments is NOT repaired (it is not a torn tail) and is
 // reported by Replay instead.
-func RepairTail(dir string) (removed int64, err error) {
-	_, removed, err = repairTail(dir, make([]byte, readBufLen))
+func RepairTail(fs vfs.FS, dir string) (removed int64, err error) {
+	_, removed, err = repairTail(fs, dir, make([]byte, readBufLen))
 	return removed, err
 }
 
 // repairTail is RepairTail through buf; it also returns the tail as it
 // stands afterwards (Path empty: no segment).
-func repairTail(dir string, buf []byte) (tail SegmentInfo, removed int64, err error) {
-	bases, removed, err := dropHeaderlessTail(dir)
+func repairTail(fs vfs.FS, dir string, buf []byte) (tail SegmentInfo, removed int64, err error) {
+	bases, removed, err := dropHeaderlessTail(fs, dir)
 	if err != nil || len(bases) == 0 {
 		return tail, removed, err
 	}
@@ -294,7 +295,7 @@ func repairTail(dir string, buf []byte) (tail SegmentInfo, removed int64, err er
 	if err != nil {
 		return tail, removed, err
 	}
-	n, err := truncateTorn(&tail)
+	n, err := truncateTorn(fs, &tail)
 	return tail, removed + n, err
 }
 
@@ -302,7 +303,7 @@ func repairTail(dir string, buf []byte) (tail SegmentInfo, removed int64, err er
 // segment header — a crash between its creation and its header reaching
 // the disk — judged by its size alone; the segment before it, if any, is
 // then the tail. It returns the segment bases left and the bytes removed.
-func dropHeaderlessTail(dir string) (bases []uint64, removed int64, err error) {
+func dropHeaderlessTail(fs vfs.FS, dir string) (bases []uint64, removed int64, err error) {
 	if bases, err = segBases(dir); err != nil || len(bases) == 0 {
 		return bases, 0, err
 	}
@@ -311,16 +312,16 @@ func dropHeaderlessTail(dir string) (bases []uint64, removed int64, err error) {
 	if err != nil || fi.Size() >= segHeaderLen {
 		return bases, 0, err
 	}
-	return bases[:len(bases)-1], fi.Size(), os.Remove(path)
+	return bases[:len(bases)-1], fi.Size(), fs.Remove(path)
 }
 
 // truncateTorn cuts a scanned tail segment just past its last intact
 // record and returns the bytes cut (0: it ended cleanly).
-func truncateTorn(tail *SegmentInfo) (int64, error) {
+func truncateTorn(fs vfs.FS, tail *SegmentInfo) (int64, error) {
 	n := tail.TornBytes
 	if n == 0 {
 		return 0, nil
 	}
 	tail.TornBytes, tail.Err = 0, nil
-	return n, os.Truncate(tail.Path, tail.Bytes)
+	return n, fs.Truncate(tail.Path, tail.Bytes)
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -108,7 +109,7 @@ func TestRecoverMatchesRepairThenReplay(t *testing.T) {
 				image = 1 + uint64(rng.Int63n(int64(records)))
 				snap := testSnapshot()
 				snap.WALLSN = image
-				if _, err := WriteCheckpoint(dir, snap); err != nil {
+				if _, err := WriteCheckpoint(vfs.OS{}, dir, snap); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -147,11 +148,11 @@ func TestRecoverMatchesRepairThenReplay(t *testing.T) {
 
 			one, ref := copyDir(t, dir), copyDir(t, dir)
 			var got, want []replayed
-			rec, err := Recover(one, testSnapshot(), nil, collect(&got))
+			rec, err := Recover(vfs.OS{}, one, testSnapshot(), nil, collect(&got))
 			if err != nil {
 				t.Fatalf("%s: Recover: %v", what, err)
 			}
-			removed, err := RepairTail(ref)
+			removed, err := RepairTail(vfs.OS{}, ref)
 			if err != nil {
 				t.Fatalf("%s: RepairTail: %v", what, err)
 			}

@@ -113,6 +113,7 @@ import (
 	"dta/internal/obs"
 	"dta/internal/obs/journal"
 	"dta/internal/obs/trace"
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -138,15 +139,9 @@ const (
 	SyncBatch
 )
 
-// File is the writer's view of one segment file (or of the log
-// directory, opened to be fsynced): the subset of *os.File the flusher
-// uses. Fault-injection layers (internal/chaos) wrap the real file
-// behind it via Policy.WrapFile; every call is off the ingest path.
-type File interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Close() error
-}
+// File is what Policy.WrapFile makes of a segment file (or of the log
+// directory, opened to be fsynced). Every call is off the ingest path.
+type File = vfs.File
 
 // Policy configures a Writer.
 type Policy struct {
@@ -160,8 +155,8 @@ type Policy struct {
 	// finalises a file).
 	SegmentBytes int64
 	// WrapFile, when set, wraps every segment file — and the directory
-	// handle it fsyncs after creating one — the flusher opens: the
-	// fault-injection hook (slow or dead disks, short writes).
+	// handle it fsyncs after creating one — the flusher opens on the
+	// default file system (a modelled disk), and nothing else.
 	WrapFile func(*os.File) File
 	// DegradeFsync, when > 0, bounds tolerated fsync latency: once
 	// degradeEnterAfter consecutive data-path fsyncs exceed it, the
@@ -214,8 +209,6 @@ const (
 	// bitmap. The varint timestamp delta and the group/payload bytes
 	// follow as the body.
 	recordHeaderLen = 4 + 1 + 1
-	// stagedGroups is the staged image's fixed block in 8-byte groups.
-	stagedGroups = wire.StagedFixedLen / 8
 	// MaxRecordLen bounds one framed record.
 	MaxRecordLen = recordHeaderLen + binary.MaxVarintLen64 + wire.MaxStagedEncodedLen
 
@@ -362,6 +355,7 @@ func newWALCounters(sc *obs.Scope) walCounters {
 // natural backpressure when the disk cannot keep up with ingest.
 type Writer struct {
 	dir string
+	fs  vfs.FS // segments open and the directory syncs through it
 	pol Policy
 	// The sync policy as the commit loop sees it (see the package doc).
 	commitOnBatch bool          // batch: CommitBatch raises want
@@ -491,18 +485,19 @@ const (
 // positioned after the last valid record. An existing torn tail is
 // truncated away first, so appends always extend a clean prefix.
 func Create(dir string, pol Policy) (*Writer, error) {
-	return CreateScoped(dir, pol, nil)
+	return CreateScoped(vfs.OS{}, dir, pol, nil)
 }
 
-// CreateScoped is Create with the writer's metrics (dta_wal_*)
+// CreateScoped is Create on fs, with the writer's metrics (dta_wal_*)
 // registered under the given obs scope. A nil scope keeps the counters
 // behind WStats live but unexposed, and disables the histograms.
-func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func CreateScoped(fs vfs.FS, dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	w := &Writer{
 		dir:      dir,
+		fs:       fs,
 		pol:      pol.withDefaults(),
 		ring:     make([]byte, ringBytes+MaxRecordLen),
 		lastSync: obs.Nanotime(),
@@ -513,9 +508,12 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 	}
 	// One scan of the tail truncates a torn one and says where the log goes
 	// on; it reads through the ring, which holds nothing yet.
-	tail, _, err := repairTail(dir, w.ring)
+	tail, _, err := repairTail(fs, dir, w.ring)
 	if err != nil {
 		return nil, err
+	}
+	if _, ok := fs.(vfs.OS); ok && pol.WrapFile != nil {
+		w.fs = wrapFS{fs, pol.WrapFile}
 	}
 	w.cond.L = &w.mu
 	switch w.pol.Mode {
@@ -549,11 +547,9 @@ func CreateScoped(dir string, pol Policy, sc *obs.Scope) (*Writer, error) {
 		func() float64 { return float64(w.failedErrno.Load()) })
 	next := uint64(1)
 	if tail.Path != "" {
-		f, err := os.OpenFile(tail.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		if w.f, err = w.fs.OpenFile(tail.Path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 			return nil, err
 		}
-		w.f = w.wrap(f)
 		if tail.Records > 0 {
 			// Force a fresh segment for the first new record: timestamp
 			// deltas are per-segment and the old tail's last timestamp is
@@ -1034,15 +1030,6 @@ func (w *Writer) fail(err error) bool {
 	return true
 }
 
-// wrap applies the policy's fault-injection hook to a freshly opened
-// segment file or directory handle.
-func (w *Writer) wrap(f *os.File) File {
-	if w.pol.WrapFile != nil {
-		return w.pol.WrapFile(f)
-	}
-	return f
-}
-
 // syncPoint is the fsync of one commit: measured in the healthy case, a
 // counted skip in degraded-ack mode (force — the flusher's exit, i.e.
 // Close — always fsyncs). Everything consumed is with the OS, so the
@@ -1191,20 +1178,29 @@ func writeFull(f File, p []byte) error {
 	return nil
 }
 
-// syncDir fsyncs dir itself, making the names created or renamed in it
-// survive a host crash. The handle opens through wrap (nil = direct),
-// so fault disks and the model disk see the call.
-func syncDir(dir string, wrap func(*os.File) File) error {
-	d, err := os.Open(dir)
+// wrapFS is Policy.WrapFile over the default file system, for the writer
+// alone: recovery, images and the meta file never pass through it, and a
+// chaos or test disk, itself the decorator, gets none.
+type wrapFS struct {
+	vfs.FS
+	wrap func(*os.File) File
+}
+
+func (a wrapFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := a.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return a.wrap(f.(*os.File)), nil
+}
+
+func (a wrapFS) SyncDir(dir string) error {
+	d, err := a.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
-	var f File = d
-	if wrap != nil {
-		f = wrap(d)
-	}
-	defer f.Close() // only read: nothing for Close to report
-	return f.Sync()
+	defer d.Close() // only read: nothing for Close to report
+	return d.Sync()
 }
 
 // rotate finalises the current segment and opens a fresh one whose base
@@ -1240,11 +1236,10 @@ func (w *Writer) rotate(base uint64) {
 		}
 		w.ctr.rots.Inc()
 	}
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(base)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	wf, err := w.fs.OpenFile(filepath.Join(w.dir, segName(base)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if w.fail(err) {
 		return
 	}
-	wf := w.wrap(f)
 	var hdr [segHeaderLen]byte
 	copy(hdr[:8], segMagic[:])
 	binary.BigEndian.PutUint64(hdr[8:], base)
@@ -1252,7 +1247,7 @@ func (w *Writer) rotate(base uint64) {
 	if err == nil {
 		// The segment's name must outlive a host crash before any record
 		// in it is acknowledged.
-		err = syncDir(w.dir, w.pol.WrapFile)
+		err = w.fs.SyncDir(w.dir)
 	}
 	if w.fail(err) {
 		wf.Close()

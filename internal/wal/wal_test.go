@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dta/internal/vfs"
 	"dta/internal/wire"
 )
 
@@ -183,7 +184,7 @@ func TestCheckpointTruncation(t *testing.T) {
 	}
 
 	// Checkpoint at LSN 30: every segment wholly below is reclaimed.
-	removed, err := TruncateBelow(dir, 30)
+	removed, err := TruncateBelow(vfs.OS{}, dir, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestCreateAfterFullTruncationContinuesLSN(t *testing.T) {
 	}
 	// A checkpoint covering the whole log lets every segment go.
 	snapDir(t, dir, 10)
-	if _, err := TruncateBelow(dir, 10); err != nil {
+	if _, err := TruncateBelow(vfs.OS{}, dir, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Remove the one remaining (tail) segment manually to simulate full
@@ -261,7 +262,7 @@ func snapDir(t *testing.T, dir string, lsn uint64) {
 	t.Helper()
 	snap := testSnapshot()
 	snap.WALLSN = lsn
-	if _, err := WriteCheckpoint(dir, snap); err != nil {
+	if _, err := WriteCheckpoint(vfs.OS{}, dir, snap); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -308,7 +309,7 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Fatalf("empty dir meta: %v, %v", m, err)
 	}
 	in := testMeta()
-	if err := SaveMeta(dir, in); err != nil {
+	if err := SaveMeta(vfs.OS{}, dir, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := LoadMeta(dir)

@@ -1,29 +1,33 @@
-// Package waltest is a model disk for durability tests: it sits behind
-// wal.Policy.WrapFile, remembers for every segment file how many bytes
-// have been written and how many of those a COMPLETED Sync covers — and
-// which file names a completed Sync of the directory covers — and can
-// produce the image a host crash would leave: each file cut back to its
-// synced prefix, a file whose name was never synced gone. Tests recover
-// from that image to prove "returned ⇒ durable" instead of assuming it,
-// and count fsyncs instead of timing them. (It does not import wal, so
-// wal's own tests can use it: wrap with
-// func(f *os.File) wal.File { return disk.Wrap(f) }.)
+// Package waltest is a model disk for durability tests: a recording
+// vfs.FS. It keeps the ordered trace of every operation that changes the
+// disk, remembers for every file opened through it how many bytes have
+// been written and how many of those a COMPLETED Sync covers — and which
+// file names a completed directory sync covers — and can produce the
+// image a host crash would leave: each file cut back to its synced
+// prefix, a file whose name was never synced gone. Tests recover from
+// that image to prove "returned ⇒ durable" instead of assuming it, and
+// count fsyncs instead of timing them. The bytes reach the OS, but no
+// fsync reaches the disk: its own fsync time is not a test's to assert.
+// (It does not import wal, so wal's own tests can use it.)
 package waltest
 
 import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dta/internal/vfs"
 )
 
-// Disk is the shared state behind every file it wraps. The zero value
-// is ready to use.
+// Disk is the shared state behind every file opened through it. The
+// zero value is ready to use.
 type Disk struct {
-	// SyncDelay, when set, is how long each Sync takes (a slow or
-	// jittery disk). Called on the syncing goroutine.
+	// SyncDelay, when set, is how long each Sync and directory sync
+	// takes (a slow or jittery disk). Called on the syncing goroutine.
 	SyncDelay func() time.Duration
 
 	syncs atomic.Int64
@@ -31,6 +35,17 @@ type Disk struct {
 	mu    sync.Mutex
 	files map[string]*extent // by file name
 	named map[string]bool    // files whose directory entry is durable
+	trace []Op
+}
+
+// Op is one operation that changed the disk, in the order the disk saw
+// it: "open" (for writing), "write" (consecutive writes to one file are
+// one Op), "sync", "syncdir", "rename", "remove", "truncate" or "mkdir".
+type Op struct {
+	Op    string
+	Path  string
+	To    string // a rename's new name
+	Bytes int64  // written; covered by a sync; the size truncated to
 }
 
 // extent is one file's byte accounting.
@@ -39,25 +54,51 @@ type extent struct {
 	synced  int64
 }
 
-// File is one wrapped segment file, or the log directory opened to be
-// synced (ex == nil); it has wal.File's methods.
+// File is one file opened through the disk.
 type File struct {
 	d  *Disk
 	f  *os.File
 	ex *extent
 }
 
-// Wrap tracks f. Bytes already in the file (a reopened segment) count
-// as written and synced, and its name as durable: they survived whatever
-// came before. A file that is empty was created just now, and its name
-// is not durable until its directory is synced.
-func (d *Disk) Wrap(f *os.File) *File {
-	st, err := f.Stat()
-	if err == nil && st.IsDir() {
-		return &File{d: d, f: f}
+// record appends op to the trace. Called under d.mu.
+func (d *Disk) record(op Op) {
+	if n := len(d.trace) - 1; op.Op == "write" && n >= 0 && d.trace[n].Op == "write" && d.trace[n].Path == op.Path {
+		d.trace[n].Bytes += op.Bytes
+		return
+	}
+	d.trace = append(d.trace, op)
+}
+
+// do runs a change to the disk and records it if it succeeded.
+func (d *Disk) do(op Op, err error) error {
+	if err == nil {
+		d.mu.Lock()
+		d.record(op)
+		d.mu.Unlock()
+	}
+	return err
+}
+
+// Trace returns the operations so far, in order.
+func (d *Disk) Trace() []Op {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]Op(nil), d.trace...)
+}
+
+// OpenFile opens name for writing and tracks it. Bytes already in the
+// file (a reopened segment) count as written and synced, and its name as
+// durable: they survived whatever came before. A file that is empty was
+// created just now, and its name is not durable until its directory is
+// synced.
+func (d *Disk) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
 	var size int64
-	if err == nil {
+	if st, err := f.Stat(); err == nil {
 		size = st.Size()
 	}
 	d.mu.Lock()
@@ -67,28 +108,63 @@ func (d *Disk) Wrap(f *os.File) *File {
 		d.named = make(map[string]bool)
 	}
 	ex := &extent{written: size, synced: size}
-	d.files[f.Name()] = ex
+	d.files[name] = ex
 	if size > 0 {
-		d.named[f.Name()] = true
+		d.named[name] = true
 	}
-	return &File{d: d, f: f, ex: ex}
+	d.record(Op{Op: "open", Path: name})
+	return &File{d: d, f: f, ex: ex}, nil
+}
+
+func (d *Disk) Rename(oldpath, newpath string) error {
+	return d.do(Op{Op: "rename", Path: oldpath, To: newpath}, os.Rename(oldpath, newpath))
+}
+
+func (d *Disk) Remove(name string) error {
+	return d.do(Op{Op: "remove", Path: name}, os.Remove(name))
+}
+
+func (d *Disk) Truncate(name string, size int64) error {
+	return d.do(Op{Op: "truncate", Path: name, Bytes: size}, os.Truncate(name, size))
+}
+
+func (d *Disk) MkdirAll(path string, perm os.FileMode) error {
+	return d.do(Op{Op: "mkdir", Path: path}, os.MkdirAll(path, perm))
+}
+
+// SyncDir covers the names in dir that files opened through the disk
+// have, and is not counted in Syncs.
+func (d *Disk) SyncDir(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	if d.SyncDelay != nil {
+		time.Sleep(d.SyncDelay())
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, e := range ents {
+		if path := filepath.Join(dir, e.Name()); d.files[path] != nil {
+			d.named[path] = true
+		}
+	}
+	d.record(Op{Op: "syncdir", Path: dir})
+	return nil
 }
 
 func (f *File) Write(p []byte) (int, error) {
 	n, err := f.f.Write(p)
 	f.d.mu.Lock()
 	f.ex.written += int64(n)
+	f.d.record(Op{Op: "write", Path: f.f.Name(), Bytes: int64(n)})
 	f.d.mu.Unlock()
 	return n, err
 }
 
 // Sync covers the bytes written before it began, and only once it has
-// returned — a crash in the middle of an fsync promises nothing. On the
-// directory it covers the names in it, and is not counted in Syncs.
+// returned — a crash in the middle of an fsync promises nothing.
 func (f *File) Sync() error {
-	if f.ex == nil {
-		return f.syncDir()
-	}
 	f.d.mu.Lock()
 	upto := f.ex.written
 	f.d.mu.Unlock()
@@ -99,40 +175,29 @@ func (f *File) Sync() error {
 	if upto > f.ex.synced {
 		f.ex.synced = upto
 	}
+	f.d.record(Op{Op: "sync", Path: f.f.Name(), Bytes: upto})
 	f.d.mu.Unlock()
-	f.d.syncs.Add(1)
-	return nil
-}
-
-func (f *File) syncDir() error {
-	ents, err := os.ReadDir(f.f.Name())
-	if err != nil {
-		return err
-	}
-	if f.d.SyncDelay != nil {
-		time.Sleep(f.d.SyncDelay())
-	}
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
-	for _, e := range ents {
-		if path := filepath.Join(f.f.Name(), e.Name()); f.d.files[path] != nil {
-			f.d.named[path] = true
-		}
+	if strings.HasSuffix(f.f.Name(), segSuffix) {
+		f.d.syncs.Add(1)
 	}
 	return nil
 }
 
 func (f *File) Close() error { return f.f.Close() }
 
+// segSuffix names the log's segment files (wal's segSuffix, not
+// imported: wal's tests import this package).
+const segSuffix = ".wseg"
+
 // Syncs returns how many Syncs have completed on the disk's segment
-// files.
+// files. Image, meta and directory syncs are in the trace only.
 func (d *Disk) Syncs() int { return int(d.syncs.Load()) }
 
 // CrashImage writes into dst what a host crash right now would leave of
 // src: every tracked file cut back to its synced prefix — or missing, if
 // no directory sync covers its name — and every other regular file
-// (checkpoints, metadata — written and fsynced outside the hook) whole.
-// Safe to call while the writer runs.
+// (what a rename put in place: checkpoints, metadata) whole. Safe to
+// call while the writer runs.
 func (d *Disk) CrashImage(src, dst string) error {
 	ents, err := os.ReadDir(src)
 	if err != nil {
