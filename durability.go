@@ -124,18 +124,17 @@ func (s *System) walSettle() error {
 	return s.wal.Settle()
 }
 
-// replayChunk is how many log records Recover hands the translator at a
-// time (the engine's default ChunkFrames).
-const replayChunk = 32
-
 // Recover rebuilds this system's state from a WAL directory: the
 // checkpoint image (if one was written) is read straight into the stores,
 // then the log tail above it replays through the translator pipeline — so
 // batcher heads, postcard caches and aggregation state all come back,
-// not just store bytes. A torn tail (crash mid-write) is truncated
-// away. Returns the last LSN restored (0 = empty log). Call on a fresh
-// system built with the same Options the log was written under, before
-// WithWAL re-attaches logging.
+// not just store bytes. The log is read ahead: one goroutine reads,
+// verifies, decodes and plans it while the calling goroutine translates
+// it in log order, so a restart costs about its translation alone, and
+// that goroutine has exited when Recover returns. A torn tail (crash
+// mid-write) is truncated away. Returns the last LSN restored (0 =
+// empty log). Call on a fresh system built with the same Options the log
+// was written under, before WithWAL re-attaches logging.
 //
 // Recovery is exact over ADMITTED reports: with Options.RateLimit set,
 // reports the live run's token bucket shed are still in the log (see
@@ -162,26 +161,9 @@ func (s *System) recover(dir string) (rec wal.Recovered, cause uint64, err error
 	cause = jr.NewCause()
 	jr.Emit(journal.EvRecoveryStart, journal.SevInfo, cause, 0, 0, 0)
 	// Replay goes through the translator's chunk entry, like live ingest,
-	// so a restart gets the same overlapped store misses. A chunk closes
-	// when it is full or the logged clock moves: the limiter must see
-	// every record at its own timestamp.
-	chunk := make([]wire.StagedReport, 0, replayChunk)
-	var chunkNow uint64
-	failed := 0
-	flush := func() {
-		n, _ := s.tr.ProcessStagedBatch(chunk, wire.ChunkPlan{}, nil, chunkNow)
-		failed += n
-		chunk = chunk[:0]
-	}
-	rec, err = wal.Recover(s.fs, dir, snapshot.View(s.host), s.tr.AppendBatcher(),
-		func(lsn, nowNs uint64, r *wire.StagedReport) error {
-			if len(chunk) == cap(chunk) || (len(chunk) > 0 && nowNs != chunkNow) {
-				flush()
-			}
-			chunk, chunkNow = append(chunk, *r), nowNs
-			return nil
-		})
-	flush() // also on a log-damage abort: what was read intact is applied
+	// so a restart gets the same overlapped store misses. What was read
+	// intact is applied also when log damage aborts the replay.
+	rec, failed, lastNs, err := s.replay(dir)
 	if rec.TornBytes > 0 {
 		jr.Emit(journal.EvTornTail, journal.SevWarn, cause, uint64(rec.TornBytes), 0, 0)
 	}
@@ -192,7 +174,7 @@ func (s *System) recover(dir string) (rec wal.Recovered, cause uint64, err error
 	// have: what the replay left parked in the translator (Key-Increment
 	// aggregates, a partial Append batch, cached postcards) reaches the
 	// stores, so the recovered system answers without anyone calling Flush.
-	if err := s.flushAt(chunkNow); err != nil {
+	if err := s.flushAt(lastNs); err != nil {
 		return rec, cause, err
 	}
 	if rec.PassedOver != nil {
@@ -204,6 +186,101 @@ func (s *System) recover(dir string) (rec wal.Recovered, cause uint64, err error
 		_ = s.jr.DumpFile(filepath.Join(dir, journal.DumpFileName))
 	}
 	return rec, cause, nil
+}
+
+// A restart reads ahead (see replay) in batches of whole chunks.
+const (
+	// replayChunk is how many log records a restart hands the translator
+	// at a time (the engine's default ChunkFrames). A chunk also closes
+	// when the logged clock moves: the limiter must see every record at
+	// its own timestamp.
+	replayChunk = 32
+	// replayBatch is how many records the reader hands over at once: the
+	// two goroutines park and wake at every hand-off, and handing over
+	// one chunk at a time was slower than not reading ahead. Its plan
+	// holds at most replayBatch·8 slot indexes, within a ChunkPlan's reach.
+	replayBatch = 64 * replayChunk
+	// replayDepth is how many batches exist — one read, one translated,
+	// one queued: ≈ 0.8 MiB beside the log's read buffer.
+	replayDepth = 3
+)
+
+// readAhead is one batch: records read ahead, planned and cut into
+// replay chunks.
+type readAhead struct {
+	recs   []wire.StagedReport
+	plan   wire.ChunkPlan // parallel to recs
+	chunks []replayCut    // back to back, covering recs
+}
+
+// replayCut is one replay chunk of a batch.
+type replayCut struct {
+	n     int    // records
+	nowNs uint64 // the clock they were logged at
+}
+
+// add appends r, logged at nowNs, to b's last chunk, or to a new one
+// when that one is full or the clock moved. A new chunk is only begun
+// where a whole one fits, so no chunk spans two batches: add reports
+// false, adding nothing, when b must be handed over first.
+func (b *readAhead) add(tr *translator.Translator, r *wire.StagedReport, nowNs uint64) bool {
+	k := len(b.chunks)
+	if k == 0 || b.chunks[k-1].n == replayChunk || b.chunks[k-1].nowNs != nowNs {
+		if len(b.recs) > cap(b.recs)-replayChunk {
+			return false
+		}
+		b.chunks = append(b.chunks, replayCut{nowNs: nowNs})
+		k++
+	}
+	b.chunks[k-1].n++
+	b.recs = append(b.recs, *r)
+	tr.PlanStaged(r, &b.plan)
+	return true
+}
+
+// replay runs wal.Recover over dir on a reader goroutine, which reads,
+// verifies, decodes and plans the log into recycled batches, and
+// translates their chunks on the caller's, in log order — also those
+// read before a log-damage abort. It returns once the reader has exited,
+// with the failed records and the last record's logged clock.
+func (s *System) replay(dir string) (rec wal.Recovered, failed int, lastNs uint64, err error) {
+	// Each channel holds every batch, so no send blocks; the caller drains
+	// full until the reader closes it, so neither does the reader's wait
+	// for a free batch.
+	free := make(chan *readAhead, replayDepth)
+	full := make(chan *readAhead, replayDepth)
+	for range replayDepth {
+		b := &readAhead{recs: make([]wire.StagedReport, 0, replayBatch)}
+		b.plan.Reserve(replayBatch)
+		free <- b
+	}
+	tr, into, heads := s.tr, snapshot.View(s.host), s.tr.AppendBatcher()
+	go func() {
+		defer close(full) // after rec and err are set
+		b := <-free
+		rec, err = wal.Recover(s.fs, dir, into, heads, func(_, nowNs uint64, r *wire.StagedReport) error {
+			if !b.add(tr, r, nowNs) {
+				full <- b
+				b = <-free
+				b.add(tr, r, nowNs)
+			}
+			return nil
+		})
+		full <- b
+	}()
+	for b := range full {
+		lo := 0
+		for _, c := range b.chunks {
+			hi := lo + c.n
+			plan := wire.ChunkPlan{Recs: b.plan.Recs[lo:hi], Slots: b.plan.Slots}
+			n, _ := tr.ProcessStagedBatch(b.recs[lo:hi], plan, nil, c.nowNs)
+			failed, lastNs, lo = failed+n, c.nowNs, hi
+		}
+		b.recs, b.chunks = b.recs[:0], b.chunks[:0]
+		b.plan.Reset()
+		free <- b
+	}
+	return rec, failed, lastNs, err
 }
 
 // Checkpoint bounds recovery time and log growth: translator state is

@@ -1,16 +1,21 @@
 package dta
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
+
+	"dta/internal/wal"
 )
 
 // TestNoGoroutineOutlivesClose: closing what a deployment started stops
 // every goroutine it started — engine shard workers, the WAL flusher —
 // for a System with an engine, an HACluster with an engine, and a System
 // with a log attached (and an engine over it). A System whose push
-// notifications were consumed starts none.
+// notifications were consumed starts none. A restart's log reader has
+// exited when Recover returns, whether the replay succeeded, aborted on
+// log damage or was refused before it began.
 func TestNoGoroutineOutlivesClose(t *testing.T) {
 	drive := func(t *testing.T, rep interface {
 		KeyWrite(Key, []byte, int) error
@@ -94,6 +99,32 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-ch
+		}},
+		{"recover", func(t *testing.T) {
+			dir := writeLog(t, replayOptions(), newBatchStream(5502, 3000), 0)
+			if _, err := RecoverSystem(dir); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"recover+abort", func(t *testing.T) {
+			if _, err := RecoverSystem(damagedLog(t)); !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("RecoverSystem over a damaged log: %v", err)
+			}
+		}},
+		{"recover+wal", func(t *testing.T) {
+			s, err := New(fullOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WithWAL(t.TempDir(), WALPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Recover(t.TempDir()); err == nil {
+				t.Fatal("Recover after WithWAL accepted")
+			}
+			if err := s.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
