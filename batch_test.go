@@ -422,3 +422,71 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 		t.Fatalf("chunk did not exercise every emit path: %+v", st)
 	}
 }
+
+// TestLongChunkPlansEveryRecord: a chunk plan holds 16-bit slot starts,
+// so one of thousands of records stops planning part-way
+// (wire.ChunkPlan.Planned); the translator must plan what it left out
+// in place, not drop it. 10 000 Key-Writes and as many Key-Increments,
+// all at redundancy 8, through one engine with 10 000-frame chunks —
+// 80 000 slot indexes a chunk, past the 65 535 a plan can address —
+// must leave what chunks of one (the synchronous reporter) leave:
+// stores, translator Stats and DeviceStats, every verb written.
+func TestLongChunkPlansEveryRecord(t *testing.T) {
+	const n, red = 10_000, 8
+	opts := Options{
+		KeyWrite:     &KeyWriteOptions{Slots: 1 << 20, DataSize: 4},
+		KeyIncrement: &KeyIncrementOptions{Slots: 1 << 16},
+	}
+	type reporter interface {
+		KeyWrite(Key, []byte, int) error
+		Increment(Key, uint64, int) error
+	}
+	var sys [2]*System
+	for side := range sys {
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys[side] = s
+		var rep reporter = s.Reporter(1)
+		var eng *Engine
+		var async *Reporter
+		if side == 0 {
+			if eng, err = s.Engine(EngineConfig{ChunkFrames: n, QueueDepth: 2}); err != nil {
+				t.Fatal(err)
+			}
+			async = eng.Reporter(1)
+			rep = async
+		}
+		for k := uint64(0); k < n; k++ {
+			if err := rep.KeyWrite(KeyFromUint64(k), keyData(k), red); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Increment(KeyFromUint64(k), 1+k%5, red); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if eng != nil {
+			if err := async.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	long, one := sys[0], sys[1]
+	if st := long.tr.Stats(); st.RDMAWrites != n*red || st.RDMAAtomics != n*red {
+		t.Errorf("10 000-frame chunks posted %d WRITEs and %d FETCH&ADDs, want %d each", st.RDMAWrites, st.RDMAAtomics, n*red)
+	}
+	if g, r := long.tr.Stats(), one.tr.Stats(); g != r {
+		t.Errorf("translator Stats:\n long chunks   %+v\n chunks of one %+v", g, r)
+	}
+	if g, r := long.host.Device().Stats, one.host.Device().Stats; g != r {
+		t.Errorf("DeviceStats:\n long chunks   %+v\n chunks of one %+v", g, r)
+	}
+	images := func(s *System) map[string][]byte {
+		return map[string][]byte{"keywrite": s.host.KeyWriteStore().Buffer(), "keyincrement": s.host.KeyIncrementStore().Buffer()}
+	}
+	sameImages(t, "long chunks vs chunks of one", images(long), images(one))
+}

@@ -215,10 +215,11 @@ func newSystem(opts Options, shared *telemetry, collectorID int16) (*System, err
 	s.tr = tr
 	tr.Journal = journal.Emitter{J: s.jr, Comp: journal.CompTranslator, Collector: collectorID}
 	// Translator → collector is the lossless RDMA hop: the translator
-	// posts a window's verbs to the host's send queue, and its doorbell
-	// executes them and returns the completion synchronously.
+	// builds a window's entries in its own send queue, and its doorbell
+	// hands that queue to the host's device, which executes them and
+	// returns the completion synchronously.
 	tr.PreTouch = host.Device().PreTouch
-	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
+	tr.Doorbell = host.Doorbell(tr.SendQueue())
 	return s, nil
 }
 

@@ -4,8 +4,9 @@
 // (modelled) NIC via RDMA (§5.3).
 //
 // A Host registers one memory region per enabled primitive, advertises
-// them through the connection manager, executes the post-lists of
-// work-queue entries a translator rings in with its Device, and exposes
+// them through the connection manager, executes with its Device the
+// post-list a translator rings in — the send queue the translator owns
+// and builds its work-queue entries in — and exposes
 // typed query views over the same memory: Key-Write lookups, Postcarding
 // path reconstruction, Append polling and Key-Increment count-min
 // estimates. WRITEs carrying immediate data surface on the Events channel
@@ -49,7 +50,6 @@ type Host struct {
 	// When full, further events are dropped, like NIC event queues.
 	Events chan rdma.ImmediateEvent
 
-	sq  rdma.SendQueue // verbs posted since the last doorbell
 	evs []rdma.ImmediateEvent
 	// DroppedEvents counts notifications lost to a full Events channel.
 	DroppedEvents uint64
@@ -107,25 +107,24 @@ func (h *Host) Listener() *rdma.Listener {
 // Device exposes the RDMA device (statistics, Fig. 8 accounting).
 func (h *Host) Device() *rdma.Device { return h.dev }
 
-// Post copies one work-queue entry (rdma.WriteWQE, rdma.FetchAddWQE)
-// onto the host's send queue; nothing executes until Doorbell. It is the
-// translator's Emit hook.
-func (h *Host) Post(wqe []byte) { h.sq.Post(wqe) }
-
-// Doorbell executes the posted verbs (rdma.Device.Execute), writes the
-// one completion into the requester's CQE *c and raises the verbs'
-// immediate events on Events: the translator's Doorbell hook. The NIC
-// runs this, not the collector CPU, so it charges no CPU cycles.
-func (h *Host) Doorbell(c *rdma.Completion) (err error) {
-	h.evs, err = h.dev.Execute(&h.sq, h.evs[:0], c)
-	for _, ev := range h.evs {
-		select {
-		case h.Events <- ev:
-		default:
-			h.DroppedEvents++
+// Doorbell returns the doorbell of a requester's send queue q, the
+// translator's Doorbell hook (translator.SendQueue): run, it executes the
+// entries posted to q (rdma.Device.Execute), writes the one completion
+// into the requester's CQE *c and raises the verbs' immediate events on
+// Events. The NIC runs this, not the collector CPU, so it charges no CPU
+// cycles.
+func (h *Host) Doorbell(q *rdma.SendQueue) func(c *rdma.Completion) error {
+	return func(c *rdma.Completion) (err error) {
+		h.evs, err = h.dev.Execute(q, h.evs[:0], c)
+		for _, ev := range h.evs {
+			select {
+			case h.Events <- ev:
+			default:
+				h.DroppedEvents++
+			}
 		}
+		return err
 	}
-	return err
 }
 
 // ErrDisabled reports a query against a primitive that was not enabled.

@@ -64,16 +64,26 @@ func TestQueriesOnDisabledPrimitives(t *testing.T) {
 	}
 }
 
-// TestIngestRejectsGarbage: garbage and every strict prefix of a WRITE,
-// a WRITE with immediate and a FETCH&ADD work-queue entry fail the
-// doorbell and change nothing; the whole entries then execute.
+// post builds raw bytes as an entry at q's tail and posts it.
+func post(q *rdma.SendQueue, raw []byte) {
+	w := q.Tail(len(raw))
+	copy(w, raw)
+	q.Post(w)
+}
+
+// TestIngestRejectsGarbage: garbage and every non-empty strict prefix of
+// a WRITE, a WRITE with immediate and a FETCH&ADD work-queue entry, of
+// one replica and of two, fail the doorbell and change nothing; the
+// whole entries then execute.
 func TestIngestRejectsGarbage(t *testing.T) {
 	kw := keywrite.Config{Slots: 64, DataSize: 4}
 	ki := keyincrement.Config{Slots: 64}
 	h, _ := New(Config{KeyWrite: &kw, KeyIncrement: &ki})
+	var q rdma.SendQueue
+	doorbell := h.Doorbell(&q)
 	var c rdma.Completion
-	h.Post([]byte{1, 2, 3})
-	if err := h.Doorbell(&c); err == nil {
+	post(&q, []byte{1, 2, 3})
+	if err := doorbell(&c); err == nil {
 		t.Error("garbage accepted")
 	}
 	req, regions := rdma.Connect(h.Listener(), 0)
@@ -81,28 +91,33 @@ func TestIngestRejectsGarbage(t *testing.T) {
 	kiReg, _ := rdma.FindRegion(regions, "keyincrement")
 	imm := uint32(3)
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	for _, build := range []func(psn uint32) []byte{
-		func(psn uint32) []byte {
-			return rdma.WriteWQE(nil, req.DestQP, psn, kwReg.VA, kwReg.RKey, payload, true, nil)
-		},
-		func(psn uint32) []byte {
-			return rdma.WriteWQE(nil, req.DestQP, psn, kwReg.VA, kwReg.RKey, payload, false, &imm)
-		},
-		func(psn uint32) []byte { return rdma.FetchAddWQE(nil, req.DestQP, psn, kiReg.VA, kiReg.RKey, 1) },
-	} {
-		w, before := build(req.NextPSN()), h.Device().Stats
-		for n := 0; n < len(w); n++ {
-			h.Post(w[:n])
-			if err := h.Doorbell(&c); err == nil {
-				t.Fatalf("%d-byte prefix of a %d-byte WQE accepted", n, len(w))
+	for _, n := range []int{1, 2} {
+		kwVAs, kiVAs := []uint64{kwReg.VA, kwReg.VA + 64}[:n], []uint64{kiReg.VA, kiReg.VA + 64}[:n]
+		for _, build := range []func(psn uint32) []byte{
+			func(psn uint32) []byte {
+				return new(rdma.SendQueue).WriteWQE(req.DestQP, psn, kwVAs, kwReg.RKey, payload, true, nil)
+			},
+			func(psn uint32) []byte {
+				return new(rdma.SendQueue).WriteWQE(req.DestQP, psn, kwVAs, kwReg.RKey, payload, false, &imm)
+			},
+			func(psn uint32) []byte {
+				return new(rdma.SendQueue).FetchAddWQE(req.DestQP, psn, kiVAs, kiReg.RKey, 1)
+			},
+		} {
+			w, before := build(req.NextPSNs(n)), h.Device().Stats
+			for m := 1; m < len(w); m++ {
+				post(&q, w[:m])
+				if err := doorbell(&c); err == nil {
+					t.Fatalf("%d-byte prefix of a %d-byte WQE accepted", m, len(w))
+				}
 			}
-		}
-		if st := h.Device().Stats; st != before {
-			t.Fatalf("a refused WQE changed the device: %+v, was %+v", st, before)
-		}
-		h.Post(w)
-		if err := h.Doorbell(&c); err != nil || !c.Set || c.Syndrome != rdma.SynACK {
-			t.Fatalf("whole WQE: completion %+v, %v", c, err)
+			if st := h.Device().Stats; st != before {
+				t.Fatalf("a refused WQE changed the device: %+v, was %+v", st, before)
+			}
+			post(&q, w)
+			if err := doorbell(&c); err != nil || !c.Set || c.Syndrome != rdma.SynACK {
+				t.Fatalf("whole WQE: completion %+v, %v", c, err)
+			}
 		}
 	}
 }
@@ -119,9 +134,11 @@ func TestEventOverflowCounted(t *testing.T) {
 	req, regions := rdma.Connect(l, 0)
 	g, _ := rdma.FindRegion(regions, "keywrite")
 	imm := uint32(5)
+	var q rdma.SendQueue
+	doorbell := h.Doorbell(&q)
 	for i := 0; i < 3; i++ {
-		h.Post(rdma.WriteWQE(nil, req.DestQP, req.NextPSN(), g.VA, g.RKey, []byte{1}, false, &imm))
-		if err := h.Doorbell(new(rdma.Completion)); err != nil {
+		q.Post(q.WriteWQE(req.DestQP, req.NextPSN(), []uint64{g.VA}, g.RKey, []byte{1}, false, &imm))
+		if err := doorbell(new(rdma.Completion)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -183,7 +183,7 @@ func fig8Rig(prim wire.Primitive, reports int, batch int, redundancy int) float6
 	if err != nil {
 		panic(err)
 	}
-	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
+	tr.Doorbell = host.Doorbell(tr.SendQueue())
 	var staged wire.StagedReport
 	for i := 0; i < reports; i++ {
 		var rep wire.Report

@@ -41,7 +41,9 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 		t.Helper()
 		var q rdma.SendQueue
 		for _, v := range verbs {
-			q.Post(v)
+			w := q.Tail(len(v))
+			copy(w, v)
+			q.Post(w)
 		}
 		if _, err := d.Execute(&q, nil, new(rdma.Completion)); err != nil {
 			t.Fatal(err)
@@ -52,7 +54,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	// A WRITE into block 2 tags it with the current epoch; everything
 	// else stays at 0 (never written).
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	run(rdma.WriteWQE(nil, qp.QPN, next(), kw.Base+2*rdma.TagBlockBytes+10, kw.RKey, payload, false, nil))
+	run(new(rdma.SendQueue).WriteWQE(qp.QPN, next(), []uint64{kw.Base + 2*rdma.TagBlockBytes + 10}, kw.RKey, payload, false, nil))
 	for b, tag := range tk.Tags("keywrite") {
 		want := uint64(0)
 		if b == 2 {
@@ -67,8 +69,8 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	// both blocks, a FETCH&ADD tags the other region, all at the epoch
 	// the doorbell read.
 	h.BumpEpoch()
-	run(rdma.WriteWQE(nil, qp.QPN, next(), kw.Base+4*rdma.TagBlockBytes-4, kw.RKey, payload, false, nil),
-		rdma.FetchAddWQE(nil, qp.QPN, next(), ki.Base+rdma.TagBlockBytes, ki.RKey, 5))
+	run(new(rdma.SendQueue).WriteWQE(qp.QPN, next(), []uint64{kw.Base + 4*rdma.TagBlockBytes - 4}, kw.RKey, payload, false, nil),
+		new(rdma.SendQueue).FetchAddWQE(qp.QPN, next(), []uint64{ki.Base + rdma.TagBlockBytes}, ki.RKey, 5))
 	if tags := tk.Tags("keywrite"); tags[3] != 2 || tags[4] != 2 {
 		t.Errorf("straddling write: blocks 3,4 = %d,%d, want 2,2", tags[3], tags[4])
 	}
@@ -91,7 +93,7 @@ func TestRegionTagsRaisedByExecution(t *testing.T) {
 	// A write past the region faults and tags nothing; so does an empty
 	// range.
 	before := tk.Tags("keywrite")
-	run(rdma.WriteWQE(nil, qp.QPN, psn, kw.Base+8*rdma.TagBlockBytes-4, kw.RKey, payload, false, nil))
+	run(new(rdma.SendQueue).WriteWQE(qp.QPN, psn, []uint64{kw.Base + 8*rdma.TagBlockBytes - 4}, kw.RKey, payload, false, nil))
 	kw.RaiseTags(0, 0, 9)
 	if d.Stats.AccessErrs != 1 {
 		t.Fatalf("overrun write not faulted: %+v", d.Stats)

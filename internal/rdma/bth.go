@@ -8,11 +8,13 @@
 // (§5.2) because they cross Ethernet to the collector NIC. Here the
 // translator and the device share a process, so verbs travel between
 // them as work-queue entries (WQEs, wqe.go): fixed-layout, native-endian
-// descriptors with no checksum, posted to a SendQueue and run by
-// Device.Execute, which writes one Completion (a CQE) in place. The RoCEv2
-// format is the edge codec: Encode turns a WQE into the packet a wire
-// would carry, and Device.Process decodes a packet, checks its ICRC and
-// runs it through the same execute core as a WQE. Deviations from the
+// descriptors with no checksum, one per operation with every multicast
+// replica's address in it, built in place at the tail of the requester's
+// SendQueue and run by Device.Execute, which writes one Completion (a
+// CQE) in place. The RoCEv2 format is the edge codec: Encode turns one
+// replica of a WQE into the packet a wire would carry, and
+// Device.Process decodes a packet, checks its ICRC and runs it through
+// the same execute core as each replica of a WQE. Deviations from the
 // InfiniBand specification are intentional and documented: ICRC is
 // computed as CRC-32C over the full BTH+payload (the spec masks some
 // mutable fields), and only the packet types DTA uses are implemented.
@@ -278,8 +280,8 @@ func BuildWrite(buf []byte, destQP, psn uint32, va uint64, rkey uint32, payload 
 
 // RepatchPSNVA rewrites the PSN and the remote virtual address of a
 // previously built WRITE or FETCH&ADD packet in place and restamps its
-// ICRC: the packet form of PatchWQE, which is what the translator's
-// multicast replicas use. bench/dtaperf prices the edge codec with it.
+// ICRC: on a wire, a multicast replica differs from the first in nothing
+// else. bench/dtaperf prices the edge codec with it.
 func RepatchPSNVA(pkt []byte, psn uint32, va uint64) {
 	pkt[9] = byte(psn >> 16)
 	pkt[10] = byte(psn >> 8)

@@ -88,8 +88,9 @@ func psnDelta(a, b uint32) int32 {
 // responder queue pairs and executes incoming verbs against memory. It is
 // the collector-side endpoint of DTA; its CPU never sees the packets.
 //
-// Verbs arrive as a post-list of work-queue entries (a SendQueue run by
-// Execute, the doorbell), which leaves one Completion (the CQE) in the
+// Verbs arrive as a post-list of work-queue entries (the requester's
+// SendQueue, run by Execute, the doorbell), each carrying every replica
+// of one operation, which leaves one Completion (the CQE) in the
 // requester's memory; Process takes one RoCEv2 packet off a wire
 // through the same execute core. On a region with Tags the core raises
 // the tags each write touches.
@@ -193,19 +194,6 @@ type ImmediateEvent struct {
 	Imm uint32
 }
 
-// SendQueue is a post-list: work-queue entries (WQEs) copied, in order,
-// into one reused arena.
-type SendQueue struct {
-	arena []byte
-	ends  []int // WQE i ends at arena[ends[i]]
-}
-
-// Post copies one WQE onto the end of the list.
-func (q *SendQueue) Post(wqe []byte) {
-	q.arena = append(q.arena, wqe...)
-	q.ends = append(q.ends, len(q.arena))
-}
-
 // Completion is the completion-queue entry (CQE) a doorbell leaves in
 // the requester's memory: the last response a verb asked for, or the
 // first NAK. The zero Completion (Set false) is a list that asked for
@@ -235,12 +223,14 @@ func (c *Completion) respond(qp *ResponderQP, psn uint32, syndrome uint8, atomic
 	return syndrome != SynACK
 }
 
-// Execute rings the doorbell on q: it decodes each WQE (DecodeWQE),
-// executes the verbs in order with every check a packet gets past its
-// ICRC (opcode, QP, PSN, rkey, bounds, alignment), counts DeviceStats
-// per verb and appends immediate events to evs. It clears the CQE *c and
-// writes the one completion into it: the last response a verb asked
-// for, or the first NAK, after which nothing executes. A verb that
+// Execute rings the doorbell on q: it decodes each entry once
+// (DecodeWQE) and executes its replicas (Replica) in order, each as the
+// verb it stands for, with every check a packet gets past its ICRC
+// (opcode, QP, PSN, duplicate, rkey, bounds, alignment); DeviceStats,
+// dirty tags, immediate events and the response count per replica. It
+// clears the CQE *c and writes the one completion into it: the last
+// response a replica asked for, or the first NAK, after which nothing
+// executes — not even the rest of that entry's replicas. An entry that
 // cannot be processed at all (decode, QP, opcode) also stops the list,
 // as err. Execute empties q.
 func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent, c *Completion) (_ []ImmediateEvent, err error) {
@@ -248,13 +238,19 @@ func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent, c *Completion) (_ [
 	epoch := d.Epoch()
 	var p Packet
 	start := 0
+list:
 	for _, end := range q.ends {
-		if err = DecodeWQE(q.arena[start:end], &p); err != nil {
+		w := q.arena[start:end]
+		var n int
+		if n, err = DecodeWQE(w, &p); err != nil {
 			break
 		}
-		var stop bool
-		if evs, stop, err = d.execute(&p, c, evs, epoch); stop {
-			break
+		for i := range n {
+			Replica(w, i, &p)
+			var stop bool
+			if evs, stop, err = d.execute(&p, c, evs, epoch); stop {
+				break list
+			}
 		}
 		start = end
 	}
@@ -450,9 +446,13 @@ type Requester struct {
 }
 
 // NextPSN stamps and consumes the next PSN.
-func (r *Requester) NextPSN() uint32 {
+func (r *Requester) NextPSN() uint32 { return r.NextPSNs(1) }
+
+// NextPSNs consumes n consecutive PSNs and returns the first: a
+// multicast entry's replicas take PSN, PSN+1, … (mod 2^24).
+func (r *Requester) NextPSNs(n int) uint32 {
 	psn := r.NPSN
-	r.NPSN = (r.NPSN + 1) & psnMask
+	r.NPSN = (r.NPSN + uint32(n)) & psnMask
 	return psn
 }
 

@@ -68,24 +68,28 @@ func TestICRCDetectsCorruption(t *testing.T) {
 
 // TestDecodePacketTruncated: every strict prefix of a WRITE, a WRITE with
 // immediate and a FETCH&ADD is refused, as a packet and as a work-queue
-// entry. A WQE has no checksum, so its length checks alone must reject a
-// short one.
+// entry of one replica and of three (a prefix may cut the address list).
+// A WQE has no checksum, so its length checks alone must reject a short
+// one.
 func TestDecodePacketTruncated(t *testing.T) {
 	imm := uint32(0xabcd)
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	one, three := []uint64{0x10000008}, []uint64{0x10000008, 0x10000010, 0x10000018}
 	for _, c := range []struct {
 		name     string
 		pkt, wqe []byte
 	}{
-		{"write", BuildWrite(nil, 1, 2, 0x10000000, 3, payload, false, nil), WriteWQE(nil, 1, 2, 0x10000000, 3, payload, false, nil)},
-		{"write-imm", BuildWrite(nil, 1, 2, 0x10000000, 3, payload, true, &imm), WriteWQE(nil, 1, 2, 0x10000000, 3, payload, true, &imm)},
-		{"fetchadd", BuildFetchAdd(nil, 1, 2, 0x10000008, 3, 42), FetchAddWQE(nil, 1, 2, 0x10000008, 3, 42)},
+		{"write", BuildWrite(nil, 1, 2, 0x10000008, 3, payload, false, nil), new(SendQueue).WriteWQE(1, 2, one, 3, payload, false, nil)},
+		{"write-imm", BuildWrite(nil, 1, 2, 0x10000008, 3, payload, true, &imm), new(SendQueue).WriteWQE(1, 2, one, 3, payload, true, &imm)},
+		{"fetchadd", BuildFetchAdd(nil, 1, 2, 0x10000008, 3, 42), new(SendQueue).FetchAddWQE(1, 2, one, 3, 42)},
+		{"write-x3", BuildWrite(nil, 1, 2, 0x10000008, 3, payload, true, &imm), new(SendQueue).WriteWQE(1, 2, three, 3, payload, true, &imm)},
+		{"fetchadd-x3", BuildFetchAdd(nil, 1, 2, 0x10000008, 3, 42), new(SendQueue).FetchAddWQE(1, 2, three, 3, 42)},
 	} {
 		var p Packet
 		if err := DecodePacket(c.pkt, &p); err != nil {
 			t.Fatalf("%s: whole packet refused: %v", c.name, err)
 		}
-		if err := DecodeWQE(c.wqe, &p); err != nil {
+		if _, err := DecodeWQE(c.wqe, &p); err != nil {
 			t.Fatalf("%s: whole WQE refused: %v", c.name, err)
 		}
 		for n := 0; n < len(c.pkt); n++ {
@@ -94,7 +98,7 @@ func TestDecodePacketTruncated(t *testing.T) {
 			}
 		}
 		for n := 0; n < len(c.wqe); n++ {
-			if DecodeWQE(c.wqe[:n], &p) == nil {
+			if _, err := DecodeWQE(c.wqe[:n], &p); err == nil {
 				t.Errorf("%s: %d-byte prefix of a %d-byte WQE accepted", c.name, n, len(c.wqe))
 			}
 		}
@@ -276,12 +280,12 @@ func TestInterleavedRegions(t *testing.T) {
 				payload := make([]byte, 1+rng.Intn(32))
 				rng.Read(payload)
 				off := rng.Intn(len(mem) - len(payload) + 1)
-				q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mr.Base+uint64(off), mr.RKey, payload, false, nil))
+				q.Post(q.WriteWQE(qp.QPN, req.NextPSN(), []uint64{mr.Base + uint64(off)}, mr.RKey, payload, false, nil))
 				copy(mem[off:], payload)
 			} else {
 				add := rng.Uint64()
 				off := 8 * rng.Intn(len(mem)/8)
-				q.Post(FetchAddWQE(nil, qp.QPN, req.NextPSN(), mr.Base+uint64(off), mr.RKey, add))
+				q.Post(q.FetchAddWQE(qp.QPN, req.NextPSN(), []uint64{mr.Base + uint64(off)}, mr.RKey, add))
 				binary.BigEndian.PutUint64(mem[off:], binary.BigEndian.Uint64(mem[off:])+add)
 			}
 		}
@@ -300,7 +304,7 @@ func TestInterleavedRegions(t *testing.T) {
 		if _, ok := d.Region(rkey); ok {
 			t.Fatalf("Region(%#x) found a region", rkey)
 		}
-		q.Post(WriteWQE(nil, qp.QPN, req.NextPSN(), mrs[0].Base, rkey, []byte{1}, true, nil))
+		q.Post(q.WriteWQE(qp.QPN, req.NextPSN(), []uint64{mrs[0].Base}, rkey, []byte{1}, true, nil))
 		var c Completion
 		_, err := d.Execute(&q, nil, &c)
 		if err != nil || c.Syndrome != SynNAKAcc {

@@ -129,14 +129,18 @@ func TestBatchPreTouchOnlyReads(t *testing.T) {
 	emit := touched.tr.Emit
 	touched.tr.Emit = func(wqe []byte) {
 		var p rdma.Packet
-		if err := rdma.DecodeWQE(wqe, &p); err != nil {
+		n, err := rdma.DecodeWQE(wqe, &p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case p.BTH.Opcode == rdma.OpFetchAdd:
-			written = append(written, p.AtomicETH.VA)
-		case p.RETH.RKey == touched.tr.kwReg.RKey:
-			written = append(written, p.RETH.VA)
+		for i := range n {
+			rdma.Replica(wqe, i, &p)
+			switch {
+			case p.BTH.Opcode == rdma.OpFetchAdd:
+				written = append(written, p.AtomicETH.VA)
+			case p.RETH.RKey == touched.tr.kwReg.RKey:
+				written = append(written, p.RETH.VA)
+			}
 		}
 		emit(wqe)
 	}
@@ -324,7 +328,8 @@ func TestMisalignedPlanIsIgnored(t *testing.T) {
 // posted skips the doorbell, and the log publishes at every ring — so a
 // chunk that only stashes, or an empty epoch flush, publishes without a
 // doorbell. log holds "D<emits posted since the last doorbell>" per
-// doorbell and "P" per log publication, in order.
+// doorbell and "P" per log publication, in order; an emit is one entry
+// carrying both of a Key-Write's replicas.
 func TestDoorbellsPerChunk(t *testing.T) {
 	ccfg, tcfg := fullConfig() // Append batch 4: three appends only stash
 	r := newRig(t, ccfg, tcfg)
@@ -354,9 +359,9 @@ func TestDoorbellsPerChunk(t *testing.T) {
 		recs []wire.StagedReport
 		want []string
 	}{
-		{"kw1", chunk(1, wire.PrimKeyWrite), []string{"D2", "P"}},
-		{"kw32", chunk(32, wire.PrimKeyWrite), []string{"D64", "P"}},
-		{"kw40", chunk(40, wire.PrimKeyWrite), []string{"D64", "P", "D16", "P"}},
+		{"kw1", chunk(1, wire.PrimKeyWrite), []string{"D1", "P"}},
+		{"kw32", chunk(32, wire.PrimKeyWrite), []string{"D32", "P"}},
+		{"kw40", chunk(40, wire.PrimKeyWrite), []string{"D32", "P", "D8", "P"}},
 		{"append3", chunk(3, wire.PrimAppend), []string{"P"}},
 	} {
 		log = log[:0]
@@ -383,8 +388,8 @@ func TestDoorbellsPerChunk(t *testing.T) {
 // TestCountsPublishedBeforeDoorbell: a ring publishes the pending
 // counts before the device executes the verbs they count, so a Stats
 // read from inside the doorbell already sees every record crafted so
-// far — Reports, and RDMAWrites at N = 2 verbs each — including the
-// first window of a chunk that rings twice.
+// far — Reports (one emitted entry each), and RDMAWrites at N = 2 verbs
+// each — including the first window of a chunk that rings twice.
 func TestCountsPublishedBeforeDoorbell(t *testing.T) {
 	ccfg, tcfg := fullConfig()
 	r := newRig(t, ccfg, tcfg)
@@ -393,7 +398,7 @@ func TestCountsPublishedBeforeDoorbell(t *testing.T) {
 	r.tr.Emit = func(wqe []byte) { emits++; emit(wqe) }
 	r.tr.Doorbell = func(c *rdma.Completion) error {
 		rings++
-		crafted := uint64(emits / 2)
+		crafted := uint64(emits)
 		if st := r.tr.Stats(); st.Reports != crafted || st.RDMAWrites != 2*crafted {
 			t.Errorf("ring %d: Stats reads %d reports, %d writes; %d records crafted (%d writes)",
 				rings, st.Reports, st.RDMAWrites, crafted, 2*crafted)

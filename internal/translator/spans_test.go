@@ -25,7 +25,7 @@ func TestTranslatorSpansFollowTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
+	tr.Doorbell = host.Doorbell(tr.SendQueue())
 	counts := func() (report, emit uint64, exemplars []uint64) {
 		s := reg.Snapshot()
 		r, e := s.Find("dta_translator_report_ns"), s.Find("dta_rdma_emit_ns")

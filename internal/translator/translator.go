@@ -15,10 +15,14 @@
 // resynchronisation on NAK, and a token-bucket rate limiter that protects
 // the collector NIC during congestion (§5.2): a report it sheds is
 // counted and journalled, nothing more. The collector device shares the
-// process, so the verbs are posted as work-queue entries (rdma.WriteWQE,
-// rdma.FetchAddWQE), not as RoCEv2 packets: none would cross a wire. The
-// doorbell (ring) is the one publication point: it executes what was
-// posted, publishes the log and the counters, and stamps the traces.
+// process, so the verbs are posted as work-queue entries, not as RoCEv2
+// packets: none would cross a wire. The translator owns the send queue
+// (SendQueue), as a requester does: each operation is built in place at
+// its tail as one entry carrying all N replica addresses
+// (rdma.SendQueue.WriteWQE, FetchAddWQE), and Emit commits it there. The
+// doorbell (ring) is the one publication point: it hands the queue to
+// the collector device to execute, publishes the log and the counters,
+// and stamps the traces.
 package translator
 
 import (
@@ -75,8 +79,8 @@ type Stats struct {
 	ParseErrors   uint64
 	RDMAWrites    uint64
 	RDMAAtomics   uint64
-	RDMACrafts    uint64 // work-queue entries built (first replica)
-	RDMARepatches uint64 // PSN/VA patches of a built entry (multicast replicas 2..N)
+	RDMACrafts    uint64 // work-queue entries built, one per operation
+	RDMARepatches uint64 // multicast replicas 2..N an entry carries (a PSN and an address each)
 	RateDropped   uint64 // reports dropped by the rate limiter
 	Resyncs       uint64 // queue-pair resynchronisations
 	PostcardEmits uint64
@@ -149,8 +153,8 @@ func newCounters(sc *obs.Scope) counters {
 		parseErrors:   sc.Counter("dta_translator_parse_errors_total", "Reports the translator could not parse (unknown primitive)."),
 		rdmaWrites:    sc.Counter("dta_rdma_writes_total", "RDMA WRITEs posted."),
 		rdmaAtomics:   sc.Counter("dta_rdma_atomics_total", "RDMA FETCH&ADDs posted."),
-		crafts:        sc.Counter("dta_rdma_crafts_total", "Work-queue entries built (first multicast replica)."),
-		repatches:     sc.Counter("dta_rdma_repatches_total", "PSN/VA patches reusing a built work-queue entry (replicas 2..N)."),
+		crafts:        sc.Counter("dta_rdma_crafts_total", "Work-queue entries built, one per operation."),
+		repatches:     sc.Counter("dta_rdma_repatches_total", "Multicast replicas 2..N carried by a built work-queue entry."),
 		rateDropped:   sc.Counter("dta_rate_dropped_total", "Reports shed by the token-bucket rate limiter."),
 		resyncs:       sc.Counter("dta_resyncs_total", "Queue-pair resynchronisations after NAK-sequence."),
 		postcardEmits: sc.Counter("dta_postcard_emits_total", "Aggregated postcard chunks emitted."),
@@ -206,23 +210,30 @@ type Translator struct {
 	// kiAgg is the optional Key-Increment pre-aggregation cache.
 	kiAgg *kiAggCache
 
-	// Emit posts one verb, a work-queue entry (rdma.DecodeWQE reads it;
-	// rdma.Encode turns it into the RoCEv2 packet a wire would carry), to
-	// the collector's send queue (collector.Host.Post); nothing executes
-	// until Doorbell. Emit must consume wqe before returning: the
-	// translator reuses (and patches) the buffer for the next emission.
+	// Emit posts one operation: the work-queue entry the translator has
+	// just built at the tail of its send queue, carrying every replica
+	// (rdma.DecodeWQE reads it; rdma.Encode turns each replica into the
+	// RoCEv2 packet a wire would carry). By default it is
+	// SendQueue().Post, which commits the entry where it lies; nothing
+	// executes until Doorbell. A wrapper may read wqe, and must call
+	// through to the Emit it replaced before returning: the next
+	// operation is built at the same tail, over an entry left
+	// uncommitted.
 	Emit func(wqe []byte)
 
-	// Doorbell, if non-nil, executes the posted verbs and writes their
-	// one completion into the CQE it is handed (collector.Host.Doorbell);
-	// the PSN tracker reads it there. The translator rings after every
-	// stage-C window (so an entry point ends with a ring) and when
-	// doorbellOps emit operations (≤ MaxRedundancy verbs each) wait; a
-	// ring with nothing posted skips Doorbell. emitted holds the traced
-	// operations' handles. An error panics.
+	// Doorbell, if non-nil, hands the send queue to the collector device,
+	// which executes the posted entries and writes their one completion
+	// into the CQE it is handed (collector.Host.Doorbell); the PSN
+	// tracker reads it there. The translator rings after every stage-C
+	// window (so an entry point ends with a ring) and when doorbellOps
+	// emit operations (one entry each, two for a split Append batch)
+	// wait; a ring with nothing posted skips Doorbell. emitted holds the
+	// traced operations' handles. An error panics.
 	Doorbell func(*rdma.Completion) error
-	ops      int
-	emitted  []trace.Handle
+	// sq is the send queue the translator builds its entries in.
+	sq      rdma.SendQueue
+	ops     int
+	emitted []trace.Handle
 	// cqe is the completion-queue entry every doorbell writes. It is a
 	// field, not a local: a local handed to the hook escapes to the heap.
 	cqe rdma.Completion
@@ -268,12 +279,6 @@ type Translator struct {
 	// window, however many records (wal.Writer.Publish). A ring with
 	// nothing staged costs the log a comparison.
 	WALPublish func()
-
-	// wqeBuf and chunkBuf are the crafting scratch buffers: every
-	// outgoing work-queue entry (and postcard chunk image) is built in
-	// place here, so the steady-state emit path performs no allocation.
-	wqeBuf   []byte
-	chunkBuf []byte
 
 	// traceH is the data-plane trace handle for the report currently
 	// being processed (taken from the chunk's handle slice), cleared when
@@ -394,6 +399,10 @@ func (t *Translator) ring() {
 	t.emitted = t.emitted[:0]
 }
 
+// SendQueue is the queue the translator builds its work-queue entries
+// in: the collector device executes it when Doorbell rings.
+func (t *Translator) SendQueue() *rdma.SendQueue { return &t.sq }
+
 // Stats snapshots the translator's counters. Safe to call concurrently
 // with processing (the cells are atomics).
 func (t *Translator) Stats() Stats { return t.ctr.snapshot() }
@@ -415,15 +424,14 @@ func New(cfg Config, l *rdma.Listener) (*Translator, error) {
 func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (_ *Translator, err error) {
 	req, regions := rdma.Connect(l, 1000)
 	t := &Translator{
-		cfg:      cfg,
-		req:      req,
-		wqeBuf:   make([]byte, 0, 512),
-		chunkBuf: make([]byte, 0, postcarding.MaxHops*postcarding.SlotSize),
-		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
-		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
-		emitted:  make([]trace.Handle, 0, doorbellOps),
-		ctr:      newCounters(sc),
+		cfg:     cfg,
+		req:     req,
+		kwVAs:   make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
+		kiVAs:   make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
+		emitted: make([]trace.Handle, 0, doorbellOps),
+		ctr:     newCounters(sc),
 	}
+	t.Emit = t.sq.Post
 	// A NAK resync fires at the doorbell: count it, and flag the traces
 	// whose verbs it executed so tail-based sampling retains them.
 	t.req.OnResync = func() {
@@ -538,8 +546,10 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 //	   destination lines arrive while stage C crafts it and the
 //	   doorbell's stores find them resident;
 //	C. craft/post: per record, in order, exactly the single-record
-//	   sequence (WAL hook → limiter → build/patch → Emit), reading the
-//	   planned addresses instead of re-hashing; then one doorbell.
+//	   sequence (WAL hook → limiter → build one entry of every replica
+//	   at the send queue's tail → Emit), reading the planned addresses
+//	   instead of re-hashing (a record the plan left out is planned in
+//	   place there); then one doorbell.
 //
 // Stages A and B skip what C will not deterministically write:
 // aggregated Key-Increments (the emitted slot belongs to the evicted
@@ -718,7 +728,16 @@ func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 	switch s.Primitive() {
 	case wire.PrimKeyWrite:
 		t.pend.kwReports++
-		if p := t.plan[i]; p.prim == wire.PrimKeyWrite {
+		p := t.plan[i]
+		if p.prim != wire.PrimKeyWrite {
+			// The chunk's plan left it out: plan it here. A chunk plan
+			// gives up on a record whose slot indexes it cannot address
+			// (ChunkPlan.Planned, in a chunk of thousands of records), and
+			// that record must still be written.
+			t.planInPlace(i, s)
+			p = t.plan[i]
+		}
+		if p.prim == wire.PrimKeyWrite {
 			vas := t.kwVAs[p.start : p.start+uint16(p.n)]
 			return t.emitKeyWrite(vas, p.csum, s.Flags(), s.Payload(), nowNs)
 		}
@@ -730,7 +749,12 @@ func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 	case wire.PrimKeyIncrement:
 		t.pend.kiReports++
 		key, red, delta := s.KeyIncrementArgs()
-		if p := t.plan[i]; p.prim == wire.PrimKeyIncrement {
+		p := t.plan[i]
+		if p.prim != wire.PrimKeyIncrement {
+			t.planInPlace(i, s) // as for a Key-Write
+			p = t.plan[i]
+		}
+		if p.prim == wire.PrimKeyIncrement {
 			return t.emitFetchAdds(t.kiVAs[p.start:p.start+uint16(p.n)], delta, nowNs)
 		}
 		// Not planned: disabled, nothing to write, or aggregated.
@@ -812,35 +836,27 @@ func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data [
 	if !t.limiter.allow(nowNs, len(vas)) {
 		return t.drop()
 	}
-	cfg := t.kwIdx.Config()
-	// Slot image: 4B checksum followed by the (padded) value.
-	var payload [keywrite.ChecksumSize + wire.MaxData]byte
-	binary.BigEndian.PutUint32(payload[:], csum)
-	copy(payload[keywrite.ChecksumSize:keywrite.ChecksumSize+cfg.DataSize], data)
-	img := payload[:keywrite.ChecksumSize+cfg.DataSize]
-	// Multicast: build the WRITE once, then patch the address and PSN
-	// per replica — the N copies differ in nothing else, so rebuilding
-	// the entry and re-copying the payload N times is pure waste (the
-	// hardware multicast engine replicates identically).
+	// Multicast: one WRITE entry carries every replica's address — the N
+	// copies differ in nothing but address and PSN, as the hardware
+	// multicast engine replicates them. The slot image, a 4B checksum
+	// followed by the (padded) value, is written straight into it.
 	t0 := t.emitStart()
-	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
-		vas[0], t.kwReg.RKey, img, false, immediateOf(wire.PrimKeyWrite, flags)), vas)
+	w, img := t.sq.Write(t.req.DestQP, t.req.NextPSNs(len(vas)), vas, t.kwReg.RKey,
+		keywrite.ChecksumSize+t.kwIdx.Config().DataSize, false, immediateOf(wire.PrimKeyWrite, flags))
+	binary.BigEndian.PutUint32(img, csum)
+	clear(img[keywrite.ChecksumSize+copy(img[keywrite.ChecksumSize:], data):])
+	t.post(w, len(vas))
 	t.pend.rdmaWrites += uint64(len(vas))
 	t.endEmit(t0)
 	return nil
 }
 
-// post emits w, built for vas[0], then w patched with the next PSN and
-// each further address: one build and len(vas)-1 patches per operation.
-func (t *Translator) post(w []byte, vas []uint64) {
-	t.wqeBuf = w[:0]
+// post emits w, an entry of n replicas built at the send queue's tail:
+// one build per operation, whose replicas 2..N are counted as repatches.
+func (t *Translator) post(w []byte, n int) {
 	t.Emit(w)
-	for _, va := range vas[1:] {
-		rdma.PatchWQE(w, t.req.NextPSN(), va)
-		t.Emit(w)
-	}
 	t.pend.crafts++
-	t.pend.repatches += uint64(len(vas) - 1)
+	t.pend.repatches += uint64(n - 1)
 }
 
 // kiRedundancy clamps a requested Key-Increment redundancy; 0 means the
@@ -890,9 +906,9 @@ func (t *Translator) emitFetchAdds(vas []uint64, delta uint64, nowNs uint64) err
 	if !t.limiter.allow(nowNs, len(vas)) {
 		return t.drop()
 	}
-	// Build once, patch address+PSN per replica (see emitKeyWrite).
+	// One entry, every replica (see emitKeyWrite).
 	t0 := t.emitStart()
-	t.post(rdma.FetchAddWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), vas[0], t.kiReg.RKey, delta), vas)
+	t.post(t.sq.FetchAddWQE(t.req.DestQP, t.req.NextPSNs(len(vas)), vas, t.kiReg.RKey, delta), len(vas))
 	t.pend.rdmaAtomics += uint64(len(vas))
 	t.endEmit(t0)
 	return nil
@@ -943,20 +959,20 @@ func (t *Translator) emitChunk(e *postcarding.Emit, flags uint8, nowNs uint64) e
 	if !t.limiter.allow(nowNs, n) {
 		return t.drop()
 	}
-	// Encode hop-positionally: missing middle hops stay blank so a
-	// query rejects the chunk instead of returning a shifted path.
 	t0 := t.emitStart()
-	payload := t.pcCoder.EncodeChunkSparse(e.Key, &e.Values, t.chunkBuf)
-	t.chunkBuf = payload[:0]
-	// Build once, patch address+PSN per redundant chunk (see emitKeyWrite).
+	// One entry, every redundant chunk (see emitKeyWrite).
 	var vas [postcarding.MaxRedundancy]uint64
 	// The chunk indexes land in vas, and each becomes its address in place.
 	chunks, _ := t.pcCoder.Plan(e.Key, n, vas[:0])
 	for j, c := range chunks {
 		vas[j] = t.pcReg.VA + c*uint64(cfg.ChunkBytes())
 	}
-	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(),
-		vas[0], t.pcReg.RKey, payload, false, immediateOf(wire.PrimPostcarding, flags)), vas[:n])
+	w, img := t.sq.Write(t.req.DestQP, t.req.NextPSNs(n), vas[:n], t.pcReg.RKey,
+		cfg.ChunkBytes(), false, immediateOf(wire.PrimPostcarding, flags))
+	// Encoded in place, hop-positionally: missing middle hops stay blank
+	// so a query rejects the chunk instead of returning a shifted path.
+	t.pcCoder.EncodeChunkSparse(e.Key, &e.Values, img)
+	t.post(w, n)
 	t.pend.rdmaWrites += uint64(n)
 	t.endEmit(t0)
 	return nil
@@ -1004,9 +1020,9 @@ func (t *Translator) emitAppendFlush(f *appendlist.Flush, imm *uint32, nowNs uin
 		headImm = nil
 	}
 	headVA := listVA + uint64(f.Index*apCfg.EntrySize)
-	t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), headVA, t.apReg.RKey, head, false, headImm), []uint64{headVA})
+	t.post(t.sq.WriteWQE(t.req.DestQP, t.req.NextPSN(), []uint64{headVA}, t.apReg.RKey, head, false, headImm), 1)
 	if tail != nil {
-		t.post(rdma.WriteWQE(t.wqeBuf, t.req.DestQP, t.req.NextPSN(), listVA, t.apReg.RKey, tail, false, imm), []uint64{listVA})
+		t.post(t.sq.WriteWQE(t.req.DestQP, t.req.NextPSN(), []uint64{listVA}, t.apReg.RKey, tail, false, imm), 1)
 	}
 	t.pend.rdmaWrites += uint64(msgs)
 	t.endEmit(t0)

@@ -60,7 +60,7 @@ func newRig(t testing.TB, ccfg collector.Config, tcfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Emit, tr.Doorbell = host.Post, host.Doorbell
+	tr.Doorbell = host.Doorbell(tr.SendQueue())
 	return &rig{host: host, tr: tr}
 }
 

@@ -16,11 +16,13 @@ import (
 )
 
 // The wire reference TestPostListMatchesPerVerb compares against: every
-// work-queue entry the translator emits is encoded (rdma.Encode) into
-// the RoCEv2 packet a wire would carry and executed at once, packet by
-// packet, through the edge (Device.Process: decode, ICRC check, execute);
-// a packet-parsing tagger (the old ha.Tracker.MarkPacket) tags its blocks
-// first, and every ack goes straight back, decoded, to the PSN tracker.
+// replica of every work-queue entry the translator emits is encoded
+// (rdma.Encode) into the RoCEv2 packet a wire would carry and executed
+// at once, packet by packet, through the edge (Device.Process: decode,
+// ICRC check, execute); a packet-parsing tagger (the old
+// ha.Tracker.MarkPacket) tags its blocks first, and every ack goes
+// straight back, decoded, to the PSN tracker. The entry is consumed
+// there, never committed to the translator's send queue.
 
 // perVerb rewires s to the reference entry. epoch, if non-nil, is the HA
 // tag clock: the reference tagger reads it per packet, and the device's
@@ -34,31 +36,37 @@ func perVerb(s *System, epoch func() uint64) {
 	pktBuf, ackBuf := make([]byte, 0, 512), make([]byte, 0, 64)
 	s.tr.Doorbell = nil
 	s.tr.Emit = func(wqe []byte) {
-		pkt, err := rdma.Encode(pktBuf, wqe)
+		n, err := rdma.DecodeWQE(wqe, new(rdma.Packet))
 		if err != nil {
 			panic(fmt.Sprintf("reference: translator posted a malformed WQE: %v", err))
 		}
-		pktBuf = pkt[:0]
-		if epoch != nil {
-			refMarkPacket(dev, regions, pkt, epoch())
-		}
-		ack, ev, err := dev.Process(pkt, ackBuf)
-		if err != nil {
-			panic(fmt.Sprintf("reference: collector rejected RDMA packet: %v", err))
-		}
-		if ev != nil {
-			select {
-			case host.Events <- *ev:
-			default:
-				host.DroppedEvents++
+		for i := range n {
+			pkt, err := rdma.Encode(pktBuf, wqe, i)
+			if err != nil {
+				panic(fmt.Sprintf("reference: replica %d does not encode: %v", i, err))
 			}
-		}
-		if ack != nil {
-			var a rdma.Packet
-			if err := rdma.DecodePacket(ack, &a); err != nil {
-				panic(fmt.Sprintf("reference: bad ack: %v", err))
+			pktBuf = pkt[:0]
+			if epoch != nil {
+				refMarkPacket(dev, regions, pkt, epoch())
 			}
-			requester(s.tr).HandleAck(&rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
+			ack, ev, err := dev.Process(pkt, ackBuf)
+			if err != nil {
+				panic(fmt.Sprintf("reference: collector rejected RDMA packet: %v", err))
+			}
+			if ev != nil {
+				select {
+				case host.Events <- *ev:
+				default:
+					host.DroppedEvents++
+				}
+			}
+			if ack != nil {
+				var a rdma.Packet
+				if err := rdma.DecodePacket(ack, &a); err != nil {
+					panic(fmt.Sprintf("reference: bad ack: %v", err))
+				}
+				requester(s.tr).HandleAck(&rdma.Completion{Set: true, Syndrome: a.AETH.Syndrome, PSN: a.BTH.PSN})
+			}
 		}
 	}
 }
