@@ -490,3 +490,75 @@ func TestLongChunkPlansEveryRecord(t *testing.T) {
 	}
 	sameImages(t, "long chunks vs chunks of one", images(long), images(one))
 }
+
+// TestLongChunkPlansEveryOperand is TestLongChunkPlansEveryRecord's
+// sibling for the operand arena: 10 000 Key-Writes of 64-byte values at
+// redundancy 1 in one 10 000-frame chunk carry 680 000 operand bytes,
+// past the 65 535 a plan can address, while their 10 000 slot indexes
+// stay within reach. The records the plan leaves out must be planned in
+// place and written: stores, translator Stats and DeviceStats as chunks
+// of one leave them.
+func TestLongChunkPlansEveryOperand(t *testing.T) {
+	const n = 10_000
+	opts := Options{KeyWrite: &KeyWriteOptions{Slots: 1 << 16, DataSize: wire.MaxData}}
+	value := func(k uint64) []byte {
+		v := bytes.Repeat(keyData(k), wire.MaxData/4)
+		v[wire.MaxData-1] = byte(k >> 8)
+		return v
+	}
+	var sys [2]*System
+	for side := range sys {
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys[side] = s
+		rep := s.Reporter(1)
+		var eng *Engine
+		if side == 0 {
+			if eng, err = s.Engine(EngineConfig{ChunkFrames: n, QueueDepth: 2}); err != nil {
+				t.Fatal(err)
+			}
+			rep = eng.Reporter(1)
+		}
+		for k := uint64(0); k < n; k++ {
+			if err := rep.KeyWrite(KeyFromUint64(k), value(k), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if eng != nil {
+			if err := rep.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	long, one := sys[0], sys[1]
+
+	// The premise: such a chunk's plan runs out of operand reach, not of
+	// slot reach.
+	var plan wire.ChunkPlan
+	var rec wire.StagedReport
+	for k := uint64(0); k < n; k++ {
+		rec.Stage(&wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+			KeyWrite: wire.KeyWrite{Redundancy: 1, Key: KeyFromUint64(k)}, Data: value(k)})
+		systemSink{long}.PlanStaged(&rec, &plan)
+	}
+	if left := n - len(plan.Slots); left == 0 || len(plan.Slots) > 1<<16-1 || len(plan.Operands) > 1<<16-1 {
+		t.Fatalf("plan of %d slots and %d operand bytes left %d records out", len(plan.Slots), len(plan.Operands), left)
+	}
+
+	if st := long.tr.Stats(); st.RDMAWrites != n {
+		t.Errorf("a 10 000-frame chunk posted %d WRITEs, want %d", st.RDMAWrites, n)
+	}
+	if g, r := long.tr.Stats(), one.tr.Stats(); g != r {
+		t.Errorf("translator Stats:\n long chunks   %+v\n chunks of one %+v", g, r)
+	}
+	if g, r := long.host.Device().Stats, one.host.Device().Stats; g != r {
+		t.Errorf("DeviceStats:\n long chunks   %+v\n chunks of one %+v", g, r)
+	}
+	sameImages(t, "long chunks vs chunks of one", map[string][]byte{"keywrite": long.host.KeyWriteStore().Buffer()},
+		map[string][]byte{"keywrite": one.host.KeyWriteStore().Buffer()})
+}

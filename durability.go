@@ -3,6 +3,7 @@ package dta
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"path/filepath"
 
@@ -198,7 +199,9 @@ const (
 	// replayBatch is how many records the reader hands over at once: the
 	// two goroutines park and wake at every hand-off, and handing over
 	// one chunk at a time was slower than not reading ahead. Its plan
-	// holds at most replayBatch·8 slot indexes, within a ChunkPlan's reach.
+	// holds at most replayBatch·8 slot indexes, within a ChunkPlan's
+	// reach; its operands are held there by cutting the batch short
+	// (values past 27 bytes).
 	replayBatch = 64 * replayChunk
 	// replayDepth is how many batches exist — one read, one translated,
 	// one queued: ≈ 0.8 MiB beside the log's read buffer.
@@ -221,12 +224,13 @@ type replayCut struct {
 
 // add appends r, logged at nowNs, to b's last chunk, or to a new one
 // when that one is full or the clock moved. A new chunk is only begun
-// where a whole one fits, so no chunk spans two batches: add reports
-// false, adding nothing, when b must be handed over first.
+// where a whole one fits — its records, and its operands within the
+// plan's reach — so no chunk spans two batches: add reports false,
+// adding nothing, when b must be handed over first.
 func (b *readAhead) add(tr *translator.Translator, r *wire.StagedReport, nowNs uint64) bool {
 	k := len(b.chunks)
 	if k == 0 || b.chunks[k-1].n == replayChunk || b.chunks[k-1].nowNs != nowNs {
-		if len(b.recs) > cap(b.recs)-replayChunk {
+		if len(b.recs) > cap(b.recs)-replayChunk || len(b.plan.Operands) > math.MaxUint16-replayChunk*wire.MaxOperand {
 			return false
 		}
 		b.chunks = append(b.chunks, replayCut{nowNs: nowNs})
@@ -251,6 +255,7 @@ func (s *System) replay(dir string) (rec wal.Recovered, failed int, lastNs uint6
 	full := make(chan *readAhead, replayDepth)
 	for range replayDepth {
 		b := &readAhead{recs: make([]wire.StagedReport, 0, replayBatch)}
+		b.plan.Operands = make([]byte, 0, math.MaxUint16) // the plan's reach; add keeps within it
 		b.plan.Reserve(replayBatch)
 		free <- b
 	}
@@ -272,7 +277,7 @@ func (s *System) replay(dir string) (rec wal.Recovered, failed int, lastNs uint6
 		lo := 0
 		for _, c := range b.chunks {
 			hi := lo + c.n
-			plan := wire.ChunkPlan{Recs: b.plan.Recs[lo:hi], Slots: b.plan.Slots}
+			plan := wire.ChunkPlan{Recs: b.plan.Recs[lo:hi], Slots: b.plan.Slots, Operands: b.plan.Operands}
 			n, _ := tr.ProcessStagedBatch(b.recs[lo:hi], plan, nil, c.nowNs)
 			failed, lastNs, lo = failed+n, c.nowNs, hi
 		}

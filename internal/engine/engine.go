@@ -84,6 +84,9 @@ type StagedBatchSink interface {
 // and state fixed before the engine started. Submitters run it as they
 // stage — on the producer's core, which is otherwise idle while the
 // shard worker is the bottleneck — and the result rides with the chunk.
+// A plan may carry all the worker needs of a record (the translator's
+// carries slots, flags and operand), so the worker need not read the
+// record, and its lines need not cross to the worker's core.
 type StagedPlanner interface {
 	// PlanStaged appends rec's plan to p. It is called from any number of
 	// submitting goroutines at once, beside the worker's
@@ -415,13 +418,13 @@ func (e *Engine) stage(sh *shard, ck *chunk, r *wire.Report) {
 	}
 }
 
-// restage appends a copy of src's last record, and of its plan if it has
-// one, to ck: the other legs of a fan-out whose first leg staged into src.
+// restage appends a copy of src's last record, and of its plan entry —
+// slots and operand with it — if it has one, to ck: the other legs of a
+// fan-out whose first leg staged into src.
 func (e *Engine) restage(ck, src *chunk) {
 	*nextRec(ck) = src.recs[len(src.recs)-1]
 	if last := len(src.plan.Recs) - 1; last >= 0 {
-		h := src.plan.Recs[last]
-		ck.plan.Append(h.Prim, h.Csum, src.plan.SlotsOf(last))
+		ck.plan.AppendFrom(&src.plan, last)
 	}
 }
 

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"runtime/debug"
@@ -400,20 +402,23 @@ type planSink struct {
 	mistakes []string
 }
 
-func planOf(rec *wire.StagedReport) (prim wire.Primitive, csum uint32, slots []uint32) {
+func planOf(rec *wire.StagedReport) (prim wire.Primitive, slots []uint32, op []byte) {
 	if rec.Primitive() != wire.PrimKeyWrite {
-		return 0, 0, nil
+		return 0, nil, nil
 	}
 	key, red := rec.KeyWriteArgs()
 	k := uint32(key.Uint64())
 	for i := uint32(0); i < uint32(red); i++ {
 		slots = append(slots, k*8+i)
 	}
-	return wire.PrimKeyWrite, ^k, slots
+	return wire.PrimKeyWrite, slots, binary.BigEndian.AppendUint32(nil, ^k)
 }
 
 func (s *planSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
-	p.Append(planOf(rec))
+	prim, slots, op := planOf(rec)
+	start, m := len(p.Slots), len(p.Operands)
+	p.Slots, p.Operands = append(p.Slots, slots...), append(p.Operands, op...)
+	p.Planned(prim, rec.Flags(), start, m)
 }
 
 func (s *planSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (int, error) {
@@ -424,11 +429,13 @@ func (s *planSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkP
 	}
 	s.planned++
 	for i := range recs {
-		prim, csum, slots := planOf(&recs[i])
+		prim, slots, op := planOf(&recs[i])
+		flags := recs[i].Flags()
 		if len(slots) == 0 {
-			prim, csum = 0, 0 // an unplanned entry is all zero
+			prim, flags, op = 0, 0, nil // an unplanned entry is all zero
 		}
-		if got := plan.Recs[i]; got.Prim != prim || got.Csum != csum || int(got.N) != len(slots) || !slices.Equal(plan.SlotsOf(i), slots) {
+		if got := plan.Recs[i]; got.Prim() != prim || got.Flags() != flags || got.N() != len(slots) ||
+			!slices.Equal(plan.SlotsOf(i), slots) || !bytes.Equal(plan.OperandOf(i), op) {
 			s.mistakes = append(s.mistakes, recs[i].Primitive().String())
 		}
 	}
@@ -458,6 +465,7 @@ func TestSubmitterPlansAtStaging(t *testing.T) {
 			k := uint64(round*8+i) * 2 // even: stagedOnlySink fails odd keys
 			rep := kwReport(k, []byte{1})
 			rep.KeyWrite.Redundancy = uint8(1 + (round+i)%8)
+			rep.Header.Flags = uint8(i % 2) // the entry carries them
 			if (round+i)%3 == 0 {
 				rep = kiReport(k) // planSink leaves these unplanned
 			}

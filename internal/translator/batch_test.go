@@ -268,7 +268,7 @@ func TestPlanIgnoresSlotHistory(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		planAtStaging(staged.tr, wide, &recycled) // the array's previous life
 		for i := range recycled.Recs[:cap(recycled.Recs)] {
-			recycled.Recs[:cap(recycled.Recs)][i].N = 8 // and worse than it could be
+			recycled.Recs[:cap(recycled.Recs)][i] = ^wire.StagedPlan(0) // and worse than it could be
 		}
 		recs := mixedChunk(batchWindow+round*7, uint64(round)*1000)
 		var fresh wire.ChunkPlan
@@ -278,7 +278,7 @@ func TestPlanIgnoresSlotHistory(t *testing.T) {
 		}
 		for i := range recs {
 			planned := recs[i].Primitive() == wire.PrimKeyWrite || recs[i].Primitive() == wire.PrimKeyIncrement
-			if got.Recs[i] != want.Recs[i] || (got.Recs[i].N > 0) != planned {
+			if got.Recs[i] != want.Recs[i] || (got.Recs[i].N() > 0) != planned {
 				t.Fatalf("round %d record %d (%v): recycled entry %+v, fresh %+v", round, i, recs[i].Primitive(), got.Recs[i], want.Recs[i])
 			}
 			if !slices.Equal(got.SlotsOf(i), want.SlotsOf(i)) {

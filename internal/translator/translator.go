@@ -23,12 +23,19 @@
 // doorbell (ring) is the one publication point: it hands the queue to
 // the collector device to execute, publishes the log and the counters,
 // and stamps the traces.
+//
+// Address generation runs where a record is staged (PlanStaged), and its
+// plan — slot indexes, flags and operand (a Key-Write's slot image, a
+// Key-Increment's delta) — is all that crafting a planned record reads:
+// the shard worker never touches the record itself unless a WAL logs it.
 package translator
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"dta/internal/core/appendlist"
@@ -290,11 +297,13 @@ type Translator struct {
 	// plan, kwVAs and kiVAs are the window being processed, its planned
 	// slot indexes turned into addresses (place): plan[i] says which run
 	// of kwVAs (Key-Write) or kiVAs (Key-Increment) holds record i's.
-	// Fixed capacity (batchWindow records × max redundancy), so a window
-	// never allocates.
-	plan  [batchWindow]slotPlan
-	kwVAs []uint64
-	kiVAs []uint64
+	// operands holds the operands of the records planned in place.
+	// Fixed capacity (batchWindow records × max redundancy, or × the
+	// largest operand), so a window never allocates.
+	plan     [batchWindow]slotPlan
+	kwVAs    []uint64
+	kiVAs    []uint64
+	operands []byte
 
 	ctr  counters
 	pend pending
@@ -311,12 +320,13 @@ const batchWindow = 32
 const doorbellOps = 2 * batchWindow
 
 // slotPlan is one record's wire.StagedPlan with its slot indexes turned
-// into remote addresses.
+// into remote addresses: all that craft reads of a planned record.
 type slotPlan struct {
+	op    []byte         // the operand: a Key-Write's slot image, a Key-Increment's delta
 	start uint16         // first of the record's addresses in kwVAs / kiVAs
-	n     uint8          // replicas planned; 0 = not planned, craft decides alone
-	prim  wire.Primitive // which of the two: craft honours a plan only for the primitive it was made for
-	csum  uint32         // Key-Write key checksum
+	n     uint8          // replicas planned
+	prim  wire.Primitive // which of the two; 0 = not planned, craft reads the record
+	flags uint8          // the record's header flags
 }
 
 // TraceHandle returns the active report's trace handle (invalid
@@ -424,12 +434,13 @@ func New(cfg Config, l *rdma.Listener) (*Translator, error) {
 func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (_ *Translator, err error) {
 	req, regions := rdma.Connect(l, 1000)
 	t := &Translator{
-		cfg:     cfg,
-		req:     req,
-		kwVAs:   make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
-		kiVAs:   make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
-		emitted: make([]trace.Handle, 0, doorbellOps),
-		ctr:     newCounters(sc),
+		cfg:      cfg,
+		req:      req,
+		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
+		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
+		operands: make([]byte, 0, batchWindow*wire.MaxOperand),
+		emitted:  make([]trace.Handle, 0, doorbellOps),
+		ctr:      newCounters(sc),
 	}
 	t.Emit = t.sq.Post
 	// A NAK resync fires at the doorbell: count it, and flag the traces
@@ -532,14 +543,15 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 // here — in three stages:
 //
 //	A. address generation (planRecord): every Key-Write and
-//	   (non-aggregated) Key-Increment record's n slot indexes and key
-//	   checksum, hashed once, side-effect free. It reads nothing but the
-//	   record and immutable configuration, so the engine runs it where the
-//	   record is staged — on the submitting goroutine, through PlanStaged
-//	   — and the result arrives here as plan. A chunk that arrives without
-//	   one (plan.Recs not parallel to recs: chunks of one, socket bursts,
-//	   WAL replay) is planned in place, window by window, by the same
-//	   function;
+//	   (non-aggregated) Key-Increment record's n slot indexes, hashed
+//	   once, side-effect free, beside its flags and its operand (a
+//	   Key-Write's slot image — key checksum and padded value — or a
+//	   Key-Increment's delta). It reads nothing but the record and
+//	   immutable configuration, so the engine runs it where the record is
+//	   staged — on the submitting goroutine, through PlanStaged — and the
+//	   result arrives here as plan. A chunk that arrives without one
+//	   (plan.Recs not parallel to recs: chunks of one, socket bursts) is
+//	   planned in place, window by window, by the same function;
 //	B. pre-touch, per window of batchWindow records: the collector device
 //	   issues a cache-line hint for each planned address, which loads
 //	   and writes nothing and retires at once, so the window's
@@ -547,9 +559,10 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 //	   doorbell's stores find them resident;
 //	C. craft/post: per record, in order, exactly the single-record
 //	   sequence (WAL hook → limiter → build one entry of every replica
-//	   at the send queue's tail → Emit), reading the planned addresses
-//	   instead of re-hashing (a record the plan left out is planned in
-//	   place there); then one doorbell.
+//	   at the send queue's tail → Emit), from the plan alone: a planned
+//	   record is read only by the WAL hook, so its lines need not cross
+//	   over from the producer's core at all. A record the plan left out
+//	   is read, and planned in place there; then one doorbell.
 //
 // Stages A and B skip what C will not deterministically write:
 // aggregated Key-Increments (the emitted slot belongs to the evicted
@@ -566,13 +579,12 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 	planned := len(plan.Recs) == len(recs)
 	for base := 0; base < len(recs); base += batchWindow {
 		w := recs[base:min(base+batchWindow, len(recs))]
-		t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
+		t.kwVAs, t.kiVAs, t.operands = t.kwVAs[:0], t.kiVAs[:0], t.operands[:0]
 		for i := range w {
 			if planned {
-				// No look at the record: its lines are still on their way
-				// over from the producer's core.
-				h := &plan.Recs[base+i]
-				t.place(i, h.Prim, h.Csum, plan.SlotsOf(base+i))
+				// No look at the record: craft will not look either.
+				h := plan.Recs[base+i]
+				t.place(i, h.Prim(), h.Flags(), plan.SlotsOf(base+i), plan.OperandOf(base+i))
 			} else {
 				t.planInPlace(i, &w[i])
 			}
@@ -604,7 +616,7 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 // that loop, run for one record, cost the synchronous path ≈ 4 % more
 // CPU per report (sync_readwrite, 2-vCPU VM).
 func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
-	t.kwVAs, t.kiVAs = t.kwVAs[:0], t.kiVAs[:0]
+	t.kwVAs, t.kiVAs, t.operands = t.kwVAs[:0], t.kiVAs[:0], t.operands[:0]
 	t.planInPlace(0, s)
 	t.preTouch()
 	err := t.craft(0, s, nowNs)
@@ -613,13 +625,16 @@ func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 }
 
 // planRecord is stage A, the one place a staged record's slots are
-// hashed: it appends the indexes of the slots s will write to dst and
-// says whose store they index and, for a Key-Write, the key checksum
-// (the slots and the checksum from one pass over the key: PlanWrite).
-// Nothing appended (prim 0) means not planned: Key-Increment under
-// aggregation, postcards, appends, a disabled primitive, redundancy 0.
-// It reads the record and configuration fixed at New, nothing else.
-func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uint32, prim wire.Primitive, csum uint32) {
+// hashed and its operand built: it appends the indexes of the slots s
+// will write to dst and its operand to op — for a Key-Write the slot
+// image, the key checksum (from the same pass over the key as the
+// slots: PlanWrite) then the value zero-padded to DataSize; for a
+// Key-Increment the little-endian delta — and says whose store the
+// slots index. Nothing appended (prim 0) means not planned:
+// Key-Increment under aggregation, postcards, appends, a disabled
+// primitive, redundancy 0. It reads the record and configuration fixed
+// at New, nothing else.
+func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32, op []byte) (slots []uint32, operand []byte, prim wire.Primitive) {
 	switch s.Primitive() {
 	case wire.PrimKeyWrite:
 		if t.kwIdx == nil {
@@ -628,18 +643,40 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uin
 		key, red := s.KeyWriteArgs()
 		if n := kwRedundancy(int(red)); n > 0 {
 			slots, csum := t.kwIdx.PlanWrite(key, n, dst)
-			return slots, wire.PrimKeyWrite, csum
+			return slots, appendImage(op, csum, s.Payload(), t.kwIdx.Config().SlotSize()), wire.PrimKeyWrite
 		}
 	case wire.PrimKeyIncrement:
 		if t.kiIdx == nil || t.kiAgg != nil {
 			break
 		}
-		key, red, _ := s.KeyIncrementArgs()
+		key, red, delta := s.KeyIncrementArgs()
 		if n := kiRedundancy(int(red)); n > 0 {
-			return t.kiIdx.PlanWrite(key, n, dst), wire.PrimKeyIncrement, 0
+			return t.kiIdx.PlanWrite(key, n, dst), binary.LittleEndian.AppendUint64(op, delta), wire.PrimKeyIncrement
 		}
 	}
-	return dst, 0, 0
+	return dst, op, 0
+}
+
+// appendImage appends a Key-Write slot image of size bytes: the
+// big-endian checksum csum, then data cut or zero-padded to the value
+// width. An image of up to one word is stored as one word: a fan-out leg
+// copies it a moment later, and a word load over narrower stores still
+// in flight waits for them to drain.
+func appendImage(op []byte, csum uint32, data []byte, size int) []byte {
+	m, val := len(op), size-keywrite.ChecksumSize
+	if size <= 8 {
+		var v uint64
+		for j := range min(len(data), val) {
+			v |= uint64(data[j]) << (8 * j)
+		}
+		return binary.LittleEndian.AppendUint64(op, uint64(bits.ReverseBytes32(csum))|v<<32)[:m+size]
+	}
+	op = slices.Grow(op, size)[:m+size]
+	binary.BigEndian.PutUint32(op[m:], csum)
+	if k := copy(op[m+keywrite.ChecksumSize:], data); k < val {
+		clear(op[m+keywrite.ChecksumSize+k:])
+	}
+	return op
 }
 
 // PlanStaged is planRecord as the engine's staging side calls it
@@ -647,24 +684,33 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32) (slots []uin
 // goroutines may plan against one translator while its owner translates,
 // and translators of equal geometry (PlansLike) plan identically.
 func (t *Translator) PlanStaged(s *wire.StagedReport, p *wire.ChunkPlan) {
-	start := len(p.Slots)
-	slots, prim, csum := t.planRecord(s, p.Slots)
-	p.Slots = slots
-	p.Planned(prim, csum, start)
+	slots, ops, prim := t.planRecord(s, p.Slots, p.Operands)
+	if prim == 0 {
+		p.Recs = append(p.Recs, 0) // nothing was appended: the zero entry
+		return
+	}
+	start, op := len(p.Slots), len(p.Operands)
+	p.Slots, p.Operands = slots, ops
+	p.Planned(prim, s.Flags(), start, op)
 }
 
 // planInPlace is planRecord for window slot i of a chunk that arrived
-// without a plan.
+// without a plan: the operand goes to the window's own operands.
 func (t *Translator) planInPlace(i int, s *wire.StagedReport) {
 	var buf [max(keywrite.MaxRedundancy, keyincrement.MaxRedundancy)]uint32
-	slots, prim, csum := t.planRecord(s, buf[:0])
-	t.place(i, prim, csum, slots)
+	m := len(t.operands)
+	slots, ops, prim := t.planRecord(s, buf[:0], t.operands)
+	t.operands = ops
+	t.place(i, prim, s.Flags(), slots, ops[m:])
 }
 
 // place turns window slot i's planned slot indexes into the remote
-// addresses stages B and C read: one multiply-add per replica.
-func (t *Translator) place(i int, prim wire.Primitive, csum uint32, slots []uint32) {
-	e := slotPlan{prim: prim, n: uint8(len(slots)), csum: csum}
+// addresses stages B and C read: one multiply-add per replica. The entry
+// is written field by field: one built whole and copied in is reloaded
+// as wide words over its narrow stores, a store-forwarding stall.
+func (t *Translator) place(i int, prim wire.Primitive, flags uint8, slots []uint32, op []byte) {
+	e := &t.plan[i]
+	e.op, e.n, e.prim, e.flags = op, uint8(len(slots)), prim, flags
 	switch prim {
 	case wire.PrimKeyWrite:
 		e.start = uint16(len(t.kwVAs))
@@ -673,7 +719,6 @@ func (t *Translator) place(i int, prim wire.Primitive, csum uint32, slots []uint
 		e.start = uint16(len(t.kiVAs))
 		t.kiVAs = t.kiAddrs(t.kiVAs, slots)
 	}
-	t.plan[i] = e
 }
 
 // PlansLike reports whether o plans every record exactly as t does, so
@@ -718,46 +763,52 @@ func (t *Translator) craftTraced(i int, s *wire.StagedReport, nowNs uint64) erro
 	return err
 }
 
-// craft is stage C for window slot i.
+// craft is stage C for window slot i. It dispatches on the plan: a
+// planned record is crafted from its plan alone, and s is read only by
+// the WAL hook and for a record the plan left out.
 func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 	if t.WAL != nil {
 		if err := t.WAL(s, nowNs); err != nil {
 			return err
 		}
 	}
-	switch s.Primitive() {
-	case wire.PrimKeyWrite:
+	if p := &t.plan[i]; p.prim != 0 {
+		return t.craftPlanned(p, nowNs)
+	}
+	return t.craftRecord(i, s, nowNs)
+}
+
+// craftPlanned is craft for a planned record.
+func (t *Translator) craftPlanned(p *slotPlan, nowNs uint64) error {
+	if p.prim == wire.PrimKeyWrite {
 		t.pend.kwReports++
-		p := t.plan[i]
-		if p.prim != wire.PrimKeyWrite {
-			// The chunk's plan left it out: plan it here. A chunk plan
-			// gives up on a record whose slot indexes it cannot address
-			// (ChunkPlan.Planned, in a chunk of thousands of records), and
-			// that record must still be written.
-			t.planInPlace(i, s)
-			p = t.plan[i]
+		return t.emitKeyWrite(t.kwVAs[p.start:p.start+uint16(p.n)], p.op, p.flags, nowNs)
+	}
+	t.pend.kiReports++
+	return t.emitFetchAdds(t.kiVAs[p.start:p.start+uint16(p.n)], binary.LittleEndian.Uint64(p.op), nowNs)
+}
+
+// craftRecord is craft for a record the plan left out, read in full.
+func (t *Translator) craftRecord(i int, s *wire.StagedReport, nowNs uint64) error {
+	switch prim := s.Primitive(); prim {
+	case wire.PrimKeyWrite, wire.PrimKeyIncrement:
+		// A chunk plan gives up on a record whose slot indexes or operand
+		// it cannot address (ChunkPlan.Planned, in a chunk of thousands of
+		// records), and that record must still be written: plan it here.
+		if t.planInPlace(i, s); t.plan[i].prim != 0 {
+			return t.craftPlanned(&t.plan[i], nowNs)
 		}
-		if p.prim == wire.PrimKeyWrite {
-			vas := t.kwVAs[p.start : p.start+uint16(p.n)]
-			return t.emitKeyWrite(vas, p.csum, s.Flags(), s.Payload(), nowNs)
-		}
-		// Not planned: Key-Write disabled or redundancy 0.
-		if t.kwIdx == nil {
-			return errors.New("translator: Key-Write not enabled")
-		}
-		return nil
-	case wire.PrimKeyIncrement:
-		t.pend.kiReports++
-		key, red, delta := s.KeyIncrementArgs()
-		p := t.plan[i]
-		if p.prim != wire.PrimKeyIncrement {
-			t.planInPlace(i, s) // as for a Key-Write
-			p = t.plan[i]
-		}
-		if p.prim == wire.PrimKeyIncrement {
-			return t.emitFetchAdds(t.kiVAs[p.start:p.start+uint16(p.n)], delta, nowNs)
+		if prim == wire.PrimKeyWrite {
+			// Not planned: Key-Write disabled or redundancy 0.
+			t.pend.kwReports++
+			if t.kwIdx == nil {
+				return errors.New("translator: Key-Write not enabled")
+			}
+			return nil
 		}
 		// Not planned: disabled, nothing to write, or aggregated.
+		t.pend.kiReports++
+		key, red, delta := s.KeyIncrementArgs()
 		ki := wire.KeyIncrement{Redundancy: red, Key: *key, Delta: delta}
 		return t.keyIncrementArgs(&ki, nowNs)
 	case wire.PrimPostcarding:
@@ -830,21 +881,20 @@ func (t *Translator) kwAddrs(dst []uint64, slots []uint32) []uint64 {
 	return dst
 }
 
-// emitKeyWrite writes the slot image (checksum csum, value data) to
-// every address in vas.
-func (t *Translator) emitKeyWrite(vas []uint64, csum uint32, flags uint8, data []byte, nowNs uint64) error {
+// emitKeyWrite writes the slot image img (planRecord's Key-Write
+// operand) to every address in vas.
+func (t *Translator) emitKeyWrite(vas []uint64, img []byte, flags uint8, nowNs uint64) error {
 	if !t.limiter.allow(nowNs, len(vas)) {
 		return t.drop()
 	}
 	// Multicast: one WRITE entry carries every replica's address — the N
 	// copies differ in nothing but address and PSN, as the hardware
-	// multicast engine replicates them. The slot image, a 4B checksum
-	// followed by the (padded) value, is written straight into it.
+	// multicast engine replicates them. The slot image is copied straight
+	// into it.
 	t0 := t.emitStart()
-	w, img := t.sq.Write(t.req.DestQP, t.req.NextPSNs(len(vas)), vas, t.kwReg.RKey,
-		keywrite.ChecksumSize+t.kwIdx.Config().DataSize, false, immediateOf(wire.PrimKeyWrite, flags))
-	binary.BigEndian.PutUint32(img, csum)
-	clear(img[keywrite.ChecksumSize+copy(img[keywrite.ChecksumSize:], data):])
+	w, payload := t.sq.Write(t.req.DestQP, t.req.NextPSNs(len(vas)), vas, t.kwReg.RKey,
+		len(img), false, immediateOf(wire.PrimKeyWrite, flags))
+	copy(payload, img)
 	t.post(w, len(vas))
 	t.pend.rdmaWrites += uint64(len(vas))
 	t.endEmit(t0)

@@ -499,3 +499,24 @@ func BenchmarkTranslatorAppendBatch16(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendImage: a slot image is the big-endian checksum, then the
+// value cut or zero-padded to the value width, whether it is stored as
+// one word (images up to 8 bytes) or byte by byte, and it is appended
+// after what the arena held.
+func TestAppendImage(t *testing.T) {
+	const csum = 0xa1b2c3d4
+	value := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	for size := keywrite.ChecksumSize + 1; size <= keywrite.ChecksumSize+wire.MaxData; size++ {
+		for n := 0; n <= min(len(value), size); n++ {
+			want := make([]byte, size)
+			binary.BigEndian.PutUint32(want, csum)
+			copy(want[keywrite.ChecksumSize:], value[:n])
+			arena := append(make([]byte, 0, 3), 0xee, 0xee, 0xee) // full: the image grows it
+			got := appendImage(arena, csum, value[:n], size)
+			if !bytes.Equal(got[:3], []byte{0xee, 0xee, 0xee}) || !bytes.Equal(got[3:], want) {
+				t.Fatalf("size %d, %d value bytes: image %x, want %x after the arena's 3", size, n, got, want)
+			}
+		}
+	}
+}

@@ -1,39 +1,73 @@
 package wire
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // StagedPlan is address generation's result for one staged record: the
 // part of its translation that depends on the record and the
 // deployment's immutable geometry alone, so it can be computed where the
-// record is staged and ride with it to the translator.
-type StagedPlan struct {
-	Csum  uint32    // Key-Write key checksum
-	Start uint16    // first of the record's slot indexes in ChunkPlan.Slots
-	N     uint8     // replicas planned; 0 = not planned, the translator decides alone
-	Prim  Primitive // whose store the slots index (the record's primitive); 0 when not planned
-}
+// record is staged and ride with it to the translator. With the
+// record's flags and its operand it is all the translator reads of a
+// planned record. The zero entry is "not planned".
+//
+// It is one word, built in a register and stored whole, so the fan-out
+// legs that copy it read it back at once: an entry written field by
+// field and read as a word waits for its narrow stores to drain. Low
+// bits first: Start (16), Op (16), N (8), Prim (8), Flags (8), OpLen
+// (8).
+type StagedPlan uint64
+
+// Start is the index in ChunkPlan.Slots of the record's first slot.
+func (h StagedPlan) Start() int { return int(uint16(h)) }
+
+// Op is the index in ChunkPlan.Operands of the record's operand.
+func (h StagedPlan) Op() int { return int(uint16(h >> 16)) }
+
+// N is the number of replicas planned; 0 = not planned.
+func (h StagedPlan) N() int { return int(uint8(h >> 32)) }
+
+// Prim is the record's primitive, whose store the slots index.
+func (h StagedPlan) Prim() Primitive { return Primitive(h >> 40) }
+
+// Flags are the record's header flags.
+func (h StagedPlan) Flags() uint8 { return uint8(h >> 48) }
+
+// OpLen is the operand's length in bytes.
+func (h StagedPlan) OpLen() int { return int(h >> 56) }
 
 // ChunkPlan is the plan of a chunk of staged records: Recs runs parallel
 // to the records, Slots holds the planned records' store slot indexes
 // back to back (an index, not an address: every slot hash is 32 bits
-// wide). 8 bytes a record plus 4 a replica — 16 for a Key-Write at
-// redundancy 2 — and complete in itself: the translator turns it into
-// addresses without looking at a record. The zero value is "not
-// planned".
+// wide) and Operands their operands — the bytes a record's verbs carry:
+// a Key-Write's slot image (the big-endian key checksum, then the value
+// zero-padded to the store's DataSize), a Key-Increment's delta
+// (little-endian). 8 bytes a record plus 4 a replica plus the operand —
+// 24 for a Key-Write at redundancy 2 and DataSize 4 — and complete in
+// itself: the translator crafts a planned record's verbs without looking
+// at the record. The zero value is "not planned".
 type ChunkPlan struct {
-	Recs  []StagedPlan
-	Slots []uint32
+	Recs     []StagedPlan
+	Slots    []uint32
+	Operands []byte
 }
+
+// MaxOperand is the longest operand: the slot image of a Key-Write
+// (a 4-byte checksum) of the largest value.
+const MaxOperand = 4 + MaxData
 
 // Reset empties p, keeping its storage for the next chunk.
 func (p *ChunkPlan) Reset() {
 	p.Recs = p.Recs[:0]
 	p.Slots = p.Slots[:0]
+	p.Operands = p.Operands[:0]
 }
 
 // Reserve makes room for a chunk of recs records with no further
-// allocation at up to two replicas each (more grow Slots once; the chunk
-// keeps the larger array when it is recycled).
+// allocation at up to two replicas and 8 operand bytes each (a Key-Write
+// at DataSize 4, a Key-Increment); more grow Slots or Operands once, and
+// the chunk keeps the larger array when it is recycled.
 func (p *ChunkPlan) Reserve(recs int) {
 	if cap(p.Recs) < recs {
 		p.Recs = append(make([]StagedPlan, 0, recs), p.Recs...)
@@ -41,34 +75,65 @@ func (p *ChunkPlan) Reserve(recs int) {
 	if cap(p.Slots) < 2*recs {
 		p.Slots = append(make([]uint32, 0, 2*recs), p.Slots...)
 	}
+	if cap(p.Operands) < 8*recs {
+		p.Operands = append(make([]byte, 0, 8*recs), p.Operands...)
+	}
 }
 
 // Planned records the next record's plan: the slot indexes the caller
 // has appended to Slots since it stood at length start index prim's
-// store, under checksum csum. A whole entry is written either way, so
-// nothing a recycled array held survives. With prim 0 or no slots — or
-// more than Start can address, in a chunk of thousands of records — the
-// slots are taken back and the record is left not planned.
-func (p *ChunkPlan) Planned(prim Primitive, csum uint32, start int) {
+// store, and the bytes appended to Operands since length op are the
+// operand of a record with the given flags. A whole entry is written
+// either way, so nothing a recycled array held survives. With prim 0 or
+// no slots — or more slots or operand bytes than Start and Op can
+// address, in a chunk of thousands of records — the slots and the
+// operand are taken back and the record is left not planned.
+func (p *ChunkPlan) Planned(prim Primitive, flags uint8, start, op int) {
 	var h StagedPlan
-	if n := len(p.Slots) - start; prim != 0 && n > 0 && n <= math.MaxUint8 && len(p.Slots) <= math.MaxUint16 {
-		h = StagedPlan{Csum: csum, Start: uint16(start), N: uint8(n), Prim: prim}
+	n, m := len(p.Slots)-start, len(p.Operands)-op
+	if prim != 0 && n > 0 && n <= math.MaxUint8 && len(p.Slots) <= math.MaxUint16 &&
+		m <= math.MaxUint8 && len(p.Operands) <= math.MaxUint16 {
+		h = StagedPlan(start) | StagedPlan(op)<<16 | StagedPlan(n)<<32 |
+			StagedPlan(prim)<<40 | StagedPlan(flags)<<48 | StagedPlan(m)<<56
 	} else {
-		p.Slots = p.Slots[:start]
+		p.Slots, p.Operands = p.Slots[:start], p.Operands[:op]
 	}
 	p.Recs = append(p.Recs, h)
 }
 
-// Append is Planned for slot indexes held elsewhere (another chunk's
-// plan): it copies them in.
-func (p *ChunkPlan) Append(prim Primitive, csum uint32, slots []uint32) {
-	start := len(p.Slots)
-	p.Slots = append(p.Slots, slots...)
-	p.Planned(prim, csum, start)
+// AppendFrom copies record i's entry of src — its slot indexes and its
+// operand with it — in as the next record's (the other legs of a
+// fan-out).
+func (p *ChunkPlan) AppendFrom(src *ChunkPlan, i int) {
+	h := src.Recs[i]
+	start, op := len(p.Slots), len(p.Operands)
+	// Slot by slot, and an operand of one word as a word: src was planned
+	// a moment ago, and a wide load over narrower stores still in flight
+	// waits for them to drain.
+	for _, slot := range src.Slots[h.Start() : h.Start()+h.N()] {
+		p.Slots = append(p.Slots, slot)
+	}
+	if o := src.Operands[h.Op() : h.Op()+h.OpLen()]; len(o) == 8 {
+		p.Operands = binary.LittleEndian.AppendUint64(p.Operands, binary.LittleEndian.Uint64(o))
+	} else {
+		p.Operands = append(p.Operands, o...)
+	}
+	if h == 0 || len(p.Slots) > math.MaxUint16 || len(p.Operands) > math.MaxUint16 {
+		p.Slots, p.Operands, h = p.Slots[:start], p.Operands[:op], 0
+	} else {
+		h = h&^(1<<32-1) | StagedPlan(start) | StagedPlan(op)<<16 // rebased
+	}
+	p.Recs = append(p.Recs, h)
 }
 
 // SlotsOf returns the slot indexes of record i (empty when not planned).
 func (p *ChunkPlan) SlotsOf(i int) []uint32 {
 	h := p.Recs[i]
-	return p.Slots[h.Start : h.Start+uint16(h.N)]
+	return p.Slots[h.Start() : h.Start()+h.N()]
+}
+
+// OperandOf returns the operand of record i (empty when not planned).
+func (p *ChunkPlan) OperandOf(i int) []byte {
+	h := p.Recs[i]
+	return p.Operands[h.Op() : h.Op()+h.OpLen()]
 }

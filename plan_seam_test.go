@@ -2,18 +2,23 @@ package dta
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
+	"dta/internal/rdma"
 	"dta/internal/wire"
 )
 
 // TestSinkUsesStagedPlan pins the plan as really used. The records carry
-// key k but the plan handed in beside them was made for key k+offset —
-// so if the sink dropped the plan (and planned in place) the stores would
-// hold k's slots. The reference system gets records that really carry
-// k+offset, planned in place.
+// key k, a value and a delta, but the plan handed in beside them was made
+// for key k+offset, another value and another delta — so if the sink
+// dropped the plan (and planned in place) the stores would hold k's
+// slots, and if it took the operand from the record they would hold the
+// record's value and delta. The reference system gets records that
+// really carry k+offset and the plan's value and delta, planned in place.
 func TestSinkUsesStagedPlan(t *testing.T) {
 	opts := Options{
 		KeyWrite:     &KeyWriteOptions{Slots: 1 << 10, DataSize: 4},
@@ -22,7 +27,7 @@ func TestSinkUsesStagedPlan(t *testing.T) {
 		Append:       &AppendOptions{Lists: 4, EntriesPerList: 1 << 8, EntrySize: 4, Batch: 4},
 	}
 	const offset = 1 << 40
-	stream := func(shift uint64) []wire.StagedReport {
+	stream := func(shift uint64, v byte) []wire.StagedReport {
 		recs := make([]wire.StagedReport, 3200)
 		for i := range recs {
 			k := wire.KeyFromUint64(uint64(i)%300 + shift)
@@ -30,10 +35,10 @@ func TestSinkUsesStagedPlan(t *testing.T) {
 			switch i % 4 {
 			case 0, 1:
 				rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
-					KeyWrite: wire.KeyWrite{Redundancy: uint8(1 + i%3), Key: k}, Data: []byte{byte(i), byte(i >> 8), 0, 1}}
+					KeyWrite: wire.KeyWrite{Redundancy: uint8(1 + i%3), Key: k}, Data: []byte{byte(i), byte(i >> 8), v, 1}}
 			case 2:
 				rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyIncrement},
-					KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: k, Delta: uint64(1 + i%5)}}
+					KeyIncrement: wire.KeyIncrement{Redundancy: 2, Key: k, Delta: uint64(1+i%5) + uint64(v)}}
 			case 3:
 				rep = wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimAppend},
 					Append: wire.Append{ListID: uint32(i % 4)}, Data: []byte{byte(i >> 8), byte(i), 0, 7}}
@@ -42,7 +47,7 @@ func TestSinkUsesStagedPlan(t *testing.T) {
 		}
 		return recs
 	}
-	real, decoy := stream(0), stream(offset)
+	real, decoy := stream(0, 0), stream(offset, 9)
 
 	build := func() *System {
 		s, err := New(opts)
@@ -72,6 +77,98 @@ func TestSinkUsesStagedPlan(t *testing.T) {
 		}
 	}
 	sameImages(t, "stores written from the plan", storeImages(ref), storeImages(got))
+}
+
+// TestPlannedCraftReadsNoRecord pins stage C to the plan: a planned
+// record is crafted from its plan entry, slots and operand alone. Seeded
+// chunks of all four primitives, of 1 to 80 records (across window
+// edges), are planned; then every planned record is overwritten with a
+// decoy of another primitive, key, value, delta and flags before the
+// chunk is translated. No WAL and no traces, so nothing else reads a
+// record. Stores, translator Stats, DeviceStats and the immediate
+// events must equal those of a twin fed the original records unplanned.
+func TestPlannedCraftReadsNoRecord(t *testing.T) {
+	opts := fullOptions()
+	rng := rand.New(rand.NewSource(5711))
+	report := func(prim wire.Primitive, k uint64) wire.Report {
+		h := wire.Header{Version: wire.Version, Primitive: prim, Flags: uint8(rng.Intn(2)) * wire.FlagImmediate}
+		key := wire.KeyFromUint64(k)
+		data := make([]byte, 1+rng.Intn(4))
+		rng.Read(data)
+		switch prim {
+		case wire.PrimKeyWrite:
+			return wire.Report{Header: h, KeyWrite: wire.KeyWrite{Redundancy: uint8(rng.Intn(5)), Key: key}, Data: data}
+		case wire.PrimKeyIncrement:
+			return wire.Report{Header: h, KeyIncrement: wire.KeyIncrement{Redundancy: uint8(rng.Intn(4)), Key: key, Delta: 1 + rng.Uint64()%1000}}
+		case wire.PrimPostcarding:
+			return wire.Report{Header: h, Postcard: wire.Postcard{Key: key, Hop: uint8(rng.Intn(5)), PathLen: 5, Value: uint32(1 + rng.Intn(64))}}
+		default:
+			return wire.Report{Header: h, Append: wire.Append{ListID: uint32(rng.Intn(4))}, Data: data[:1]}
+		}
+	}
+	prims := []wire.Primitive{wire.PrimKeyWrite, wire.PrimKeyIncrement, wire.PrimPostcarding, wire.PrimAppend}
+
+	build := func() *System {
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ref, got := build(), build()
+	var plan wire.ChunkPlan
+	var refEvs, gotEvs []rdma.ImmediateEvent
+	decoys := 0
+	for range 200 {
+		orig := make([]wire.StagedReport, 1+rng.Intn(80))
+		for i := range orig {
+			rep := report(prims[rng.Intn(len(prims))], uint64(rng.Intn(600)))
+			orig[i].Stage(&rep)
+		}
+		recs := slices.Clone(orig)
+		plan.Reset()
+		for i := range recs {
+			systemSink{got}.PlanStaged(&recs[i], &plan)
+		}
+		for i := range recs {
+			if plan.Recs[i].N() == 0 {
+				continue
+			}
+			prim := prims[rng.Intn(len(prims))]
+			for prim == recs[i].Primitive() {
+				prim = prims[rng.Intn(len(prims))]
+			}
+			rep := report(prim, 1<<40|uint64(rng.Intn(600)))
+			rep.Header.Flags = recs[i].Flags() ^ wire.FlagImmediate
+			recs[i].Stage(&rep)
+			decoys++
+		}
+		if failed, err := (systemSink{ref}).ProcessStagedBatch(orig, wire.ChunkPlan{}, nil, 0); failed != 0 {
+			t.Fatal(err)
+		}
+		if failed, err := (systemSink{got}).ProcessStagedBatch(recs, plan, nil, 0); failed != 0 {
+			t.Fatal(err)
+		}
+		refEvs, gotEvs = drainEvents(ref, refEvs), drainEvents(got, gotEvs)
+	}
+	for _, s := range []*System{ref, got} {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if decoys < 1000 {
+		t.Fatalf("only %d planned records replaced by decoys", decoys)
+	}
+	sameImages(t, "stores crafted from the plan alone", storeImages(ref), storeImages(got))
+	if g, r := got.tr.Stats(), ref.tr.Stats(); g != r {
+		t.Errorf("translator Stats:\n from the plan %+v\n unplanned     %+v", g, r)
+	}
+	if g, r := got.host.Device().Stats, ref.host.Device().Stats; g != r {
+		t.Errorf("DeviceStats:\n from the plan %+v\n unplanned     %+v", g, r)
+	}
+	if !slices.Equal(gotEvs, refEvs) || len(refEvs) == 0 {
+		t.Errorf("%d immediate events from the plan, %d unplanned (or none)", len(gotEvs), len(refEvs))
+	}
 }
 
 // TestPlanEntryIsReadOnlyUnderProducers runs the plan entry the way the
