@@ -200,8 +200,8 @@ const (
 	// two goroutines park and wake at every hand-off, and handing over
 	// one chunk at a time was slower than not reading ahead. Its plan
 	// holds at most replayBatch·8 slot indexes, within a ChunkPlan's
-	// reach; its operands are held there by cutting the batch short
-	// (values past 27 bytes).
+	// reach; a record whose operand falls past the reach (Key-Write
+	// values past 27 bytes) is left unplanned and planned in place.
 	replayBatch = 64 * replayChunk
 	// replayDepth is how many batches exist — one read, one translated,
 	// one queued: ≈ 0.8 MiB beside the log's read buffer.
@@ -224,13 +224,12 @@ type replayCut struct {
 
 // add appends r, logged at nowNs, to b's last chunk, or to a new one
 // when that one is full or the clock moved. A new chunk is only begun
-// where a whole one fits — its records, and its operands within the
-// plan's reach — so no chunk spans two batches: add reports false,
-// adding nothing, when b must be handed over first.
+// where a whole one fits, so no chunk spans two batches: add reports
+// false, adding nothing, when b must be handed over first.
 func (b *readAhead) add(tr *translator.Translator, r *wire.StagedReport, nowNs uint64) bool {
 	k := len(b.chunks)
 	if k == 0 || b.chunks[k-1].n == replayChunk || b.chunks[k-1].nowNs != nowNs {
-		if len(b.recs) > cap(b.recs)-replayChunk || len(b.plan.Operands) > math.MaxUint16-replayChunk*wire.MaxOperand {
+		if len(b.recs) > cap(b.recs)-replayChunk {
 			return false
 		}
 		b.chunks = append(b.chunks, replayCut{nowNs: nowNs})
@@ -253,9 +252,17 @@ func (s *System) replay(dir string) (rec wal.Recovered, failed int, lastNs uint6
 	// for a free batch.
 	free := make(chan *readAhead, replayDepth)
 	full := make(chan *readAhead, replayDepth)
+	// A batch's operands: 8 bytes a record, more for a Key-Write image
+	// past one word — up to the plan's reach and one operand beyond it
+	// (PlanStaged appends an operand before ChunkPlan.Planned takes back
+	// one past the reach), so the arena never grows.
+	width := 8
+	if kw := s.tr.Config().KeyWrite; kw != nil {
+		width = max(width, kw.SlotSize())
+	}
 	for range replayDepth {
 		b := &readAhead{recs: make([]wire.StagedReport, 0, replayBatch)}
-		b.plan.Operands = make([]byte, 0, math.MaxUint16) // the plan's reach; add keeps within it
+		b.plan.Operands = make([]byte, 0, min(replayBatch*width, math.MaxUint16+width))
 		b.plan.Reserve(replayBatch)
 		free <- b
 	}

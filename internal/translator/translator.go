@@ -199,6 +199,7 @@ type Translator struct {
 	req *rdma.Requester
 
 	kwIdx   *keywrite.Indexer
+	kwImage int // a Key-Write slot image's size: checksum and value
 	kwReg   rdma.RegionInfo
 	kiIdx   *keyincrement.Indexer
 	kiReg   rdma.RegionInfo
@@ -297,13 +298,14 @@ type Translator struct {
 	// plan, kwVAs and kiVAs are the window being processed, its planned
 	// slot indexes turned into addresses (place): plan[i] says which run
 	// of kwVAs (Key-Write) or kiVAs (Key-Increment) holds record i's.
-	// operands holds the operands of the records planned in place.
+	// inPlace holds the slot indexes of the record being planned in
+	// place and the operands of the window's records planned in place.
 	// Fixed capacity (batchWindow records × max redundancy, or × the
 	// largest operand), so a window never allocates.
-	plan     [batchWindow]slotPlan
-	kwVAs    []uint64
-	kiVAs    []uint64
-	operands []byte
+	plan    [batchWindow]slotPlan
+	kwVAs   []uint64
+	kiVAs   []uint64
+	inPlace wire.ChunkPlan
 
 	ctr  counters
 	pend pending
@@ -434,13 +436,16 @@ func New(cfg Config, l *rdma.Listener) (*Translator, error) {
 func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (_ *Translator, err error) {
 	req, regions := rdma.Connect(l, 1000)
 	t := &Translator{
-		cfg:      cfg,
-		req:      req,
-		kwVAs:    make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
-		kiVAs:    make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
-		operands: make([]byte, 0, batchWindow*wire.MaxOperand),
-		emitted:  make([]trace.Handle, 0, doorbellOps),
-		ctr:      newCounters(sc),
+		cfg:   cfg,
+		req:   req,
+		kwVAs: make([]uint64, 0, batchWindow*keywrite.MaxRedundancy),
+		kiVAs: make([]uint64, 0, batchWindow*keyincrement.MaxRedundancy),
+		inPlace: wire.ChunkPlan{
+			Slots:    make([]uint32, 0, max(keywrite.MaxRedundancy, keyincrement.MaxRedundancy)),
+			Operands: make([]byte, 0, batchWindow*wire.MaxOperand),
+		},
+		emitted: make([]trace.Handle, 0, doorbellOps),
+		ctr:     newCounters(sc),
 	}
 	t.Emit = t.sq.Post
 	// A NAK resync fires at the doorbell: count it, and flag the traces
@@ -460,6 +465,7 @@ func NewScoped(cfg Config, l *rdma.Listener, sc *obs.Scope) (_ *Translator, err 
 		if err != nil {
 			return nil, err
 		}
+		t.kwImage = cfg.KeyWrite.SlotSize()
 		t.kwReg, err = needRegion(regions, "keywrite", uint64(cfg.KeyWrite.BufferSize()))
 		if err != nil {
 			return nil, err
@@ -579,7 +585,7 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 	planned := len(plan.Recs) == len(recs)
 	for base := 0; base < len(recs); base += batchWindow {
 		w := recs[base:min(base+batchWindow, len(recs))]
-		t.kwVAs, t.kiVAs, t.operands = t.kwVAs[:0], t.kiVAs[:0], t.operands[:0]
+		t.kwVAs, t.kiVAs, t.inPlace.Operands = t.kwVAs[:0], t.kiVAs[:0], t.inPlace.Operands[:0]
 		for i := range w {
 			if planned {
 				// No look at the record: craft will not look either.
@@ -616,7 +622,7 @@ func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.Chun
 // that loop, run for one record, cost the synchronous path ≈ 4 % more
 // CPU per report (sync_readwrite, 2-vCPU VM).
 func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
-	t.kwVAs, t.kiVAs, t.operands = t.kwVAs[:0], t.kiVAs[:0], t.operands[:0]
+	t.kwVAs, t.kiVAs, t.inPlace.Operands = t.kwVAs[:0], t.kiVAs[:0], t.inPlace.Operands[:0]
 	t.planInPlace(0, s)
 	t.preTouch()
 	err := t.craft(0, s, nowNs)
@@ -626,15 +632,15 @@ func (t *Translator) ProcessStaged(s *wire.StagedReport, nowNs uint64) error {
 
 // planRecord is stage A, the one place a staged record's slots are
 // hashed and its operand built: it appends the indexes of the slots s
-// will write to dst and its operand to op — for a Key-Write the slot
-// image, the key checksum (from the same pass over the key as the
-// slots: PlanWrite) then the value zero-padded to DataSize; for a
+// will write to p.Slots and its operand to p.Operands — for a
+// Key-Write the slot image, the key checksum (from the same pass over
+// the key as the slots: PlanWrite) then the value zero-padded to DataSize; for a
 // Key-Increment the little-endian delta — and says whose store the
 // slots index. Nothing appended (prim 0) means not planned:
 // Key-Increment under aggregation, postcards, appends, a disabled
 // primitive, redundancy 0. It reads the record and configuration fixed
 // at New, nothing else.
-func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32, op []byte) (slots []uint32, operand []byte, prim wire.Primitive) {
+func (t *Translator) planRecord(s *wire.StagedReport, p *wire.ChunkPlan) wire.Primitive {
 	switch s.Primitive() {
 	case wire.PrimKeyWrite:
 		if t.kwIdx == nil {
@@ -642,8 +648,19 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32, op []byte) (
 		}
 		key, red := s.KeyWriteArgs()
 		if n := kwRedundancy(int(red)); n > 0 {
-			slots, csum := t.kwIdx.PlanWrite(key, n, dst)
-			return slots, appendImage(op, csum, s.Payload(), t.kwIdx.Config().SlotSize()), wire.PrimKeyWrite
+			var csum uint32
+			p.Slots, csum = t.kwIdx.PlanWrite(key, n, p.Slots)
+			if d := s.Payload(); t.kwImage == 8 && len(d) >= 4 {
+				// A 4-byte value: the image is one word, built in a
+				// register and stored whole, so the fan-out legs that copy
+				// it a moment later load it at once (a word load over
+				// narrower stores still in flight waits for them to drain).
+				img := uint64(bits.ReverseBytes32(csum)) | uint64(binary.LittleEndian.Uint32(d))<<32
+				p.Operands = binary.LittleEndian.AppendUint64(p.Operands, img)
+			} else {
+				p.Operands = appendImage(p.Operands, csum, d, t.kwImage)
+			}
+			return wire.PrimKeyWrite
 		}
 	case wire.PrimKeyIncrement:
 		if t.kiIdx == nil || t.kiAgg != nil {
@@ -651,31 +668,22 @@ func (t *Translator) planRecord(s *wire.StagedReport, dst []uint32, op []byte) (
 		}
 		key, red, delta := s.KeyIncrementArgs()
 		if n := kiRedundancy(int(red)); n > 0 {
-			return t.kiIdx.PlanWrite(key, n, dst), binary.LittleEndian.AppendUint64(op, delta), wire.PrimKeyIncrement
+			p.Slots = t.kiIdx.PlanWrite(key, n, p.Slots)
+			p.Operands = binary.LittleEndian.AppendUint64(p.Operands, delta)
+			return wire.PrimKeyIncrement
 		}
 	}
-	return dst, op, 0
+	return 0
 }
 
 // appendImage appends a Key-Write slot image of size bytes: the
 // big-endian checksum csum, then data cut or zero-padded to the value
-// width. An image of up to one word is stored as one word: a fan-out leg
-// copies it a moment later, and a word load over narrower stores still
-// in flight waits for them to drain.
+// width.
 func appendImage(op []byte, csum uint32, data []byte, size int) []byte {
-	m, val := len(op), size-keywrite.ChecksumSize
-	if size <= 8 {
-		var v uint64
-		for j := range min(len(data), val) {
-			v |= uint64(data[j]) << (8 * j)
-		}
-		return binary.LittleEndian.AppendUint64(op, uint64(bits.ReverseBytes32(csum))|v<<32)[:m+size]
-	}
+	m := len(op)
 	op = slices.Grow(op, size)[:m+size]
 	binary.BigEndian.PutUint32(op[m:], csum)
-	if k := copy(op[m+keywrite.ChecksumSize:], data); k < val {
-		clear(op[m+keywrite.ChecksumSize+k:])
-	}
+	clear(op[m+keywrite.ChecksumSize+copy(op[m+keywrite.ChecksumSize:], data):])
 	return op
 }
 
@@ -684,24 +692,22 @@ func appendImage(op []byte, csum uint32, data []byte, size int) []byte {
 // goroutines may plan against one translator while its owner translates,
 // and translators of equal geometry (PlansLike) plan identically.
 func (t *Translator) PlanStaged(s *wire.StagedReport, p *wire.ChunkPlan) {
-	slots, ops, prim := t.planRecord(s, p.Slots, p.Operands)
-	if prim == 0 {
-		p.Recs = append(p.Recs, 0) // nothing was appended: the zero entry
-		return
-	}
 	start, op := len(p.Slots), len(p.Operands)
-	p.Slots, p.Operands = slots, ops
-	p.Planned(prim, s.Flags(), start, op)
+	if prim := t.planRecord(s, p); prim != 0 {
+		p.Planned(prim, s.Flags(), start, op)
+	} else {
+		p.Recs = append(p.Recs, 0) // nothing was appended: the zero entry
+	}
 }
 
 // planInPlace is planRecord for window slot i of a chunk that arrived
-// without a plan: the operand goes to the window's own operands.
+// without a plan, into the window's own slots and operands.
 func (t *Translator) planInPlace(i int, s *wire.StagedReport) {
-	var buf [max(keywrite.MaxRedundancy, keyincrement.MaxRedundancy)]uint32
-	m := len(t.operands)
-	slots, ops, prim := t.planRecord(s, buf[:0], t.operands)
-	t.operands = ops
-	t.place(i, prim, s.Flags(), slots, ops[m:])
+	p := &t.inPlace
+	p.Slots = p.Slots[:0]
+	m := len(p.Operands)
+	prim := t.planRecord(s, p)
+	t.place(i, prim, s.Flags(), p.Slots, p.Operands[m:])
 }
 
 // place turns window slot i's planned slot indexes into the remote
@@ -772,14 +778,18 @@ func (t *Translator) craft(i int, s *wire.StagedReport, nowNs uint64) error {
 			return err
 		}
 	}
-	if p := &t.plan[i]; p.prim != 0 {
-		return t.craftPlanned(p, nowNs)
+	p := &t.plan[i]
+	if p.prim == 0 {
+		// A chunk plan gives up on a record whose slot indexes or operand
+		// it cannot address (ChunkPlan.Planned, in a chunk of thousands of
+		// records), and that record must still be written: plan it here.
+		if prim := s.Primitive(); prim == wire.PrimKeyWrite || prim == wire.PrimKeyIncrement {
+			t.planInPlace(i, s)
+		}
+		if p.prim == 0 {
+			return t.craftRecord(s, nowNs)
+		}
 	}
-	return t.craftRecord(i, s, nowNs)
-}
-
-// craftPlanned is craft for a planned record.
-func (t *Translator) craftPlanned(p *slotPlan, nowNs uint64) error {
 	if p.prim == wire.PrimKeyWrite {
 		t.pend.kwReports++
 		return t.emitKeyWrite(t.kwVAs[p.start:p.start+uint16(p.n)], p.op, p.flags, nowNs)
@@ -788,24 +798,17 @@ func (t *Translator) craftPlanned(p *slotPlan, nowNs uint64) error {
 	return t.emitFetchAdds(t.kiVAs[p.start:p.start+uint16(p.n)], binary.LittleEndian.Uint64(p.op), nowNs)
 }
 
-// craftRecord is craft for a record the plan left out, read in full.
-func (t *Translator) craftRecord(i int, s *wire.StagedReport, nowNs uint64) error {
-	switch prim := s.Primitive(); prim {
-	case wire.PrimKeyWrite, wire.PrimKeyIncrement:
-		// A chunk plan gives up on a record whose slot indexes or operand
-		// it cannot address (ChunkPlan.Planned, in a chunk of thousands of
-		// records), and that record must still be written: plan it here.
-		if t.planInPlace(i, s); t.plan[i].prim != 0 {
-			return t.craftPlanned(&t.plan[i], nowNs)
+// craftRecord is craft for a record no plan covers, read in full.
+func (t *Translator) craftRecord(s *wire.StagedReport, nowNs uint64) error {
+	switch s.Primitive() {
+	case wire.PrimKeyWrite:
+		// Not planned: Key-Write disabled or redundancy 0.
+		t.pend.kwReports++
+		if t.kwIdx == nil {
+			return errors.New("translator: Key-Write not enabled")
 		}
-		if prim == wire.PrimKeyWrite {
-			// Not planned: Key-Write disabled or redundancy 0.
-			t.pend.kwReports++
-			if t.kwIdx == nil {
-				return errors.New("translator: Key-Write not enabled")
-			}
-			return nil
-		}
+		return nil
+	case wire.PrimKeyIncrement:
 		// Not planned: disabled, nothing to write, or aggregated.
 		t.pend.kiReports++
 		key, red, delta := s.KeyIncrementArgs()
@@ -890,11 +893,15 @@ func (t *Translator) emitKeyWrite(vas []uint64, img []byte, flags uint8, nowNs u
 	// Multicast: one WRITE entry carries every replica's address — the N
 	// copies differ in nothing but address and PSN, as the hardware
 	// multicast engine replicates them. The slot image is copied straight
-	// into it.
+	// into it: one of a word (a 4-byte value) as a word.
 	t0 := t.emitStart()
 	w, payload := t.sq.Write(t.req.DestQP, t.req.NextPSNs(len(vas)), vas, t.kwReg.RKey,
 		len(img), false, immediateOf(wire.PrimKeyWrite, flags))
-	copy(payload, img)
+	if len(img) == 8 {
+		binary.LittleEndian.PutUint64(payload, binary.LittleEndian.Uint64(img))
+	} else {
+		copy(payload, img)
+	}
 	t.post(w, len(vas))
 	t.pend.rdmaWrites += uint64(len(vas))
 	t.endEmit(t0)

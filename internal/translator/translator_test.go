@@ -501,9 +501,9 @@ func BenchmarkTranslatorAppendBatch16(b *testing.B) {
 }
 
 // TestAppendImage: a slot image is the big-endian checksum, then the
-// value cut or zero-padded to the value width, whether it is stored as
-// one word (images up to 8 bytes) or byte by byte, and it is appended
-// after what the arena held.
+// value cut or zero-padded to the value width, appended after what the
+// arena held — also the one-word image PlanStaged builds itself at
+// DataSize 4.
 func TestAppendImage(t *testing.T) {
 	const csum = 0xa1b2c3d4
 	value := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
@@ -517,6 +517,21 @@ func TestAppendImage(t *testing.T) {
 			if !bytes.Equal(got[:3], []byte{0xee, 0xee, 0xee}) || !bytes.Equal(got[3:], want) {
 				t.Fatalf("size %d, %d value bytes: image %x, want %x after the arena's 3", size, n, got, want)
 			}
+		}
+	}
+
+	ccfg, tcfg := fullConfig() // DataSize 4
+	tr := newRig(t, ccfg, tcfg).tr
+	for n := 0; n <= 8; n++ {
+		rep := wire.Report{Header: wire.Header{Version: wire.Version, Primitive: wire.PrimKeyWrite},
+			KeyWrite: wire.KeyWrite{Redundancy: 2, Key: key(uint64(n))}, Data: value[:n]}
+		var s wire.StagedReport
+		s.Stage(&rep)
+		var p wire.ChunkPlan
+		tr.PlanStaged(&s, &p)
+		_, csum := tr.kwIdx.PlanWrite(&rep.KeyWrite.Key, 2, nil)
+		if want := appendImage(nil, csum, value[:n], 8); !bytes.Equal(p.OperandOf(0), want) {
+			t.Fatalf("PlanStaged, %d value bytes: image %x, want %x", n, p.OperandOf(0), want)
 		}
 	}
 }
