@@ -11,10 +11,11 @@
 // descriptors with no checksum, one per operation with every multicast
 // replica's address in it, built in place at the tail of the requester's
 // SendQueue and run by Device.Execute, which writes one Completion (a
-// CQE) in place. The RoCEv2 format is the edge codec: Encode turns one
-// replica of a WQE into the packet a wire would carry, and
-// Device.Process decodes a packet, checks its ICRC and runs it through
-// the same execute core as each replica of a WQE. Deviations from the
+// CQE) in place; it runs each entry whole, reading it in place. The
+// RoCEv2 format is the edge codec: Encode turns one replica of a WQE
+// into the packet a wire would carry, and Device.Process decodes a
+// packet, checks its ICRC and runs it through the same core as a
+// one-replica WQE. Deviations from the
 // InfiniBand specification are intentional and documented: ICRC is
 // computed as CRC-32C over the full BTH+payload (the spec masks some
 // mutable fields), and only the packet types DTA uses are implemented.

@@ -2,7 +2,6 @@ package rdma
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -48,9 +47,10 @@ func (m *MemoryRegion) RaiseTags(off, length int, epoch uint64) {
 	}
 }
 
-// contains translates a remote (va, length) pair into an offset.
+// contains translates a remote (va, length) pair into an offset; a nil
+// region (no such rkey) contains nothing.
 func (m *MemoryRegion) contains(va uint64, length int) (int, error) {
-	if va < m.Base {
+	if m == nil || va < m.Base {
 		return 0, ErrAccessFault
 	}
 	off := va - m.Base
@@ -90,10 +90,11 @@ func psnDelta(a, b uint32) int32 {
 //
 // Verbs arrive as a post-list of work-queue entries (the requester's
 // SendQueue, run by Execute, the doorbell), each carrying every replica
-// of one operation, which leaves one Completion (the CQE) in the
-// requester's memory; Process takes one RoCEv2 packet off a wire
-// through the same execute core. On a region with Tags the core raises
-// the tags each write touches.
+// of one operation and run whole by one core that reads it in place,
+// which leaves one Completion (the CQE) in the requester's memory;
+// Process takes one RoCEv2 packet off a wire and runs it through the
+// same core as a one-replica entry. On a region with Tags the core
+// raises the tags each write touches.
 //
 // Concurrency contract: the data path (Execute, Process, PreTouch) is
 // single-threaded, like the modelled NIC pipeline — callers serialise
@@ -127,6 +128,9 @@ type Device struct {
 
 	// Epoch is the dirty-tag clock, read once per doorbell.
 	Epoch func() uint64
+
+	// edge holds the entry Process builds for each packet, uncommitted.
+	edge SendQueue
 }
 
 // DeviceStats counts the operations a Device has executed. WriteLines
@@ -223,34 +227,28 @@ func (c *Completion) respond(qp *ResponderQP, psn uint32, syndrome uint8, atomic
 	return syndrome != SynACK
 }
 
-// Execute rings the doorbell on q: it decodes each entry once
-// (DecodeWQE) and executes its replicas (Replica) in order, each as the
-// verb it stands for, with every check a packet gets past its ICRC
-// (opcode, QP, PSN, duplicate, rkey, bounds, alignment); DeviceStats,
-// dirty tags, immediate events and the response count per replica. It
-// clears the CQE *c and writes the one completion into it: the last
-// response a replica asked for, or the first NAK, after which nothing
-// executes — not even the rest of that entry's replicas. An entry that
-// cannot be processed at all (decode, QP, opcode) also stops the list,
-// as err. Execute empties q.
+// Execute rings the doorbell on q: it runs each entry whole (run), its
+// header read in place once it passes the checks DecodeWQE makes, with
+// every check a packet gets past its ICRC (opcode, QP, PSN, duplicate,
+// rkey, bounds, alignment); DeviceStats, dirty tags, immediate events
+// and the response count per replica. It clears the CQE *c and writes
+// the one completion into it: the last response a replica asked for, or
+// the first NAK, after which nothing executes — not even the rest of
+// that entry's replicas. An entry that cannot be processed at all
+// (header, QP) also stops the list, as err. Execute empties q.
 func (d *Device) Execute(q *SendQueue, evs []ImmediateEvent, c *Completion) (_ []ImmediateEvent, err error) {
 	*c = Completion{}
 	epoch := d.Epoch()
-	var p Packet
 	start := 0
-list:
 	for _, end := range q.ends {
 		w := q.arena[start:end]
 		var n int
-		if n, err = DecodeWQE(w, &p); err != nil {
+		if n, err = checkWQE(w); err != nil {
 			break
 		}
-		for i := range n {
-			Replica(w, i, &p)
-			var stop bool
-			if evs, stop, err = d.execute(&p, c, evs, epoch); stop {
-				break list
-			}
+		var stop bool
+		if evs, stop, err = d.run(w, n, c, evs, epoch); stop {
+			break
 		}
 		start = end
 	}
@@ -259,18 +257,34 @@ list:
 }
 
 // Process is the wire edge: it decodes one incoming RoCEv2 packet,
-// checks its ICRC, executes it through the same core as a WQE and
-// returns the serialized acknowledgement (nil if the packet does not
-// elicit one). If the packet carried immediate data, ev describes the
-// interrupt the host would receive.
+// checks its ICRC, builds it as a one-replica entry at the tail of the
+// device's edge queue (never posted), runs that through the doorbell's
+// core and returns the serialized acknowledgement (nil if the packet
+// does not elicit one). A packet that is no request keeps its opcode in
+// the entry, so it is answered QP, then PSN, then ErrBadOpcode. If the
+// packet carried immediate data, ev describes the interrupt the host
+// would receive.
 func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEvent, err error) {
 	var p Packet
 	if err := DecodePacket(pkt, &p); err != nil {
 		return nil, nil, err
 	}
+	h := &p.BTH
+	var w []byte
+	if h.Opcode == OpFetchAdd {
+		a := &p.AtomicETH
+		w = d.edge.FetchAddWQE(h.DestQP, h.PSN, []uint64{a.VA}, a.RKey, a.AddData)
+	} else {
+		var imm *uint32
+		if p.HasImm {
+			imm = &p.Imm
+		}
+		w = d.edge.WriteWQE(h.DestQP, h.PSN, []uint64{p.RETH.VA}, p.RETH.RKey, p.Payload, h.AckReq, imm)
+		w[wqeOp] = byte(h.Opcode)
+	}
 	var c Completion
 	var one [1]ImmediateEvent
-	evs, _, err := d.execute(&p, &c, one[:0], d.Epoch())
+	evs, _, err := d.run(w, 1, &c, one[:0], d.Epoch())
 	if len(evs) > 0 {
 		e := evs[0]
 		ev = &e
@@ -278,77 +292,103 @@ func (d *Device) Process(pkt []byte, ackBuf []byte) (ack []byte, ev *ImmediateEv
 	return c.ack(ackBuf), ev, err
 }
 
-// execute is the core every verb runs through, decoded from a WQE or a
-// packet: it records in c the response the verb asks for. stop ends the
-// list: a NAK, or err.
-func (d *Device) execute(p *Packet, c *Completion, evs []ImmediateEvent, epoch uint64) (_ []ImmediateEvent, stop bool, err error) {
+// run is the core every verb runs through: the n replicas of entry w
+// (checked by checkWQE, or built by Process) in order, each one's PSN
+// and address, and the payload and operand, read from w in place. The
+// QP and the region resolve once per entry. It records in c the
+// response each replica asks for. stop ends the list: a NAK, or err.
+func (d *Device) run(w []byte, n int, c *Completion, evs []ImmediateEvent, epoch uint64) (_ []ImmediateEvent, stop bool, err error) {
 	// No lock: the data path is serialised per device by contract (see
 	// the Device doc comment); taking the mutex per packet cost ~17% of
 	// the whole ingest path.
 	qp := d.qpCache
-	if qp == nil || qp.QPN != p.BTH.DestQP {
+	if qpn := ne.Uint32(w[wqeQPN:]); qp == nil || qp.QPN != qpn {
 		var ok bool
-		qp, ok = d.qps[p.BTH.DestQP]
-		if !ok {
+		if qp, ok = d.qps[qpn]; !ok {
 			return evs, true, ErrUnknownQP
 		}
 		d.qpCache = qp
 	}
+	op, psn := Opcode(w[wqeOp]), ne.Uint32(w[wqePSN:])
+	m, _ := d.region(ne.Uint32(w[wqeRKey:])) // nil: every replica faults
+	vas, payload := w[wqeHdrLen:wqeHdrLen+8*n], w[wqeHdrLen+8*n:]
+	ack := w[wqeFlags]&wqeAckReq != 0 || op == OpWriteOnlyImm
+	for i := 0; i < n; i, psn = i+1, (psn+1)&psnMask {
+		if psn != qp.EPSN {
+			if d.outOfSequence(qp, psn, op, c) {
+				return evs, true, nil
+			}
+			continue
+		}
+		va := ne.Uint64(vas[8*i:])
+		switch op {
+		case OpWriteOnly, OpWriteOnlyImm:
+			off, err := m.contains(va, len(payload))
+			if err != nil {
+				d.Stats.AccessErrs++
+				return evs, c.respond(qp, psn, SynNAKAcc, false, 0), nil
+			}
+			if len(payload) == 8 { // a Key-Write slot: one store, no memmove call
+				ne.PutUint64(m.Buf[off:], ne.Uint64(payload))
+			} else {
+				copy(m.Buf[off:], payload)
+			}
+			if m.Tags != nil {
+				m.RaiseTags(off, len(payload), epoch)
+			}
+			d.Stats.Writes++
+			d.Stats.WriteLines += uint64(max((len(payload)+CacheLine-1)/CacheLine, 1))
+			qp.advance()
+			if op == OpWriteOnlyImm {
+				evs = append(evs, ImmediateEvent{QPN: qp.QPN, Imm: ne.Uint32(w[wqeImm:])})
+			}
+			if ack {
+				c.respond(qp, psn, SynACK, false, 0)
+			}
+		case OpFetchAdd:
+			off, err := m.contains(va, 8)
+			if err != nil || va%8 != 0 {
+				d.Stats.AccessErrs++
+				return evs, c.respond(qp, psn, SynNAKAcc, false, 0), nil
+			}
+			orig := binary.BigEndian.Uint64(m.Buf[off:])
+			binary.BigEndian.PutUint64(m.Buf[off:], orig+ne.Uint64(w[wqeAdd:]))
+			if m.Tags != nil {
+				m.RaiseTags(off, 8, epoch)
+			}
+			d.Stats.FetchAdds++
+			qp.lastAtomicPSN, qp.lastAtomicOrig, qp.hasAtomicCache = psn, orig, true
+			qp.advance()
+			c.respond(qp, psn, SynACK, true, orig)
+		default:
+			return evs, true, ErrBadOpcode
+		}
+	}
+	return evs, false, nil
+}
 
-	delta := psnDelta(p.BTH.PSN, qp.EPSN)
-	switch {
-	case delta > 0:
+// outOfSequence answers a verb whose PSN is not the one qp expects —
+// the sequence and duplicate rules — and reports whether it stops the
+// list.
+func (d *Device) outOfSequence(qp *ResponderQP, psn uint32, op Opcode, c *Completion) (stop bool) {
+	if psnDelta(psn, qp.EPSN) > 0 {
 		// Out-of-order: a preceding packet was lost. NAK with the
 		// expected PSN so the requester resynchronises (§5.2 "queue-pair
 		// resynchronization").
 		d.Stats.SeqErrors++
-		return evs, c.respond(qp, qp.EPSN, SynNAKSeq, false, 0), nil
-	case delta < 0:
-		// Duplicate of an already-executed packet.
-		d.Stats.Duplicates++
-		if p.BTH.Opcode == OpFetchAdd {
-			if qp.hasAtomicCache && qp.lastAtomicPSN == p.BTH.PSN {
-				return evs, c.respond(qp, p.BTH.PSN, SynACK, true, qp.lastAtomicOrig), nil
-			}
-			// Uncached duplicate atomics cannot be safely re-executed.
-			return evs, c.respond(qp, p.BTH.PSN, SynNAKSeq, false, 0), nil
-		}
+		return c.respond(qp, qp.EPSN, SynNAKSeq, false, 0)
+	}
+	// Duplicate of an already-executed verb.
+	d.Stats.Duplicates++
+	switch {
+	case op != OpFetchAdd:
 		// Duplicate WRITEs are idempotent: re-ACK without re-executing.
-		return evs, c.respond(qp, p.BTH.PSN, SynACK, false, 0), nil
+		return c.respond(qp, psn, SynACK, false, 0)
+	case qp.hasAtomicCache && qp.lastAtomicPSN == psn:
+		return c.respond(qp, psn, SynACK, true, qp.lastAtomicOrig)
 	}
-
-	// In-sequence: execute.
-	switch p.BTH.Opcode {
-	case OpWriteOnly, OpWriteOnlyImm:
-		if err := d.execWrite(p, epoch); err != nil {
-			d.Stats.AccessErrs++
-			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
-		}
-		d.Stats.Writes++
-		d.Stats.WriteLines += uint64(max((len(p.Payload)+CacheLine-1)/CacheLine, 1))
-		qp.advance()
-		if p.HasImm {
-			evs = append(evs, ImmediateEvent{QPN: qp.QPN, Imm: p.Imm})
-		}
-		if p.BTH.AckReq || p.HasImm {
-			c.respond(qp, p.BTH.PSN, SynACK, false, 0)
-		}
-	case OpFetchAdd:
-		orig, err := d.execFetchAdd(p, epoch)
-		if err != nil {
-			d.Stats.AccessErrs++
-			return evs, c.respond(qp, p.BTH.PSN, SynNAKAcc, false, 0), nil
-		}
-		d.Stats.FetchAdds++
-		qp.lastAtomicPSN = p.BTH.PSN
-		qp.lastAtomicOrig = orig
-		qp.hasAtomicCache = true
-		qp.advance()
-		c.respond(qp, p.BTH.PSN, SynACK, true, orig)
-	default:
-		return evs, true, ErrBadOpcode
-	}
-	return evs, false, nil
+	// Uncached duplicate atomics cannot be safely re-executed.
+	return c.respond(qp, psn, SynNAKSeq, false, 0)
 }
 
 func (qp *ResponderQP) advance() {
@@ -364,48 +404,12 @@ func (d *Device) region(rkey uint32) (*MemoryRegion, bool) {
 	return nil, false
 }
 
-func (d *Device) execWrite(p *Packet, epoch uint64) error {
-	m, ok := d.region(p.RETH.RKey)
-	if !ok {
-		return ErrAccessFault
-	}
-	off, err := m.contains(p.RETH.VA, len(p.Payload))
-	if err != nil {
-		return err
-	}
-	copy(m.Buf[off:], p.Payload)
-	if m.Tags != nil {
-		m.RaiseTags(off, len(p.Payload), epoch)
-	}
-	return nil
-}
-
-func (d *Device) execFetchAdd(p *Packet, epoch uint64) (uint64, error) {
-	m, ok := d.region(p.AtomicETH.RKey)
-	if !ok {
-		return 0, ErrAccessFault
-	}
-	if p.AtomicETH.VA%8 != 0 {
-		return 0, fmt.Errorf("rdma: unaligned atomic VA %#x: %w", p.AtomicETH.VA, ErrAccessFault)
-	}
-	off, err := m.contains(p.AtomicETH.VA, 8)
-	if err != nil {
-		return 0, err
-	}
-	orig := binary.BigEndian.Uint64(m.Buf[off : off+8])
-	binary.BigEndian.PutUint64(m.Buf[off:off+8], orig+p.AtomicETH.AddData)
-	if m.Tags != nil {
-		m.RaiseTags(off, 8, epoch)
-	}
-	return orig, nil
-}
-
 // PreTouch hints each (va, length) target in the region behind rkey
 // into the cache and does nothing else. The translator calls it with a
 // window's destination addresses before crafting the window's first
 // verb: a hint (prefetch) retires at once, so the lines arrive while the
-// window is crafted and the doorbell's execWrite/execFetchAdd stores
-// (and tag raises) find them resident. Each target gets one hint for the
+// window is crafted and the doorbell's WRITE and FETCH&ADD stores (and
+// tag raises) find them resident. Each target gets one hint for the
 // line at its first byte and, on a region with Tags, one for its tag
 // word. Addresses get the same bounds check the executing verbs apply;
 // one that fails it is skipped — the verb will fault on it. PreTouch

@@ -27,10 +27,11 @@ func FuzzDecodePacket(f *testing.F) {
 // FuzzDecodeWQE: the work-queue decoder never panics, and whatever it
 // accepts encodes, replica by replica, to a RoCEv2 packet that
 // DecodePacket accepts with the fields DecodeWQE and Replica read. The
-// input also drives a built entry of 1 to 8 replicas: replica i must
-// encode to the packet built for PSN+i and the i-th address, and the
-// entry with its replica count zeroed or its address list cut short
-// must be refused.
+// doorbell, which reads the entry in place, refuses exactly what the
+// decoder refuses. The input also drives a built entry of 1 to 8
+// replicas: replica i must encode to the packet built for PSN+i and the
+// i-th address, and the entry with its replica count zeroed or its
+// address list cut short must be refused.
 func FuzzDecodeWQE(f *testing.F) {
 	imm := uint32(9)
 	vas := []uint64{0x10000000, 0x10000040, 0x10000080}
@@ -41,6 +42,9 @@ func FuzzDecodeWQE(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(new(SendQueue).WriteWQE(1, psnMask, vas, 3, []byte{1, 2, 3, 4}, false, &imm))
 	f.Add(new(SendQueue).FetchAddWQE(1, 2, vas[:2], 3, 42))
+	// Entries for the QP and region doorbellRefusesAsDecoder sets up.
+	f.Add(new(SendQueue).WriteWQE(0x11, 0, vas[:2], 0x1000, []byte{1, 2, 3, 4, 5, 6, 7, 8}, true, nil))
+	f.Add(new(SendQueue).FetchAddWQE(0x11, 0, vas[1:], 0x1000, 42))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w, p Packet
 		if n, err := DecodeWQE(data, &w); err == nil {
@@ -61,8 +65,39 @@ func FuzzDecodeWQE(f *testing.F) {
 				t.Fatalf("replica %d of a %d-replica WQE encoded", n, n)
 			}
 		}
+		doorbellRefusesAsDecoder(t, data)
 		builtMatchesPerVerb(t, data)
 	})
+}
+
+// doorbellRefusesAsDecoder posts data as one entry on a device with a QP
+// and a region: Execute must answer DecodeWQE's error if DecodeWQE
+// refuses the entry, and no header error otherwise; a refused entry
+// leaves memory, DeviceStats, QP state and the CQE as they were.
+func doorbellRefusesAsDecoder(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return // Post takes no empty entry
+	}
+	d := NewDevice()
+	mr := d.RegisterMemory(256)
+	qp := d.CreateQP(0)
+	before := *qp
+	var q SendQueue
+	w := q.Tail(len(data))
+	copy(w, data)
+	q.Post(w)
+	var c Completion
+	_, err := d.Execute(&q, nil, &c)
+	_, want := DecodeWQE(data, new(Packet))
+	switch {
+	case want == nil && err != nil && err != ErrUnknownQP:
+		t.Fatalf("DecodeWQE accepts the entry, the doorbell refused it: %v", err)
+	case want == nil:
+	case err == nil || err.Error() != want.Error():
+		t.Fatalf("DecodeWQE refuses the entry with %q, the doorbell answered %v", want, err)
+	case d.Stats != (DeviceStats{}) || *qp != before || c != (Completion{}) || slices.ContainsFunc(mr.Buf, func(b byte) bool { return b != 0 }):
+		t.Fatalf("a refused entry left stats %+v, QP %+v, CQE %+v (or memory)", d.Stats, *qp, c)
+	}
 }
 
 // builtMatchesPerVerb builds an entry of 1 to 8 replicas from data — its

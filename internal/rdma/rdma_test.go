@@ -331,7 +331,7 @@ func TestPreTouchBoundsAndReadOnly(t *testing.T) {
 		}
 		before := append([]byte(nil), mr.Buf...)
 		vas := []uint64{
-			mr.Base - 1, mr.Base + 61, mr.Base + 1<<30, // fault in execWrite(…, 4 bytes)
+			mr.Base - 1, mr.Base + 61, mr.Base + 1<<30, // a 4-byte WRITE faults at each
 			mr.Base, mr.Base + 8, mr.Base + 60, // in bounds
 		}
 		d.PreTouch(mr.RKey, vas, 4)

@@ -125,10 +125,9 @@ func (q *SendQueue) wqeHeader(op Opcode, destQP, psn uint32, vas []uint64, rkey 
 	return w
 }
 
-// DecodeWQE reads a work-queue entry into p as its first replica (the
-// same verb record DecodePacket fills; p.Payload aliases b) and returns
-// how many replicas the entry carries. Replica moves p to another.
-func DecodeWQE(b []byte, p *Packet) (replicas int, err error) {
+// checkWQE makes every check of entry b that DecodeWQE makes, with the
+// same refusals, and returns how many replicas b carries.
+func checkWQE(b []byte) (replicas int, err error) {
 	if len(b) < wqeHdrLen {
 		return 0, ErrTruncated
 	}
@@ -143,14 +142,34 @@ func DecodeWQE(b []byte, p *Packet) (replicas int, err error) {
 	if m := ne.Uint32(b[wqeLen:]); uint64(m) != uint64(len(b)-body) {
 		return 0, fmt.Errorf("rdma: WQE payload %dB, length field %d", len(b)-body, m)
 	}
+	if ne.Uint32(b[wqeQPN:])|ne.Uint32(b[wqePSN:]) > psnMask {
+		return 0, ErrBadWQE
+	}
+	switch Opcode(b[wqeOp]) {
+	case OpWriteOnly, OpWriteOnlyImm:
+	case OpFetchAdd:
+		if len(b) != body {
+			return 0, ErrBadWQE
+		}
+	default:
+		return 0, ErrBadOpcode
+	}
+	return n, nil
+}
+
+// DecodeWQE reads a work-queue entry into p as its first replica (the
+// same verb record DecodePacket fills; p.Payload aliases b) and returns
+// how many replicas the entry carries. Replica moves p to another.
+func DecodeWQE(b []byte, p *Packet) (replicas int, err error) {
+	n, err := checkWQE(b)
+	if err != nil {
+		return 0, err
+	}
 	p.BTH = BTH{
 		Opcode: Opcode(b[wqeOp]),
 		DestQP: ne.Uint32(b[wqeQPN:]),
 		AckReq: b[wqeFlags]&wqeAckReq != 0,
 		PSN:    ne.Uint32(b[wqePSN:]),
-	}
-	if p.BTH.DestQP|p.BTH.PSN > psnMask {
-		return 0, ErrBadWQE
 	}
 	p.HasImm, p.Payload = false, nil
 	va, rkey := ne.Uint64(b[wqeHdrLen:]), ne.Uint32(b[wqeRKey:])
@@ -159,16 +178,11 @@ func DecodeWQE(b []byte, p *Packet) (replicas int, err error) {
 		p.Imm, p.HasImm = ne.Uint32(b[wqeImm:]), true
 		fallthrough
 	case OpWriteOnly:
-		p.RETH = RETH{VA: va, RKey: rkey, Length: uint32(len(b) - body)}
-		p.Payload = b[body:]
+		p.Payload = b[wqeHdrLen+8*n:]
+		p.RETH = RETH{VA: va, RKey: rkey, Length: uint32(len(p.Payload))}
 	case OpFetchAdd:
-		if len(b) != body {
-			return 0, ErrBadWQE
-		}
 		p.BTH.AckReq = true
 		p.AtomicETH = AtomicETH{VA: va, RKey: rkey, AddData: ne.Uint64(b[wqeAdd:])}
-	default:
-		return 0, ErrBadOpcode
 	}
 	return n, nil
 }

@@ -220,8 +220,9 @@ type Translator struct {
 
 	// Emit posts one operation: the work-queue entry the translator has
 	// just built at the tail of its send queue, carrying every replica
-	// (rdma.DecodeWQE reads it; rdma.Encode turns each replica into the
-	// RoCEv2 packet a wire would carry). By default it is
+	// (the device's doorbell reads it in place; rdma.DecodeWQE decodes
+	// it and rdma.Encode turns each replica into the RoCEv2 packet a
+	// wire would carry). By default it is
 	// SendQueue().Post, which commits the entry where it lies; nothing
 	// executes until Doorbell. A wrapper may read wqe, and must call
 	// through to the Emit it replaced before returning: the next
