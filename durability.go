@@ -527,7 +527,7 @@ func (c *HACluster) logResyncReady(id int, s *collectorState, peers []int) bool 
 		if err != nil {
 			return false
 		}
-		if first > s.logFrom(p)+1 {
+		if first > s.marks[p]+1 {
 			return false // checkpoint reclaimed part of the needed suffix
 		}
 	}

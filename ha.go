@@ -40,8 +40,8 @@ var ErrAllReplicasDown = errors.New("dta: all replicas for key are down")
 //     counting degraded and failover queries.
 //   - Recovery and live resharding. A rejoining (SetUp) or newly added
 //     (AddCollector) collector is marked stale — queries prefer its
-//     peers — until Rebalance drains in-flight reports and replays peer
-//     snapshots into it (internal/ha.Resync), after which it serves its
+//     peers — until Rebalance drains in-flight reports and merges its
+//     peers' stores into it (internal/ha.Resync), after which it serves its
 //     owned slice like any other replica. Rebalance is incremental: a
 //     dirty tracker tags written store blocks with a staleness epoch
 //     (bumped by SetDown/AddCollector/Decommission), so a rejoining
@@ -74,15 +74,15 @@ type HACluster struct {
 	rrGate journal.Gate
 
 	// mu guards systems growth, the collector records and pending
-	// snapshots; the write lock makes Rebalance (and read-repair store
+	// images; the write lock makes Rebalance (and read-repair store
 	// writes) exclusive with queries.
 	mu      sync.RWMutex
 	systems []*System
 	// state[i] is collector i's record (see collectorState). Indexed like
 	// systems, and like systems it never shrinks.
 	state []collectorState
-	// pending holds captures of decommissioned collectors whose keys
-	// must still be replayed into their new owners at the next Rebalance.
+	// pending holds in-place images of decommissioned collectors, which
+	// nothing writes any more, to replay into their keys' new owners.
 	pending []*snapshot.Snapshot
 	eng     *Engine
 	// walDir/walPol, when set (WithWAL), give every collector a write-
@@ -90,11 +90,6 @@ type HACluster struct {
 	// resync (see durability.go).
 	walDir string
 	walPol WALPolicy
-	// fullResync forces Rebalance to ignore staleness windows and replay
-	// whole peer snapshots (the pre-incremental behaviour): benchmarks use
-	// it to measure what epoch tracking saves, and tests as the full-replay
-	// reference an incremental resync must match.
-	fullResync bool
 	// chaos, when enabled (EnableChaos), is the deterministic fault-
 	// injection plane: per-link partitions and per-collector disk faults.
 	// Installed before any traffic (like WithWAL), so the plain field
@@ -284,7 +279,7 @@ func (c *HACluster) AddCollector() (int, error) {
 	s := &c.state[id]
 	s.markStale(0) // the newcomer missed everything: full replay
 	if c.walDir != "" {
-		s.src = fromLogStart
+		s.src = fromMarks // no marks: every peer's whole log
 	}
 	// The newcomer's join→resync arc chains like a rejoin's.
 	s.cause = c.jr.NewCause()
@@ -293,10 +288,11 @@ func (c *HACluster) AddCollector() (int, error) {
 }
 
 // Decommission shrinks the cluster: collector i leaves the ring and its
-// keys move to their new owners. Its data is captured immediately and
-// replayed into the survivors at the next Rebalance; until then every
-// remaining collector is stale for the moved keys, so all are marked
-// stale. Same quiescence requirements as AddCollector.
+// keys move to their new owners. Its stores, flushed and read in place
+// (nothing routes to them any more), replay into the survivors at the
+// next Rebalance; until then every remaining collector is stale for the
+// moved keys, so all are marked stale. Same quiescence requirements as
+// AddCollector.
 func (c *HACluster) Decommission(i int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -318,10 +314,10 @@ func (c *HACluster) Decommission(i int) error {
 		if err := c.systems[i].Flush(); err != nil {
 			return err
 		}
-		c.pending = append(c.pending, c.capture(i))
+		c.pending = append(c.pending, c.image(i, false))
 	}
 	// Decommission moves keys whose history lives only in the pending
-	// capture, which carries no log; every survivor resyncs from
+	// image, which carries no log; every survivor resyncs from
 	// snapshots, so all log watermarks are void.
 	for id := range c.state {
 		s := &c.state[id]

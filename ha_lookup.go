@@ -151,7 +151,7 @@ func (rd *replicaRead) plurality(equal func(i, j int) bool) (best int, repair [h
 // repair is the last stage of a query that observed divergence: write
 // applies the merged answer to each owner in set that is still up. It
 // runs under the write lock, which orders repairs against other queries
-// and Rebalance captures. Producers are a non-issue by contract, not by
+// and Rebalance's resyncs. Producers are a non-issue by contract, not by
 // lock — queries were never safe concurrently with ingest (they read the
 // same raw store buffers the writers mutate), so no acknowledged write
 // can land between the merge and the repair.

@@ -39,7 +39,8 @@ type collectorState struct {
 	// operations from. With fromMarks, marks[peer] is the peer's log LSN
 	// when the collector went stale: every write it missed was logged by
 	// its live peers ABOVE this mark (the mark is snapshotted before the
-	// unreachability flag flips, mirroring the epoch fence). The
+	// unreachability flag flips, mirroring the epoch fence). A peer with
+	// no mark is read from its log's start (a newcomer has none). The
 	// records' recipient sets say which of them it missed and which peer
 	// replays each (see appendOpsFrom).
 	src   resyncSource
@@ -56,10 +57,8 @@ type resyncSource uint8
 const (
 	// fromSnapshots replays the peers' index-aligned ring suffixes.
 	fromSnapshots resyncSource = iota
-	// fromLogStart replays every peer's whole log: the collector (a
-	// newcomer) missed the whole history.
-	fromLogStart
-	// fromMarks replays every peer's log above the collector's marks.
+	// fromMarks replays every peer's log above the collector's mark for
+	// it, or from its start where there is none.
 	fromMarks
 )
 
@@ -72,26 +71,20 @@ func (s *collectorState) markStale(epoch uint64) {
 	}
 }
 
-// logFrom is the LSN above which peer p's log holds what the collector
-// missed (log sources only).
-func (s *collectorState) logFrom(p int) uint64 {
-	if s.src == fromLogStart {
-		return 0
-	}
-	return s.marks[p]
-}
-
 // resynced is a successful resync: everything but the tracker and the
 // cause goes (Rebalance releases the cause after the checkpoint).
 func (s *collectorState) resynced() {
 	*s = collectorState{tracker: s.tracker, cause: s.cause}
 }
 
-// capture snapshots collector id's stores together with the replication
-// metadata resync needs: Append head counts (ring-suffix replay) and
-// dirty-epoch tags (incremental replay).
-func (c *HACluster) capture(id int) *snapshot.Snapshot {
-	s := snapshot.Capture(c.systems[id].Host())
+// image is collector id's stores as a resync peer, with the metadata
+// resync needs: Append head counts (ring-suffix replay) and dirty-epoch
+// tags (incremental replay). The stores are read in place unless copied.
+func (c *HACluster) image(id int, copied bool) *snapshot.Snapshot {
+	s := snapshot.View(c.systems[id].Host())
+	if copied {
+		s = snapshot.Capture(c.systems[id].Host())
+	}
 	if b := c.systems[id].Translator().AppendBatcher(); b != nil {
 		s.AppendHeads = b.WrittenCounts(nil)
 	}
@@ -238,20 +231,20 @@ func (c *HACluster) deferResync(id int, cause uint64) {
 
 // Rebalance is the resharding barrier: it drains the attached engine
 // (or flushes every live collector when reporting synchronously), then
-// replays peer snapshots into every live stale collector and clears its
+// merges peer stores into every live stale collector and clears its
 // stale mark. Afterwards rejoined, added and survivor collectors all
 // serve their owned slices at full fidelity. When every live collector
 // is stale (e.g. after decommissioning one while it was down), the
-// survivors cross-sync from each other's snapshots, so keys that moved
+// survivors cross-sync from each other's stores, so keys that moved
 // owner regain their full replica count from whichever peer still holds
 // them.
 //
 // Producers must be quiesced first (Flush engine reporters, stop sync
-// reporters): Rebalance copies store memory and must not race ingest.
+// reporters): Rebalance reads store memory and must not race ingest.
 //
 // Resync failures do not abort the loop: every live stale collector is
 // attempted, the errors are aggregated, and only the failed collectors
-// keep their stale marks (and the pending snapshots their data) for the
+// keep their stale marks (and the pending images their data) for the
 // next attempt. Successfully resynced collectors are never replayed
 // again on retry, and a retried replay into a still-stale collector is
 // idempotent (overwrite / max-merge), so a partial failure leaves the
@@ -276,14 +269,16 @@ func (c *HACluster) Rebalance() error {
 	rebCause := c.jr.NewCause()
 	rebStart := obs.Nanotime()
 	c.emit(-1, journal.EvRebalanceStart, journal.SevInfo, rebCause, uint64(stale), 0, 0)
-	// Capture every live ring member once, before any resync, so all
-	// replays see pre-rebalance state. Stale members are peers too:
-	// when everyone is stale (Decommission marks all survivors), they
-	// cross-sync from each other — each survivor holds data its peers
-	// are missing — rather than skipping resync for want of a fresh
-	// peer. Stale captures are merely older, so they replay BEFORE
-	// pending and fresh ones: later merges win slot conflicts, keeping
-	// fresher values on top.
+	// Every live ring member is a peer, read as it stood before the
+	// pass. Stale members are peers too: when everyone is stale
+	// (Decommission marks all survivors), they cross-sync from each
+	// other rather than skipping resync for want of a fresh peer. Stale
+	// images are merely older, so they replay BEFORE pending and fresh
+	// ones: later merges win slot conflicts. Nothing writes a fresh or
+	// pending peer during the pass (the engine is drained, c.mu held),
+	// so they are read in place; a stale one is written by its own
+	// resync, so it is copied first, and only if another stale member
+	// reads it.
 	var stalePeers, freshPeers []int
 	for _, id := range c.ring.Members() {
 		if c.health.IsDown(id) {
@@ -300,9 +295,11 @@ func (c *HACluster) Rebalance() error {
 	for _, p := range livePeers {
 		live |= 1 << p
 	}
-	caps := make(map[int]*snapshot.Snapshot, len(livePeers))
+	images := make(map[int]*snapshot.Snapshot, len(livePeers))
 	for _, id := range livePeers {
-		caps[id] = c.capture(id)
+		if stale := c.state[id].stale; !stale || len(stalePeers) > 1 {
+			images[id] = c.image(id, stale)
+		}
 	}
 	var errs []error
 	var resynced []int
@@ -333,37 +330,33 @@ func (c *HACluster) Rebalance() error {
 		// replays the peers' logged operations (exact) instead of the
 		// snapshots' index-aligned ring suffixes (approximate under
 		// concurrent producers).
-		useLog := s.src != fromSnapshots && !c.fullResync && c.logResyncReady(id, s, livePeers)
+		useLog := s.src != fromSnapshots && c.logResyncReady(id, s, livePeers)
 		opsFor := func(p int) ha.AppendOps {
 			if !useLog {
 				return nil
 			}
-			return c.appendOpsFrom(id, p, s.logFrom(p), live)
+			return c.appendOpsFrom(id, p, s.marks[p], live)
 		}
 		var peers []ha.Peer
 		for _, p := range stalePeers {
 			if p != id {
-				peers = append(peers, ha.Peer{Snap: caps[p], AppendOps: opsFor(p)})
+				peers = append(peers, ha.Peer{Snap: images[p], AppendOps: opsFor(p)})
 			}
 		}
 		for _, snap := range c.pending {
 			peers = append(peers, ha.Peer{Snap: snap})
 		}
 		for _, p := range freshPeers {
-			peers = append(peers, ha.Peer{Snap: caps[p], AppendOps: opsFor(p)})
+			peers = append(peers, ha.Peer{Snap: images[p], AppendOps: opsFor(p)})
 		}
 		if len(peers) > 0 {
-			since := s.since
-			if c.fullResync {
-				since = 0
-			}
-			c.emit(id, journal.EvResyncStart, journal.SevInfo, cause, since, uint64(len(peers)), 0)
+			c.emit(id, journal.EvResyncStart, journal.SevInfo, cause, s.since, uint64(len(peers)), 0)
 			t0 := obs.Nanotime()
 			st, err := ha.Resync(ha.Target{
 				Host:       c.systems[id].Host(),
 				Batcher:    c.systems[id].Translator().AppendBatcher(),
 				Dirty:      s.tracker,
-				StaleSince: since,
+				StaleSince: s.since,
 			}, peers)
 			if err != nil {
 				c.emit(id, journal.EvResyncFail, journal.SevError, cause, 0, 0, 0)

@@ -346,7 +346,6 @@ func TestHAIncrementalResyncReplaysFewer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.fullResync = full
 		rep := c.Reporter(1)
 		const keys = 2000
 		for i := uint64(0); i < keys; i++ {
@@ -365,6 +364,11 @@ func TestHAIncrementalResyncReplaysFewer(t *testing.T) {
 		}
 		if err := c.SetUp(victim); err != nil {
 			t.Fatal(err)
+		}
+		if full { // a zero staleness window replays in full
+			c.mu.Lock()
+			c.state[victim].markStale(0)
+			c.mu.Unlock()
 		}
 		if err := c.Rebalance(); err != nil {
 			t.Fatal(err)
@@ -449,5 +453,93 @@ func TestSyncReporterStructuredZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sync structured reporter allocated %.2f/op, want 0", allocs)
+	}
+}
+
+// TestRebalanceReadsStalePeerBeforePass: when two live members are stale
+// each is the other's peer, and each must be read as it stood before the
+// pass. Collector 1 missed v3 while down, and collector 0, stale itself,
+// holds it; collector 0's own resync then overwrites v3 with the v2 it
+// missed. Read in place after that, collector 0 would hand collector 1
+// v2 back, and the acknowledged v3 would be on neither.
+func TestRebalanceReadsStalePeerBeforePass(t *testing.T) {
+	c, err := NewHACluster(2, 2, haOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, k := c.Reporter(1), KeyFromUint64(7)
+	write := func(v uint64) {
+		t.Helper()
+		if err := rep.KeyWrite(k, keyData(v), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	step(c.SetDown(0))
+	write(2) // reaches collector 1 only
+	step(c.SetUp(0))
+	step(c.SetDown(1))
+	write(3) // reaches collector 0 only, stale but up
+	step(c.SetUp(1))
+	step(c.Rebalance())
+	if data, ok, err := c.System(1).LookupValue(k, 2); err != nil || !ok || !bytes.Equal(data, keyData(3)) {
+		t.Fatalf("collector 1 after rebalance: %v %v %v, want v3 %v", data, ok, err, keyData(3))
+	}
+}
+
+// TestRebalanceCopiesNoFreshPeer pins what a single-failure rejoin
+// allocates: the fresh peers are read in place and the lone stale member
+// is only a target, so Rebalance allocates dirty tags, Append heads and
+// bookkeeping — under an eighth of one member's store bytes, where a
+// copy of every live member's stores would be three of them.
+func TestRebalanceCopiesNoFreshPeer(t *testing.T) {
+	c, err := NewHACluster(3, 2, Options{ // BenchmarkRebalance's geometry
+		KeyWrite:     &KeyWriteOptions{Slots: 1 << 18, DataSize: 4},
+		KeyIncrement: &KeyIncrementOptions{Slots: 1 << 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := c.Reporter(1)
+	write := func(from, to uint64) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := rep.KeyWrite(KeyFromUint64(i), keyData(i), 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Increment(KeyFromUint64(i), 1, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(0, 2000)
+	if err := c.SetDown(1); err != nil {
+		t.Fatal(err)
+	}
+	write(2000, 2200)
+	if err := c.SetUp(1); err != nil {
+		t.Fatal(err)
+	}
+	var storeBytes int
+	view := snapshot.View(c.System(0).Host())
+	for _, b := range [][]byte{view.KeyWriteBuf, view.KeyIncBuf, view.PostcardBuf, view.AppendBuf} {
+		storeBytes += len(b)
+	}
+	var rerr error
+	got := allocated(func() { rerr = c.Rebalance() })
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if st := c.HAStats(); st.ResyncSlots == 0 {
+		t.Fatal("the rejoin replayed nothing: the test exercised nothing")
+	}
+	if limit := uint64(storeBytes / 8); got >= limit {
+		t.Errorf("Rebalance allocated %d B, want under %d (an eighth of one member's %d store bytes)", got, limit, storeBytes)
 	}
 }

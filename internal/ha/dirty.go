@@ -10,8 +10,9 @@ import (
 // registered regions (rdma.MemoryRegion.Tags): the execute loop raises
 // them, to the epoch the doorbell read, for every verb it runs. Read
 // repair and resync write store buffers directly, so they stamp through
-// MarkRange; snapshot capture reads Tags; incremental resync replays only
-// blocks written since the target went stale.
+// MarkRange; a resync peer's image copies Tags beside its stores, and
+// incremental resync replays only blocks written since the target went
+// stale.
 //
 // Epoch ordering: a doorbell reads the epoch on the worker, after its
 // chunk was dequeued, so after every fan-out that staged into the chunk
@@ -46,8 +47,8 @@ func (t *Tracker) MarkRange(label string, off, length int) {
 }
 
 // Tags returns a copy of the labelled store's per-block epoch tags, or
-// nil if the store is untracked. Snapshot capture records these next to
-// the buffers.
+// nil if the store is untracked. A resync peer's image records these
+// next to the buffers.
 func (t *Tracker) Tags(label string) []uint64 {
 	m := t.regions[label]
 	if m == nil {

@@ -13,7 +13,7 @@ import (
 
 // ResyncStats summarises one replica resynchronisation.
 type ResyncStats struct {
-	// Peers is the number of peer snapshots replayed.
+	// Peers is the number of peers replayed.
 	Peers int
 	// KeyWriteSlots counts Key-Write slots copied from peers.
 	KeyWriteSlots uint64
@@ -44,13 +44,16 @@ func (st *ResyncStats) SlotsReplayed() uint64 {
 // during the call.
 type AppendOps func(yield func(list uint32, data []byte) error) error
 
-// Peer is one resync source: a snapshot of its stores, plus optionally
-// the operations its log holds for the target. When AppendOps is
-// non-nil, Append recovery replays them through the target's own ring
-// instead of copying the snapshot's index-aligned ring suffix — exact
-// under concurrent producers, where index alignment loses the entries
-// whose arrival order skewed across the failure boundary. The peers'
-// streams are disjoint: each missed entry comes from one of them.
+// Peer is one resync source: its stores, plus optionally the operations
+// its log holds for the target. Snap may alias the peer's stores
+// (snapshot.View) while nothing writes them; a peer an earlier resync of
+// the same pass writes is copied before it (snapshot.Capture). When
+// AppendOps is non-nil, Append recovery replays them through the
+// target's own ring instead of copying the peer's index-aligned ring
+// suffix — exact under concurrent producers, where index alignment
+// loses the entries whose arrival order skewed across the failure
+// boundary. The peers' streams are disjoint: each missed entry comes
+// from one of them.
 type Peer struct {
 	Snap      *snapshot.Snapshot
 	AppendOps AppendOps
@@ -73,14 +76,14 @@ type Target struct {
 	StaleSince uint64
 }
 
-// Resync replays peer snapshots into a rejoining or newly added
+// Resync replays peer stores into a rejoining or newly added
 // collector, reconstructing the writes it missed while down (or never
 // saw). It exploits the stores' statelessness: every collector computes
 // slot addresses from the same global CRC families, so slot i of a
 // peer's store holds exactly the keys that hash to slot i of the
 // target's store — resync is slot-wise memory merge, no key iteration.
 //
-// Per primitive:
+// Per primitive (the first three through one slot merge, mergeSlots):
 //
 //   - Key-Write: every occupied (non-zero) peer slot overwrites the
 //     target slot. Peers are strictly fresher for keys the target
@@ -107,7 +110,8 @@ type Target struct {
 // When t.StaleSince > 0 and a peer carries dirty-epoch tags, only the
 // blocks written at or after that epoch are scanned: everything older
 // was already replicated to the target while it was still up. Peers
-// without tags (or a zero StaleSince) are replayed in full.
+// without tags (or a zero StaleSince, which is how a full replay is
+// asked for) are replayed in full.
 //
 // Peer slots for keys the target does not own come along for the ride;
 // they are invisible to routed queries (ownership routing never asks
@@ -119,32 +123,56 @@ type Target struct {
 func Resync(t Target, peers []Peer) (ResyncStats, error) {
 	st := ResyncStats{Peers: len(peers)}
 	for pi, peer := range peers {
+		var err error
 		if peer.Snap != nil {
-			if err := mergeKeyWrite(t, peer.Snap, &st); err != nil {
-				return st, fmt.Errorf("ha: resync peer %d: %w", pi, err)
-			}
-			if err := mergeKeyIncrement(t, peer.Snap, &st); err != nil {
-				return st, fmt.Errorf("ha: resync peer %d: %w", pi, err)
-			}
-			if err := mergePostcarding(t, peer.Snap, &st); err != nil {
-				return st, fmt.Errorf("ha: resync peer %d: %w", pi, err)
-			}
+			err = mergeStores(t, peer.Snap, &st)
 		}
-		if peer.AppendOps != nil {
-			if err := mergeAppendOps(t, peer.AppendOps, &st); err != nil {
-				return st, fmt.Errorf("ha: resync peer %d: %w", pi, err)
-			}
-		} else if peer.Snap != nil {
-			if err := mergeAppend(t, peer.Snap, &st); err != nil {
-				return st, fmt.Errorf("ha: resync peer %d: %w", pi, err)
-			}
+		if err == nil && peer.AppendOps != nil {
+			err = mergeAppendOps(t, peer.AppendOps, &st)
+		} else if err == nil && peer.Snap != nil {
+			err = mergeAppend(t, peer.Snap, &st)
+		}
+		if err != nil {
+			return st, fmt.Errorf("ha: resync peer %d: %w", pi, err)
 		}
 	}
 	return st, nil
 }
 
-func occupied(b []byte) bool {
-	for _, x := range b {
+// mergeStores merges the peer's Key-Write, Key-Increment and Postcarding
+// stores into the target's, each through mergeSlots once its geometry
+// matches.
+func mergeStores(t Target, p *snapshot.Snapshot, st *ResyncStats) error {
+	if dst := t.Host.KeyWriteStore(); dst != nil && p.KeyWrite != nil {
+		cfg := dst.Indexer().Config()
+		if *p.KeyWrite != cfg {
+			return fmt.Errorf("key-write geometry mismatch: peer %+v vs %+v", *p.KeyWrite, cfg)
+		}
+		st.KeyWriteSlots += mergeSlots(t, "keywrite", dst.Buffer(), p.KeyWriteBuf, cfg.SlotSize(),
+			p.KeyWriteTags, p.TagBlockBytes, occupied, st)
+	}
+	if dst := t.Host.KeyIncrementStore(); dst != nil && p.KeyIncrement != nil {
+		if len(p.KeyIncBuf) != len(dst.Buffer()) {
+			return fmt.Errorf("key-increment geometry mismatch: peer %dB vs %dB", len(p.KeyIncBuf), len(dst.Buffer()))
+		}
+		st.Counters += mergeSlots(t, "keyincrement", dst.Buffer(), p.KeyIncBuf, keyincrement.CounterSize,
+			p.KeyIncTags, p.TagBlockBytes, larger, st)
+	}
+	if dst := t.Host.PostcardingStore(); dst != nil && p.Postcarding != nil {
+		cfg, pc := dst.Coder().Config(), *p.Postcarding
+		if pc.Chunks != cfg.Chunks || pc.Hops != cfg.Hops || pc.SlotBits != cfg.SlotBits {
+			return fmt.Errorf("postcarding geometry mismatch: peer %d×%d vs %d×%d",
+				pc.Chunks, pc.Hops, cfg.Chunks, cfg.Hops)
+		}
+		st.PostcardSlots += mergeSlots(t, "postcarding", dst.Buffer(), p.PostcardBuf, postcarding.SlotSize,
+			p.PostcardTags, p.TagBlockBytes, occupied, st)
+	}
+	return nil
+}
+
+// occupied takes a peer slot that holds anything (Key-Write, Postcarding).
+func occupied(_, src []byte) bool {
+	for _, x := range src {
 		if x != 0 {
 			return true
 		}
@@ -152,100 +180,48 @@ func occupied(b []byte) bool {
 	return false
 }
 
-// blockStale reports whether the slot at [off, off+size) can be skipped:
-// every block it touches was last written before the staleness window
-// opened. Nil tags (or a zero window) keep everything.
-func blockStale(tags []uint64, blockBytes int, since uint64, off, size int) bool {
-	if since == 0 || tags == nil || blockBytes <= 0 {
-		return false
-	}
-	first, last := off/blockBytes, (off+size-1)/blockBytes
-	for b := first; b <= last; b++ {
-		if b < len(tags) && tags[b] >= since {
-			return false
-		}
-	}
-	return true
+// larger takes a peer counter above the target's (Key-Increment).
+func larger(dst, src []byte) bool {
+	return binary.BigEndian.Uint64(src) > binary.BigEndian.Uint64(dst)
 }
 
-func mergeKeyWrite(t Target, peer *snapshot.Snapshot, st *ResyncStats) error {
-	dst := t.Host.KeyWriteStore()
-	if dst == nil || peer.KeyWrite == nil {
-		return nil
-	}
-	cfg := dst.Indexer().Config()
-	if *peer.KeyWrite != cfg {
-		return fmt.Errorf("key-write geometry mismatch: peer %+v vs %+v", *peer.KeyWrite, cfg)
-	}
-	buf, src, slot := dst.Buffer(), peer.KeyWriteBuf, cfg.SlotSize()
-	for off := 0; off+slot <= len(src) && off+slot <= len(buf); off += slot {
-		if blockStale(peer.KeyWriteTags, peer.TagBlockBytes, t.StaleSince, off, slot) {
-			st.SlotsSkipped++
-			continue
+// mergeSlots merges the peer store src into the target store dst slot by
+// slot, over the size-byte slots both hold: a slot take accepts is copied
+// and stamped on the target's label tags, and the copies are counted. A
+// slot is skipped (st.SlotsSkipped) only when every tag block it touches
+// predates t.StaleSince, a block past the end of tags included; nil tags
+// or a zero window skip nothing. Whole slots in a run of stale blocks are
+// skipped at once.
+func mergeSlots(t Target, label string, dst, src []byte, size int, tags []uint64, blockBytes int,
+	take func(dst, src []byte) bool, st *ResyncStats) (merged uint64) {
+	n := min(len(dst), len(src))
+	windowed := t.StaleSince > 0 && tags != nil && blockBytes > 0
+	fresh := func(b int) bool { return b < len(tags) && tags[b] >= t.StaleSince }
+	for off := 0; off+size <= n; {
+		if windowed && !fresh(off/blockBytes) {
+			// The slot starts in a stale block: skip every whole slot
+			// before the next fresh one.
+			b := off/blockBytes + 1
+			for b*blockBytes < n && !fresh(b) {
+				b++
+			}
+			if k := (min(n, b*blockBytes) - off) / size; k > 0 {
+				st.SlotsSkipped += uint64(k)
+				off += k * size
+				continue
+			}
+			// The slot runs on into the fresh block: merge it.
 		}
-		if occupied(src[off : off+slot]) {
-			copy(buf[off:off+slot], src[off:off+slot])
-			st.KeyWriteSlots++
+		if d, s := dst[off:off+size], src[off:off+size]; take(d, s) {
+			copy(d, s)
+			merged++
 			if t.Dirty != nil {
-				t.Dirty.MarkRange("keywrite", off, slot)
+				t.Dirty.MarkRange(label, off, size)
 			}
 		}
+		off += size
 	}
-	return nil
-}
-
-func mergeKeyIncrement(t Target, peer *snapshot.Snapshot, st *ResyncStats) error {
-	dst := t.Host.KeyIncrementStore()
-	if dst == nil || peer.KeyIncrement == nil {
-		return nil
-	}
-	buf, src := dst.Buffer(), peer.KeyIncBuf
-	if len(src) != len(buf) {
-		return fmt.Errorf("key-increment geometry mismatch: peer %dB vs %dB", len(src), len(buf))
-	}
-	for off := 0; off+keyincrement.CounterSize <= len(src); off += keyincrement.CounterSize {
-		if blockStale(peer.KeyIncTags, peer.TagBlockBytes, t.StaleSince, off, keyincrement.CounterSize) {
-			st.SlotsSkipped++
-			continue
-		}
-		pv := binary.BigEndian.Uint64(src[off:])
-		if pv > binary.BigEndian.Uint64(buf[off:]) {
-			binary.BigEndian.PutUint64(buf[off:], pv)
-			st.Counters++
-			if t.Dirty != nil {
-				t.Dirty.MarkRange("keyincrement", off, keyincrement.CounterSize)
-			}
-		}
-	}
-	return nil
-}
-
-func mergePostcarding(t Target, peer *snapshot.Snapshot, st *ResyncStats) error {
-	dst := t.Host.PostcardingStore()
-	if dst == nil || peer.Postcarding == nil {
-		return nil
-	}
-	cfg := dst.Coder().Config()
-	pc := *peer.Postcarding
-	if pc.Chunks != cfg.Chunks || pc.Hops != cfg.Hops || pc.SlotBits != cfg.SlotBits {
-		return fmt.Errorf("postcarding geometry mismatch: peer %d×%d vs %d×%d",
-			pc.Chunks, pc.Hops, cfg.Chunks, cfg.Hops)
-	}
-	buf, src := dst.Buffer(), peer.PostcardBuf
-	for off := 0; off+postcarding.SlotSize <= len(src) && off+postcarding.SlotSize <= len(buf); off += postcarding.SlotSize {
-		if blockStale(peer.PostcardTags, peer.TagBlockBytes, t.StaleSince, off, postcarding.SlotSize) {
-			st.SlotsSkipped++
-			continue
-		}
-		if occupied(src[off : off+postcarding.SlotSize]) {
-			copy(buf[off:off+postcarding.SlotSize], src[off:off+postcarding.SlotSize])
-			st.PostcardSlots++
-			if t.Dirty != nil {
-				t.Dirty.MarkRange("postcarding", off, postcarding.SlotSize)
-			}
-		}
-	}
-	return nil
+	return merged
 }
 
 // mergeAppendOps replays a peer's logged Append operations into the

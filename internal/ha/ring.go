@@ -1,7 +1,7 @@
 // Package ha is the high-availability control plane for multi-collector
 // DTA (§7, "Supporting Multiple Collectors", extended): replicated key
 // ownership over a rendezvous-hash ring, a failure-injection health
-// view with degradation accounting, and snapshot-replay resynchronisation
+// view with degradation accounting, and slot-merge resynchronisation
 // for collectors that rejoin or are added live.
 //
 // DTA already buys resilience with redundancy *inside* one collector —

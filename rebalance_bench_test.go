@@ -6,14 +6,17 @@ import (
 
 // BenchmarkRebalance measures the resharding barrier for the canonical
 // kill/rejoin scenario — a collector misses a small write suffix and
-// rebalances back in — comparing full snapshot replay against the
-// epoch-windowed incremental resync. It lives in package dta (not
-// dta_test) to reach the fullResync knob and the stale mark directly:
-// each iteration re-marks the victim stale instead of replaying the
-// whole write history, so the benchmark isolates resync cost.
+// rebalances back in — comparing a full replay (a staleness window of 0)
+// against the epoch-windowed incremental resync. The victim is the one
+// stale member, so both fresh peers are read in place and nothing is
+// copied. It lives in package dta (not dta_test) to reach the stale mark
+// directly: each iteration re-marks the victim stale instead of
+// replaying the whole write history, so the benchmark isolates resync
+// cost.
 //
 // slots-replayed/op is the figure of merit: incremental must replay
-// strictly fewer slots than full for the same recovery.
+// strictly fewer slots than full for the same recovery, and its time
+// follows the slots it replays, not the store size.
 func BenchmarkRebalance(b *testing.B) {
 	setup := func(b *testing.B) (*HACluster, uint64) {
 		b.Helper()
@@ -58,7 +61,12 @@ func BenchmarkRebalance(b *testing.B) {
 	}{{"FullReplay", true}, {"Incremental", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			c, window := setup(b)
-			c.fullResync = mode.full
+			if mode.full {
+				window = 0
+			}
+			c.mu.Lock()
+			c.state[1].markStale(window)
+			c.mu.Unlock()
 			before := c.HAStats()
 			b.ReportAllocs()
 			b.ResetTimer()
