@@ -245,7 +245,7 @@ func TestChunkOfNMatchesChunkOfOne(t *testing.T) {
 							sink.PlanStaged(&st.recs[i], &plan)
 						}
 					}
-					n, _ := sink.ProcessStagedBatch(st.recs[a:b], plan, trcs, st.now[a])
+					n, _ := sink.ProcessStagedBatch(st.recs[a:b], nil, plan, trcs, st.now[a])
 					failed += n
 					for _, h := range trcs {
 						h.Finish()
@@ -405,7 +405,7 @@ func TestSystemSinkBatchZeroAllocs(t *testing.T) {
 		for i := range recs {
 			sink.PlanStaged(&recs[i], &plan)
 		}
-		if failed, err := sink.ProcessStagedBatch(recs, plan, trcs, 0); failed != 0 {
+		if failed, err := sink.ProcessStagedBatch(recs, nil, plan, trcs, 0); failed != 0 {
 			t.Fatal(err)
 		}
 	}

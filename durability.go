@@ -262,8 +262,8 @@ func (s *System) replay(dir string) (rec wal.Recovered, failed int, lastNs uint6
 	}
 	for range replayDepth {
 		b := &readAhead{recs: make([]wire.StagedReport, 0, replayBatch)}
-		b.plan.Operands = make([]byte, 0, min(replayBatch*width, math.MaxUint16+width))
 		b.plan.Reserve(replayBatch)
+		b.plan.Operands = make([]byte, 0, min(replayBatch*width, math.MaxUint16+width))
 		free <- b
 	}
 	tr, into, heads := s.tr, snapshot.View(s.host), s.tr.AppendBatcher()

@@ -16,9 +16,9 @@ type EngineConfig struct {
 	// QueueDepth bounds each shard's chunk queue (0 = 256). Worst-case
 	// buffered reports per shard ≈ QueueDepth × ChunkFrames.
 	QueueDepth int
-	// ChunkFrames is how many reports a Reporter stages per shard
-	// before handing the chunk to the worker (0 = 32). 1 disables
-	// producer-side batching.
+	// ChunkFrames bounds a shard's share of a Reporter's chunk, which is
+	// staged once for all its shards and queued when one share reaches
+	// ChunkFrames reports (0 = 32). 1 disables producer-side batching.
 	ChunkFrames int
 	// Batch is the maximum chunk-dequeue batch per worker wakeup (0 = 16).
 	Batch int
@@ -71,10 +71,10 @@ func (k systemSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
 }
 
 // ProcessStagedBatch is the shard worker's entry (engine.StagedBatchSink):
-// the whole chunk reaches the translator in one call, so it can
-// pre-touch every destination line before crafting the first packet.
-func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
-	return k.s.tr.ProcessStagedBatch(recs, plan, trcs, nowNs)
+// the collector's view of a chunk reaches the translator in one call, so
+// it can pre-touch every destination line before crafting the first one.
+func (k systemSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	return k.s.tr.ProcessStagedView(recs, idx, plan, trcs, nowNs)
 }
 
 func (k systemSink) Flush(nowNs uint64) error { return k.s.flushAt(nowNs) }
@@ -169,9 +169,9 @@ func (e *Engine) ShardStats() []EngineStats {
 	return out
 }
 
-// Reporter attaches an async reporter switch: reports are staged by
-// value into per-shard chunks, each queued on its shard once it holds
-// EngineConfig.ChunkFrames reports. Give each producer goroutine its
+// Reporter attaches an async reporter switch: each report is staged by
+// value, once, into a chunk queued on its shards once one shard's share
+// reaches EngineConfig.ChunkFrames. Give each producer goroutine its
 // own, and call its Flush before Drain so staged reports are queued.
 func (e *Engine) Reporter(switchID uint32) *Reporter {
 	return &Reporter{switchID: switchID, sys: e.systems[0], hac: e.hac, sub: e.inner.Submitter()}

@@ -62,21 +62,21 @@ type StagedSink interface {
 }
 
 // StagedBatchSink is how the worker hands records to a sink: one call
-// per dequeued chunk, so the sink can overlap work across the chunk's
-// records (the translator pre-touches every destination line before
-// crafting the first packet).
+// per dequeued view of a chunk, so the sink can overlap work across the
+// view's records (the translator pre-touches every destination line
+// before crafting the first packet).
 type StagedBatchSink interface {
-	// ProcessStagedBatch ingests recs in order. plan is what the sink's
-	// own PlanStaged made of each record when it was staged (zero when the
-	// sink is no StagedPlanner). trcs is a prefix of recs' data-plane trace
-	// handles, for downstream layers to stamp their stages on: trcs[i] is
-	// recs[i]'s (invalid when that report was sampled out), and trcs ends
-	// at the chunk's last trace candidate, so a record at index len(trcs)
-	// or beyond was sampled out. The worker keeps ownership and releases
-	// the handles after the call. All three are only read during the call.
-	// A failing record does not stop the chunk: failed counts the records
-	// whose processing returned an error and first is the earliest one.
-	ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error)
+	// ProcessStagedBatch ingests in order the records of recs that idx
+	// names (wire.ViewLen), which other shards' workers may read too.
+	// plan.Recs[i] is what PlanStaged of the sink recs[i] was first staged
+	// for made of it (zero if it is no StagedPlanner). trcs is a prefix of
+	// the named records' trace handles, for downstream layers to stamp:
+	// trcs[j] is the j-th's (invalid when sampled out) and trcs ends at
+	// the view's last trace candidate. The worker keeps ownership and
+	// releases the handles after the call. All are only read during the
+	// call. A failing record does not stop the view: failed counts the
+	// records whose processing returned an error, first is the earliest.
+	ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error)
 }
 
 // StagedPlanner is the optional staging-side half of a StagedBatchSink:
@@ -94,14 +94,14 @@ type StagedPlanner interface {
 	PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan)
 }
 
-// perRecord adapts a StagedSink to StagedBatchSink. The chunk's trace
+// perRecord adapts a StagedSink to StagedBatchSink. The view's trace
 // handle prefix stops here: a per-record sink has no way to take it. It
-// plans nothing, so its chunks carry no plan.
+// plans nothing, so the records first staged for it carry zero entries.
 type perRecord struct{ sink StagedSink }
 
-func (a perRecord) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
-	for i := range recs {
-		if err := a.sink.ProcessStaged(&recs[i], nowNs); err != nil {
+func (a perRecord) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
+	for j := range wire.ViewLen(recs, idx) {
+		if err := a.sink.ProcessStaged(&recs[wire.ViewAt(idx, j)], nowNs); err != nil {
 			if failed == 0 {
 				first = err
 			}
@@ -152,9 +152,9 @@ type Config struct {
 	// QueueDepth bounds each shard's chunk queue (0 = 256). Worst-case
 	// buffered reports per shard ≈ QueueDepth × ChunkFrames.
 	QueueDepth int
-	// ChunkFrames is how many reports a Submitter stages per shard
-	// before handing the chunk to the worker (0 = 32). 1 disables
-	// producer-side batching.
+	// ChunkFrames bounds a shard's share of a Submitter's chunk, which is
+	// staged once for all its shards and queued when one share reaches
+	// ChunkFrames reports (0 = 32). 1 disables producer-side batching.
 	ChunkFrames int
 	// Batch is the maximum chunk-dequeue batch per worker wakeup (0 = 16).
 	Batch int
@@ -221,23 +221,33 @@ func (s *Stats) Add(other Stats) {
 // ErrClosed is returned by submissions and Drain after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// chunk is one queue entry: zero or more staged records, or a drain
-// barrier (non-nil drain). Its backing slices are recycled through the
-// engine pool, so steady-state ingest allocates nothing.
+// chunk is a Submitter's staged records, each staged and planned once
+// for all the shards it goes to; each shard's worker reads its view of
+// them in place, and the last view released pools the chunk.
 type chunk struct {
 	recs  []wire.StagedReport
-	plan  wire.ChunkPlan // parallel to recs when the sink plans; else empty
-	trcs  []trace.Handle // recs' handles up to the last trace candidate; else empty
-	nowNs uint64         // latest clock among the staged entries
+	plan  wire.ChunkPlan // parallel to recs
+	views []view         // one per shard
+	refs  atomic.Int32   // views queued and not yet released
+}
+
+// view is a queue entry: a shard's share of a chunk, or a drain barrier
+// (non-nil drain, no chunk).
+type view struct {
+	ck    *chunk
+	idx   []uint32       // the shard's records in ck.recs, in staging order
+	trcs  []trace.Handle // their handles up to the last trace candidate
+	nowNs uint64         // latest clock among them
 	drain chan struct{}
 }
 
 func (c *chunk) reset() {
 	c.recs = c.recs[:0]
 	c.plan.Reset()
-	c.trcs = c.trcs[:0]
-	c.nowNs = 0
-	c.drain = nil
+	for i := range c.views {
+		v := &c.views[i]
+		v.idx, v.trcs, v.nowNs = v.idx[:0], v.trcs[:0], 0
+	}
 }
 
 // shardCounters holds one shard's metrics. The producer-side cells
@@ -288,7 +298,7 @@ type shard struct {
 	staged StagedBatchSink // the sink's record entry, adapted when per-record
 	plans  StagedPlanner   // non-nil when staged wants its records planned at staging
 	bsink  BatchSink       // non-nil when sink wants batch-boundary callbacks
-	ch     chan *chunk
+	ch     chan *view
 	ctr    shardCounters
 
 	// Queue-stall episode state: overlapping Block-policy stalls from
@@ -354,13 +364,17 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 	}
 	c := cfg.withDefaults()
 	e := &Engine{cfg: c}
-	// A chunk has room for ChunkFrames records, plans and trace handles
-	// from the start and is recycled through the pool, so staging never
-	// re-allocates: append growth would churn the heap badly enough under
-	// deep queues to defeat the pool via GC clearing.
+	// A chunk has room for all it can hold from the start — ChunkFrames
+	// records, plans, indexes and handles a shard — and is recycled
+	// through the pool: append growth would churn the heap badly enough
+	// under deep queues to defeat the pool via GC clearing.
 	e.pool.New = func() any {
-		ck := &chunk{recs: make([]wire.StagedReport, 0, c.ChunkFrames), trcs: make([]trace.Handle, 0, c.ChunkFrames)}
-		ck.plan.Reserve(c.ChunkFrames)
+		n := c.ChunkFrames * len(sinks)
+		ck := &chunk{recs: make([]wire.StagedReport, 0, n), views: make([]view, len(sinks))}
+		ck.plan.Reserve(n)
+		for i := range ck.views {
+			ck.views[i] = view{ck: ck, idx: make([]uint32, 0, c.ChunkFrames), trcs: make([]trace.Handle, 0, c.ChunkFrames)}
+		}
 		return ck
 	}
 	for i, s := range sinks {
@@ -370,7 +384,7 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 		shardScope := c.Obs.With(obs.L("shard", strconv.Itoa(i)))
 		sh := &shard{
 			sink: s,
-			ch:   make(chan *chunk, c.QueueDepth),
+			ch:   make(chan *view, c.QueueDepth),
 			ctr:  newShardCounters(shardScope),
 			jr:   journal.Emitter{J: c.Journal, Comp: journal.CompEngine, Collector: int16(i)},
 		}
@@ -401,68 +415,69 @@ func New(sinks []Sink, cfg Config) (*Engine, error) {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// nextRec extends ck.recs by one record slot and returns it.
-func nextRec(ck *chunk) *wire.StagedReport {
-	n := len(ck.recs)
-	ck.recs = slices.Grow(ck.recs, 1)[:n+1]
-	return &ck.recs[n]
-}
-
-// stage appends a staged copy of r to ck and, when the shard's sink
-// plans, the record's plan beside it.
-func (e *Engine) stage(sh *shard, ck *chunk, r *wire.Report) {
-	rec := nextRec(ck)
+// stage appends a staged copy of r to the Submitter's chunk, taken from
+// the pool on first use, with sh's sink's plan of it (zero when it plans
+// nothing), and returns its index.
+func (s *Submitter) stage(sh *shard, r *wire.Report) uint32 {
+	if s.ck == nil {
+		s.ck = s.e.pool.Get().(*chunk)
+		s.ck.reset()
+	}
+	ck := s.ck
+	k := len(ck.recs)
+	ck.recs = slices.Grow(ck.recs, 1)[:k+1]
+	rec := &ck.recs[k]
 	rec.Stage(r)
 	if sh.plans != nil {
 		sh.plans.PlanStaged(rec, &ck.plan)
+	} else {
+		ck.plan.Recs = append(ck.plan.Recs, 0)
+	}
+	return uint32(k)
+}
+
+// release drops one view's hold on ck: the last one pools it.
+func (e *Engine) release(ck *chunk) {
+	if ck.refs.Add(-1) == 0 {
+		e.pool.Put(ck)
 	}
 }
 
-// restage appends a copy of src's last record, and of its plan entry —
-// slots and operand with it — if it has one, to ck: the other legs of a
-// fan-out whose first leg staged into src.
-func (e *Engine) restage(ck, src *chunk) {
-	*nextRec(ck) = src.recs[len(src.recs)-1]
-	if last := len(src.plan.Recs) - 1; last >= 0 {
-		ck.plan.AppendFrom(&src.plan, last)
+// abort releases v unprocessed, its trace handles released unpublished.
+func (e *Engine) abort(v *view) {
+	for i := range v.trcs {
+		v.trcs[i].Abort()
 	}
+	e.release(v.ck)
 }
 
-// abort pools ck unprocessed, its trace handles released unpublished.
-func (e *Engine) abort(ck *chunk) {
-	for i := range ck.trcs {
-		ck.trcs[i].Abort()
-	}
-	e.pool.Put(ck)
-}
-
-// send hands a chunk to the shard worker, applying the backpressure
-// policy. It consumes ck (requeued to the pool on drop or ErrClosed).
-func (e *Engine) send(sh *shard, ck *chunk) error {
-	reports := uint64(len(ck.recs))
+// send hands a view to the shard worker, applying the backpressure
+// policy. It consumes v (released unprocessed on drop or ErrClosed).
+func (e *Engine) send(sh *shard, v *view) error {
+	reports := uint64(len(v.idx))
 	// The read lock pins the channel open: Close takes the write lock
 	// before closing channels, so a send in flight here cannot panic.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed.Load() {
-		e.abort(ck)
+		e.abort(v)
 		return ErrClosed
 	}
 	// Stamp the enqueue stage before the channel send: once the worker
-	// owns the chunk the producer must not touch its trace handles (the
+	// owns the view the producer must not touch its trace handles (the
 	// worker releases them), so any Block-policy wait below shows up in
 	// the enqueue→dequeue gap with the stall flag naming the cause.
-	for i := range ck.trcs {
-		ck.trcs[i].Stamp(trace.StEnqueue)
+	for i := range v.trcs {
+		v.trcs[i].Stamp(trace.StEnqueue)
 	}
 	if e.cfg.Policy == Drop {
 		select {
-		case sh.ch <- ck:
+		case sh.ch <- v:
 			sh.ctr.enqueued.Add(reports)
 		default:
 			// Shed: these reports have no end-to-end latency to
 			// attribute, so their traces are discarded unpublished.
-			e.abort(ck)
+			e.abort(v)
 			sh.ctr.dropped.Add(reports)
 		}
 		return nil
@@ -472,28 +487,28 @@ func (e *Engine) send(sh *shard, ck *chunk) error {
 	// shard-scaling investigation needs (a shard whose producers stall
 	// is queue-bound; one that never stalls is worker- or CPU-bound).
 	select {
-	case sh.ch <- ck:
+	case sh.ch <- v:
 	default:
 		sh.ctr.stalls.Inc()
-		for i := range ck.trcs {
-			ck.trcs[i].Flag(trace.FStall)
+		for i := range v.trcs {
+			v.trcs[i].Flag(trace.FStall)
 		}
 		sh.noteStallStart(cap(sh.ch))
-		sh.ch <- ck
+		sh.ch <- v
 		sh.noteStallEnd()
 	}
 	sh.ctr.enqueued.Add(reports)
 	return nil
 }
 
-// Submitter stages reports into per-shard chunks before queueing them,
-// amortising queue synchronisation across ChunkFrames reports. It is
-// NOT goroutine-safe: give each producer goroutine its own Submitter,
-// and Flush it before relying on Drain (staged reports are invisible to
-// the engine until flushed; Close discards them).
+// Submitter stages reports into a chunk before queueing it, amortising
+// queue synchronisation across up to ChunkFrames reports per shard. It
+// is NOT goroutine-safe: give each producer goroutine its own
+// Submitter, and Flush it before relying on Drain (staged reports are
+// invisible to the engine until flushed; Close discards them).
 type Submitter struct {
-	e       *Engine
-	pending []*chunk // lazily allocated, one per shard
+	e  *Engine
+	ck *chunk // staged; nil until the first submission after a queue
 	// trc is the engine's tracer and smp this producer's trace candidate
 	// filter: caller-local like the Submitter itself, so the sampled-out
 	// path reads no engine field and costs no shared cache traffic.
@@ -503,129 +518,128 @@ type Submitter struct {
 
 // Submitter returns a new producer handle.
 func (e *Engine) Submitter() *Submitter {
-	return &Submitter{e: e, pending: make([]*chunk, len(e.shards)), trc: e.cfg.Trace}
+	return &Submitter{e: e, trc: e.cfg.Trace}
 }
 
-// stagedChunk returns shard's pending chunk, materialising it from the
-// pool on first use, behind the checks every submission makes first.
-func (s *Submitter) stagedChunk(shardIdx int) (*chunk, error) {
-	if shardIdx < 0 || shardIdx >= len(s.pending) {
-		return nil, fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.pending))
+// check is what every submission to shardIdx checks first.
+func (s *Submitter) check(shardIdx int) error {
+	if uint(shardIdx) >= uint(len(s.e.shards)) {
+		return fmt.Errorf("engine: shard %d out of range [0,%d)", shardIdx, len(s.e.shards))
 	}
 	if s.e.closed.Load() {
 		_ = s.Flush() // ErrClosed: it discards what is staged
-		return nil, ErrClosed
-	}
-	ck := s.pending[shardIdx]
-	if ck == nil {
-		ck = s.e.pool.Get().(*chunk)
-		ck.reset()
-		s.pending[shardIdx] = ck
-	}
-	return ck, nil
-}
-
-// noteStaged finishes staging one record on ck: it advances the chunk's
-// clock and reports whether the record is a trace candidate, for the
-// caller to traceLast. It inlines, so a sampled-out record pays the
-// sampler's increment and branch and no call.
-func (s *Submitter) noteStaged(ck *chunk, nowNs uint64) bool {
-	if nowNs > ck.nowNs {
-		ck.nowNs = nowNs
-	}
-	return s.trc != nil && s.trc.Candidate(&s.smp)
-}
-
-// traceLast begins the trace of ck's last record, a sampling candidate,
-// and extends ck's handle prefix to it. The array comes from the pool
-// and still holds its previous use's released handles, so the gap of
-// sampled-out records since the last candidate is cleared.
-//
-//go:noinline
-func (s *Submitter) traceLast(ck *chunk) {
-	h := s.trc.BeginCandidate()
-	h.Stamp(trace.StSubmit)
-	i, n := len(ck.recs)-1, len(ck.trcs)
-	ck.trcs = slices.Grow(ck.trcs, i+1-n)[:i+1]
-	clear(ck.trcs[n:i])
-	ck.trcs[i] = h
-}
-
-// queueIfFull queues shard's staged chunk once it holds ChunkFrames
-// reports.
-func (s *Submitter) queueIfFull(shardIdx int, ck *chunk) error {
-	if len(ck.recs) < s.e.cfg.ChunkFrames {
-		return nil
-	}
-	s.pending[shardIdx] = nil
-	return s.e.send(s.e.shards[shardIdx], ck)
-}
-
-// SubmitReport stages a copy of r into shard's staged chunk — no heap
-// allocation — and, when the shard's sink is a StagedPlanner, plans it
-// there and then; the chunk is queued once it holds ChunkFrames reports.
-func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) error {
-	ck, err := s.stagedChunk(shardIdx)
-	if err != nil {
-		return err
-	}
-	s.e.stage(s.e.shards[shardIdx], ck, r)
-	if s.noteStaged(ck, nowNs) {
-		s.traceLast(ck)
-	}
-	return s.queueIfFull(shardIdx, ck)
-}
-
-// SubmitReportFan is SubmitReport of one report to several shards — a
-// replicated fan-out — for the staging price of one: r is staged and
-// planned on shards[0], and the record and its plan are copied into the
-// other shards' chunks. The shards must be distinct and their sinks must
-// plan alike (the caller's guarantee: replicas of one deployment).
-// nows[i] is shards[i]'s clock. An Append is stamped with the set of
-// shards it goes to (wire.StagedReport.SetRecipients): in a replicated
-// deployment shard i is collector i. The copies are taken from the
-// first shard's chunk, so no chunk is queued before every copy is
-// staged.
-func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report) error {
-	var first *chunk
-	for i, shardIdx := range shards {
-		ck, err := s.stagedChunk(shardIdx)
-		if err != nil {
-			return err
-		}
-		if first == nil {
-			s.e.stage(s.e.shards[shardIdx], ck, r)
-			ck.recs[len(ck.recs)-1].SetRecipients(shards)
-			first = ck
-		} else {
-			s.e.restage(ck, first)
-		}
-		if s.noteStaged(ck, nows[i]) {
-			s.traceLast(ck)
-		}
-	}
-	for _, shardIdx := range shards {
-		if err := s.queueIfFull(shardIdx, s.pending[shardIdx]); err != nil {
-			return err
-		}
+		return ErrClosed
 	}
 	return nil
 }
 
-// Flush queues every non-empty staged chunk. Once the engine is closed
-// it discards them all and returns ErrClosed.
-func (s *Submitter) Flush() error {
-	var err error
-	for i, ck := range s.pending {
-		if ck == nil || len(ck.recs) == 0 {
-			continue
+// add appends record k of the staged chunk to shardIdx's view, at clock
+// nowNs, and queues the chunk once that view holds ChunkFrames reports.
+func (s *Submitter) add(shardIdx int, k uint32, nowNs uint64) error {
+	v := &s.ck.views[shardIdx]
+	v.idx = append(v.idx, k)
+	if s.noteStaged(v, nowNs) {
+		s.traceLast(v)
+	}
+	if len(v.idx) < s.e.cfg.ChunkFrames {
+		return nil
+	}
+	return s.queue()
+}
+
+// noteStaged advances v's clock and reports whether its last record is
+// a trace candidate, for the caller to traceLast. It inlines, so a
+// sampled-out record pays the sampler's increment and branch and no call.
+func (s *Submitter) noteStaged(v *view, nowNs uint64) bool {
+	if nowNs > v.nowNs {
+		v.nowNs = nowNs
+	}
+	return s.trc != nil && s.trc.Candidate(&s.smp)
+}
+
+// traceLast begins the trace of v's last record, a sampling candidate,
+// and extends v's handle prefix to it. The array comes from the pool
+// and still holds its previous use's released handles, so the gap of
+// sampled-out records since the last candidate is cleared.
+//
+//go:noinline
+func (s *Submitter) traceLast(v *view) {
+	h := s.trc.BeginCandidate()
+	h.Stamp(trace.StSubmit)
+	i, n := len(v.idx)-1, len(v.trcs)
+	v.trcs = slices.Grow(v.trcs, i+1-n)[:i+1]
+	clear(v.trcs[n:i])
+	v.trcs[i] = h
+}
+
+// queue sends each non-empty view of the staged chunk to its shard, and
+// touches the chunk no more after the last send: a worker may pool it.
+func (s *Submitter) queue() error {
+	ck := s.ck
+	s.ck = nil
+	var n int32
+	for i := range ck.views {
+		if len(ck.views[i].idx) > 0 {
+			n++
 		}
-		s.pending[i] = nil
-		if serr := s.e.send(s.e.shards[i], ck); err == nil {
-			err = serr
+	}
+	ck.refs.Store(n)
+	var err error
+	for i := 0; n > 0; i++ {
+		if v := &ck.views[i]; len(v.idx) > 0 {
+			n--
+			if serr := s.e.send(s.e.shards[i], v); err == nil {
+				err = serr
+			}
 		}
 	}
 	return err
+}
+
+// SubmitReport stages a copy of r for shardIdx — no heap allocation —
+// and, when the shard's sink is a StagedPlanner, plans it there and then.
+func (s *Submitter) SubmitReport(shardIdx int, r *wire.Report, nowNs uint64) error {
+	if err := s.check(shardIdx); err != nil {
+		return err
+	}
+	return s.add(shardIdx, s.stage(s.e.shards[shardIdx], r), nowNs)
+}
+
+// SubmitReportFan is SubmitReport of one report to several shards — a
+// replicated fan-out — for the staging price of one: r is staged and
+// planned once, by shards[0]'s sink, for all their views. The shards
+// must be distinct and their sinks must plan alike (replicas of one
+// deployment). nows[i] is shards[i]'s clock. An Append is stamped with
+// the set of shards it goes to (wire.StagedReport.SetRecipients): shard
+// i is collector i. Views fill as under one SubmitReport per shard: a
+// leg that fills its view queues the chunk, and r is staged again for
+// the legs after it.
+func (s *Submitter) SubmitReportFan(shards []int, nows []uint64, r *wire.Report) error {
+	var ck *chunk
+	var k uint32
+	for i, shardIdx := range shards {
+		if err := s.check(shardIdx); err != nil {
+			return err
+		}
+		if ck == nil {
+			k = s.stage(s.e.shards[shardIdx], r)
+			s.ck.recs[k].SetRecipients(shards)
+		}
+		if err := s.add(shardIdx, k, nows[i]); err != nil {
+			return err
+		}
+		ck = s.ck // nil once add queued it
+	}
+	return nil
+}
+
+// Flush queues the staged chunk, if it holds anything. Once the engine
+// is closed it discards it and returns ErrClosed.
+func (s *Submitter) Flush() error {
+	if s.ck == nil || len(s.ck.recs) == 0 {
+		return nil
+	}
+	return s.queue()
 }
 
 // Drain blocks until every report queued before the call has been
@@ -644,7 +658,7 @@ func (e *Engine) Drain(nowNs uint64) error {
 		done[i] = make(chan struct{})
 		// Barriers always block: they must never be shed, and FIFO
 		// ordering guarantees all earlier reports finish first.
-		sh.ch <- &chunk{nowNs: nowNs, drain: done[i]}
+		sh.ch <- &view{nowNs: nowNs, drain: done[i]}
 	}
 	e.mu.RUnlock()
 	for _, ch := range done {
@@ -705,7 +719,7 @@ func (e *Engine) recordErr(err error) {
 // flush-on-barrier, final flush on Close.
 func (e *Engine) run(sh *shard) {
 	defer e.wg.Done()
-	batch := make([]*chunk, 0, e.cfg.Batch)
+	batch := make([]*view, 0, e.cfg.Batch)
 	var lastNow uint64
 	// pendingDrains holds barrier acks deferred to the end of the
 	// dequeue batch: BatchEnd and then Settle must run before a Drain
@@ -735,41 +749,45 @@ func (e *Engine) run(sh *shard) {
 		}
 	}
 
-	process := func(ck *chunk) {
-		if ck.nowNs > lastNow {
-			lastNow = ck.nowNs
+	process := func(v *view) {
+		if v.nowNs > lastNow {
+			lastNow = v.nowNs
 		}
-		if ck.drain != nil {
-			flush(ck.nowNs)
-			pendingDrains = append(pendingDrains, ck.drain)
+		if v.drain != nil {
+			flush(v.nowNs)
+			pendingDrains = append(pendingDrains, v.drain)
 			return
 		}
-		// The chunk goes to the sink in one call. Traced records get
-		// their dequeue stamp as the chunk is picked up and release the
-		// data-side trace reference once the sink is done with it.
-		for i := range ck.trcs {
-			ck.trcs[i].Stamp(trace.StDequeue)
+		// The view goes to the sink in one call, nil if it is the whole
+		// chunk (always, on one shard). Traced records get their dequeue
+		// stamp as the view is picked up and release the data-side trace
+		// reference once the sink is done with it.
+		for i := range v.trcs {
+			v.trcs[i].Stamp(trace.StDequeue)
 		}
-		if failed, err := sh.staged.ProcessStagedBatch(ck.recs, ck.plan, ck.trcs, lastNow); failed > 0 {
+		ck, idx := v.ck, v.idx
+		if len(idx) == len(ck.recs) {
+			idx = nil
+		}
+		if failed, err := sh.staged.ProcessStagedBatch(ck.recs, idx, ck.plan, v.trcs, lastNow); failed > 0 {
 			sh.ctr.errors.Add(uint64(failed))
 			e.recordErr(err)
 		}
-		for i := range ck.trcs {
-			ck.trcs[i].Finish()
+		for i := range v.trcs {
+			v.trcs[i].Finish()
 		}
-		sh.ctr.processed.Add(uint64(len(ck.recs)))
-		e.pool.Put(ck)
+		sh.ctr.processed.Add(uint64(len(v.idx)))
+		e.release(ck)
 	}
 
+	defer func() { flush(lastNow); settle() }()
 	for {
-		ck, ok := <-sh.ch
+		v, ok := <-sh.ch
 		if !ok {
-			flush(lastNow)
-			settle()
 			return
 		}
 		// Opportunistically fill the batch without blocking.
-		batch = append(batch[:0], ck)
+		batch = append(batch[:0], v)
 		closed := false
 	fill:
 		for len(batch) < e.cfg.Batch {
@@ -790,8 +808,8 @@ func (e *Engine) run(sh *shard) {
 		// histogram's sum is exactly the worker's busy time — the
 		// numerator of the per-shard utilization report.
 		span := obs.Start(sh.ctr.batchNs)
-		for _, ck := range batch {
-			process(ck)
+		for _, v := range batch {
+			process(v)
 		}
 		if sh.bsink != nil {
 			if err := sh.bsink.BatchEnd(lastNow); err != nil {
@@ -810,8 +828,6 @@ func (e *Engine) run(sh *shard) {
 			pendingDrains = pendingDrains[:0]
 		}
 		if closed {
-			flush(lastNow)
-			settle()
 			return
 		}
 	}

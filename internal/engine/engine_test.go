@@ -19,10 +19,10 @@ type recordSink struct {
 	err     error // every record fails with it when set
 }
 
-func (s *recordSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
-	for i := range recs {
+func (s *recordSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, _ wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (failed int, first error) {
+	for j := range wire.ViewLen(recs, idx) {
 		s.ops = append(s.ops, "p")
-		s.reports = append(s.reports, recs[i])
+		s.reports = append(s.reports, recs[wire.ViewAt(idx, j)])
 		s.lastNow = nowNs
 		if s.err != nil {
 			failed, first = failed+1, s.err
@@ -46,13 +46,13 @@ type gatedSink struct {
 	gate    chan struct{}
 }
 
-func (s *gatedSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (int, error) {
+func (s *gatedSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (int, error) {
 	select {
 	case s.entered <- struct{}{}:
 	default:
 	}
 	<-s.gate
-	return s.recordSink.ProcessStagedBatch(recs, plan, trcs, nowNs)
+	return s.recordSink.ProcessStagedBatch(recs, idx, plan, trcs, nowNs)
 }
 
 func mustEngine(t *testing.T, sinks []Sink, cfg Config) *Engine {

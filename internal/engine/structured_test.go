@@ -141,8 +141,8 @@ func TestStructuredSteadyStateZeroAllocs(t *testing.T) {
 // recording sinks would themselves allocate).
 type nullSink struct{ n int }
 
-func (s *nullSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, _ uint64) (int, error) {
-	s.n += len(recs)
+func (s *nullSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, _ wire.ChunkPlan, _ []trace.Handle, _ uint64) (int, error) {
+	s.n += wire.ViewLen(recs, idx)
 	return 0, nil
 }
 func (s *nullSink) Flush(nowNs uint64) error { return nil }
@@ -158,16 +158,16 @@ type batchRecordSink struct {
 
 var errOddKey = errors.New("odd key")
 
-func (s *batchRecordSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
-	s.chunks = append(s.chunks, len(recs))
+func (s *batchRecordSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, _ wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	s.chunks = append(s.chunks, wire.ViewLen(recs, idx))
 	s.nows = append(s.nows, nowNs)
-	for i := range recs {
+	for i := range wire.ViewLen(recs, idx) {
 		var id uint64
 		if i < len(trcs) {
 			id = trcs[i].ID()
 		}
 		s.traceID = append(s.traceID, id)
-		if key, _ := recs[i].KeyWriteArgs(); key.Uint64()&1 == 1 {
+		if key, _ := recs[wire.ViewAt(idx, i)].KeyWriteArgs(); key.Uint64()&1 == 1 {
 			if failed == 0 {
 				first = errOddKey
 			}
@@ -234,10 +234,10 @@ type prefixChunk struct {
 	backing    *wire.StagedReport
 }
 
-func (s *prefixSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, trcs []trace.Handle, _ uint64) (int, error) {
+func (s *prefixSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, _ wire.ChunkPlan, trcs []trace.Handle, _ uint64) (int, error) {
 	ck := prefixChunk{backing: &recs[0]}
-	for i := range recs {
-		key, _ := recs[i].KeyWriteArgs()
+	for j := range wire.ViewLen(recs, idx) {
+		key, _ := recs[wire.ViewAt(idx, j)].KeyWriteArgs()
 		ck.keys = append(ck.keys, key.Uint64())
 	}
 	for _, h := range trcs {
@@ -421,14 +421,15 @@ func (s *planSink) PlanStaged(rec *wire.StagedReport, p *wire.ChunkPlan) {
 	p.Planned(prim, rec.Flags(), start, m)
 }
 
-func (s *planSink) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (int, error) {
+func (s *planSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, plan wire.ChunkPlan, _ []trace.Handle, nowNs uint64) (int, error) {
 	s.chunks++
-	s.recs += len(recs)
+	s.recs += wire.ViewLen(recs, idx)
 	if len(plan.Recs) != len(recs) {
 		return 0, nil
 	}
 	s.planned++
-	for i := range recs {
+	for j := range wire.ViewLen(recs, idx) {
+		i := wire.ViewAt(idx, j)
 		prim, slots, op := planOf(&recs[i])
 		flags := recs[i].Flags()
 		if len(slots) == 0 {
@@ -582,8 +583,9 @@ type recipientSink struct {
 	sets []uint64
 }
 
-func (s *recipientSink) ProcessStagedBatch(recs []wire.StagedReport, _ wire.ChunkPlan, _ []trace.Handle, _ uint64) (int, error) {
-	for i := range recs {
+func (s *recipientSink) ProcessStagedBatch(recs []wire.StagedReport, idx []uint32, _ wire.ChunkPlan, _ []trace.Handle, _ uint64) (int, error) {
+	for j := range wire.ViewLen(recs, idx) {
+		i := wire.ViewAt(idx, j)
 		if recs[i].Primitive() == wire.PrimAppend {
 			s.sets = append(s.sets, recs[i].Recipients())
 		} else {

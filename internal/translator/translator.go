@@ -545,9 +545,15 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 	return fmt.Errorf("translator: unknown primitive %v", p)
 }
 
-// ProcessStagedBatch translates a chunk of staged records — the hottest
-// ingest entry: the engine's shard workers hand every dequeued chunk
-// here — in three stages:
+// ProcessStagedBatch is ProcessStagedView of every record of recs: a
+// whole chunk, as log replay and a traced synchronous record hand it in.
+func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	return t.ProcessStagedView(recs, nil, plan, trcs, nowNs)
+}
+
+// ProcessStagedView translates the records of recs that idx names, in
+// order (wire.ViewLen) — the hottest ingest entry: the engine's shard
+// workers hand it their view of every dequeued chunk — in three stages:
 //
 //	A. address generation (planRecord): every Key-Write and
 //	   (non-aggregated) Key-Increment record's n slot indexes, hashed
@@ -556,9 +562,9 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 //	   Key-Increment's delta). It reads nothing but the record and
 //	   immutable configuration, so the engine runs it where the record is
 //	   staged — on the submitting goroutine, through PlanStaged — and the
-//	   result arrives here as plan. A chunk that arrives without one
-//	   (plan.Recs not parallel to recs: chunks of one, socket bursts) is
-//	   planned in place, window by window, by the same function;
+//	   result arrives here as plan, parallel to recs. A chunk that arrives
+//	   without one (a traced synchronous record) is planned in place,
+//	   window by window, by the same function;
 //	B. pre-touch, per window of batchWindow records: the collector device
 //	   issues a cache-line hint for each planned address, which loads
 //	   and writes nothing and retires at once, so the window's
@@ -576,34 +582,34 @@ func (t *Translator) unknownPrimitive(p wire.Primitive) error {
 // row), postcards (the cache decides) and appends (sequential). A record
 // the WAL hook fails or the limiter sheds wasted a hint, nothing else.
 //
-// trcs is a prefix of recs' data-plane trace handles: trcs[i] is
-// recs[i]'s (possibly invalid — sampled out), and a record at index
-// len(trcs) or beyond was sampled out. A failing record does not stop
-// the chunk: failed counts them and first is the earliest error.
-// Processing is semantically identical to ProcessStaged on each record.
-// A synchronous caller hands a traced record here as a chunk of one.
-func (t *Translator) ProcessStagedBatch(recs []wire.StagedReport, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
-	planned := len(plan.Recs) == len(recs)
-	for base := 0; base < len(recs); base += batchWindow {
-		w := recs[base:min(base+batchWindow, len(recs))]
+// trcs is a prefix of the named records' trace handles: trcs[j] is the
+// j-th's (invalid when sampled out), and so is a record's past its end.
+// A failing record does not stop the view: failed counts them and first
+// is the earliest error. Processing is semantically identical to
+// ProcessStaged on each record.
+func (t *Translator) ProcessStagedView(recs []wire.StagedReport, idx []uint32, plan wire.ChunkPlan, trcs []trace.Handle, nowNs uint64) (failed int, first error) {
+	planned, n := len(plan.Recs) == len(recs), wire.ViewLen(recs, idx)
+	for base := 0; base < n; base += batchWindow {
+		w := min(n-base, batchWindow)
 		t.kwVAs, t.kiVAs, t.inPlace.Operands = t.kwVAs[:0], t.kiVAs[:0], t.inPlace.Operands[:0]
 		for i := range w {
-			if planned {
+			if k := wire.ViewAt(idx, base+i); planned {
 				// No look at the record: craft will not look either.
-				h := plan.Recs[base+i]
-				t.place(i, h.Prim(), h.Flags(), plan.SlotsOf(base+i), plan.OperandOf(base+i))
+				h := plan.Recs[k]
+				t.place(i, h.Prim(), h.Flags(), plan.SlotsOf(k), plan.OperandOf(k))
 			} else {
-				t.planInPlace(i, &w[i])
+				t.planInPlace(i, &recs[k])
 			}
 		}
 		t.preTouch()
 		for i := range w {
+			s := &recs[wire.ViewAt(idx, base+i)]
 			var err error
 			if base+i < len(trcs) && trcs[base+i].Valid() {
 				t.traceH = trcs[base+i]
-				err = t.craftTraced(i, &w[i], nowNs)
+				err = t.craftTraced(i, s, nowNs)
 			} else {
-				err = t.craft(i, &w[i], nowNs)
+				err = t.craft(i, s, nowNs)
 			}
 			if err != nil {
 				if failed == 0 {
@@ -653,9 +659,7 @@ func (t *Translator) planRecord(s *wire.StagedReport, p *wire.ChunkPlan) wire.Pr
 			p.Slots, csum = t.kwIdx.PlanWrite(key, n, p.Slots)
 			if d := s.Payload(); t.kwImage == 8 && len(d) >= 4 {
 				// A 4-byte value: the image is one word, built in a
-				// register and stored whole, so the fan-out legs that copy
-				// it a moment later load it at once (a word load over
-				// narrower stores still in flight waits for them to drain).
+				// register and stored whole.
 				img := uint64(bits.ReverseBytes32(csum)) | uint64(binary.LittleEndian.Uint32(d))<<32
 				p.Operands = binary.LittleEndian.AppendUint64(p.Operands, img)
 			} else {

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // StagedPlan is address generation's result for one staged record: the
 // part of its translation that depends on the record and the
@@ -12,11 +9,8 @@ import (
 // record's flags and its operand it is all the translator reads of a
 // planned record. The zero entry is "not planned".
 //
-// It is one word, built in a register and stored whole, so the fan-out
-// legs that copy it read it back at once: an entry written field by
-// field and read as a word waits for its narrow stores to drain. Low
-// bits first: Start (16), Op (16), N (8), Prim (8), Flags (8), OpLen
-// (8).
+// It is one word, built in a register and stored whole. Low bits first:
+// Start (16), Op (16), N (8), Prim (8), Flags (8), OpLen (8).
 type StagedPlan uint64
 
 // Start is the index in ChunkPlan.Slots of the record's first slot.
@@ -64,20 +58,12 @@ func (p *ChunkPlan) Reset() {
 	p.Operands = p.Operands[:0]
 }
 
-// Reserve makes room for a chunk of recs records with no further
-// allocation at up to two replicas and 8 operand bytes each (a Key-Write
-// at DataSize 4, a Key-Increment); more grow Slots or Operands once, and
-// the chunk keeps the larger array when it is recycled.
+// Reserve gives p, empty, room for a chunk of recs records with no
+// further allocation at up to two replicas and 8 operand bytes each (a
+// Key-Write at DataSize 4, a Key-Increment); more grow Slots or Operands
+// once, and the chunk keeps the larger array when it is recycled.
 func (p *ChunkPlan) Reserve(recs int) {
-	if cap(p.Recs) < recs {
-		p.Recs = append(make([]StagedPlan, 0, recs), p.Recs...)
-	}
-	if cap(p.Slots) < 2*recs {
-		p.Slots = append(make([]uint32, 0, 2*recs), p.Slots...)
-	}
-	if cap(p.Operands) < 8*recs {
-		p.Operands = append(make([]byte, 0, 8*recs), p.Operands...)
-	}
+	p.Recs, p.Slots, p.Operands = make([]StagedPlan, 0, recs), make([]uint32, 0, 2*recs), make([]byte, 0, 8*recs)
 }
 
 // Planned records the next record's plan: the slot indexes the caller
@@ -101,29 +87,21 @@ func (p *ChunkPlan) Planned(prim Primitive, flags uint8, start, op int) {
 	p.Recs = append(p.Recs, h)
 }
 
-// AppendFrom copies record i's entry of src — its slot indexes and its
-// operand with it — in as the next record's (the other legs of a
-// fan-out).
-func (p *ChunkPlan) AppendFrom(src *ChunkPlan, i int) {
-	h := src.Recs[i]
-	start, op := len(p.Slots), len(p.Operands)
-	// Slot by slot, and an operand of one word as a word: src was planned
-	// a moment ago, and a wide load over narrower stores still in flight
-	// waits for them to drain.
-	for _, slot := range src.Slots[h.Start() : h.Start()+h.N()] {
-		p.Slots = append(p.Slots, slot)
+// ViewLen and ViewAt read a view of a chunk — one collector's share of
+// records staged once for several: their indexes in order, or nil for
+// all of them. ViewLen is their number, ViewAt the j-th's index.
+func ViewLen(recs []StagedReport, idx []uint32) int {
+	if idx == nil {
+		return len(recs)
 	}
-	if o := src.Operands[h.Op() : h.Op()+h.OpLen()]; len(o) == 8 {
-		p.Operands = binary.LittleEndian.AppendUint64(p.Operands, binary.LittleEndian.Uint64(o))
-	} else {
-		p.Operands = append(p.Operands, o...)
+	return len(idx)
+}
+
+func ViewAt(idx []uint32, j int) int {
+	if idx == nil {
+		return j
 	}
-	if h == 0 || len(p.Slots) > math.MaxUint16 || len(p.Operands) > math.MaxUint16 {
-		p.Slots, p.Operands, h = p.Slots[:start], p.Operands[:op], 0
-	} else {
-		h = h&^(1<<32-1) | StagedPlan(start) | StagedPlan(op)<<16 // rebased
-	}
-	p.Recs = append(p.Recs, h)
+	return int(idx[j])
 }
 
 // SlotsOf returns the slot indexes of record i (empty when not planned).

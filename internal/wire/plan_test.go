@@ -46,18 +46,6 @@ func TestChunkPlanEntries(t *testing.T) {
 		t.Fatalf("OperandOf(3) = %v, OperandOf(2) = %v", got, p.OperandOf(2))
 	}
 
-	// AppendFrom copies an entry, rebased onto the copy's arrays.
-	var q ChunkPlan
-	q.AppendFrom(&p, 3)
-	q.AppendFrom(&p, 1)
-	q.AppendFrom(&p, 0)
-	if want := []StagedPlan{entry(0, 0, 3, PrimKeyIncrement, 0, 8), 0, entry(3, 8, 2, PrimKeyWrite, FlagImmediate, 8)}; !slices.Equal(q.Recs, want) {
-		t.Fatalf("copied plan %+v", q.Recs)
-	}
-	if !slices.Equal(q.SlotsOf(2), p.SlotsOf(0)) || !bytes.Equal(q.OperandOf(2), p.OperandOf(0)) {
-		t.Fatalf("copied entry: slots %v operand %v", q.SlotsOf(2), q.OperandOf(2))
-	}
-
 	// Fill Slots to the last index Start can name, then one more record.
 	p.Reset()
 	eight := []uint32{1, 2, 3, 4, 5, 6, 7, 8}

@@ -60,7 +60,7 @@ func TestOrderIndependence(t *testing.T) {
 							sink.PlanStaged(&recs[j], &plan)
 						}
 					}
-					if failed, err := sink.ProcessStagedBatch(chunk, plan, nil, 0); failed != 0 {
+					if failed, err := sink.ProcessStagedBatch(chunk, nil, plan, nil, 0); failed != 0 {
 						t.Fatalf("round %d: %d records failed: %v", round, failed, err)
 					}
 					a = b

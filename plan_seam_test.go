@@ -60,14 +60,14 @@ func TestSinkUsesStagedPlan(t *testing.T) {
 	var plan wire.ChunkPlan
 	for a := 0; a < len(real); a += 32 {
 		b := a + 32
-		if failed, err := (systemSink{ref}).ProcessStagedBatch(decoy[a:b], wire.ChunkPlan{}, nil, 0); failed != 0 {
+		if failed, err := (systemSink{ref}).ProcessStagedBatch(decoy[a:b], nil, wire.ChunkPlan{}, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
 		plan.Reset()
 		for i := a; i < b; i++ {
 			systemSink{got}.PlanStaged(&decoy[i], &plan)
 		}
-		if failed, err := (systemSink{got}).ProcessStagedBatch(real[a:b], plan, nil, 0); failed != 0 {
+		if failed, err := (systemSink{got}).ProcessStagedBatch(real[a:b], nil, plan, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
 	}
@@ -143,10 +143,10 @@ func TestPlannedCraftReadsNoRecord(t *testing.T) {
 			recs[i].Stage(&rep)
 			decoys++
 		}
-		if failed, err := (systemSink{ref}).ProcessStagedBatch(orig, wire.ChunkPlan{}, nil, 0); failed != 0 {
+		if failed, err := (systemSink{ref}).ProcessStagedBatch(orig, nil, wire.ChunkPlan{}, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
-		if failed, err := (systemSink{got}).ProcessStagedBatch(recs, plan, nil, 0); failed != 0 {
+		if failed, err := (systemSink{got}).ProcessStagedBatch(recs, nil, plan, nil, 0); failed != 0 {
 			t.Fatal(err)
 		}
 		refEvs, gotEvs = drainEvents(ref, refEvs), drainEvents(got, gotEvs)
@@ -255,8 +255,9 @@ func TestPlanEntryIsReadOnlyUnderProducers(t *testing.T) {
 }
 
 // TestHAFanoutZeroAllocs pins the replicated structured ingest chain —
-// owner lookup, one staging and one plan, R chunk copies, R shard queues,
-// R translators — at zero allocations per report once pools are warm.
+// owner lookup, one staging and one plan, one chunk read through R shard
+// views, R shard queues, R translators — at zero allocations per report
+// once pools are warm.
 func TestHAFanoutZeroAllocs(t *testing.T) {
 	c, err := NewHACluster(4, 3, Options{
 		KeyWrite:     &KeyWriteOptions{Slots: 1 << 16, DataSize: 4},

@@ -220,7 +220,7 @@ func TestPostListMatchesPerVerb(t *testing.T) {
 						}
 					}
 				} else {
-					n, _ := systemSink{s}.ProcessStagedBatch(st.recs[a:b], wire.ChunkPlan{}, nil, st.now[a])
+					n, _ := systemSink{s}.ProcessStagedBatch(st.recs[a:b], nil, wire.ChunkPlan{}, nil, st.now[a])
 					failed[side] += n
 				}
 				if rng.Intn(8) == 0 {

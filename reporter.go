@@ -14,7 +14,7 @@ import (
 // encapsulates one report, validates it once and routes it the way the
 // handle was attached (§5.1, §7): into one System, to every live owner
 // of its key in an HACluster (the one owner at R = 1), or, from an
-// Engine, staged by value into the owning shards' chunks. Not
+// Engine, staged by value once into a chunk the owning shards read. Not
 // goroutine-safe: the staging state is per-handle. Create one per
 // producer goroutine; they are cheap.
 type Reporter struct {
@@ -24,7 +24,7 @@ type Reporter struct {
 	// may grow.
 	sys *System
 	hac *HACluster        // replicated fan-out to every live owner
-	sub *engine.Submitter // engine handles: stage into shard chunks
+	sub *engine.Submitter // engine handles: stage into an engine chunk
 
 	// frame.Report is the scratch report the typed methods fill (only
 	// the active sub-header) and SubmitFrame decodes into; a synchronous
@@ -88,7 +88,7 @@ func (r *Reporter) fan(rep *wire.Report) error {
 	}
 	var err error
 	if r.sub != nil {
-		// Copied with its plan, and stamped, into each owner's chunk.
+		// Staged, planned and stamped once; each owner's view names it.
 		err = r.sub.SubmitReportFan(live[:n], nows[:n], rep)
 	} else {
 		r.staged[0].Stage(rep)
@@ -128,7 +128,7 @@ func (r *Reporter) deliverTraced(sys *System, t *trace.Tracer) error {
 	return err
 }
 
-// Flush queues an engine handle's staged chunks. Producers must call it
+// Flush queues an engine handle's staged chunk. Producers must call it
 // (on their own goroutine) before the engine's Drain or Close covers
 // their reports. A synchronous handle stages nothing: Flush is a no-op.
 func (r *Reporter) Flush() error {
